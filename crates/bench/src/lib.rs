@@ -316,6 +316,16 @@ mod tests {
         assert!(text.contains("deployment"));
     }
 
+    /// Regression: wallets funded with 10¹⁸ base units could not cover
+    /// `Chain::submit`'s worst-case-fee precheck once Goerli's base fee
+    /// spiked, so the first sweep of `tables` died with
+    /// `InsufficientBalance`.
+    #[test]
+    fn goerli_16_user_sweep_stays_funded_through_fee_spikes() {
+        let results = run_network(&presets::goerli(), 16, EVAL_SEED);
+        assert_eq!(results.measurements.len(), 16);
+    }
+
     #[test]
     fn table_render_smoke() {
         // A tiny devnet run just to exercise the rendering path.

@@ -107,7 +107,7 @@ impl Default for SystemConfig {
             reward: 1_000_000,
             witness_reward: None,
             max_users: MAX_USERS,
-            initial_funds: 10u128.pow(18),
+            initial_funds: 10u128.pow(21),
             seed: 1,
         }
     }
