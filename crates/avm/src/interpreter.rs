@@ -13,11 +13,11 @@
 
 use crate::cost::CALL_BUDGET;
 use crate::opcode::{AvmOp, GlobalField, TxnField};
-use crate::program::{AvmProgram, PreparedAvm};
+use crate::program::AvmProgram;
 use crate::state::TealValue;
 use pol_crypto::{keccak256, sha256};
 use pol_ledger::state::{self, BalancePatchBase, Overlay, StateKey, StateValue, WorldState};
-use pol_ledger::{Address, CodeCache, CodeCacheStats, OverlayBuffers, StateView, WriteSet};
+use pol_ledger::{Address, OverlayBuffers, StateView, WriteSet};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -161,30 +161,13 @@ pub fn create_app(
     program: AvmProgram,
     args: Vec<Vec<u8>>,
 ) -> Result<u64, AvmError> {
-    create_app_with_cache(state, creator, program, args, &CodeCache::disabled())
-}
-
-/// [`create_app`] with a shared code cache: the freshly installed
-/// program's prepared form (resolved branch targets, cost rows) is
-/// memoized under its app id for subsequent calls.
-///
-/// # Errors
-///
-/// Same as [`create_app`].
-pub fn create_app_with_cache(
-    state: &mut dyn StateView,
-    creator: Address,
-    program: AvmProgram,
-    args: Vec<Vec<u8>>,
-    cache: &CodeCache,
-) -> Result<u64, AvmError> {
     let app_id = state.get(&StateKey::AppCount).and_then(|v| v.as_u64()).unwrap_or(1);
     let checkpoint = state.checkpoint();
     state.put(StateKey::AppProgram(app_id), StateValue::Blob(Arc::new(program)));
     state.put(StateKey::AppCreator(app_id), StateValue::Bytes(creator.0.to_vec()));
     let params =
         AppCallParams { sender: creator, app_id, args, payment: 0, round: 1, timestamp_s: 1 };
-    match run(state, &params, true, cache) {
+    match run(state, &params, true) {
         Ok(outcome) if outcome.approved => {
             state.put(StateKey::AppCount, StateValue::U64(app_id + 1));
             Ok(app_id)
@@ -208,32 +191,16 @@ pub fn create_app_with_cache(
 ///
 /// Machine errors ([`AvmError`]); rejection is NOT an error.
 pub fn call_app(state: &mut dyn StateView, params: AppCallParams) -> Result<AppOutcome, AvmError> {
-    call_app_with_cache(state, params, &CodeCache::disabled())
-}
-
-/// [`call_app`] with a shared code cache: the target program's prepared
-/// form is looked up (or built) instead of re-walking the label table
-/// and cost table on every call.
-///
-/// # Errors
-///
-/// Same as [`call_app`].
-pub fn call_app_with_cache(
-    state: &mut dyn StateView,
-    params: AppCallParams,
-    cache: &CodeCache,
-) -> Result<AppOutcome, AvmError> {
     if state.get(&StateKey::AppProgram(params.app_id)).is_none() {
         return Err(AvmError::UnknownApp(params.app_id));
     }
-    run(state, &params, false, cache)
+    run(state, &params, false)
 }
 
 fn run(
     state: &mut dyn StateView,
     params: &AppCallParams,
     creating: bool,
-    cache: &CodeCache,
 ) -> Result<AppOutcome, AvmError> {
     let escrow = app_address(params.app_id);
     // Checkpoint BEFORE the grouped payment: unlike the EVM's call value,
@@ -248,7 +215,7 @@ fn run(
         let to = state.balance_of(escrow);
         state.set_balance_of(escrow, to + u128::from(params.payment));
     }
-    let result = execute(state, params, creating, escrow, cache);
+    let result = execute(state, params, creating, escrow);
     match &result {
         Ok(outcome) if outcome.approved => {}
         _ => {
@@ -265,7 +232,6 @@ fn execute(
     params: &AppCallParams,
     creating: bool,
     app_address: Address,
-    cache: &CodeCache,
 ) -> Result<AppOutcome, AvmError> {
     let program_blob = state
         .get(&StateKey::AppProgram(params.app_id))
@@ -275,11 +241,6 @@ fn execute(
         .as_any()
         .downcast_ref::<AvmProgram>()
         .ok_or(AvmError::CorruptProgram(params.app_id))?;
-    // The prepared rows are anchored to the exact blob `Arc`, so a
-    // replaced program (same app id, failed create retried, speculation
-    // overlay) never serves stale targets.
-    let prepared: Arc<PreparedAvm> =
-        cache.get_or_prepare_app(params.app_id, &program_blob, || PreparedAvm::prepare(program));
     let mut stack: Vec<TealValue> = Vec::with_capacity(16);
     // Scratch slots are dense small integers in compiler output: a
     // lazily-grown vector beats hashing every store/load.
@@ -308,11 +269,11 @@ fn execute(
         };
     }
     // `pc` has already been advanced past the branch when an arm fires,
-    // so its own instruction index — where the prepared target row lives
-    // — is `pc - 1`.
+    // so its own instruction index — where its target row lives — is
+    // `pc - 1`.
     macro_rules! branch {
         ($label:expr) => {{
-            pc = prepared.branch_target(pc - 1).ok_or(AvmError::BadBranch($label))?;
+            pc = program.branch_target(pc - 1).ok_or(AvmError::BadBranch($label))?;
             continue;
         }};
     }
@@ -320,7 +281,7 @@ fn execute(
     let ops = program.ops();
     while pc < ops.len() {
         let op = &ops[pc];
-        cost += prepared.cost(pc);
+        cost += program.cost(pc);
         if cost > CALL_BUDGET {
             return Err(AvmError::BudgetExceeded { budget: CALL_BUDGET });
         }
@@ -599,7 +560,6 @@ impl<'a> AvmView<'a> {
 #[derive(Debug, Default)]
 pub struct Avm {
     world: WorldState,
-    cache: CodeCache,
     spare: OverlayBuffers,
 }
 
@@ -664,7 +624,7 @@ impl Avm {
         let (result, writes) = {
             let base = BalancePatchBase::new(&self.world, balances);
             let mut view = Overlay::with_buffers(&base, std::mem::take(&mut self.spare));
-            let result = create_app_with_cache(&mut view, creator, program, args, &self.cache);
+            let result = create_app(&mut view, creator, program, args);
             let (reads, writes, mut spare) = view.into_parts_reusing();
             spare.absorb(reads, WriteSet::new());
             self.spare = spare;
@@ -687,7 +647,7 @@ impl Avm {
         let (result, writes) = {
             let base = BalancePatchBase::new(&self.world, balances);
             let mut view = Overlay::with_buffers(&base, std::mem::take(&mut self.spare));
-            let result = call_app_with_cache(&mut view, params, &self.cache);
+            let result = call_app(&mut view, params);
             let (reads, writes, mut spare) = view.into_parts_reusing();
             spare.absorb(reads, WriteSet::new());
             self.spare = spare;
@@ -695,11 +655,6 @@ impl Avm {
         };
         state::apply_split(writes, &mut self.world, balances);
         result
-    }
-
-    /// Snapshot of the façade's code-cache counters.
-    pub fn code_cache_stats(&self) -> CodeCacheStats {
-        self.cache.stats()
     }
 }
 
@@ -914,30 +869,6 @@ mod tests {
         ];
         let (_, id, _) = setup(body);
         assert!(id > 0);
-    }
-
-    #[test]
-    fn repeated_calls_hit_the_prepared_program_cache() {
-        let body = vec![
-            PushInt(2),
-            Store(0),
-            Load(0),
-            Bnz(3),
-            PushInt(0),
-            Return,
-            Label(3),
-            PushInt(1),
-            Return,
-        ];
-        let mut avm = Avm::new();
-        let mut balances = Balances::new();
-        let id = avm.create_app(Address::ZERO, AvmProgram::new(body), &mut balances).unwrap();
-        let first = avm.call(AppCallParams::new(Address::ZERO, id), &mut balances).unwrap();
-        let second = avm.call(AppCallParams::new(Address::ZERO, id), &mut balances).unwrap();
-        assert!(first.approved && second.approved);
-        assert_eq!(first.cost, second.cost, "cached preparation must not change costs");
-        let stats = avm.code_cache_stats();
-        assert!(stats.hits > 0, "second call must reuse the prepared program: {stats:?}");
     }
 
     #[test]

@@ -40,8 +40,7 @@ pub mod teal;
 pub mod verifier;
 
 pub use interpreter::{
-    app_address, call_app, call_app_with_cache, create_app, create_app_with_cache, AppCallParams,
-    AppOutcome, Avm, AvmError, AvmView, Balances,
+    app_address, call_app, create_app, AppCallParams, AppOutcome, Avm, AvmError, AvmView, Balances,
 };
-pub use program::{AvmProgram, PreparedAvm};
+pub use program::AvmProgram;
 pub use state::TealValue;

@@ -3,16 +3,26 @@
 use crate::opcode::AvmOp;
 use std::collections::HashMap;
 
-/// An AVM program with resolved branch targets.
+/// An AVM program with its derived per-instruction rows: resolved branch
+/// targets and opcode costs, computed once at construction so the
+/// interpreter's hot loop neither looks a label up per branch nor
+/// re-matches the cost table per op.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AvmProgram {
     ops: Vec<AvmOp>,
-    /// label id → instruction index.
-    labels: HashMap<usize, usize>,
+    /// Per-instruction branch target ([`UNRESOLVED`] when the
+    /// instruction is not a branch or its label does not exist — the
+    /// latter only fails if the branch is actually taken).
+    targets: Vec<u32>,
+    /// Per-instruction opcode cost (the TEAL cost table, pre-applied).
+    costs: Vec<u64>,
 }
 
+/// Sentinel for "no target here".
+const UNRESOLVED: u32 = u32::MAX;
+
 impl AvmProgram {
-    /// Builds a program, indexing its labels.
+    /// Builds a program, resolving its branch targets and cost rows.
     ///
     /// # Panics
     ///
@@ -22,11 +32,21 @@ impl AvmProgram {
         let mut labels = HashMap::new();
         for (idx, op) in ops.iter().enumerate() {
             if let AvmOp::Label(id) = op {
-                let prev = labels.insert(*id, idx);
+                let prev = labels.insert(*id, idx as u32);
                 assert!(prev.is_none(), "duplicate label {id}");
             }
         }
-        AvmProgram { ops, labels }
+        let targets = ops
+            .iter()
+            .map(|op| match op {
+                AvmOp::B(label) | AvmOp::Bz(label) | AvmOp::Bnz(label) => {
+                    labels.get(label).copied().unwrap_or(UNRESOLVED)
+                }
+                _ => UNRESOLVED,
+            })
+            .collect();
+        let costs = ops.iter().map(crate::cost::op_cost).collect();
+        AvmProgram { ops, targets, costs }
     }
 
     /// The instruction list.
@@ -34,9 +54,18 @@ impl AvmProgram {
         &self.ops
     }
 
-    /// Resolves a label to its instruction index.
-    pub fn resolve(&self, label: usize) -> Option<usize> {
-        self.labels.get(&label).copied()
+    /// The instruction index the branch at `idx` jumps to, or `None`
+    /// when `idx` is not a branch or its label does not exist.
+    pub fn branch_target(&self, idx: usize) -> Option<usize> {
+        match self.targets[idx] {
+            UNRESOLVED => None,
+            target => Some(target as usize),
+        }
+    }
+
+    /// The opcode cost of instruction `idx`.
+    pub fn cost(&self, idx: usize) -> u64 {
+        self.costs[idx]
     }
 
     /// Number of instructions.
@@ -47,56 +76,6 @@ impl AvmProgram {
     /// Whether the program is empty.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-}
-
-/// The prepared, cache-resident form of an [`AvmProgram`]: per-instruction
-/// pre-resolved branch targets and pre-computed cost rows, derived once
-/// (via the ledger's `CodeCache`) so the interpreter's hot loop neither
-/// probes the label `HashMap` per branch nor re-matches the cost table
-/// per op.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreparedAvm {
-    /// Per-instruction branch target ([`PreparedAvm::UNRESOLVED`] when
-    /// the instruction is not a branch or its label does not exist —
-    /// the latter only fails if the branch is actually taken).
-    targets: Vec<u32>,
-    /// Per-instruction opcode cost (the TEAL cost table, pre-applied).
-    costs: Vec<u64>,
-}
-
-impl PreparedAvm {
-    /// Sentinel for "no target here".
-    pub const UNRESOLVED: u32 = u32::MAX;
-
-    /// Derives the prepared rows from a program.
-    pub fn prepare(program: &AvmProgram) -> PreparedAvm {
-        let targets = program
-            .ops()
-            .iter()
-            .map(|op| match op {
-                AvmOp::B(label) | AvmOp::Bz(label) | AvmOp::Bnz(label) => {
-                    program.resolve(*label).map_or(PreparedAvm::UNRESOLVED, |idx| idx as u32)
-                }
-                _ => PreparedAvm::UNRESOLVED,
-            })
-            .collect();
-        let costs = program.ops().iter().map(crate::cost::op_cost).collect();
-        PreparedAvm { targets, costs }
-    }
-
-    /// The pre-resolved target of the branch at instruction `idx`
-    /// (`None` = the branch's label does not exist).
-    pub fn branch_target(&self, idx: usize) -> Option<usize> {
-        match self.targets[idx] {
-            PreparedAvm::UNRESOLVED => None,
-            target => Some(target as usize),
-        }
-    }
-
-    /// The opcode cost of instruction `idx`.
-    pub fn cost(&self, idx: usize) -> u64 {
-        self.costs[idx]
     }
 }
 
@@ -120,13 +99,35 @@ impl pol_ledger::StateBlob for AvmProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opcode::TxnField;
+    use crate::{AppCallParams, Avm, AvmError, Balances};
+    use pol_ledger::Address;
 
+    /// Targets are resolved at construction: a branch to a missing label
+    /// keeps the sentinel and only fails when the interpreter takes it.
     #[test]
     fn labels_resolve() {
-        let p = AvmProgram::new(vec![AvmOp::PushInt(1), AvmOp::Label(7), AvmOp::Return]);
-        assert_eq!(p.resolve(7), Some(1));
-        assert_eq!(p.resolve(8), None);
-        assert_eq!(p.len(), 3);
+        let p = AvmProgram::new(vec![
+            AvmOp::Txn(TxnField::NumAppArgs),
+            AvmOp::Bnz(8),
+            AvmOp::B(7),
+            AvmOp::Label(7),
+            AvmOp::PushInt(1),
+            AvmOp::Return,
+        ]);
+        assert_eq!(p.branch_target(2), Some(3));
+        assert_eq!(p.branch_target(1), None, "label 8 does not exist");
+        assert_eq!(p.branch_target(0), None, "not a branch");
+        assert_eq!(p.cost(3), 0, "labels are free");
+        assert_eq!(p.len(), 6);
+
+        let mut avm = Avm::new();
+        let mut balances = Balances::new();
+        let id = avm.create_app(Address::ZERO, p, &mut balances).unwrap();
+        let untaken = AppCallParams::new(Address::ZERO, id);
+        assert!(avm.call(untaken.clone(), &mut balances).unwrap().approved);
+        let taken = untaken.with_args(vec![vec![1]]);
+        assert_eq!(avm.call(taken, &mut balances).unwrap_err(), AvmError::BadBranch(8));
     }
 
     #[test]

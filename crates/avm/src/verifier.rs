@@ -176,19 +176,19 @@ pub fn verify(program: &AvmProgram) -> Result<ProgramReport, VerifyError> {
             }
             max_stack = max_stack.max(depth);
 
-            let resolve = |label: usize| {
-                program.resolve(label).ok_or(VerifyError::UnresolvedLabel { idx, label })
+            let target = |label: usize| {
+                program.branch_target(idx).ok_or(VerifyError::UnresolvedLabel { idx, label })
             };
             match op {
                 AvmOp::Return => {
                     worst_case_cost = worst_case_cost.max(spent);
                     break;
                 }
-                AvmOp::B(label) => idx = resolve(*label)?,
+                AvmOp::B(label) => idx = target(*label)?,
                 AvmOp::Bz(label) | AvmOp::Bnz(label) => {
                     // Fork: taken branch queued, fallthrough continues
                     // inline.
-                    worklist.push((resolve(*label)?, depth, spent));
+                    worklist.push((target(*label)?, depth, spent));
                     idx += 1;
                 }
                 _ => idx += 1,

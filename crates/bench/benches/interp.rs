@@ -1,5 +1,6 @@
-//! Interpreter micro-benchmarks: pre-decode cost, superinstruction
-//! fusion, and what the shared code cache buys per call on both VMs.
+//! Interpreter micro-benchmarks: EVM pre-decode cost, superinstruction
+//! fusion and what the shared code cache buys per call, and AVM call
+//! latency.
 //!
 //! ```sh
 //! cargo bench -p pol-bench --bench interp
@@ -10,11 +11,11 @@
 //! numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pol_avm::{call_app_with_cache, create_app_with_cache, AppCallParams, AvmProgram};
+use pol_avm::{call_app, create_app, AppCallParams, AvmProgram};
 use pol_evm::assembler::Asm;
 use pol_evm::opcode::Op;
-use pol_evm::{call_contract_with_cache, deploy_contract_with_cache, CallParams, EvmProgram};
-use pol_ledger::{Address, CodeCache, Overlay, WorldState};
+use pol_evm::{call_contract, deploy_contract, CallParams, CodeCache, EvmProgram};
+use pol_ledger::{Address, Overlay, WorldState};
 use std::hint::black_box;
 
 /// A runtime that loops `iters` times over cheap arithmetic — enough
@@ -36,7 +37,7 @@ fn deployed_world(runtime: &[u8]) -> (WorldState, Address) {
     let cache = CodeCache::disabled();
     let (addr, writes) = {
         let mut view = Overlay::new(&world);
-        let (addr, _) = deploy_contract_with_cache(
+        let (addr, _) = deploy_contract(
             &mut view,
             Address::ZERO,
             &Asm::deploy_wrapper(runtime),
@@ -75,7 +76,7 @@ fn evm_benches(c: &mut Criterion) {
     c.bench_function("interp/evm/call-cached", |b| {
         b.iter(|| {
             let mut view = Overlay::new(&world);
-            call_contract_with_cache(&mut view, call_params(addr), &cached)
+            call_contract(&mut view, call_params(addr), &cached)
                 .expect("bench call succeeds")
                 .gas_used
         })
@@ -84,7 +85,7 @@ fn evm_benches(c: &mut Criterion) {
     c.bench_function("interp/evm/call-uncached", |b| {
         b.iter(|| {
             let mut view = Overlay::new(&world);
-            call_contract_with_cache(&mut view, call_params(addr), &uncached)
+            call_contract(&mut view, call_params(addr), &uncached)
                 .expect("bench call succeeds")
                 .gas_used
         })
@@ -113,29 +114,19 @@ fn avm_loop_program() -> AvmProgram {
 }
 
 fn avm_benches(c: &mut Criterion) {
-    let cached = CodeCache::new();
     let mut world = WorldState::new();
     let writes = {
         let mut view = Overlay::new(&world);
-        create_app_with_cache(&mut view, Address::ZERO, avm_loop_program(), Vec::new(), &cached)
+        create_app(&mut view, Address::ZERO, avm_loop_program(), Vec::new())
             .expect("bench app installs");
         view.into_writes()
     };
     world.apply(writes);
 
-    c.bench_function("interp/avm/call-prepared", |b| {
+    c.bench_function("interp/avm/call", |b| {
         b.iter(|| {
             let mut view = Overlay::new(&world);
-            call_app_with_cache(&mut view, AppCallParams::new(Address::ZERO, 1), &cached)
-                .expect("bench call succeeds")
-                .cost
-        })
-    });
-    let uncached = CodeCache::disabled();
-    c.bench_function("interp/avm/call-unprepared", |b| {
-        b.iter(|| {
-            let mut view = Overlay::new(&world);
-            call_app_with_cache(&mut view, AppCallParams::new(Address::ZERO, 1), &uncached)
+            call_app(&mut view, AppCallParams::new(Address::ZERO, 1))
                 .expect("bench call succeeds")
                 .cost
         })

@@ -24,11 +24,8 @@
 //!   read-modify-write counter contract (each call SLoads before it
 //!   SStores, so concurrent calls genuinely conflict) while odd-indexed
 //!   users keep calling their own contracts, interleaved in submission
-//!   order. This workload also runs under
-//!   `ExecutionMode::ParallelAbortSuffix` — the pre-recovery baseline
-//!   that re-speculates the whole suffix on the first conflict — so the
-//!   JSON quantifies what dependency-aware recovery buys
-//!   (`recovery_speedup_gain`, `respeculations_avoided`).
+//!   order, so dependency-aware recovery has independent speculations
+//!   to keep alive across the hot conflicts (`respeculations_avoided`).
 //! * `conflict-disjoint` — every user calls `put(user_idx, round)` on
 //!   *one shared* pol-lang contract whose map writes are keyed by a call
 //!   parameter. The compile-time access summaries pin each call to its
@@ -456,18 +453,6 @@ fn run_workload(seed: u64, workload: Workload, backend: &str) -> WorkloadResult 
         false,
         false,
     );
-    let abort = if workload == Workload::Heavy {
-        Some(run_mode(
-            seed,
-            workload,
-            ExecutionMode::ParallelAbortSuffix { workers: WORKERS },
-            backend,
-            true,
-            false,
-        ))
-    } else {
-        None
-    };
     let lanes = if workload == Workload::Disjoint {
         Some(run_mode(
             seed,
@@ -513,9 +498,6 @@ fn run_workload(seed: u64, workload: Workload, backend: &str) -> WorkloadResult 
         && seq.receipts == uncached.receipts
         && seq.digest == uncached.digest
         && seq.burned == uncached.burned;
-    if let Some(a) = &abort {
-        ok = ok && seq.receipts == a.receipts && seq.digest == a.digest && seq.burned == a.burned;
-    }
     if let Some(l) = &lanes {
         ok = ok && seq.receipts == l.receipts && seq.digest == l.digest && seq.burned == l.burned;
     }
@@ -569,21 +551,6 @@ fn run_workload(seed: u64, workload: Workload, backend: &str) -> WorkloadResult 
         ),
         par.report.clone(),
     ];
-    if let Some(a) = &abort {
-        let abort_modeled = a.stats.modeled_speedup().unwrap_or(1.0);
-        json.push_str(&format!(
-            ",\n      \"abort_baseline_speedup\": {abort_modeled:.3},\n      \
-             \"recovery_speedup_gain\": {gain:.3},\n      \
-             \"abort_stats\": {abort_stats}",
-            gain = modeled / abort_modeled.max(f64::MIN_POSITIVE),
-            abort_stats = stats_json(&a.stats, "      "),
-        ));
-        summary.push(format!(
-            "abort-suffix baseline: modeled {abort_modeled:.2}x, {} speculative runs \
-             (recovery: {} runs, {} respeculations avoided)",
-            a.stats.speculative_runs, par.stats.speculative_runs, par.stats.respeculations_avoided,
-        ));
-    }
     if let Some(l) = &lanes {
         let static_modeled = l.stats.modeled_speedup().unwrap_or(1.0);
         json.push_str(&format!(

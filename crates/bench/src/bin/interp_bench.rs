@@ -11,19 +11,19 @@
 //!   opcodes, by differencing: a program repeating the opcode `K` times
 //!   is timed against an otherwise-identical empty program, and the
 //!   delta divided by `K`;
-//! * cached vs uncached call latency on a loop-heavy contract (what the
-//!   pre-decoded program cache buys per call);
-//! * the code cache's hit rate and cumulative decode time over the
-//!   measured calls.
+//! * EVM cached vs uncached call latency on a loop-heavy contract (what
+//!   the pre-decoded program cache buys per call), with the cache's hit
+//!   rate and cumulative decode time over the measured calls;
+//! * AVM call latency on a loop-heavy program.
 //!
 //! Timings are machine-dependent by nature: CI checks this file's shape
-//! and the cache hit rates, never the nanosecond values.
+//! and the EVM cache hit rate, never the nanosecond values.
 
-use pol_avm::{call_app_with_cache, create_app_with_cache, AppCallParams, AvmProgram};
+use pol_avm::{call_app, create_app, AppCallParams, AvmProgram};
 use pol_evm::assembler::Asm;
 use pol_evm::opcode::Op;
-use pol_evm::{call_contract_with_cache, deploy_contract_with_cache, CallParams, EvmProgram};
-use pol_ledger::{Address, CodeCache, Overlay, WorldState};
+use pol_evm::{call_contract, deploy_contract, CallParams, CodeCache, EvmProgram};
+use pol_ledger::{Address, Overlay, WorldState};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -42,7 +42,7 @@ impl EvmFixture {
         let cache = CodeCache::disabled();
         let (addr, writes) = {
             let mut view = Overlay::new(&world);
-            let (addr, _) = deploy_contract_with_cache(
+            let (addr, _) = deploy_contract(
                 &mut view,
                 Address::ZERO,
                 &Asm::deploy_wrapper(runtime),
@@ -71,9 +71,7 @@ impl EvmFixture {
         for _ in 0..iters {
             let mut view = Overlay::new(&self.world);
             black_box(
-                call_contract_with_cache(&mut view, params(), cache)
-                    .expect("bench call succeeds")
-                    .gas_used,
+                call_contract(&mut view, params(), cache).expect("bench call succeeds").gas_used,
             );
         }
         started.elapsed().as_nanos() as f64 / iters as f64
@@ -128,30 +126,24 @@ struct AvmFixture {
 impl AvmFixture {
     fn install(program: AvmProgram) -> AvmFixture {
         let mut world = WorldState::new();
-        let cache = CodeCache::disabled();
         let (app_id, writes) = {
             let mut view = Overlay::new(&world);
-            let app_id =
-                create_app_with_cache(&mut view, Address::ZERO, program, Vec::new(), &cache)
-                    .expect("bench app installs");
+            let app_id = create_app(&mut view, Address::ZERO, program, Vec::new())
+                .expect("bench app installs");
             (app_id, view.into_writes())
         };
         world.apply(writes);
         AvmFixture { world, app_id }
     }
 
-    fn call_ns(&self, iters: u64, cache: &CodeCache) -> f64 {
+    fn call_ns(&self, iters: u64) -> f64 {
         let started = Instant::now();
         for _ in 0..iters {
             let mut view = Overlay::new(&self.world);
             black_box(
-                call_app_with_cache(
-                    &mut view,
-                    AppCallParams::new(Address::ZERO, self.app_id),
-                    cache,
-                )
-                .expect("bench call succeeds")
-                .cost,
+                call_app(&mut view, AppCallParams::new(Address::ZERO, self.app_id))
+                    .expect("bench call succeeds")
+                    .cost,
             );
         }
         started.elapsed().as_nanos() as f64 / iters as f64
@@ -219,18 +211,17 @@ fn main() {
     );
 
     // AVM: per-opcode differencing.
-    let avm_cache = CodeCache::new();
     let avm_empty = AvmFixture::install(avm_repeated(0, &[]));
-    let avm_base_ns = avm_empty.call_ns(iters, &avm_cache);
+    let avm_base_ns = avm_empty.call_ns(iters);
     let mut avm_rows: Vec<(&str, f64)> = Vec::new();
     for (name, program, reps) in avm_opcode_programs() {
         let fixture = AvmFixture::install(program);
-        let ns = (fixture.call_ns(iters, &avm_cache) - avm_base_ns).max(0.0) / reps as f64;
+        let ns = (fixture.call_ns(iters) - avm_base_ns).max(0.0) / reps as f64;
         println!("avm/{name:<12} {ns:8.1} ns/op");
         avm_rows.push((name, ns));
     }
 
-    // AVM: prepared vs unprepared call latency.
+    // AVM: call latency on a loop-heavy program.
     use pol_avm::opcode::AvmOp::*;
     let avm_loop = AvmProgram::new(vec![
         PushInt(0),
@@ -247,21 +238,14 @@ fn main() {
         PushInt(1),
         Return,
     ]);
-    let avm_loop_fixture = AvmFixture::install(avm_loop);
-    let avm_cached_ns = avm_loop_fixture.call_ns(iters, &avm_cache);
-    let avm_uncached_ns = avm_loop_fixture.call_ns(iters, &CodeCache::disabled());
-    let avm_stats = avm_cache.stats();
-    let avm_hit_rate = avm_stats.hits as f64 / (avm_stats.hits + avm_stats.misses).max(1) as f64;
-    println!(
-        "avm/call: prepared {avm_cached_ns:.0} ns, unprepared {avm_uncached_ns:.0} ns \
-         (hit rate {avm_hit_rate:.3})"
-    );
+    let avm_call_ns = AvmFixture::install(avm_loop).call_ns(iters);
+    println!("avm/call: {avm_call_ns:.0} ns");
 
     let json = format!(
         r#"{{
   "bench": "interp_bench",
   "iters": {iters},
-  "note": "nanosecond values are host-dependent; CI checks shape and hit rates only",
+  "note": "nanosecond values are host-dependent; CI checks shape and the EVM hit rate only",
   "evm": {{
     "per_opcode_ns": {evm_ops},
     "call_ns_cached": {evm_cached_ns:.1},
@@ -274,12 +258,7 @@ fn main() {
   }},
   "avm": {{
     "per_opcode_ns": {avm_ops},
-    "call_ns_prepared": {avm_cached_ns:.1},
-    "call_ns_unprepared": {avm_uncached_ns:.1},
-    "cache_hits": {avm_hits},
-    "cache_misses": {avm_misses},
-    "cache_hit_rate": {avm_hit_rate:.4},
-    "decode_ns_total": {avm_decode_ns}
+    "call_ns": {avm_call_ns:.1}
   }}
 }}
 "#,
@@ -288,9 +267,6 @@ fn main() {
         evm_hits = evm_stats.hits,
         evm_misses = evm_stats.misses,
         evm_decode_ns = evm_stats.decode_ns,
-        avm_hits = avm_stats.hits,
-        avm_misses = avm_stats.misses,
-        avm_decode_ns = avm_stats.decode_ns,
     );
 
     let _ = std::fs::create_dir_all("results");
@@ -300,8 +276,8 @@ fn main() {
         Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
 
-    if evm_stats.hits == 0 || avm_stats.hits == 0 {
-        eprintln!("FAIL: code cache never hit during the measured calls");
+    if evm_stats.hits == 0 {
+        eprintln!("FAIL: the EVM code cache never hit during the measured calls");
         std::process::exit(1);
     }
 }

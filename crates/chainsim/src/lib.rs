@@ -34,22 +34,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod access;
 pub mod chain;
 pub mod congestion;
 pub mod executor;
 pub mod explorer;
+pub mod facts;
 pub mod faucet;
 pub mod feemarket;
-pub mod gas;
 pub mod presets;
 pub mod provider;
 
-pub use access::{AccessQuery, AccessRegistry, AccessResolver};
 pub use chain::{Chain, ChainConfig, VmKind};
 pub use congestion::CongestionModel;
 pub use executor::{ExecStats, ExecutionMode, MISSING_RECIPIENT};
-pub use gas::{GasQuery, GasRegistry, GasResolver};
+pub use facts::{AccessQuery, AccessResolver, CallQuery, GasQuery, GasResolver};
 pub use pol_store::{BackendConfig, StateBackend};
 pub use presets::ChainPreset;
 pub use provider::NodeProvider;

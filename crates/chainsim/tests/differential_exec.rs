@@ -165,8 +165,15 @@ fn run(
 
 /// Counter invariants every parallel run must satisfy regardless of the
 /// workload: speculation can only add to committed work, and a conflict
-/// can only be observed on a speculation that actually ran.
-fn assert_stats_invariants(stats: &ExecStats) {
+/// can only be observed on a speculation that actually ran. Where no
+/// arrived transaction can be deferred for block gas — every preset but
+/// the EVM chains under background congestion — there is also an upper
+/// bound on wasted work: every speculation either commits or is
+/// discarded by exactly one conflict, so nothing re-executes without
+/// having lost a validation. (A congestion spike can leave a Goerli or
+/// Mumbai block with less gas than a call provisions, and a speculation
+/// dropped because its transaction waits for the next block is neither.)
+fn assert_stats_invariants(preset_idx: usize, stats: &ExecStats) {
     assert!(
         stats.speculative_runs >= stats.committed_txs,
         "fewer speculations than commits: {stats:?}"
@@ -174,6 +181,12 @@ fn assert_stats_invariants(stats: &ExecStats) {
     assert!(
         stats.conflicts <= stats.speculative_runs,
         "more conflicts than speculations: {stats:?}"
+    );
+    let config = preset_for(preset_idx).config;
+    let can_defer = config.vm == VmKind::Evm && config.congestion.mean > 0.0;
+    assert!(
+        can_defer || stats.speculative_runs <= stats.committed_txs + stats.conflicts,
+        "a speculation re-executed without a conflict: {stats:?}"
     );
 }
 
@@ -216,7 +229,7 @@ proptest! {
         prop_assert_eq!(seq_receipts, par_receipts);
         prop_assert_eq!(seq_burned, par_burned);
         prop_assert_eq!(seq_digest, par_digest);
-        assert_stats_invariants(&par_stats);
+        assert_stats_invariants(preset_idx, &par_stats);
     }
 }
 
@@ -226,8 +239,7 @@ proptest! {
     /// Hot-key preset: every action is a read-modify-write on the same
     /// counter, so validation failures and the dependency-recovery scan
     /// fire on essentially every parallel block. Recovery must stay
-    /// byte-identical to the oracle and never speculate more than the
-    /// abort-at-first-conflict baseline.
+    /// byte-identical to the oracle and re-execute only what conflicted.
     #[test]
     fn hot_key_recovery_matches_sequential(
         preset_idx in 0..4usize,
@@ -239,21 +251,9 @@ proptest! {
             run(preset_idx, seed, &actions, ExecutionMode::Sequential);
         let (par_receipts, par_burned, par_digest, par_stats) =
             run(preset_idx, seed, &actions, ExecutionMode::Parallel { workers });
-        let (abort_receipts, abort_burned, abort_digest, abort_stats) =
-            run(preset_idx, seed, &actions, ExecutionMode::ParallelAbortSuffix { workers });
         prop_assert_eq!(&seq_receipts, &par_receipts);
         prop_assert_eq!(seq_burned, par_burned);
         prop_assert_eq!(seq_digest, par_digest);
-        prop_assert_eq!(&seq_receipts, &abort_receipts);
-        prop_assert_eq!(seq_burned, abort_burned);
-        prop_assert_eq!(seq_digest, abort_digest);
-        assert_stats_invariants(&par_stats);
-        assert_stats_invariants(&abort_stats);
-        prop_assert!(
-            par_stats.speculative_runs <= abort_stats.speculative_runs,
-            "recovery speculated more than the abort baseline: {:?} vs {:?}",
-            par_stats,
-            abort_stats
-        );
+        assert_stats_invariants(preset_idx, &par_stats);
     }
 }

@@ -10,13 +10,14 @@
 //! the interpreter takes a journal checkpoint and rolls the overlay back,
 //! which undoes exactly the writes the frame made.
 
+use crate::cache::{CodeCache, CodeCacheStats};
 use crate::gas;
 use crate::opcode::Op;
 use crate::program::{EvmProgram, Instr};
 use crate::word::Word;
 use pol_crypto::keccak256;
 use pol_ledger::state::{self, BalancePatchBase, Overlay, StateKey, StateValue, WorldState};
-use pol_ledger::{address, Address, CodeCache, OverlayBuffers, StateView, WriteSet};
+use pol_ledger::{address, Address, OverlayBuffers, StateView, WriteSet};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -149,7 +150,10 @@ fn load_storage(state: &mut dyn StateView, contract: Address, slot: Word) -> Wor
 }
 
 /// Runs `init_code` as a deployment from `deployer` against a state view,
-/// storing whatever it returns as the new contract's runtime code.
+/// storing whatever it returns as the new contract's runtime code. The
+/// init code is decoded through `cache` (keyed by content hash, so
+/// repeated deployments of the same init code — and every speculative
+/// retry of this one — decode once).
 ///
 /// Returns the new contract's address and the execution outcome (whose
 /// `gas_used` includes intrinsic, execution and code-deposit gas). All
@@ -160,24 +164,6 @@ fn load_storage(state: &mut dyn StateView, contract: Address, slot: Word) -> Wor
 /// Machine errors, plus [`EvmError::BadDeploy`] if the init code reverts
 /// or returns nothing.
 pub fn deploy_contract(
-    state: &mut dyn StateView,
-    deployer: Address,
-    init_code: &[u8],
-    gas_limit: u64,
-) -> Result<(Address, ExecOutcome), EvmError> {
-    deploy_contract_with_cache(state, deployer, init_code, gas_limit, &CodeCache::disabled())
-}
-
-/// Like [`deploy_contract`], but decoding the init code through a shared
-/// [`CodeCache`] (keyed by content hash, so repeated deployments of the
-/// same init code — and every speculative retry of this one — decode
-/// once).
-///
-/// # Errors
-///
-/// Machine errors, plus [`EvmError::BadDeploy`] if the init code reverts
-/// or returns nothing.
-pub fn deploy_contract_with_cache(
     state: &mut dyn StateView,
     deployer: Address,
     init_code: &[u8],
@@ -232,7 +218,9 @@ pub fn deploy_contract_with_cache(
 }
 
 /// Executes a message call against a deployed contract through a state
-/// view.
+/// view, resolving the contract's pre-decoded program through `cache` so
+/// repeated calls (and every speculation attempt across the executor's
+/// modes) skip re-decoding.
 ///
 /// The `gas_used` in the outcome includes the transaction-intrinsic gas.
 /// Value is moved from caller to contract before the checkpoint (matching
@@ -244,20 +232,6 @@ pub fn deploy_contract_with_cache(
 ///
 /// Machine errors ([`EvmError`]); reverts are NOT errors.
 pub fn call_contract(
-    state: &mut dyn StateView,
-    params: CallParams,
-) -> Result<ExecOutcome, EvmError> {
-    call_contract_with_cache(state, params, &CodeCache::disabled())
-}
-
-/// Like [`call_contract`], but resolving the contract's pre-decoded
-/// program through a shared [`CodeCache`] so repeated calls (and every
-/// speculation attempt across the executor's modes) skip re-decoding.
-///
-/// # Errors
-///
-/// Machine errors ([`EvmError`]); reverts are NOT errors.
-pub fn call_contract_with_cache(
     state: &mut dyn StateView,
     params: CallParams,
     cache: &CodeCache,
@@ -750,7 +724,7 @@ impl Evm {
     }
 
     /// Hit/miss/decode-time counters of the façade's program cache.
-    pub fn code_cache_stats(&self) -> pol_ledger::CodeCacheStats {
+    pub fn code_cache_stats(&self) -> CodeCacheStats {
         self.cache.stats()
     }
 
@@ -771,8 +745,7 @@ impl Evm {
         let (result, writes) = {
             let base = BalancePatchBase::new(&self.world, balances);
             let mut view = Overlay::with_buffers(&base, std::mem::take(&mut self.spare));
-            let result =
-                deploy_contract_with_cache(&mut view, deployer, init_code, gas_limit, &self.cache);
+            let result = deploy_contract(&mut view, deployer, init_code, gas_limit, &self.cache);
             let (reads, writes, mut spare) = view.into_parts_reusing();
             spare.absorb(reads, WriteSet::new());
             self.spare = spare;
@@ -798,7 +771,7 @@ impl Evm {
         let (result, writes) = {
             let base = BalancePatchBase::new(&self.world, balances);
             let mut view = Overlay::with_buffers(&base, std::mem::take(&mut self.spare));
-            let result = call_contract_with_cache(&mut view, params, &self.cache);
+            let result = call_contract(&mut view, params, &self.cache);
             let (reads, writes, mut spare) = view.into_parts_reusing();
             spare.absorb(reads, WriteSet::new());
             self.spare = spare;

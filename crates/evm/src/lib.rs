@@ -36,6 +36,7 @@
 
 pub mod abi;
 pub mod assembler;
+pub mod cache;
 pub mod gas;
 pub mod interpreter;
 pub mod opcode;
@@ -43,9 +44,9 @@ pub mod program;
 pub mod verifier;
 pub mod word;
 
+pub use cache::{CodeCache, CodeCacheStats};
 pub use interpreter::{
-    call_contract, call_contract_with_cache, deploy_contract, deploy_contract_with_cache, Balances,
-    CallParams, Evm, EvmError, EvmView, ExecOutcome,
+    call_contract, deploy_contract, Balances, CallParams, Evm, EvmError, EvmView, ExecOutcome,
 };
 pub use program::{EvmProgram, Instr};
 pub use word::Word;

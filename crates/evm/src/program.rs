@@ -63,9 +63,9 @@ pub enum Instr {
     TruncatedPush(u8),
 }
 
-/// A contract's code, decoded once and shared (via the ledger's
-/// `CodeCache`) across every call, speculation attempt and execution
-/// mode.
+/// A contract's code, decoded once and shared (via the
+/// [`crate::cache::CodeCache`]) across every call, speculation attempt
+/// and execution mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvmProgram {
     code: Vec<u8>,

@@ -432,6 +432,17 @@ pub enum MethodKind {
     Close,
 }
 
+impl MethodKind {
+    /// The kind's name in the published JSON artifacts.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            MethodKind::Api => "api",
+            MethodKind::View => "view",
+            MethodKind::Close => "close",
+        }
+    }
+}
+
 /// One dispatchable method with its summary and the ABI facts needed to
 /// resolve concrete calls.
 #[derive(Debug, Clone)]
@@ -782,7 +793,7 @@ impl ContractSummaries {
 
 // ------------------------------------------------------- reporting --
 
-fn json_str(s: &str) -> String {
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
@@ -862,11 +873,7 @@ impl ContractSummaries {
                     "{indent}    {{\"name\": {}, \"phase\": {}, \"kind\": {}, \"summary\": {}}}",
                     json_str(&m.name),
                     m.phase.as_ref().map_or("null".to_string(), |p| json_str(p)),
-                    json_str(match m.kind {
-                        MethodKind::Api => "api",
-                        MethodKind::View => "view",
-                        MethodKind::Close => "close",
-                    }),
+                    json_str(m.kind.label()),
                     summary_json(&m.summary, &format!("{indent}    ")),
                 )
             })

@@ -31,6 +31,7 @@
 //! the straight-line bound — the two-sided X0401/X0402 gate in
 //! [`crate::backend`].
 
+use crate::access::json_str;
 use crate::ast::{Api, Expr, GlobalInit, Program, Ty};
 use crate::backend::evm as evm_backend;
 use crate::ir::{self, BodyAnalysis, Cfg, Inst, Term};
@@ -1056,7 +1057,7 @@ impl ContractGasBounds {
                      \"selector\": \"0x{}\", \"evm\": {}, \"evm_exec\": {}, \"avm\": {}}}",
                     json_str(&m.name),
                     m.phase.as_ref().map_or("null".to_string(), |p| json_str(p)),
-                    json_str(kind_label(m.kind)),
+                    json_str(m.kind.label()),
                     hex4(&m.selector),
                     bound_json(&m.evm),
                     m.evm_exec,
@@ -1116,14 +1117,6 @@ impl ContractGasBounds {
     }
 }
 
-fn kind_label(kind: crate::access::MethodKind) -> &'static str {
-    match kind {
-        crate::access::MethodKind::Api => "api",
-        crate::access::MethodKind::View => "view",
-        crate::access::MethodKind::Close => "close",
-    }
-}
-
 fn hex4(sel: &[u8; 4]) -> String {
     sel.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -1145,22 +1138,6 @@ fn bound_json(b: &GasBound) -> String {
         ),
         GasBound::Top => "{\"form\": \"top\"}".to_string(),
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -14,7 +14,6 @@ pub mod access;
 pub mod account;
 pub mod address;
 pub mod block;
-pub mod cache;
 pub mod codec;
 pub mod receipt;
 pub mod state;
@@ -25,7 +24,6 @@ pub use access::{AccessClaims, KeyClaim};
 pub use account::Account;
 pub use address::{Address, ContractId};
 pub use block::{Block, BlockHash};
-pub use cache::{CodeCache, CodeCacheStats};
 pub use receipt::{Receipt, TxStatus};
 pub use state::{
     apply_split, sets_intersect, BalancePatchBase, Checkpoint, FootprintMap, Overlay,
