@@ -17,7 +17,7 @@ use crate::program::AvmProgram;
 use crate::state::TealValue;
 use pol_crypto::{keccak256, sha256};
 use pol_ledger::state::{self, BalancePatchBase, Overlay, StateKey, StateValue, WorldState};
-use pol_ledger::{Address, OverlayBuffers, StateView, WriteSet};
+use pol_ledger::{Address, StateView};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -560,7 +560,6 @@ impl<'a> AvmView<'a> {
 #[derive(Debug, Default)]
 pub struct Avm {
     world: WorldState,
-    spare: OverlayBuffers,
 }
 
 impl Avm {
@@ -623,12 +622,9 @@ impl Avm {
     ) -> Result<u64, AvmError> {
         let (result, writes) = {
             let base = BalancePatchBase::new(&self.world, balances);
-            let mut view = Overlay::with_buffers(&base, std::mem::take(&mut self.spare));
+            let mut view = Overlay::new(&base);
             let result = create_app(&mut view, creator, program, args);
-            let (reads, writes, mut spare) = view.into_parts_reusing();
-            spare.absorb(reads, WriteSet::new());
-            self.spare = spare;
-            (result, writes)
+            (result, view.into_writes())
         };
         state::apply_split(writes, &mut self.world, balances);
         result
@@ -646,12 +642,9 @@ impl Avm {
     ) -> Result<AppOutcome, AvmError> {
         let (result, writes) = {
             let base = BalancePatchBase::new(&self.world, balances);
-            let mut view = Overlay::with_buffers(&base, std::mem::take(&mut self.spare));
+            let mut view = Overlay::new(&base);
             let result = call_app(&mut view, params);
-            let (reads, writes, mut spare) = view.into_parts_reusing();
-            spare.absorb(reads, WriteSet::new());
-            self.spare = spare;
-            (result, writes)
+            (result, view.into_writes())
         };
         state::apply_split(writes, &mut self.world, balances);
         result

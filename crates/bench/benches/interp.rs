@@ -1,6 +1,5 @@
-//! Interpreter micro-benchmarks: EVM pre-decode cost, superinstruction
-//! fusion and what the shared code cache buys per call, and AVM call
-//! latency.
+//! Interpreter micro-benchmarks: EVM pre-decode cost, what the shared
+//! code cache buys per call, and AVM call latency.
 //!
 //! ```sh
 //! cargo bench -p pol-bench --bench interp

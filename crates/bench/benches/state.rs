@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the journaled state layer: overlay open/commit
-//! cycles with and without the executor's pooled buffers, and backend
-//! commit costs on ledger-shaped batches.
+//! cycles and backend commit costs on ledger-shaped batches.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pol_ledger::{Address, Overlay, OverlayBuffers, StateKey, StateValue, StateView, WorldState};
+use pol_ledger::{Address, Overlay, StateKey, StateValue, StateView, WorldState};
 use std::hint::black_box;
 
 const ACCOUNTS: u64 = 256;
@@ -40,8 +39,6 @@ fn overlay_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("overlay");
     group.throughput(Throughput::Elements(TOUCHES));
 
-    // Baseline: a fresh overlay per round, every map allocated anew — the
-    // pre-pooling executor behaviour.
     group.bench_function("round/fresh", |b| {
         let mut round = 0u64;
         b.iter(|| {
@@ -50,22 +47,6 @@ fn overlay_rounds(c: &mut Criterion) {
             touch(&mut view, round);
             let (reads, writes) = view.into_parts();
             black_box((reads.len(), writes.len()))
-        })
-    });
-
-    // Pooled: the round's maps are recycled through `OverlayBuffers`, so
-    // steady-state rounds reuse warmed capacity instead of reallocating.
-    group.bench_function("round/pooled", |b| {
-        let mut round = 0u64;
-        let mut buffers = OverlayBuffers::new();
-        b.iter(|| {
-            round += 1;
-            let mut view = Overlay::with_buffers(&world, std::mem::take(&mut buffers));
-            touch(&mut view, round);
-            let (reads, writes, mut spare) = view.into_parts_reusing();
-            spare.absorb(reads, writes);
-            buffers = spare;
-            black_box(round)
         })
     });
     group.finish();

@@ -22,7 +22,7 @@
 use pol_avm::{call_app, create_app, AppCallParams, AvmProgram};
 use pol_evm::assembler::Asm;
 use pol_evm::opcode::Op;
-use pol_evm::{call_contract, deploy_contract, CallParams, CodeCache, EvmProgram};
+use pol_evm::{call_contract, deploy_contract, CallParams, CodeCache};
 use pol_ledger::{Address, Overlay, WorldState};
 use std::hint::black_box;
 use std::time::Instant;
@@ -198,8 +198,6 @@ fn main() {
     loop_asm = loop_asm.push_u64(1).swap(1).op(Op::Sub);
     loop_asm = loop_asm.dup(1).jump_if(top);
     let loop_runtime = loop_asm.op(Op::Pop).op(Op::Stop).build();
-    let decoded = EvmProgram::decode(loop_runtime.clone());
-    let fused = decoded.fused_count();
     let loop_fixture = EvmFixture::deploy(&loop_runtime);
     let evm_cached_ns = loop_fixture.call_ns(iters, &cache);
     let evm_uncached_ns = loop_fixture.call_ns(iters, &CodeCache::disabled());
@@ -207,7 +205,7 @@ fn main() {
     let evm_hit_rate = evm_stats.hits as f64 / (evm_stats.hits + evm_stats.misses).max(1) as f64;
     println!(
         "evm/call: cached {evm_cached_ns:.0} ns, uncached {evm_uncached_ns:.0} ns \
-         ({fused} fused instrs, hit rate {evm_hit_rate:.3})"
+         (hit rate {evm_hit_rate:.3})"
     );
 
     // AVM: per-opcode differencing.
@@ -250,7 +248,6 @@ fn main() {
     "per_opcode_ns": {evm_ops},
     "call_ns_cached": {evm_cached_ns:.1},
     "call_ns_uncached": {evm_uncached_ns:.1},
-    "fused_instrs": {fused},
     "cache_hits": {evm_hits},
     "cache_misses": {evm_misses},
     "cache_hit_rate": {evm_hit_rate:.4},

@@ -104,7 +104,6 @@ pub struct Chain {
     total_burned: u128,
     exec_mode: ExecutionMode,
     exec_stats: ExecStats,
-    exec_buffers: executor::BufferPool,
     code_cache: CodeCache,
     facts: StaticFacts,
     sanitize: bool,
@@ -176,7 +175,6 @@ impl Chain {
             total_burned: 0,
             exec_mode: ExecutionMode::Sequential,
             exec_stats: ExecStats::default(),
-            exec_buffers: executor::BufferPool::default(),
             code_cache: CodeCache::new(),
             facts: StaticFacts::default(),
             // Debug builds (the whole test suite) cross-check every
@@ -757,7 +755,6 @@ impl Chain {
             pool,
             remaining_gas,
             self.exec_mode,
-            &self.exec_buffers,
             &mut self.exec_stats,
         );
         let block_gas_used = background_gas + outcome.tx_gas;

@@ -13,18 +13,15 @@
 //! A failed validation at transaction *i* stops the round's commits at
 //! *i* (in-order commit is what keeps fee accounting sequential), but it
 //! no longer throws the rest of the round away. The scan continues past
-//! the conflict and *classifies* every remaining speculation with the
-//! per-key commit versions [`WorldState`] records: a suffix speculation
-//! whose read set intersects no write set committed since its base
-//! snapshot provably still holds and is kept for the next round; an
-//! intersecting one gets a single exact value-level re-validation and is
-//! re-speculated only if that fails — Block-STM's dependency estimation,
-//! which re-executes true dependents instead of the whole suffix. The
-//! first live transaction of a round always validates (its speculation
-//! base *is* the committed prefix), so every round commits or skips at
-//! least one transaction and the loop terminates with exactly the
-//! receipts, gas accounting and fee burn the sequential path would have
-//! produced.
+//! the conflict and *classifies* every remaining speculation by exact
+//! validation against the world as committed so far: a suffix speculation
+//! whose recorded reads still hold is kept for the next round, and one
+//! whose reads went stale is re-speculated — only true dependents
+//! re-execute, never the whole suffix. The first live transaction of a
+//! round always validates (its speculation base *is* the committed
+//! prefix), so every round commits or skips at least one transaction and
+//! the loop terminates with exactly the receipts, gas accounting and fee
+//! burn the sequential path would have produced.
 
 use crate::chain::{AvmPayload, PendingTx, VmKind};
 use crate::facts::{CallQuery, StaticFacts};
@@ -32,8 +29,8 @@ use crate::feemarket;
 use pol_avm::{call_app, create_app, AppCallParams};
 use pol_evm::{call_contract, deploy_contract, CallParams, CodeCache};
 use pol_ledger::{
-    AccessClaims, Address, Amount, ContractId, Currency, Overlay, OverlayBuffers, ReadSet, Receipt,
-    StateKey, StateView, Transaction, TxId, TxKind, TxStatus, WorldState, WriteSet,
+    AccessClaims, Address, Amount, ContractId, Currency, Overlay, ReadSet, Receipt, StateKey,
+    StateView, Transaction, TxId, TxKind, TxStatus, WorldState, WriteSet,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -90,9 +87,8 @@ pub struct ExecStats {
     pub speculative_runs: u64,
     /// Read-set validations that failed, discarding the speculation.
     pub conflicts: u64,
-    /// Exact value-level re-validations performed on suffix speculations
-    /// whose read sets intersected a write set committed since their
-    /// base snapshot (the conservative version check flagged them).
+    /// Exact validations of suffix speculations after a conflict (kept
+    /// ones count in `respeculations_avoided`, stale ones in `conflicts`).
     pub revalidations: u64,
     /// Suffix speculations kept across another transaction's conflict —
     /// executions that aborting the whole suffix at the first conflict
@@ -122,10 +118,10 @@ pub struct ExecStats {
     /// formation for that block and fall back to the optimistic path.
     pub summary_fallbacks: u64,
     /// Wall-clock nanoseconds the commit scan spent validating read
-    /// sets (`validates`, commit-version intersection, exact
-    /// re-validation). This is *sequential* critical-path work — the
-    /// scan runs on one thread — so it is charged to the denominator of
-    /// [`ExecStats::modeled_speedup`]; static lanes exist to delete it.
+    /// sets (frontier and suffix `validates`). This is *sequential*
+    /// critical-path work — the scan runs on one thread — so it is
+    /// charged to the denominator of [`ExecStats::modeled_speedup`];
+    /// static lanes exist to delete it.
     pub validation_ns: u128,
     /// Code-cache hits: EVM executions that reused a pre-decoded program
     /// (or a memoized map slot) instead of re-deriving it. Snapshot of
@@ -159,42 +155,6 @@ impl ExecStats {
             return None;
         }
         Some(self.committed_exec_ns as f64 / (self.modeled_parallel_ns + self.validation_ns) as f64)
-    }
-}
-
-/// A shared pool of recyclable [`OverlayBuffers`]. Every speculation
-/// attempt opens an [`Overlay`]; without pooling that is three heap
-/// allocations per attempt, re-grown from empty each time. The pool
-/// lives on the [`crate::chain::Chain`], so capacity earned in one block
-/// (or one speculation round) is reused by the next — both by the
-/// sequential path and by the parallel workers, which take and return
-/// buffers through the mutex around their actual execution work.
-#[derive(Debug, Default)]
-pub(crate) struct BufferPool(Mutex<Vec<OverlayBuffers>>);
-
-impl BufferPool {
-    /// Pops pooled buffers, or fresh empty ones when the pool is dry.
-    fn take(&self) -> OverlayBuffers {
-        self.0.lock().expect("buffer pool poisoned").pop().unwrap_or_default()
-    }
-
-    /// Returns buffers to the pool.
-    fn put(&self, buffers: OverlayBuffers) {
-        self.0.lock().expect("buffer pool poisoned").push(buffers);
-    }
-
-    /// Reclaims the read/write maps of a resolved outcome into a pooled
-    /// buffer set (see [`OverlayBuffers::absorb`]).
-    fn recycle(&self, reads: ReadSet, writes: WriteSet) {
-        let mut buffers = self.take();
-        buffers.absorb(reads, writes);
-        self.put(buffers);
-    }
-
-    /// Pooled buffer sets currently available (telemetry/tests).
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.0.lock().expect("buffer pool poisoned").len()
     }
 }
 
@@ -235,9 +195,6 @@ struct TxOutcome {
     reads: ReadSet,
     writes: WriteSet,
     exec_ns: u128,
-    /// The world's commit version when this speculation started — the
-    /// base snapshot the recorded read set was observed against.
-    base_version: u64,
 }
 
 /// Everything a block execution decided.
@@ -261,21 +218,20 @@ pub(crate) fn run_block(
     pool: Vec<PendingTx>,
     gas_budget: u64,
     mode: ExecutionMode,
-    buffers: &BufferPool,
     stats: &mut ExecStats,
 ) -> BlockOutcome {
     stats.blocks += 1;
     let outcome = match mode {
-        ExecutionMode::Sequential => run_sequential(ctx, world, pool, gas_budget, buffers, stats),
+        ExecutionMode::Sequential => run_sequential(ctx, world, pool, gas_budget, stats),
         ExecutionMode::Parallel { workers } => {
             stats.parallel_blocks += 1;
             let lane = vec![false; pool.len()];
-            run_parallel(ctx, world, pool, gas_budget, workers.max(1), lane, buffers, stats)
+            run_parallel(ctx, world, pool, gas_budget, workers.max(1), lane, stats)
         }
         ExecutionMode::ParallelStatic { workers } => {
             stats.parallel_blocks += 1;
             let lane = compute_lanes(ctx, &pool, stats);
-            run_parallel(ctx, world, pool, gas_budget, workers.max(1), lane, buffers, stats)
+            run_parallel(ctx, world, pool, gas_budget, workers.max(1), lane, stats)
         }
     };
     // The cache counters are cumulative on the chain's `CodeCache`;
@@ -405,7 +361,6 @@ fn run_sequential(
     world: &mut WorldState,
     pool: Vec<PendingTx>,
     gas_budget: u64,
-    buffers: &BufferPool,
     stats: &mut ExecStats,
 ) -> BlockOutcome {
     let mut committed = Vec::new();
@@ -418,9 +373,8 @@ fn run_sequential(
             leftover.push(pending);
             continue;
         }
-        let out = execute_tx(ctx, world, &pending, buffers);
+        let out = execute_tx(ctx, world, &pending);
         sanitize_commit(ctx, &pending, &out);
-        buffers.recycle(out.reads, WriteSet::new());
         world.apply(out.writes);
         if ctx.vm == VmKind::Evm {
             remaining = remaining.saturating_sub(out.gas_used);
@@ -490,7 +444,6 @@ pub(crate) fn modeled_round_ns(durations: &[u128], round_workers: usize) -> u128
 /// statically proven disjoint from every other arrived transaction (see
 /// [`compute_lanes`]); plain [`ExecutionMode::Parallel`] passes all
 /// `false`.
-#[allow(clippy::too_many_arguments)]
 fn run_parallel(
     ctx: &ExecCtx<'_>,
     world: &mut WorldState,
@@ -498,7 +451,6 @@ fn run_parallel(
     gas_budget: u64,
     workers: usize,
     lane: Vec<bool>,
-    buffers: &BufferPool,
     stats: &mut ExecStats,
 ) -> BlockOutcome {
     let n = pool.len();
@@ -536,7 +488,7 @@ fn run_parallel(
             let spawn_workers = round_workers.min(host_parallelism());
             if spawn_workers <= 1 {
                 for &i in &todo {
-                    spec[i] = Some(execute_tx(ctx, world, &pool[i], buffers));
+                    spec[i] = Some(execute_tx(ctx, world, &pool[i]));
                 }
             } else {
                 let results: Vec<Mutex<Option<TxOutcome>>> =
@@ -549,7 +501,7 @@ fn run_parallel(
                         scope.spawn(|| loop {
                             let k = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(&i) = todo.get(k) else { break };
-                            let out = execute_tx(ctx, base, &pool_ref[i], buffers);
+                            let out = execute_tx(ctx, base, &pool_ref[i]);
                             *results[k].lock().expect("worker panicked") = Some(out);
                         });
                     }
@@ -597,7 +549,6 @@ fn run_parallel(
                 };
                 if valid {
                     sanitize_commit(ctx, &pool[i], &out);
-                    buffers.recycle(out.reads, WriteSet::new());
                     world.apply(out.writes);
                     if ctx.vm == VmKind::Evm {
                         remaining = remaining.saturating_sub(out.gas_used);
@@ -611,7 +562,6 @@ fn run_parallel(
                 } else {
                     stats.conflicts += 1;
                     est_gas[i] = out.gas_used.max(1);
-                    buffers.recycle(out.reads, out.writes);
                     frontier = false;
                 }
             } else {
@@ -622,32 +572,21 @@ fn run_parallel(
                     continue;
                 }
                 // Dependency-aware recovery: a suffix speculation whose
-                // read set intersects no write set committed since its
-                // base snapshot (per-key commit versions) provably still
-                // holds and is kept for a later commit scan. An
-                // intersecting one gets a single exact re-validation and
-                // is re-speculated only when that fails — only true
-                // dependents pay for the conflict.
-                let keep = match spec[i].as_ref() {
-                    None => continue,
-                    Some(out) => {
-                        let started = Instant::now();
-                        let keep =
-                            !world.reads_intersect_commits_since(&out.reads, out.base_version) || {
-                                stats.revalidations += 1;
-                                world.validates(&out.reads)
-                            };
-                        stats.validation_ns += started.elapsed().as_nanos();
-                        keep
-                    }
-                };
+                // recorded reads still hold against the world as committed
+                // so far is kept for a later commit scan; a stale one is
+                // re-speculated — only true dependents pay for the
+                // conflict.
+                let Some(out) = spec[i].as_ref() else { continue };
+                let started = Instant::now();
+                stats.revalidations += 1;
+                let keep = world.validates(&out.reads);
+                stats.validation_ns += started.elapsed().as_nanos();
                 if keep {
                     stats.respeculations_avoided += 1;
                 } else {
                     stats.conflicts += 1;
-                    let out = spec[i].take().expect("only held speculations are classified");
                     est_gas[i] = out.gas_used.max(1);
-                    buffers.recycle(out.reads, out.writes);
+                    spec[i] = None;
                 }
             }
         }
@@ -668,15 +607,9 @@ fn run_parallel(
 /// Executes one transaction speculatively against `base`, returning its
 /// receipt together with the recorded read and write sets. Pure in the
 /// sense that only the returned write set carries effects.
-fn execute_tx(
-    ctx: &ExecCtx<'_>,
-    base: &WorldState,
-    pending: &PendingTx,
-    buffers: &BufferPool,
-) -> TxOutcome {
+fn execute_tx(ctx: &ExecCtx<'_>, base: &WorldState, pending: &PendingTx) -> TxOutcome {
     let started = Instant::now();
-    let base_version = base.version();
-    let mut view = Overlay::with_buffers(base, buffers.take());
+    let mut view = Overlay::new(base);
     let tx = &pending.tx;
     let id = tx.id();
     let mut status = TxStatus::Success;
@@ -850,17 +783,8 @@ fn execute_tx(
         output,
         logs,
     };
-    let (reads, writes, spare) = view.into_parts_reusing();
-    buffers.put(spare);
-    TxOutcome {
-        receipt,
-        gas_used,
-        burned,
-        reads,
-        writes,
-        exec_ns: started.elapsed().as_nanos(),
-        base_version,
-    }
+    let (reads, writes) = view.into_parts();
+    TxOutcome { receipt, gas_used, burned, reads, writes, exec_ns: started.elapsed().as_nanos() }
 }
 
 #[cfg(test)]
@@ -992,15 +916,7 @@ mod tests {
                 pool.push(transfer(i, to, 1_000 + u128::from(i)));
             }
             let mut stats = ExecStats::default();
-            let outcome = run_block(
-                &ctx,
-                &mut world,
-                pool,
-                10_000_000,
-                mode,
-                &BufferPool::default(),
-                &mut stats,
-            );
+            let outcome = run_block(&ctx, &mut world, pool, 10_000_000, mode, &mut stats);
             let receipts: Vec<String> =
                 outcome.committed.iter().map(|(_, r)| format!("{r:?}")).collect();
             (receipts, outcome.tx_gas, outcome.burned, world.digest_input(), stats)
@@ -1021,6 +937,9 @@ mod tests {
         assert_eq!(stats.conflicts, 6, "{stats:?}");
         assert_eq!(stats.speculative_runs, 8 + 6, "only conflicts re-execute: {stats:?}");
         assert_eq!(stats.respeculations_avoided, 3, "{stats:?}");
+        // Every suffix classification is one exact validation: the three
+        // kept plus the three found stale behind a frontier conflict.
+        assert_eq!(stats.revalidations, 3 + 3, "{stats:?}");
     }
 
     /// With every transaction touching the same keys there are no
@@ -1038,15 +957,7 @@ mod tests {
                 pool.push(transfer(i, 99, 10 + u128::from(i)));
             }
             let mut stats = ExecStats::default();
-            let outcome = run_block(
-                &ctx,
-                &mut world,
-                pool,
-                10_000_000,
-                mode,
-                &BufferPool::default(),
-                &mut stats,
-            );
+            let outcome = run_block(&ctx, &mut world, pool, 10_000_000, mode, &mut stats);
             let receipts: Vec<String> =
                 outcome.committed.iter().map(|(_, r)| format!("{r:?}")).collect();
             (receipts, world.digest_input(), stats)
@@ -1075,15 +986,7 @@ mod tests {
                 pool.push(transfer(i, 100 + i, 1_000 + u128::from(i)));
             }
             let mut stats = ExecStats::default();
-            let outcome = run_block(
-                &ctx,
-                &mut world,
-                pool,
-                10_000_000,
-                mode,
-                &BufferPool::default(),
-                &mut stats,
-            );
+            let outcome = run_block(&ctx, &mut world, pool, 10_000_000, mode, &mut stats);
             let receipts: Vec<String> =
                 outcome.committed.iter().map(|(_, r)| format!("{r:?}")).collect();
             (receipts, outcome.tx_gas, outcome.burned, world.digest_input(), stats)
@@ -1117,15 +1020,7 @@ mod tests {
                 pool.push(transfer(i, to, 1_000 + u128::from(i)));
             }
             let mut stats = ExecStats::default();
-            let outcome = run_block(
-                &ctx,
-                &mut world,
-                pool,
-                10_000_000,
-                mode,
-                &BufferPool::default(),
-                &mut stats,
-            );
+            let outcome = run_block(&ctx, &mut world, pool, 10_000_000, mode, &mut stats);
             let receipts: Vec<String> =
                 outcome.committed.iter().map(|(_, r)| format!("{r:?}")).collect();
             (receipts, world.digest_input(), stats)
@@ -1165,37 +1060,12 @@ mod tests {
             pool,
             10_000_000,
             ExecutionMode::ParallelStatic { workers: 2 },
-            &BufferPool::default(),
             &mut stats,
         );
         assert_eq!(outcome.committed.len(), 4);
         assert_eq!(stats.summary_fallbacks, 1, "{stats:?}");
         assert_eq!(stats.static_lanes, 0, "an unclaimed tx forbids every lane");
         assert_eq!(stats.speculation_skipped, 0);
-    }
-
-    #[test]
-    fn buffer_pool_recycles_across_speculations() {
-        let payloads = HashMap::new();
-        let ctx = ctx_evm(&payloads);
-        let mut world = WorldState::new();
-        for i in 1..=4u8 {
-            world.set_balance(addr(i), 1_000_000);
-        }
-        let buffers = BufferPool::default();
-        let mut stats = ExecStats::default();
-        let txs: Vec<PendingTx> = (1..=4u8).map(|i| transfer(i, 50 + i, 10)).collect();
-        let out = run_block(
-            &ctx,
-            &mut world,
-            txs,
-            10_000_000,
-            ExecutionMode::Parallel { workers: 2 },
-            &buffers,
-            &mut stats,
-        );
-        assert_eq!(out.committed.len(), 4);
-        assert!(buffers.len() > 0, "finished speculations must return buffers to the pool");
     }
 
     #[test]
@@ -1213,7 +1083,6 @@ mod tests {
             vec![pending],
             10_000_000,
             ExecutionMode::Sequential,
-            &BufferPool::default(),
             &mut stats,
         );
         let (_, receipt) = &outcome.committed[0];

@@ -17,7 +17,7 @@ use crate::program::{EvmProgram, Instr};
 use crate::word::Word;
 use pol_crypto::keccak256;
 use pol_ledger::state::{self, BalancePatchBase, Overlay, StateKey, StateValue, WorldState};
-use pol_ledger::{address, Address, OverlayBuffers, StateView, WriteSet};
+use pol_ledger::{address, Address, StateView};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -307,7 +307,7 @@ fn execute(
 
     macro_rules! charge {
         ($amount:expr) => {{
-            gas_used += $amount;
+            gas_used = gas_used.saturating_add($amount);
             if gas_used > params.gas_limit {
                 return Err(EvmError::OutOfGas { limit: params.gas_limit });
             }
@@ -327,26 +327,25 @@ fn execute(
         }};
     }
 
-    fn expand(memory: &mut Vec<u8>, end: usize) -> Result<u64, EvmError> {
-        if end > MAX_MEMORY {
-            return Err(EvmError::MemoryOverflow);
-        }
+    /// Grows memory to cover `[off, off + size)` and returns the region's
+    /// end with the expansion gas. Offsets come from the contract's stack:
+    /// a sum past `usize` is past the cap like any other.
+    fn expand(memory: &mut Vec<u8>, off: usize, size: usize) -> Result<(usize, u64), EvmError> {
+        let end = off
+            .checked_add(size)
+            .filter(|end| *end <= MAX_MEMORY)
+            .ok_or(EvmError::MemoryOverflow)?;
         if end <= memory.len() {
-            return Ok(0);
+            return Ok((end, 0));
         }
         let old_words = gas::words(memory.len());
         let new_len = end.div_ceil(32) * 32;
         memory.resize(new_len, 0);
-        Ok((gas::words(new_len) - old_words) * gas::G_MEMORY)
+        Ok((end, (gas::words(new_len) - old_words) * gas::G_MEMORY))
     }
 
     while ip < instrs.len() {
         // Stage 1: indexed dispatch on the pre-decoded instruction.
-        // Superinstructions run their inlined prefix (push immediate /
-        // dup) here and fall through to the shared per-op stage with the
-        // pair's combined static gas already charged — observationally
-        // identical to two charges, since the only effect between the
-        // historical charge points was a local stack push.
         let instr = &instrs[ip];
         ip += 1;
         let (op, variant) = match instr {
@@ -358,40 +357,6 @@ fn execute(
                 charge!(gas::G_VERYLOW);
                 push!(*imm);
                 continue;
-            }
-            Instr::PushOp(imm, op, variant) => {
-                charge!(gas::G_VERYLOW + op.base_gas());
-                push!(*imm);
-                (*op, *variant)
-            }
-            Instr::PushJump { dest, target } => {
-                charge!(gas::G_VERYLOW + gas::G_MID);
-                match target {
-                    Some(t) => ip = *t as usize,
-                    None => return Err(EvmError::InvalidJump(*dest)),
-                }
-                continue;
-            }
-            Instr::PushJumpI { dest, target } => {
-                charge!(gas::G_VERYLOW + gas::G_HIGH);
-                let cond = pop!();
-                if !cond.is_zero() {
-                    match target {
-                        Some(t) => ip = *t as usize,
-                        None => return Err(EvmError::InvalidJump(*dest)),
-                    }
-                }
-                continue;
-            }
-            Instr::DupOp(n, op, variant) => {
-                charge!(gas::G_VERYLOW + op.base_gas());
-                let n = *n as usize;
-                if stack.len() <= n {
-                    return Err(EvmError::StackError);
-                }
-                let w = stack[stack.len() - 1 - n];
-                push!(w);
-                (*op, *variant)
             }
             // Reached-only failures: dead garbage bytes never reject a
             // program, exactly like the byte-walking interpreter.
@@ -483,10 +448,11 @@ fn execute(
                 let off = pop!().as_u64() as usize;
                 let size = pop!().as_u64() as usize;
                 charge!(gas::G_KECCAK256WORD * gas::words(size));
-                charge!(expand(&mut memory, off + size)?);
+                let (end, grow) = expand(&mut memory, off, size)?;
+                charge!(grow);
                 // Map-slot derivations (`keccak(key ‖ base)`) repeat per
                 // call; the cache memoizes short preimages.
-                let preimage = &memory[off..off + size];
+                let preimage = &memory[off..end];
                 let digest = cache.keccak_memo(preimage, || keccak256(preimage));
                 push!(Word::from_be_bytes(&digest));
             }
@@ -500,7 +466,7 @@ fn execute(
                 let off = pop!().as_u64() as usize;
                 let mut buf = [0u8; 32];
                 for (i, slot) in buf.iter_mut().enumerate() {
-                    *slot = params.data.get(off + i).copied().unwrap_or(0);
+                    *slot = byte_at(&params.data, off, i);
                 }
                 push!(Word::from_be_bytes(&buf));
             }
@@ -510,10 +476,11 @@ fn execute(
                 let src_off = pop!().as_u64() as usize;
                 let size = pop!().as_u64() as usize;
                 charge!(gas::G_COPY * gas::words(size));
-                charge!(expand(&mut memory, mem_off + size)?);
+                let (end, grow) = expand(&mut memory, mem_off, size)?;
+                charge!(grow);
                 let src: &[u8] = if op == Op::CallDataCopy { &params.data } else { program.code() };
-                for i in 0..size {
-                    memory[mem_off + i] = src.get(src_off + i).copied().unwrap_or(0);
+                for (i, slot) in memory[mem_off..end].iter_mut().enumerate() {
+                    *slot = byte_at(src, src_off, i);
                 }
             }
             Op::Timestamp => push!(Word::from_u64(params.timestamp_s)),
@@ -523,16 +490,18 @@ fn execute(
             }
             Op::MLoad => {
                 let off = pop!().as_u64() as usize;
-                charge!(expand(&mut memory, off + 32)?);
+                let (end, grow) = expand(&mut memory, off, 32)?;
+                charge!(grow);
                 let mut buf = [0u8; 32];
-                buf.copy_from_slice(&memory[off..off + 32]);
+                buf.copy_from_slice(&memory[off..end]);
                 push!(Word::from_be_bytes(&buf));
             }
             Op::MStore => {
                 let off = pop!().as_u64() as usize;
                 let value = pop!();
-                charge!(expand(&mut memory, off + 32)?);
-                memory[off..off + 32].copy_from_slice(&value.to_be_bytes());
+                let (end, grow) = expand(&mut memory, off, 32)?;
+                charge!(grow);
+                memory[off..end].copy_from_slice(&value.to_be_bytes());
             }
             Op::SLoad => {
                 let key = pop!();
@@ -588,8 +557,8 @@ fn execute(
             }
             Op::JumpDest => {}
             Op::Push1 => {
-                // Pushes decode to `Instr::Push`/fused forms; a plain
-                // `Op::Push1` cannot reach the dispatch loop.
+                // Pushes decode to `Instr::Push`; a plain `Op::Push1`
+                // cannot reach the dispatch loop.
                 return Err(EvmError::InvalidOpcode(0x60 + variant));
             }
             Op::Dup1 => {
@@ -612,9 +581,10 @@ fn execute(
                 if op == Op::Log1 {
                     let _topic = pop!();
                 }
-                charge!(gas::G_LOGDATA * size as u64);
-                charge!(expand(&mut memory, off + size)?);
-                logs.push(memory[off..off + size].to_vec());
+                charge!(gas::G_LOGDATA.saturating_mul(size as u64));
+                let (end, grow) = expand(&mut memory, off, size)?;
+                charge!(grow);
+                logs.push(memory[off..end].to_vec());
             }
             Op::Call => {
                 // Simplified: plain value send (no reentrant execution).
@@ -643,8 +613,9 @@ fn execute(
             Op::Return | Op::Revert => {
                 let off = pop!().as_u64() as usize;
                 let size = pop!().as_u64() as usize;
-                charge!(expand(&mut memory, off + size)?);
-                let output = memory[off..off + size].to_vec();
+                let (end, grow) = expand(&mut memory, off, size)?;
+                charge!(grow);
+                let output = memory[off..end].to_vec();
                 return Ok(finish(op == Op::Return, gas_used, refund, output, logs));
             }
         }
@@ -698,8 +669,6 @@ pub struct Evm {
     world: WorldState,
     /// Decoded programs shared across this façade's calls.
     cache: CodeCache,
-    /// Pooled overlay buffers, recycled call-to-call.
-    spare: OverlayBuffers,
 }
 
 impl Evm {
@@ -744,12 +713,9 @@ impl Evm {
     ) -> Result<(Address, ExecOutcome), EvmError> {
         let (result, writes) = {
             let base = BalancePatchBase::new(&self.world, balances);
-            let mut view = Overlay::with_buffers(&base, std::mem::take(&mut self.spare));
+            let mut view = Overlay::new(&base);
             let result = deploy_contract(&mut view, deployer, init_code, gas_limit, &self.cache);
-            let (reads, writes, mut spare) = view.into_parts_reusing();
-            spare.absorb(reads, WriteSet::new());
-            self.spare = spare;
-            (result, writes)
+            (result, view.into_writes())
         };
         // Failed paths already rolled their journal back, so the write
         // set only ever holds effects that should stick.
@@ -770,12 +736,9 @@ impl Evm {
     ) -> Result<ExecOutcome, EvmError> {
         let (result, writes) = {
             let base = BalancePatchBase::new(&self.world, balances);
-            let mut view = Overlay::with_buffers(&base, std::mem::take(&mut self.spare));
+            let mut view = Overlay::new(&base);
             let result = call_contract(&mut view, params, &self.cache);
-            let (reads, writes, mut spare) = view.into_parts_reusing();
-            spare.absorb(reads, WriteSet::new());
-            self.spare = spare;
-            (result, writes)
+            (result, view.into_writes())
         };
         state::apply_split(writes, &mut self.world, balances);
         result
@@ -793,6 +756,11 @@ fn finish(
     // forfeit refunds entirely.
     let gas_used = if success { gas_used - refund.min(gas_used / 5) } else { gas_used };
     ExecOutcome { success, gas_used, output, logs }
+}
+
+/// Byte `off + i` of `src`, reading zero past its end (or past `usize`).
+fn byte_at(src: &[u8], off: usize, i: usize) -> u8 {
+    off.checked_add(i).and_then(|at| src.get(at)).copied().unwrap_or(0)
 }
 
 fn bool_word(b: bool) -> Word {
@@ -941,6 +909,61 @@ mod tests {
             .call(CallParams::new(Address::ZERO, addr).with_gas_limit(100_000), &mut balances)
             .unwrap_err();
         assert!(matches!(err, EvmError::OutOfGas { .. }));
+    }
+
+    /// Offsets and sizes come off the contract's stack: sums past `usize`
+    /// must end in the typed memory error (or read as zero bytes where
+    /// the EVM pads), never in a wrapped index or a panic.
+    #[test]
+    fn offsets_near_usize_max_fail_typed_or_read_zero() {
+        const HUGE: u64 = 0xffff_ffff_ffff_fff5;
+        let deploy_and_call = |runtime: Vec<u8>| {
+            let mut evm = Evm::new();
+            let mut balances = Balances::new();
+            let init = Asm::deploy_wrapper(&runtime);
+            let (addr, _) = evm.deploy(Address::ZERO, &init, 30_000_000, &mut balances).unwrap();
+            evm.call(CallParams::new(Address::ZERO, addr).with_data(vec![0xab; 64]), &mut balances)
+        };
+        let overflowing = [
+            ("mload", Asm::new().push_u64(HUGE).op(Op::MLoad)),
+            ("mstore", Asm::new().push_u64(1).push_u64(HUGE).op(Op::MStore)),
+            ("keccak256", Asm::new().push_u64(32).push_u64(HUGE).op(Op::Keccak256)),
+            ("return", Asm::new().push_u64(32).push_u64(HUGE).op(Op::Return)),
+            ("revert", Asm::new().push_u64(32).push_u64(HUGE).op(Op::Revert)),
+            ("log0", Asm::new().push_u64(32).push_u64(HUGE).op(Op::Log0)),
+            ("log1", Asm::new().push_u64(0).push_u64(32).push_u64(HUGE).op(Op::Log1)),
+            (
+                "calldatacopy",
+                Asm::new().push_u64(32).push_u64(0).push_u64(HUGE).op(Op::CallDataCopy),
+            ),
+            ("codecopy", Asm::new().push_u64(32).push_u64(0).push_u64(HUGE).op(Op::CodeCopy)),
+        ];
+        for (name, asm) in overflowing {
+            assert_eq!(
+                deploy_and_call(asm.build()).unwrap_err(),
+                EvmError::MemoryOverflow,
+                "{name}"
+            );
+        }
+        // A log whose data charge alone overflows `u64` runs out of gas.
+        let err = deploy_and_call(Asm::new().push_u64(HUGE).push_u64(0).op(Op::Log0).build());
+        assert!(matches!(err, Err(EvmError::OutOfGas { .. })), "{err:?}");
+        // Source offsets past the end of calldata or code read as zeros.
+        let zero_padded = [
+            (
+                "calldataload",
+                Asm::new().push_u64(HUGE).op(Op::CallDataLoad).push_u64(0).op(Op::MStore),
+            ),
+            (
+                "calldatacopy",
+                Asm::new().push_u64(32).push_u64(HUGE).push_u64(0).op(Op::CallDataCopy),
+            ),
+            ("codecopy", Asm::new().push_u64(32).push_u64(HUGE).push_u64(0).op(Op::CodeCopy)),
+        ];
+        for (name, asm) in zero_padded {
+            let out = deploy_and_call(asm.push_u64(32).push_u64(0).op(Op::Return).build()).unwrap();
+            assert_eq!(out.output, vec![0u8; 32], "{name}");
+        }
     }
 
     #[test]

@@ -324,3 +324,91 @@ fn v1_attach_certificates_are_sound_and_tight() {
         );
     }
 }
+
+/// Metering is exact at the out-of-gas threshold: with `need` the spend
+/// at a generous limit, every limit below `need` is `OutOfGas` with no
+/// write surviving, and every limit at or above it reproduces the same
+/// `gas_used` and output. Two programs: a hand-assembled one over the
+/// dispatch pairs the compiler emits most (`PUSH`+`ADD`, `DUP`+`MUL`,
+/// `PUSH`+`JUMPI`, `PUSH`+`JUMP`), and the shipped contract's
+/// `insert_data`.
+#[test]
+fn out_of_gas_threshold_is_exact() {
+    use pol_evm::assembler::Asm;
+    use pol_evm::opcode::Op;
+    use pol_evm::{call_contract, deploy_contract, CallParams, CodeCache, EvmError};
+    use pol_ledger::{Overlay, WorldState};
+
+    let caller = Address([1; 20]);
+    let sweep = |init: &[u8], calldata: Vec<u8>, span: u64| {
+        let cache = CodeCache::new();
+        let mut world = WorldState::new();
+        let mut view = Overlay::new(&world);
+        let (addr, _) = deploy_contract(&mut view, Address([0xaa; 20]), init, 30_000_000, &cache)
+            .expect("deploys");
+        let deployed = view.into_writes();
+        world.apply(deployed);
+        // The world is never written again, so every call sees it fresh.
+        let call = |gas_limit: u64| {
+            let mut view = Overlay::new(&world);
+            let params =
+                CallParams::new(caller, addr).with_data(calldata.clone()).with_gas_limit(gas_limit);
+            let result = call_contract(&mut view, params, &cache);
+            (result, view.into_writes())
+        };
+        let (reference, writes) = call(10_000_000);
+        let reference = reference.expect("no machine faults");
+        assert!(reference.success && !writes.is_empty(), "the call must store something");
+        let need = reference.gas_used;
+        for limit in need.saturating_sub(span)..need {
+            let (result, writes) = call(limit);
+            assert!(matches!(result, Err(EvmError::OutOfGas { .. })), "limit {limit}: {result:?}");
+            assert!(writes.is_empty(), "limit {limit}: a write survived out-of-gas");
+        }
+        for limit in [need, need + 1] {
+            let out = call(limit).0.expect("enough gas");
+            assert!(out.success, "limit {limit}");
+            assert_eq!((out.gas_used, &out.output), (need, &reference.output), "limit {limit}");
+        }
+    };
+
+    // (5 + 7)² stored to slot 1 behind a taken JUMPI and a JUMP, then
+    // loaded back and returned.
+    let mut asm = Asm::new();
+    let (skip, end) = (asm.new_label(), asm.new_label());
+    let runtime = asm
+        .push_u64(5)
+        .push_u64(7)
+        .op(Op::Add)
+        .dup(1)
+        .op(Op::Mul)
+        .push_u64(1)
+        .jump_if(skip)
+        .op(Op::Stop)
+        .bind(skip)
+        .jump(end)
+        .bind(end)
+        .push_u64(1)
+        .op(Op::SStore)
+        .push_u64(1)
+        .op(Op::SLoad)
+        .push_u64(0)
+        .op(Op::MStore)
+        .push_u64(32)
+        .push_u64(0)
+        .op(Op::Return)
+        .build();
+    sweep(&Asm::deploy_wrapper(&runtime), Vec::new(), u64::MAX);
+
+    let src = include_str!("../../core/contracts/proof_of_location.pol");
+    let program = pol_lang::parse::parse(src).expect("parses");
+    let compiled = backend::evm::compile(&program).expect("compiles");
+    let ctor_args =
+        [AbiValue::Word(7), AbiValue::Bytes(vec![0x11; 16]), AbiValue::Word(4), AbiValue::Word(5)];
+    let init = compiled.init_with_args(&ctor_args).unwrap();
+    let mut entry = vec![0u8; 224];
+    entry[0] = 3;
+    let calldata =
+        compiled.encode_call("insert_data", &[AbiValue::Bytes(entry), AbiValue::Word(3)]).unwrap();
+    sweep(&init, calldata, 40);
+}

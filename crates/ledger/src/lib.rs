@@ -26,9 +26,8 @@ pub use address::{Address, ContractId};
 pub use block::{Block, BlockHash};
 pub use receipt::{Receipt, TxStatus};
 pub use state::{
-    apply_split, sets_intersect, BalancePatchBase, Checkpoint, FootprintMap, Overlay,
-    OverlayBuffers, ReadSet, StateBase, StateBlob, StateKey, StateValue, StateView, WorldState,
-    WriteSet,
+    apply_split, sets_intersect, BalancePatchBase, Checkpoint, Overlay, ReadSet, StateBase,
+    StateBlob, StateKey, StateValue, StateView, WorldState, WriteSet,
 };
 pub use tx::{Transaction, TxId, TxKind};
 pub use units::{Amount, Currency};

@@ -187,212 +187,15 @@ pub trait StateBase: Sync {
     fn load(&self, key: &StateKey) -> Option<StateValue>;
 }
 
-/// A compact map from [`StateKey`] to an observed or written value,
-/// shared by read sets and write sets.
-///
-/// Most transaction footprints are tiny — a fee transfer touches three or
-/// four keys — so the map starts as an inline vector probed linearly
-/// (smallvec-style: no hashing, no heap table). Once it outgrows
-/// [`FootprintMap::INLINE_CAP`] entries it spills into a `HashMap` and
-/// stays spilled (even across [`FootprintMap::clear`]) so pooled buffers
-/// ratchet toward the workload's working-set shape instead of re-paying
-/// the spill every speculation.
-#[derive(Debug, Default, Clone)]
-pub struct FootprintMap {
-    inline: Vec<(StateKey, Option<StateValue>)>,
-    spill: Option<HashMap<StateKey, Option<StateValue>>>,
-}
-
-impl FootprintMap {
-    /// Entries kept in the inline vector before spilling to a hash map.
-    pub const INLINE_CAP: usize = 8;
-
-    /// An empty footprint.
-    pub fn new() -> FootprintMap {
-        FootprintMap::default()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        match &self.spill {
-            Some(map) => map.len(),
-            None => self.inline.len(),
-        }
-    }
-
-    /// Whether the footprint holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Retained capacity (the pooling ratchet's comparison key).
-    pub fn capacity(&self) -> usize {
-        match &self.spill {
-            Some(map) => map.capacity(),
-            None => self.inline.capacity(),
-        }
-    }
-
-    /// Clears all entries, keeping allocations (and the spilled
-    /// representation, if reached) for reuse.
-    pub fn clear(&mut self) {
-        self.inline.clear();
-        if let Some(map) = &mut self.spill {
-            map.clear();
-        }
-    }
-
-    /// Looks up the recorded entry for `key` (`Some(None)` = recorded as
-    /// absent/deleted).
-    pub fn get(&self, key: &StateKey) -> Option<&Option<StateValue>> {
-        match &self.spill {
-            Some(map) => map.get(key),
-            None => self.inline.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        }
-    }
-
-    /// Whether `key` has a recorded entry.
-    pub fn contains_key(&self, key: &StateKey) -> bool {
-        match &self.spill {
-            Some(map) => map.contains_key(key),
-            None => self.inline.iter().any(|(k, _)| k == key),
-        }
-    }
-
-    /// Records `value` under `key`, returning the previous entry if any.
-    pub fn insert(
-        &mut self,
-        key: StateKey,
-        value: Option<StateValue>,
-    ) -> Option<Option<StateValue>> {
-        if let Some(map) = &mut self.spill {
-            return map.insert(key, value);
-        }
-        if let Some(slot) = self.inline.iter_mut().find(|(k, _)| *k == key) {
-            return Some(std::mem::replace(&mut slot.1, value));
-        }
-        if self.inline.len() < FootprintMap::INLINE_CAP {
-            self.inline.push((key, value));
-            return None;
-        }
-        let mut map = HashMap::with_capacity(FootprintMap::INLINE_CAP * 2);
-        map.extend(self.inline.drain(..));
-        map.insert(key, value);
-        self.spill = Some(map);
-        None
-    }
-
-    /// Removes the entry for `key`, returning it if present.
-    pub fn remove(&mut self, key: &StateKey) -> Option<Option<StateValue>> {
-        match &mut self.spill {
-            Some(map) => map.remove(key),
-            None => {
-                let pos = self.inline.iter().position(|(k, _)| k == key)?;
-                Some(self.inline.swap_remove(pos).1)
-            }
-        }
-    }
-
-    /// Iterates over recorded keys.
-    pub fn keys(&self) -> impl Iterator<Item = &StateKey> {
-        self.iter().map(|(key, _)| key)
-    }
-
-    /// Iterates over `(key, entry)` pairs. Inline footprints iterate in
-    /// insertion order; spilled ones in hash order — no consumer depends
-    /// on either.
-    pub fn iter(&self) -> FootprintIter<'_> {
-        FootprintIter {
-            inline: self.inline.iter(),
-            spill: self.spill.as_ref().map(|map| map.iter()),
-        }
-    }
-}
-
-/// Borrowing iterator over a [`FootprintMap`].
-#[derive(Debug)]
-pub struct FootprintIter<'a> {
-    inline: std::slice::Iter<'a, (StateKey, Option<StateValue>)>,
-    spill: Option<std::collections::hash_map::Iter<'a, StateKey, Option<StateValue>>>,
-}
-
-impl<'a> Iterator for FootprintIter<'a> {
-    type Item = (&'a StateKey, &'a Option<StateValue>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some((key, value)) = self.inline.next() {
-            return Some((key, value));
-        }
-        self.spill.as_mut()?.next()
-    }
-}
-
-/// Consuming iterator over a [`FootprintMap`].
-#[derive(Debug)]
-pub struct FootprintIntoIter {
-    inline: std::vec::IntoIter<(StateKey, Option<StateValue>)>,
-    spill: Option<std::collections::hash_map::IntoIter<StateKey, Option<StateValue>>>,
-}
-
-impl Iterator for FootprintIntoIter {
-    type Item = (StateKey, Option<StateValue>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some(entry) = self.inline.next() {
-            return Some(entry);
-        }
-        self.spill.as_mut()?.next()
-    }
-}
-
-impl IntoIterator for FootprintMap {
-    type Item = (StateKey, Option<StateValue>);
-    type IntoIter = FootprintIntoIter;
-
-    fn into_iter(self) -> FootprintIntoIter {
-        FootprintIntoIter {
-            inline: self.inline.into_iter(),
-            spill: self.spill.map(HashMap::into_iter),
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a FootprintMap {
-    type Item = (&'a StateKey, &'a Option<StateValue>);
-    type IntoIter = FootprintIter<'a>;
-
-    fn into_iter(self) -> FootprintIter<'a> {
-        self.iter()
-    }
-}
-
-impl FromIterator<(StateKey, Option<StateValue>)> for FootprintMap {
-    fn from_iter<I: IntoIterator<Item = (StateKey, Option<StateValue>)>>(iter: I) -> FootprintMap {
-        let mut map = FootprintMap::new();
-        for (key, value) in iter {
-            map.insert(key, value);
-        }
-        map
-    }
-}
-
-impl std::ops::Index<&StateKey> for FootprintMap {
-    type Output = Option<StateValue>;
-
-    fn index(&self, key: &StateKey) -> &Option<StateValue> {
-        self.get(key).expect("no entry found for key")
-    }
-}
-
 /// The set of values a speculative execution observed from its base,
 /// keyed by state key; `None` records "read as absent".
-pub type ReadSet = FootprintMap;
+pub type ReadSet = HashMap<StateKey, Option<StateValue>>;
 
 /// The set of mutations an execution produced; `None` deletes the key.
-pub type WriteSet = FootprintMap;
+pub type WriteSet = HashMap<StateKey, Option<StateValue>>;
 
 /// Whether two read/write sets touch any common key ([`ReadSet`] and
-/// [`WriteSet`] share a representation, so any combination works).
+/// [`WriteSet`] are the same map type, so any combination works).
 /// Probes the smaller set against the larger one.
 pub fn sets_intersect(a: &ReadSet, b: &WriteSet) -> bool {
     if a.len() <= b.len() {
@@ -402,31 +205,18 @@ pub fn sets_intersect(a: &ReadSet, b: &WriteSet) -> bool {
     }
 }
 
-/// The committed, flat world state.
+/// The committed, flat world state: a typed map over a byte backend.
 ///
-/// Every mutation bumps a monotone commit [`WorldState::version`] and
-/// stamps the touched keys with it, so a speculative executor can ask
-/// cheaply whether *anything* a read set observed has been re-committed
-/// since the speculation's base snapshot
-/// ([`WorldState::reads_intersect_commits_since`]) — Block-STM-style
-/// dependency estimation — before paying for an exact value-level
-/// [`WorldState::validates`] walk.
-///
-/// Every committed mutation is additionally mirrored — in canonical byte
-/// form (see [`crate::codec`]) — onto a pluggable [`StateBackend`]
-/// (`pol-store`): the in-memory map by default, or a write-ahead log /
-/// Merkle trie for durability and per-block authenticated roots. The
-/// typed map stays the read path; the backend is the commitment and
-/// persistence path. A backend I/O failure panics: the simulator treats
-/// loss of the durability layer as fatal rather than silently diverging
-/// from its own log.
+/// Every committed mutation is mirrored — in canonical byte form (see
+/// [`crate::codec`]) — onto a pluggable [`StateBackend`] (`pol-store`):
+/// the in-memory map by default, or a write-ahead log / Merkle trie for
+/// durability and per-block authenticated roots. The typed map is the
+/// read path; the backend is the commitment and persistence path. A
+/// backend I/O failure panics: the simulator treats loss of the
+/// durability layer as fatal rather than silently diverging from its own
+/// log.
 pub struct WorldState {
     entries: HashMap<StateKey, StateValue>,
-    /// Monotone commit counter; bumped once per mutating call.
-    version: u64,
-    /// Commit version at which each key last changed (writes *and*
-    /// deletions; absent = never touched, version 0).
-    versions: HashMap<StateKey, u64>,
     /// Byte-level mirror of `entries`, holding the authenticated root.
     backend: Box<dyn StateBackend>,
 }
@@ -435,7 +225,6 @@ impl std::fmt::Debug for WorldState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorldState")
             .field("entries", &self.entries)
-            .field("version", &self.version)
             .field("backend", &self.backend.name())
             .finish_non_exhaustive()
     }
@@ -443,12 +232,7 @@ impl std::fmt::Debug for WorldState {
 
 impl Default for WorldState {
     fn default() -> WorldState {
-        WorldState {
-            entries: HashMap::new(),
-            version: 0,
-            versions: HashMap::new(),
-            backend: Box::new(MemoryBackend::new()),
-        }
+        WorldState { entries: HashMap::new(), backend: Box::new(MemoryBackend::new()) }
     }
 }
 
@@ -456,8 +240,6 @@ impl Clone for WorldState {
     fn clone(&self) -> WorldState {
         WorldState {
             entries: self.entries.clone(),
-            version: self.version,
-            versions: self.versions.clone(),
             // Persistent backends snapshot into a volatile copy: the clone
             // shares no files with the original and keeps the same root.
             backend: self.backend.snapshot_backend(),
@@ -489,7 +271,7 @@ impl WorldState {
                 _ => opaque.push(key_bytes),
             }
         }
-        (WorldState { entries, version: 0, versions: HashMap::new(), backend }, opaque)
+        (WorldState { entries, backend }, opaque)
     }
 
     /// The authenticated root over the committed contents — the canonical
@@ -538,42 +320,17 @@ impl WorldState {
         self.entries.get(key)
     }
 
-    /// The current commit version — a speculation records this as its
-    /// base snapshot id before executing.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The commit version at which `key` last changed (0 = never).
-    pub fn key_version(&self, key: &StateKey) -> u64 {
-        self.versions.get(key).copied().unwrap_or(0)
-    }
-
-    /// Whether any key in `reads` was committed to after `base_version` —
-    /// i.e. whether the read set intersects the union of write sets
-    /// committed since the speculation's base snapshot. Conservative: a
-    /// commit that restored the observed value still counts, so a `true`
-    /// here calls for an exact [`WorldState::validates`] check, while a
-    /// `false` proves the speculation still holds.
-    pub fn reads_intersect_commits_since(&self, reads: &ReadSet, base_version: u64) -> bool {
-        reads.keys().any(|key| self.key_version(key) > base_version)
-    }
-
     /// Writes a committed value directly (genesis funding, faucets and
     /// other out-of-band bookkeeping; transaction execution goes through
     /// an [`Overlay`] instead).
     pub fn set(&mut self, key: StateKey, value: StateValue) {
         self.mirror_one(&key, Some(&value));
-        self.version += 1;
-        self.versions.insert(key.clone(), self.version);
         self.entries.insert(key, value);
     }
 
     /// Removes a committed value directly.
     pub fn remove(&mut self, key: &StateKey) {
         self.mirror_one(key, None);
-        self.version += 1;
-        self.versions.insert(key.clone(), self.version);
         self.entries.remove(key);
     }
 
@@ -598,16 +355,13 @@ impl WorldState {
     }
 
     /// Applies a write set atomically (the commit step of the executor).
-    /// All keys of the set are stamped with one fresh commit version.
     pub fn apply(&mut self, writes: WriteSet) {
         if writes.is_empty() {
             return;
         }
-        self.version += 1;
         let mut batch: Vec<BatchEntry> = Vec::with_capacity(writes.len());
         for (key, value) in writes {
             batch.push((codec::encode_key(&key), value.as_ref().map(codec::encode_value)));
-            self.versions.insert(key.clone(), self.version);
             match value {
                 Some(v) => {
                     self.entries.insert(key, v);
@@ -704,40 +458,6 @@ pub trait StateView {
 /// before (`None` = the overlay had no local write for the key yet).
 type JournalEntry = (StateKey, Option<Option<StateValue>>);
 
-/// Recyclable allocations for an [`Overlay`]: the read-set and write-set
-/// maps and the rollback journal. The optimistic-parallel executor opens
-/// one overlay per speculation attempt — pooling these buffers across
-/// attempts (and across blocks) turns three heap allocations per attempt
-/// into map/vec reuse at retained capacity.
-#[derive(Debug, Default)]
-pub struct OverlayBuffers {
-    reads: ReadSet,
-    writes: WriteSet,
-    journal: Vec<JournalEntry>,
-}
-
-impl OverlayBuffers {
-    /// Fresh, empty buffers (what the pool hands out when it is dry).
-    pub fn new() -> OverlayBuffers {
-        OverlayBuffers::default()
-    }
-
-    /// Reclaims read/write maps from a finished speculation. The donated
-    /// maps are cleared and adopted when they hold at least as much
-    /// capacity as the resident ones, so the buffers ratchet toward the
-    /// workload's working-set size.
-    pub fn absorb(&mut self, mut reads: ReadSet, mut writes: WriteSet) {
-        reads.clear();
-        writes.clear();
-        if reads.capacity() >= self.reads.capacity() {
-            self.reads = reads;
-        }
-        if writes.capacity() >= self.writes.capacity() {
-            self.writes = writes;
-        }
-    }
-}
-
 /// A speculative overlay over a base state: writes shadow the base, a
 /// journal makes any suffix of them revertible, and the first read of
 /// every key that falls through to the base is recorded for validation.
@@ -754,32 +474,9 @@ impl<'a> Overlay<'a> {
         Overlay { base, writes: WriteSet::new(), journal: Vec::new(), reads: ReadSet::new() }
     }
 
-    /// Opens an overlay reusing pooled buffers instead of allocating
-    /// fresh ones. The buffers are cleared defensively; capacity is kept.
-    pub fn with_buffers(base: &'a dyn StateBase, mut buffers: OverlayBuffers) -> Overlay<'a> {
-        buffers.reads.clear();
-        buffers.writes.clear();
-        buffers.journal.clear();
-        Overlay { base, writes: buffers.writes, journal: buffers.journal, reads: buffers.reads }
-    }
-
     /// Consumes the overlay, returning its read and write sets.
     pub fn into_parts(self) -> (ReadSet, WriteSet) {
         (self.reads, self.writes)
-    }
-
-    /// Like [`Overlay::into_parts`], but also hands back the journal
-    /// allocation (cleared) for pooling. The read/write maps travel with
-    /// the outcome; return them to the pool later via
-    /// [`OverlayBuffers::absorb`] once the outcome is resolved.
-    pub fn into_parts_reusing(self) -> (ReadSet, WriteSet, OverlayBuffers) {
-        let mut journal = self.journal;
-        journal.clear();
-        (
-            self.reads,
-            self.writes,
-            OverlayBuffers { reads: ReadSet::new(), writes: WriteSet::new(), journal },
-        )
     }
 
     /// The write set only (drops read tracking).
@@ -979,52 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn per_key_versions_track_commits() {
-        let mut world = WorldState::new();
-        assert_eq!(world.version(), 0);
-        assert_eq!(world.key_version(&StateKey::Balance(addr(1))), 0);
-        world.set_balance(addr(1), 10);
-        let v1 = world.version();
-        assert_eq!(world.key_version(&StateKey::Balance(addr(1))), v1);
-        // A whole write set commits under one version, stamping every key.
-        let mut writes = WriteSet::new();
-        writes.insert(StateKey::Balance(addr(2)), Some(StateValue::U128(5)));
-        writes.insert(StateKey::Nonce(addr(2)), None);
-        world.apply(writes);
-        let v2 = world.version();
-        assert!(v2 > v1);
-        assert_eq!(world.key_version(&StateKey::Balance(addr(2))), v2);
-        assert_eq!(world.key_version(&StateKey::Nonce(addr(2))), v2, "deletions are versioned");
-        // Deleting bumps too: an observed-present read must go stale.
-        world.remove(&StateKey::Balance(addr(1)));
-        assert!(world.key_version(&StateKey::Balance(addr(1))) > v2);
-        // Empty write sets do not burn a version.
-        let v3 = world.version();
-        world.apply(WriteSet::new());
-        assert_eq!(world.version(), v3);
-    }
-
-    #[test]
-    fn reads_intersect_commits_since_is_conservative_and_exact_on_keys() {
-        let mut world = WorldState::new();
-        world.set_balance(addr(1), 100);
-        let base = world.version();
-        let mut view = Overlay::new(&world);
-        let _ = view.balance_of(addr(1));
-        let (reads, _) = view.into_parts();
-        // Nothing committed since the base: provably fresh.
-        assert!(!world.reads_intersect_commits_since(&reads, base));
-        // A commit to an unrelated key does not touch the read set.
-        world.set_balance(addr(2), 7);
-        assert!(!world.reads_intersect_commits_since(&reads, base));
-        // Re-committing the *same* value still flags the key (versions are
-        // conservative); value-level validation then clears it.
-        world.set_balance(addr(1), 100);
-        assert!(world.reads_intersect_commits_since(&reads, base));
-        assert!(world.validates(&reads));
-    }
-
-    #[test]
     fn sets_intersect_finds_shared_keys() {
         let mut reads = ReadSet::new();
         reads.insert(StateKey::Balance(addr(1)), Some(StateValue::U128(1)));
@@ -1089,26 +740,6 @@ mod tests {
         world.set_balance(addr(8), 6);
         assert_ne!(world.state_root(), snapshot.state_root());
         assert_eq!(snapshot.balance(addr(8)), 5);
-    }
-
-    #[test]
-    fn pooled_overlay_buffers_behave_like_fresh() {
-        let mut world = WorldState::new();
-        world.set_balance(addr(1), 100);
-        let mut buffers = OverlayBuffers::new();
-        for round in 0..3u128 {
-            let mut view = Overlay::with_buffers(&world, buffers);
-            assert_eq!(view.balance_of(addr(1)), 100);
-            view.set_balance_of(addr(1), 100 + round);
-            let cp = view.checkpoint();
-            view.set_balance_of(addr(1), 0);
-            view.rollback_to(cp);
-            let (reads, writes, spare) = view.into_parts_reusing();
-            assert_eq!(reads.len(), 1);
-            assert_eq!(writes[&StateKey::Balance(addr(1))], Some(StateValue::U128(100 + round)));
-            buffers = spare;
-            buffers.absorb(reads, writes);
-        }
     }
 
     #[test]
