@@ -124,10 +124,10 @@ pub struct ExecStats {
     /// static lanes exist to delete it.
     pub validation_ns: u128,
     /// Code-cache hits: EVM executions that reused a pre-decoded program
-    /// (or a memoized map slot) instead of re-deriving it. Snapshot of
-    /// the chain's [`CodeCache`] counters, taken after each block; AVM
-    /// programs carry their derived rows themselves, so on AVM chains
-    /// the three cache counters stay 0.
+    /// instead of decoding it again. Snapshot of the chain's
+    /// [`CodeCache`] counters, taken after each block; AVM programs carry
+    /// their derived rows themselves, so on AVM chains the three cache
+    /// counters stay 0.
     pub code_cache_hits: u64,
     /// Code-cache misses: executions that had to decode.
     pub code_cache_misses: u64,

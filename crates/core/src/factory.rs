@@ -33,14 +33,13 @@ pub struct Factory {
     program: Program,
     compiled: CompiledContract,
     template_digest: [u8; 32],
-    summaries: Arc<ContractSummaries>,
-    gas_bounds: Arc<ContractGasBounds>,
     instances: Vec<Instance>,
 }
 
 impl Factory {
     /// Compiles `program` (checking and verifying it) into a factory
-    /// template.
+    /// template. The one pipeline call also yields the access summaries
+    /// and gas certificates the factory hands out.
     ///
     /// # Errors
     ///
@@ -50,16 +49,7 @@ impl Factory {
         let mut preimage = compiled.evm.init_code.clone();
         preimage.extend(compiled.avm.teal().into_bytes());
         let template_digest = sha256(&preimage);
-        let summaries = Arc::new(pol_lang::access::summarize(&program));
-        let gas_bounds = Arc::new(pol_lang::gas::certify(&program)?);
-        Ok(Factory {
-            program,
-            compiled,
-            template_digest,
-            summaries,
-            gas_bounds,
-            instances: Vec::new(),
-        })
+        Ok(Factory { program, compiled, template_digest, instances: Vec::new() })
     }
 
     /// The template's compiled artifacts.
@@ -76,7 +66,7 @@ impl Factory {
     /// instance can register a cheap clone of them as its chain-side
     /// access resolver.
     pub fn summaries(&self) -> Arc<ContractSummaries> {
-        Arc::clone(&self.summaries)
+        Arc::clone(&self.compiled.summaries)
     }
 
     /// The template's static worst-case gas certificates, shared so
@@ -84,7 +74,7 @@ impl Factory {
     /// its chain-side gas resolver (scheduler seeding, admission
     /// pricing, commit-time soundness checks).
     pub fn gas_bounds(&self) -> Arc<ContractGasBounds> {
-        Arc::clone(&self.gas_bounds)
+        Arc::clone(&self.compiled.gas_bounds)
     }
 
     /// Digest identifying the template build (users trust this one

@@ -1,19 +1,14 @@
-//! Shared cache of pre-decoded programs and derived storage slots.
+//! Shared cache of pre-decoded programs.
 //!
 //! Decoding bytecode on every call is pure constant-factor overhead that
 //! the optimistic parallel executor pays once *per speculation attempt*.
 //! The [`CodeCache`] memoizes the per-program work behind interior
 //! mutability so one decode serves every speculation, every retry, and
-//! every execution mode:
-//!
-//! - **Decoded programs**, keyed by the keccak-256 content hash of the
-//!   raw bytecode. Content addressing is the only sound key: a failed
-//!   deploy does not bump `DeployCount`, so the *same address* can later
-//!   hold different code, while identical bytes always decode
-//!   identically.
-//! - **Keccak-derived map slots** (`keccak(key ‖ base)` preimages of at
-//!   most 64 bytes, at most 65 536 of them), the hottest repeated hashing
-//!   in map-heavy contracts.
+//! every execution mode. Decoded programs are keyed by the keccak-256
+//! content hash of the raw bytecode. Content addressing is the only
+//! sound key: a failed deploy does not bump `DeployCount`, so the *same
+//! address* can later hold different code, while identical bytes always
+//! decode identically.
 //!
 //! A [`CodeCache::disabled`] cache never stores or serves anything — it
 //! is the fresh-decode-every-call baseline the differential tests and
@@ -28,31 +23,20 @@ use std::time::Instant;
 /// A point-in-time snapshot of a cache's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CodeCacheStats {
-    /// Lookups served from the cache (programs and memoized slots).
+    /// Decoded programs served from the cache.
     pub hits: u64,
-    /// Lookups that had to decode or hash from scratch.
+    /// Lookups that had to decode from scratch.
     pub misses: u64,
     /// Total nanoseconds spent decoding programs.
     pub decode_ns: u64,
 }
 
-/// Longest keccak preimage the slot memo retains. Map-slot derivations
-/// hash `key ‖ base` (64 bytes); anything longer is arbitrary contract
-/// data and is hashed without memoization.
-const MAX_SLOT_PREIMAGE: usize = 64;
-
-/// Most slot digests the memo holds before it is cleared. Map keys come
-/// from calldata, so without a cap every distinct key would cost a
-/// long-running node ≈ 150 bytes forever.
-const MAX_SLOT_ENTRIES: usize = 1 << 16;
-
-/// Interior-mutable, thread-safe memo of decoded programs and derived
-/// slots, shared by every speculation thread of a block (see the module
-/// docs for keying and soundness).
+/// Interior-mutable, thread-safe memo of decoded programs, shared by
+/// every speculation thread of a block (see the module docs for keying
+/// and soundness).
 pub struct CodeCache {
     enabled: bool,
     programs: RwLock<HashMap<[u8; 32], Arc<EvmProgram>>>,
-    slots: RwLock<HashMap<Vec<u8>, [u8; 32]>>,
     hits: AtomicU64,
     misses: AtomicU64,
     decode_ns: AtomicU64,
@@ -63,7 +47,6 @@ impl std::fmt::Debug for CodeCache {
         f.debug_struct("CodeCache")
             .field("enabled", &self.enabled)
             .field("programs", &self.programs.read().expect("cache lock").len())
-            .field("slots", &self.slots.read().expect("cache lock").len())
             .field("stats", &self.stats())
             .finish()
     }
@@ -92,7 +75,6 @@ impl CodeCache {
         CodeCache {
             enabled,
             programs: RwLock::new(HashMap::new()),
-            slots: RwLock::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             decode_ns: AtomicU64::new(0),
@@ -120,27 +102,6 @@ impl CodeCache {
             self.programs.write().expect("cache lock").insert(key, Arc::clone(&decoded));
         }
         decoded
-    }
-
-    /// The digest for `preimage`, memoized for preimages of at most 64
-    /// bytes (map-slot derivations); longer inputs are hashed directly
-    /// without touching the counters.
-    pub fn keccak_memo(&self, preimage: &[u8], compute: impl FnOnce() -> [u8; 32]) -> [u8; 32] {
-        if !self.enabled || preimage.len() > MAX_SLOT_PREIMAGE {
-            return compute();
-        }
-        if let Some(digest) = self.slots.read().expect("cache lock").get(preimage) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *digest;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let digest = compute();
-        let mut slots = self.slots.write().expect("cache lock");
-        if slots.len() >= MAX_SLOT_ENTRIES {
-            slots.clear();
-        }
-        slots.insert(preimage.to_vec(), digest);
-        digest
     }
 
     /// Current counter values.
@@ -179,39 +140,5 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &again), "disabled cache must re-decode");
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn keccak_memo_bounds_preimage_size() {
-        let cache = CodeCache::new();
-        let small = [1u8; 64];
-        let large = [1u8; 65];
-        assert_eq!(cache.keccak_memo(&small, || [9; 32]), [9; 32]);
-        assert_eq!(cache.keccak_memo(&small, || unreachable!("must hit")), [9; 32]);
-        // Oversized preimages bypass the memo entirely.
-        assert_eq!(cache.keccak_memo(&large, || [3; 32]), [3; 32]);
-        assert_eq!(cache.keccak_memo(&large, || [4; 32]), [4; 32]);
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn keccak_memo_bounds_entry_count() {
-        let cache = CodeCache::new();
-        let digest = |i: usize| {
-            let mut d = [0u8; 32];
-            d[..8].copy_from_slice(&(i as u64).to_be_bytes());
-            d
-        };
-        for i in 0..=MAX_SLOT_ENTRIES {
-            let preimage = (i as u64).to_be_bytes();
-            assert_eq!(cache.keccak_memo(&preimage, || digest(i)), digest(i));
-            assert!(cache.slots.read().unwrap().len() <= MAX_SLOT_ENTRIES);
-        }
-        // The insert past the cap cleared the memo and kept only itself;
-        // evicted preimages are recomputed, never answered wrongly.
-        assert_eq!(cache.slots.read().unwrap().len(), 1);
-        assert_eq!(cache.keccak_memo(&0u64.to_be_bytes(), || digest(0)), digest(0));
-        assert_eq!(cache.stats().hits, 0);
     }
 }

@@ -450,11 +450,7 @@ fn execute(
                 charge!(gas::G_KECCAK256WORD * gas::words(size));
                 let (end, grow) = expand(&mut memory, off, size)?;
                 charge!(grow);
-                // Map-slot derivations (`keccak(key ‖ base)`) repeat per
-                // call; the cache memoizes short preimages.
-                let preimage = &memory[off..end];
-                let digest = cache.keccak_memo(preimage, || keccak256(preimage));
-                push!(Word::from_be_bytes(&digest));
+                push!(Word::from_be_bytes(&keccak256(&memory[off..end])));
             }
             Op::Address => push!(Word::from(params.contract)),
             Op::SelfBalance => {

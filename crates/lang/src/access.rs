@@ -42,11 +42,11 @@
 //! ever commute.
 
 use crate::ast::{Expr, Program, Ty};
-use crate::backend::evm::{global_slot, MAP_SLOT_BASE, SLOT_CREATOR, SLOT_PHASE};
+use crate::backend::evm::{global_slot, DispatchTarget, MAP_SLOT_BASE, SLOT_CREATOR, SLOT_PHASE};
 use crate::backend::{avm as avm_backend, evm as evm_backend};
 use crate::dbm;
 use crate::diag::Owner;
-use crate::ir::{self, BodyAnalysis, Inst, Term};
+use crate::ir::{self, BodyAnalysis, Inst, ProgramFlows, Term};
 use pol_avm::app_address;
 use pol_crypto::keccak256;
 use pol_evm::Word;
@@ -208,14 +208,11 @@ fn cond_footprint(expr: &Expr, fp: &mut CondFootprint) {
 /// domain first (guard refinement can pin `require(k == 7)` keys), then
 /// the relational zone (difference bounds can pin keys the intervals
 /// lose through joins), then the syntactic parameter case, then ⊤.
-fn classify_key(
-    key: &Expr,
-    env: Option<&ir::Env>,
-    zone: Option<&dbm::Zone>,
-    default_env: &ir::Env,
-) -> KeyPattern {
-    let env = env.unwrap_or(default_env);
-    if let Some(c) = env.interval_of(key).as_const() {
+fn classify_key(key: &Expr, env: Option<&ir::Env>, zone: Option<&dbm::Zone>) -> KeyPattern {
+    // No store (an expression evaluated around the body): the default
+    // (⊤) store keeps constants and parameters and nothing else.
+    let default_env = ir::Env::default();
+    if let Some(c) = env.unwrap_or(&default_env).interval_of(key).as_const() {
         return KeyPattern::Const(c);
     }
     if let (Some(zone), Some((Some(var), k))) = (zone, dbm::term(key)) {
@@ -243,7 +240,6 @@ fn classify_addr(to: &Expr) -> AddrPattern {
 
 struct Collector<'a> {
     flow: &'a BodyAnalysis,
-    default_env: ir::Env,
     summary: AccessSummary,
 }
 
@@ -264,13 +260,7 @@ impl Collector<'_> {
             }
             Expr::Balance => self.summary.reads_balance = true,
             Expr::MapGet { map, key } | Expr::MapContains { map, key } => {
-                let pattern = classify_key(key, env, zone, &self.default_env);
-                self.summary.maps.push(MapSite {
-                    map: map.clone(),
-                    key: pattern,
-                    write: false,
-                    path: path.to_vec(),
-                });
+                self.map_site(map, key, false, env, zone, path);
                 self.reads(key, env, zone, path);
             }
             Expr::Hash(parts) => {
@@ -287,55 +277,51 @@ impl Collector<'_> {
         }
     }
 
+    fn map_site(
+        &mut self,
+        map: &str,
+        key: &Expr,
+        write: bool,
+        env: Option<&ir::Env>,
+        zone: Option<&dbm::Zone>,
+        path: &[u32],
+    ) {
+        let key = classify_key(key, env, zone);
+        self.summary.maps.push(MapSite { map: map.to_string(), key, write, path: path.to_vec() });
+    }
+
     fn walk_body(&mut self) {
-        for b in 0..self.flow.cfg.blocks.len() {
-            if !self.flow.reachable(b) {
-                continue;
-            }
-            for inst in &self.flow.cfg.blocks[b].insts.clone() {
-                let path = inst.path().to_vec();
-                let env = self.flow.env_at(&path).cloned();
-                let zone = self.flow.zone_at(&path).cloned();
+        let flow = self.flow;
+        for (b, block) in flow.reachable_blocks() {
+            for inst in &block.insts {
+                let path = inst.path();
+                let (env, zone) = (flow.env_at(path), flow.zone_at(path));
                 match inst {
                     Inst::Set { name, value, .. } => {
                         self.summary.globals_written.insert(name.clone());
-                        self.reads(value, env.as_ref(), zone.as_ref(), &path);
+                        self.reads(value, env, zone, path);
                     }
                     Inst::MapPut { map, key, value, .. } => {
-                        let pattern =
-                            classify_key(key, env.as_ref(), zone.as_ref(), &self.default_env);
-                        self.summary.maps.push(MapSite {
-                            map: map.clone(),
-                            key: pattern,
-                            write: true,
-                            path: path.clone(),
-                        });
-                        self.reads(key, env.as_ref(), zone.as_ref(), &path);
+                        self.map_site(map, key, true, env, zone, path);
+                        self.reads(key, env, zone, path);
                         for part in value {
-                            self.reads(part, env.as_ref(), zone.as_ref(), &path);
+                            self.reads(part, env, zone, path);
                         }
                     }
                     Inst::MapDel { map, key, .. } => {
-                        let pattern =
-                            classify_key(key, env.as_ref(), zone.as_ref(), &self.default_env);
-                        self.summary.maps.push(MapSite {
-                            map: map.clone(),
-                            key: pattern,
-                            write: true,
-                            path: path.clone(),
-                        });
-                        self.reads(key, env.as_ref(), zone.as_ref(), &path);
+                        self.map_site(map, key, true, env, zone, path);
+                        self.reads(key, env, zone, path);
                     }
                     Inst::Transfer { to, amount, .. } => {
                         self.summary
                             .transfers
-                            .push(TransferSite { to: classify_addr(to), path: path.clone() });
-                        self.reads(to, env.as_ref(), zone.as_ref(), &path);
-                        self.reads(amount, env.as_ref(), zone.as_ref(), &path);
+                            .push(TransferSite { to: classify_addr(to), path: path.to_vec() });
+                        self.reads(to, env, zone, path);
+                        self.reads(amount, env, zone, path);
                     }
                     Inst::Emit { parts, .. } => {
                         for part in parts {
-                            self.reads(part, env.as_ref(), zone.as_ref(), &path);
+                            self.reads(part, env, zone, path);
                         }
                     }
                 }
@@ -343,18 +329,15 @@ impl Collector<'_> {
             // Condition expressions in terminators read state too; the
             // replayed terminator store keeps mid-block assignments
             // from laundering a stale constant into a key pattern.
-            let term = self.flow.cfg.blocks[b].term.clone();
-            let env = self.flow.term_env(b);
-            match &term {
-                Term::Branch { cond, path, .. } => {
-                    self.reads(cond, env.as_ref(), None, path);
-                }
+            let env = flow.term_env(b);
+            match &block.term {
+                Term::Branch { cond, path, .. } => self.reads(cond, env.as_ref(), None, path),
                 Term::Require { cond, src, .. } => {
-                    let path = match src {
-                        ir::Src::Stmt(p) => p.clone(),
-                        ir::Src::PhaseCond => Vec::new(),
+                    let path: &[u32] = match src {
+                        ir::Src::Stmt(p) => p,
+                        ir::Src::PhaseCond => &[],
                     };
-                    self.reads(cond, env.as_ref(), None, &path);
+                    self.reads(cond, env.as_ref(), None, path);
                 }
                 Term::Goto(_) | Term::Return => {}
             }
@@ -364,47 +347,35 @@ impl Collector<'_> {
 
 /// Summarizes the body a [`BodyAnalysis`] was computed for. The flow's
 /// owner decides whether API extras (pay/return expressions, phase
-/// effects) apply — this is the entry point the lint pass reuses so the
-/// CFG is analyzed once per body.
-pub fn summary_for_flow(program: &Program, flow: &BodyAnalysis) -> AccessSummary {
-    let mut c =
-        Collector { flow, default_env: ir::Env::default(), summary: AccessSummary::default() };
+/// effects) apply.
+fn summary_for_flow(program: &Program, flow: &BodyAnalysis) -> AccessSummary {
+    let mut c = Collector { flow, summary: AccessSummary::default() };
     c.walk_body();
-    let mut summary = c.summary;
     match flow.cfg.owner {
         Owner::Constructor => {
             // The generated constructors write the creator/phase cells
             // and (on the AVM) every declared global; model all globals
             // as written — deployment is resolved conservatively at
             // runtime anyway, so this only affects reporting.
+            let mut summary = c.summary;
             summary.writes_phase = true;
-            for g in &program.globals {
-                summary.globals_written.insert(g.name.clone());
-            }
+            summary.globals_written.extend(program.globals.iter().map(|g| g.name.clone()));
+            summary
         }
         Owner::Api { phase, api } => {
             let phase_decl = &program.phases[phase as usize];
             let api_decl = &phase_decl.apis[api as usize];
+            // The prologue checks the payment and the epilogue evaluates
+            // the return value after the body ran: neither sits at a
+            // program point of the body, so their map keys classify
+            // against no store.
+            if let Some(pay) = &api_decl.pay {
+                c.reads(pay, None, None, &[]);
+            }
+            c.reads(&api_decl.returns, None, None, &[]);
+            let mut summary = c.summary;
             summary.reads_phase = true;
             summary.uses_pay = api_decl.pay.is_some();
-            let default_env = ir::Env::default();
-            let mut extra = Collector {
-                flow,
-                default_env: ir::Env::default(),
-                summary: AccessSummary::default(),
-            };
-            if let Some(pay) = &api_decl.pay {
-                extra.reads(pay, Some(&default_env), None, &[]);
-            }
-            // The epilogue evaluates the return value and re-checks the
-            // phase condition after the body ran: classify against the
-            // exit stores of nothing in particular — the default (⊤)
-            // store keeps constants and parameters and nothing else.
-            extra.reads(&api_decl.returns, Some(&default_env), None, &[]);
-            let extra = extra.summary;
-            summary.globals_read.extend(extra.globals_read);
-            summary.reads_balance |= extra.reads_balance;
-            summary.maps.extend(extra.maps);
 
             // Phase-advance refinement: the counter can only move when
             // the body changes an input of the phase condition.
@@ -415,9 +386,9 @@ pub fn summary_for_flow(program: &Program, flow: &BodyAnalysis) -> AccessSummary
                 summary.maps.iter().any(|site| site.write && fp.maps.contains(&site.map));
             let moves_balance = fp.balance && !summary.transfers.is_empty();
             summary.writes_phase = writes_cond_global || writes_cond_map || moves_balance;
+            summary
         }
     }
-    summary
 }
 
 /// What kind of dispatch entry a [`MethodSummary`] describes.
@@ -477,57 +448,45 @@ pub struct ContractSummaries {
 
 /// Runs the access-summary pass over a checked program.
 pub fn summarize(program: &Program) -> ContractSummaries {
-    let mut methods = Vec::new();
-    for (phase_idx, phase) in program.phases.iter().enumerate() {
-        for (api_idx, api) in phase.apis.iter().enumerate() {
-            let flow = ir::analyze_api(program, phase_idx, api_idx);
-            let summary = summary_for_flow(program, &flow);
-            methods.push(MethodSummary {
-                name: api.name.clone(),
-                phase: Some(phase.name.clone()),
-                kind: MethodKind::Api,
-                summary,
-                selector: pol_evm::abi::selector(&evm_backend::signature(&api.name, &api.params)),
-                layout: evm_backend::layout(&api.params),
-                params: api.params.clone(),
-            });
-        }
-    }
-    for global in program.globals.iter().filter(|g| g.viewable) {
-        let name = format!("view_{}", global.name);
-        let mut summary = AccessSummary::default();
-        summary.globals_read.insert(global.name.clone());
-        methods.push(MethodSummary {
-            name: name.clone(),
-            phase: None,
-            kind: MethodKind::View,
-            summary,
-            selector: pol_evm::abi::selector(&evm_backend::signature(&name, &[])),
-            layout: Vec::new(),
-            params: Vec::new(),
-        });
-    }
-    let close = AccessSummary {
-        reads_balance: true,
-        reads_phase: true,
-        transfers: vec![TransferSite { to: AddrPattern::Top, path: Vec::new() }],
-        ..AccessSummary::default()
-    };
-    methods.push(MethodSummary {
-        name: "closeContract".into(),
-        phase: None,
-        kind: MethodKind::Close,
-        summary: close,
-        selector: pol_evm::abi::selector("closeContract()"),
-        layout: Vec::new(),
-        params: Vec::new(),
-    });
+    summarize_flows(program, &ProgramFlows::new(program, true))
+}
 
-    let flow = ir::analyze_constructor(program);
-    let constructor = summary_for_flow(program, &flow);
+/// [`summarize`] over flows the caller already computed (the compile
+/// pipeline's, see [`crate::backend::compile`]).
+pub(crate) fn summarize_flows(program: &Program, flows: &ProgramFlows) -> ContractSummaries {
+    let methods = evm_backend::dispatch_table(program)
+        .into_iter()
+        .map(|entry| {
+            let summary = match entry.target {
+                DispatchTarget::Api { phase, api_idx, .. } => {
+                    summary_for_flow(program, &flows.apis[phase][api_idx])
+                }
+                DispatchTarget::View { global } => AccessSummary {
+                    globals_read: BTreeSet::from([program.globals[global].name.clone()]),
+                    ..AccessSummary::default()
+                },
+                DispatchTarget::Close => AccessSummary {
+                    reads_balance: true,
+                    reads_phase: true,
+                    transfers: vec![TransferSite { to: AddrPattern::Top, path: Vec::new() }],
+                    ..AccessSummary::default()
+                },
+            };
+            let (kind, phase) = entry.kind_and_phase(program);
+            MethodSummary {
+                phase,
+                kind,
+                summary,
+                selector: entry.selector,
+                layout: evm_backend::layout(entry.params()),
+                params: entry.params().to_vec(),
+                name: entry.name,
+            }
+        })
+        .collect();
     ContractSummaries {
         name: program.name.clone(),
-        constructor,
+        constructor: summary_for_flow(program, &flows.constructor),
         methods,
         global_index: program
             .globals

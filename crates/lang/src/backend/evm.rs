@@ -16,6 +16,7 @@
 //! constructor (reading its arguments from the code tail via `CODECOPY`)
 //! and returns the runtime image.
 
+use crate::access::MethodKind;
 use crate::ast::{Api, BinOp, Expr, GlobalInit, Program, Stmt, Ty};
 use crate::backend::AbiValue;
 use crate::LangError;
@@ -186,6 +187,70 @@ pub(crate) fn signature(name: &str, params: &[(String, Ty)]) -> String {
     format!("{name}({})", tys.join(","))
 }
 
+/// Where one entry of the runtime dispatcher leads.
+pub(crate) enum DispatchTarget<'p> {
+    /// The phase API `api`, which is `program.phases[phase].apis[api_idx]`.
+    Api { phase: usize, api_idx: usize, api: &'p Api },
+    /// The generated read-only accessor of `program.globals[global]`.
+    View { global: usize },
+    /// The generated `closeContract`.
+    Close,
+}
+
+/// One dispatchable method: what the runtime dispatcher probes for.
+pub(crate) struct DispatchEntry<'p> {
+    /// Dispatch name (`put`, `view_open`, `closeContract`, …).
+    pub name: String,
+    /// The four-byte selector derived from the name and parameter types.
+    pub selector: [u8; 4],
+    /// What the entry runs.
+    pub target: DispatchTarget<'p>,
+}
+
+impl<'p> DispatchEntry<'p> {
+    /// The declared parameters (views and `closeContract` take none).
+    pub(crate) fn params(&self) -> &'p [(String, Ty)] {
+        match self.target {
+            DispatchTarget::Api { api, .. } => &api.params,
+            DispatchTarget::View { .. } | DispatchTarget::Close => &[],
+        }
+    }
+
+    /// The entry's kind and, for APIs, its phase's name — as the
+    /// published summaries and certificates label it.
+    pub(crate) fn kind_and_phase(&self, program: &Program) -> (MethodKind, Option<String>) {
+        match self.target {
+            DispatchTarget::Api { phase, .. } => {
+                (MethodKind::Api, Some(program.phases[phase].name.clone()))
+            }
+            DispatchTarget::View { .. } => (MethodKind::View, None),
+            DispatchTarget::Close => (MethodKind::Close, None),
+        }
+    }
+}
+
+/// The method table: every dispatchable entry in the order the runtime
+/// dispatcher probes them — phase APIs, `view_<global>` for viewable
+/// globals, `closeContract`. The code generator, the access summaries
+/// and the gas certificates all enumerate methods through this.
+pub(crate) fn dispatch_table(program: &Program) -> Vec<DispatchEntry<'_>> {
+    let entry = |name: String, params: &[(String, Ty)], target| {
+        let selector = pol_evm::abi::selector(&signature(&name, params));
+        DispatchEntry { name, selector, target }
+    };
+    let apis = program.phases.iter().enumerate().flat_map(|(phase, decl)| {
+        decl.apis.iter().enumerate().map(move |(api_idx, api)| {
+            entry(api.name.clone(), &api.params, DispatchTarget::Api { phase, api_idx, api })
+        })
+    });
+    let views =
+        program.globals.iter().enumerate().filter(|(_, g)| g.viewable).map(|(global, decl)| {
+            entry(format!("view_{}", decl.name), &[], DispatchTarget::View { global })
+        });
+    let close = entry("closeContract".into(), &[], DispatchTarget::Close);
+    apis.chain(views).chain(std::iter::once(close)).collect()
+}
+
 /// Compiles a checked program to EVM bytecode with the default runtime
 /// pad.
 ///
@@ -217,67 +282,26 @@ pub fn compile_with_pad(program: &Program, runtime_pad: usize) -> Result<Compile
     asm = asm.push_bytes(&shift).swap(1).op(Op::Div);
 
     // Dispatch table.
-    struct Entry {
-        label: pol_evm::assembler::Label,
-        selector: [u8; 4],
-    }
-    let mut entries: Vec<(String, Entry, DispatchKind)> = Vec::new();
-    enum DispatchKind {
-        Api { phase: usize, api: Api },
-        View { slot: u64 },
-        Close,
-    }
-    for (phase_idx, api) in program.all_apis() {
+    let table = dispatch_table(program);
+    let mut labels = Vec::with_capacity(table.len());
+    for entry in &table {
+        selectors.insert(entry.name.clone(), entry.selector);
+        param_layouts.insert(entry.name.clone(), layout(entry.params()));
         let label = asm.new_label();
-        let selector = pol_evm::abi::selector(&signature(&api.name, &api.params));
-        selectors.insert(api.name.clone(), selector);
-        param_layouts.insert(api.name.clone(), layout(&api.params));
-        entries.push((
-            api.name.clone(),
-            Entry { label, selector },
-            DispatchKind::Api { phase: phase_idx, api: api.clone() },
-        ));
-    }
-    for (i, global) in program.globals.iter().enumerate() {
-        if global.viewable {
-            let name = format!("view_{}", global.name);
-            let label = asm.new_label();
-            let selector = pol_evm::abi::selector(&signature(&name, &[]));
-            selectors.insert(name.clone(), selector);
-            param_layouts.insert(name.clone(), Vec::new());
-            entries.push((
-                name,
-                Entry { label, selector },
-                DispatchKind::View { slot: GLOBAL_SLOT_BASE + i as u64 },
-            ));
-        }
-    }
-    {
-        let label = asm.new_label();
-        let selector = pol_evm::abi::selector("closeContract()");
-        selectors.insert("closeContract".into(), selector);
-        param_layouts.insert("closeContract".into(), Vec::new());
-        entries.push(("closeContract".into(), Entry { label, selector }, DispatchKind::Close));
-    }
-
-    for (_, entry, _) in &entries {
-        asm = asm
-            .op(Op::Dup1)
-            .push_bytes(&entry.selector)
-            .op(Op::Eq)
-            .push_label(entry.label)
-            .op(Op::JumpI);
+        labels.push(label);
+        asm =
+            asm.op(Op::Dup1).push_bytes(&entry.selector).op(Op::Eq).push_label(label).op(Op::JumpI);
     }
     // Unknown selector: revert.
     asm = asm.jump(revert_label);
 
     // Function bodies.
-    for (_, entry, kind) in entries {
-        asm = asm.bind(entry.label).op(Op::Pop); // discard selector copy
-        match kind {
-            DispatchKind::View { slot } => {
+    for (entry, label) in table.iter().zip(labels) {
+        asm = asm.bind(label).op(Op::Pop); // discard selector copy
+        match entry.target {
+            DispatchTarget::View { global } => {
                 asm = asm
-                    .push_u64(slot)
+                    .push_u64(global_slot(global))
                     .op(Op::SLoad)
                     .push_u64(0)
                     .op(Op::MStore)
@@ -285,7 +309,7 @@ pub fn compile_with_pad(program: &Program, runtime_pad: usize) -> Result<Compile
                     .push_u64(0)
                     .op(Op::Return);
             }
-            DispatchKind::Close => {
+            DispatchTarget::Close => {
                 let n_phases = program.phases.len() as u64;
                 // require phase == n_phases
                 asm = asm
@@ -310,10 +334,10 @@ pub fn compile_with_pad(program: &Program, runtime_pad: usize) -> Result<Compile
                     .op(Op::Pop)
                     .op(Op::Stop);
             }
-            DispatchKind::Api { phase, api } => {
+            DispatchTarget::Api { phase, api, .. } => {
                 let mut ctx =
                     Ctx::new(program, ParamSource::CallData, &api.params, asm, revert_label);
-                ctx.compile_api(phase, &api)?;
+                ctx.compile_api(phase, api)?;
                 asm = ctx.asm;
             }
         }

@@ -1,20 +1,27 @@
 //! Code generators: one contract source, one artifact per chain family,
 //! with post-emission bytecode verification.
 //!
-//! [`compile`] runs the full pipeline: type checking, source-level
-//! verification, the dataflow lints, code generation, and finally the
-//! *bytecode-level* verifiers from [`pol_evm::verifier`] and
-//! [`pol_avm::verifier`] — so a codegen bug that emits an unbalanced
-//! stack, a bogus jump or a post-transfer state write is caught before
-//! the artifact ever reaches a chain. The verified worst-case costs are
-//! also cross-checked against the conservative straight-line bounds the
-//! analysis reports, per API, on both targets.
+//! [`compile`] runs the full pipeline: type checking, one flow analysis
+//! per body ([`ProgramFlows`]), source-level verification, the access
+//! summaries, the gas certificates and the dataflow lints over those
+//! flows, code generation, and finally the *bytecode-level* verifiers
+//! from [`pol_evm::verifier`] and [`pol_avm::verifier`] — so a codegen
+//! bug that emits an unbalanced stack, a bogus jump or a post-transfer
+//! state write is caught before the artifact ever reaches a chain. The
+//! verified worst-case costs are also cross-checked against the static
+//! certificates and the conservative straight-line bounds, per API, on
+//! both targets. Everything the pipeline derives on the way — warnings,
+//! summaries, certificates — is returned with the artifacts.
 
 pub mod avm;
 pub mod evm;
 
+use crate::access::ContractSummaries;
 use crate::ast::Ty;
 use crate::diag::{Diagnostic, NodePath};
+use crate::gas::ContractGasBounds;
+use crate::ir::ProgramFlows;
+use std::sync::Arc;
 
 /// A runtime argument value passed to constructors and API calls.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,6 +57,13 @@ pub struct CompiledContract {
     /// Warning-severity lint diagnostics (non-fatal; render with
     /// [`crate::pretty::render_diagnostics`]).
     pub warnings: Vec<Diagnostic>,
+    /// The static access summaries of every dispatchable method — what
+    /// [`crate::access::summarize`] returns, shared so each deployed
+    /// instance can register a cheap clone as its access resolver.
+    pub summaries: Arc<ContractSummaries>,
+    /// The static worst-case gas certificates — what
+    /// [`crate::gas::certify`] returns, shared likewise.
+    pub gas_bounds: Arc<ContractGasBounds>,
 }
 
 /// Compiles a program for every chain after checking, verifying and
@@ -68,22 +82,41 @@ pub fn compile(program: &crate::ast::Program) -> Result<CompiledContract, crate:
     if !type_errors.is_empty() {
         return Err(crate::LangError::TypeErrors(type_errors));
     }
-    let report = crate::verify::verify(program);
+    // Every body is analysed once; each later stage borrows the flows
+    // and hands what it derives forward.
+    let flows = ProgramFlows::new(program, true);
+    let report = crate::verify::verify_flows(program, &flows);
     if !report.ok() {
         return Err(crate::LangError::VerificationFailed(report.failures));
     }
+    // EVM codegen runs ahead of the lints because L0008 prices the
+    // deployment payload; its own failure still surfaces after theirs.
+    let evm_and_bounds = evm::compile(program).map(|evm| {
+        let bounds = crate::gas::certify_compiled(program, &flows, &evm);
+        (evm, bounds)
+    });
+    let summaries = crate::access::summarize_flows(program, &flows);
+    let gas_bounds = evm_and_bounds.as_ref().ok().map(|(_, bounds)| bounds);
     let (lint_errors, warnings): (Vec<_>, Vec<_>) =
-        crate::lint::lint(program).into_iter().partition(|d| d.is_error());
+        crate::lint::lint_facts(program, &flows, &summaries, gas_bounds)
+            .into_iter()
+            .partition(|d| d.is_error());
     if !lint_errors.is_empty() {
         return Err(crate::LangError::LintErrors(lint_errors));
     }
-    let compiled_evm = evm::compile(program)?;
+    let (compiled_evm, gas_bounds) = evm_and_bounds?;
     let compiled_avm = avm::compile(program)?;
-    let rejections = verify_bytecode(program, &compiled_evm, &compiled_avm);
+    let rejections = verify_bytecode(program, &flows, &compiled_evm, &compiled_avm);
     if !rejections.is_empty() {
         return Err(crate::LangError::BytecodeRejected(rejections));
     }
-    Ok(CompiledContract { evm: compiled_evm, avm: compiled_avm, warnings })
+    Ok(CompiledContract {
+        evm: compiled_evm,
+        avm: compiled_avm,
+        warnings,
+        summaries: Arc::new(summaries),
+        gas_bounds: Arc::new(gas_bounds),
+    })
 }
 
 /// Runs the post-emission bytecode verifiers over every artifact and
@@ -91,6 +124,7 @@ pub fn compile(program: &crate::ast::Program) -> Result<CompiledContract, crate:
 /// straight-line bounds (B0301–B0303, X0401–X0402).
 fn verify_bytecode(
     program: &crate::ast::Program,
+    flows: &ProgramFlows,
     compiled_evm: &evm::CompiledEvm,
     compiled_avm: &avm::CompiledAvm,
 ) -> Vec<Diagnostic> {
@@ -145,40 +179,14 @@ fn verify_bytecode(
             if let Ok(fragment) = evm::api_fragment(program, phase_idx, api) {
                 match pol_evm::verifier::verify(&fragment, &cfg) {
                     Ok(report) => {
-                        // Two-sided gate: the bytecode verifier's
-                        // observed worst path must stay under the static
-                        // certificate, which in turn must stay under the
-                        // straight-line opcode sum. Either violation
-                        // means a cost model drifted from the emitter.
-                        let stat =
-                            crate::gas::evm_fragment_bound(program, phase_idx, api_idx, payload);
+                        let stat = crate::gas::evm_fragment_bound(
+                            program, flows, phase_idx, api_idx, payload,
+                        );
                         let bound = evm_linear_bound(&fragment, payload);
-                        if report.worst_case_gas > stat {
-                            diags.push(
-                                Diagnostic::error(
-                                    "X0401",
-                                    format!(
-                                        "api {:?}: verified worst-case gas {} exceeds the \
-                                         static certificate {stat} (bytecode side)",
-                                        api.name, report.worst_case_gas
-                                    ),
-                                )
-                                .at(at),
-                            );
-                        }
-                        if stat > bound {
-                            diags.push(
-                                Diagnostic::error(
-                                    "X0401",
-                                    format!(
-                                        "api {:?}: static certificate {stat} exceeds the \
-                                         conservative bound {bound} (static side)",
-                                        api.name
-                                    ),
-                                )
-                                .at(at),
-                            );
-                        }
+                        let observed = report.worst_case_gas;
+                        diags.extend(two_sided_gate(
+                            "X0401", &api.name, "gas", observed, stat, bound, at,
+                        ));
                     }
                     Err(e) => diags.push(
                         Diagnostic::error(
@@ -208,36 +216,13 @@ fn verify_bytecode(
                                 .at(at),
                             );
                         }
-                        // Two-sided gate, AVM flavour: verifier worst
-                        // path <= static certificate <= linear opcode sum.
-                        let stat = crate::gas::avm_fragment_bound(program, phase_idx, api_idx);
+                        let stat =
+                            crate::gas::avm_fragment_bound(program, flows, phase_idx, api_idx);
                         let bound = pol_avm::cost::program_cost(fragment.ops());
-                        if report.worst_case_cost > stat {
-                            diags.push(
-                                Diagnostic::error(
-                                    "X0402",
-                                    format!(
-                                        "api {:?}: verified worst-case cost {} exceeds the \
-                                         static certificate {stat} (bytecode side)",
-                                        api.name, report.worst_case_cost
-                                    ),
-                                )
-                                .at(at),
-                            );
-                        }
-                        if stat > bound {
-                            diags.push(
-                                Diagnostic::error(
-                                    "X0402",
-                                    format!(
-                                        "api {:?}: static certificate {stat} exceeds the \
-                                         conservative bound {bound} (static side)",
-                                        api.name
-                                    ),
-                                )
-                                .at(at),
-                            );
-                        }
+                        let observed = report.worst_case_cost;
+                        diags.extend(two_sided_gate(
+                            "X0402", &api.name, "cost", observed, stat, bound, at,
+                        ));
                     }
                     Err(e) => diags.push(
                         Diagnostic::error(
@@ -249,6 +234,38 @@ fn verify_bytecode(
                 }
             }
         }
+    }
+    diags
+}
+
+/// The two-sided gate (X0401 on the EVM, X0402 on the AVM): the bytecode
+/// verifier's observed worst path must stay under the static
+/// certificate `stat`, which in turn must stay under the straight-line
+/// opcode sum `bound`. Either violation means a cost model drifted from
+/// the emitter.
+fn two_sided_gate(
+    code: &'static str,
+    api: &str,
+    unit: &str,
+    observed: u64,
+    stat: u64,
+    bound: u64,
+    at: crate::diag::Span,
+) -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
+    if observed > stat {
+        let msg = format!(
+            "api {api:?}: verified worst-case {unit} {observed} exceeds the static certificate \
+             {stat} (bytecode side)"
+        );
+        diags.push(Diagnostic::error(code, msg).at(at));
+    }
+    if stat > bound {
+        let msg = format!(
+            "api {api:?}: static certificate {stat} exceeds the conservative bound {bound} \
+             (static side)"
+        );
+        diags.push(Diagnostic::error(code, msg).at(at));
     }
     diags
 }

@@ -49,13 +49,13 @@ fn main() -> ExitCode {
     match args.split_first() {
         Some((cmd, rest)) if cmd == "lint" && !rest.is_empty() => lint_files(rest, relational),
         Some((cmd, rest)) if cmd == "verify" && !rest.is_empty() => {
-            verify_files(rest, relational, json_path.as_deref())
+            exit_code(verify_files(rest, relational, json_path.as_deref()))
         }
         Some((cmd, rest)) if cmd == "summaries" && !rest.is_empty() => {
-            summarize_files(rest, json_path.as_deref())
+            exit_code(summarize_files(rest, json_path.as_deref()))
         }
         Some((cmd, rest)) if cmd == "gas" && !rest.is_empty() => {
-            gas_files(rest, json_path.as_deref())
+            exit_code(gas_files(rest, json_path.as_deref()))
         }
         Some((cmd, rest)) if cmd == "codes" && rest.is_empty() => {
             print!("{}", lint::codes_markdown());
@@ -72,6 +72,10 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+fn exit_code(outcome: Result<(), ExitCode>) -> ExitCode {
+    outcome.err().unwrap_or(ExitCode::SUCCESS)
 }
 
 /// Removes `flag` from `args`; returns whether it was present.
@@ -144,125 +148,91 @@ fn lint_files(files: &[String], relational: bool) -> ExitCode {
     }
 }
 
+/// Reads, parses and type-checks one file. On failure the diagnostic
+/// is already on stderr and the exit code is returned: 2 for I/O and
+/// syntax errors, 1 for type errors.
+fn load(file: &str) -> Result<pol_lang::Program, ExitCode> {
+    let source = std::fs::read_to_string(file).map_err(|e| {
+        eprintln!("polc: cannot read {file}: {e}");
+        ExitCode::from(2)
+    })?;
+    let program = pol_lang::parse::parse(&source).map_err(|e| {
+        eprintln!("polc: {file}:{}:{}: {}", e.line, e.col, e.message);
+        ExitCode::from(2)
+    })?;
+    let type_errors = pol_lang::check::check(&program);
+    if !type_errors.is_empty() {
+        for d in &type_errors {
+            eprintln!("polc: {file}: {d}");
+        }
+        return Err(ExitCode::FAILURE);
+    }
+    Ok(program)
+}
+
+/// Writes the `--json` artifact, when asked for: the per-contract
+/// entries under `"contracts"`, then `tail` (further top-level members).
+fn write_json(path: Option<&str>, contracts: &[String], tail: &str) -> Result<(), ExitCode> {
+    let Some(path) = path else { return Ok(()) };
+    let json = format!("{{\n  \"contracts\": [\n{}\n  ]{tail}\n}}\n", contracts.join(",\n"));
+    std::fs::write(path, json).map_err(|e| {
+        eprintln!("polc: cannot write {path}: {e}");
+        ExitCode::from(2)
+    })
+}
+
+/// Loads each file, prints `render`'s text under a `== file ==` header
+/// and writes the collected JSON entries — the shape `summaries` and
+/// `gas` share.
+fn report_files(
+    files: &[String],
+    json_path: Option<&str>,
+    render: impl Fn(&str, &pol_lang::Program) -> Result<(String, String), ExitCode>,
+) -> Result<(), ExitCode> {
+    let mut rendered = Vec::new();
+    for file in files {
+        let (text, json) = render(file, &load(file)?)?;
+        println!("== {file} ==");
+        print!("{text}");
+        println!();
+        rendered.push(json);
+    }
+    write_json(json_path, &rendered, "")
+}
+
 /// Runs the access-summary analysis over each file and prints the
 /// per-method footprints; `--json` additionally writes the
 /// deterministic machine-readable form (the CI artifact).
-fn summarize_files(files: &[String], json_path: Option<&str>) -> ExitCode {
-    let mut rendered = Vec::new();
-    for file in files {
-        let source = match std::fs::read_to_string(file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("polc: cannot read {file}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let program = match pol_lang::parse::parse(&source) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("polc: {file}:{}:{}: {}", e.line, e.col, e.message);
-                return ExitCode::from(2);
-            }
-        };
-        let type_errors = pol_lang::check::check(&program);
-        if !type_errors.is_empty() {
-            for d in &type_errors {
-                eprintln!("polc: {file}: {d}");
-            }
-            return ExitCode::FAILURE;
-        }
-        let summaries = pol_lang::access::summarize(&program);
-        println!("== {file} ==");
-        print!("{}", summaries.render_text());
-        println!();
-        rendered.push(summaries.to_json(file, "    "));
-    }
-    if let Some(path) = json_path {
-        let json = format!("{{\n  \"contracts\": [\n{}\n  ]\n}}\n", rendered.join(",\n"));
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("polc: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    ExitCode::SUCCESS
+fn summarize_files(files: &[String], json_path: Option<&str>) -> Result<(), ExitCode> {
+    report_files(files, json_path, |file, program| {
+        let summaries = pol_lang::access::summarize(program);
+        Ok((summaries.render_text(), summaries.to_json(file, "    ")))
+    })
 }
 
 /// Runs the static gas-certificate pass over each file and prints the
 /// per-method worst-case bounds; `--json` additionally writes the
 /// deterministic machine-readable form (the CI artifact).
-fn gas_files(files: &[String], json_path: Option<&str>) -> ExitCode {
-    let mut rendered = Vec::new();
-    for file in files {
-        let source = match std::fs::read_to_string(file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("polc: cannot read {file}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let program = match pol_lang::parse::parse(&source) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("polc: {file}:{}:{}: {}", e.line, e.col, e.message);
-                return ExitCode::from(2);
-            }
-        };
-        let type_errors = pol_lang::check::check(&program);
-        if !type_errors.is_empty() {
-            for d in &type_errors {
-                eprintln!("polc: {file}: {d}");
-            }
-            return ExitCode::FAILURE;
-        }
-        let bounds = match pol_lang::gas::certify(&program) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("polc: {file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!("== {file} ==");
-        print!("{}", bounds.render_text());
-        println!();
-        rendered.push(bounds.to_json(file, "    "));
-    }
-    if let Some(path) = json_path {
-        let json = format!("{{\n  \"contracts\": [\n{}\n  ]\n}}\n", rendered.join(",\n"));
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("polc: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    ExitCode::SUCCESS
+fn gas_files(files: &[String], json_path: Option<&str>) -> Result<(), ExitCode> {
+    report_files(files, json_path, |file, program| {
+        let bounds = pol_lang::gas::certify(program).map_err(|e| {
+            eprintln!("polc: {file}: {e}");
+            ExitCode::FAILURE
+        })?;
+        Ok((bounds.render_text(), bounds.to_json(file, "    ")))
+    })
 }
 
 /// Per-file theorem verification plus the cross-contract system pass.
-fn verify_files(files: &[String], relational: bool, json_path: Option<&str>) -> ExitCode {
+fn verify_files(
+    files: &[String],
+    relational: bool,
+    json_path: Option<&str>,
+) -> Result<(), ExitCode> {
     let mut failed = false;
     let mut programs = Vec::new();
     for file in files {
-        let source = match std::fs::read_to_string(file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("polc: cannot read {file}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let program = match pol_lang::parse::parse(&source) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("polc: {file}:{}:{}: {}", e.line, e.col, e.message);
-                return ExitCode::from(2);
-            }
-        };
-        let type_errors = pol_lang::check::check(&program);
-        if !type_errors.is_empty() {
-            for d in &type_errors {
-                eprintln!("polc: {file}: {d}");
-            }
-            return ExitCode::FAILURE;
-        }
-        programs.push((file.clone(), program));
+        programs.push((file.clone(), load(file)?));
     }
 
     let mut contract_lines = Vec::new();
@@ -312,33 +282,27 @@ fn verify_files(files: &[String], relational: bool, json_path: Option<&str>) -> 
         failed = true;
     }
 
-    if let Some(path) = json_path {
-        let json = format!(
-            "{{\n  \"contracts\": [\n{}\n  ],\n  \"system\": {{\"contracts\": {}, \
-             \"edges\": {}, \"transfer_sites\": {}, \"conserved\": {}, \
-             \"relationally_proved\": {}, \"aggregate_conserved\": {}, \
-             \"constraints\": {}, \"closures\": {}, \"failures\": {}}}\n}}\n",
-            contract_lines.join(",\n"),
-            system.contracts,
-            system.edges.len(),
-            system.transfer_edges,
-            system.conserved_transfers,
-            system.relationally_proved,
-            system.aggregate_conserved,
-            system.zone_stats.constraints,
-            system.zone_stats.closures,
-            system.diagnostics.iter().filter(|d| d.is_error()).count(),
-        );
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("polc: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
+    let system_json = format!(
+        ",\n  \"system\": {{\"contracts\": {}, \
+         \"edges\": {}, \"transfer_sites\": {}, \"conserved\": {}, \
+         \"relationally_proved\": {}, \"aggregate_conserved\": {}, \
+         \"constraints\": {}, \"closures\": {}, \"failures\": {}}}",
+        system.contracts,
+        system.edges.len(),
+        system.transfer_edges,
+        system.conserved_transfers,
+        system.relationally_proved,
+        system.aggregate_conserved,
+        system.zone_stats.constraints,
+        system.zone_stats.closures,
+        system.diagnostics.iter().filter(|d| d.is_error()).count(),
+    );
+    write_json(json_path, &contract_lines, &system_json)?;
 
     if failed {
-        ExitCode::FAILURE
+        Err(ExitCode::FAILURE)
     } else {
-        ExitCode::SUCCESS
+        Ok(())
     }
 }
 

@@ -10,7 +10,8 @@
 //!   per-path costs are exact for everything the compilers produce;
 //! * path costs are **maximised over the branch DAG** — the language is
 //!   loop-free and blocks are topologically ordered, so the longest
-//!   path is one reverse sweep;
+//!   path is one reverse sweep, shared by both backends through the
+//!   `CostModel` hooks their walkers implement;
 //! * branches the interval/zone domains prove dead are pruned, and a
 //!   phase the domains prove cannot end drops the phase-writeback arm —
 //!   the same narrowing [`crate::access`] uses;
@@ -21,10 +22,10 @@
 //!   [`GasBound::Affine`]. AVM certificates are opcode-budget constants
 //!   ([`GasBound::Const`]).
 //!
-//! Two cost models share the walker. [`EvmModel::Cold`] prices ops the
-//! way [`pol_evm`]'s interpreter worst case does and yields the runtime
-//! certificates consumed by the executor's scheduler seeding and
-//! `pol-node` admission. [`EvmModel::Verifier`] prices every op exactly
+//! Two EVM pricings share the EVM walker. [`EvmModel::Cold`] prices ops
+//! the way [`pol_evm`]'s interpreter worst case does and yields the
+//! runtime certificates consumed by the executor's scheduler seeding
+//! and `pol-node` admission. [`EvmModel::Verifier`] prices every op exactly
 //! like [`pol_evm::verifier::conservative_op_gas`] at a fixed payload
 //! width and skips memory accounting, so the *unpruned* bound can be
 //! sandwiched between the bytecode verifier's observed worst path and
@@ -33,8 +34,8 @@
 
 use crate::access::json_str;
 use crate::ast::{Api, Expr, GlobalInit, Program, Ty};
-use crate::backend::evm as evm_backend;
-use crate::ir::{self, BodyAnalysis, Cfg, Inst, Term};
+use crate::backend::evm::{self as evm_backend, CompiledEvm, DispatchTarget};
+use crate::ir::{BodyAnalysis, Cfg, Inst, ProgramFlows, Term};
 use crate::LangError;
 use pol_evm::gas as evm_gas;
 use pol_evm::opcode::Op;
@@ -217,12 +218,6 @@ impl<'p> EvmWalk<'p> {
         self.plain(Op::IsZero) + self.push() + self.plain(Op::JumpI)
     }
 
-    /// `JUMPDEST; PUSH 0; PUSH 0; REVERT` — the shared revert tail a
-    /// failing require lands on.
-    fn revert_tail(&self) -> u64 {
-        self.plain(Op::JumpDest) + 2 * self.push() + self.plain(Op::Revert)
-    }
-
     /// Mirrors `emit_expr` (word context).
     fn expr(&mut self, e: &Expr) -> u64 {
         match e {
@@ -309,7 +304,135 @@ impl<'p> EvmWalk<'p> {
         let (gas, base, len) = self.stage(parts);
         gas + 2 * self.push() + self.keccak(base, len)
     }
+}
 
+// -------------------------------------------------- DAG max-path DP --
+
+/// What a backend charges around the straight-line instructions of a
+/// body: the hooks the longest-path sweep and the API frame price.
+/// [`EvmWalk`] and [`AvmWalk`] implement them by mirroring their code
+/// generator's emission.
+trait CostModel {
+    /// One straight-line instruction.
+    fn inst(&mut self, inst: &Inst) -> u64;
+    /// Evaluating a `require`/`if` condition and testing it.
+    fn check(&mut self, cond: &Expr) -> u64;
+    /// The jump that closes a then-arm (else arms fall through).
+    fn then_exit(&self) -> u64;
+    /// Entering a block the backend binds a jump label at.
+    fn label_entry(&self) -> u64;
+    /// What a failing `require` still executes.
+    fn require_fail(&self) -> u64;
+    /// The API prologue's `_phase == phase_idx` guard.
+    fn phase_guard(&self) -> u64;
+    /// The attached-payment check wedged between the entry `require`
+    /// and the body.
+    fn pay_check(&mut self, pay: Option<&Expr>) -> u64;
+    /// The API epilogue at the body's `Return`: re-check the phase
+    /// condition, advance the counter when `advance`, return the value.
+    fn epilogue(&mut self, while_cond: &Expr, returns: &Expr, advance: bool) -> u64;
+}
+
+/// Which blocks a backend binds a jump label at: else arms and if-joins.
+fn jump_targets(cfg: &Cfg) -> Vec<bool> {
+    let mut jd = vec![false; cfg.blocks.len()];
+    for blk in &cfg.blocks {
+        match blk.term {
+            Term::Branch { else_b, .. } => jd[else_b] = true,
+            Term::Goto(t) => jd[t] = true,
+            _ => {}
+        }
+    }
+    jd
+}
+
+/// Longest-path sweep over the body DAG: `down[b]` is the worst-case
+/// cost from block `b` to any exit. `ret_cost` is charged at the body's
+/// `Return`; with `prune`, blocks the flow analysis proves dead cost 0.
+fn body_max<M: CostModel>(m: &mut M, flow: &BodyAnalysis, prune: bool, ret_cost: u64) -> Vec<u64> {
+    let cfg = &flow.cfg;
+    let live = |b: usize| !prune || flow.reachable(b);
+    let labelled = jump_targets(cfg);
+    let enter = |b: usize, m: &M| if labelled[b] { m.label_entry() } else { 0 };
+    let mut down = vec![0u64; cfg.blocks.len()];
+    for (b, block) in cfg.blocks.iter().enumerate().rev() {
+        if !live(b) {
+            continue;
+        }
+        let mut cost: u64 = block.insts.iter().map(|i| m.inst(i)).sum();
+        cost += match &block.term {
+            Term::Goto(t) => {
+                let jump = if block.closes_then { m.then_exit() } else { 0 };
+                jump + enter(*t, m) + down[*t]
+            }
+            // A dead successor was skipped above, so its `down` is 0.
+            Term::Require { cond, next, .. } => m.check(cond) + m.require_fail().max(down[*next]),
+            Term::Branch { cond, then_b, else_b, .. } => {
+                let else_arm = if live(*else_b) { enter(*else_b, m) + down[*else_b] } else { 0 };
+                m.check(cond) + down[*then_b].max(else_arm)
+            }
+            Term::Return => ret_cost,
+        };
+        down[b] = cost;
+    }
+    down
+}
+
+/// Whether the phase-advance writeback is reachable: `false` only when
+/// the interval/zone state at the body's exit proves the `while`
+/// condition still holds (the phase cannot end on this call).
+fn phase_can_advance(flow: &BodyAnalysis, while_cond: &Expr, prune: bool) -> bool {
+    if !prune {
+        return true;
+    }
+    let ret_block = flow
+        .cfg
+        .blocks
+        .iter()
+        .position(|b| matches!(b.term, Term::Return))
+        .filter(|&b| flow.reachable(b));
+    match ret_block.and_then(|b| flow.term_env(b)) {
+        Some(env) => env.interval_of(while_cond).lo == 0,
+        None => true,
+    }
+}
+
+/// Cost of one compiled API *fragment* (phase guard, while require,
+/// payment check, body, phase advance, return — plus whatever failing
+/// paths still execute), maximised over the branch DAG: exactly what
+/// `api_fragment` emits on the model's backend. Excludes dispatch and,
+/// on the EVM, intrinsic gas and memory expansion; [`certify`] adds
+/// those for runtime certificates.
+fn api_fragment_max<M: CostModel>(
+    m: &mut M,
+    program: &Program,
+    phase_idx: usize,
+    api: &Api,
+    flow: &BodyAnalysis,
+    prune: bool,
+) -> u64 {
+    let while_cond = &program.phases[phase_idx].while_cond;
+    let advance = phase_can_advance(flow, while_cond, prune);
+    let ret_cost = m.epilogue(while_cond, &api.returns, advance);
+    let down = body_max(m, flow, prune, ret_cost);
+    // Entry block: `require while_cond` with the payment check wedged
+    // between it and the body (the backends emit them in that order).
+    let body = match &flow.cfg.blocks[0].term {
+        Term::Require { cond, next, .. } => {
+            let (check, fail) = (m.check(cond), m.require_fail());
+            if prune && !flow.reachable(*next) {
+                check + fail
+            } else {
+                check + fail.max(m.pay_check(api.pay.as_ref()) + down[*next])
+            }
+        }
+        // Defensive: lower_api always emits the entry require.
+        _ => down[0],
+    };
+    m.phase_guard() + body
+}
+
+impl CostModel for EvmWalk<'_> {
     /// Mirrors `emit_stmt` for the straight-line instructions.
     fn inst(&mut self, inst: &Inst) -> u64 {
         match inst {
@@ -360,196 +483,57 @@ impl<'p> EvmWalk<'p> {
             }
         }
     }
-}
 
-// -------------------------------------------------- DAG max-path DP --
+    fn check(&mut self, cond: &Expr) -> u64 {
+        self.expr(cond) + self.require_top()
+    }
 
-/// For each block ending in `Goto`, whether that goto is the *then*-side
-/// exit of its `if`: the backends emit a real jump there (`PUSH; JUMP`
-/// on the EVM, `b` on the AVM) while the else side falls through into
-/// the bound join label.
-fn goto_is_then_side(cfg: &Cfg) -> Vec<bool> {
-    let n = cfg.blocks.len();
-    // Syntactic reachability (reach[b] includes b itself). Edges only
-    // point forward, so one reverse sweep suffices.
-    let mut reach = vec![vec![false; n]; n];
-    for b in (0..n).rev() {
-        reach[b][b] = true;
-        for s in cfg.successors(b) {
-            // Successors always have higher indices, so reach[s] is final.
-            let src = reach[s].clone();
-            for (dst, got) in reach[b].iter_mut().zip(src.iter()) {
-                *dst |= *got;
-            }
-        }
+    fn then_exit(&self) -> u64 {
+        self.push() + self.plain(Op::Jump)
     }
-    // Each `if` contributes one Branch whose join is the first common
-    // descendant of its arms (blocks are topological, and the builder
-    // allocates the join after both arm interiors).
-    let mut branches = Vec::new();
-    for blk in &cfg.blocks {
-        if let Term::Branch { then_b, else_b, .. } = blk.term {
-            let join = (0..n).find(|&j| reach[then_b][j] && reach[else_b][j]);
-            branches.push((then_b, else_b, join));
-        }
-    }
-    let mut then_side = vec![false; n];
-    for (p, blk) in cfg.blocks.iter().enumerate() {
-        if let Term::Goto(t) = blk.term {
-            for &(then_b, else_b, join) in &branches {
-                if join == Some(t) && reach[then_b][p] && !reach[else_b][p] {
-                    then_side[p] = true;
-                    break;
-                }
-            }
-        }
-    }
-    then_side
-}
 
-/// Which blocks the EVM backend binds a label at (they start with a
-/// `JUMPDEST`): else arms and if-joins.
-fn evm_jump_targets(cfg: &Cfg) -> Vec<bool> {
-    let mut jd = vec![false; cfg.blocks.len()];
-    for blk in &cfg.blocks {
-        match blk.term {
-            Term::Branch { else_b, .. } => jd[else_b] = true,
-            Term::Goto(t) => jd[t] = true,
-            _ => {}
-        }
+    fn label_entry(&self) -> u64 {
+        self.plain(Op::JumpDest)
     }
-    jd
-}
 
-/// Longest-path sweep over the body DAG under the EVM cost model.
-/// `ret_cost` is charged at the body's `Return` exit (the method
-/// epilogue); failing requires land on the shared revert tail.
-fn evm_body_max(w: &mut EvmWalk<'_>, flow: &BodyAnalysis, prune: bool, ret_cost: u64) -> Vec<u64> {
-    let cfg = &flow.cfg;
-    let n = cfg.blocks.len();
-    let then_side = goto_is_then_side(cfg);
-    let jd = evm_jump_targets(cfg);
-    let mut down = vec![0u64; n];
-    for b in (0..n).rev() {
-        if prune && !flow.reachable(b) {
-            continue;
-        }
-        let mut gas: u64 = cfg.blocks[b].insts.iter().map(|i| w.inst(i)).sum();
-        let enter = |x: usize, w: &EvmWalk<'_>| if jd[x] { w.plain(Op::JumpDest) } else { 0 };
-        gas += match &cfg.blocks[b].term {
-            Term::Goto(t) => {
-                let jump = if then_side[b] { w.push() + w.plain(Op::Jump) } else { 0 };
-                jump + enter(*t, w) + down[*t]
-            }
-            Term::Require { cond, next, .. } => {
-                let check = w.expr(cond) + w.require_top();
-                let fail = w.revert_tail();
-                if prune && !flow.reachable(*next) {
-                    check + fail
-                } else {
-                    check + fail.max(down[*next])
-                }
-            }
-            Term::Branch { cond, then_b, else_b, .. } => {
-                let check = w.expr(cond) + w.require_top();
-                let mut arms = Vec::new();
-                if !prune || flow.reachable(*then_b) {
-                    arms.push(down[*then_b]);
-                }
-                if !prune || flow.reachable(*else_b) {
-                    arms.push(enter(*else_b, w) + down[*else_b]);
-                }
-                check + arms.into_iter().max().unwrap_or(0)
-            }
-            Term::Return => ret_cost,
+    /// `JUMPDEST; PUSH 0; PUSH 0; REVERT` — the shared revert tail a
+    /// failing require lands on.
+    fn require_fail(&self) -> u64 {
+        self.plain(Op::JumpDest) + 2 * self.push() + self.plain(Op::Revert)
+    }
+
+    fn phase_guard(&self) -> u64 {
+        self.push() + self.sload() + self.push() + self.plain(Op::Eq) + self.require_top()
+    }
+
+    fn pay_check(&mut self, pay: Option<&Expr>) -> u64 {
+        let value = match pay {
+            Some(pay) => self.expr(pay) + self.plain(Op::CallValue) + self.plain(Op::Eq),
+            None => self.plain(Op::CallValue) + self.plain(Op::IsZero),
         };
-        down[b] = gas;
+        value + self.require_top()
     }
-    down
-}
 
-/// Whether the phase-advance writeback is reachable: `false` only when
-/// the interval/zone state at the body's exit proves the `while`
-/// condition still holds (the phase cannot end on this call).
-fn phase_can_advance(flow: &BodyAnalysis, while_cond: &Expr, prune: bool) -> bool {
-    if !prune {
-        return true;
-    }
-    let ret_block = flow
-        .cfg
-        .blocks
-        .iter()
-        .position(|b| matches!(b.term, Term::Return))
-        .filter(|&b| flow.reachable(b));
-    match ret_block.and_then(|b| flow.term_env(b)) {
-        Some(env) => env.interval_of(while_cond).lo == 0,
-        None => true,
-    }
-}
-
-/// Cost of one compiled API *fragment* (phase check, while require,
-/// payment check, body, phase advance, return — plus the revert tail on
-/// failing paths), maximised over the branch DAG. Returns the gas and
-/// the frame's peak memory offset. Excludes dispatch, intrinsic gas and
-/// memory expansion; [`certify`] adds those for runtime certificates.
-fn evm_api_fragment_cost(
-    program: &Program,
-    phase_idx: usize,
-    api: &Api,
-    flow: &BodyAnalysis,
-    model: EvmModel,
-    prune: bool,
-) -> (u64, u64) {
-    let phase = &program.phases[phase_idx];
-    let mut w = EvmWalk::new(program, &api.params, false, model);
-
-    // require _phase == phase_idx
-    let phase_check = w.push() + w.sload() + w.push() + w.plain(Op::Eq) + w.require_top();
-
-    // Epilogue charged at the body's Return exit.
-    let advance = phase_can_advance(flow, &phase.while_cond, prune);
-    let ret_cost = {
-        let we = w.expr(&phase.while_cond);
-        let keep = w.push() + w.plain(Op::JumpI) + w.plain(Op::JumpDest);
-        let adv = w.push()
-            + w.plain(Op::JumpI)
-            + w.push()
-            + w.sload()
-            + w.push()
-            + w.plain(Op::Add)
-            + w.push()
-            + w.sstore()
-            + w.plain(Op::JumpDest);
+    fn epilogue(&mut self, while_cond: &Expr, returns: &Expr, advance: bool) -> u64 {
+        let recheck = self.expr(while_cond);
+        let keep = self.push() + self.plain(Op::JumpI) + self.plain(Op::JumpDest);
+        let adv = self.push()
+            + self.plain(Op::JumpI)
+            + self.push()
+            + self.sload()
+            + self.push()
+            + self.plain(Op::Add)
+            + self.push()
+            + self.sstore()
+            + self.plain(Op::JumpDest);
         let arms = if advance { keep.max(adv) } else { keep };
-        let ret_seq =
-            w.expr(&api.returns) + w.push() + w.mstore(0) + 2 * w.push() + w.plain(Op::Return);
-        we + arms + ret_seq
-    };
-
-    let down = evm_body_max(&mut w, flow, prune, ret_cost);
-
-    // Entry block: `require while_cond` with the payment check wedged
-    // between it and the body (the backend emits them in that order).
-    let body = match &flow.cfg.blocks[0].term {
-        Term::Require { cond, next, .. } => {
-            let check = w.expr(cond) + w.require_top();
-            let fail = w.revert_tail();
-            if prune && !flow.reachable(*next) {
-                check + fail
-            } else {
-                let pay = match &api.pay {
-                    Some(pay) => {
-                        w.expr(pay) + w.plain(Op::CallValue) + w.plain(Op::Eq) + w.require_top()
-                    }
-                    None => w.plain(Op::CallValue) + w.plain(Op::IsZero) + w.require_top(),
-                };
-                check + fail.max(pay + down[*next])
-            }
-        }
-        // Defensive: lower_api always emits the entry require.
-        _ => down[0],
-    };
-    (phase_check + body, w.mem_hi)
+        let ret_seq = self.expr(returns)
+            + self.push()
+            + self.mstore(0)
+            + 2 * self.push()
+            + self.plain(Op::Return);
+        recheck + arms + ret_seq
+    }
 }
 
 /// Runtime-dispatcher cost up to and including the bound entry of the
@@ -647,8 +631,10 @@ impl<'p> AvmWalk<'p> {
             Expr::Not(inner) => self.expr(inner) + A_OP,
         }
     }
+}
 
-    fn inst(&self, inst: &Inst) -> u64 {
+impl CostModel for AvmWalk<'_> {
+    fn inst(&mut self, inst: &Inst) -> u64 {
         match inst {
             Inst::Set { name, value, .. } => {
                 let idx = self.program.global_index(name).expect("checked");
@@ -668,91 +654,43 @@ impl<'p> AvmWalk<'p> {
             Inst::Emit { parts, .. } => self.concat(parts) + A_OP,
         }
     }
-}
 
-/// Longest-path sweep under the AVM cost model. A failing `assert`
-/// terminates immediately (cost already charged), so the fail arm is 0.
-fn avm_body_max(w: &AvmWalk<'_>, flow: &BodyAnalysis, prune: bool, ret_cost: u64) -> Vec<u64> {
-    let cfg = &flow.cfg;
-    let n = cfg.blocks.len();
-    let then_side = goto_is_then_side(cfg);
-    let mut down = vec![0u64; n];
-    for b in (0..n).rev() {
-        if prune && !flow.reachable(b) {
-            continue;
-        }
-        let mut cost: u64 = cfg.blocks[b].insts.iter().map(|i| w.inst(i)).sum();
-        cost += match &cfg.blocks[b].term {
-            Term::Goto(t) => {
-                // then-side exits jump (`b`); else sides fall through.
-                let jump = if then_side[b] { A_OP } else { 0 };
-                jump + down[*t]
-            }
-            Term::Require { cond, next, .. } => {
-                let check = w.expr(cond) + A_OP; // Assert
-                if prune && !flow.reachable(*next) {
-                    check
-                } else {
-                    check + down[*next]
-                }
-            }
-            Term::Branch { cond, then_b, else_b, .. } => {
-                let check = w.expr(cond) + A_OP; // Bz
-                let mut arms = Vec::new();
-                if !prune || flow.reachable(*then_b) {
-                    arms.push(down[*then_b]);
-                }
-                if !prune || flow.reachable(*else_b) {
-                    arms.push(down[*else_b]);
-                }
-                check + arms.into_iter().max().unwrap_or(0)
-            }
-            Term::Return => ret_cost,
-        };
-        down[b] = cost;
+    /// The condition, then `Assert` (require) or `Bz` (if).
+    fn check(&mut self, cond: &Expr) -> u64 {
+        self.expr(cond) + A_OP
     }
-    down
-}
 
-/// Opcode-budget cost of one API body as `compile_api` emits it
-/// (prologue, while/payment asserts, body, phase advance, return) —
-/// exactly the `api_fragment` op sequence. Dispatch scan excluded.
-fn avm_api_cost(
-    program: &Program,
-    phase_idx: usize,
-    api: &Api,
-    flow: &BodyAnalysis,
-    prune: bool,
-) -> u64 {
-    let phase = &program.phases[phase_idx];
-    let w = AvmWalk::new(program, &api.params);
-    // PushBytes; AppGlobalGet; Pop; PushInt; Eq; Assert
-    let prologue = 6 * A_OP;
-    let advance = phase_can_advance(flow, &phase.while_cond, prune);
-    let ret_cost = {
-        let we = w.expr(&phase.while_cond);
+    /// `b join`.
+    fn then_exit(&self) -> u64 {
+        A_OP
+    }
+
+    /// Labels are free.
+    fn label_entry(&self) -> u64 {
+        0
+    }
+
+    /// A failing `assert` terminates immediately, its cost already charged.
+    fn require_fail(&self) -> u64 {
+        0
+    }
+
+    /// `PushBytes; AppGlobalGet; Pop; PushInt; Eq; Assert`.
+    fn phase_guard(&self) -> u64 {
+        6 * A_OP
+    }
+
+    /// `[pay;] Txn Amount; Eq | NotL; Assert`.
+    fn pay_check(&mut self, pay: Option<&Expr>) -> u64 {
+        pay.map_or(0, |pay| self.expr(pay)) + 3 * A_OP
+    }
+
+    fn epilogue(&mut self, while_cond: &Expr, returns: &Expr, advance: bool) -> u64 {
         // Bnz keep; [PushBytes; PushInt; AppGlobalPut]; Label keep
         let arms = if advance { 3 * A_OP } else { 0 };
         // returns; Itob; Log; PushInt 1; Return
-        we + A_OP + arms + w.expr(&api.returns) + 4 * A_OP
-    };
-    let down = avm_body_max(&w, flow, prune, ret_cost);
-    let body = match &flow.cfg.blocks[0].term {
-        Term::Require { cond, next, .. } => {
-            let check = w.expr(cond) + A_OP;
-            if prune && !flow.reachable(*next) {
-                check
-            } else {
-                let pay = match &api.pay {
-                    Some(pay) => w.expr(pay) + 3 * A_OP, // Txn Amount; Eq; Assert
-                    None => 3 * A_OP,                    // Txn Amount; NotL; Assert
-                };
-                check + pay + down[*next]
-            }
-        }
-        _ => down[0],
-    };
-    prologue + body
+        self.expr(while_cond) + A_OP + arms + self.expr(returns) + 4 * A_OP
+    }
 }
 
 /// Dispatch-scan cost for the `i`-th API entry: `txn ApplicationID; bz`
@@ -817,88 +755,80 @@ pub struct ContractGasBounds {
 /// the compiled artifact's dimensions).
 pub fn certify(program: &Program) -> Result<ContractGasBounds, LangError> {
     let compiled = evm_backend::compile(program)?;
-    let n_apis = program.all_apis().count();
-    let n_views = program.globals.iter().filter(|g| g.viewable).count();
-    let n_entries = n_apis + n_views + 1;
+    Ok(certify_compiled(program, &ProgramFlows::new(program, true), &compiled))
+}
 
-    let mut methods = Vec::new();
-    let mut entry = 0usize;
-    for (phase_idx, phase) in program.phases.iter().enumerate() {
-        for (api_idx, api) in phase.apis.iter().enumerate() {
-            let flow = ir::analyze_api(program, phase_idx, api_idx);
-            let (frag, mem_hi) =
-                evm_api_fragment_cost(program, phase_idx, api, &flow, EvmModel::Cold, true);
-            let exec = evm_dispatch_cost(entry) + frag + mem_expansion(mem_hi);
-            let width = evm_backend::params_width(api) as u64;
-            let avm_cost =
-                avm_dispatch_cost(entry) + avm_api_cost(program, phase_idx, api, &flow, true);
-            methods.push(MethodGas {
-                name: api.name.clone(),
-                phase: Some(phase.name.clone()),
-                kind: crate::access::MethodKind::Api,
-                selector: pol_evm::abi::selector(&evm_backend::signature(&api.name, &api.params)),
+/// [`certify`] over the flows and the EVM artifact the caller already
+/// built (the compile pipeline's, see [`crate::backend::compile`]).
+pub(crate) fn certify_compiled(
+    program: &Program,
+    flows: &ProgramFlows,
+    compiled: &CompiledEvm,
+) -> ContractGasBounds {
+    let table = evm_backend::dispatch_table(program);
+    let n_apis = program.all_apis().count() as u64;
+    // txn ApplicationID; bz; n_apis failed probes; the close probe.
+    let avm_scan = 2 * A_OP + 4 * A_OP * n_apis + 4 * A_OP;
+    let avm_unknown_cost = avm_scan + 3 * A_OP;
+
+    let methods = table
+        .iter()
+        .enumerate()
+        .map(|(entry, e)| {
+            let (body, avm) = match e.target {
+                DispatchTarget::Api { phase, api_idx, api } => {
+                    let flow = &flows.apis[phase][api_idx];
+                    let mut w = EvmWalk::new(program, &api.params, false, EvmModel::Cold);
+                    let frag = api_fragment_max(&mut w, program, phase, api, flow, true);
+                    let mut a = AvmWalk::new(program, &api.params);
+                    let avm = api_fragment_max(&mut a, program, phase, api, flow, true);
+                    (frag + mem_expansion(w.mem_hi), avm_dispatch_cost(entry) + avm)
+                }
+                // PUSH slot; SLOAD; PUSH 0; MSTORE; PUSH 32; PUSH 0; RETURN.
+                // Views are EVM-only entries: the AVM rejects the symbol.
+                DispatchTarget::View { .. } => {
+                    let body = Op::Push1.base_gas() * 4
+                        + evm_gas::G_COLDSLOAD
+                        + Op::MStore.base_gas()
+                        + Op::Return.base_gas();
+                    (body + mem_expansion(32), avm_unknown_cost)
+                }
+                // closeContract: phase guard then self-balance transfer.
+                DispatchTarget::Close => {
+                    let guard = Op::Push1.base_gas() * 3
+                        + evm_gas::G_COLDSLOAD
+                        + Op::Eq.base_gas()
+                        + Op::IsZero.base_gas()
+                        + Op::JumpI.base_gas();
+                    let fail = Op::JumpDest.base_gas() + 2 * Op::Push1.base_gas();
+                    let payout = 5 * Op::Push1.base_gas()
+                        + Op::SelfBalance.base_gas()
+                        + evm_gas::G_COLDSLOAD
+                        + Op::Push1.base_gas()
+                        + (evm_gas::G_COLDACCOUNTACCESS + evm_gas::G_CALLVALUE
+                            - evm_gas::G_CALLSTIPEND)
+                        + Op::Pop.base_gas();
+                    // The close body: asserts, payout, approve.
+                    (guard + payout.max(fail), avm_scan + 10 * A_OP + A_INNER_PAY + 2 * A_OP)
+                }
+            };
+            let exec = evm_dispatch_cost(entry) + body;
+            let width: u64 = evm_backend::layout(e.params()).iter().map(|l| l.3 as u64).sum();
+            let (kind, phase) = e.kind_and_phase(program);
+            MethodGas {
+                name: e.name.clone(),
+                phase,
+                kind,
+                selector: e.selector,
                 evm: evm_affine(exec, 4 + width, false),
                 evm_exec: exec,
-                avm: GasBound::Const(avm_cost),
-            });
-            entry += 1;
-        }
-    }
-
-    let avm_unknown_cost = 2 * A_OP + 4 * A_OP * n_apis as u64 + 4 * A_OP + 3 * A_OP;
-    for global in program.globals.iter().filter(|g| g.viewable) {
-        // PUSH slot; SLOAD; PUSH 0; MSTORE; PUSH 32; PUSH 0; RETURN
-        let body = Op::Push1.base_gas() * 4
-            + evm_gas::G_COLDSLOAD
-            + Op::MStore.base_gas()
-            + Op::Return.base_gas();
-        let exec = evm_dispatch_cost(entry) + body + mem_expansion(32);
-        let name = format!("view_{}", global.name);
-        methods.push(MethodGas {
-            name: name.clone(),
-            phase: None,
-            kind: crate::access::MethodKind::View,
-            selector: pol_evm::abi::selector(&evm_backend::signature(&name, &[])),
-            evm: evm_affine(exec, 4, false),
-            evm_exec: exec,
-            avm: GasBound::Const(avm_unknown_cost),
-        });
-        entry += 1;
-    }
-
-    {
-        // closeContract: phase guard then self-balance transfer.
-        let guard = Op::Push1.base_gas() * 3
-            + evm_gas::G_COLDSLOAD
-            + Op::Eq.base_gas()
-            + Op::IsZero.base_gas()
-            + Op::JumpI.base_gas();
-        let fail = Op::JumpDest.base_gas() + 2 * Op::Push1.base_gas();
-        let payout = 5 * Op::Push1.base_gas()
-            + Op::SelfBalance.base_gas()
-            + evm_gas::G_COLDSLOAD
-            + Op::Push1.base_gas()
-            + (evm_gas::G_COLDACCOUNTACCESS + evm_gas::G_CALLVALUE - evm_gas::G_CALLSTIPEND)
-            + Op::Pop.base_gas();
-        let exec = evm_dispatch_cost(entry) + guard + payout.max(fail);
-        // txn ApplicationID; bz; n_apis failed probes; matching close
-        // probe; then the close body (asserts, payout, approve).
-        let avm_close =
-            2 * A_OP + 4 * A_OP * n_apis as u64 + 4 * A_OP + 10 * A_OP + A_INNER_PAY + 2 * A_OP;
-        methods.push(MethodGas {
-            name: "closeContract".into(),
-            phase: None,
-            kind: crate::access::MethodKind::Close,
-            selector: pol_evm::abi::selector("closeContract()"),
-            evm: evm_affine(exec, 4, false),
-            evm_exec: exec,
-            avm: GasBound::Const(avm_close),
-        });
-    }
+                avm: GasBound::Const(avm),
+            }
+        })
+        .collect();
 
     // Constructor: init stores, globals, body, deploy wrapper, deposit.
     let constructor_evm = {
-        let flow = ir::analyze_constructor(program);
         let mut w = EvmWalk::new(program, &program.creator.fields, true, EvmModel::Cold);
         let mut exec = w.plain(Op::Caller) + w.push() + w.sstore();
         for global in &program.globals {
@@ -918,8 +848,7 @@ pub fn certify(program: &Program) -> Result<ContractGasBounds, LangError> {
             };
         }
         let ret_cost = w.push() + w.plain(Op::Jump) + w.plain(Op::JumpDest);
-        let down = evm_body_max(&mut w, &flow, true, ret_cost);
-        exec += down[0];
+        exec += body_max(&mut w, &flows.constructor, true, ret_cost)[0];
         // Deploy wrapper: PUSH×3; CODECOPY; PUSH×2; RETURN at offset 0.
         let runtime_len = compiled.runtime_len as u64;
         exec += 5 * w.push() + w.copy(Op::CodeCopy, 0, runtime_len);
@@ -934,8 +863,7 @@ pub fn certify(program: &Program) -> Result<ContractGasBounds, LangError> {
     };
 
     let constructor_avm = {
-        let flow = ir::analyze_constructor(program);
-        let w = AvmWalk::new(program, &program.creator.fields);
+        let mut w = AvmWalk::new(program, &program.creator.fields);
         // txn ApplicationID; bz (taken); creator + phase stores.
         let mut cost = 2 * A_OP + 6 * A_OP;
         for global in &program.globals {
@@ -953,16 +881,15 @@ pub fn certify(program: &Program) -> Result<ContractGasBounds, LangError> {
                 }
                 + A_OP; // AppGlobalPut
         }
-        let down = avm_body_max(&w, &flow, true, 2 * A_OP);
-        GasBound::Const(cost + down[0])
+        GasBound::Const(cost + body_max(&mut w, &flows.constructor, true, 2 * A_OP)[0])
     };
 
-    Ok(ContractGasBounds {
+    ContractGasBounds {
         name: program.name.clone(),
         constructor_evm,
         constructor_avm,
         methods,
-        evm_unknown_exec: evm_dispatch_cost(n_entries.saturating_sub(1))
+        evm_unknown_exec: evm_dispatch_cost(table.len() - 1)
             // The scan runs all probes without binding an entry, then
             // jumps to the shared revert tail.
             - (Op::JumpDest.base_gas() + Op::Pop.base_gas())
@@ -971,7 +898,7 @@ pub fn certify(program: &Program) -> Result<ContractGasBounds, LangError> {
             + Op::JumpDest.base_gas()
             + 2 * Op::Push1.base_gas(),
         avm_unknown_cost,
-    })
+    }
 }
 
 /// Unpruned worst-path cost of one API's EVM fragment priced exactly
@@ -980,30 +907,29 @@ pub fn certify(program: &Program) -> Result<ContractGasBounds, LangError> {
 /// constant branches) and the straight-line sum over the fragment.
 pub fn evm_fragment_bound(
     program: &Program,
+    flows: &ProgramFlows,
     phase_idx: usize,
     api_idx: usize,
     payload_bytes: u64,
 ) -> u64 {
     let api = &program.phases[phase_idx].apis[api_idx];
-    let flow = ir::analyze_api(program, phase_idx, api_idx);
-    evm_api_fragment_cost(
-        program,
-        phase_idx,
-        api,
-        &flow,
-        EvmModel::Verifier { payload: payload_bytes },
-        false,
-    )
-    .0
+    let model = EvmModel::Verifier { payload: payload_bytes };
+    let mut w = EvmWalk::new(program, &api.params, false, model);
+    api_fragment_max(&mut w, program, phase_idx, api, &flows.apis[phase_idx][api_idx], false)
 }
 
 /// Unpruned worst-path opcode cost of one API's AVM fragment. Lies
 /// between the AVM verifier's observed worst path and
 /// [`pol_avm::cost::program_cost`] of the fragment.
-pub fn avm_fragment_bound(program: &Program, phase_idx: usize, api_idx: usize) -> u64 {
+pub fn avm_fragment_bound(
+    program: &Program,
+    flows: &ProgramFlows,
+    phase_idx: usize,
+    api_idx: usize,
+) -> u64 {
     let api = &program.phases[phase_idx].apis[api_idx];
-    let flow = ir::analyze_api(program, phase_idx, api_idx);
-    avm_api_cost(program, phase_idx, api, &flow, false)
+    let mut w = AvmWalk::new(program, &api.params);
+    api_fragment_max(&mut w, program, phase_idx, api, &flows.apis[phase_idx][api_idx], false)
 }
 
 impl ContractGasBounds {
@@ -1262,6 +1188,7 @@ mod tests {
     #[test]
     fn fragment_bounds_sandwich_the_bytecode_verifiers() {
         for program in [Program::counter_example(), v1()] {
+            let flows = ProgramFlows::new(&program, true);
             let payload = program
                 .all_apis()
                 .map(|(_, api)| evm_backend::params_width(api) as u64)
@@ -1280,7 +1207,7 @@ mod tests {
                         },
                     )
                     .expect("verifies");
-                    let stat = evm_fragment_bound(&program, phase_idx, api_idx, payload);
+                    let stat = evm_fragment_bound(&program, &flows, phase_idx, api_idx, payload);
                     let linear = crate::backend::evm_linear_bound(&fragment, payload);
                     assert!(
                         report.worst_case_gas <= stat,
@@ -1295,7 +1222,7 @@ mod tests {
                         avm_backend::api_fragment(&program, phase_idx, api).expect("compiles");
                     let aprog = pol_avm::program::AvmProgram::new(ops);
                     let areport = pol_avm::verifier::verify(&aprog).expect("verifies");
-                    let astat = avm_fragment_bound(&program, phase_idx, api_idx);
+                    let astat = avm_fragment_bound(&program, &flows, phase_idx, api_idx);
                     let alinear = pol_avm::cost::program_cost(aprog.ops());
                     assert!(
                         areport.worst_case_cost <= astat,

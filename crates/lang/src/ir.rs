@@ -19,6 +19,10 @@
 //!   (globals observable at normal exit count as read);
 //! * **map lifetime** — the reachable `MapSet`/`MapDelete` sites per
 //!   map, for the path-sensitive leaked-entry lint.
+//!
+//! The forward passes over one body are a [`BodyAnalysis`]; those of a
+//! whole program are a [`ProgramFlows`], built once per compile and
+//! borrowed by every consumer.
 
 use crate::ast::{BinOp, Expr, GlobalInit, Program, Stmt};
 use crate::dbm::{self, ZVar, Zone, ZoneStats};
@@ -151,6 +155,10 @@ pub struct Block {
     pub insts: Vec<Inst>,
     /// Terminator.
     pub term: Term,
+    /// Whether the block's `Goto` closes the *then*-arm of an `if`: the
+    /// backends emit a real jump there (`PUSH; JUMP` on the EVM, `b` on
+    /// the AVM) while the else side falls through into the join label.
+    pub closes_then: bool,
 }
 
 /// A lowered body. Block 0 is the entry; successor edges always point
@@ -192,7 +200,7 @@ struct Builder {
 
 impl Builder {
     fn new_block(&mut self) -> usize {
-        self.blocks.push(Block { insts: Vec::new(), term: Term::Return });
+        self.blocks.push(Block { insts: Vec::new(), term: Term::Return, closes_then: false });
         self.blocks.len() - 1
     }
 
@@ -221,6 +229,7 @@ impl Builder {
                     prefix.pop();
                     let join = self.new_block();
                     self.blocks[then_end].term = Term::Goto(join);
+                    self.blocks[then_end].closes_then = true;
                     self.blocks[else_end].term = Term::Goto(join);
                     cur = join;
                 }
@@ -654,13 +663,36 @@ pub struct BodyAnalysis {
     pub zone_stats: ZoneStats,
 }
 
-/// Runs the interval + relational analyses over one API body.
-pub fn analyze_api(program: &Program, phase_idx: usize, api_idx: usize) -> BodyAnalysis {
-    analyze_api_with(program, phase_idx, api_idx, true)
+/// The flow analysis of every body of one program: the single set of
+/// static facts the verifier, the lints, the access summaries, the gas
+/// certificates and the bytecode cross-check all borrow. Built once per
+/// compile (see [`crate::backend::compile`]).
+#[derive(Debug)]
+pub struct ProgramFlows {
+    /// The constructor body.
+    pub constructor: BodyAnalysis,
+    /// API bodies, indexed `[phase][api]`.
+    pub apis: Vec<Vec<BodyAnalysis>>,
 }
 
-/// [`analyze_api`] with the relational zone pass toggleable.
-pub fn analyze_api_with(
+impl ProgramFlows {
+    /// Analyses every body once; `relational` toggles the zone pass.
+    pub fn new(program: &Program, relational: bool) -> ProgramFlows {
+        let apis = program.phases.iter().enumerate().map(|(pi, phase)| {
+            (0..phase.apis.len()).map(|ai| analyze_api(program, pi, ai, relational)).collect()
+        });
+        ProgramFlows { constructor: analyze_constructor(program, relational), apis: apis.collect() }
+    }
+
+    /// Every body: the constructor, then the APIs in dispatch order.
+    pub fn bodies(&self) -> impl Iterator<Item = &BodyAnalysis> {
+        std::iter::once(&self.constructor).chain(self.apis.iter().flatten())
+    }
+}
+
+/// Runs the interval analysis (and, when `relational`, the zone pass)
+/// over one API body.
+pub fn analyze_api(
     program: &Program,
     phase_idx: usize,
     api_idx: usize,
@@ -670,13 +702,9 @@ pub fn analyze_api_with(
     run_flow(cfg, entry_env_api(program), relational.then(Zone::new))
 }
 
-/// Runs the interval + relational analyses over the constructor body.
-pub fn analyze_constructor(program: &Program) -> BodyAnalysis {
-    analyze_constructor_with(program, true)
-}
-
-/// [`analyze_constructor`] with the relational zone pass toggleable.
-pub fn analyze_constructor_with(program: &Program, relational: bool) -> BodyAnalysis {
+/// Runs the interval analysis (and, when `relational`, the zone pass)
+/// over the constructor body.
+pub fn analyze_constructor(program: &Program, relational: bool) -> BodyAnalysis {
     let cfg = lower_constructor(program);
     let zone = relational.then(|| {
         let mut z = Zone::new();
@@ -885,6 +913,11 @@ impl BodyAnalysis {
         self.envs[b].is_some()
     }
 
+    /// The reachable blocks with their indices, in topological order.
+    pub fn reachable_blocks(&self) -> impl Iterator<Item = (usize, &Block)> {
+        self.cfg.blocks.iter().enumerate().filter(|(b, _)| self.reachable(*b))
+    }
+
     /// Whether the interval analysis proves `minuend - subtrahend`
     /// cannot underflow at the statement with this path. This is the
     /// fallback consulted when the syntactic guard matcher gives up.
@@ -993,10 +1026,7 @@ impl BodyAnalysis {
         let mut ins: Vec<HashSet<usize>> = vec![HashSet::new(); n];
         // One topological sweep suffices on the DAG.
         let mut outs: Vec<HashSet<usize>> = vec![HashSet::new(); n];
-        for b in 0..n {
-            if !self.reachable(b) {
-                continue;
-            }
+        for (b, _) in self.reachable_blocks() {
             outs[b] = gen_kill(b, &ins[b]);
             for s in self.cfg.successors(b) {
                 ins[s] = ins[s].union(&outs[b]).copied().collect();
@@ -1015,13 +1045,10 @@ impl BodyAnalysis {
             return Vec::new();
         }
         let mut used: Vec<bool> = vec![false; defs.len()];
-        for (b, block_ins) in ins.iter().enumerate() {
-            if !self.reachable(b) {
-                continue;
-            }
+        for (b, block) in self.reachable_blocks() {
             // current[name] = def ids currently reaching this point.
             let mut current: HashMap<&str, Vec<usize>> = HashMap::new();
-            for &d in block_ins {
+            for &d in &ins[b] {
                 current.entry(defs[d].name.as_str()).or_default().push(d);
             }
             let mark_reads =
@@ -1038,7 +1065,7 @@ impl BodyAnalysis {
                         }
                     }
                 };
-            for (i, inst) in self.cfg.blocks[b].insts.iter().enumerate() {
+            for (i, inst) in block.insts.iter().enumerate() {
                 mark_reads(&current, &mut used, inst.exprs());
                 if let Inst::Set { name, .. } = inst {
                     let d = defs
@@ -1048,7 +1075,7 @@ impl BodyAnalysis {
                     current.insert(name.as_str(), vec![d]);
                 }
             }
-            match &self.cfg.blocks[b].term {
+            match &block.term {
                 Term::Branch { cond, .. } | Term::Require { cond, .. } => {
                     mark_reads(&current, &mut used, vec![cond]);
                 }
@@ -1074,10 +1101,7 @@ impl BodyAnalysis {
     pub fn map_ops(&self) -> (Vec<MapSite>, Vec<MapSite>) {
         let mut puts = Vec::new();
         let mut dels = Vec::new();
-        for (b, block) in self.cfg.blocks.iter().enumerate() {
-            if !self.reachable(b) {
-                continue;
-            }
+        for (_, block) in self.reachable_blocks() {
             for inst in &block.insts {
                 match inst {
                     Inst::MapPut { map, path, .. } => puts.push((map.clone(), path.clone())),
@@ -1133,10 +1157,38 @@ mod tests {
                 assert!(s > b, "edge {b} -> {s} must go forward");
             }
         }
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         assert!(flow.envs.iter().all(|e| e.is_some()), "counter has no dead code");
         assert!(flow.const_conds.is_empty());
         assert!(flow.definite_overflows.is_empty());
+    }
+
+    #[test]
+    fn then_side_mark_is_set_where_a_then_arm_closes() {
+        // if by > 1 { if by > 2 { count = 1 } else { count = 2 } }
+        // else { count = 3 }
+        let set = |v| vec![Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(v) }];
+        let inner = Stmt::If {
+            cond: Expr::gt(Expr::param("by"), Expr::UInt(2)),
+            then: set(1),
+            otherwise: set(2),
+        };
+        let p = counter_with_body(vec![Stmt::If {
+            cond: Expr::gt(Expr::param("by"), Expr::UInt(1)),
+            then: vec![inner],
+            otherwise: set(3),
+        }]);
+        let cfg = lower_api(&p, 0, 0);
+        // 0 entry require, 1 outer branch, 2 outer then = inner branch,
+        // 3 outer else, 4 inner then, 5 inner else, 6 inner join (the
+        // end of the outer then-arm), 7 outer join.
+        let marked: Vec<usize> =
+            (0..cfg.blocks.len()).filter(|&b| cfg.blocks[b].closes_then).collect();
+        assert_eq!(marked, vec![4, 6]);
+        assert!(matches!(cfg.blocks[4].term, Term::Goto(6)));
+        assert!(matches!(cfg.blocks[5].term, Term::Goto(6)), "inner else falls through");
+        assert!(matches!(cfg.blocks[6].term, Term::Goto(7)));
+        assert!(matches!(cfg.blocks[3].term, Term::Goto(7)), "outer else falls through");
     }
 
     #[test]
@@ -1150,7 +1202,7 @@ mod tests {
                 value: Expr::sub(Expr::param("by"), Expr::UInt(3)),
             },
         ]);
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         assert!(flow.proves_sub_safe(&[1], &Expr::param("by"), &Expr::UInt(3)));
         assert!(!flow.proves_sub_safe(&[1], &Expr::param("by"), &Expr::UInt(6)));
     }
@@ -1161,7 +1213,7 @@ mod tests {
             name: "count".into(),
             value: Expr::sub(Expr::global("count"), Expr::UInt(1)),
         }]);
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         assert!(!flow.proves_sub_safe(&[0], &Expr::global("count"), &Expr::UInt(1)));
     }
 
@@ -1176,7 +1228,7 @@ mod tests {
                 otherwise: vec![],
             },
         ]);
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         let dead = flow.unreachable_stmts();
         assert_eq!(dead, vec![vec![1, 0, 0]]);
         assert!(flow.const_conds.iter().any(|c| c.src == Src::Stmt(vec![1]) && !c.value));
@@ -1188,7 +1240,7 @@ mod tests {
             Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(5) },
             Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(7) },
         ]);
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         let dead = flow.dead_stores();
         assert_eq!(dead.len(), 1);
         assert_eq!(dead[0].path, vec![0]);
@@ -1201,7 +1253,7 @@ mod tests {
             Stmt::GlobalSet { name: "remaining".into(), value: Expr::global("count") },
             Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(7) },
         ]);
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         assert!(flow.dead_stores().is_empty());
     }
 
@@ -1212,7 +1264,7 @@ mod tests {
             then: vec![Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(1) }],
             otherwise: vec![Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(2) }],
         }]);
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         let (defs, ins) = flow.reaching_defs();
         assert_eq!(defs.len(), 2);
         // The join block sees both definitions.
@@ -1237,7 +1289,7 @@ mod tests {
             },
         ]);
         p.maps.push(MapDecl { name: "m".into(), value_bytes: 64 });
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         let (puts, dels) = flow.map_ops();
         assert_eq!(puts.len(), 1);
         assert!(dels.is_empty(), "the delete is behind an always-false branch");
@@ -1249,7 +1301,7 @@ mod tests {
             name: "count".into(),
             value: Expr::Bin(BinOp::Add, Box::new(Expr::UInt(u64::MAX)), Box::new(Expr::UInt(1))),
         }]);
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         assert_eq!(flow.definite_overflows, vec![vec![0]]);
     }
 
@@ -1262,7 +1314,7 @@ mod tests {
             then: vec![Stmt::Log(vec![Expr::UInt(1)])],
             otherwise: vec![],
         }];
-        let flow = analyze_constructor(&p);
+        let flow = analyze_constructor(&p, true);
         assert_eq!(flow.unreachable_stmts(), vec![vec![0, 0, 0]]);
     }
 
@@ -1285,14 +1337,14 @@ mod tests {
                 value: Expr::sub(Expr::param("by"), Expr::param("floor")),
             },
         ];
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         assert!(!flow.proves_sub_safe(&[1], &Expr::param("by"), &Expr::param("floor")));
         assert_eq!(
             flow.sub_safety(&[1], &Expr::param("by"), &Expr::param("floor")),
             SubProof::Relational
         );
         // Disabled: only the (failing) interval verdict remains.
-        let base = analyze_api_with(&p, 0, 0, false);
+        let base = analyze_api(&p, 0, 0, false);
         assert_eq!(
             base.sub_safety(&[1], &Expr::param("by"), &Expr::param("floor")),
             SubProof::Unproven
@@ -1315,7 +1367,7 @@ mod tests {
                 value: Expr::sub(Expr::param("a"), Expr::param("c")),
             },
         ];
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         assert_eq!(
             flow.sub_safety(&[2], &Expr::param("a"), &Expr::param("c")),
             SubProof::Relational
@@ -1343,7 +1395,7 @@ mod tests {
                 value: Expr::sub(Expr::global("remaining"), Expr::global("count")),
             },
         ]);
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         assert_eq!(
             flow.sub_safety(&[2], &Expr::global("remaining"), &Expr::global("count")),
             SubProof::Relational
@@ -1359,12 +1411,12 @@ mod tests {
             Stmt::Require(Expr::gt(Expr::param("lo"), Expr::param("by"))),
             Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(1) },
         ];
-        let flow = analyze_api(&p, 0, 0);
+        let flow = analyze_api(&p, 0, 0, true);
         assert_eq!(flow.unsat_requires, vec![Src::Stmt(vec![1])]);
         // Reachability stays interval-driven: the trailing statement is
         // NOT reported unreachable (monotone with the zone off).
         assert!(flow.unreachable_stmts().is_empty());
-        let base = analyze_api_with(&p, 0, 0, false);
+        let base = analyze_api(&p, 0, 0, false);
         assert!(base.unsat_requires.is_empty());
     }
 }

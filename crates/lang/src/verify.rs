@@ -31,7 +31,7 @@
 use crate::ast::{BinOp, Expr, Program, Stmt};
 use crate::dbm::ZoneStats;
 use crate::diag::{Diagnostic, NodePath, Owner, Span};
-use crate::ir;
+use crate::ir::{self, ProgramFlows};
 
 /// The participant-assumption mode of a verification pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +99,13 @@ pub fn verify(program: &Program) -> VerifyReport {
 /// [`verify`] with the relational zone fallback toggleable
 /// (`polc --no-relational` disables it for baseline comparisons).
 pub fn verify_with(program: &Program, relational: bool) -> VerifyReport {
+    verify_flows(program, &ProgramFlows::new(program, relational))
+}
+
+/// [`verify`] over flows the caller already computed (the compile
+/// pipeline's, see [`crate::backend::compile`]); whether the zone
+/// fallback applies is a property of those flows.
+pub(crate) fn verify_flows(program: &Program, flows: &ProgramFlows) -> VerifyReport {
     let mut theorems = 0usize;
     let mut failures = Vec::new();
     let mut relationally_discharged = 0usize;
@@ -173,26 +180,16 @@ pub fn verify_with(program: &Program, relational: bool) -> VerifyReport {
 
     // --- Per-API passes in both modes. The interval analysis is mode-
     // independent (it already treats every parameter as adversarial), so
-    // compute it once per API.
-    let flows: Vec<Vec<ir::BodyAnalysis>> = program
-        .phases
-        .iter()
-        .enumerate()
-        .map(|(pi, phase)| {
-            (0..phase.apis.len())
-                .map(|ai| ir::analyze_api_with(program, pi, ai, relational))
-                .collect()
-        })
-        .collect();
+    // both modes read the same flow.
     let mut zone_stats = ZoneStats::default();
-    for flow in flows.iter().flatten() {
+    for flow in flows.apis.iter().flatten() {
         zone_stats.absorb(flow.zone_stats);
     }
     for mode in [Mode::AllHonest, Mode::NoneHonest] {
         for (phase_idx, phase) in program.phases.iter().enumerate() {
             for (api_idx, api) in phase.apis.iter().enumerate() {
                 let (t, fails, rel) =
-                    verify_api(program, phase_idx, api_idx, mode, &flows[phase_idx][api_idx]);
+                    verify_api(program, phase_idx, api_idx, mode, &flows.apis[phase_idx][api_idx]);
                 theorems += t;
                 relationally_discharged += rel;
                 for mut d in fails {

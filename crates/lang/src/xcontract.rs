@@ -269,7 +269,7 @@ pub fn analyze_system(members: &[SystemMember<'_>]) -> SystemReport {
                             return;
                         }
                         let flow = flow.get_or_insert_with(|| {
-                            ir::analyze_api_with(program, phase_idx, api_idx, true)
+                            ir::analyze_api(program, phase_idx, api_idx, true)
                         });
                         if flow
                             .zone_at(path)

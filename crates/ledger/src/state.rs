@@ -484,11 +484,6 @@ impl<'a> Overlay<'a> {
         self.writes
     }
 
-    /// Number of journaled writes so far (telemetry).
-    pub fn journal_len(&self) -> usize {
-        self.journal.len()
-    }
-
     fn record_write(&mut self, key: StateKey, value: Option<StateValue>) {
         let prior = self.writes.get(&key).cloned();
         self.journal.push((key.clone(), prior));

@@ -25,6 +25,24 @@ impl MemoryBackend {
     pub fn from_entries(entries: Vec<(Vec<u8>, Vec<u8>)>) -> MemoryBackend {
         MemoryBackend { map: entries.into_iter().collect() }
     }
+
+    /// Every entry in key order, borrowed (the WAL's snapshot writer).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &Vec<u8>)> {
+        self.map.iter()
+    }
+
+    /// Applies one owned put (`Some`) or delete (`None`): the single
+    /// mutation every commit, WAL replay and snapshot load goes through.
+    pub(crate) fn apply(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
+        match value {
+            Some(v) => {
+                self.map.insert(key, v);
+            }
+            None => {
+                self.map.remove(&key);
+            }
+        }
+    }
 }
 
 impl StateBackend for MemoryBackend {
@@ -38,14 +56,7 @@ impl StateBackend for MemoryBackend {
 
     fn commit(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError> {
         for (key, value) in batch {
-            match value {
-                Some(v) => {
-                    self.map.insert(key.clone(), v.clone());
-                }
-                None => {
-                    self.map.remove(key);
-                }
-            }
+            self.apply(key.clone(), value.clone());
         }
         Ok(())
     }
@@ -59,7 +70,7 @@ impl StateBackend for MemoryBackend {
     }
 
     fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+        self.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
     fn snapshot_backend(&self) -> Box<dyn StateBackend> {

@@ -31,16 +31,11 @@
 //! the log, so restart cost stays bounded no matter how long the chain
 //! runs.
 
-use crate::trie::map_root;
 use crate::{BatchEntry, MemoryBackend, StateBackend, StoreError};
 use pol_crypto::sha256;
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-/// The WAL's resident map: raw key bytes to raw value bytes.
-type EntryMap = BTreeMap<Vec<u8>, Vec<u8>>;
 
 const RECORD_MAGIC: u8 = 0xC1;
 const SNAPSHOT_MAGIC: &[u8; 8] = b"POLSNAP1";
@@ -50,12 +45,12 @@ const CHECK_LEN: usize = 8;
 /// block boundary.
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 4_096;
 
-/// The write-ahead-log backend. All reads are served from the in-memory
-/// image; the log and snapshot files exist to rebuild that image after a
-/// restart (clean or crashed).
+/// The write-ahead-log backend: a log in front of a [`MemoryBackend`].
+/// All reads are served from the in-memory image; the log and snapshot
+/// files exist to rebuild that image after a restart (clean or crashed).
 pub struct WalBackend {
     dir: PathBuf,
-    map: EntryMap,
+    image: MemoryBackend,
     log: File,
     /// Monotone commit sequence number (1-based; 0 = nothing committed).
     commit_seq: u64,
@@ -70,7 +65,7 @@ impl std::fmt::Debug for WalBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WalBackend")
             .field("dir", &self.dir)
-            .field("entries", &self.map.len())
+            .field("entries", &self.image.len())
             .field("commit_seq", &self.commit_seq)
             .field("snapshot_seq", &self.snapshot_seq)
             .finish()
@@ -188,10 +183,10 @@ impl WalBackend {
         let snapshot_path = dir.join("snapshot.bin");
         let log_path = dir.join("wal.bin");
 
-        let (mut map, snapshot_seq) = if snapshot_path.exists() {
+        let (mut image, snapshot_seq) = if snapshot_path.exists() {
             load_snapshot(&snapshot_path)?
         } else {
-            (BTreeMap::new(), 0)
+            (MemoryBackend::new(), 0)
         };
 
         let mut log = OpenOptions::new().create(true).read(true).append(true).open(&log_path)?;
@@ -210,14 +205,7 @@ impl WalBackend {
                 continue;
             }
             for (key, value) in record.batch {
-                match value {
-                    Some(v) => {
-                        map.insert(key, v);
-                    }
-                    None => {
-                        map.remove(&key);
-                    }
-                }
+                image.apply(key, value);
             }
             commit_seq = record.seq;
             commits_in_log += 1;
@@ -231,7 +219,7 @@ impl WalBackend {
 
         Ok(WalBackend {
             dir,
-            map,
+            image,
             log,
             commit_seq,
             snapshot_seq,
@@ -260,8 +248,8 @@ impl WalBackend {
         let mut buf = Vec::new();
         buf.extend_from_slice(SNAPSHOT_MAGIC);
         buf.extend_from_slice(&self.commit_seq.to_be_bytes());
-        buf.extend_from_slice(&(self.map.len() as u64).to_be_bytes());
-        for (key, value) in &self.map {
+        buf.extend_from_slice(&(self.image.len() as u64).to_be_bytes());
+        for (key, value) in self.image.iter() {
             push_bytes(&mut buf, key);
             push_bytes(&mut buf, value);
         }
@@ -280,7 +268,7 @@ impl WalBackend {
     }
 }
 
-fn load_snapshot(path: &Path) -> Result<(EntryMap, u64), StoreError> {
+fn load_snapshot(path: &Path) -> Result<(MemoryBackend, u64), StoreError> {
     let bytes = std::fs::read(path)?;
     let corrupt = |msg: &str| StoreError::Corrupt(format!("{}: {msg}", path.display()));
     if bytes.len() < SNAPSHOT_MAGIC.len() + 16 + CHECK_LEN {
@@ -296,18 +284,18 @@ fn load_snapshot(path: &Path) -> Result<(EntryMap, u64), StoreError> {
     }
     let seq = cur.u64().ok_or_else(|| corrupt("truncated seq"))?;
     let count = cur.u64().ok_or_else(|| corrupt("truncated count"))?;
-    let mut map = BTreeMap::new();
+    let mut image = MemoryBackend::new();
     for _ in 0..count {
         let klen = cur.u32().ok_or_else(|| corrupt("truncated key length"))? as usize;
         let key = cur.take(klen).ok_or_else(|| corrupt("truncated key"))?.to_vec();
         let vlen = cur.u32().ok_or_else(|| corrupt("truncated value length"))? as usize;
         let value = cur.take(vlen).ok_or_else(|| corrupt("truncated value"))?.to_vec();
-        map.insert(key, value);
+        image.apply(key, Some(value));
     }
     if cur.at != payload.len() {
         return Err(corrupt("trailing bytes after entries"));
     }
-    Ok((map, seq))
+    Ok((image, seq))
 }
 
 impl StateBackend for WalBackend {
@@ -316,7 +304,7 @@ impl StateBackend for WalBackend {
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.map.get(key).cloned()
+        self.image.get(key)
     }
 
     fn commit(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError> {
@@ -330,21 +318,11 @@ impl StateBackend for WalBackend {
         self.log.write_all(&record)?;
         self.commit_seq = seq;
         self.commits_in_log += 1;
-        for (key, value) in batch {
-            match value {
-                Some(v) => {
-                    self.map.insert(key.clone(), v.clone());
-                }
-                None => {
-                    self.map.remove(key);
-                }
-            }
-        }
-        Ok(())
+        self.image.commit(batch)
     }
 
     fn root(&self) -> [u8; 32] {
-        map_root(&self.map)
+        self.image.root()
     }
 
     fn flush_block(&mut self, _height: u64) -> Result<(), StoreError> {
@@ -356,17 +334,17 @@ impl StateBackend for WalBackend {
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.image.len()
     }
 
     fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+        self.image.entries()
     }
 
     fn snapshot_backend(&self) -> Box<dyn StateBackend> {
         // A clone must not share the log file; it degrades to a volatile
         // copy with the identical contents (and therefore root).
-        Box::new(MemoryBackend::from_entries(self.entries()))
+        Box::new(self.image.clone())
     }
 }
 
