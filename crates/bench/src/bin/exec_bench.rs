@@ -13,7 +13,7 @@
 //!   pol-lang contract, so speculations touch disjoint state; the
 //!   embarrassingly-parallel best case. Most users call a cheap API and
 //!   a few call one ~4× heavier, with the heavy calls submitted *last*:
-//!   the worst order for the scheduler's longest-first priority queue
+//!   the worst order for the scheduler's longest-first priority order
 //!   when every estimate ties at the tx-kind default. The workload
 //!   therefore runs `Parallel` twice — once default-seeded and once
 //!   with each instance's static worst-case gas certificate registered
@@ -24,8 +24,9 @@
 //!   read-modify-write counter contract (each call SLoads before it
 //!   SStores, so concurrent calls genuinely conflict) while odd-indexed
 //!   users keep calling their own contracts, interleaved in submission
-//!   order, so dependency-aware recovery has independent speculations
-//!   to keep alive across the hot conflicts (`respeculations_avoided`).
+//!   order: each stale hot speculation re-executes once, in place, and
+//!   the independent ones commit their first run (`conflicts`,
+//!   `speculative_runs`).
 //! * `conflict-disjoint` — every user calls `put(user_idx, round)` on
 //!   *one shared* pol-lang contract whose map writes are keyed by a call
 //!   parameter. The compile-time access summaries pin each call to its
@@ -42,8 +43,9 @@
 //!   single-core container the scoped worker threads serialise and this
 //!   hovers around (or below) 1×.
 //! * `speedup` (headline) — the executor's modeled critical-path
-//!   speedup: committed execution work divided by the greedy per-round
-//!   schedule makespan over the round's live workers. This is the
+//!   speedup: committed execution work divided by the greedy schedule
+//!   makespan of each block's speculation round over its live workers
+//!   plus the serial in-place re-executions and validations. This is the
 //!   wall-clock ratio an unloaded host with ≥ `workers` cores converges
 //!   to, and it is measured from real per-transaction timings, not
 //!   assumed costs. `host_cores` records the hardware the numbers came
@@ -78,7 +80,7 @@ enum Workload {
     /// certificate-seeded scheduler priorities.
     Light,
     /// Half the users share one read-modify-write counter; the other
-    /// half stay independent, so recovery has speculations worth saving.
+    /// half stay independent and commit their first speculation.
     Heavy,
     /// One shared pol-lang contract with param-keyed map writes: the
     /// access summaries prove every call disjoint, so static lanes can
@@ -353,7 +355,7 @@ fn run_mode(
                 (Some(compiled), _) => compiled.evm.encode_call("put", &call_args).unwrap(),
                 (_, Some(compiled)) => {
                     // Heavy callers last: with tied default estimates the
-                    // priority queue degenerates to submission order, so
+                    // priority order degenerates to submission order, so
                     // this is the order certificate seeding must beat.
                     if i >= USERS - LIGHT_HEAVY_USERS {
                         let mut args = call_args.to_vec();
@@ -398,8 +400,7 @@ fn stats_json(s: &ExecStats, indent: &str) -> String {
     format!(
         "{{\n{indent}  \"blocks\": {},\n{indent}  \"parallel_blocks\": {},\n\
          {indent}  \"committed_txs\": {},\n{indent}  \"speculative_runs\": {},\n\
-         {indent}  \"conflicts\": {},\n{indent}  \"revalidations\": {},\n\
-         {indent}  \"respeculations_avoided\": {},\n{indent}  \"rounds\": {},\n\
+         {indent}  \"conflicts\": {},\n\
          {indent}  \"static_lanes\": {},\n{indent}  \"speculation_skipped\": {},\n\
          {indent}  \"summary_fallbacks\": {},\n{indent}  \"validation_ns\": {},\n\
          {indent}  \"code_cache_hits\": {},\n{indent}  \"code_cache_misses\": {},\n\
@@ -410,9 +411,6 @@ fn stats_json(s: &ExecStats, indent: &str) -> String {
         s.committed_txs,
         s.speculative_runs,
         s.conflicts,
-        s.revalidations,
-        s.respeculations_avoided,
-        s.rounds,
         s.static_lanes,
         s.speculation_skipped,
         s.summary_fallbacks,
@@ -467,7 +465,7 @@ fn run_workload(seed: u64, workload: Workload, backend: &str) -> WorkloadResult 
     };
     // The certificate-seeded rerun of the parallel schedule: identical
     // transactions, but every instance's static worst-case gas bounds
-    // are registered, so the scheduler's priority queue orders heavy
+    // are registered, so the scheduler's priority order puts heavy
     // calls first instead of falling back to tied tx-kind defaults.
     // Both sides of the makespan comparison are the best of three runs:
     // the modeled schedule is deterministic in the measured durations,

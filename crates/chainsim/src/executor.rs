@@ -3,25 +3,19 @@
 //! byte for byte.
 //!
 //! The parallel executor speculates every arrived transaction of a block
-//! against the committed world on a scoped worker pool — longest
-//! estimated transaction first, via a priority queue keyed by the last
-//! observed `gas_used` (tx-kind defaults before a transaction has ever
-//! run) — then commits in submission order, validating each
-//! speculation's recorded read set against the state left by the
+//! once, against the block-start world, on a scoped worker pool — longest
+//! estimated transaction first (static gas certificate, else a tx-kind
+//! default) — then commits in one scan in submission order, validating
+//! each speculation's recorded read set against the state left by the
 //! already-committed prefix.
 //!
-//! A failed validation at transaction *i* stops the round's commits at
-//! *i* (in-order commit is what keeps fee accounting sequential), but it
-//! no longer throws the rest of the round away. The scan continues past
-//! the conflict and *classifies* every remaining speculation by exact
-//! validation against the world as committed so far: a suffix speculation
-//! whose recorded reads still hold is kept for the next round, and one
-//! whose reads went stale is re-speculated — only true dependents
-//! re-execute, never the whole suffix. The first live transaction of a
-//! round always validates (its speculation base *is* the committed
-//! prefix), so every round commits or skips at least one transaction and
-//! the loop terminates with exactly the receipts, gas accounting and fee
-//! burn the sequential path would have produced.
+//! A speculation whose reads went stale is re-executed in place, on the
+//! scan thread, against the world as committed so far. That base *is*
+//! the committed prefix the sequential path would have run the
+//! transaction on, so the re-execution commits unvalidated: a block costs
+//! at most two executions and one validation per transaction, and yields
+//! exactly the receipts, gas accounting and fee burn of the sequential
+//! path.
 
 use crate::chain::{AvmPayload, PendingTx, VmKind};
 use crate::facts::{CallQuery, StaticFacts};
@@ -33,7 +27,7 @@ use pol_ledger::{
     StateView, Transaction, TxId, TxKind, TxStatus, WorldState, WriteSet,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -50,11 +44,12 @@ pub enum ExecutionMode {
     /// semantics and the differential oracle for the parallel path.
     #[default]
     Sequential,
-    /// Optimistic-parallel execution over a scoped thread pool with
-    /// dependency-aware conflict recovery; receipts, gas and burn are
-    /// byte-identical to [`ExecutionMode::Sequential`].
+    /// Optimistic-parallel execution: one speculation round over a
+    /// scoped thread pool, then one commit scan in submission order that
+    /// re-executes a stale speculation in place; receipts, gas and burn
+    /// are byte-identical to [`ExecutionMode::Sequential`].
     Parallel {
-        /// Worker threads per speculation round (clamped to ≥ 1).
+        /// Worker threads of the speculation round (clamped to ≥ 1).
         workers: usize,
     },
     /// [`ExecutionMode::Parallel`] plus static lane partitioning: before
@@ -67,7 +62,7 @@ pub enum ExecutionMode {
     /// overlapping ones) take the ordinary optimistic path. Receipts,
     /// gas and burn stay byte-identical to [`ExecutionMode::Sequential`].
     ParallelStatic {
-        /// Worker threads per speculation round (clamped to ≥ 1).
+        /// Worker threads of the speculation round (clamped to ≥ 1).
         workers: usize,
     },
 }
@@ -82,28 +77,26 @@ pub struct ExecStats {
     pub parallel_blocks: u64,
     /// Transactions committed into blocks.
     pub committed_txs: u64,
-    /// Speculative executions launched by the parallel path (committed
-    /// ones plus conflict-induced re-executions).
+    /// Executions launched by the parallel path: the speculation round
+    /// plus the in-place re-executions of stale speculations.
     pub speculative_runs: u64,
-    /// Read-set validations that failed, discarding the speculation.
+    /// Read-set validations that failed: the speculation was discarded
+    /// and the transaction re-executed in place.
     pub conflicts: u64,
-    /// Exact validations of suffix speculations after a conflict (kept
-    /// ones count in `respeculations_avoided`, stale ones in `conflicts`).
+    /// Always 0: a speculation is validated once, when the commit scan
+    /// reaches it, and never again. The field stays only because the
+    /// frozen benchmark reads it (`chainsim.revalidations_per_tx`); it
+    /// goes at the next benchmark re-anchor.
     pub revalidations: u64,
-    /// Suffix speculations kept across another transaction's conflict —
-    /// executions that aborting the whole suffix at the first conflict
-    /// would have thrown away and re-run.
-    pub respeculations_avoided: u64,
-    /// Speculation rounds run by the parallel path.
-    pub rounds: u64,
     /// Wall-clock nanoseconds spent in executions that committed — the
     /// work a sequential executor would have done.
     pub committed_exec_ns: u128,
     /// Modeled critical-path nanoseconds of the parallel schedule: per
-    /// round, the makespan of greedily dispatching the measured
-    /// execution times (in priority order) onto the round's worker count
-    /// — see [`modeled_round_ns`]. Meaningful even when the host
-    /// serialises the worker threads onto fewer cores.
+    /// block, the makespan of greedily dispatching the round's measured
+    /// execution times (in priority order) onto its worker count — see
+    /// [`modeled_round_ns`] — plus every in-place re-execution, charged
+    /// serially because the scan thread runs it. Meaningful even when
+    /// the host serialises the worker threads onto fewer cores.
     pub modeled_parallel_ns: u128,
     /// Transactions proven pairwise-disjoint by their static access
     /// claims and placed on a validation-free lane
@@ -118,10 +111,9 @@ pub struct ExecStats {
     /// formation for that block and fall back to the optimistic path.
     pub summary_fallbacks: u64,
     /// Wall-clock nanoseconds the commit scan spent validating read
-    /// sets (frontier and suffix `validates`). This is *sequential*
-    /// critical-path work — the scan runs on one thread — so it is
-    /// charged to the denominator of [`ExecStats::modeled_speedup`];
-    /// static lanes exist to delete it.
+    /// sets. This is *sequential* critical-path work — the scan runs on
+    /// one thread — so it is charged to the denominator of
+    /// [`ExecStats::modeled_speedup`]; static lanes exist to delete it.
     pub validation_ns: u128,
     /// Code-cache hits: EVM executions that reused a pre-decoded program
     /// instead of decoding it again. Snapshot of the chain's
@@ -148,8 +140,8 @@ impl ExecStats {
     /// The modeled speedup of the parallel schedule over sequential
     /// execution (`committed work ÷ critical path`), or `None` before any
     /// parallel block has run. The critical path is the modeled makespan
-    /// of the speculation rounds plus the measured single-threaded
-    /// commit-scan validation time.
+    /// of each block's speculation round and in-place re-executions plus
+    /// the measured single-threaded commit-scan validation time.
     pub fn modeled_speedup(&self) -> Option<f64> {
         if self.modeled_parallel_ns == 0 {
             return None;
@@ -182,8 +174,7 @@ pub(crate) struct ExecCtx<'a> {
     /// run.
     pub(crate) gas_sanitize: bool,
     /// Shared pre-decoded EVM program cache: one decode per distinct
-    /// program, reused across speculation attempts, execution modes and
-    /// blocks.
+    /// program, reused across executions, execution modes and blocks.
     pub(crate) cache: &'a CodeCache,
 }
 
@@ -313,8 +304,8 @@ fn sanitize_commit(ctx: &ExecCtx<'_>, pending: &PendingTx, out: &TxOutcome) {
 
 /// Computes the static lane assignment for a block: `lane[i]` is set
 /// when transaction `i` has resolved claims and commutes with *every*
-/// other arrived transaction, so its round-one speculation (taken
-/// against the block-start world) provably survives any interleaving of
+/// other arrived transaction, so its speculation (taken against the
+/// block-start world) provably survives any interleaving of
 /// the block's commits and can commit without validation. One arrived
 /// transaction without claims poisons the whole block: it could write
 /// anything, so nothing is provably disjoint from it.
@@ -388,12 +379,10 @@ fn run_sequential(
     BlockOutcome { committed, leftover, tx_gas, burned }
 }
 
-/// The gas estimate used to prioritise a transaction that has never
-/// executed: the static worst-case certificate when the chain's gas
-/// resolvers produce one (counted as `static_gas_seeded`),
-/// otherwise a tx-kind default (counted as `default_seeded`). Either
-/// way the estimate is replaced by the last observed `gas_used` once a
-/// (possibly discarded) speculation has run.
+/// The gas estimate that orders a transaction in the speculation round:
+/// the static worst-case certificate when the chain's gas resolvers
+/// produce one (counted as `static_gas_seeded`), otherwise a tx-kind
+/// default (counted as `default_seeded`).
 fn initial_gas_estimate(ctx: &ExecCtx<'_>, tx: &Transaction, stats: &mut ExecStats) -> u64 {
     if let Some(bound) = ctx.facts.tx_gas_bound(ctx.vm, ctx.avm_payloads, tx) {
         stats.static_gas_seeded += 1;
@@ -453,153 +442,93 @@ fn run_parallel(
     lane: Vec<bool>,
     stats: &mut ExecStats,
 ) -> BlockOutcome {
-    let n = pool.len();
-    let mut receipts: Vec<Option<Receipt>> = (0..n).map(|_| None).collect();
-    let mut spec: Vec<Option<TxOutcome>> = (0..n).map(|_| None).collect();
-    let mut skipped = vec![false; n];
-    let mut done = vec![false; n];
-    let mut est_gas: Vec<u64> =
-        pool.iter().map(|p| initial_gas_estimate(ctx, &p.tx, stats)).collect();
+    // The speculation round: every arrived transaction runs once against
+    // the block-start world, longest estimated transaction first, so the
+    // greedy worker pool packs the work that dominates the round's
+    // critical path tightest (ties break on submission index for
+    // determinism).
+    let mut todo: Vec<(Reverse<u64>, usize)> = pool
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.arrival_ms <= ctx.block_time)
+        .map(|(i, p)| (Reverse(initial_gas_estimate(ctx, &p.tx, stats)), i))
+        .collect();
+    todo.sort_unstable();
+    let spec: Vec<Mutex<Option<TxOutcome>>> = pool.iter().map(|_| Mutex::new(None)).collect();
+    let round_workers = workers.min(todo.len());
+    let cursor = AtomicUsize::new(0);
+    let base: &WorldState = world;
+    let worker = || loop {
+        let k = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(&(_, i)) = todo.get(k) else { break };
+        let out = execute_tx(ctx, base, &pool[i]);
+        *spec[i].lock().expect("worker panicked") = Some(out);
+    };
+    // Spawn at most as many real threads as the host can run: extra
+    // configured workers only add scheduling overhead on an
+    // oversubscribed host. The *modeled* schedule below still uses the
+    // configured count — it describes the algorithm, not this machine.
+    match round_workers.min(host_parallelism()) {
+        0 | 1 => worker(),
+        spawn_workers => std::thread::scope(|scope| {
+            for _ in 0..spawn_workers {
+                scope.spawn(worker);
+            }
+        }),
+    }
+    let spec: Vec<Option<TxOutcome>> =
+        spec.into_iter().map(|slot| slot.into_inner().expect("worker panicked")).collect();
+    stats.speculative_runs += todo.len() as u64;
+    let durations: Vec<u128> =
+        todo.iter().filter_map(|&(_, i)| spec[i].as_ref().map(|o| o.exec_ns)).collect();
+    stats.modeled_parallel_ns += modeled_round_ns(&durations, round_workers);
+
+    // The commit scan, in submission order: in-order commit is what keeps
+    // gas, fee and receipt accounting byte-identical to the sequential
+    // oracle, and a transaction is left over exactly where that oracle
+    // would leave it.
+    let mut committed = Vec::new();
+    let mut leftover = Vec::new();
     let mut remaining = gas_budget;
     let mut tx_gas = 0u64;
     let mut burned = 0u128;
-
-    while !done.iter().all(|d| *d) {
-        // (Re)speculate every live, arrived candidate that does not hold
-        // a surviving speculation, longest estimated transaction first:
-        // the priority queue front-loads the work that dominates the
-        // round's critical path, so the greedy worker pool packs it
-        // tightest (ties break on submission index for determinism).
-        let mut queue: BinaryHeap<(u64, Reverse<usize>)> = (0..n)
-            .filter(|&i| !done[i] && spec[i].is_none() && pool[i].arrival_ms <= ctx.block_time)
-            .map(|i| (est_gas[i], Reverse(i)))
-            .collect();
-        let mut todo = Vec::with_capacity(queue.len());
-        while let Some((_, Reverse(i))) = queue.pop() {
-            todo.push(i);
-        }
-        if !todo.is_empty() {
-            let round_workers = workers.min(todo.len());
-            // Spawn at most as many real threads as the host can run:
-            // extra configured workers only add scheduling overhead on
-            // an oversubscribed host. The *modeled* schedule below still
-            // uses the configured count — it describes the algorithm,
-            // not this machine.
-            let spawn_workers = round_workers.min(host_parallelism());
-            if spawn_workers <= 1 {
-                for &i in &todo {
-                    spec[i] = Some(execute_tx(ctx, world, &pool[i]));
-                }
-            } else {
-                let results: Vec<Mutex<Option<TxOutcome>>> =
-                    todo.iter().map(|_| Mutex::new(None)).collect();
-                let cursor = AtomicUsize::new(0);
-                let base: &WorldState = world;
-                let pool_ref: &[PendingTx] = &pool;
-                std::thread::scope(|scope| {
-                    for _ in 0..spawn_workers {
-                        scope.spawn(|| loop {
-                            let k = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = todo.get(k) else { break };
-                            let out = execute_tx(ctx, base, &pool_ref[i]);
-                            *results[k].lock().expect("worker panicked") = Some(out);
-                        });
-                    }
-                });
-                for (k, &i) in todo.iter().enumerate() {
-                    spec[i] = results[k].lock().expect("worker panicked").take();
-                }
-            }
-            stats.speculative_runs += todo.len() as u64;
-            stats.rounds += 1;
-            let durations: Vec<u128> =
-                todo.iter().filter_map(|&i| spec[i].as_ref().map(|o| o.exec_ns)).collect();
-            stats.modeled_parallel_ns += modeled_round_ns(&durations, round_workers);
-        }
-
-        // Commit scan in submission order. Commits stop at the first
-        // failed validation — in-order commit is what keeps gas, fee and
-        // receipt accounting byte-identical to the sequential oracle —
-        // but the scan itself continues to decide the fate of every
-        // remaining speculation.
-        let mut frontier = true;
-        for i in 0..n {
-            if done[i] {
-                continue;
-            }
-            if frontier {
-                if pool[i].arrival_ms > ctx.block_time || !fits(ctx, &pool[i].tx, remaining) {
-                    skipped[i] = true;
-                    done[i] = true;
-                    continue;
-                }
-                let out = spec[i].take().expect("live candidates were speculated");
-                // Lane transactions commit without validation: every
-                // commit since their speculation base was a provably
-                // commuting transaction, so the recorded reads still
-                // hold by construction.
-                let valid = if lane[i] {
-                    stats.speculation_skipped += 1;
-                    true
-                } else {
-                    let started = Instant::now();
-                    let valid = world.validates(&out.reads);
-                    stats.validation_ns += started.elapsed().as_nanos();
-                    valid
-                };
-                if valid {
-                    sanitize_commit(ctx, &pool[i], &out);
-                    world.apply(out.writes);
-                    if ctx.vm == VmKind::Evm {
-                        remaining = remaining.saturating_sub(out.gas_used);
-                        tx_gas += out.gas_used;
-                    }
-                    burned += out.burned;
-                    stats.committed_txs += 1;
-                    stats.committed_exec_ns += out.exec_ns;
-                    receipts[i] = Some(out.receipt);
-                    done[i] = true;
-                } else {
-                    stats.conflicts += 1;
-                    est_gas[i] = out.gas_used.max(1);
-                    frontier = false;
-                }
-            } else {
-                // A lane speculation survives any interleaving of the
-                // block's commits by construction — keep it without
-                // paying for classification.
-                if lane[i] {
-                    continue;
-                }
-                // Dependency-aware recovery: a suffix speculation whose
-                // recorded reads still hold against the world as committed
-                // so far is kept for a later commit scan; a stale one is
-                // re-speculated — only true dependents pay for the
-                // conflict.
-                let Some(out) = spec[i].as_ref() else { continue };
-                let started = Instant::now();
-                stats.revalidations += 1;
-                let keep = world.validates(&out.reads);
-                stats.validation_ns += started.elapsed().as_nanos();
-                if keep {
-                    stats.respeculations_avoided += 1;
-                } else {
-                    stats.conflicts += 1;
-                    est_gas[i] = out.gas_used.max(1);
-                    spec[i] = None;
-                }
-            }
-        }
-    }
-
-    let mut committed = Vec::new();
-    let mut leftover = Vec::new();
-    for (i, pending) in pool.into_iter().enumerate() {
-        if skipped[i] {
+    for ((pending, spec), lane) in pool.into_iter().zip(spec).zip(lane) {
+        if pending.arrival_ms > ctx.block_time || !fits(ctx, &pending.tx, remaining) {
             leftover.push(pending);
-        } else if let Some(receipt) = receipts[i].take() {
-            committed.push((pending, receipt));
+            continue;
         }
+        let mut out = spec.expect("arrived transactions were speculated");
+        if lane {
+            // Lane transactions commit without validation: every commit
+            // since their speculation base was a provably commuting
+            // transaction, so the recorded reads still hold by
+            // construction.
+            stats.speculation_skipped += 1;
+        } else {
+            let started = Instant::now();
+            let valid = world.validates(&out.reads);
+            stats.validation_ns += started.elapsed().as_nanos();
+            if !valid {
+                // Stale: re-execute in place. The base is now the
+                // committed prefix — the world the sequential oracle runs
+                // this transaction on — so the outcome needs no
+                // validation.
+                stats.conflicts += 1;
+                stats.speculative_runs += 1;
+                out = execute_tx(ctx, world, &pending);
+                stats.modeled_parallel_ns += out.exec_ns;
+            }
+        }
+        sanitize_commit(ctx, &pending, &out);
+        world.apply(out.writes);
+        if ctx.vm == VmKind::Evm {
+            remaining = remaining.saturating_sub(out.gas_used);
+            tx_gas += out.gas_used;
+        }
+        burned += out.burned;
+        stats.committed_txs += 1;
+        stats.committed_exec_ns += out.exec_ns;
+        committed.push((pending, out.receipt));
     }
     BlockOutcome { committed, leftover, tx_gas, burned }
 }
@@ -851,7 +780,7 @@ mod tests {
         // dispatched last stretches the schedule past the naive
         // max(longest, work/workers) bound...
         assert_eq!(modeled_round_ns(&[10, 10, 100], 2), 110);
-        // ...which is exactly the waste the gas-priority queue removes
+        // ...which is exactly the waste the gas-priority order removes
         // by dispatching the longest transaction first.
         assert_eq!(modeled_round_ns(&[100, 10, 10], 2), 100);
     }
@@ -897,14 +826,34 @@ mod tests {
         assert_eq!(stats.default_seeded, 1);
     }
 
-    /// A hot-key block: even-indexed senders all credit one shared sink
+    /// Only the round's candidates are resolved and counted: a
+    /// transaction still in flight waits in the pool without an estimate
+    /// or a speculation, block after block.
+    #[test]
+    fn seeding_counters_count_speculated_transactions_only() {
+        let payloads = HashMap::new();
+        let ctx = ctx_evm(&payloads);
+        let mut world = WorldState::new();
+        world.set_balance(addr(1), 1_000_000_000);
+        world.set_balance(addr(2), 1_000_000_000);
+        let mut late = transfer(2, 102, 50);
+        late.arrival_ms = ctx.block_time + 1;
+        let pool = vec![transfer(1, 101, 50), late];
+        let mut stats = ExecStats::default();
+        let mode = ExecutionMode::Parallel { workers: 2 };
+        let outcome = run_block(&ctx, &mut world, pool, 10_000_000, mode, &mut stats);
+        assert_eq!((outcome.committed.len(), outcome.leftover.len()), (1, 1));
+        assert_eq!(stats.static_gas_seeded + stats.default_seeded, 1, "{stats:?}");
+        assert_eq!(stats.speculative_runs, 1, "{stats:?}");
+    }
+
+    /// A half-hot block: even-indexed senders all credit one shared sink
     /// (each reads the sink balance, so they serialise through the
     /// commit scan), odd-indexed senders pay disjoint cold sinks. The
-    /// parallel path must agree with the oracle byte for byte, and
-    /// recovery must keep the cold speculations alive across the hot
-    /// conflicts: only the hot transactions ever re-execute.
+    /// parallel path must agree with the oracle byte for byte, and only
+    /// the stale hot transactions re-execute, once each.
     #[test]
-    fn dependency_recovery_matches_sequential_and_keeps_independents() {
+    fn half_hot_block_matches_sequential_and_reexecutes_only_the_stale() {
         let run = |mode: ExecutionMode| {
             let payloads = HashMap::new();
             let ctx = ctx_evm(&payloads);
@@ -923,28 +872,54 @@ mod tests {
         };
         let seq = run(ExecutionMode::Sequential);
         let par = run(ExecutionMode::Parallel { workers: 4 });
-        assert_eq!(seq.0, par.0, "recovery receipts diverge from sequential");
+        assert_eq!(seq.0, par.0, "parallel receipts diverge from sequential");
         assert_eq!((seq.1, seq.2), (par.1, par.2));
         assert_eq!(seq.3, par.3, "world digests diverge");
 
-        // Four rounds: the hot transactions 4, 6 and 8 lose 3 + 2 + 1
-        // validations behind tx 2 and each other, and each loss costs
-        // exactly one re-execution; the cold transactions 5 and 7 are
-        // kept across the scans that stop before them (5 once, 7 twice).
+        // The hot transactions 4, 6 and 8 were speculated against a sink
+        // balance that tx 2 and each other have since moved; the cold
+        // ones and tx 2 commit their first run.
         let stats = par.4;
         assert_eq!(stats.committed_txs, 8);
-        assert_eq!(stats.rounds, 4, "{stats:?}");
-        assert_eq!(stats.conflicts, 6, "{stats:?}");
-        assert_eq!(stats.speculative_runs, 8 + 6, "only conflicts re-execute: {stats:?}");
-        assert_eq!(stats.respeculations_avoided, 3, "{stats:?}");
-        // Every suffix classification is one exact validation: the three
-        // kept plus the three found stale behind a frontier conflict.
-        assert_eq!(stats.revalidations, 3 + 3, "{stats:?}");
+        assert_eq!(stats.conflicts, 3, "{stats:?}");
+        assert_eq!(stats.speculative_runs, 8 + 3, "only conflicts re-execute: {stats:?}");
+        assert_eq!(stats.revalidations, 0, "{stats:?}");
     }
 
-    /// With every transaction touching the same keys there are no
-    /// independents to save, but recovery must still terminate, agree
-    /// with the oracle, and never commit out of order.
+    /// The bound under the worst contention: 64 transfers into one sink.
+    /// Every transaction behind the first is stale when the scan reaches
+    /// it and runs exactly twice — never once per earlier hot commit.
+    #[test]
+    fn pure_hot_key_block_executes_every_transaction_at_most_twice() {
+        let run = |mode: ExecutionMode| {
+            let payloads = HashMap::new();
+            let ctx = ctx_evm(&payloads);
+            let mut world = WorldState::new();
+            let mut pool = Vec::new();
+            for i in 1..=64u8 {
+                world.set_balance(addr(i), 1_000_000_000);
+                pool.push(transfer(i, 99, 10 + u128::from(i)));
+            }
+            let mut stats = ExecStats::default();
+            let outcome = run_block(&ctx, &mut world, pool, 10_000_000, mode, &mut stats);
+            let receipts: Vec<String> =
+                outcome.committed.iter().map(|(_, r)| format!("{r:?}")).collect();
+            (receipts, outcome.burned, world.digest_input(), stats)
+        };
+        let seq = run(ExecutionMode::Sequential);
+        let par = run(ExecutionMode::Parallel { workers: 4 });
+        assert_eq!(seq.0, par.0);
+        assert_eq!(seq.1, par.1);
+        assert_eq!(seq.2, par.2);
+        let stats = par.3;
+        assert_eq!(stats.committed_txs, 64);
+        assert_eq!(stats.conflicts, 63, "{stats:?}");
+        assert_eq!(stats.speculative_runs, 64 + 63, "one re-execution per conflict: {stats:?}");
+    }
+
+    /// With every transaction touching the same keys every speculation
+    /// but the first is stale; the scan must still agree with the oracle
+    /// and never commit out of order.
     #[test]
     fn pure_hot_key_block_still_matches_sequential() {
         let run = |mode: ExecutionMode| {

@@ -72,17 +72,13 @@ fn created_matches_evm(chain: &Chain, addr: Address, _deployer: Address) -> bool
 pub fn execution_report(chain: &Chain) -> String {
     let s = chain.exec_stats();
     let mut report = format!(
-        "{}: {} blocks ({} parallel), {} txs committed, {} speculative runs, {} conflicts, \
-         {} revalidations, {} respeculations avoided, {} rounds",
+        "{}: {} blocks ({} parallel), {} txs committed, {} speculative runs, {} conflicts",
         chain.config.name,
         s.blocks,
         s.parallel_blocks,
         s.committed_txs,
         s.speculative_runs,
         s.conflicts,
-        s.revalidations,
-        s.respeculations_avoided,
-        s.rounds,
     );
     if s.static_lanes > 0 || s.summary_fallbacks > 0 {
         report.push_str(&format!(
@@ -146,8 +142,7 @@ mod tests {
         let report = execution_report(&chain);
         assert!(report.contains("1 txs committed"), "{report}");
         assert!(report.contains("parallel"), "{report}");
-        assert!(report.contains("revalidations"), "{report}");
-        assert!(report.contains("respeculations avoided"), "{report}");
+        assert!(report.contains("1 speculative runs, 0 conflicts"), "{report}");
         // No gas certificates are registered, so every scheduler
         // estimate fell back to its tx-kind default.
         assert!(report.contains("gas estimates 0 certificate-seeded"), "{report}");

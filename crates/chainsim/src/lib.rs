@@ -48,6 +48,6 @@ pub use chain::{Chain, ChainConfig, VmKind};
 pub use congestion::CongestionModel;
 pub use executor::{ExecStats, ExecutionMode, MISSING_RECIPIENT};
 pub use facts::{AccessQuery, AccessResolver, CallQuery, GasQuery, GasResolver};
-pub use pol_store::{BackendConfig, StateBackend};
+pub use pol_store::StateBackend;
 pub use presets::ChainPreset;
 pub use provider::NodeProvider;

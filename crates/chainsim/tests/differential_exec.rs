@@ -6,8 +6,7 @@
 //! worker count. The workloads are deliberately conflict-heavy (shared
 //! balance keys, one shared contract/app, plus a read-modify-write hot
 //! counter every action can hammer) so the validate-and-re-execute path
-//! and the dependency-aware recovery are exercised, not just the
-//! embarrassingly-parallel one.
+//! is exercised, not just the embarrassingly-parallel one.
 
 use pol_avm::opcode::AvmOp;
 use pol_avm::AvmProgram;
@@ -64,7 +63,7 @@ fn run(
 
     // One shared contract so invocations conflict on its state, plus (on
     // EVM chains) a hot counter whose read-modify-write forces every
-    // concurrent increment through the conflict-recovery path.
+    // concurrent increment through the re-execution path.
     let target = match chain.config.vm {
         VmKind::Evm => {
             // runtime: SSTORE(calldata[0..32], calldata[32..64])
@@ -182,11 +181,21 @@ fn assert_stats_invariants(preset_idx: usize, stats: &ExecStats) {
         stats.conflicts <= stats.speculative_runs,
         "more conflicts than speculations: {stats:?}"
     );
+    // A stale speculation is re-executed in place and commits: one
+    // validation, hence at most one conflict, per committed transaction.
+    assert!(
+        stats.conflicts <= stats.committed_txs,
+        "a transaction conflicted more than once: {stats:?}"
+    );
     let config = preset_for(preset_idx).config;
     let can_defer = config.vm == VmKind::Evm && config.congestion.mean > 0.0;
     assert!(
         can_defer || stats.speculative_runs <= stats.committed_txs + stats.conflicts,
         "a speculation re-executed without a conflict: {stats:?}"
+    );
+    assert!(
+        can_defer || stats.speculative_runs <= 2 * stats.committed_txs,
+        "a transaction executed more than twice: {stats:?}"
     );
 }
 
@@ -237,8 +246,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Hot-key preset: every action is a read-modify-write on the same
-    /// counter, so validation failures and the dependency-recovery scan
-    /// fire on essentially every parallel block. Recovery must stay
+    /// counter, so validation failures and in-place re-executions fire
+    /// on essentially every parallel block. The scan must stay
     /// byte-identical to the oracle and re-execute only what conflicted.
     #[test]
     fn hot_key_recovery_matches_sequential(

@@ -41,8 +41,6 @@ pub use trie::{
 };
 pub use wal::WalBackend;
 
-use std::path::PathBuf;
-
 /// One mutation of a commit batch: `Some` writes the value, `None`
 /// deletes the key.
 pub type BatchEntry = (Vec<u8>, Option<Vec<u8>>);
@@ -141,38 +139,4 @@ pub trait StateBackend: Send + Sync {
     /// backends clone into a volatile store (the copy shares no files
     /// with the original); the root is preserved exactly.
     fn snapshot_backend(&self) -> Box<dyn StateBackend>;
-}
-
-/// Declarative backend selection, for CLI flags and chain construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BackendConfig {
-    /// Volatile in-memory map (the default).
-    Memory,
-    /// Append-only write-ahead log + snapshots under `dir`.
-    Wal {
-        /// Directory holding `wal.bin` and `snapshot.bin`.
-        dir: PathBuf,
-        /// Log records accumulated before `flush_block` rolls a snapshot.
-        snapshot_every: u64,
-    },
-    /// Copy-on-write Merkle trie with incremental roots and proofs.
-    Trie,
-}
-
-impl BackendConfig {
-    /// Opens (or creates) the configured backend, replaying any
-    /// persisted state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and corruption errors from [`WalBackend::open`].
-    pub fn open(&self) -> Result<Box<dyn StateBackend>, StoreError> {
-        Ok(match self {
-            BackendConfig::Memory => Box::new(MemoryBackend::new()),
-            BackendConfig::Wal { dir, snapshot_every } => {
-                Box::new(WalBackend::open(dir, *snapshot_every)?)
-            }
-            BackendConfig::Trie => Box::new(TrieBackend::new()),
-        })
-    }
 }
