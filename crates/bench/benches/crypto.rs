@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the cryptographic substrate.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use pol_crypto::ed25519::Keypair;
+use pol_crypto::ed25519::{Keypair, Point};
 use pol_crypto::x25519::XKeypair;
 use pol_crypto::{keccak256, sealed, sha256, vrf};
 use rand::rngs::StdRng;
@@ -28,6 +28,15 @@ fn signatures(c: &mut Criterion) {
     c.bench_function("ed25519/sign", |b| b.iter(|| kp.sign(black_box(&msg))));
     c.bench_function("ed25519/verify", |b| {
         b.iter(|| assert!(kp.public.verify(black_box(&msg), &sig)))
+    });
+    // The two halves of a verification: decoding a point, and the
+    // interleaved [a]P + [b]B.
+    c.bench_function("ed25519/decompress", |b| {
+        b.iter(|| Point::decompress(black_box(&kp.public.0)).unwrap())
+    });
+    let key = Point::decompress(&kp.public.0).unwrap();
+    c.bench_function("ed25519/double_scalar", |b| {
+        b.iter(|| Point::double_scalar_mul_base(black_box(&sig.r), &key, black_box(&sig.s)))
     });
     c.bench_function("ed25519/keygen", |b| {
         let mut i = 0u64;

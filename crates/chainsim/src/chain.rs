@@ -11,7 +11,7 @@ use pol_crypto::sha256;
 use pol_evm::{CodeCache, EvmView};
 use pol_ledger::{
     Address, Block, BlockHash, ContractId, Currency, LedgerError, Receipt, Transaction, TxId,
-    WorldState,
+    VerifiedTx, WorldState,
 };
 use pol_store::StateBackend;
 use rand::rngs::StdRng;
@@ -341,11 +341,22 @@ impl Chain {
         AvmView::new(&self.world)
     }
 
-    /// Submits a signed transaction to the mempool.
+    /// Submits a signed transaction to the mempool: checks the signature,
+    /// then [`Chain::submit_verified`].
     ///
     /// # Errors
     ///
-    /// * [`LedgerError::BadSignature`] — missing/invalid signature;
+    /// [`LedgerError::BadSignature`] for a missing or invalid signature,
+    /// else whatever [`Chain::submit_verified`] refuses.
+    pub fn submit(&mut self, tx: Transaction) -> Result<TxId, LedgerError> {
+        self.submit_verified(VerifiedTx::new(tx)?)
+    }
+
+    /// Submits a transaction whose signature has already been checked —
+    /// the node's admission path, which verifies once before parking.
+    ///
+    /// # Errors
+    ///
     /// * [`LedgerError::BadNonce`] — nonce gap;
     /// * [`LedgerError::FeeOverflow`] — `value + gas_limit ×
     ///   max_fee_per_gas` exceeds `u128`; wrapping would let an
@@ -354,10 +365,8 @@ impl Chain {
     ///   less gas than its static worst-case certificate;
     /// * [`LedgerError::InsufficientBalance`] — value plus worst-case fee
     ///   (certificate-priced for certified calls) exceeds the balance.
-    pub fn submit(&mut self, tx: Transaction) -> Result<TxId, LedgerError> {
-        if !tx.verify_signature() {
-            return Err(LedgerError::BadSignature);
-        }
+    pub fn submit_verified(&mut self, verified: VerifiedTx) -> Result<TxId, LedgerError> {
+        let tx = verified.tx();
         let expected = self.next_nonce(tx.from);
         if tx.nonce != expected {
             return Err(LedgerError::BadNonce { expected, got: tx.nonce });
@@ -374,7 +383,7 @@ impl Chain {
         // priced from the certificate instead of the full `gas_limit`.
         // AVM payloads are looked up by transaction id, so callers
         // stash them before submitting.
-        let bound = self.facts.tx_gas_bound(self.config.vm, &self.avm_payloads, &tx);
+        let bound = self.facts.tx_gas_bound(self.config.vm, &self.avm_payloads, tx);
         let mut clamped = false;
         let worst_fee = match self.config.vm {
             VmKind::Evm => {
@@ -403,12 +412,12 @@ impl Chain {
         if clamped {
             self.gas_precheck_clamps += 1;
         }
-        let id = tx.id();
+        let id = verified.id();
         let (lo, hi) = self.config.propagation_ms;
         let delay = if hi > lo { self.rng.gen_range(lo..=hi) } else { lo };
         self.world.set_nonce(tx.from, expected + 1);
         self.mempool.push(PendingTx {
-            tx,
+            tx: verified.into_tx(),
             submitted_ms: self.now_ms,
             arrival_ms: self.now_ms + delay,
         });
@@ -832,6 +841,32 @@ mod tests {
         let (_, alice_addr) = chain.create_funded_account(10u128.pow(18));
         let tx = Transaction::transfer(alice_addr, Address::ZERO, 1, 0);
         assert_eq!(chain.submit(tx), Err(LedgerError::BadSignature));
+    }
+
+    #[test]
+    fn raw_submit_checks_and_verified_submit_skips_only_the_signature() {
+        let mut chain = presets::goerli().build(2);
+        let (alice, alice_addr) = chain.create_funded_account(10u128.pow(18));
+        let (max_fee, prio) = chain.suggested_fees();
+        let signed = |nonce: u64| {
+            Transaction::transfer(alice_addr, Address::ZERO, 1, nonce)
+                .with_fees(max_fee, prio)
+                .signed(&alice)
+        };
+        let mut tampered = signed(0);
+        tampered.value = 2;
+        assert_eq!(chain.submit(tampered), Err(LedgerError::BadSignature));
+
+        let verified = VerifiedTx::new(signed(0)).unwrap();
+        let id = verified.id();
+        assert_eq!(chain.submit_verified(verified), Ok(id));
+        // Every other admission rule still applies to a verified transaction.
+        let gap = VerifiedTx::new(signed(5)).unwrap();
+        assert!(matches!(
+            chain.submit_verified(gap),
+            Err(LedgerError::BadNonce { expected: 1, got: 5 })
+        ));
+        assert!(chain.await_tx(id).unwrap().status.is_success());
     }
 
     #[test]

@@ -5,19 +5,33 @@
 //! sortition credentials.
 
 use crate::field25519::Fe;
-use crate::scalar;
 use crate::sha512::Sha512;
-use crate::{hex, CryptoError};
+use crate::{bigint, hex, scalar, CryptoError};
+use std::sync::OnceLock;
 
 /// The curve constant d = −121665/121666.
-fn fe_d() -> Fe {
-    const BYTES: [u8; 32] = [
-        0xa3, 0x78, 0x59, 0x13, 0xca, 0x4d, 0xeb, 0x75, 0xab, 0xd8, 0x41, 0x41, 0x4d, 0x0a, 0x70,
-        0x00, 0x98, 0xe8, 0x79, 0x77, 0x79, 0x40, 0xc7, 0x8c, 0x73, 0xfe, 0x6f, 0x2b, 0xee, 0x6c,
-        0x03, 0x52,
-    ];
-    Fe::from_bytes(&BYTES)
-}
+const D: Fe =
+    Fe([929955233495203, 466365720129213, 1662059464998953, 2033849074728123, 1442794654840575]);
+
+/// 2d, the factor of the T₁T₂ term in the addition law.
+const D2: Fe =
+    Fe([1859910466990425, 932731440258426, 1072319116312658, 1815898335770999, 633789495995903]);
+
+/// The standard base point B: y = 4/5, x even.
+const BASE: Point = Point {
+    x: Fe([1738742601995546, 1146398526822698, 2070867633025821, 562264141797630, 587772402128613]),
+    y: Fe([1801439850948184, 1351079888211148, 450359962737049, 900719925474099, 1801439850948198]),
+    z: Fe::ONE,
+    t: Fe([1841354044333475, 16398895984059, 755974180946558, 900171276175154, 1821297809914039]),
+};
+
+/// wNAF width for a point met once (the key in `verify`), and the eight
+/// odd multiples built per call that its digits index.
+const VAR_WIDTH: usize = 5;
+const VAR_ENTRIES: usize = 1 << (VAR_WIDTH - 2);
+/// wNAF width for the base point, and its 64 odd multiples built once.
+const BASE_WIDTH: usize = 8;
+const BASE_ENTRIES: usize = 1 << (BASE_WIDTH - 2);
 
 /// A point on edwards25519 in extended homogeneous coordinates
 /// (X : Y : Z : T) with x = X/Z, y = Y/Z, xy = T/Z.
@@ -29,6 +43,109 @@ pub struct Point {
     t: Fe,
 }
 
+/// A point prepared as an addend, (Y+X, Y−X, 2Z, 2dT): the four products
+/// of the addition law that depend on one operand only. A table entry is
+/// prepared once and added many times.
+#[derive(Clone, Copy)]
+struct Cached {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    z2: Fe,
+    t2d: Fe,
+}
+
+impl Cached {
+    /// Negating (x, y) swaps Y+X with Y−X and flips T.
+    fn neg(&self) -> Cached {
+        Cached {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            z2: self.z2,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
+/// The signed digits of a scalar in width-w non-adjacent form, one per
+/// bit position 0..=256.
+type Naf = [i8; 257];
+
+/// Recodes a 256-bit little-endian scalar in width-`w` non-adjacent
+/// form: Σ dᵢ·2^i = k, every dᵢ zero or odd with |dᵢ| < 2^(w−1), and at
+/// most one non-zero digit in any `w` consecutive positions. Any 32
+/// bytes are a valid input: a carry out of bit 255 lands on digit 256.
+fn wnaf(k: &[u8; 32], w: usize) -> Naf {
+    let k = bigint::from_le_bytes32(k);
+    // One spare limb, so a window starting below bit 256 may read past it.
+    let limbs = [k[0], k[1], k[2], k[3], 0];
+    let width = 1i32 << w;
+    let mut naf = [0i8; 257];
+    let mut carry = 0i32;
+    let mut pos = 0;
+    while pos < naf.len() {
+        let (idx, bit) = (pos / 64, pos % 64);
+        let mut bits = limbs[idx] >> bit;
+        if bit + w > 64 {
+            bits |= limbs[idx + 1] << (64 - bit);
+        }
+        let window = carry + (bits & (width as u64 - 1)) as i32;
+        if window & 1 == 0 {
+            pos += 1;
+            continue;
+        }
+        // An odd window is this position's digit: taken as is when it is
+        // below 2^(w−1), else as window − 2^w with a carry into the next.
+        // Within w−1 positions of the top the bits above 255 are zero, so
+        // the window is below 2^(w−1) and the last carry is always spent.
+        carry = i32::from(window >= width / 2);
+        naf[pos] = (window - carry * width) as i8;
+        pos += w;
+    }
+    naf
+}
+
+/// P, 3P, 5P, …, (2N−1)P as addends.
+fn odd_multiples<const N: usize>(p: &Point) -> [Cached; N] {
+    let p2 = p.double().to_cached();
+    let mut multiple = *p;
+    let mut table = [p.to_cached(); N];
+    for entry in table.iter_mut().skip(1) {
+        multiple = multiple.add_cached(&p2);
+        *entry = multiple.to_cached();
+    }
+    table
+}
+
+/// The odd multiples B, 3B, …, 127B of the base point (10 KiB), built on
+/// first use.
+fn base_table() -> &'static [Cached; BASE_ENTRIES] {
+    static TABLE: OnceLock<[Cached; BASE_ENTRIES]> = OnceLock::new();
+    TABLE.get_or_init(|| odd_multiples(&BASE))
+}
+
+/// Σ [kᵢ]Pᵢ in one interleaved pass (Straus): the doublings are shared,
+/// and each term adds a table entry, or its negation, where its recoded
+/// scalar has a non-zero digit. Each term is a scalar's NAF and the odd multiples
+/// of its point.
+fn multi_scalar_mul(terms: &[(&Naf, &[Cached])]) -> Point {
+    let used = |i: &usize| terms.iter().any(|(naf, _)| naf[*i] != 0);
+    let Some(top) = (0..257).rev().find(used) else {
+        return Point::identity();
+    };
+    let mut acc = Point::identity();
+    for i in (0..=top).rev() {
+        acc = acc.double();
+        for (naf, table) in terms {
+            let digit = naf[i];
+            if digit != 0 {
+                let entry = &table[usize::from(digit.unsigned_abs() / 2)];
+                acc = acc.add_cached(&if digit > 0 { *entry } else { entry.neg() });
+            }
+        }
+    }
+    acc
+}
+
 impl Point {
     /// The neutral element (0, 1).
     pub fn identity() -> Point {
@@ -37,25 +154,34 @@ impl Point {
 
     /// The standard base point B with y = 4/5.
     pub fn base() -> Point {
-        const BYTES: [u8; 32] = [
-            0x58, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
-            0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66,
-            0x66, 0x66, 0x66, 0x66,
-        ];
-        Point::decompress(&BYTES).expect("base point constant is valid")
+        BASE
     }
 
-    /// Point addition (unified, complete formulas).
-    pub fn add(&self, rhs: &Point) -> Point {
-        let a = self.y.sub(&self.x).mul(&rhs.y.sub(&rhs.x));
-        let b = self.y.add(&self.x).mul(&rhs.y.add(&rhs.x));
-        let c = self.t.mul(&rhs.t).mul(&fe_d()).mul_small(2);
-        let d = self.z.mul(&rhs.z).mul_small(2);
+    fn to_cached(self) -> Cached {
+        Cached {
+            y_plus_x: self.y.add(&self.x),
+            y_minus_x: self.y.sub(&self.x),
+            z2: self.z.mul_small(2),
+            t2d: self.t.mul(&D2),
+        }
+    }
+
+    /// The unified, complete addition law against a prepared addend.
+    fn add_cached(&self, rhs: &Cached) -> Point {
+        let a = self.y.sub(&self.x).mul(&rhs.y_minus_x);
+        let b = self.y.add(&self.x).mul(&rhs.y_plus_x);
+        let c = self.t.mul(&rhs.t2d);
+        let d = self.z.mul(&rhs.z2);
         let e = b.sub(&a);
         let f = d.sub(&c);
         let g = d.add(&c);
         let h = b.add(&a);
         Point { x: e.mul(&f), y: g.mul(&h), z: f.mul(&g), t: e.mul(&h) }
+    }
+
+    /// Point addition (unified, complete formulas).
+    pub fn add(&self, rhs: &Point) -> Point {
+        self.add_cached(&rhs.to_cached())
     }
 
     /// Point doubling.
@@ -75,18 +201,26 @@ impl Point {
         Point { x: self.x.neg(), y: self.y, z: self.z, t: self.t.neg() }
     }
 
-    /// Scalar multiplication by a little-endian 32-byte scalar.
+    /// Scalar multiplication by a little-endian 32-byte scalar (any 256-bit
+    /// value, reduced or not). Variable-time, like everything in this
+    /// simulation's substrate.
     pub fn scalar_mul(&self, k: &[u8; 32]) -> Point {
-        let mut result = Point::identity();
-        for byte_idx in (0..32).rev() {
-            for bit in (0..8).rev() {
-                result = result.double();
-                if (k[byte_idx] >> bit) & 1 == 1 {
-                    result = result.add(self);
-                }
-            }
-        }
-        result
+        multi_scalar_mul(&[(&wnaf(k, VAR_WIDTH), &odd_multiples::<VAR_ENTRIES>(self))])
+    }
+
+    /// `[k]B` for the base point B, from the static table of its odd
+    /// multiples.
+    pub fn mul_base(k: &[u8; 32]) -> Point {
+        multi_scalar_mul(&[(&wnaf(k, BASE_WIDTH), base_table())])
+    }
+
+    /// `[a]P + [b]B` for the base point B — the verification equation's
+    /// shape — sharing one run of doublings between the two terms.
+    pub fn double_scalar_mul_base(a: &[u8; 32], p: &Point, b: &[u8; 32]) -> Point {
+        multi_scalar_mul(&[
+            (&wnaf(a, VAR_WIDTH), &odd_multiples::<VAR_ENTRIES>(p)),
+            (&wnaf(b, BASE_WIDTH), base_table()),
+        ])
     }
 
     /// Compresses to the 32-byte encoding: y with the sign of x in bit 255.
@@ -112,7 +246,7 @@ impl Point {
         let y = Fe::from_bytes(bytes);
         let y2 = y.square();
         let u = y2.sub(&Fe::ONE);
-        let v = y2.mul(&fe_d()).add(&Fe::ONE);
+        let v = y2.mul(&D).add(&Fe::ONE);
         // Candidate root of u/v: (u v^3) (u v^7)^((p−5)/8).
         let v3 = v.square().mul(&v);
         let v7 = v3.square().mul(&v);
@@ -263,7 +397,7 @@ impl Keypair {
     pub fn from_seed(seed: &[u8; 32]) -> Keypair {
         let secret = SecretKey::from_seed(seed);
         let (a, _) = secret.expand();
-        let public = PublicKey(Point::base().scalar_mul(&a).compress());
+        let public = PublicKey(Point::mul_base(&a).compress());
         Keypair { secret, public }
     }
 
@@ -281,7 +415,7 @@ impl Keypair {
         h.update(&prefix);
         h.update(message);
         let r = scalar::reduce64(&h.finalize());
-        let r_point = Point::base().scalar_mul(&r).compress();
+        let r_point = Point::mul_base(&r).compress();
         let mut h = Sha512::new();
         h.update(&r_point);
         h.update(&self.public.0);
@@ -293,7 +427,11 @@ impl Keypair {
 }
 
 impl PublicKey {
-    /// Verifies `signature` over `message`.
+    /// Verifies `signature` over `message`: s is canonical, the key A and R
+    /// both decompress, and the cofactorless equation [s]B = R + [k]A holds
+    /// with k = H(R ‖ A ‖ M) mod ℓ. The equation is evaluated as
+    /// [s]B − [k]A == R, which is one double-scalar multiplication and a
+    /// projective comparison; small-order keys and R are not singled out.
     ///
     /// Returns `false` for invalid points, non-canonical scalars, or a
     /// failed group equation — never panics on malformed input.
@@ -314,9 +452,7 @@ impl PublicKey {
         h.update(&self.0);
         h.update(message);
         let k = scalar::reduce64(&h.finalize());
-        let lhs = Point::base().scalar_mul(&signature.s);
-        let rhs = r.add(&a.scalar_mul(&k));
-        lhs.ct_eq(&rhs)
+        Point::double_scalar_mul_base(&k, &a.neg(), &signature.s).ct_eq(&r)
     }
 
     /// Parses a public key from its lowercase hex encoding.
@@ -387,6 +523,80 @@ mod tests {
         assert!(kp.public.verify(&[0xaf, 0x82], &sig));
     }
 
+    /// The 1023-byte message of RFC 8032 section 7.1 "TEST 1024".
+    const RFC8032_MSG_1024: &str =
+        "08b8b2b733424243760fe426a4b54908632110a66c2f6591eabd3345e3e4eb98\
+         fa6e264bf09efe12ee50f8f54e9f77b1e355f6c50544e23fb1433ddf73be84d8\
+         79de7c0046dc4996d9e773f4bc9efe5738829adb26c81b37c93a1b270b20329d\
+         658675fc6ea534e0810a4432826bf58c941efb65d57a338bbd2e26640f89ffbc\
+         1a858efcb8550ee3a5e1998bd177e93a7363c344fe6b199ee5d02e82d522c4fe\
+         ba15452f80288a821a579116ec6dad2b3b310da903401aa62100ab5d1a36553e\
+         06203b33890cc9b832f79ef80560ccb9a39ce767967ed628c6ad573cb116dbef\
+         efd75499da96bd68a8a97b928a8bbc103b6621fcde2beca1231d206be6cd9ec7\
+         aff6f6c94fcd7204ed3455c68c83f4a41da4af2b74ef5c53f1d8ac70bdcb7ed1\
+         85ce81bd84359d44254d95629e9855a94a7c1958d1f8ada5d0532ed8a5aa3fb2\
+         d17ba70eb6248e594e1a2297acbbb39d502f1a8c6eb6f1ce22b3de1a1f40cc24\
+         554119a831a9aad6079cad88425de6bde1a9187ebb6092cf67bf2b13fd65f270\
+         88d78b7e883c8759d2c4f5c65adb7553878ad575f9fad878e80a0c9ba63bcbcc\
+         2732e69485bbc9c90bfbd62481d9089beccf80cfe2df16a2cf65bd92dd597b07\
+         07e0917af48bbb75fed413d238f5555a7a569d80c3414a8d0859dc65a46128ba\
+         b27af87a71314f318c782b23ebfe808b82b0ce26401d2e22f04d83d1255dc51a\
+         ddd3b75a2b1ae0784504df543af8969be3ea7082ff7fc9888c144da2af58429e\
+         c96031dbcad3dad9af0dcbaaaf268cb8fcffead94f3c7ca495e056a9b47acdb7\
+         51fb73e666c6c655ade8297297d07ad1ba5e43f1bca32301651339e22904cc8c\
+         42f58c30c04aafdb038dda0847dd988dcda6f3bfd15c4b4c4525004aa06eeff8\
+         ca61783aacec57fb3d1f92b0fe2fd1a85f6724517b65e614ad6808d6f6ee34df\
+         f7310fdc82aebfd904b01e1dc54b2927094b2db68d6f903b68401adebf5a7e08\
+         d78ff4ef5d63653a65040cf9bfd4aca7984a74d37145986780fc0b16ac451649\
+         de6188a7dbdf191f64b5fc5e2ab47b57f7f7276cd419c17a3ca8e1b939ae49e4\
+         88acba6b965610b5480109c8b17b80e1b7b750dfc7598d5d5011fd2dcc5600a3\
+         2ef5b52a1ecc820e308aa342721aac0943bf6686b64b2579376504ccc493d97e\
+         6aed3fb0f9cd71a43dd497f01f17c0e2cb3797aa2a2f256656168e6c496afc5f\
+         b93246f6b1116398a346f1a641f3b041e989f7914f90cc2c7fff357876e506b5\
+         0d334ba77c225bc307ba537152f3f1610e4eafe595f6d9d90d11faa933a15ef1\
+         369546868a7f3a45a96768d40fd9d03412c091c6315cf4fde7cb68606937380d\
+         b2eaaa707b4c4185c32eddcdd306705e4dc1ffc872eeee475a64dfac86aba41c\
+         0618983f8741c5ef68d3a101e8a3b8cac60c905c15fc910840b94c00a0b9d0";
+
+    #[test]
+    fn rfc8032_test_1024_bytes() {
+        let kp = Keypair::from_seed(&seed(
+            "f5e5767cf153319517630f226876b86c8160cc583bc013744c6bf255f5cc0ee5",
+        ));
+        assert_eq!(
+            hex::encode(&kp.public.0),
+            "278117fc144c72340f67d0f2316e8386ceffbf2b2428c9c51fef7c597f1d426e"
+        );
+        let msg = hex::decode(RFC8032_MSG_1024).unwrap();
+        assert_eq!(msg.len(), 1023);
+        let sig = kp.sign(&msg);
+        assert_eq!(
+            hex::encode(&sig.to_bytes()),
+            "0aab4c900501b3e24d7cdf4663326a3a87df5e4843b2cbdb67cbf6e460fec350\
+             aa5371b1508f9f4528ecea23c436d94b5e8fcd4f681e30a6ac00a9704a188a03"
+        );
+        assert!(kp.public.verify(&msg, &sig));
+    }
+
+    #[test]
+    fn rfc8032_test_sha_abc() {
+        let kp = Keypair::from_seed(&seed(
+            "833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42",
+        ));
+        assert_eq!(
+            hex::encode(&kp.public.0),
+            "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf"
+        );
+        let msg = crate::sha512(b"abc");
+        let sig = kp.sign(&msg);
+        assert_eq!(
+            hex::encode(&sig.to_bytes()),
+            "dc2a4459e7369633a52b1bf277839a00201009a3efbf3ecb69bea2186c26b589\
+             09351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704"
+        );
+        assert!(kp.public.verify(&msg, &sig));
+    }
+
     #[test]
     fn tampered_message_rejected() {
         let kp = Keypair::from_seed(&[1u8; 32]);
@@ -417,6 +627,110 @@ mod tests {
         assert_eq!(Signature::from_bytes(&forged.to_bytes()), Err(CryptoError::NonCanonicalScalar));
     }
 
+    /// The eight small-order encodings, then the non-canonical (y ≥ p) and
+    /// x = 0-with-sign encodings. Beside each: whether it decompresses, and
+    /// for which of the sixteen taken as R (first row = top bit) the signature
+    /// (R, s = 0) over "edge" verifies under it as the key. All three columns
+    /// were recorded from the double-and-add verifier this one replaced.
+    const EDGE_ENCODINGS: [(&str, bool, u16); 16] = [
+        // identity (0, 1), order 1
+        ("0100000000000000000000000000000000000000000000000000000000000000", true, 0x8020),
+        // (0, −1), order 2
+        ("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f", true, 0x4000),
+        // (√−1, 0), order 4
+        ("0000000000000000000000000000000000000000000000000000000000000000", true, 0x2000),
+        // (−√−1, 0), order 4
+        ("0000000000000000000000000000000000000000000000000000000000000080", true, 0x4080),
+        // order 8
+        ("26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05", true, 0x4040),
+        // order 8
+        ("26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85", true, 0x0480),
+        // order 8
+        ("c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a", true, 0x0020),
+        // order 8
+        ("c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa", true, 0x0a20),
+        // y = p ≡ 0, non-canonical, order 4
+        ("edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f", true, 0x2000),
+        // y = p ≡ 0 with the sign bit, order 4
+        ("edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", true, 0x0020),
+        // y = p + 1 ≡ 1, non-canonical identity
+        ("eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f", true, 0x8020),
+        // y = p + 1 ≡ 1, x = 0 with the sign bit
+        ("eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", false, 0x0000),
+        // y = 2^255 − 1 ≡ 18, non-canonical
+        ("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f", true, 0x0000),
+        // y = 2^255 − 1 ≡ 18 with the sign bit
+        ("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", true, 0x0000),
+        // y = 1, x = 0 with the sign bit
+        ("0100000000000000000000000000000000000000000000000000000000000080", false, 0x0000),
+        // y = −1, x = 0 with the sign bit
+        ("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", false, 0x0000),
+    ];
+
+    #[test]
+    fn edge_vector_decisions_match_the_recorded_verifier() {
+        let kp = Keypair::from_seed(&[5u8; 32]);
+        let msg = b"edge";
+        let sig = kp.sign(msg);
+        assert_eq!(
+            hex::encode(&sig.to_bytes()),
+            "1a8ab45ccd0691f96b55477cfc59dc11478383bb0ac36a6cfbebc7cd80bf5333\
+             a0da4e086420e40c9274d56bc624e69ed51706f0c9adbbae663d847547064003"
+        );
+        assert!(kp.public.verify(msg, &sig));
+
+        // Boundary values of s under an honest key and R.
+        let l = bigint::to_le_bytes32(&scalar::L);
+        let l_minus_1 = bigint::to_le_bytes32(&bigint::sub256(&scalar::L, &[1, 0, 0, 0]).0);
+        for s in [[0u8; 32], l_minus_1, l] {
+            assert!(!kp.public.verify(msg, &Signature { r: sig.r, s }), "s = {}", hex::encode(&s));
+        }
+
+        let decode = |e: &str| -> [u8; 32] { hex::decode_array(e).unwrap() };
+        for (encoding, decompresses, accepted_r) in EDGE_ENCODINGS {
+            let bytes = decode(encoding);
+            assert_eq!(Point::decompress(&bytes).is_ok(), decompresses, "decompress {encoding}");
+            // Never a substitute for an honest R or an honest key.
+            for s in [sig.s, [0u8; 32]] {
+                assert!(!kp.public.verify(msg, &Signature { r: bytes, s }), "as R: {encoding}");
+            }
+            assert!(!PublicKey(bytes).verify(msg, &sig), "as key: {encoding}");
+            // With s = 0 the equation is R = −[k]A inside the small subgroup,
+            // which a cofactorless verifier that singles out no small-order
+            // point accepts wherever it happens to hold.
+            for (j, (r, _, _)) in EDGE_ENCODINGS.iter().enumerate() {
+                let forged = Signature { r: decode(r), s: [0u8; 32] };
+                let accepted = accepted_r & (0x8000 >> j) != 0;
+                assert_eq!(
+                    PublicKey(bytes).verify(msg, &forged),
+                    accepted,
+                    "key {encoding}, R {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn curve_constants_match_their_encodings() {
+        // d = −121665/121666 and B = (x, 4/5) as RFC 8032 section 5.1 spells them.
+        let d = Fe::from_bytes(&seed(
+            "a3785913ca4deb75abd841414d0a700098e879777940c78c73fe6f2bee6c0352",
+        ));
+        assert_eq!(D.0, d.0);
+        assert_eq!(D2.0, Fe::from_bytes(&d.add(&d).to_bytes()).0);
+        let b = Point::decompress(&seed(
+            "5866666666666666666666666666666666666666666666666666666666666666",
+        ))
+        .unwrap();
+        let limbs = |f: Fe| Fe::from_bytes(&f.to_bytes()).0;
+        assert_eq!(
+            (BASE.x.0, BASE.y.0, BASE.z.0, BASE.t.0),
+            (limbs(b.x), limbs(b.y), limbs(b.z), limbs(b.t))
+        );
+        assert_eq!(BASE.y.mul_small(5), Fe([4, 0, 0, 0, 0]));
+        assert!(!BASE.x.is_negative());
+    }
+
     #[test]
     fn point_algebra() {
         let b = Point::base();
@@ -431,11 +745,17 @@ mod tests {
 
     #[test]
     fn decompress_rejects_garbage() {
-        // y = 2^255 - 20 is not on the curve for either sign.
+        // y = 2^255 − 20 = p − 1 is the order-2 point (0, −1): on the curve
+        // with the sign bit clear, refused (x = 0 cannot be negative) with
+        // it set.
         let mut bytes = [0xffu8; 32];
         bytes[31] = 0x7f;
         bytes[0] = 0xec;
-        assert!(Point::decompress(&bytes).is_err() || Point::decompress(&bytes).is_ok());
+        let order_two = Point::decompress(&bytes).unwrap();
+        assert_eq!(order_two.double(), Point::identity());
+        assert_ne!(order_two, Point::identity());
+        bytes[31] = 0xff;
+        assert_eq!(Point::decompress(&bytes).unwrap_err(), CryptoError::InvalidPoint);
         // A known-bad encoding: y = 7 is not on the curve.
         let mut seven = [0u8; 32];
         seven[0] = 7;

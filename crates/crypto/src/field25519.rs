@@ -110,9 +110,33 @@ impl Fe {
         Fe::carry_wide([r0, r1, r2, r3, r4])
     }
 
-    /// Field squaring.
+    /// Field squaring: the fifteen distinct limb products of `mul(self, self)`
+    /// with the ten cross terms doubled once.
     pub fn square(&self) -> Fe {
-        self.mul(self)
+        let a = &self.0;
+        let m = |x: u64, y: u64| u128::from(x) * u128::from(y);
+        let a0_2 = a[0] * 2;
+        let a1_2 = a[1] * 2;
+        let a1_38 = a[1] * 38;
+        let a2_38 = a[2] * 38;
+        let a3_38 = a[3] * 38;
+        let a3_19 = a[3] * 19;
+        let a4_19 = a[4] * 19;
+        let r0 = m(a[0], a[0]) + m(a1_38, a[4]) + m(a2_38, a[3]);
+        let r1 = m(a0_2, a[1]) + m(a2_38, a[4]) + m(a3_19, a[3]);
+        let r2 = m(a0_2, a[2]) + m(a[1], a[1]) + m(a3_38, a[4]);
+        let r3 = m(a0_2, a[3]) + m(a1_2, a[2]) + m(a4_19, a[4]);
+        let r4 = m(a0_2, a[4]) + m(a1_2, a[3]) + m(a[2], a[2]);
+        Fe::carry_wide([r0, r1, r2, r3, r4])
+    }
+
+    /// `self^(2^n)`: `n` successive squarings.
+    fn square_n(&self, n: u32) -> Fe {
+        let mut r = *self;
+        for _ in 0..n {
+            r = r.square();
+        }
+        r
     }
 
     /// Multiplies by a small scalar constant.
@@ -147,22 +171,35 @@ impl Fe {
         }
     }
 
+    /// The shared head of the two fixed-exponent addition chains:
+    /// `(self^(2^250 − 1), self^11)` in 249 squarings and 10 multiplies.
+    fn pow_2_250_1(&self) -> (Fe, Fe) {
+        let z2 = self.square();
+        let z9 = z2.square_n(2).mul(self);
+        let z11 = z9.mul(&z2);
+        let z_5_0 = z11.square().mul(&z9); // 2^5 − 1
+        let z_10_0 = z_5_0.square_n(5).mul(&z_5_0);
+        let z_20_0 = z_10_0.square_n(10).mul(&z_10_0);
+        let z_40_0 = z_20_0.square_n(20).mul(&z_20_0);
+        let z_50_0 = z_40_0.square_n(10).mul(&z_10_0);
+        let z_100_0 = z_50_0.square_n(50).mul(&z_50_0);
+        let z_200_0 = z_100_0.square_n(100).mul(&z_100_0);
+        (z_200_0.square_n(50).mul(&z_50_0), z11)
+    }
+
     /// Multiplicative inverse (x^(p−2)); returns zero for zero.
     pub fn invert(&self) -> Fe {
-        // p − 2 = 2^255 − 21.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xeb;
-        exp[31] = 0x7f;
-        self.pow(&exp)
+        // p − 2 = 2^255 − 21 = (2^250 − 1)·2^5 + 11.
+        let (z_250_0, z11) = self.pow_2_250_1();
+        z_250_0.square_n(5).mul(&z11)
     }
 
     /// Raises to (p − 5)/8 = 2^252 − 3, the exponent used by square-root
     /// extraction during point decompression.
     pub fn pow_p58(&self) -> Fe {
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfd;
-        exp[31] = 0x0f;
-        self.pow(&exp)
+        // 2^252 − 3 = (2^250 − 1)·2^2 + 1.
+        let (z_250_0, _) = self.pow_2_250_1();
+        z_250_0.square_n(2).mul(self)
     }
 
     /// Whether the canonical encoding is odd (the "sign" bit of x).
@@ -175,46 +212,40 @@ impl Fe {
         self.to_bytes() == [0u8; 32]
     }
 
-    /// Constant √−1 in the field, needed during decompression.
+    /// Constant √−1 = 2^((p−1)/4) in the field, needed during decompression.
     pub fn sqrt_m1() -> Fe {
-        // 2^((p−1)/4): canonical bytes from the Ed25519 reference.
-        const BYTES: [u8; 32] = [
-            0xb0, 0xa0, 0x0e, 0x4a, 0x27, 0x1b, 0xee, 0xc4, 0x78, 0xe4, 0x2f, 0xad, 0x06, 0x18,
-            0x43, 0x2f, 0xa7, 0xd7, 0xfb, 0x3d, 0x99, 0x00, 0x4d, 0x2b, 0x0b, 0xdf, 0xc1, 0x4f,
-            0x80, 0x24, 0x83, 0x2b,
-        ];
-        Fe::from_bytes(&BYTES)
+        Fe([1718705420411056, 234908883556509, 2233514472574048, 2117202627021982, 765476049583133])
     }
 
+    /// Carries five wide product columns down to limbs below 2^51 + 2^10.
+    /// Callers pass sums of at most five products of limbs below 2^52 (one
+    /// factor possibly ×19 or ×38), so the carry out of the top column is
+    /// below 2^54 and its fold-back ×19 fits a `u64`.
     fn carry_wide(mut r: [u128; 5]) -> Fe {
-        // Two rounds of carry propagation bring every limb below 2^52.
-        for _ in 0..2 {
-            for i in 0..4 {
-                let c = r[i] >> 51;
-                r[i] &= u128::from(MASK);
-                r[i + 1] += c;
-            }
-            let c = r[4] >> 51;
-            r[4] &= u128::from(MASK);
-            r[0] += c * 19;
+        let mut out = [0u64; 5];
+        for i in 0..4 {
+            r[i + 1] += r[i] >> 51;
+            out[i] = r[i] as u64 & MASK;
         }
-        Fe([r[0] as u64, r[1] as u64, r[2] as u64, r[3] as u64, r[4] as u64])
+        out[4] = r[4] as u64 & MASK;
+        out[0] += (r[4] >> 51) as u64 * 19;
+        out[1] += out[0] >> 51;
+        out[0] &= MASK;
+        Fe(out)
     }
 
+    /// Weak reduction: every limb sheds its carry to the next at once, the
+    /// top one folding back ×19. Limbs come out below 2^51 + 2^13, which
+    /// every operation accepts and `to_bytes` freezes.
     fn reduce_limbs(self) -> Fe {
-        let mut r = self.0;
-        let c = r[4] >> 51;
-        r[4] &= MASK;
-        r[0] += c * 19;
-        for i in 0..4 {
-            let c = r[i] >> 51;
-            r[i] &= MASK;
-            r[i + 1] += c;
-        }
-        let c = r[4] >> 51;
-        r[4] &= MASK;
-        r[0] += c * 19;
-        Fe(r)
+        let r = self.0;
+        Fe([
+            (r[0] & MASK) + (r[4] >> 51) * 19,
+            (r[1] & MASK) + (r[0] >> 51),
+            (r[2] & MASK) + (r[1] >> 51),
+            (r[3] & MASK) + (r[2] >> 51),
+            (r[4] & MASK) + (r[3] >> 51),
+        ])
     }
 }
 
@@ -259,6 +290,13 @@ mod tests {
     fn sqrt_m1_squares_to_minus_one() {
         let i = Fe::sqrt_m1();
         assert_eq!(i.square(), Fe::ONE.neg());
+        // The limbs are the canonical bytes from the Ed25519 reference.
+        const BYTES: [u8; 32] = [
+            0xb0, 0xa0, 0x0e, 0x4a, 0x27, 0x1b, 0xee, 0xc4, 0x78, 0xe4, 0x2f, 0xad, 0x06, 0x18,
+            0x43, 0x2f, 0xa7, 0xd7, 0xfb, 0x3d, 0x99, 0x00, 0x4d, 0x2b, 0x0b, 0xdf, 0xc1, 0x4f,
+            0x80, 0x24, 0x83, 0x2b,
+        ];
+        assert_eq!(i.0, Fe::from_bytes(&BYTES).0);
     }
 
     #[test]

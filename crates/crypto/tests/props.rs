@@ -1,8 +1,9 @@
 //! Property tests over the cryptographic substrate's algebra.
 
 use pol_crypto::bigint::{self, U256};
-use pol_crypto::ed25519::{Keypair, Point};
+use pol_crypto::ed25519::{Keypair, Point, PublicKey, Signature};
 use pol_crypto::field25519::Fe;
+use pol_crypto::sha512::Sha512;
 use pol_crypto::x25519::XKeypair;
 use pol_crypto::{base32, hex, scalar, sealed};
 use proptest::prelude::*;
@@ -11,6 +12,40 @@ use rand::SeedableRng;
 
 fn fe_from(seed: [u8; 32]) -> Fe {
     Fe::from_bytes(&seed)
+}
+
+/// The reference the wNAF code is pinned to: the MSB-first double-and-add
+/// ladder `Point::scalar_mul` was before the rewrite, over the public
+/// group law.
+fn scalar_mul_reference(p: &Point, k: &[u8; 32]) -> Point {
+    let mut result = Point::identity();
+    for byte_idx in (0..32).rev() {
+        for bit in (0..8).rev() {
+            result = result.double();
+            if (k[byte_idx] >> bit) & 1 == 1 {
+                result = result.add(p);
+            }
+        }
+    }
+    result
+}
+
+/// The verifier `PublicKey::verify` was before the rewrite: the same
+/// checks in the same order, [s]B and R + [k]A by two separate ladders.
+fn verify_reference(key: &PublicKey, message: &[u8], signature: &Signature) -> bool {
+    if !scalar::is_canonical(&signature.s) {
+        return false;
+    }
+    let (Ok(a), Ok(r)) = (Point::decompress(&key.0), Point::decompress(&signature.r)) else {
+        return false;
+    };
+    let mut h = Sha512::new();
+    h.update(&signature.r);
+    h.update(&key.0);
+    h.update(message);
+    let k = scalar::reduce64(&h.finalize());
+    let lhs = scalar_mul_reference(&Point::base(), &signature.s);
+    lhs.ct_eq(&r.add(&scalar_mul_reference(&a, &k)))
 }
 
 proptest! {
@@ -29,6 +64,22 @@ proptest! {
         if !a.is_zero() {
             prop_assert_eq!(a.mul(&a.invert()), Fe::ONE);
         }
+    }
+
+    /// The dedicated squaring and the two addition-chain exponentiations
+    /// agree with multiplication and generic square-and-multiply.
+    #[test]
+    fn field_square_and_fixed_exponents(a in any::<[u8; 32]>()) {
+        let a = fe_from(a);
+        prop_assert_eq!(a.square(), a.mul(&a));
+        let mut p_minus_2 = [0xffu8; 32];
+        p_minus_2[0] = 0xeb;
+        p_minus_2[31] = 0x7f;
+        prop_assert_eq!(a.invert(), a.pow(&p_minus_2));
+        let mut p58 = [0xffu8; 32];
+        p58[0] = 0xfd;
+        p58[31] = 0x0f;
+        prop_assert_eq!(a.pow_p58(), a.pow(&p58));
     }
 
     /// Field serialization is canonical: to_bytes ∘ from_bytes ∘ to_bytes
@@ -118,6 +169,76 @@ proptest! {
         prop_assert!(sum.ct_eq(&parts));
     }
 
+    /// wNAF scalar multiplication, the base-table path and the interleaved
+    /// double-scalar path agree with double-and-add for every 256-bit
+    /// scalar, reduced or not (k ≥ 2^255 carries into digit 256).
+    #[test]
+    fn scalar_mul_matches_double_and_add(
+        k in any::<[u8; 32]>(),
+        j in any::<[u8; 32]>(),
+        seed in any::<[u8; 32]>(),
+        top in 0u8..4,
+    ) {
+        let mut k = k;
+        // Bias a share of the cases to the top of the range.
+        if top == 0 {
+            k[24..].fill(0xff);
+        }
+        let p = Keypair::from_seed(&seed).public;
+        let p = Point::decompress(&p.0).unwrap();
+        let k_p = scalar_mul_reference(&p, &k);
+        let j_b = scalar_mul_reference(&Point::base(), &j);
+        prop_assert!(p.scalar_mul(&k).ct_eq(&k_p));
+        prop_assert!(Point::mul_base(&j).ct_eq(&j_b));
+        prop_assert!(Point::double_scalar_mul_base(&k, &p, &j).ct_eq(&k_p.add(&j_b)));
+    }
+
+    /// The verifier decides exactly as the one it replaced: on honest
+    /// triples and on every single-bit mutation of R, s, key or message.
+    #[test]
+    fn verify_matches_reference_under_bit_flips(
+        seed in any::<[u8; 32]>(),
+        msg in proptest::collection::vec(any::<u8>(), 1..64),
+        field in 0usize..4,
+        bit in any::<usize>(),
+    ) {
+        let kp = Keypair::from_seed(&seed);
+        let sig = kp.sign(&msg);
+        prop_assert!(kp.public.verify(&msg, &sig));
+        prop_assert!(verify_reference(&kp.public, &msg, &sig));
+
+        let (mut key, mut sig, mut msg) = (kp.public, sig, msg);
+        let target: &mut [u8] = match field {
+            0 => &mut sig.r,
+            1 => &mut sig.s,
+            2 => &mut key.0,
+            _ => &mut msg,
+        };
+        let bit = bit % (target.len() * 8);
+        target[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_eq!(key.verify(&msg, &sig), verify_reference(&key, &msg, &sig));
+    }
+
+    /// Arbitrary bytes as key, R and s never panic and never split the two
+    /// verifiers.
+    #[test]
+    fn verify_matches_reference_on_arbitrary_bytes(
+        key in any::<[u8; 32]>(),
+        r in any::<[u8; 32]>(),
+        s in any::<[u8; 32]>(),
+        clear_top in any::<bool>(),
+        msg in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut s = s;
+        // Half the cases get an s below 2^252 so the canonical-s check passes
+        // and the points are reached.
+        if clear_top {
+            s[31] &= 0x0f;
+        }
+        let (key, sig) = (PublicKey(key), Signature { r, s });
+        prop_assert_eq!(key.verify(&msg, &sig), verify_reference(&key, &msg, &sig));
+    }
+
     /// X25519 key agreement is symmetric for arbitrary seeds.
     #[test]
     fn x25519_symmetry(sa in any::<[u8; 32]>(), sb in any::<[u8; 32]>()) {
@@ -155,6 +276,24 @@ proptest! {
         let s2 = kp.sign(&msg);
         prop_assert_eq!(s1.to_bytes().to_vec(), s2.to_bytes().to_vec());
         prop_assert!(kp.public.verify(&msg, &s1));
+    }
+}
+
+/// Scalars at the edges of the 256-bit range, where the recoding's last
+/// carry lands on digit 256 (or nothing is set at all).
+#[test]
+fn scalar_mul_edges_match_double_and_add() {
+    let mut top_bit = [0u8; 32];
+    top_bit[31] = 0x80;
+    let mut one = [0u8; 32];
+    one[0] = 1;
+    let p = Point::base().double().add(&Point::base());
+    for k in [[0u8; 32], one, top_bit, [0xff; 32]] {
+        let hex_k = hex::encode(&k);
+        assert!(p.scalar_mul(&k).ct_eq(&scalar_mul_reference(&p, &k)), "{hex_k}");
+        assert!(Point::mul_base(&k).ct_eq(&scalar_mul_reference(&Point::base(), &k)), "{hex_k}");
+        let both = scalar_mul_reference(&p, &k).add(&scalar_mul_reference(&Point::base(), &k));
+        assert!(Point::double_scalar_mul_base(&k, &p, &k).ct_eq(&both), "{hex_k}");
     }
 }
 

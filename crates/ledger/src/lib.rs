@@ -29,7 +29,7 @@ pub use state::{
     apply_split, sets_intersect, BalancePatchBase, Checkpoint, Overlay, ReadSet, StateBase,
     StateBlob, StateKey, StateValue, StateView, WorldState, WriteSet,
 };
-pub use tx::{Transaction, TxId, TxKind};
+pub use tx::{Transaction, TxId, TxKind, VerifiedTx};
 pub use units::{Amount, Currency};
 
 /// Errors surfaced by ledger-level operations.

@@ -1,6 +1,7 @@
 //! Transactions: the unit of interaction with every simulated chain.
 
 use crate::address::{Address, ContractId};
+use crate::LedgerError;
 use pol_crypto::ed25519::{Keypair, PublicKey, Signature};
 use pol_crypto::{hex, sha256};
 
@@ -190,12 +191,99 @@ impl Transaction {
 
     /// Verifies the signature and that the signer controls `from`.
     pub fn verify_signature(&self) -> bool {
+        self.authorized_over(&self.signing_bytes())
+    }
+
+    /// The check itself, over signing bytes the caller already encoded.
+    fn authorized_over(&self, signing_bytes: &[u8]) -> bool {
         match &self.authorization {
             Some((pk, sig)) => {
-                Address::from_public_key(pk) == self.from && pk.verify(&self.signing_bytes(), sig)
+                Address::from_public_key(pk) == self.from && pk.verify(signing_bytes, sig)
             }
             None => false,
         }
+    }
+}
+
+/// A [`Transaction`] whose signature and sender have been checked, with
+/// its [`TxId`] — proof, carried in the type, that the check ran.
+///
+/// The only way to obtain one is [`VerifiedTx::new`], which runs the same
+/// check as [`Transaction::verify_signature`]; the transaction inside can
+/// be read but never changed, so the proof cannot go stale. Admission
+/// verifies once and hands this on, through parking, to the chain, which
+/// accepts it without checking again. The signing bytes are encoded once,
+/// for the signature check and the id both.
+///
+/// ```
+/// use pol_crypto::ed25519::Keypair;
+/// use pol_ledger::{Address, LedgerError, Transaction, VerifiedTx};
+///
+/// let kp = Keypair::from_seed(&[7u8; 32]);
+/// let from = Address::from_public_key(&kp.public);
+/// let tx = Transaction::transfer(from, Address::ZERO, 1, 0);
+/// assert_eq!(VerifiedTx::new(tx.clone()).unwrap_err(), LedgerError::BadSignature);
+/// let verified = VerifiedTx::new(tx.signed(&kp)).unwrap();
+/// assert_eq!(verified.id(), verified.tx().id());
+/// ```
+///
+/// No other construction and no mutation compiles:
+///
+/// ```compile_fail
+/// # use pol_ledger::{Address, Transaction, VerifiedTx};
+/// let tx = Transaction::transfer(Address::ZERO, Address::ZERO, 1, 0);
+/// let id = tx.id();
+/// let forged = VerifiedTx { tx, id }; // private fields
+/// ```
+///
+/// ```compile_fail
+/// # use pol_ledger::VerifiedTx;
+/// let forged = VerifiedTx::default(); // no Default
+/// ```
+///
+/// ```compile_fail
+/// # use pol_crypto::ed25519::Keypair;
+/// # use pol_ledger::{Address, Transaction, VerifiedTx};
+/// # let kp = Keypair::from_seed(&[7u8; 32]);
+/// # let from = Address::from_public_key(&kp.public);
+/// let mut verified =
+///     VerifiedTx::new(Transaction::transfer(from, Address::ZERO, 1, 0).signed(&kp)).unwrap();
+/// verified.tx().value = 1_000_000; // shared access only
+/// ```
+#[derive(Debug, Clone)]
+pub struct VerifiedTx {
+    tx: Transaction,
+    id: TxId,
+}
+
+impl VerifiedTx {
+    /// Checks `tx`'s signature and that the signer controls `from`.
+    ///
+    /// # Errors
+    ///
+    /// [`LedgerError::BadSignature`] when the authorization is missing,
+    /// signed by another account's key, or does not verify.
+    pub fn new(tx: Transaction) -> Result<VerifiedTx, LedgerError> {
+        let signing_bytes = tx.signing_bytes();
+        if !tx.authorized_over(&signing_bytes) {
+            return Err(LedgerError::BadSignature);
+        }
+        Ok(VerifiedTx { id: TxId(sha256(&signing_bytes)), tx })
+    }
+
+    /// The transaction id, hashed once at construction.
+    pub fn id(&self) -> TxId {
+        self.id
+    }
+
+    /// The checked transaction.
+    pub fn tx(&self) -> &Transaction {
+        &self.tx
+    }
+
+    /// Gives up the proof and returns the transaction.
+    pub fn into_tx(self) -> Transaction {
+        self.tx
     }
 }
 
@@ -225,6 +313,25 @@ mod tests {
         let kp = keypair();
         let tx = Transaction::transfer(addr(&kp), Address::ZERO, 5, 0).signed(&kp);
         assert!(tx.verify_signature());
+    }
+
+    #[test]
+    fn verified_tx_is_built_only_by_a_passing_check() {
+        let kp = keypair();
+        let tx = Transaction::transfer(addr(&kp), Address::ZERO, 5, 0).signed(&kp);
+        let verified = VerifiedTx::new(tx.clone()).unwrap();
+        assert_eq!(verified.id(), tx.id());
+        assert_eq!(verified.tx().signing_bytes(), tx.signing_bytes());
+
+        let mut tampered = tx.clone();
+        tampered.value = 6;
+        assert_eq!(VerifiedTx::new(tampered).unwrap_err(), LedgerError::BadSignature);
+        let unsigned = Transaction::transfer(addr(&kp), Address::ZERO, 5, 0);
+        assert_eq!(VerifiedTx::new(unsigned).unwrap_err(), LedgerError::BadSignature);
+        let other = Keypair::from_seed(&[43u8; 32]);
+        let mut foreign = tx;
+        foreign.authorization = Some((other.public, other.sign(&foreign.signing_bytes())));
+        assert_eq!(VerifiedTx::new(foreign).unwrap_err(), LedgerError::BadSignature);
     }
 
     #[test]

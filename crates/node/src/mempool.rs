@@ -8,7 +8,7 @@
 //! and a typed error for every refusal so clients can distinguish
 //! back-pressure from permanent rejection.
 
-use pol_ledger::{Address, LedgerError, Transaction, TxId};
+use pol_ledger::{Address, LedgerError, TxId, VerifiedTx};
 use std::collections::BTreeMap;
 
 /// A successful admission outcome.
@@ -155,10 +155,11 @@ impl RejectionCounts {
 
 /// Nonce-gap parking: transactions that arrived ahead of their sender's
 /// next nonce, keyed `(sender, nonce)` and released in nonce order as
-/// gaps fill.
+/// gaps fill. Only signature-checked transactions park — garbage cannot
+/// occupy a slot, and a released transaction is not checked again.
 #[derive(Debug, Default)]
 pub struct ParkingLot {
-    by_sender: BTreeMap<Address, BTreeMap<u64, (Transaction, u64)>>,
+    by_sender: BTreeMap<Address, BTreeMap<u64, (VerifiedTx, u64)>>,
     count: usize,
 }
 
@@ -188,25 +189,26 @@ impl ParkingLot {
     /// `(sender, nonce)`.
     pub fn park(
         &mut self,
-        tx: Transaction,
+        tx: VerifiedTx,
         admit_ms: u64,
         per_sender: usize,
     ) -> Result<(), AdmissionError> {
-        let slot = self.by_sender.entry(tx.from).or_default();
-        if slot.contains_key(&tx.nonce) {
-            return Err(AdmissionError::AlreadyParked { sender: tx.from, nonce: tx.nonce });
+        let (sender, nonce) = (tx.tx().from, tx.tx().nonce);
+        let slot = self.by_sender.entry(sender).or_default();
+        if slot.contains_key(&nonce) {
+            return Err(AdmissionError::AlreadyParked { sender, nonce });
         }
         if slot.len() >= per_sender {
-            return Err(AdmissionError::ParkingFull { sender: tx.from, capacity: per_sender });
+            return Err(AdmissionError::ParkingFull { sender, capacity: per_sender });
         }
-        slot.insert(tx.nonce, (tx, admit_ms));
+        slot.insert(nonce, (tx, admit_ms));
         self.count += 1;
         Ok(())
     }
 
     /// Removes and returns the parked transaction of `sender` with
     /// exactly nonce `next`, if present — the gap just filled.
-    pub fn take_ready(&mut self, sender: Address, next: u64) -> Option<(Transaction, u64)> {
+    pub fn take_ready(&mut self, sender: Address, next: u64) -> Option<(VerifiedTx, u64)> {
         let slot = self.by_sender.get_mut(&sender)?;
         let entry = slot.remove(&next)?;
         if slot.is_empty() {
@@ -218,7 +220,7 @@ impl ParkingLot {
 
     /// Empties the lot, returning everything still parked (shutdown path:
     /// gaps that never filled).
-    pub fn drain_all(&mut self) -> Vec<(Transaction, u64)> {
+    pub fn drain_all(&mut self) -> Vec<(VerifiedTx, u64)> {
         let mut out = Vec::with_capacity(self.count);
         for (_, slot) in std::mem::take(&mut self.by_sender) {
             out.extend(slot.into_values());
@@ -232,26 +234,27 @@ impl ParkingLot {
 mod tests {
     use super::*;
     use pol_crypto::ed25519::Keypair;
+    use pol_ledger::Transaction;
 
-    fn tx(seed: u8, nonce: u64) -> Transaction {
+    fn tx(seed: u8, nonce: u64) -> VerifiedTx {
         let kp = Keypair::from_seed(&[seed; 32]);
         let from = Address::from_public_key(&kp.public);
-        Transaction::transfer(from, Address::ZERO, 1, nonce).signed(&kp)
+        VerifiedTx::new(Transaction::transfer(from, Address::ZERO, 1, nonce).signed(&kp)).unwrap()
     }
 
     #[test]
     fn parks_and_releases_in_nonce_order() {
         let mut lot = ParkingLot::new();
         let (a2, a1) = (tx(1, 2), tx(1, 1));
-        let sender = a1.from;
+        let sender = a1.tx().from;
         lot.park(a2, 10, 4).unwrap();
         lot.park(a1, 20, 4).unwrap();
         assert_eq!(lot.len(), 2);
         assert!(lot.take_ready(sender, 0).is_none(), "no nonce-0 parked");
         let (ready, admit) = lot.take_ready(sender, 1).unwrap();
-        assert_eq!((ready.nonce, admit), (1, 20));
+        assert_eq!((ready.tx().nonce, admit), (1, 20));
         let (ready, _) = lot.take_ready(sender, 2).unwrap();
-        assert_eq!(ready.nonce, 2);
+        assert_eq!(ready.tx().nonce, 2);
         assert!(lot.is_empty());
     }
 

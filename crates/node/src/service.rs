@@ -16,7 +16,7 @@ use crate::config::{ConfigError, NodeConfig};
 use crate::mempool::{Admission, AdmissionError, ParkingLot, RejectionCounts};
 use crate::metrics::{LatencySummary, MetricsSnapshot};
 use pol_chainsim::Chain;
-use pol_ledger::{LedgerError, Receipt, Transaction, TxId};
+use pol_ledger::{LedgerError, Receipt, Transaction, TxId, VerifiedTx};
 use std::collections::HashMap;
 
 /// Why an admitted transaction was dropped instead of confirmed.
@@ -141,24 +141,23 @@ impl NodeService {
         if self.chain.mempool_depth() + self.parking.len() >= self.capacity {
             return Err(AdmissionError::QueueFull { capacity: self.capacity });
         }
-        // Verify before parking: garbage must not occupy parking slots
-        // waiting for a gap to fill.
-        if !tx.verify_signature() {
-            return Err(AdmissionError::Rejected(LedgerError::BadSignature));
-        }
+        // The one signature check of the admission path, before parking:
+        // garbage must not occupy parking slots waiting for a gap to fill,
+        // and what parks or queues from here on carries the proof.
+        let verified = VerifiedTx::new(tx)?;
         let now = self.chain.now_ms();
-        let sender = tx.from;
-        let id = tx.id();
-        if tx.nonce > self.chain.next_nonce(sender) {
-            self.parking.park(tx, now, self.max_parked_per_sender)?;
+        let sender = verified.tx().from;
+        let id = verified.id();
+        if verified.tx().nonce > self.chain.next_nonce(sender) {
+            self.parking.park(verified, now, self.max_parked_per_sender)?;
             self.pending.insert(id, now);
             self.admitted += 1;
             return Ok(Admission::Parked(id));
         }
-        self.chain.submit(tx.clone())?;
+        self.chain.submit_verified(verified.clone())?;
         self.pending.insert(id, now);
         self.admitted += 1;
-        self.admitted_log.push((now, tx));
+        self.admitted_log.push((now, verified.into_tx()));
         self.unpark_ready(sender);
         Ok(Admission::Queued(id))
     }
@@ -173,12 +172,12 @@ impl NodeService {
                 break;
             };
             let id = parked.id();
-            match self.chain.submit(parked.clone()) {
+            match self.chain.submit_verified(parked.clone()) {
                 Ok(_) => {
                     // Keeps its original admission time: queue wait in
                     // parking counts toward confirmation latency.
                     self.pending.insert(id, parked_admit_ms);
-                    self.admitted_log.push((self.chain.now_ms(), parked));
+                    self.admitted_log.push((self.chain.now_ms(), parked.into_tx()));
                 }
                 Err(e) => {
                     self.pending.remove(&id);
@@ -216,14 +215,12 @@ impl NodeService {
         if self.pending.is_empty() {
             return;
         }
-        let ready: Vec<(TxId, u64)> = self
+        let ready: Vec<(TxId, u64, Receipt)> = self
             .pending
             .iter()
-            .filter(|(id, _)| self.chain.poll_receipt(**id).is_some())
-            .map(|(id, admit)| (*id, *admit))
+            .filter_map(|(id, admit)| Some((*id, *admit, self.chain.poll_receipt(*id)?)))
             .collect();
-        for (id, admit_ms) in ready {
-            let receipt = self.chain.poll_receipt(id).expect("filtered on Some");
+        for (id, admit_ms, receipt) in ready {
             self.pending.remove(&id);
             self.latencies_ms.push(receipt.confirmed_ms.saturating_sub(admit_ms));
             self.terminals.insert(id, TxTerminal::Confirmed(receipt));
@@ -241,9 +238,9 @@ impl NodeService {
         // drop the stragglers now rather than spin the drain loop.
         let stranded = self.parking.drain_all();
         let dropped_parked = stranded.len();
-        for (tx, _) in stranded {
-            self.pending.remove(&tx.id());
-            self.terminals.insert(tx.id(), TxTerminal::Dropped(DropReason::UnfilledNonceGap));
+        for (parked, _) in stranded {
+            self.pending.remove(&parked.id());
+            self.terminals.insert(parked.id(), TxTerminal::Dropped(DropReason::UnfilledNonceGap));
             self.dropped += 1;
         }
         let mut drained_blocks = 0u64;
@@ -439,6 +436,59 @@ mod tests {
         let counts = service.rejections();
         assert_eq!((counts.bad_signature, counts.fee_overflow, counts.total()), (1, 1, 2));
         assert_eq!(service.admitted(), 0, "rejections are not admissions");
+    }
+
+    #[test]
+    fn bad_signature_ahead_of_its_nonce_never_parks() {
+        let (mut service, accounts) = service_with_accounts(1);
+        let (kp, addr) = &accounts[0];
+        // Nonce 3 would park if it were genuine; the signature covers value 1.
+        let mut forged = transfer(&service, kp, *addr, 3);
+        forged.value = 2;
+        assert!(matches!(
+            service.submit_at(0, forged),
+            Err(AdmissionError::Rejected(LedgerError::BadSignature))
+        ));
+        let counts = service.rejections();
+        assert_eq!((counts.bad_signature, counts.total()), (1, 1));
+        assert_eq!(service.snapshot_now().parked, 0, "garbage occupies no parking slot");
+        assert_eq!((service.admitted(), service.in_flight()), (0, 0));
+    }
+
+    #[test]
+    fn parked_transaction_of_a_drained_sender_drops_at_release() {
+        let (mut service, accounts) = service_with_accounts(1);
+        let (kp, addr) = &accounts[0];
+        let (max_fee, prio) = service.chain().suggested_fees();
+        let worst_fee = 21_000 * max_fee;
+        let send = |value: u128, nonce: u64| {
+            Transaction::transfer(*addr, Address::ZERO, value, nonce)
+                .with_fees(max_fee, prio)
+                .signed(kp)
+        };
+        // Nonce 2 parks while the sender can still afford it.
+        let parked = send(10u128.pow(20), 2);
+        let parked_id = parked.id();
+        assert!(matches!(service.submit_at(0, parked), Ok(Admission::Parked(_))));
+        // Nonce 0 spends all but three worst-case fees, and executes.
+        let drain = send(service.chain().balance(*addr) - 3 * worst_fee, 0);
+        assert!(matches!(service.submit_at(0, drain), Ok(Admission::Queued(_))));
+        service.run_until(1_000);
+        assert!(service.chain().balance(*addr) < 10u128.pow(20));
+        // Nonce 1 is still affordable and fills the gap; the release of
+        // nonce 2 is refused by the chain's balance check, not re-verified
+        // and not lost.
+        assert!(matches!(service.submit_at(1_000, send(1, 1)), Ok(Admission::Queued(_))));
+        assert!(matches!(
+            service.terminal(parked_id),
+            Some(TxTerminal::Dropped(DropReason::UnparkRejected(
+                LedgerError::InsufficientBalance { .. }
+            )))
+        ));
+        assert_eq!(service.snapshot_now().parked, 0);
+        assert_eq!(service.shutdown().lost, 0);
+        assert_eq!((service.admitted(), service.confirmed(), service.dropped()), (3, 2, 1));
+        assert_eq!(service.rejections().total(), 0, "a drop at release is not a refusal");
     }
 
     #[test]
