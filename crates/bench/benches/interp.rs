@@ -4,10 +4,6 @@
 //! ```sh
 //! cargo bench -p pol-bench --bench interp
 //! ```
-//!
-//! `POL_BENCH_SMOKE=1` caps every benchmark at a handful of iterations —
-//! the CI smoke mode that checks the benches still run, not their
-//! numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pol_avm::{call_app, create_app, AppCallParams, AvmProgram};
@@ -132,20 +128,5 @@ fn avm_benches(c: &mut Criterion) {
     });
 }
 
-fn interp(c: &mut Criterion) {
-    evm_benches(c);
-    avm_benches(c);
-}
-
-fn smoke_aware(c: &mut Criterion) {
-    // The vendored criterion has no CLI; smoke mode comes in by env var.
-    if std::env::var_os("POL_BENCH_SMOKE").is_some() {
-        let mut smoke = Criterion::default().sample_size(5);
-        interp(&mut smoke);
-    } else {
-        interp(c);
-    }
-}
-
-criterion_group!(benches, smoke_aware);
+criterion_group!(benches, evm_benches, avm_benches);
 criterion_main!(benches);

@@ -74,6 +74,8 @@ pub struct ChainConfig {
 
 pub(crate) struct PendingTx {
     pub(crate) tx: Transaction,
+    /// `tx.id()`, hashed once when the signature was checked.
+    pub(crate) id: TxId,
     pub(crate) submitted_ms: u64,
     pub(crate) arrival_ms: u64,
 }
@@ -213,9 +215,10 @@ impl Chain {
 
     /// Enables or disables the shared pre-decoded EVM program cache
     /// (default: on; AVM chains never consult it). With it off every
-    /// execution re-decodes its program from scratch — the baseline
-    /// `exec_bench` measures the cache against. Toggling replaces the
-    /// cache, so previously memoized programs are dropped either way.
+    /// execution re-decodes its program from scratch — the baseline the
+    /// benchmark measures the cache against
+    /// (`chainsim.block_us_per_tx_nocache`). Toggling replaces the cache,
+    /// so previously memoized programs are dropped either way.
     pub fn set_code_cache_enabled(&mut self, enabled: bool) {
         self.code_cache = if enabled { CodeCache::new() } else { CodeCache::disabled() };
     }
@@ -383,7 +386,8 @@ impl Chain {
         // priced from the certificate instead of the full `gas_limit`.
         // AVM payloads are looked up by transaction id, so callers
         // stash them before submitting.
-        let bound = self.facts.tx_gas_bound(self.config.vm, &self.avm_payloads, tx);
+        let id = verified.id();
+        let bound = self.facts.tx_gas_bound(self.config.vm, &self.avm_payloads, tx, id);
         let mut clamped = false;
         let worst_fee = match self.config.vm {
             VmKind::Evm => {
@@ -412,12 +416,12 @@ impl Chain {
         if clamped {
             self.gas_precheck_clamps += 1;
         }
-        let id = verified.id();
         let (lo, hi) = self.config.propagation_ms;
         let delay = if hi > lo { self.rng.gen_range(lo..=hi) } else { lo };
         self.world.set_nonce(tx.from, expected + 1);
         self.mempool.push(PendingTx {
             tx: verified.into_tx(),
+            id,
             submitted_ms: self.now_ms,
             arrival_ms: self.now_ms + delay,
         });
@@ -445,7 +449,7 @@ impl Chain {
     /// Whether `id` is known to the chain: waiting in the mempool, or
     /// already included (confirmed or not).
     pub fn knows_tx(&self, id: TxId) -> bool {
-        self.receipts.contains_key(&id) || self.mempool.iter().any(|p| p.tx.id() == id)
+        self.receipts.contains_key(&id) || self.mempool.iter().any(|p| p.id == id)
     }
 
     /// Transactions currently waiting in the chain's mempool.
@@ -770,9 +774,8 @@ impl Chain {
         self.total_burned += outcome.burned;
         let mut included = Vec::new();
         for (pending, receipt) in outcome.committed {
-            let id = pending.tx.id();
-            self.avm_payloads.remove(&id);
-            self.receipts.insert(id, PendingReceipt { receipt, included_height: height });
+            self.avm_payloads.remove(&pending.id);
+            self.receipts.insert(pending.id, PendingReceipt { receipt, included_height: height });
             included.push(pending.tx);
         }
         self.mempool = outcome.leftover;
@@ -934,6 +937,43 @@ mod tests {
         let (alice, alice_addr) = chain.create_funded_account(10_000_000);
         let tx = Transaction::transfer(alice_addr, Address::ZERO, u128::MAX, 0).signed(&alice);
         assert!(matches!(chain.submit(tx), Err(LedgerError::FeeOverflow { .. })));
+    }
+
+    /// Admission against a static gas certificate: a limit below the
+    /// proven need is refused before it can burn a fee, a limit above it
+    /// freezes only the certificate's worst-case fee, and a call no
+    /// certificate covers is still priced from its full limit.
+    #[test]
+    fn certified_call_is_refused_below_its_certificate_and_priced_from_it_above() {
+        const CERTIFIED: u64 = 50_000;
+        let mut chain = presets::devnet_evm().build(44);
+        let certified = ContractId::Evm(Address([0xce; 20]));
+        let uncertified = ContractId::Evm(Address([0xcf; 20]));
+        chain.register_gas_resolver(certified, Box::new(|_| Some(CERTIFIED)));
+        let (max_fee, prio) = chain.suggested_fees();
+        // Funded for the certificate's worst-case fee, not ten times it.
+        let (alice, alice_addr) = chain.create_funded_account(u128::from(CERTIFIED) * max_fee);
+        let call = |to: ContractId, gas_limit: u64| {
+            Transaction::call(alice_addr, to, Vec::new(), 0, 0)
+                .with_gas_limit(gas_limit)
+                .with_fees(max_fee, prio)
+                .signed(&alice)
+        };
+
+        assert_eq!(
+            chain.submit(call(certified, CERTIFIED - 1)),
+            Err(LedgerError::GasOverBudget { certified: CERTIFIED, gas_limit: CERTIFIED - 1 })
+        );
+        assert!(matches!(
+            chain.submit(call(uncertified, 10 * CERTIFIED)),
+            Err(LedgerError::InsufficientBalance { .. })
+        ));
+        assert_eq!(chain.next_nonce(alice_addr), 0, "a refusal must not consume the nonce");
+        assert_eq!(chain.gas_precheck_clamps(), 0);
+
+        chain.submit(call(certified, 10 * CERTIFIED)).expect("priced from the certificate");
+        assert_eq!(chain.gas_precheck_clamps(), 1);
+        assert_eq!(chain.next_nonce(alice_addr), 1);
     }
 
     #[test]

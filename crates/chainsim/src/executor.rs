@@ -91,13 +91,6 @@ pub struct ExecStats {
     /// Wall-clock nanoseconds spent in executions that committed — the
     /// work a sequential executor would have done.
     pub committed_exec_ns: u128,
-    /// Modeled critical-path nanoseconds of the parallel schedule: per
-    /// block, the makespan of greedily dispatching the round's measured
-    /// execution times (in priority order) onto its worker count — see
-    /// [`modeled_round_ns`] — plus every in-place re-execution, charged
-    /// serially because the scan thread runs it. Meaningful even when
-    /// the host serialises the worker threads onto fewer cores.
-    pub modeled_parallel_ns: u128,
     /// Transactions proven pairwise-disjoint by their static access
     /// claims and placed on a validation-free lane
     /// ([`ExecutionMode::ParallelStatic`]).
@@ -111,9 +104,8 @@ pub struct ExecStats {
     /// formation for that block and fall back to the optimistic path.
     pub summary_fallbacks: u64,
     /// Wall-clock nanoseconds the commit scan spent validating read
-    /// sets. This is *sequential* critical-path work — the scan runs on
-    /// one thread — so it is charged to the denominator of
-    /// [`ExecStats::modeled_speedup`]; static lanes exist to delete it.
+    /// sets. This is *sequential* work — the scan runs on one thread —
+    /// and static lanes exist to delete it.
     pub validation_ns: u128,
     /// Code-cache hits: EVM executions that reused a pre-decoded program
     /// instead of decoding it again. Snapshot of the chain's
@@ -134,20 +126,6 @@ pub struct ExecStats {
     /// Never-executed transactions that fell back to the tx-kind default
     /// estimate (no certificate registered, or the resolver declined).
     pub default_seeded: u64,
-}
-
-impl ExecStats {
-    /// The modeled speedup of the parallel schedule over sequential
-    /// execution (`committed work ÷ critical path`), or `None` before any
-    /// parallel block has run. The critical path is the modeled makespan
-    /// of each block's speculation round and in-place re-executions plus
-    /// the measured single-threaded commit-scan validation time.
-    pub fn modeled_speedup(&self) -> Option<f64> {
-        if self.modeled_parallel_ns == 0 {
-            return None;
-        }
-        Some(self.committed_exec_ns as f64 / (self.modeled_parallel_ns + self.validation_ns) as f64)
-    }
 }
 
 /// Per-block execution context shared by every transaction of the block.
@@ -255,7 +233,7 @@ fn tx_claims(ctx: &ExecCtx<'_>, pending: &PendingTx) -> Option<AccessClaims> {
         TxKind::ContractCall(cid) => {
             // A call without its payload reverts before touching the
             // app; only the fee claims remain.
-            let Some(query) = CallQuery::for_tx(ctx.vm, ctx.avm_payloads, tx) else {
+            let Some(query) = CallQuery::for_tx(ctx.vm, ctx.avm_payloads, tx, pending.id) else {
                 return Some(claims);
             };
             claims.extend(ctx.facts.claims(cid, &query)?);
@@ -274,11 +252,12 @@ fn sanitize_commit(ctx: &ExecCtx<'_>, pending: &PendingTx, out: &TxOutcome) {
         // A machine error reports `gas_used = gas_limit` (not a metered
         // spend), so the certificate says nothing about it.
         if out.gas_used < pending.tx.gas_limit {
-            if let Some(bound) = ctx.facts.tx_gas_bound(ctx.vm, ctx.avm_payloads, &pending.tx) {
+            let bound = ctx.facts.tx_gas_bound(ctx.vm, ctx.avm_payloads, &pending.tx, pending.id);
+            if let Some(bound) = bound {
                 assert!(
                     out.gas_used <= bound,
                     "gas sanitizer: tx {:?} used {} gas, exceeding its static certificate {bound}",
-                    pending.tx.id(),
+                    pending.id,
                     out.gas_used,
                 );
             }
@@ -289,16 +268,10 @@ fn sanitize_commit(ctx: &ExecCtx<'_>, pending: &PendingTx, out: &TxOutcome) {
     }
     let Some(claims) = tx_claims(ctx, pending) else { return };
     if let Some(key) = claims.first_uncovered_read(&out.reads) {
-        panic!(
-            "access sanitizer: tx {:?} read {key:?} outside its static summary",
-            pending.tx.id()
-        );
+        panic!("access sanitizer: tx {:?} read {key:?} outside its static summary", pending.id);
     }
     if let Some(key) = claims.first_uncovered_write(&out.writes) {
-        panic!(
-            "access sanitizer: tx {:?} wrote {key:?} outside its static summary",
-            pending.tx.id()
-        );
+        panic!("access sanitizer: tx {:?} wrote {key:?} outside its static summary", pending.id);
     }
 }
 
@@ -383,8 +356,9 @@ fn run_sequential(
 /// the static worst-case certificate when the chain's gas resolvers
 /// produce one (counted as `static_gas_seeded`), otherwise a tx-kind
 /// default (counted as `default_seeded`).
-fn initial_gas_estimate(ctx: &ExecCtx<'_>, tx: &Transaction, stats: &mut ExecStats) -> u64 {
-    if let Some(bound) = ctx.facts.tx_gas_bound(ctx.vm, ctx.avm_payloads, tx) {
+fn initial_gas_estimate(ctx: &ExecCtx<'_>, pending: &PendingTx, stats: &mut ExecStats) -> u64 {
+    let tx = &pending.tx;
+    if let Some(bound) = ctx.facts.tx_gas_bound(ctx.vm, ctx.avm_payloads, tx, pending.id) {
         stats.static_gas_seeded += 1;
         // A certificate larger than the provisioned gas is clamped: the
         // transaction can never spend past its limit.
@@ -409,26 +383,6 @@ fn host_parallelism() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }
 
-/// Modeled wall-clock nanoseconds of one speculation round: the makespan
-/// of greedily dispatching `durations` (in the round's priority order)
-/// onto `round_workers` identical workers, each task going to the
-/// earliest-free worker — exactly what the atomic work cursor does on
-/// real threads. The result is lower-bounded by both the longest single
-/// execution and the round's total work divided by `round_workers` — the
-/// *round's* live worker count, never the executor's configured count: a
-/// round with fewer candidates than configured workers cannot use the
-/// spare threads, and dividing by the larger number would overstate the
-/// schedule's parallelism.
-pub(crate) fn modeled_round_ns(durations: &[u128], round_workers: usize) -> u128 {
-    let lanes = round_workers.clamp(1, durations.len().max(1));
-    let mut free = vec![0u128; lanes];
-    for &d in durations {
-        let lane = (0..lanes).min_by_key(|&l| free[l]).unwrap_or(0);
-        free[lane] += d;
-    }
-    free.into_iter().max().unwrap_or(0)
-}
-
 /// The optimistic-parallel path. `lane[i]` marks transaction `i` as
 /// statically proven disjoint from every other arrived transaction (see
 /// [`compute_lanes`]); plain [`ExecutionMode::Parallel`] passes all
@@ -451,11 +405,10 @@ fn run_parallel(
         .iter()
         .enumerate()
         .filter(|(_, p)| p.arrival_ms <= ctx.block_time)
-        .map(|(i, p)| (Reverse(initial_gas_estimate(ctx, &p.tx, stats)), i))
+        .map(|(i, p)| (Reverse(initial_gas_estimate(ctx, p, stats)), i))
         .collect();
     todo.sort_unstable();
     let spec: Vec<Mutex<Option<TxOutcome>>> = pool.iter().map(|_| Mutex::new(None)).collect();
-    let round_workers = workers.min(todo.len());
     let cursor = AtomicUsize::new(0);
     let base: &WorldState = world;
     let worker = || loop {
@@ -466,9 +419,8 @@ fn run_parallel(
     };
     // Spawn at most as many real threads as the host can run: extra
     // configured workers only add scheduling overhead on an
-    // oversubscribed host. The *modeled* schedule below still uses the
-    // configured count — it describes the algorithm, not this machine.
-    match round_workers.min(host_parallelism()) {
+    // oversubscribed host.
+    match workers.min(todo.len()).min(host_parallelism()) {
         0 | 1 => worker(),
         spawn_workers => std::thread::scope(|scope| {
             for _ in 0..spawn_workers {
@@ -479,9 +431,6 @@ fn run_parallel(
     let spec: Vec<Option<TxOutcome>> =
         spec.into_iter().map(|slot| slot.into_inner().expect("worker panicked")).collect();
     stats.speculative_runs += todo.len() as u64;
-    let durations: Vec<u128> =
-        todo.iter().filter_map(|&(_, i)| spec[i].as_ref().map(|o| o.exec_ns)).collect();
-    stats.modeled_parallel_ns += modeled_round_ns(&durations, round_workers);
 
     // The commit scan, in submission order: in-order commit is what keeps
     // gas, fee and receipt accounting byte-identical to the sequential
@@ -516,7 +465,6 @@ fn run_parallel(
                 stats.conflicts += 1;
                 stats.speculative_runs += 1;
                 out = execute_tx(ctx, world, &pending);
-                stats.modeled_parallel_ns += out.exec_ns;
             }
         }
         sanitize_commit(ctx, &pending, &out);
@@ -540,7 +488,7 @@ fn execute_tx(ctx: &ExecCtx<'_>, base: &WorldState, pending: &PendingTx) -> TxOu
     let started = Instant::now();
     let mut view = Overlay::new(base);
     let tx = &pending.tx;
-    let id = tx.id();
+    let id = pending.id;
     let mut status = TxStatus::Success;
     let mut gas_used = 0u64;
     let mut created = None;
@@ -755,34 +703,12 @@ mod tests {
         }
     }
 
+    fn pending(tx: Transaction) -> PendingTx {
+        PendingTx { id: tx.id(), tx, submitted_ms: 0, arrival_ms: 0 }
+    }
+
     fn transfer(from: u8, to: u8, value: u128) -> PendingTx {
-        let tx = Transaction::transfer(addr(from), addr(to), value, 0).with_fees(2, 1);
-        PendingTx { tx, submitted_ms: 0, arrival_ms: 0 }
-    }
-
-    #[test]
-    fn modeled_round_divides_by_round_workers_not_configured_workers() {
-        // A 2-tx round on an 8-worker executor runs on 2 live workers
-        // (`workers.min(todo.len())`): the model must account for 2
-        // lanes, never the configured 8 — even passed 8, the helper
-        // clamps lanes to the round size.
-        assert_eq!(modeled_round_ns(&[700, 300], 2), 700);
-        assert_eq!(modeled_round_ns(&[700, 300], 8), 700);
-        assert_eq!(modeled_round_ns(&[400, 400], 2), 400);
-        // One worker serialises the whole round.
-        assert_eq!(modeled_round_ns(&[700, 300], 1), 1_000);
-        assert_eq!(modeled_round_ns(&[], 4), 0);
-    }
-
-    #[test]
-    fn modeled_round_reflects_dispatch_order() {
-        // Greedy dispatch models the real work cursor: a long task
-        // dispatched last stretches the schedule past the naive
-        // max(longest, work/workers) bound...
-        assert_eq!(modeled_round_ns(&[10, 10, 100], 2), 110);
-        // ...which is exactly the waste the gas-priority order removes
-        // by dispatching the longest transaction first.
-        assert_eq!(modeled_round_ns(&[100, 10, 10], 2), 100);
+        pending(Transaction::transfer(addr(from), addr(to), value, 0).with_fees(2, 1))
     }
 
     #[test]
@@ -790,10 +716,12 @@ mod tests {
         let payloads = HashMap::new();
         let ctx = ctx_evm(&payloads);
         let mut stats = ExecStats::default();
-        let t = Transaction::transfer(addr(1), addr(2), 1, 0);
+        let t = pending(Transaction::transfer(addr(1), addr(2), 1, 0));
         assert_eq!(initial_gas_estimate(&ctx, &t, &mut stats), 21_000);
-        let c = Transaction::call(addr(1), ContractId::Evm(addr(9)), vec![], 0, 0)
-            .with_gas_limit(777_000);
+        let c = pending(
+            Transaction::call(addr(1), ContractId::Evm(addr(9)), vec![], 0, 0)
+                .with_gas_limit(777_000),
+        );
         assert_eq!(initial_gas_estimate(&ctx, &c, &mut stats), 777_000);
         let avm_ctx = ExecCtx { vm: VmKind::Avm, ..ctx_evm(&payloads) };
         assert_eq!(initial_gas_estimate(&avm_ctx, &c, &mut stats), 10_000);
@@ -810,17 +738,19 @@ mod tests {
         let mut ctx = ctx_evm(&payloads);
         ctx.facts = &facts;
         let mut stats = ExecStats::default();
-        let c = Transaction::call(addr(1), target, vec![0xab; 4], 0, 0).with_gas_limit(777_000);
+        let call = |to: ContractId, data: Vec<u8>, nonce: u64, gas: u64| {
+            pending(Transaction::call(addr(1), to, data, 0, nonce).with_gas_limit(gas))
+        };
+        let c = call(target, vec![0xab; 4], 0, 777_000);
         // A certified call is seeded from its proven bound, not the
         // EVM's gas-limit default.
         assert_eq!(initial_gas_estimate(&ctx, &c, &mut stats), 130_000);
         // A certificate above the provisioned gas is clamped: the tx can
         // never spend past its limit.
-        let tight = Transaction::call(addr(1), target, vec![0xab; 4], 0, 1).with_gas_limit(100_000);
+        let tight = call(target, vec![0xab; 4], 1, 100_000);
         assert_eq!(initial_gas_estimate(&ctx, &tight, &mut stats), 100_000);
         // Uncertified contracts still fall back to the default.
-        let other = Transaction::call(addr(1), ContractId::Evm(addr(8)), vec![], 0, 0)
-            .with_gas_limit(777_000);
+        let other = call(ContractId::Evm(addr(8)), vec![], 0, 777_000);
         assert_eq!(initial_gas_estimate(&ctx, &other, &mut stats), 777_000);
         assert_eq!(stats.static_gas_seeded, 2);
         assert_eq!(stats.default_seeded, 1);
@@ -1027,7 +957,7 @@ mod tests {
         world.set_balance(addr(9), 1_000_000_000);
         let deploy =
             Transaction::create(addr(9), vec![0x00], 0).with_gas_limit(100_000).with_fees(2, 1);
-        pool.push(PendingTx { tx: deploy, submitted_ms: 0, arrival_ms: 0 });
+        pool.push(pending(deploy));
         let mut stats = ExecStats::default();
         let outcome = run_block(
             &ctx,
@@ -1049,13 +979,13 @@ mod tests {
         let ctx = ctx_evm(&payloads);
         let mut world = WorldState::new();
         world.set_balance(addr(1), 1_000_000_000);
-        let mut pending = transfer(1, 0, 5_000);
-        pending.tx.to = None;
+        let mut tx = transfer(1, 0, 5_000).tx;
+        tx.to = None;
         let mut stats = ExecStats::default();
         let outcome = run_block(
             &ctx,
             &mut world,
-            vec![pending],
+            vec![pending(tx)],
             10_000_000,
             ExecutionMode::Sequential,
             &mut stats,

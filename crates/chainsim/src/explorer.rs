@@ -67,8 +67,7 @@ fn created_matches_evm(chain: &Chain, addr: Address, _deployer: Address) -> bool
 
 /// Formats the block executor's cumulative counters — the explorer's
 /// "node diagnostics" footer. Shows how many blocks ran through the
-/// optimistic-parallel path, how much speculation it cost, and the
-/// modeled speedup of the parallel schedule over sequential execution.
+/// optimistic-parallel path and how much speculation it cost.
 pub fn execution_report(chain: &Chain) -> String {
     let s = chain.exec_stats();
     let mut report = format!(
@@ -97,9 +96,6 @@ pub fn execution_report(chain: &Chain) -> String {
             ", code cache {} hits / {} misses ({} decode ns)",
             s.code_cache_hits, s.code_cache_misses, s.decode_ns,
         ));
-    }
-    if let Some(speedup) = s.modeled_speedup() {
-        report.push_str(&format!(", modeled speedup {speedup:.2}x"));
     }
     report
 }

@@ -60,14 +60,16 @@ impl<'a> CallQuery<'a> {
     /// The query for a pending contract call: calldata on EVM chains, the
     /// stashed application args on AVM chains. `None` when an AVM call's
     /// payload is missing — such a call reverts before touching the app.
+    /// `id` is `tx.id()`, which every caller already holds.
     pub(crate) fn for_tx(
         vm: VmKind,
         avm_payloads: &'a HashMap<TxId, AvmPayload>,
         tx: &'a Transaction,
+        id: TxId,
     ) -> Option<CallQuery<'a>> {
         let (calldata, app_args): (&[u8], &[Vec<u8>]) = match vm {
             VmKind::Evm => (&tx.data, &[]),
-            VmKind::Avm => match avm_payloads.get(&tx.id()) {
+            VmKind::Avm => match avm_payloads.get(&id) {
                 Some(AvmPayload::Call { args }) => (&[], args),
                 _ => return None,
             },
@@ -123,9 +125,10 @@ impl StaticFacts {
         vm: VmKind,
         avm_payloads: &HashMap<TxId, AvmPayload>,
         tx: &Transaction,
+        id: TxId,
     ) -> Option<u64> {
         let TxKind::ContractCall(contract) = &tx.kind else { return None };
-        self.gas_bound(contract, &CallQuery::for_tx(vm, avm_payloads, tx)?)
+        self.gas_bound(contract, &CallQuery::for_tx(vm, avm_payloads, tx, id)?)
     }
 }
 

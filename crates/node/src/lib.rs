@@ -5,9 +5,9 @@
 //! continuous run loop on the block cadence, an ingestion front door
 //! with bounded admission and nonce-gap parking, layered configuration
 //! (CLI > env > file > defaults) and a periodic metrics surface. The
-//! `pol-node` binary wires these together; `pol-bench`'s `node_load`
-//! harness drives the same [`NodeService`] under an open Poisson
-//! workload.
+//! `pol-node` binary wires these together; the benchmark's
+//! `report-storm` and `area-hotspot` workloads drive the same
+//! [`NodeService`] under an open arrival schedule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,8 +12,9 @@
 //! and as `key = value` in the config file; CLI wins. `--local-users`
 //! and `--local-rate` are binary-only: they fund N accounts and replace
 //! the (absent) network with local Poisson transfer traffic so a bare
-//! `cargo run -p pol-node` demonstrates the full loop. The heavyweight
-//! open-workload harness lives in `pol-bench` as `node_load`.
+//! `cargo run -p pol-node` demonstrates the full loop. The open-workload
+//! measurements are the `report-storm` and `area-hotspot` workloads of
+//! the repository's benchmark (`BENCHMARK.json`).
 
 use pol_node::{NodeConfig, NodeService, PoissonArrivals};
 use std::path::PathBuf;
@@ -67,18 +68,17 @@ fn run(raw_args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
         service.run_until(config.duration_ms);
     } else {
         let mut arrivals = PoissonArrivals::new(config.seed ^ 0x706f_6c5f_6e6f_6465, local_rate);
-        let mut user = 0usize;
-        loop {
+        for n in 0usize.. {
             let at_ms = arrivals.next_arrival_ms();
             if at_ms >= config.duration_ms {
                 break;
             }
-            let (keypair, from) = &senders[user % senders.len()];
-            user += 1;
+            let (sender, recipient) = local_pair(n, senders.len());
+            let (keypair, from) = &senders[sender];
+            let to = senders[recipient].1;
             service.run_until(at_ms);
             let nonce = service.chain().next_nonce(*from);
             let (max_fee, priority) = service.chain().suggested_fees();
-            let to = senders[(user + 1) % senders.len()].1;
             let tx = pol_ledger::Transaction::transfer(*from, to, 1, nonce)
                 .with_fees(max_fee, priority)
                 .signed(keypair);
@@ -122,6 +122,12 @@ fn run(raw_args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// Sender and recipient of the `n`-th local transfer: the accounts take
+/// turns sending, each paying the next one round-robin.
+fn local_pair(n: usize, accounts: usize) -> (usize, usize) {
+    (n % accounts, (n + 1) % accounts)
+}
+
 fn usage() -> String {
     let defaults = NodeConfig::default();
     format!(
@@ -134,4 +140,20 @@ fn usage() -> String {
          --local-rate R       local traffic rate, tx per virtual second (default 50)",
         defaults.describe()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::local_pair;
+
+    #[test]
+    fn local_transfers_never_pay_their_own_sender() {
+        for accounts in 2..=4 {
+            for n in 0..2 * accounts {
+                let (from, to) = local_pair(n, accounts);
+                assert_ne!(from, to, "transfer {n} of {accounts} accounts pays itself");
+                assert!(from < accounts && to < accounts);
+            }
+        }
+    }
 }

@@ -439,6 +439,30 @@ mod tests {
     }
 
     #[test]
+    fn call_below_its_gas_certificate_is_bucketed_over_budget() {
+        let (mut service, accounts) = service_with_accounts(1);
+        let (kp, addr) = &accounts[0];
+        let sink = pol_ledger::ContractId::Evm(Address([0xce; 20]));
+        service.chain_mut().register_gas_resolver(sink, Box::new(|_| Some(50_000)));
+        let (max_fee, prio) = service.chain().suggested_fees();
+        let starved = Transaction::call(*addr, sink, Vec::new(), 0, 0)
+            .with_gas_limit(49_999)
+            .with_fees(max_fee, prio)
+            .signed(kp);
+        assert!(matches!(
+            service.submit_at(0, starved),
+            Err(AdmissionError::Rejected(LedgerError::GasOverBudget {
+                certified: 50_000,
+                gas_limit: 49_999
+            }))
+        ));
+        let counts = service.rejections();
+        assert_eq!((counts.over_budget, counts.total()), (1, 1));
+        assert_eq!(service.snapshot_now().parked, 0);
+        assert_eq!((service.admitted(), service.in_flight()), (0, 0));
+    }
+
+    #[test]
     fn bad_signature_ahead_of_its_nonce_never_parks() {
         let (mut service, accounts) = service_with_accounts(1);
         let (kp, addr) = &accounts[0];

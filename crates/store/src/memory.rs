@@ -9,7 +9,8 @@ use std::collections::BTreeMap;
 
 /// A volatile sorted-map backend. [`StateBackend::root`] recomputes the
 /// canonical trie commitment from scratch on every call (`O(n log n)`) —
-/// the cost `storage_bench` contrasts with the trie's incremental root.
+/// the cost the benchmark's `state-churn` workload contrasts with the
+/// trie's incremental root (`store.memory.root_ms`, `store.trie.root_ms`).
 #[derive(Debug, Default, Clone)]
 pub struct MemoryBackend {
     map: BTreeMap<Vec<u8>, Vec<u8>>,
