@@ -3,13 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pol_ledger::{Address, Overlay, StateKey, StateValue, StateView, WorldState};
+use pol_store::{MemoryBackend, StateBackend, TrieBackend};
 use std::hint::black_box;
 
 const ACCOUNTS: u64 = 256;
 const TOUCHES: u64 = 64;
 
-fn seeded_world() -> WorldState {
-    let mut world = WorldState::new();
+fn seeded_world(backend: Box<dyn StateBackend>) -> WorldState {
+    let (mut world, _) = WorldState::with_backend(backend);
     for i in 0..ACCOUNTS {
         let mut addr = [0u8; 20];
         addr[12..20].copy_from_slice(&i.to_be_bytes());
@@ -35,7 +36,7 @@ fn touch(view: &mut Overlay<'_>, round: u64) {
 }
 
 fn overlay_rounds(c: &mut Criterion) {
-    let world = seeded_world();
+    let world = seeded_world(Box::new(MemoryBackend::new()));
     let mut group = c.benchmark_group("overlay");
     group.throughput(Throughput::Elements(TOUCHES));
 
@@ -57,19 +58,27 @@ fn backend_commits(c: &mut Criterion) {
     group.throughput(Throughput::Elements(TOUCHES));
 
     // Apply a write set through WorldState so the batch takes the same
-    // mirror-and-commit path block commits do.
-    group.bench_function("apply/memory", |b| {
-        let mut world = seeded_world();
-        let mut round = 0u64;
-        b.iter(|| {
-            round += 1;
-            let mut view = Overlay::new(&world);
-            touch(&mut view, round);
-            let (_, writes) = view.into_parts();
-            world.apply(writes);
-            black_box(world.state_root())
-        })
-    });
+    // mirror-and-commit path block commits do, then close the block the
+    // way `Chain::produce_block` does: flush, then publish the root. On
+    // memory the flush is free and the root is the from-scratch build; on
+    // the trie the flush is the block's hashing and the root a memo read.
+    let mut apply = |name: &str, backend: fn() -> Box<dyn StateBackend>| {
+        group.bench_function(name, |b| {
+            let mut world = seeded_world(backend());
+            let mut round = 0u64;
+            b.iter(|| {
+                round += 1;
+                let mut view = Overlay::new(&world);
+                touch(&mut view, round);
+                let (_, writes) = view.into_parts();
+                world.apply(writes);
+                world.flush_block(round).expect("volatile backends do not fail");
+                black_box(world.state_root())
+            })
+        });
+    };
+    apply("apply/memory", || Box::new(MemoryBackend::new()));
+    apply("apply/trie", || Box::new(TrieBackend::new()));
     group.finish();
 }
 

@@ -137,7 +137,7 @@ impl Chain {
 
     /// Creates a chain whose world state commits through `backend` —
     /// e.g. a `pol_store::WalBackend` for crash-restart durability or a
-    /// `pol_store::TrieBackend` for incremental roots and Merkle proofs.
+    /// `pol_store::TrieBackend` for per-block roots and Merkle proofs.
     /// Entries already persisted in the backend are restored into the
     /// typed world (opaque blob values are dropped from the typed view;
     /// see `WorldState::with_backend`).
@@ -796,8 +796,9 @@ impl Chain {
             gas_used: block_gas_used,
             transactions: included,
         });
-        // Block boundary: durability flush / snapshot policy on the state
-        // backend (a no-op for volatile backends).
+        // Block boundary: the WAL's durability flush / snapshot policy,
+        // the trie's hashing of what the block dirtied (a no-op for the
+        // memory backend).
         self.world.flush_block(height).expect("state backend flush failed");
         self.now_ms = self.now_ms.max(block_time);
     }

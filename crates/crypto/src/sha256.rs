@@ -57,82 +57,87 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        let tail = compress_blocks(&mut self.state, data);
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Finishes the computation, returning the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.length.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        // Manually absorb the length to avoid disturbing `self.length`.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
+    pub fn finalize(self) -> [u8; 32] {
+        finish(self.state, &self.buffer[..self.buffered], self.length)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// Compresses every whole 64-byte block of `data` straight from the
+/// slice and returns the unconsumed tail (fewer than 64 bytes).
+fn compress_blocks<'a>(state: &mut [u32; 8], data: &'a [u8]) -> &'a [u8] {
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(state, block.try_into().expect("chunks_exact yields 64 bytes"));
+    }
+    blocks.remainder()
+}
+
+/// Pads `tail` (the fewer-than-64 bytes not yet compressed) with `0x80`,
+/// zeros and the big-endian bit length of the whole `length`-byte
+/// message in one step.
+fn finish(mut state: [u32; 8], tail: &[u8], length: u64) -> [u8; 32] {
+    let mut block = [0u8; 64];
+    block[..tail.len()].copy_from_slice(tail);
+    block[tail.len()] = 0x80;
+    if tail.len() >= 56 {
+        // No room left for the length: it goes in a block of its own.
+        compress(&mut state, &block);
+        block = [0u8; 64];
+    }
+    block[56..].copy_from_slice(&length.wrapping_mul(8).to_be_bytes());
+    compress(&mut state, &block);
+    digest_bytes(state)
+}
+
+fn digest_bytes(state: [u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("chunks_exact yields 4 bytes"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -146,9 +151,9 @@ impl Sha256 {
 ///     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
 /// ```
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    let mut state = H0;
+    let tail = compress_blocks(&mut state, data);
+    finish(state, tail, data.len() as u64)
 }
 
 #[cfg(test)]
@@ -181,14 +186,53 @@ mod tests {
         );
     }
 
+    /// The padding rule read straight off FIPS 180-4 §5.1.1 — message,
+    /// `0x80`, zeros to 56 mod 64, the bit length — built in a `Vec`, so
+    /// [`finish`]'s one-step padding has something independent to equal.
+    fn padded_by_the_book(data: &[u8]) -> [u8; 32] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        assert!(compress_blocks(&mut state, &padded).is_empty());
+        digest_bytes(state)
+    }
+
+    fn in_two_updates(data: &[u8], split: usize) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(&data[..split]);
+        h.update(&data[split..]);
+        h.finalize()
+    }
+
     #[test]
     fn incremental_matches_oneshot() {
+        // Every length across the one-block, length-in-its-own-block and
+        // multi-block paddings, split at every point.
         let data: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
-        for split in [0, 1, 63, 64, 65, 128, 299] {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+        for len in 0..=data.len() {
+            let message = &data[..len];
+            let digest = sha256(message);
+            assert_eq!(digest, padded_by_the_book(message), "length {len}");
+            for split in 0..=len {
+                assert_eq!(in_two_updates(message, split), digest, "length {len} split at {split}");
+            }
+        }
+        // The NIST vectors through the same two routes.
+        for (message, hex_digest) in [
+            (&b"abc"[..], "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                &b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"[..],
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ] {
+            assert_eq!(hex::encode(&padded_by_the_book(message)), hex_digest);
+            for split in 0..=message.len() {
+                assert_eq!(hex::encode(&in_two_updates(message, split)), hex_digest);
+            }
         }
     }
 }

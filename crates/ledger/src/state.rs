@@ -287,8 +287,8 @@ impl WorldState {
     }
 
     /// Marks a block boundary on the backend (durability flush and
-    /// snapshot policy for the write-ahead log; a no-op for volatile
-    /// backends).
+    /// snapshot policy for the write-ahead log, the block's node hashing
+    /// for the trie; a no-op for the memory backend).
     ///
     /// # Errors
     ///

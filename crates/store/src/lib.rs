@@ -16,15 +16,18 @@
 //!   tail (a crash mid-write loses at most the interrupted commit,
 //!   never corrupts the prefix).
 //! * [`TrieBackend`] — a copy-on-write binary Merkle trie over
-//!   `sha256(key)` paths. The root updates incrementally per commit and
-//!   every key yields an inclusion proof (or an exclusion proof when
+//!   `sha256(key)` paths. A commit edits structure and hashes nothing;
+//!   [`StateBackend::flush_block`] hashes each node the block dirtied
+//!   once, across the host's cores; the root and proofs read the
+//!   memoised hashes (and fill any a mid-block caller finds missing).
+//!   Every key yields an inclusion proof (or an exclusion proof when
 //!   absent) checkable by the standalone [`verify_proof`] function with
 //!   nothing but the root.
 //!
 //! All three backends produce the **same root for the same contents**:
 //! the root is defined as the canonical Merkle-trie commitment over the
-//! current entry set, which the trie maintains incrementally and the
-//! other two recompute via [`trie::scratch_root`]. That is what lets the
+//! current entry set, which the trie keeps up to date node by node and
+//! the other two recompute via [`trie::scratch_root`]. That is what lets the
 //! differential CI gate assert byte-identical `state_digest()` values
 //! across backends and across sequential/parallel execution.
 
@@ -84,8 +87,10 @@ impl From<std::io::Error> for StoreError {
 ///   crash, either the whole batch is visible or none of it is;
 /// * [`StateBackend::root`] is a pure function of the current entry
 ///   set — equal contents give equal roots on *every* backend;
-/// * [`StateBackend::flush_block`] marks a block boundary (durability /
-///   snapshot policy hook; a no-op for volatile backends).
+/// * [`StateBackend::flush_block`] marks a block boundary: the WAL's
+///   durability and snapshot policy, the trie's hashing of the nodes the
+///   block dirtied; a no-op for the memory backend. It never changes
+///   what [`StateBackend::root`] or [`StateBackend::prove`] return.
 pub trait StateBackend: Send + Sync {
     /// A short static name ("memory", "wal", "trie") for reports.
     fn name(&self) -> &'static str;
@@ -105,7 +110,8 @@ pub trait StateBackend: Send + Sync {
     /// [`trie::scratch_root`]). Empty store ⇒ [`EMPTY_ROOT`].
     fn root(&self) -> [u8; 32];
 
-    /// Marks a block boundary at `height` (snapshot/durability hook).
+    /// Marks a block boundary at `height` (snapshot/durability hook; the
+    /// trie pays the block's hashing here).
     ///
     /// # Errors
     ///

@@ -10,7 +10,9 @@ use std::collections::BTreeMap;
 /// A volatile sorted-map backend. [`StateBackend::root`] recomputes the
 /// canonical trie commitment from scratch on every call (`O(n log n)`) —
 /// the cost the benchmark's `state-churn` workload contrasts with the
-/// trie's incremental root (`store.memory.root_ms`, `store.trie.root_ms`).
+/// trie's, which hashes only what a block dirtied, at the flush, and
+/// then reads its root from a memo (`store.memory.root_ms` against
+/// `store.trie.flush_ms` + `store.trie.root_ms`).
 #[derive(Debug, Default, Clone)]
 pub struct MemoryBackend {
     map: BTreeMap<Vec<u8>, Vec<u8>>,
