@@ -13,7 +13,7 @@ pub const CALL_BUDGET: u64 = 700;
 pub const MIN_TXN_FEE: u64 = 1000;
 
 /// Cost of one instruction.
-pub fn op_cost(op: &AvmOp) -> u64 {
+pub(crate) fn op_cost(op: &AvmOp) -> u64 {
     match op {
         AvmOp::Sha256 => 35,
         AvmOp::Keccak256 => 130,

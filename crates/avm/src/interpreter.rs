@@ -9,7 +9,7 @@
 //! Application programs live in the state as shared [`StateValue::Blob`]s:
 //! re-reading an installed app clones an `Arc`, not the instruction list,
 //! and rejection rollback is a journal truncation instead of re-inserting
-//! a cloned [`crate::state::AppState`].
+//! a cloned copy of the app's state.
 
 use crate::cost::CALL_BUDGET;
 use crate::opcode::{AvmOp, GlobalField, TxnField};
@@ -527,21 +527,9 @@ impl<'a> AvmView<'a> {
         AvmView { world }
     }
 
-    /// Number of created applications.
-    pub fn app_count(&self) -> usize {
-        self.world.keys().filter(|k| matches!(k, StateKey::AppProgram(_))).count()
-    }
-
     /// Reads a global state value.
-    pub fn global(&self, app_id: u64, key: &[u8]) -> Option<TealValue> {
+    pub(crate) fn global(&self, app_id: u64, key: &[u8]) -> Option<TealValue> {
         self.world.get(&StateKey::AppGlobal(app_id, key.to_vec())).map(|v| state_to_teal(v.clone()))
-    }
-
-    /// Reads a box.
-    pub fn box_value(&self, app_id: u64, key: &[u8]) -> Option<Vec<u8>> {
-        self.world
-            .get(&StateKey::AppBox(app_id, key.to_vec()))
-            .and_then(|v| v.as_bytes().map(<[u8]>::to_vec))
     }
 
     /// Number of boxes held by an app.
@@ -568,11 +556,6 @@ impl Avm {
         Avm::default()
     }
 
-    /// Number of created applications.
-    pub fn app_count(&self) -> usize {
-        AvmView::new(&self.world).app_count()
-    }
-
     /// The escrow address of an application account.
     pub fn app_address(app_id: u64) -> Address {
         app_address(app_id)
@@ -583,36 +566,13 @@ impl Avm {
         AvmView::new(&self.world).global(app_id, key)
     }
 
-    /// Reads a box.
-    pub fn box_value(&self, app_id: u64, key: &[u8]) -> Option<Vec<u8>> {
-        AvmView::new(&self.world).box_value(app_id, key)
-    }
-
-    /// Number of boxes held by an app.
-    pub fn box_count(&self, app_id: u64) -> usize {
-        AvmView::new(&self.world).box_count(app_id)
-    }
-
-    /// Creates an application (see the [`create_app`] free function).
+    /// Creates an application with creation arguments (constructor
+    /// values); see the [`create_app`] free function.
     ///
     /// # Errors
     ///
     /// Machine errors, or [`AvmError::CreateRejected`] if the creation run
     /// rejects.
-    pub fn create_app(
-        &mut self,
-        creator: Address,
-        program: AvmProgram,
-        balances: &mut Balances,
-    ) -> Result<u64, AvmError> {
-        self.create_app_with_args(creator, program, Vec::new(), balances)
-    }
-
-    /// [`Avm::create_app`] with creation arguments (constructor values).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Avm::create_app`].
     pub fn create_app_with_args(
         &mut self,
         creator: Address,
@@ -681,7 +641,9 @@ mod tests {
     fn setup(body: Vec<AvmOp>) -> (Avm, u64, Balances) {
         let mut avm = Avm::new();
         let mut balances = Balances::new();
-        let id = avm.create_app(Address::ZERO, approve_program(body), &mut balances).unwrap();
+        let id = avm
+            .create_app_with_args(Address::ZERO, approve_program(body), Vec::new(), &mut balances)
+            .unwrap();
         (avm, id, balances)
     }
 
@@ -690,7 +652,6 @@ mod tests {
         let (mut avm, id, mut balances) = setup(vec![]);
         let out = avm.call(AppCallParams::new(Address::ZERO, id), &mut balances).unwrap();
         assert!(out.approved);
-        assert_eq!(avm.app_count(), 1);
     }
 
     #[test]
@@ -699,10 +660,10 @@ mod tests {
         let mut balances = Balances::new();
         let program = AvmProgram::new(vec![PushInt(0), Return]);
         assert_eq!(
-            avm.create_app(Address::ZERO, program, &mut balances),
+            avm.create_app_with_args(Address::ZERO, program, Vec::new(), &mut balances),
             Err(AvmError::CreateRejected)
         );
-        assert_eq!(avm.app_count(), 0);
+        assert_eq!(avm.world.keys().count(), 0, "a rejected creation installs nothing");
     }
 
     #[test]
@@ -739,12 +700,13 @@ mod tests {
         ];
         let mut avm = Avm::new();
         let mut balances = Balances::new();
-        let id = avm.create_app(Address::ZERO, AvmProgram::new(ops), &mut balances).unwrap();
-        assert_eq!(avm.box_value(id, b"did-1").as_deref(), Some(&b"proof"[..]));
+        let id = avm
+            .create_app_with_args(Address::ZERO, AvmProgram::new(ops), Vec::new(), &mut balances)
+            .unwrap();
+        assert_eq!(AvmView::new(&avm.world).box_count(id), 1);
         let out = avm.call(AppCallParams::new(Address::ZERO, id), &mut balances).unwrap();
         assert!(out.approved);
-        assert_eq!(avm.box_value(id, b"did-1"), None);
-        assert_eq!(avm.box_count(id), 0);
+        assert_eq!(AvmView::new(&avm.world).box_count(id), 0);
     }
 
     #[test]
@@ -752,7 +714,9 @@ mod tests {
         let body = vec![PushInt(u64::MAX), PushInt(1), Add, Pop];
         let mut avm = Avm::new();
         let mut balances = Balances::new();
-        let err = avm.create_app(Address::ZERO, approve_program(body), &mut balances).unwrap_err();
+        let err = avm
+            .create_app_with_args(Address::ZERO, approve_program(body), Vec::new(), &mut balances)
+            .unwrap_err();
         assert_eq!(err, AvmError::Arithmetic("overflow"));
     }
 
@@ -762,7 +726,9 @@ mod tests {
         let body = vec![Label(0), PushInt(1), Pop, B(0)];
         let mut avm = Avm::new();
         let mut balances = Balances::new();
-        let err = avm.create_app(Address::ZERO, approve_program(body), &mut balances).unwrap_err();
+        let err = avm
+            .create_app_with_args(Address::ZERO, approve_program(body), Vec::new(), &mut balances)
+            .unwrap_err();
         assert_eq!(err, AvmError::BudgetExceeded { budget: CALL_BUDGET });
     }
 
@@ -784,10 +750,12 @@ mod tests {
         ];
         let mut avm = Avm::new();
         let mut balances = Balances::new();
-        let id = avm.create_app(Address::ZERO, AvmProgram::new(ops), &mut balances).unwrap();
+        let id = avm
+            .create_app_with_args(Address::ZERO, AvmProgram::new(ops), Vec::new(), &mut balances)
+            .unwrap();
         let out = avm.call(AppCallParams::new(Address::ZERO, id), &mut balances).unwrap();
         assert!(!out.approved);
-        assert_eq!(avm.box_value(id, b"k"), None, "rejected writes must roll back");
+        assert_eq!(AvmView::new(&avm.world).box_count(id), 0, "rejected writes must roll back");
     }
 
     #[test]
@@ -810,7 +778,9 @@ mod tests {
         let mut avm = Avm::new();
         let mut balances = Balances::new();
         balances.insert(sender, 10_000);
-        let id = avm.create_app(Address::ZERO, AvmProgram::new(ops), &mut balances).unwrap();
+        let id = avm
+            .create_app_with_args(Address::ZERO, AvmProgram::new(ops), Vec::new(), &mut balances)
+            .unwrap();
         let out =
             avm.call(AppCallParams::new(sender, id).with_payment(1_000), &mut balances).unwrap();
         assert!(out.approved);
@@ -839,7 +809,9 @@ mod tests {
         let mut avm = Avm::new();
         let mut balances = Balances::new();
         balances.insert(sender, 5_000);
-        let id = avm.create_app(Address::ZERO, AvmProgram::new(ops), &mut balances).unwrap();
+        let id = avm
+            .create_app_with_args(Address::ZERO, AvmProgram::new(ops), Vec::new(), &mut balances)
+            .unwrap();
         let out =
             avm.call(AppCallParams::new(sender, id).with_payment(2_000), &mut balances).unwrap();
         assert!(!out.approved);

@@ -22,10 +22,11 @@
 //! let program = AvmProgram::new(vec![PushInt(1), Return]);
 //! let mut avm = Avm::new();
 //! let mut balances = std::collections::HashMap::new();
-//! let app_id = avm.create_app(pol_ledger::Address::ZERO, program, &mut balances)?;
+//! let app_id =
+//!     avm.create_app_with_args(pol_ledger::Address::ZERO, program, Vec::new(), &mut balances)?;
 //! let out = avm.call(AppCallParams::new(pol_ledger::Address::ZERO, app_id), &mut balances)?;
 //! assert!(out.approved);
-//! # Ok::<(), pol_avm::AvmError>(())
+//! # Ok::<(), pol_avm::interpreter::AvmError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -35,12 +36,10 @@ pub mod cost;
 pub mod interpreter;
 pub mod opcode;
 pub mod program;
-pub mod state;
+pub(crate) mod state;
 pub mod teal;
 pub mod verifier;
 
-pub use interpreter::{
-    app_address, call_app, create_app, AppCallParams, AppOutcome, Avm, AvmError, AvmView, Balances,
-};
+pub use interpreter::{app_address, call_app, create_app, AppCallParams, Avm, AvmView};
 pub use program::AvmProgram;
 pub use state::TealValue;

@@ -12,7 +12,7 @@ pub enum AvmOp {
     PushBytes(Vec<u8>),
     /// Pop two ints, push their sum.
     ///
-    /// # Panics (at run time → [`crate::AvmError::Arithmetic`])
+    /// # Panics (at run time → `crate::AvmError::Arithmetic`)
     ///
     /// Overflow rejects the program, as on the real AVM.
     Add,

@@ -56,7 +56,7 @@ impl AvmProgram {
 
     /// The instruction index the branch at `idx` jumps to, or `None`
     /// when `idx` is not a branch or its label does not exist.
-    pub fn branch_target(&self, idx: usize) -> Option<usize> {
+    pub(crate) fn branch_target(&self, idx: usize) -> Option<usize> {
         match self.targets[idx] {
             UNRESOLVED => None,
             target => Some(target as usize),
@@ -64,7 +64,7 @@ impl AvmProgram {
     }
 
     /// The opcode cost of instruction `idx`.
-    pub fn cost(&self, idx: usize) -> u64 {
+    pub(crate) fn cost(&self, idx: usize) -> u64 {
         self.costs[idx]
     }
 
@@ -99,8 +99,9 @@ impl pol_ledger::StateBlob for AvmProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interpreter::{AvmError, Balances};
     use crate::opcode::TxnField;
-    use crate::{AppCallParams, Avm, AvmError, Balances};
+    use crate::{AppCallParams, Avm};
     use pol_ledger::Address;
 
     /// Targets are resolved at construction: a branch to a missing label
@@ -123,7 +124,7 @@ mod tests {
 
         let mut avm = Avm::new();
         let mut balances = Balances::new();
-        let id = avm.create_app(Address::ZERO, p, &mut balances).unwrap();
+        let id = avm.create_app_with_args(Address::ZERO, p, Vec::new(), &mut balances).unwrap();
         let untaken = AppCallParams::new(Address::ZERO, id);
         assert!(avm.call(untaken.clone(), &mut balances).unwrap().approved);
         let taken = untaken.with_args(vec![vec![1]]);

@@ -1,6 +1,4 @@
-//! Application state: typed values, global state and boxes.
-
-use std::collections::HashMap;
+//! The typed value the AVM keeps on its stack and in application state.
 
 /// A TEAL stack/state value: the AVM is bi-typed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,37 +15,12 @@ impl TealValue {
     /// # Errors
     ///
     /// Returns `None` for byte values.
-    pub fn as_uint(&self) -> Option<u64> {
+    pub(crate) fn as_uint(&self) -> Option<u64> {
         match self {
             TealValue::Uint(v) => Some(*v),
             TealValue::Bytes(_) => None,
         }
     }
-
-    /// The byte value.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` for integer values.
-    pub fn as_bytes(&self) -> Option<&[u8]> {
-        match self {
-            TealValue::Bytes(b) => Some(b),
-            TealValue::Uint(_) => None,
-        }
-    }
-}
-
-/// Persistent state of one application.
-#[derive(Debug, Clone, Default)]
-pub struct AppState {
-    /// The approval program.
-    pub program: crate::program::AvmProgram,
-    /// Global key-value state.
-    pub global: HashMap<Vec<u8>, TealValue>,
-    /// Box storage (the map the contract keeps per prover DID).
-    pub boxes: HashMap<Vec<u8>, Vec<u8>>,
-    /// Creator address.
-    pub creator: pol_ledger::Address,
 }
 
 #[cfg(test)]
@@ -57,9 +30,6 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(TealValue::Uint(7).as_uint(), Some(7));
-        assert_eq!(TealValue::Uint(7).as_bytes(), None);
-        let b = TealValue::Bytes(vec![1, 2]);
-        assert_eq!(b.as_bytes(), Some(&[1u8, 2][..]));
-        assert_eq!(b.as_uint(), None);
+        assert_eq!(TealValue::Bytes(vec![1, 2]).as_uint(), None);
     }
 }

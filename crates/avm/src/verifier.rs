@@ -8,7 +8,7 @@
 //!   stack and the depth never exceeds the AVM's 1000-item limit;
 //! * **branch resolution** — every reachable branch targets a label
 //!   the program actually defines;
-//! * **worst-case opcode cost** — the maximum [`crate::cost::op_cost`]
+//! * **worst-case opcode cost** — the maximum `crate::cost::op_cost`
 //!   sum over all paths, comparable against both the per-call budget
 //!   ([`crate::cost::CALL_BUDGET`]) and the conservative straight-line
 //!   bound ([`crate::cost::program_cost`]).
@@ -19,7 +19,7 @@ use crate::program::AvmProgram;
 use std::collections::HashMap;
 
 /// The AVM stack-depth limit.
-pub const MAX_STACK: usize = 1000;
+pub(crate) const MAX_STACK: usize = 1000;
 
 /// Exploration budget: abstract states processed before giving up. The
 /// compiler emits loop-free programs, so hitting this means the program
@@ -50,7 +50,7 @@ pub enum VerifyError {
         /// Offending instruction index.
         idx: usize,
     },
-    /// The stack exceeds [`MAX_STACK`].
+    /// The stack exceeds `MAX_STACK`.
     StackOverflow {
         /// Offending instruction index.
         idx: usize,

@@ -32,7 +32,7 @@ mean_hops,p50_hops,p99_hops,p50_ms,p95_ms,p99_ms,sent,delivered,dropped,retried,
 
 /// One fault scenario of the sweep.
 #[derive(Debug, Clone)]
-pub struct Scenario {
+pub(crate) struct Scenario {
     /// Scenario name (first CSV column).
     pub name: String,
     /// Per-message drop probability.
@@ -46,7 +46,7 @@ pub struct Scenario {
 
 /// The full scenario grid: loss ∈ {0, 1, 5, 10}% × churn ∈ {0, 10, 25}%,
 /// plus a partition/heal scenario.
-pub fn scenarios() -> Vec<Scenario> {
+pub(crate) fn scenarios() -> Vec<Scenario> {
     let mut out = Vec::new();
     for loss_pct in [0u32, 1, 5, 10] {
         for churn_pct in [0u32, 10, 25] {
@@ -100,7 +100,7 @@ impl RobustnessRow {
     }
 
     /// Renders the row in the `CSV_HEADER` schema.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let lat = self.transport.merged_latency();
         format!(
             "{},{},{},{},{},{},{:.4},{:.3},{},{},{:.3},{:.3},{:.3},{},{},{},{},{}",
@@ -126,7 +126,7 @@ impl RobustnessRow {
     }
 
     /// Total exchanges abandoned after the final retry.
-    pub fn timed_out(&self) -> u64 {
+    pub(crate) fn timed_out(&self) -> u64 {
         self.transport.per_class.values().map(|c| c.timed_out).sum()
     }
 }

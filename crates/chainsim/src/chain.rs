@@ -8,7 +8,7 @@ use pol_avm::{AvmProgram, AvmView};
 use pol_consensus::{pos, ppos, StakeRegistry};
 use pol_crypto::ed25519::Keypair;
 use pol_crypto::sha256;
-use pol_evm::{CodeCache, EvmView};
+use pol_evm::CodeCache;
 use pol_ledger::{
     Address, Block, BlockHash, ContractId, Currency, LedgerError, Receipt, Transaction, TxId,
     VerifiedTx, WorldState,
@@ -131,7 +131,7 @@ impl std::fmt::Debug for Chain {
 impl Chain {
     /// Creates a chain from a configuration and RNG seed, over the
     /// default in-memory state backend.
-    pub fn new(config: ChainConfig, seed: u64) -> Chain {
+    pub(crate) fn new(config: ChainConfig, seed: u64) -> Chain {
         Chain::with_world(config, seed, WorldState::new())
     }
 
@@ -141,7 +141,7 @@ impl Chain {
     /// Entries already persisted in the backend are restored into the
     /// typed world (opaque blob values are dropped from the typed view;
     /// see `WorldState::with_backend`).
-    pub fn new_with_backend(
+    pub(crate) fn new_with_backend(
         config: ChainConfig,
         seed: u64,
         backend: Box<dyn StateBackend>,
@@ -195,11 +195,6 @@ impl Chain {
         self.exec_mode = mode;
     }
 
-    /// The active execution mode.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.exec_mode
-    }
-
     /// Cumulative executor counters (blocks, speculation, conflicts).
     pub fn exec_stats(&self) -> ExecStats {
         self.exec_stats
@@ -239,15 +234,6 @@ impl Chain {
     /// the certificates.
     pub fn register_gas_resolver(&mut self, contract: ContractId, resolver: GasResolver) {
         self.facts.register_gas(contract, resolver);
-    }
-
-    /// Forces the commit-time gas-certificate sanitizer on or off
-    /// (default: on in debug builds, off in release). With it on, any
-    /// committed transaction whose observed `gas_used` exceeds its
-    /// static certificate panics — the certificates' soundness
-    /// contract.
-    pub fn set_gas_sanitizer(&mut self, enabled: bool) {
-        self.gas_sanitize = enabled;
     }
 
     /// How many admitted transactions had their worst-case-fee precheck
@@ -311,8 +297,7 @@ impl Chain {
         self.world.nonce(address)
     }
 
-    /// Mints `amount` base units to an address (testnet faucet semantics;
-    /// see [`crate::faucet`] for the rate-limited public façade).
+    /// Mints `amount` base units to an address (testnet faucet semantics).
     pub fn fund(&mut self, to: Address, amount: u128) {
         let balance = self.world.balance(to);
         self.world.set_balance(to, balance + amount);
@@ -332,11 +317,6 @@ impl Chain {
     pub fn suggested_fees(&self) -> (u128, u128) {
         let max_fee = self.base_fee.saturating_mul(2).saturating_add(self.config.priority_fee);
         (max_fee, self.config.priority_fee)
-    }
-
-    /// Read-through to the EVM-owned state (explorer-style inspection).
-    pub fn evm(&self) -> EvmView<'_> {
-        EvmView::new(&self.world)
     }
 
     /// Read-through to the AVM-owned state.
@@ -446,9 +426,16 @@ impl Chain {
         Some(receipt)
     }
 
+    /// The receipt `id` got when its block included it, confirmed or not
+    /// (the explorer reads inclusion facts; clients wait for
+    /// [`Chain::poll_receipt`]).
+    pub(crate) fn inclusion_receipt(&self, id: TxId) -> Option<&Receipt> {
+        self.receipts.get(&id).map(|pending| &pending.receipt)
+    }
+
     /// Whether `id` is known to the chain: waiting in the mempool, or
     /// already included (confirmed or not).
-    pub fn knows_tx(&self, id: TxId) -> bool {
+    pub(crate) fn knows_tx(&self, id: TxId) -> bool {
         self.receipts.contains_key(&id) || self.mempool.iter().any(|p| p.id == id)
     }
 
@@ -509,12 +496,6 @@ impl Chain {
         while self.now_ms < target_ms {
             self.produce_block();
         }
-    }
-
-    /// Jumps the clock forward without producing the intervening (empty)
-    /// blocks — idle wall-clock time between workload phases.
-    pub fn skip_idle(&mut self, ms: u64) {
-        self.now_ms += ms;
     }
 
     /// Deploys an EVM contract: builds, signs, submits and awaits.
@@ -1062,7 +1043,7 @@ mod tests {
     fn idle_catch_up_skips_empty_slots() {
         let mut chain = presets::devnet_algo().build(11);
         let h0 = chain.height();
-        chain.skip_idle(1_000 * chain.config.block_ms);
+        chain.now_ms += 1_000 * chain.config.block_ms;
         let target = chain.now_ms() + 1;
         chain.advance_to(target);
         // The idle gap must not materialise as a thousand empty blocks.
@@ -1073,11 +1054,11 @@ mod tests {
     }
 
     #[test]
-    fn skip_idle_then_await_still_confirms() {
+    fn idle_gap_then_await_still_confirms() {
         let mut chain = presets::devnet_evm().build(12);
         let (alice, alice_addr) = chain.create_funded_account(10u128.pow(18));
         let (_, bob_addr) = chain.create_funded_account(0);
-        chain.skip_idle(500 * chain.config.block_ms);
+        chain.now_ms += 500 * chain.config.block_ms;
         let (max_fee, prio) = chain.suggested_fees();
         let tx = Transaction::transfer(alice_addr, bob_addr, 7, 0)
             .with_fees(max_fee, prio)
@@ -1087,6 +1068,36 @@ mod tests {
         assert!(receipt.status.is_success());
         assert_eq!(chain.balance(bob_addr), 7);
         assert!(chain.height() <= before + 3, "await busy-looped: height {}", chain.height());
+    }
+
+    #[test]
+    fn exec_stats_count_parallel_blocks_default_seeding_and_cache_hits() {
+        use pol_evm::assembler::Asm;
+        use pol_evm::opcode::Op;
+        let mut chain = presets::devnet_evm().build(2);
+        chain.set_execution_mode(ExecutionMode::Parallel { workers: 2 });
+        let (alice, alice_addr) = chain.create_funded_account(10u128.pow(19));
+        let (_, bob_addr) = chain.create_funded_account(0);
+        let (max_fee, prio) = chain.suggested_fees();
+        let tx = Transaction::transfer(alice_addr, bob_addr, 5, 0)
+            .with_fees(max_fee, prio)
+            .signed(&alice);
+        chain.submit_and_wait(tx).unwrap();
+        let stats = chain.exec_stats();
+        assert_eq!((stats.committed_txs, stats.speculative_runs, stats.conflicts), (1, 1, 0));
+        assert!(stats.parallel_blocks > 0, "{stats:?}");
+        // No gas certificates are registered, so every scheduler
+        // estimate fell back to its tx-kind default.
+        assert_eq!(stats.static_gas_seeded, 0);
+        assert!(stats.default_seeded > 0, "{stats:?}");
+
+        // Calling the same contract twice reuses its decoded program.
+        let runtime = Asm::new().op(Op::Stop).build();
+        let receipt = chain.deploy_evm(&alice, Asm::deploy_wrapper(&runtime), 5_000_000).unwrap();
+        let contract = receipt.created.unwrap();
+        chain.call_evm(&alice, contract, Vec::new(), 0, 100_000).unwrap();
+        chain.call_evm(&alice, contract, Vec::new(), 0, 100_000).unwrap();
+        assert!(chain.exec_stats().code_cache_hits > 0, "{:?}", chain.exec_stats());
     }
 
     #[test]

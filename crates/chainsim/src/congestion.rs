@@ -29,13 +29,8 @@ impl CongestionModel {
     }
 
     /// A calm network (devnets).
-    pub fn calm() -> CongestionModel {
+    pub(crate) fn calm() -> CongestionModel {
         CongestionModel::new(0.0, 0.0)
-    }
-
-    /// The current load factor.
-    pub fn load(&self) -> f64 {
-        self.current
     }
 
     /// Advances one block, returning the new load factor.

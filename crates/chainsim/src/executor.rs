@@ -35,7 +35,7 @@ use std::time::Instant;
 /// Typed revert reason for a [`TxKind::Transfer`] carrying no recipient
 /// (`tx.to == None`): such a transfer used to credit [`Address::ZERO`]
 /// silently; it now reverts with this status on both VM paths.
-pub const MISSING_RECIPIENT: &str = "missing recipient";
+pub(crate) const MISSING_RECIPIENT: &str = "missing recipient";
 
 /// How a chain turns a block's transactions into state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

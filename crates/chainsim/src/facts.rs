@@ -40,21 +40,21 @@ pub struct CallQuery<'a> {
     pub app_args: &'a [Vec<u8>],
 }
 
-/// The query an [`AccessResolver`] receives.
+/// The query an `AccessResolver` receives.
 pub type AccessQuery<'a> = CallQuery<'a>;
 
-/// The query a [`GasResolver`] receives (sender and value never change a
+/// The query a `GasResolver` receives (sender and value never change a
 /// worst-case bound, but the call is the same call).
 pub type GasQuery<'a> = CallQuery<'a>;
 
 /// Concrete call → sound access claims, or `None` when no sound claim
 /// can be made.
-pub type AccessResolver = Box<dyn Fn(&CallQuery<'_>) -> Option<AccessClaims> + Send + Sync>;
+pub(crate) type AccessResolver = Box<dyn Fn(&CallQuery<'_>) -> Option<AccessClaims> + Send + Sync>;
 
 /// Concrete call → proven worst-case gas (execution + intrinsic for EVM
 /// calls, opcode budget for AVM calls), or `None` when no certificate
 /// covers the call.
-pub type GasResolver = Box<dyn Fn(&CallQuery<'_>) -> Option<u64> + Send + Sync>;
+pub(crate) type GasResolver = Box<dyn Fn(&CallQuery<'_>) -> Option<u64> + Send + Sync>;
 
 impl<'a> CallQuery<'a> {
     /// The query for a pending contract call: calldata on EVM chains, the

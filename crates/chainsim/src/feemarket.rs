@@ -6,7 +6,7 @@
 //! to incentivise inclusion under congestion.
 
 /// Maximum base-fee change per block: 1/8 = 12.5 %.
-pub const BASE_FEE_MAX_CHANGE_DENOMINATOR: u128 = 8;
+pub(crate) const BASE_FEE_MAX_CHANGE_DENOMINATOR: u128 = 8;
 /// Base fee never drops below 7 wei (protocol floor).
 pub const MIN_BASE_FEE: u128 = 7;
 
@@ -51,7 +51,11 @@ fn mul_div(a: u128, b: u128, d: u128) -> u128 {
 /// The effective per-gas price a transaction pays under EIP-1559:
 /// `min(max_fee, base_fee + priority_fee)`, or `None` if the fee cap is
 /// below the base fee (the transaction cannot be included).
-pub fn effective_gas_price(base_fee: u128, max_fee: u128, priority_fee: u128) -> Option<u128> {
+pub(crate) fn effective_gas_price(
+    base_fee: u128,
+    max_fee: u128,
+    priority_fee: u128,
+) -> Option<u128> {
     if max_fee < base_fee {
         return None;
     }

@@ -10,9 +10,11 @@
 //! background-congestion process through the EIP-1559 fee market, which is
 //! what produces the latency/fee distributions of the paper's Chapter 5.
 //!
-//! [`presets`] holds the calibrated per-network configurations, and
-//! [`provider`] wraps chains in the node-provider façade (Infura,
-//! Purestake, Quicknode) the paper's frontends talk to.
+//! [`presets`] holds the calibrated per-network configurations,
+//! `executor` the sequential and optimistic-parallel block executors,
+//! `facts` the registry of compile-time access and gas facts they
+//! consult, and [`explorer`] a block-explorer view of a contract's
+//! history.
 //!
 //! # Examples
 //!
@@ -34,20 +36,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chain;
-pub mod congestion;
-pub mod executor;
+pub(crate) mod chain;
+pub(crate) mod congestion;
+pub(crate) mod executor;
 pub mod explorer;
-pub mod facts;
-pub mod faucet;
+pub(crate) mod facts;
 pub mod feemarket;
 pub mod presets;
-pub mod provider;
 
 pub use chain::{Chain, ChainConfig, VmKind};
 pub use congestion::CongestionModel;
-pub use executor::{ExecStats, ExecutionMode, MISSING_RECIPIENT};
-pub use facts::{AccessQuery, AccessResolver, CallQuery, GasQuery, GasResolver};
-pub use pol_store::StateBackend;
+pub use executor::{ExecStats, ExecutionMode};
+pub use facts::{AccessQuery, CallQuery, GasQuery};
 pub use presets::ChainPreset;
-pub use provider::NodeProvider;

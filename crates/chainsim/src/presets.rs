@@ -32,7 +32,7 @@ impl ChainPreset {
     }
 
     /// Instantiates a chain committing through the given state backend
-    /// (see [`Chain::new_with_backend`]).
+    /// (see `Chain::new_with_backend`).
     pub fn build_with_backend(
         &self,
         seed: u64,

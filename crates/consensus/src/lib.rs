@@ -17,7 +17,7 @@
 
 pub mod pos;
 pub mod ppos;
-pub mod stake;
+pub(crate) mod stake;
 
 pub use stake::{StakeRegistry, Validator};
 
@@ -26,8 +26,6 @@ pub use stake::{StakeRegistry, Validator};
 pub enum ConsensusError {
     /// The registry holds no validators.
     EmptyRegistry,
-    /// A credential failed VRF verification.
-    BadCredential,
     /// Committee certification did not reach the required threshold.
     NotCertified {
         /// Weight that voted for the block.
@@ -41,7 +39,6 @@ impl std::fmt::Display for ConsensusError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConsensusError::EmptyRegistry => write!(f, "no validators registered"),
-            ConsensusError::BadCredential => write!(f, "sortition credential failed verification"),
             ConsensusError::NotCertified { voted, required } => {
                 write!(f, "certification failed: {voted} of required {required} weight")
             }

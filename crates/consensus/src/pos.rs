@@ -2,41 +2,8 @@
 
 use crate::stake::StakeRegistry;
 use crate::ConsensusError;
-use pol_crypto::ed25519::{Keypair, PublicKey, Signature};
+use pol_crypto::ed25519::Signature;
 use pol_crypto::sha256;
-use pol_ledger::BlockHash;
-
-/// Wall-clock slot arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotClock {
-    /// Simulation time of slot 0, milliseconds.
-    pub genesis_ms: u64,
-    /// Slot duration, milliseconds (12 000 on Ethereum).
-    pub slot_ms: u64,
-}
-
-impl SlotClock {
-    /// The slot containing time `now_ms`.
-    pub fn slot_at(&self, now_ms: u64) -> u64 {
-        now_ms.saturating_sub(self.genesis_ms) / self.slot_ms
-    }
-
-    /// Start time of a slot.
-    pub fn slot_start_ms(&self, slot: u64) -> u64 {
-        self.genesis_ms + slot * self.slot_ms
-    }
-
-    /// Time of the next slot boundary at or after `now_ms`.
-    pub fn next_slot_start_ms(&self, now_ms: u64) -> u64 {
-        let slot = self.slot_at(now_ms);
-        let start = self.slot_start_ms(slot);
-        if start == now_ms {
-            now_ms
-        } else {
-            self.slot_start_ms(slot + 1)
-        }
-    }
-}
 
 /// Selects the block proposer for `slot`, stake-weighted, from the RANDAO
 /// seed.
@@ -62,75 +29,6 @@ pub fn select_proposer<'r>(
     Ok(registry.by_stake_point(point))
 }
 
-/// Samples the attestation committee for a slot (distinct validators,
-/// stake-weighted without replacement — approximated by rejection).
-///
-/// # Errors
-///
-/// Returns [`ConsensusError::EmptyRegistry`] with no validators.
-pub fn select_committee(
-    registry: &StakeRegistry,
-    slot: u64,
-    randao_seed: &[u8; 32],
-    size: usize,
-) -> Result<Vec<PublicKey>, ConsensusError> {
-    if registry.is_empty() {
-        return Err(ConsensusError::EmptyRegistry);
-    }
-    let size = size.min(registry.len());
-    let mut committee = Vec::with_capacity(size);
-    let mut counter = 0u64;
-    while committee.len() < size {
-        let mut preimage = b"pos-committee".to_vec();
-        preimage.extend_from_slice(randao_seed);
-        preimage.extend_from_slice(&slot.to_be_bytes());
-        preimage.extend_from_slice(&counter.to_be_bytes());
-        counter += 1;
-        let digest = sha256(&preimage);
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&digest[..8]);
-        let point = u64::from_le_bytes(b) % registry.total_stake();
-        let candidate = registry.by_stake_point(point).public;
-        if !committee.contains(&candidate) {
-            committee.push(candidate);
-        }
-    }
-    Ok(committee)
-}
-
-/// An attestation: a committee member's vote for a block in a slot.
-#[derive(Debug, Clone)]
-pub struct Attestation {
-    /// The attested slot.
-    pub slot: u64,
-    /// The attested block.
-    pub block: BlockHash,
-    /// The attesting validator.
-    pub validator: PublicKey,
-    /// Signature over (slot, block).
-    pub signature: Signature,
-}
-
-impl Attestation {
-    /// Signs an attestation.
-    pub fn sign(keypair: &Keypair, slot: u64, block: BlockHash) -> Attestation {
-        let sig = keypair.sign(&Attestation::message(slot, &block));
-        Attestation { slot, block, validator: keypair.public, signature: sig }
-    }
-
-    /// Verifies the attestation signature.
-    pub fn verify(&self) -> bool {
-        self.validator.verify(&Attestation::message(self.slot, &self.block), &self.signature)
-    }
-
-    fn message(slot: u64, block: &BlockHash) -> Vec<u8> {
-        let mut out = b"pos-attestation".to_vec();
-        out.extend_from_slice(&slot.to_be_bytes());
-        out.extend_from_slice(&block.0);
-        out
-    }
-}
-
 /// Evolves the RANDAO seed with a proposer's contribution.
 pub fn next_randao(seed: &[u8; 32], proposer_sig: &Signature) -> [u8; 32] {
     let mut preimage = seed.to_vec();
@@ -141,17 +39,6 @@ pub fn next_randao(seed: &[u8; 32], proposer_sig: &Signature) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slot_clock_arithmetic() {
-        let clock = SlotClock { genesis_ms: 1000, slot_ms: 12_000 };
-        assert_eq!(clock.slot_at(1000), 0);
-        assert_eq!(clock.slot_at(12_999), 0);
-        assert_eq!(clock.slot_at(13_000), 1);
-        assert_eq!(clock.slot_start_ms(2), 25_000);
-        assert_eq!(clock.next_slot_start_ms(13_000), 13_000);
-        assert_eq!(clock.next_slot_start_ms(13_001), 25_000);
-    }
 
     #[test]
     fn proposer_is_deterministic_and_varies() {
@@ -187,32 +74,6 @@ mod tests {
             .filter(|&s| select_proposer(&registry, s, &seed).unwrap().address == whale)
             .count();
         assert!(wins > 180, "whale won only {wins}/200");
-    }
-
-    #[test]
-    fn committee_distinct_members() {
-        let (registry, _) = StakeRegistry::equal_stake(32, 32);
-        let committee = select_committee(&registry, 9, &[2u8; 32], 8).unwrap();
-        assert_eq!(committee.len(), 8);
-        let set: std::collections::HashSet<_> = committee.iter().collect();
-        assert_eq!(set.len(), 8);
-    }
-
-    #[test]
-    fn committee_capped_at_registry_size() {
-        let (registry, _) = StakeRegistry::equal_stake(4, 32);
-        let committee = select_committee(&registry, 0, &[0u8; 32], 100).unwrap();
-        assert_eq!(committee.len(), 4);
-    }
-
-    #[test]
-    fn attestations_verify() {
-        let (_, keys) = StakeRegistry::equal_stake(1, 32);
-        let att = Attestation::sign(&keys[0], 3, BlockHash([9u8; 32]));
-        assert!(att.verify());
-        let mut forged = att.clone();
-        forged.slot = 4;
-        assert!(!forged.verify());
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct StakeRegistry {
 
 impl StakeRegistry {
     /// Creates an empty registry.
-    pub fn new() -> StakeRegistry {
+    pub(crate) fn new() -> StakeRegistry {
         StakeRegistry::default()
     }
 
@@ -32,23 +32,18 @@ impl StakeRegistry {
     ///
     /// Panics on zero stake — a validator with no stake can never be
     /// selected and always indicates a misconfigured simulation.
-    pub fn register(&mut self, validator: Validator) {
+    pub(crate) fn register(&mut self, validator: Validator) {
         assert!(validator.stake > 0, "validators must hold stake");
         self.validators.push(validator);
     }
 
     /// The registered validators.
-    pub fn validators(&self) -> &[Validator] {
+    pub(crate) fn validators(&self) -> &[Validator] {
         &self.validators
     }
 
-    /// Number of validators.
-    pub fn len(&self) -> usize {
-        self.validators.len()
-    }
-
     /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.validators.is_empty()
     }
 
@@ -121,7 +116,7 @@ mod tests {
     #[test]
     fn equal_stake_fixture() {
         let (registry, keys) = StakeRegistry::equal_stake(8, 32);
-        assert_eq!(registry.len(), 8);
+        assert_eq!(registry.validators().len(), 8);
         assert_eq!(keys.len(), 8);
         assert_eq!(registry.total_stake(), 8 * 32);
     }

@@ -6,7 +6,7 @@ use crate::proximity::RadioChannel;
 use crate::replay::NonceRegistry;
 use crate::PolError;
 use pol_crypto::ed25519::{Keypair, PublicKey};
-use pol_did::{auth, Credential, Did, DidRegistry, Identity, Role};
+use pol_did::{auth, Credential, DidRegistry, Identity, Role};
 use pol_geo::Coordinates;
 use pol_ledger::Address;
 
@@ -29,7 +29,7 @@ impl Prover {
     }
 
     /// The prover's wallet keypair (shared with the identity).
-    pub fn wallet_keys(&self) -> &Keypair {
+    pub(crate) fn wallet_keys(&self) -> &Keypair {
         &self.identity.signing
     }
 }
@@ -111,24 +111,9 @@ impl Witness {
 
 /// A permissioned verifier, designated by the Certification Authority.
 #[derive(Debug)]
-pub struct Verifier {
-    /// The verifier's identity.
-    pub identity: Identity,
-    /// Its credential from the Certification Authority.
-    pub credential: Credential,
+pub(crate) struct Verifier {
     /// The witness public-key list the authority distributes (§2.3.1.2).
     pub witness_list: Vec<PublicKey>,
-}
-
-impl Verifier {
-    /// Validates a location proof against the authority's witness list.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LocationProof::verify`] failures.
-    pub fn validate(&self, proof: &LocationProof) -> Result<(), PolError> {
-        proof.verify(&self.witness_list)
-    }
 }
 
 /// The Certification Authority: whitelists witnesses and designates
@@ -146,11 +131,6 @@ impl CertificationAuthority {
         CertificationAuthority { identity, witnesses: Vec::new() }
     }
 
-    /// The authority's credential-verification key.
-    pub fn public_key(&self) -> PublicKey {
-        self.identity.signing.public
-    }
-
     /// Enrols a witness: records its public key and issues a credential.
     pub fn enroll_witness(&mut self, subject: &Identity, now_ms: u64) -> Credential {
         self.witnesses.push(subject.signing.public);
@@ -158,40 +138,14 @@ impl CertificationAuthority {
     }
 
     /// Designates a verifier, handing it the current witness list.
-    pub fn designate_verifier(&self, subject: Identity, now_ms: u64) -> Verifier {
-        let credential =
-            Credential::issue(&self.identity.signing, subject.did.clone(), Role::Verifier, now_ms);
-        Verifier { identity: subject, credential, witness_list: self.witnesses.clone() }
+    pub(crate) fn designate_verifier(&self) -> Verifier {
+        Verifier { witness_list: self.witnesses.clone() }
     }
 
     /// The current witness list (delivered to verifiers on every
     /// enrolment in a deployed system).
-    pub fn witness_list(&self) -> &[PublicKey] {
+    pub(crate) fn witness_list(&self) -> &[PublicKey] {
         &self.witnesses
-    }
-
-    /// Checks that a DID holds the given role, verifying its credential.
-    ///
-    /// # Errors
-    ///
-    /// [`PolError::NotAuthorized`] when the credential is invalid or for
-    /// a different subject/role.
-    pub fn check_credential(
-        &self,
-        credential: &Credential,
-        subject: &Did,
-        role: Role,
-    ) -> Result<(), PolError> {
-        credential
-            .verify(&self.public_key())
-            .map_err(|e| PolError::NotAuthorized(e.to_string()))?;
-        if credential.subject != *subject || credential.role != role {
-            return Err(PolError::NotAuthorized(format!(
-                "credential is for {} as {}",
-                credential.subject, credential.role
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -235,8 +189,7 @@ mod tests {
         let req = request(&prover, nonce);
         let proof =
             witness.attest(&mut rng, &registry, req, &prover.identity, &prover.position).unwrap();
-        let verifier = ca.designate_verifier(Identity::from_seed(3), 0);
-        assert!(verifier.validate(&proof).is_ok());
+        assert!(proof.verify(&ca.designate_verifier().witness_list).is_ok());
     }
 
     #[test]
@@ -286,16 +239,5 @@ mod tests {
             .attest(&mut rng, &registry, req, &prover.identity, &prover.position)
             .unwrap_err();
         assert!(matches!(err, PolError::BadProof(_)), "{err:?}");
-    }
-
-    #[test]
-    fn credential_checks() {
-        let (mut ca, _, _, _, _) = setup();
-        let w = Identity::from_seed(9);
-        let cred = ca.enroll_witness(&w, 5);
-        assert!(ca.check_credential(&cred, &w.did, Role::Witness).is_ok());
-        assert!(ca.check_credential(&cred, &w.did, Role::Verifier).is_err());
-        let other = Identity::from_seed(10);
-        assert!(ca.check_credential(&cred, &other.did, Role::Witness).is_err());
     }
 }

@@ -18,14 +18,15 @@
 //! * once every entry is verified, anyone may `closeContract`, sending
 //!   the residue back to the creator (token linearity).
 
+#[cfg(test)]
 use crate::proof::ENTRY_CAPACITY;
 use pol_lang::ast::*;
 
 /// Seats per area contract (creator included), §5.1: "every smart
 /// contract must have four users attached to it".
-pub const MAX_USERS: u64 = 4;
+pub(crate) const MAX_USERS: u64 = 4;
 /// Capacity of the `position` constructor field (an OLC string).
-pub const POSITION_CAPACITY: usize = 16;
+pub(crate) const POSITION_CAPACITY: usize = 16;
 
 /// The contract's source text, in the blockchain-agnostic language
 /// (`contracts/proof_of_location.pol` — the project's `index.rsh`).
@@ -59,7 +60,8 @@ pub fn pol_program() -> Program {
 /// The same program constructed through the AST builder API — kept as
 /// executable documentation of the AST shape and as the oracle for the
 /// parser (`source_matches_builder_ast`).
-pub fn pol_program_ast() -> Program {
+#[cfg(test)]
+fn pol_program_ast() -> Program {
     let data_ty = Ty::Bytes(ENTRY_CAPACITY);
     Program {
         name: "proof_of_location".into(),

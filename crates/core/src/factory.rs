@@ -8,7 +8,6 @@
 //! area contracts.
 
 use crate::PolError;
-use pol_crypto::sha256;
 use pol_lang::access::ContractSummaries;
 use pol_lang::backend::{AbiValue, CompiledContract};
 use pol_lang::gas::ContractGasBounds;
@@ -32,7 +31,6 @@ pub struct Instance {
 pub struct Factory {
     program: Program,
     compiled: CompiledContract,
-    template_digest: [u8; 32],
     instances: Vec<Instance>,
 }
 
@@ -46,10 +44,7 @@ impl Factory {
     /// Propagates compiler-pipeline failures.
     pub fn new(program: Program) -> Result<Factory, PolError> {
         let compiled = pol_lang::backend::compile(&program)?;
-        let mut preimage = compiled.evm.init_code.clone();
-        preimage.extend(compiled.avm.teal().into_bytes());
-        let template_digest = sha256(&preimage);
-        Ok(Factory { program, compiled, template_digest, instances: Vec::new() })
+        Ok(Factory { program, compiled, instances: Vec::new() })
     }
 
     /// The template's compiled artifacts.
@@ -58,7 +53,7 @@ impl Factory {
     }
 
     /// The verified source program.
-    pub fn program(&self) -> &Program {
+    pub(crate) fn program(&self) -> &Program {
         &self.program
     }
 
@@ -75,12 +70,6 @@ impl Factory {
     /// pricing, commit-time soundness checks).
     pub fn gas_bounds(&self) -> Arc<ContractGasBounds> {
         Arc::clone(&self.compiled.gas_bounds)
-    }
-
-    /// Digest identifying the template build (users trust this one
-    /// artifact rather than each instance separately).
-    pub fn template_digest(&self) -> [u8; 32] {
-        self.template_digest
     }
 
     /// EVM init code for a new instance with the given constructor args.
@@ -102,7 +91,7 @@ impl Factory {
     }
 
     /// Records an instance the factory spawned.
-    pub fn track(&mut self, contract: ContractId, olc: String, deployed_ms: u64) {
+    pub(crate) fn track(&mut self, contract: ContractId, olc: String, deployed_ms: u64) {
         self.instances.push(Instance { contract, olc, deployed_ms });
     }
 
@@ -125,7 +114,7 @@ mod tests {
     #[test]
     fn factory_compiles_template_once() {
         let factory = Factory::new(pol_program()).unwrap();
-        assert_ne!(factory.template_digest(), [0u8; 32]);
+        assert!(!factory.compiled().evm.init_code.is_empty());
         assert!(factory.instances().is_empty());
     }
 

@@ -13,8 +13,8 @@
 //!
 //! * [`proof`] — location-proof construction and verification;
 //! * [`actors`] — Prover, Witness, Verifier, Certification Authority;
-//! * [`proximity`] — the simulated Bluetooth neighbourhood;
-//! * [`replay`] — nonce tracking against replayed proofs;
+//! * `proximity` — the simulated Bluetooth neighbourhood;
+//! * `replay` — nonce tracking against replayed proofs;
 //! * [`contract`] — the PoL contract written in the blockchain-agnostic
 //!   language, plus a typed client for it;
 //! * [`factory`] — the factory pattern for per-area contract instances;
@@ -44,11 +44,11 @@ pub mod actors;
 pub mod contract;
 pub mod factory;
 pub mod proof;
-pub mod proximity;
-pub mod replay;
+pub(crate) mod proximity;
+pub(crate) mod replay;
 pub mod system;
 
-pub use proof::{LocationProof, ProofRequest, SubmittedEntry};
+pub use proof::ProofRequest;
 pub use system::{PolSystem, SystemConfig};
 
 /// Errors raised by the proof-of-location protocol.

@@ -37,7 +37,7 @@ pub struct ProofRequest {
 impl ProofRequest {
     /// The digest the witness signs:
     /// `keccak(did ‖ olc ‖ nonce ‖ cid ‖ wallet)`.
-    pub fn digest(&self) -> [u8; 32] {
+    pub(crate) fn digest(&self) -> [u8; 32] {
         let mut preimage = Vec::with_capacity(128);
         preimage.extend_from_slice(self.did.as_str().as_bytes());
         preimage.push(0);
@@ -100,7 +100,7 @@ impl LocationProof {
 /// Capacity reserved for one map entry's raw payload in the contract.
 pub const ENTRY_CAPACITY: usize = 224;
 /// CID strings are padded to this width inside an entry.
-pub const CID_WIDTH: usize = ENTRY_CAPACITY - 156;
+pub(crate) const CID_WIDTH: usize = ENTRY_CAPACITY - 156;
 
 /// The concatenated record a prover submits to the contract (§2.4): the
 /// proof hash, the witness signature and key, the reward wallet, the
@@ -139,7 +139,7 @@ impl SubmittedEntry {
     ///
     /// # Panics
     ///
-    /// Panics if the CID exceeds [`CID_WIDTH`] characters (impossible for
+    /// Panics if the CID exceeds `CID_WIDTH` characters (impossible for
     /// CIDv1/SHA-256 identifiers).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(ENTRY_CAPACITY);

@@ -9,11 +9,11 @@ use crate::PolError;
 use pol_geo::Coordinates;
 
 /// Typical Bluetooth class-2 range, metres.
-pub const DEFAULT_RANGE_M: f64 = 30.0;
+pub(crate) const DEFAULT_RANGE_M: f64 = 30.0;
 
 /// A short-range radio channel between two positions.
 #[derive(Debug, Clone, Copy)]
-pub struct RadioChannel {
+pub(crate) struct RadioChannel {
     /// Radio range in metres.
     pub range_m: f64,
 }
@@ -25,42 +25,22 @@ impl Default for RadioChannel {
 }
 
 impl RadioChannel {
-    /// A channel with a custom range.
-    pub fn with_range(range_m: f64) -> RadioChannel {
-        RadioChannel { range_m }
-    }
-
-    /// Whether two devices can hear each other.
-    pub fn in_range(&self, a: &Coordinates, b: &Coordinates) -> bool {
-        a.distance_m(b) <= self.range_m
-    }
-
     /// Ensures two devices are mutually reachable.
     ///
     /// # Errors
     ///
     /// [`PolError::OutOfRange`] with the measured distance otherwise.
-    pub fn require_in_range(&self, a: &Coordinates, b: &Coordinates) -> Result<(), PolError> {
+    pub(crate) fn require_in_range(
+        &self,
+        a: &Coordinates,
+        b: &Coordinates,
+    ) -> Result<(), PolError> {
         let distance_m = a.distance_m(b);
         if distance_m <= self.range_m {
             Ok(())
         } else {
             Err(PolError::OutOfRange { distance_m, range_m: self.range_m })
         }
-    }
-
-    /// "View users nearby": indices of candidate witnesses within range
-    /// of `me` (the use-case diagram's discovery step).
-    pub fn discover<'a, I>(&self, me: &Coordinates, others: I) -> Vec<usize>
-    where
-        I: IntoIterator<Item = &'a Coordinates>,
-    {
-        others
-            .into_iter()
-            .enumerate()
-            .filter(|(_, pos)| self.in_range(me, pos))
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -77,7 +57,6 @@ mod tests {
         let radio = RadioChannel::default();
         let a = at(44.4949, 11.3426);
         let b = a.offset_m(10.0, 5.0).unwrap();
-        assert!(radio.in_range(&a, &b));
         assert!(radio.require_in_range(&a, &b).is_ok());
     }
 
@@ -86,20 +65,7 @@ mod tests {
         let radio = RadioChannel::default();
         let bologna = at(44.4949, 11.3426);
         let milan = at(45.4642, 9.19);
-        assert!(!radio.in_range(&bologna, &milan));
         let err = radio.require_in_range(&bologna, &milan).unwrap_err();
         assert!(matches!(err, PolError::OutOfRange { .. }));
-    }
-
-    #[test]
-    fn discovery_filters_by_range() {
-        let radio = RadioChannel::default();
-        let me = at(44.4949, 11.3426);
-        let others = [
-            me.offset_m(5.0, 0.0).unwrap(),   // in range
-            me.offset_m(500.0, 0.0).unwrap(), // out
-            me.offset_m(0.0, 20.0).unwrap(),  // in range
-        ];
-        assert_eq!(radio.discover(&me, others.iter()), vec![0, 2]);
     }
 }

@@ -10,7 +10,7 @@ use std::collections::HashSet;
 
 /// Per-witness nonce issuance and consumption tracking.
 #[derive(Debug, Default)]
-pub struct NonceRegistry {
+pub(crate) struct NonceRegistry {
     next: u64,
     outstanding: HashSet<u64>,
     consumed: HashSet<u64>,
@@ -18,12 +18,12 @@ pub struct NonceRegistry {
 
 impl NonceRegistry {
     /// Creates an empty registry.
-    pub fn new() -> NonceRegistry {
+    pub(crate) fn new() -> NonceRegistry {
         NonceRegistry::default()
     }
 
     /// Issues a fresh nonce to a requesting prover.
-    pub fn issue(&mut self) -> u64 {
+    pub(crate) fn issue(&mut self) -> u64 {
         let nonce = self.next;
         self.next += 1;
         self.outstanding.insert(nonce);
@@ -36,17 +36,12 @@ impl NonceRegistry {
     ///
     /// [`PolError::ReplayDetected`] if the nonce was never issued or was
     /// already used.
-    pub fn consume(&mut self, nonce: u64) -> Result<(), PolError> {
+    pub(crate) fn consume(&mut self, nonce: u64) -> Result<(), PolError> {
         if !self.outstanding.remove(&nonce) {
             return Err(PolError::ReplayDetected(nonce));
         }
         self.consumed.insert(nonce);
         Ok(())
-    }
-
-    /// Number of nonces consumed so far.
-    pub fn consumed_count(&self) -> usize {
-        self.consumed.len()
     }
 }
 
@@ -76,6 +71,5 @@ mod tests {
         assert_ne!(a, b);
         assert!(reg.consume(a).is_ok());
         assert!(reg.consume(b).is_ok());
-        assert_eq!(reg.consumed_count(), 2);
     }
 }

@@ -284,7 +284,7 @@ impl PolSystem {
     /// # Errors
     ///
     /// Unknown prover or encoding failure.
-    pub fn area_of(&self, id: ProverId) -> Result<OlcCode, PolError> {
+    pub(crate) fn area_of(&self, id: ProverId) -> Result<OlcCode, PolError> {
         Ok(olc::encode(self.prover(id)?.position, 10)?)
     }
 
@@ -599,13 +599,13 @@ impl PolSystem {
     }
 
     /// Designates (or returns) the verifier, funding its wallet.
-    pub fn verifier(&mut self) -> &Verifier {
+    pub(crate) fn verifier(&mut self) -> &Verifier {
         if self.verifier.is_none() {
             let identity = Identity::generate(&mut self.rng);
             let keys = identity.signing.clone();
             let wallet = Address::from_public_key(&keys.public);
             self.chain.fund(wallet, self.config.initial_funds);
-            let verifier = self.ca.designate_verifier(identity, self.chain.now_ms());
+            let verifier = self.ca.designate_verifier();
             self.verifier = Some((verifier, keys));
         }
         &self.verifier.as_ref().expect("just set").0

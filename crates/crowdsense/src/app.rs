@@ -4,7 +4,6 @@ use crate::report::Report;
 use pol_core::system::{PolSystem, ProverId, SubmissionOutcome, WitnessId};
 use pol_core::PolError;
 use pol_geo::OlcCode;
-use pol_hypercube::query;
 
 /// The crowdsensing application over a wired proof-of-location system.
 #[derive(Debug)]
@@ -64,33 +63,6 @@ impl CrowdsenseApp {
         }
         Ok(reports)
     }
-
-    /// Browses every verified report in the *region* of an area: a
-    /// hypercube superset query over the area's key (the complex-query
-    /// capability of §1.3).
-    ///
-    /// # Errors
-    ///
-    /// Routing failures.
-    pub fn browse_region(
-        &self,
-        area: &OlcCode,
-        node_limit: usize,
-    ) -> Result<Vec<Report>, PolError> {
-        let key = self.system.hypercube.key_for(area);
-        let result = query::superset_search(&self.system.hypercube, key, node_limit);
-        let mut reports = Vec::new();
-        for record in result.records {
-            for cid_str in &record.cids {
-                let Ok(cid) = pol_dfs::Cid::parse(cid_str) else { continue };
-                let Ok(bytes) = self.system.dfs.get(&cid) else { continue };
-                if let Ok(report) = Report::from_bytes(&bytes) {
-                    reports.push(report);
-                }
-            }
-        }
-        Ok(reports)
-    }
 }
 
 #[cfg(test)]
@@ -121,9 +93,5 @@ mod tests {
             app.browse_area(&out.area).unwrap().into_iter().map(|r| r.title).collect();
         titles.sort();
         assert_eq!(titles, vec!["Oily spots".to_string(), "Waste".to_string()]);
-
-        // Region query sees them too.
-        let region = app.browse_region(&out.area, 1 << 8).unwrap();
-        assert_eq!(region.len(), 2);
     }
 }

@@ -16,8 +16,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod app;
-pub mod report;
+pub(crate) mod app;
+pub(crate) mod report;
 pub mod simulation;
 
 pub use app::CrowdsenseApp;

@@ -58,12 +58,6 @@ impl Report {
         Report { title: title.into(), description: description.into(), category, photo: None }
     }
 
-    /// Attaches a photo (builder style).
-    pub fn with_photo(mut self, photo: Vec<u8>) -> Report {
-        self.photo = Some(photo);
-        self
-    }
-
     /// Serializes for DFS storage (length-prefixed fields; stable across
     /// versions).
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -87,7 +81,7 @@ impl Report {
     /// # Errors
     ///
     /// Returns a descriptive string on malformed data.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Report, String> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Report, String> {
         let mut cursor = 0usize;
         let mut next = || -> Result<Vec<u8>, String> {
             if cursor + 4 > bytes.len() {
@@ -127,8 +121,9 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let report = Report::new("Oily river", "slick near the bridge", ReportCategory::Pollution)
-            .with_photo(vec![1, 2, 3]);
+        let mut report =
+            Report::new("Oily river", "slick near the bridge", ReportCategory::Pollution);
+        report.photo = Some(vec![1, 2, 3]);
         let parsed = Report::from_bytes(&report.to_bytes()).unwrap();
         assert_eq!(parsed, report);
     }

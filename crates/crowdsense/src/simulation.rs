@@ -11,7 +11,7 @@ use pol_geo::{Coordinates, OlcCode};
 use pol_ledger::{Amount, Currency};
 
 /// The eight deployment areas used by the paper's Goerli runs (§5.1.2).
-pub const PAPER_POSITIONS: [&str; 8] = [
+pub(crate) const PAPER_POSITIONS: [&str; 8] = [
     "7H369F4W+Q8",
     "7H369F4W+Q9",
     "7H368FRV+FM",
@@ -135,11 +135,6 @@ impl SimulationResults {
         Amount::from_base_units(fees.iter().sum::<u128>() / fees.len() as u128, self.currency)
     }
 
-    /// Total fees of one kind of interaction.
-    pub fn total_fee(&self, kind: OpKind) -> Amount {
-        Amount::from_base_units(self.of_kind(kind).map(|m| m.fee.base_units()).sum(), self.currency)
-    }
-
     fn of_kind(&self, kind: OpKind) -> impl Iterator<Item = &UserMeasurement> {
         self.measurements.iter().filter(move |m| m.kind == kind)
     }
@@ -174,75 +169,6 @@ pub fn run(preset: &ChainPreset, config: &SimulationConfig) -> Result<Simulation
         ..SystemConfig::default()
     };
     let mut system = PolSystem::new(preset.build(config.seed), system_config);
-    run_on_system(&mut system, config, 0.0)
-}
-
-/// One measured day of a multi-day campaign.
-#[derive(Debug, Clone)]
-pub struct DayResult {
-    /// Day index (0-based).
-    pub day: usize,
-    /// The day's measurements.
-    pub results: SimulationResults,
-}
-
-/// Repeats the workload on consecutive simulated days over ONE chain
-/// instance — the fee market's state carries over and drifts through the
-/// idle night, reproducing the day-to-day fee differences between the
-/// paper's Tables 5.1/5.3 and 5.2/5.4 ("the results were calculated on
-/// different days", §5.1.5). Each day uses a fresh strip of areas so
-/// every group deploys again.
-///
-/// # Errors
-///
-/// Propagates protocol failures.
-pub fn run_days(
-    preset: &ChainPreset,
-    config: &SimulationConfig,
-    days: usize,
-) -> Result<Vec<DayResult>, PolError> {
-    let system_config = SystemConfig {
-        max_users: GROUP_SIZE as u64,
-        reward: config.reward,
-        seed: config.seed,
-        ..SystemConfig::default()
-    };
-    let mut system = PolSystem::new(preset.build(config.seed), system_config);
-    let mut out = Vec::with_capacity(days);
-    for day in 0..days {
-        let before = system.operations().len();
-        run_on_system(&mut system, config, 2_000.0 * day as f64)?;
-        // Only this day's measurements.
-        let measurements = system.operations()[before..]
-            .iter()
-            .filter(|op| matches!(op.kind, OpKind::Deploy | OpKind::Attach))
-            .map(|op| UserMeasurement {
-                user: op.user,
-                kind: op.kind,
-                latency_ms: op.latency_ms,
-                fee: op.fee,
-                txs: op.txs,
-            })
-            .collect();
-        out.push(DayResult {
-            day,
-            results: SimulationResults {
-                network: system.chain().config.name.clone(),
-                currency: system.chain().config.currency,
-                measurements,
-            },
-        });
-        // The idle night: blocks keep coming, congestion drifts.
-        system.chain_mut().skip_idle(24 * 60 * 60 * 1000);
-    }
-    Ok(out)
-}
-
-fn run_on_system(
-    system: &mut PolSystem,
-    config: &SimulationConfig,
-    north_offset_m: f64,
-) -> Result<SimulationResults, PolError> {
     assert!(
         config.users > 0 && config.users.is_multiple_of(GROUP_SIZE),
         "users must be a positive multiple of {GROUP_SIZE}"
@@ -254,12 +180,11 @@ fn run_on_system(
     let mut areas = Vec::new();
     for g in 0..groups {
         let (_, center) = &positions[g % positions.len()];
-        // Distinct cells for a second pass over the same eight codes and
-        // for repeated daily campaigns; snap to the cell centre so the
-        // whole group shares one area regardless of the offset.
-        let shifted = center
-            .offset_m(120.0 * (g / positions.len()) as f64 + north_offset_m, 0.0)
-            .expect("offset stays valid");
+        // Distinct cells for a second pass over the same eight codes;
+        // snap to the cell centre so the whole group shares one area
+        // regardless of the offset.
+        let shifted =
+            center.offset_m(120.0 * (g / positions.len()) as f64, 0.0).expect("offset stays valid");
         let center = pol_geo::olc::encode(shifted, 10).expect("valid coordinates").center();
         // One witness per group, at the cell centre.
         let witness = system.register_witness(center.latitude(), center.longitude())?;
@@ -338,36 +263,6 @@ mod tests {
         assert!((stats.max_s - 3.0).abs() < 1e-9);
         assert!((stats.min_s - 1.0).abs() < 1e-9);
         assert!((stats.std_s - (2.0f64 / 3.0).sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn daily_campaigns_share_one_fee_market() {
-        let config = SimulationConfig { users: 4, seed: 5, ..Default::default() };
-        let days = run_days(&presets::devnet_algo(), &config, 3).unwrap();
-        assert_eq!(days.len(), 3);
-        for d in &days {
-            assert_eq!(d.results.measurements.len(), 4);
-            assert_eq!(d.results.deploy_latencies().len(), 1);
-        }
-        // Algorand fees are flat across days.
-        let fees: Vec<u128> = days
-            .iter()
-            .map(|d| d.results.mean_fee(pol_core::system::OpKind::Deploy).base_units())
-            .collect();
-        assert!(fees.windows(2).all(|w| w[0] == w[1]), "{fees:?}");
-    }
-
-    #[test]
-    fn goerli_fees_drift_across_days() {
-        // The day-to-day EVM fee variance behind the paper's differing
-        // table values.
-        let config = SimulationConfig { users: 4, seed: 6, ..Default::default() };
-        let days = run_days(&presets::goerli(), &config, 3).unwrap();
-        let fees: Vec<u128> = days
-            .iter()
-            .map(|d| d.results.mean_fee(pol_core::system::OpKind::Deploy).base_units())
-            .collect();
-        assert!(fees.iter().any(|&f| f != fees[0]), "fees should drift: {fees:?}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 /// 256-bit unsigned integer as four little-endian `u64` limbs.
 pub type U256 = [u64; 4];
 /// 512-bit unsigned integer as eight little-endian `u64` limbs.
-pub type U512 = [u64; 8];
+pub(crate) type U512 = [u64; 8];
 
 /// Compares two 256-bit integers.
 pub fn cmp256(a: &U256, b: &U256) -> core::cmp::Ordering {
@@ -96,7 +96,7 @@ pub fn from_le_bytes32(bytes: &[u8; 32]) -> U256 {
 }
 
 /// Converts 64 little-endian bytes into a [`U512`].
-pub fn from_le_bytes64(bytes: &[u8; 64]) -> U512 {
+pub(crate) fn from_le_bytes64(bytes: &[u8; 64]) -> U512 {
     let mut out = [0u64; 8];
     for (i, limb) in out.iter_mut().enumerate() {
         let mut b = [0u8; 8];
@@ -116,7 +116,7 @@ pub fn to_le_bytes32(x: &U256) -> [u8; 32] {
 }
 
 /// Widens a [`U256`] to a [`U512`].
-pub fn widen(x: &U256) -> U512 {
+pub(crate) fn widen(x: &U256) -> U512 {
     let mut out = [0u64; 8];
     out[..4].copy_from_slice(x);
     out

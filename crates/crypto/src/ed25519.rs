@@ -197,7 +197,7 @@ impl Point {
     }
 
     /// Negation: (x, y) → (−x, y).
-    pub fn neg(&self) -> Point {
+    pub(crate) fn neg(&self) -> Point {
         Point { x: self.x.neg(), y: self.y, z: self.z, t: self.t.neg() }
     }
 
@@ -370,13 +370,8 @@ impl Signature {
 
 impl SecretKey {
     /// Builds a secret key from a 32-byte seed.
-    pub fn from_seed(seed: &[u8; 32]) -> SecretKey {
+    pub(crate) fn from_seed(seed: &[u8; 32]) -> SecretKey {
         SecretKey { seed: *seed }
-    }
-
-    /// Returns the seed bytes.
-    pub fn seed(&self) -> &[u8; 32] {
-        &self.seed
     }
 
     fn expand(&self) -> ([u8; 32], [u8; 32]) {
@@ -428,9 +423,9 @@ impl Keypair {
 
 impl PublicKey {
     /// Verifies `signature` over `message`: s is canonical, the key A and R
-    /// both decompress, and the cofactorless equation [s]B = R + [k]A holds
+    /// both decompress, and the cofactorless equation `[s]B = R + [k]A` holds
     /// with k = H(R ‖ A ‖ M) mod ℓ. The equation is evaluated as
-    /// [s]B − [k]A == R, which is one double-scalar multiplication and a
+    /// `[s]B − [k]A == R`, which is one double-scalar multiplication and a
     /// projective comparison; small-order keys and R are not singled out.
     ///
     /// Returns `false` for invalid points, non-canonical scalars, or a

@@ -89,7 +89,7 @@ impl Fe {
     }
 
     /// Field negation.
-    pub fn neg(&self) -> Fe {
+    pub(crate) fn neg(&self) -> Fe {
         Fe::ZERO.sub(self)
     }
 
@@ -140,7 +140,7 @@ impl Fe {
     }
 
     /// Multiplies by a small scalar constant.
-    pub fn mul_small(&self, k: u32) -> Fe {
+    pub(crate) fn mul_small(&self, k: u32) -> Fe {
         let mut wide = [0u128; 5];
         for i in 0..5 {
             wide[i] = u128::from(self.0[i]) * u128::from(k);
@@ -203,7 +203,7 @@ impl Fe {
     }
 
     /// Whether the canonical encoding is odd (the "sign" bit of x).
-    pub fn is_negative(&self) -> bool {
+    pub(crate) fn is_negative(&self) -> bool {
         self.to_bytes()[0] & 1 == 1
     }
 
@@ -213,7 +213,7 @@ impl Fe {
     }
 
     /// Constant √−1 = 2^((p−1)/4) in the field, needed during decompression.
-    pub fn sqrt_m1() -> Fe {
+    pub(crate) fn sqrt_m1() -> Fe {
         Fe([1718705420411056, 234908883556509, 2233514472574048, 2117202627021982, 765476049583133])
     }
 

@@ -1,4 +1,4 @@
-//! Keccak-256 (the pre-NIST padding variant used by Ethereum) and SHA3-256.
+//! Keccak-256 (the pre-NIST padding variant used by Ethereum).
 
 const ROUNDS: usize = 24;
 
@@ -118,11 +118,6 @@ pub fn keccak256(data: &[u8]) -> [u8; 32] {
     keccak_sponge(data, 0x01)
 }
 
-/// SHA3-256 with NIST `0x06` padding.
-pub fn sha3_256(data: &[u8]) -> [u8; 32] {
-    keccak_sponge(data, 0x06)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,18 +132,6 @@ mod tests {
         assert_eq!(
             hex::encode(&keccak256(b"The quick brown fox jumps over the lazy dog")),
             "4d741b6f1eb29cb2a9b9911c82f56fa8d73b04959d3d9d222895df6c0b28aa15"
-        );
-    }
-
-    #[test]
-    fn sha3_256_vectors() {
-        assert_eq!(
-            hex::encode(&sha3_256(b"")),
-            "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
-        );
-        assert_eq!(
-            hex::encode(&sha3_256(b"abc")),
-            "3a985da74fe225b2045c172d6bd390bd855f086e3e9d525b46bfe24511431532"
         );
     }
 

@@ -6,7 +6,7 @@
 //!
 //! * [`sha256`](mod@sha256) / [`sha512`](mod@sha512) — FIPS 180-4 hash
 //!   functions,
-//! * [`keccak`] — Keccak-256 as used by the EVM and Ethereum addresses,
+//! * `keccak` — Keccak-256 as used by the EVM and Ethereum addresses,
 //! * [`ed25519`] — RFC 8032 signatures over edwards25519,
 //! * [`x25519`] — RFC 7748 Diffie–Hellman, used by [`sealed`] boxes for the
 //!   DID challenge–response authentication,
@@ -31,7 +31,7 @@ pub mod bigint;
 pub mod ed25519;
 pub mod field25519;
 pub mod hex;
-pub mod keccak;
+pub(crate) mod keccak;
 pub mod scalar;
 pub mod sealed;
 pub mod sha256;
@@ -39,10 +39,9 @@ pub mod sha512;
 pub mod vrf;
 pub mod x25519;
 
-pub use ed25519::{Keypair, PublicKey, SecretKey, Signature};
 pub use keccak::keccak256;
 pub use sha256::sha256;
-pub use sha512::sha512;
+pub(crate) use sha512::sha512;
 
 /// Error raised by cryptographic operations on malformed inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -13,12 +13,6 @@ pub fn reduce64(bytes: &[u8; 64]) -> [u8; 32] {
     bigint::to_le_bytes32(&bigint::reduce512(&wide, &L))
 }
 
-/// Reduces a 256-bit little-endian value modulo ℓ.
-pub fn reduce32(bytes: &[u8; 32]) -> [u8; 32] {
-    let wide = bigint::widen(&bigint::from_le_bytes32(bytes));
-    bigint::to_le_bytes32(&bigint::reduce512(&wide, &L))
-}
-
 /// Computes `(a * b + c) mod ℓ` over little-endian 32-byte scalars.
 pub fn muladd(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32]) -> [u8; 32] {
     let ab = bigint::mul256(&bigint::from_le_bytes32(a), &bigint::from_le_bytes32(b));
@@ -44,7 +38,9 @@ mod tests {
     #[test]
     fn l_reduces_to_zero() {
         let l_bytes = bigint::to_le_bytes32(&L);
-        assert_eq!(reduce32(&l_bytes), [0u8; 32]);
+        let mut wide = [0u8; 64];
+        wide[..32].copy_from_slice(&l_bytes);
+        assert_eq!(reduce64(&wide), [0u8; 32]);
         assert!(!is_canonical(&l_bytes));
     }
 
@@ -53,7 +49,9 @@ mod tests {
         let (lm1, _) = bigint::sub256(&L, &[1, 0, 0, 0]);
         let bytes = bigint::to_le_bytes32(&lm1);
         assert!(is_canonical(&bytes));
-        assert_eq!(reduce32(&bytes), bytes);
+        let mut wide = [0u8; 64];
+        wide[..32].copy_from_slice(&bytes);
+        assert_eq!(reduce64(&wide), bytes);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::x25519::XKeypair;
 use crate::CryptoError;
 
 /// Overhead added to every plaintext: ephemeral key plus MAC tag.
-pub const OVERHEAD: usize = 64;
+pub(crate) const OVERHEAD: usize = 64;
 
 /// Encrypts `plaintext` so only the holder of the secret key matching
 /// `recipient_pk` can read it.

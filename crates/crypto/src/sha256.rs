@@ -17,19 +17,8 @@ const K: [u32; 64] = [
 ];
 
 /// Incremental SHA-256 hasher.
-///
-/// # Examples
-///
-/// ```
-/// use pol_crypto::sha256::Sha256;
-///
-/// let mut h = Sha256::new();
-/// h.update(b"ab");
-/// h.update(b"c");
-/// assert_eq!(h.finalize(), pol_crypto::sha256(b"abc"));
-/// ```
 #[derive(Clone, Debug)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     buffer: [u8; 64],
     buffered: usize,
@@ -44,12 +33,12 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// Creates a hasher in its initial state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sha256 { state: H0, buffer: [0u8; 64], buffered: 0, length: 0 }
     }
 
     /// Absorbs `data` into the hash state.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.length = self.length.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buffered > 0 {
@@ -69,7 +58,7 @@ impl Sha256 {
     }
 
     /// Finishes the computation, returning the 32-byte digest.
-    pub fn finalize(self) -> [u8; 32] {
+    pub(crate) fn finalize(self) -> [u8; 32] {
         finish(self.state, &self.buffer[..self.buffered], self.length)
     }
 }

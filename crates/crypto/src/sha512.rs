@@ -102,8 +102,11 @@ const K: [u64; 80] = [
 /// use pol_crypto::sha512::Sha512;
 ///
 /// let mut h = Sha512::new();
-/// h.update(b"abc");
-/// assert_eq!(h.finalize(), pol_crypto::sha512(b"abc"));
+/// h.update(b"ab");
+/// h.update(b"c");
+/// let mut whole = Sha512::new();
+/// whole.update(b"abc");
+/// assert_eq!(h.finalize(), whole.finalize());
 /// ```
 #[derive(Clone, Debug)]
 pub struct Sha512 {
@@ -210,7 +213,7 @@ impl Sha512 {
 }
 
 /// Computes the SHA-512 digest of `data` in one shot.
-pub fn sha512(data: &[u8]) -> [u8; 64] {
+pub(crate) fn sha512(data: &[u8]) -> [u8; 64] {
     let mut h = Sha512::new();
     h.update(data);
     h.finalize()

@@ -3,7 +3,7 @@
 use crate::field25519::Fe;
 
 /// The Montgomery ladder base point u = 9.
-pub const BASEPOINT: [u8; 32] = {
+pub(crate) const BASEPOINT: [u8; 32] = {
     let mut b = [0u8; 32];
     b[0] = 9;
     b
@@ -46,7 +46,7 @@ impl XKeypair {
 }
 
 /// Clamps a scalar per RFC 7748 §5.
-pub fn clamp(mut k: [u8; 32]) -> [u8; 32] {
+pub(crate) fn clamp(mut k: [u8; 32]) -> [u8; 32] {
     k[0] &= 248;
     k[31] &= 127;
     k[31] |= 64;
@@ -55,7 +55,7 @@ pub fn clamp(mut k: [u8; 32]) -> [u8; 32] {
 
 /// The X25519 function: multiplies the point with u-coordinate `u` by the
 /// (already clamped or raw) scalar `k` using the Montgomery ladder.
-pub fn scalar_mult(k: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
+pub(crate) fn scalar_mult(k: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     let x1 = Fe::from_bytes(u);
     let mut x2 = Fe::ONE;
     let mut z2 = Fe::ZERO;

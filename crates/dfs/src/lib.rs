@@ -27,8 +27,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cid;
-pub mod store;
+pub(crate) mod cid;
+pub(crate) mod store;
 
 pub use cid::Cid;
 pub use store::{DfsNetwork, PeerId};

@@ -59,11 +59,6 @@ impl DfsNetwork {
         PeerId(peers.len() as u64 - 1)
     }
 
-    /// Number of peers ever created.
-    pub fn peer_count(&self) -> usize {
-        self.peers.read().len()
-    }
-
     /// Adds content at `peer`, pinning it there, and announces the
     /// provider record. Returns the content's CID.
     ///
@@ -217,18 +212,6 @@ impl DfsNetwork {
         }
         Ok(dropped.len())
     }
-
-    /// Takes a peer offline (its content becomes unavailable but is kept).
-    pub fn set_online(&self, peer: PeerId, online: bool) {
-        if let Some(state) = self.peers.write().get_mut(peer.0 as usize) {
-            state.online = online;
-        }
-    }
-
-    /// Number of distinct peers currently announcing `cid`.
-    pub fn provider_count(&self, cid: &Cid) -> usize {
-        self.providers.read().get(cid).map_or(0, |s| s.len())
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +224,6 @@ mod tests {
         let p = dfs.create_peer();
         let cid = dfs.add(p, b"hello".to_vec()).unwrap();
         assert_eq!(dfs.get(&cid).unwrap(), b"hello");
-        assert_eq!(dfs.provider_count(&cid), 1);
     }
 
     #[test]
@@ -264,7 +246,6 @@ mod tests {
         let b = dfs.create_peer();
         let cid = dfs.add(a, b"shared".to_vec()).unwrap();
         dfs.replicate(b, &cid).unwrap();
-        assert_eq!(dfs.provider_count(&cid), 2);
         dfs.unpin(a, &cid).unwrap();
         assert_eq!(dfs.gc(a).unwrap(), 1);
         assert_eq!(dfs.get(&cid).unwrap(), b"shared");
@@ -278,7 +259,7 @@ mod tests {
         dfs.unpin(a, &cid).unwrap();
         assert_eq!(dfs.gc(a).unwrap(), 1);
         assert!(dfs.get(&cid).is_err());
-        assert_eq!(dfs.provider_count(&cid), 0);
+        assert!(!dfs.providers.read().contains_key(&cid), "provider record withdrawn");
     }
 
     #[test]
@@ -348,20 +329,5 @@ mod tests {
         let stats = transport.stats();
         assert!(stats.class(MessageClass::DfsRequest).timed_out >= 1);
         assert_eq!(stats.class(MessageClass::DfsBlock).delivered, 1);
-    }
-
-    #[test]
-    fn offline_provider_is_skipped() {
-        let dfs = DfsNetwork::new();
-        let a = dfs.create_peer();
-        let b = dfs.create_peer();
-        let cid = dfs.add(a, b"redundant".to_vec()).unwrap();
-        dfs.replicate(b, &cid).unwrap();
-        dfs.set_online(a, false);
-        assert_eq!(dfs.get(&cid).unwrap(), b"redundant");
-        dfs.set_online(b, false);
-        assert!(dfs.get(&cid).is_err());
-        dfs.set_online(a, true);
-        assert_eq!(dfs.get(&cid).unwrap(), b"redundant");
     }
 }

@@ -11,7 +11,7 @@ use crate::DidError;
 use pol_crypto::sealed;
 
 /// Size of the random challenge nonce.
-pub const NONCE_LEN: usize = 32;
+pub(crate) const NONCE_LEN: usize = 32;
 
 /// A challenge issued by an authenticator (witness).
 #[derive(Debug, Clone)]

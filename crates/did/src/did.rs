@@ -18,12 +18,10 @@ const ID_LEN: usize = 32;
 /// # Examples
 ///
 /// ```
-/// use pol_did::Did;
-/// use pol_crypto::ed25519::Keypair;
+/// use pol_did::{Did, Identity};
 ///
-/// let kp = Keypair::from_seed(&[1u8; 32]);
-/// let did = Did::from_public_key(&kp.public);
-/// assert_eq!(did, did.as_str().parse()?);
+/// let did = Identity::from_seed(1).did;
+/// assert_eq!(did, did.as_str().parse::<Did>()?);
 /// # Ok::<(), pol_did::DidError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -32,7 +30,7 @@ pub struct Did(String);
 
 impl Did {
     /// Derives the DID controlled by an Ed25519 public key.
-    pub fn from_public_key(pk: &PublicKey) -> Did {
+    pub(crate) fn from_public_key(pk: &PublicKey) -> Did {
         let digest = sha256(&pk.0);
         Did(format!("{METHOD_PREFIX}{}", base32::encode(&digest[..20])))
     }
@@ -40,11 +38,6 @@ impl Did {
     /// The full identifier string.
     pub fn as_str(&self) -> &str {
         &self.0
-    }
-
-    /// The method-specific identifier (after `did:pol:`).
-    pub fn method_specific_id(&self) -> &str {
-        &self.0[METHOD_PREFIX.len()..]
     }
 
     /// Whether `pk` is the key this DID was derived from.

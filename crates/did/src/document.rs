@@ -25,7 +25,7 @@ pub struct DidDocument {
 
 impl DidDocument {
     /// Builds a self-controlled document for the given keys.
-    pub fn new(
+    pub(crate) fn new(
         verification_key: &PublicKey,
         agreement_key: &[u8; 32],
         created_ms: u64,
@@ -46,7 +46,7 @@ impl DidDocument {
     ///
     /// Returns [`DidError::KeyMismatch`] if the stored key is malformed or
     /// does not derive the document's DID.
-    pub fn verification_public_key(&self) -> Result<PublicKey, DidError> {
+    pub(crate) fn verification_public_key(&self) -> Result<PublicKey, DidError> {
         let pk = self.signing_public_key()?;
         if !self.id.is_controlled_by(&pk) {
             return Err(DidError::KeyMismatch);
@@ -55,14 +55,12 @@ impl DidDocument {
     }
 
     /// Decodes the Ed25519 verification key without checking that it
-    /// derives the DID — rotated documents carry keys other than the one
-    /// the DID was minted from; their authority comes from the rotation
-    /// chain instead (see `DidRegistry::rotate`).
+    /// derives the DID.
     ///
     /// # Errors
     ///
     /// Returns [`DidError::KeyMismatch`] on malformed hex.
-    pub fn signing_public_key(&self) -> Result<PublicKey, DidError> {
+    pub(crate) fn signing_public_key(&self) -> Result<PublicKey, DidError> {
         PublicKey::from_hex(&self.verification_key).map_err(|_| DidError::KeyMismatch)
     }
 
@@ -71,12 +69,12 @@ impl DidDocument {
     /// # Errors
     ///
     /// Returns [`DidError::KeyMismatch`] if the stored key is malformed.
-    pub fn agreement_public_key(&self) -> Result<[u8; 32], DidError> {
+    pub(crate) fn agreement_public_key(&self) -> Result<[u8; 32], DidError> {
         hex::decode_array(&self.agreement_key).map_err(|_| DidError::KeyMismatch)
     }
 
     /// The canonical byte form signed during registration.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
+    pub(crate) fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(self.id.as_str().as_bytes());
         out.push(0);

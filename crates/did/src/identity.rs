@@ -43,7 +43,7 @@ impl Identity {
     }
 
     /// Produces this identity's DID document.
-    pub fn document(&self, created_ms: u64) -> DidDocument {
+    pub(crate) fn document(&self, created_ms: u64) -> DidDocument {
         DidDocument::new(&self.signing.public, &self.agreement.public, created_ms)
     }
 }

@@ -13,7 +13,7 @@
 //! * [`auth`] implements the challenge–response protocol of Fig. 2.4 by
 //!   which a witness authenticates a prover before issuing a location
 //!   proof, and
-//! * [`vc`] implements the Verifiable Credentials the Certification
+//! * `vc` implements the Verifiable Credentials the Certification
 //!   Authority issues to witnesses and verifiers (the paper's future-work
 //!   extension, included here).
 //!
@@ -32,13 +32,12 @@
 #![warn(missing_docs)]
 
 pub mod auth;
-pub mod did;
-pub mod document;
-pub mod identity;
-pub mod registry;
-pub mod vc;
+pub(crate) mod did;
+pub(crate) mod document;
+pub(crate) mod identity;
+pub(crate) mod registry;
+pub(crate) mod vc;
 
-pub use auth::{Challenge, ChallengeResponse};
 pub use did::Did;
 pub use document::DidDocument;
 pub use identity::Identity;

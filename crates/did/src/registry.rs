@@ -9,7 +9,7 @@ use crate::did::Did;
 use crate::document::DidDocument;
 use crate::DidError;
 use parking_lot::RwLock;
-use pol_crypto::ed25519::{Keypair, Signature};
+use pol_crypto::ed25519::Signature;
 use std::collections::HashMap;
 
 /// A shared DID → document registry.
@@ -31,7 +31,11 @@ impl DidRegistry {
     ///
     /// * [`DidError::KeyMismatch`] — document keys don't derive its DID;
     /// * [`DidError::BadSignature`] — the registration signature is wrong.
-    pub fn register(&self, document: DidDocument, signature: &Signature) -> Result<(), DidError> {
+    pub(crate) fn register(
+        &self,
+        document: DidDocument,
+        signature: &Signature,
+    ) -> Result<(), DidError> {
         let pk = document.verification_public_key()?;
         if !pk.verify(&document.canonical_bytes(), signature) {
             return Err(DidError::BadSignature);
@@ -44,7 +48,7 @@ impl DidRegistry {
     ///
     /// # Errors
     ///
-    /// Propagates [`DidRegistry::register`] failures.
+    /// Propagates `DidRegistry::register` failures.
     pub fn register_identity(
         &self,
         identity: &crate::identity::Identity,
@@ -54,38 +58,6 @@ impl DidRegistry {
         let sig = identity.signing.sign(&doc.canonical_bytes());
         self.register(doc.clone(), &sig)?;
         Ok(doc)
-    }
-
-    /// Rotates a DID's keys: replaces the resolvable document with
-    /// `new_document`, authorised by a signature from the *currently*
-    /// registered document's verification key (controller continuity —
-    /// the DID string never changes, so credentials and map entries
-    /// keyed by it stay valid while a compromised or retired key is
-    /// phased out).
-    ///
-    /// # Errors
-    ///
-    /// * [`DidError::NotRegistered`] — no current document;
-    /// * [`DidError::KeyMismatch`] — the new document claims a different
-    ///   DID;
-    /// * [`DidError::BadSignature`] — the rotation was not signed by the
-    ///   current key.
-    pub fn rotate(
-        &self,
-        did: &Did,
-        new_document: DidDocument,
-        signature: &Signature,
-    ) -> Result<(), DidError> {
-        let current = self.resolve(did)?;
-        if new_document.id != *did {
-            return Err(DidError::KeyMismatch);
-        }
-        let current_pk = current.signing_public_key()?;
-        if !current_pk.verify(&new_document.canonical_bytes(), signature) {
-            return Err(DidError::BadSignature);
-        }
-        self.documents.write().insert(did.clone(), new_document);
-        Ok(())
     }
 
     /// Resolves a DID to its document (the *DID resolution* of §1.6).
@@ -100,22 +72,6 @@ impl DidRegistry {
             .cloned()
             .ok_or_else(|| DidError::NotRegistered(did.to_string()))
     }
-
-    /// Number of registered documents.
-    pub fn len(&self) -> usize {
-        self.documents.read().len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.documents.read().is_empty()
-    }
-
-    /// Signs arbitrary bytes with `keypair` — helper mirroring how actors
-    /// prove statements about their DID off-document.
-    pub fn sign_with(keypair: &Keypair, bytes: &[u8]) -> Signature {
-        keypair.sign(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +85,6 @@ mod tests {
         let id = Identity::from_seed(1);
         let doc = registry.register_identity(&id, 42).unwrap();
         assert_eq!(registry.resolve(&id.did).unwrap(), doc);
-        assert_eq!(registry.len(), 1);
     }
 
     #[test]
@@ -148,65 +103,7 @@ mod tests {
         // Attacker signs the victim's document with their own key.
         let sig = attacker.signing.sign(&doc.canonical_bytes());
         assert_eq!(registry.register(doc, &sig), Err(DidError::BadSignature));
-        assert!(registry.is_empty());
-    }
-
-    #[test]
-    fn rotation_replaces_keys_and_preserves_the_did() {
-        use crate::auth;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let registry = DidRegistry::new();
-        let old = Identity::from_seed(7);
-        registry.register_identity(&old, 0).unwrap();
-
-        // New device keys; the DID string stays the same.
-        let fresh = Identity::from_seed(8);
-        let mut new_doc = DidDocument::new(&fresh.signing.public, &fresh.agreement.public, 10);
-        new_doc.id = old.did.clone();
-        new_doc.controller = old.did.clone();
-        let sig = old.signing.sign(&new_doc.canonical_bytes());
-        registry.rotate(&old.did, new_doc, &sig).unwrap();
-
-        let resolved = registry.resolve(&old.did).unwrap();
-        assert_eq!(resolved.signing_public_key().unwrap(), fresh.signing.public);
-
-        // Challenge–response now targets the NEW agreement key: the new
-        // holder answers, the old key no longer can.
-        let mut rng = StdRng::seed_from_u64(1);
-        let challenge = auth::Challenge::issue(&mut rng, &resolved).unwrap();
-        let response = auth::respond(&fresh, &challenge.ciphertext).unwrap();
-        assert!(challenge.verify(&response));
-        assert!(auth::respond(&old, &challenge.ciphertext).is_err());
-    }
-
-    #[test]
-    fn rotation_requires_current_key() {
-        let registry = DidRegistry::new();
-        let owner = Identity::from_seed(9);
-        registry.register_identity(&owner, 0).unwrap();
-        let attacker = Identity::from_seed(10);
-        let mut hijack = attacker.document(1);
-        hijack.id = owner.did.clone();
-        let sig = attacker.signing.sign(&hijack.canonical_bytes());
-        assert_eq!(registry.rotate(&owner.did, hijack, &sig), Err(DidError::BadSignature));
-        // Original document untouched.
-        assert_eq!(
-            registry.resolve(&owner.did).unwrap().signing_public_key().unwrap(),
-            owner.signing.public
-        );
-    }
-
-    #[test]
-    fn rotation_cannot_move_to_another_did() {
-        let registry = DidRegistry::new();
-        let owner = Identity::from_seed(11);
-        registry.register_identity(&owner, 0).unwrap();
-        let other = Identity::from_seed(12);
-        let doc = other.document(1); // carries other's DID
-        let sig = owner.signing.sign(&doc.canonical_bytes());
-        assert_eq!(registry.rotate(&owner.did, doc, &sig), Err(DidError::KeyMismatch));
+        assert!(registry.resolve(&victim.did).is_err());
     }
 
     #[test]

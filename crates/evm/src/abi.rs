@@ -1,6 +1,5 @@
-//! Minimal ABI: 4-byte selectors plus 32-byte-word argument encoding.
+//! The ABI's 4-byte function selectors.
 
-use crate::word::Word;
 use pol_crypto::keccak256;
 
 /// Computes the 4-byte function selector `keccak256(signature)[..4]`.
@@ -16,47 +15,6 @@ pub fn selector(signature: &str) -> [u8; 4] {
     [digest[0], digest[1], digest[2], digest[3]]
 }
 
-/// Encodes a call: selector followed by each argument as a 32-byte word.
-pub fn encode_call(signature: &str, args: &[Word]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + args.len() * 32);
-    out.extend_from_slice(&selector(signature));
-    for arg in args {
-        out.extend_from_slice(&arg.to_be_bytes());
-    }
-    out
-}
-
-/// Decodes the selector from calldata, if present.
-pub fn decode_selector(data: &[u8]) -> Option<[u8; 4]> {
-    if data.len() < 4 {
-        return None;
-    }
-    Some([data[0], data[1], data[2], data[3]])
-}
-
-/// Reads the `index`-th word argument after the selector.
-pub fn arg(data: &[u8], index: usize) -> Word {
-    let off = 4 + index * 32;
-    let mut buf = [0u8; 32];
-    for (i, slot) in buf.iter_mut().enumerate() {
-        *slot = data.get(off + i).copied().unwrap_or(0);
-    }
-    Word::from_be_bytes(&buf)
-}
-
-/// Encodes a byte string as padded words after a length word — a
-/// simplified `bytes` encoding (no dynamic offsets) used by the language
-/// backend.
-pub fn encode_bytes(data: &[u8]) -> Vec<Word> {
-    let mut out = vec![Word::from_u64(data.len() as u64)];
-    for chunk in data.chunks(32) {
-        let mut buf = [0u8; 32];
-        buf[..chunk.len()].copy_from_slice(chunk);
-        out.push(Word::from_be_bytes(&buf));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,32 +22,5 @@ mod tests {
     #[test]
     fn selector_is_stable() {
         assert_eq!(selector("transfer(address,uint256)"), [0xa9, 0x05, 0x9c, 0xbb]);
-    }
-
-    #[test]
-    fn call_layout() {
-        let call = encode_call("f(uint256)", &[Word::from_u64(7)]);
-        assert_eq!(call.len(), 36);
-        assert_eq!(decode_selector(&call), Some(selector("f(uint256)")));
-        assert_eq!(arg(&call, 0), Word::from_u64(7));
-    }
-
-    #[test]
-    fn short_data_has_no_selector() {
-        assert_eq!(decode_selector(&[1, 2, 3]), None);
-    }
-
-    #[test]
-    fn missing_args_read_zero() {
-        let call = encode_call("f()", &[]);
-        assert_eq!(arg(&call, 0), Word::ZERO);
-    }
-
-    #[test]
-    fn bytes_encoding_includes_length() {
-        let data = b"hello world, this is more than one word!";
-        let words = encode_bytes(data);
-        assert_eq!(words[0], Word::from_u64(data.len() as u64));
-        assert_eq!(words.len(), 1 + data.len().div_ceil(32));
     }
 }

@@ -36,12 +36,6 @@ impl Asm {
         self
     }
 
-    /// Appends a raw byte.
-    pub fn raw(mut self, byte: u8) -> Asm {
-        self.code.push(byte);
-        self
-    }
-
     /// Pushes an immediate word using the smallest PUSH variant.
     pub fn push_word(mut self, w: Word) -> Asm {
         let bytes = w.to_be_bytes();
@@ -113,16 +107,6 @@ impl Asm {
     /// target).
     pub fn jump_if(self, label: Label) -> Asm {
         self.push_label(label).op(Op::JumpI)
-    }
-
-    /// Current code length (for manual layout decisions).
-    pub fn len(&self) -> usize {
-        self.code.len()
-    }
-
-    /// Whether no bytes have been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
     }
 
     /// Finalizes the bytecode, patching all label references.

@@ -83,7 +83,7 @@ impl CodeCache {
 
     /// The decoded program stored under the content hash `key`, decoding
     /// (and timing the decode of) a fresh one on miss.
-    pub fn get_or_decode(
+    pub(crate) fn get_or_decode(
         &self,
         key: [u8; 32],
         decode: impl FnOnce() -> EvmProgram,

@@ -2,19 +2,19 @@
 //! Fig. 1.4. Constant names follow the paper (`G_zero`, `G_verylow`, …).
 
 /// Nothing paid for operations of the set W_zero.
-pub const G_ZERO: u64 = 0;
+pub(crate) const G_ZERO: u64 = 0;
 /// Amount of gas to pay for a JUMPDEST operation.
-pub const G_JUMPDEST: u64 = 1;
+pub(crate) const G_JUMPDEST: u64 = 1;
 /// Amount of gas to pay for operations of the set W_base.
-pub const G_BASE: u64 = 2;
+pub(crate) const G_BASE: u64 = 2;
 /// Amount of gas to pay for operations of the set W_verylow.
 pub const G_VERYLOW: u64 = 3;
 /// Amount of gas to pay for operations of the set W_low.
-pub const G_LOW: u64 = 5;
+pub(crate) const G_LOW: u64 = 5;
 /// Amount of gas to pay for operations of the set W_mid.
-pub const G_MID: u64 = 8;
+pub(crate) const G_MID: u64 = 8;
 /// Amount of gas to pay for operations of the set W_high.
-pub const G_HIGH: u64 = 10;
+pub(crate) const G_HIGH: u64 = 10;
 /// Cost of a warm account or storage access.
 pub const G_WARMACCESS: u64 = 100;
 /// Cost of a cold account access.
@@ -26,17 +26,13 @@ pub const G_SSET: u64 = 20_000;
 /// Paid for an SSTORE operation when the value's zeroness is unchanged or zeroed.
 pub const G_SRESET: u64 = 2900;
 /// Refund when a storage value is set to zero from non-zero.
-pub const R_SCLEAR: u64 = 15_000;
-/// Paid for a CREATE operation.
-pub const G_CREATE: u64 = 32_000;
+pub(crate) const R_SCLEAR: u64 = 15_000;
 /// Paid per byte for a CREATE operation to succeed in placing code into state.
 pub const G_CODEDEPOSIT: u64 = 200;
 /// Paid for a non-zero value transfer as part of the CALL operation.
 pub const G_CALLVALUE: u64 = 9000;
 /// Stipend subtracted from G_CALLVALUE for the called contract.
 pub const G_CALLSTIPEND: u64 = 2300;
-/// Paid for a CALL or SELFDESTRUCT creating an account.
-pub const G_NEWACCOUNT: u64 = 25_000;
 /// Paid for every additional word when expanding memory.
 pub const G_MEMORY: u64 = 3;
 /// Paid by all contract-creating transactions.
@@ -60,9 +56,9 @@ pub const G_KECCAK256WORD: u64 = 6;
 /// Partial payment for *COPY operations, per word copied.
 pub const G_COPY: u64 = 3;
 /// Partial payment for an EXP operation.
-pub const G_EXP: u64 = 10;
+pub(crate) const G_EXP: u64 = 10;
 /// Per-byte payment for an EXP operation's exponent.
-pub const G_EXPBYTE: u64 = 50;
+pub(crate) const G_EXPBYTE: u64 = 50;
 
 /// Intrinsic gas of a transaction: the 21 000 base plus per-byte calldata
 /// costs, plus the creation surcharge for deploys.

@@ -10,7 +10,7 @@
 //! the interpreter takes a journal checkpoint and rolls the overlay back,
 //! which undoes exactly the writes the frame made.
 
-use crate::cache::{CodeCache, CodeCacheStats};
+use crate::cache::CodeCache;
 use crate::gas;
 use crate::opcode::Op;
 use crate::program::{EvmProgram, Instr};
@@ -619,39 +619,6 @@ fn execute(
     Ok(finish(true, gas_used, refund, Vec::new(), logs))
 }
 
-/// Read-only view over the EVM-owned entries of a world state (deployed
-/// code and contract storage). The explorer and tests inspect the chain
-/// through this instead of holding a whole `Evm`.
-pub struct EvmView<'a> {
-    world: &'a WorldState,
-}
-
-impl<'a> EvmView<'a> {
-    /// Opens a view over a world.
-    pub fn new(world: &'a WorldState) -> EvmView<'a> {
-        EvmView { world }
-    }
-
-    /// Number of deployed contracts.
-    pub fn contract_count(&self) -> usize {
-        self.world.keys().filter(|k| matches!(k, StateKey::Code(_))).count()
-    }
-
-    /// Read-only view of a contract's storage slot.
-    pub fn storage_at(&self, contract: Address, key: &Word) -> Word {
-        self.world
-            .get(&storage_key(contract, *key))
-            .and_then(|v| v.as_word())
-            .map(|w| Word::from_be_bytes(&w))
-            .unwrap_or(Word::ZERO)
-    }
-
-    /// Whether an address holds code.
-    pub fn is_contract(&self, address: Address) -> bool {
-        self.world.get(&StateKey::Code(address)).is_some()
-    }
-}
-
 /// The standalone EVM world: a private [`WorldState`] holding deployed
 /// contracts and their storage.
 ///
@@ -673,24 +640,13 @@ impl Evm {
         Evm::default()
     }
 
-    /// Number of deployed contracts.
-    pub fn contract_count(&self) -> usize {
-        EvmView::new(&self.world).contract_count()
-    }
-
     /// Read-only view of a contract's storage slot.
     pub fn storage_at(&self, contract: Address, key: &Word) -> Word {
-        EvmView::new(&self.world).storage_at(contract, key)
-    }
-
-    /// Whether an address holds code.
-    pub fn is_contract(&self, address: Address) -> bool {
-        EvmView::new(&self.world).is_contract(address)
-    }
-
-    /// Hit/miss/decode-time counters of the façade's program cache.
-    pub fn code_cache_stats(&self) -> CodeCacheStats {
-        self.cache.stats()
+        self.world
+            .get(&storage_key(contract, *key))
+            .and_then(|v| v.as_word())
+            .map(|w| Word::from_be_bytes(&w))
+            .unwrap_or(Word::ZERO)
     }
 
     /// Runs `init_code` as a deployment from `deployer` (see
@@ -1066,7 +1022,7 @@ mod tests {
         assert_eq!(first.output, second.output);
         let third = evm.call(CallParams::new(Address::ZERO, addr), &mut balances).unwrap();
         assert_eq!(second.gas_used, third.gas_used, "steady-state gas must be stable");
-        let stats = evm.code_cache_stats();
+        let stats = evm.cache.stats();
         assert!(stats.hits > 0, "second call must reuse the decoded program: {stats:?}");
     }
 

@@ -36,17 +36,15 @@
 
 pub mod abi;
 pub mod assembler;
-pub mod cache;
+pub(crate) mod cache;
 pub mod gas;
 pub mod interpreter;
 pub mod opcode;
-pub mod program;
+pub(crate) mod program;
 pub mod verifier;
 pub mod word;
 
 pub use cache::{CodeCache, CodeCacheStats};
-pub use interpreter::{
-    call_contract, deploy_contract, Balances, CallParams, Evm, EvmError, EvmView, ExecOutcome,
-};
-pub use program::{EvmProgram, Instr};
+pub use interpreter::{call_contract, deploy_contract, CallParams, Evm, EvmError, ExecOutcome};
+pub use program::EvmProgram;
 pub use word::Word;

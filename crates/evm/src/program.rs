@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 /// One pre-decoded instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Instr {
+pub(crate) enum Instr {
     /// A plain opcode with its family variant (Dup/Swap/… offset).
     Plain(Op, u8),
     /// A `PUSH` with its immediate decoded inline.
@@ -77,18 +77,18 @@ impl EvmProgram {
     }
 
     /// The raw bytecode (still needed by `CODECOPY`).
-    pub fn code(&self) -> &[u8] {
+    pub(crate) fn code(&self) -> &[u8] {
         &self.code
     }
 
     /// The decoded instruction stream.
-    pub fn instrs(&self) -> &[Instr] {
+    pub(crate) fn instrs(&self) -> &[Instr] {
         &self.instrs
     }
 
     /// Resolves a dynamic jump's byte destination to an instruction
     /// index, if it lands on a `JUMPDEST`.
-    pub fn jump_target(&self, dest: usize) -> Option<u32> {
+    pub(crate) fn jump_target(&self, dest: usize) -> Option<u32> {
         self.jumpdests.get(&dest).copied()
     }
 }

@@ -27,7 +27,7 @@ use crate::opcode::Op;
 use std::collections::{HashMap, HashSet};
 
 /// The EVM stack-depth limit.
-pub const MAX_STACK: usize = 1024;
+pub(crate) const MAX_STACK: usize = 1024;
 
 /// Exploration budget: abstract states processed before giving up. The
 /// compiler emits loop-free code, so hitting this means the image is
@@ -74,7 +74,7 @@ pub enum VerifyError {
         /// Offending program counter.
         pc: usize,
     },
-    /// The stack exceeds [`MAX_STACK`].
+    /// The stack exceeds `MAX_STACK`.
     StackOverflow {
         /// Offending program counter.
         pc: usize,

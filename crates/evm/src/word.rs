@@ -36,7 +36,7 @@ impl Word {
     }
 
     /// Whether the value fits in a `u64`.
-    pub fn fits_u64(&self) -> bool {
+    pub(crate) fn fits_u64(&self) -> bool {
         self.0[1] == 0 && self.0[2] == 0 && self.0[3] == 0
     }
 
@@ -221,7 +221,7 @@ impl Word {
     }
 
     /// Number of significant bytes (the EVM `EXP` gas metric).
-    pub fn byte_len(&self) -> u64 {
+    pub(crate) fn byte_len(&self) -> u64 {
         let bytes = self.to_be_bytes();
         (32 - bytes.iter().take_while(|&&b| b == 0).count()) as u64
     }

@@ -3,7 +3,7 @@
 use crate::GeoError;
 
 /// Mean Earth radius in metres, used by the haversine distance.
-pub const EARTH_RADIUS_M: f64 = 6_371_000.0;
+pub(crate) const EARTH_RADIUS_M: f64 = 6_371_000.0;
 
 /// A validated latitude/longitude pair.
 ///

@@ -11,7 +11,7 @@
 //! # Examples
 //!
 //! ```
-//! use pol_geo::{coords::Coordinates, olc, rbit};
+//! use pol_geo::{olc, rbit, Coordinates};
 //!
 //! let bologna = Coordinates::new(44.4949, 11.3426)?;
 //! let code = olc::encode(bologna, 10)?;
@@ -23,12 +23,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coords;
+pub(crate) mod coords;
 pub mod olc;
 pub mod rbit;
 
 pub use coords::Coordinates;
-pub use olc::{CodeArea, OlcCode};
+pub use olc::OlcCode;
 pub use rbit::RBitKey;
 
 /// Error raised by location encoding operations.

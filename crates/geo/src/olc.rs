@@ -7,15 +7,15 @@
 use crate::{Coordinates, GeoError};
 
 /// The 20-character OLC digit alphabet.
-pub const ALPHABET: &[u8; 20] = b"23456789CFGHJMPQRVWX";
+pub(crate) const ALPHABET: &[u8; 20] = b"23456789CFGHJMPQRVWX";
 /// Separator placed after the eighth digit.
-pub const SEPARATOR: char = '+';
+pub(crate) const SEPARATOR: char = '+';
 /// Padding digit for short area codes (e.g. `6P000000+`).
-pub const PADDING: char = '0';
+pub(crate) const PADDING: char = '0';
 /// Number of digits encoded as latitude/longitude pairs.
-pub const PAIR_CODE_LENGTH: usize = 10;
+pub(crate) const PAIR_CODE_LENGTH: usize = 10;
 /// Maximum number of digits in a code.
-pub const MAX_DIGIT_COUNT: usize = 15;
+pub(crate) const MAX_DIGIT_COUNT: usize = 15;
 
 const ENCODING_BASE: i64 = 20;
 const GRID_COLUMNS: i64 = 4;
@@ -34,7 +34,7 @@ const FINAL_LNG_PRECISION: i64 = 8000 * 1024;
 /// use pol_geo::OlcCode;
 ///
 /// let code: OlcCode = "8FPHF8WV+X2".parse()?;
-/// assert_eq!(code.digit_count(), 10);
+/// assert_eq!(code.as_str(), "8FPHF8WV+X2");
 /// # Ok::<(), pol_geo::GeoError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,11 +69,6 @@ impl CodeArea {
             && point.longitude() >= self.west
             && point.longitude() < self.east
     }
-
-    /// Approximate height of the area in metres.
-    pub fn height_m(&self) -> f64 {
-        (self.north - self.south) * 111_320.0
-    }
 }
 
 impl OlcCode {
@@ -82,14 +77,9 @@ impl OlcCode {
         &self.0
     }
 
-    /// Number of significant digits (excludes separator and padding).
-    pub fn digit_count(&self) -> usize {
-        self.0.chars().filter(|c| *c != SEPARATOR && *c != PADDING).count()
-    }
-
     /// The code with separator and padding stripped: the "significant"
     /// digits used by the r-bit hypercube key encoding.
-    pub fn significant_digits(&self) -> String {
+    pub(crate) fn significant_digits(&self) -> String {
         self.0.chars().filter(|c| *c != SEPARATOR && *c != PADDING).collect()
     }
 
@@ -230,7 +220,7 @@ pub fn encode(coords: Coordinates, code_length: usize) -> Result<OlcCode, GeoErr
 }
 
 /// The height in degrees of an area encoded with `code_length` digits.
-pub fn latitude_precision(code_length: usize) -> f64 {
+pub(crate) fn latitude_precision(code_length: usize) -> f64 {
     if code_length <= PAIR_CODE_LENGTH {
         (ENCODING_BASE as f64).powi((code_length as i32) / -2 + 2)
     } else {
@@ -240,7 +230,7 @@ pub fn latitude_precision(code_length: usize) -> f64 {
 
 /// Whether `code` is syntactically a valid Open Location Code (full or
 /// short).
-pub fn is_valid(code: &str) -> bool {
+pub(crate) fn is_valid(code: &str) -> bool {
     let upper = code.to_ascii_uppercase();
     let sep_pos = match upper.find(SEPARATOR) {
         Some(p) => p,
@@ -345,7 +335,8 @@ mod tests {
     fn ten_digit_cell_is_about_14m_tall() {
         let code = encode(c(44.4949, 11.3426), 10).unwrap();
         let area = code.decode();
-        assert!((12.0..16.0).contains(&area.height_m()), "{}", area.height_m());
+        let height_m = (area.north - area.south) * 111_320.0;
+        assert!((12.0..16.0).contains(&height_m), "{height_m}");
     }
 
     #[test]
@@ -395,7 +386,6 @@ mod tests {
     fn significant_digits_strips_decoration() {
         let code: OlcCode = "7FG49Q00+".parse().unwrap();
         assert_eq!(code.significant_digits(), "7FG49Q");
-        assert_eq!(code.digit_count(), 6);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::olc::OlcCode;
 use pol_crypto::sha256;
 
 /// Maximum supported hypercube dimensionality.
-pub const MAX_DIMENSIONS: u8 = 32;
+pub(crate) const MAX_DIMENSIONS: u8 = 32;
 
 /// An r-bit hypercube key derived from a location code.
 ///
@@ -41,7 +41,7 @@ impl RBitKey {
     ///
     /// # Panics
     ///
-    /// Panics if `r` is zero or exceeds [`MAX_DIMENSIONS`].
+    /// Panics if `r` is zero or exceeds `MAX_DIMENSIONS`.
     pub fn from_bits(bits: u32, r: u8) -> RBitKey {
         assert!(r > 0 && r <= MAX_DIMENSIONS, "r must be in 1..={MAX_DIMENSIONS}");
         let mask = if r == 32 { u32::MAX } else { (1u32 << r) - 1 };
@@ -61,16 +61,6 @@ impl RBitKey {
     /// The number of dimensions `r`.
     pub fn dimensions(&self) -> u8 {
         self.r
-    }
-
-    /// Hamming distance to another key of the same dimensionality.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two keys have different dimensionality.
-    pub fn hamming(&self, other: &RBitKey) -> u32 {
-        assert_eq!(self.r, other.r, "keys must share dimensionality");
-        (self.bits ^ other.bits).count_ones()
     }
 
     /// The key obtained by flipping dimension `dim`.
@@ -127,7 +117,7 @@ pub fn segments(code: &OlcCode) -> Vec<String> {
 ///
 /// # Panics
 ///
-/// Panics if `r` is zero or exceeds [`MAX_DIMENSIONS`].
+/// Panics if `r` is zero or exceeds `MAX_DIMENSIONS`.
 pub fn encode(code: &OlcCode, r: u8) -> RBitKey {
     assert!(r > 0 && r <= MAX_DIMENSIONS, "r must be in 1..={MAX_DIMENSIONS}");
     let mut bits = 0u32;
@@ -189,7 +179,7 @@ mod tests {
         assert_eq!(a.significant_digits()[..8], b.significant_digits()[..8]);
         let ka = encode(&a, 8);
         let kb = encode(&b, 8);
-        assert!(ka.hamming(&kb) <= 2, "{ka} vs {kb}");
+        assert!((ka.index() ^ kb.index()).count_ones() <= 2, "{ka} vs {kb}");
     }
 
     #[test]
@@ -198,7 +188,7 @@ mod tests {
         let n: Vec<_> = k.neighbors().collect();
         assert_eq!(n.len(), 6);
         for nb in n {
-            assert_eq!(k.hamming(&nb), 1);
+            assert_eq!((k.index() ^ nb.index()).count_ones(), 1);
         }
     }
 
@@ -206,14 +196,6 @@ mod tests {
     fn display_is_binary_of_width_r() {
         let k = RBitKey::from_bits(0b1010, 6);
         assert_eq!(k.to_string(), "001010");
-    }
-
-    #[test]
-    #[should_panic(expected = "dimensionality")]
-    fn hamming_requires_same_r() {
-        let a = RBitKey::from_bits(1, 4);
-        let b = RBitKey::from_bits(1, 5);
-        let _ = a.hamming(&b);
     }
 
     #[test]

@@ -17,14 +17,14 @@ pub struct LocationRecord {
 
 impl LocationRecord {
     /// Creates a record with no verified reports yet.
-    pub fn new(contract_id: impl Into<String>, olc: impl Into<String>) -> LocationRecord {
+    pub(crate) fn new(contract_id: impl Into<String>, olc: impl Into<String>) -> LocationRecord {
         LocationRecord { contract_id: contract_id.into(), olc: olc.into(), cids: Vec::new() }
     }
 
     /// Appends a verified report CID, ignoring exact duplicates.
     ///
     /// Returns `true` if the CID was newly added.
-    pub fn push_cid(&mut self, cid: impl Into<String>) -> bool {
+    pub(crate) fn push_cid(&mut self, cid: impl Into<String>) -> bool {
         let cid = cid.into();
         if self.cids.contains(&cid) {
             return false;

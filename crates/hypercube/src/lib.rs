@@ -27,11 +27,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod content;
-pub mod network;
+pub(crate) mod content;
+pub(crate) mod network;
 pub mod query;
 pub mod routing;
 
 pub use content::LocationRecord;
 pub use network::{Hypercube, NetworkStats, HOP_BUCKETS};
-pub use routing::{Route, RoutingError};
+pub use routing::RoutingError;

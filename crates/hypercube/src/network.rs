@@ -54,7 +54,7 @@ impl NetworkStats {
 
     /// The hop count at quantile `q` (`0 < q ≤ 1`), from the histogram.
     /// Returns 0 when no lookups were recorded.
-    pub fn quantile_hops(&self, q: f64) -> u32 {
+    pub(crate) fn quantile_hops(&self, q: f64) -> u32 {
         if self.lookups == 0 {
             return 0;
         }
@@ -93,10 +93,8 @@ pub struct Hypercube {
     r: u8,
     nodes: Vec<RwLock<NodeState>>,
     stats: RwLock<NetworkStats>,
-    /// Offline node → delegate serving its keys after a graceful leave.
-    delegations: RwLock<HashMap<u64, RBitKey>>,
-    /// Hop budget for lookups; defaults to `r` (always sufficient when all
-    /// nodes are online).
+    /// Hop budget for lookups: `4·r`, room for detours around offline
+    /// nodes (`r` hops suffice when every node is online).
     max_hops: u32,
 }
 
@@ -122,7 +120,6 @@ impl Hypercube {
             r,
             nodes,
             stats: RwLock::new(NetworkStats::default()),
-            delegations: RwLock::new(HashMap::new()),
             max_hops: u32::from(r) * 4,
         }
     }
@@ -132,17 +129,6 @@ impl Hypercube {
         self.r
     }
 
-    /// Number of logical nodes (`2^r`).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the network has no nodes (never true — kept for the
-    /// conventional `len`/`is_empty` pair).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// The key (node ID) responsible for an Open Location Code.
     pub fn key_for(&self, code: &OlcCode) -> RBitKey {
         rbit::encode(code, self.r)
@@ -150,7 +136,7 @@ impl Hypercube {
 
     /// Routes a lookup for `code` from node 0, recording statistics.
     ///
-    /// Equivalent to [`Hypercube::lookup_via`] over a zero-latency
+    /// Equivalent to `Hypercube::lookup_via` over a zero-latency
     /// [`DirectTransport`].
     ///
     /// # Errors
@@ -168,14 +154,13 @@ impl Hypercube {
     /// Propagates [`RoutingError`] from the greedy router, and returns
     /// [`RoutingError::Timeout`] when the transport exhausts its retries
     /// on any hop of the route.
-    pub fn lookup_via(
+    pub(crate) fn lookup_via(
         &self,
         transport: &dyn Transport,
         code: &OlcCode,
     ) -> Result<Route, RoutingError> {
         let source = RBitKey::from_bits(0, self.r);
-        // A gracefully departed node's keys are served by its delegate.
-        let target = self.responsible_node(self.key_for(code));
+        let target = self.key_for(code);
         let route = routing::route(source, target, self.max_hops, |k| self.is_online(k))?;
         self.charge_route(transport, &route, MessageClass::DhtLookup)?;
         self.stats.write().record(route.hops());
@@ -245,7 +230,7 @@ impl Hypercube {
     /// # Errors
     ///
     /// Propagates routing failures, including transport timeouts.
-    pub fn register_contract_via(
+    pub(crate) fn register_contract_via(
         &self,
         transport: &dyn Transport,
         code: &OlcCode,
@@ -281,7 +266,7 @@ impl Hypercube {
     /// # Errors
     ///
     /// Propagates routing failures, including transport timeouts.
-    pub fn append_cid_via(
+    pub(crate) fn append_cid_via(
         &self,
         transport: &dyn Transport,
         code: &OlcCode,
@@ -304,7 +289,7 @@ impl Hypercube {
         code: &OlcCode,
     ) -> Result<Route, RoutingError> {
         let source = RBitKey::from_bits(0, self.r);
-        let target = self.responsible_node(self.key_for(code));
+        let target = self.key_for(code);
         let route = routing::route(source, target, self.max_hops, |k| self.is_online(k))?;
         self.charge_route(transport, &route, MessageClass::DhtStore)?;
         self.stats.write().record(route.hops());
@@ -325,7 +310,7 @@ impl Hypercube {
     /// # Errors
     ///
     /// Propagates routing failures, including transport timeouts.
-    pub fn record_via(
+    pub(crate) fn record_via(
         &self,
         transport: &dyn Transport,
         code: &OlcCode,
@@ -341,84 +326,13 @@ impl Hypercube {
         self.nodes[key.index() as usize].write().online = false;
     }
 
-    /// Gracefully removes a node: its records are handed over to its
-    /// nearest online neighbour before it goes offline, and a delegation
-    /// pointer is left so lookups keyed to this node are served by the
-    /// delegate (the leave protocol of a structured overlay).
-    ///
-    /// Returns the delegate's key, or `None` when the node had no online
-    /// neighbour to hand over to (it then leaves ungracefully).
-    pub fn leave_gracefully(&self, key: RBitKey) -> Option<RBitKey> {
-        let delegate = key.neighbors().find(|n| self.is_online(*n));
-        let records: Vec<(String, LocationRecord)> = {
-            let mut state = self.nodes[key.index() as usize].write();
-            state.online = false;
-            state.records.drain().collect()
-        };
-        match delegate {
-            Some(delegate) => {
-                let mut target = self.nodes[delegate.index() as usize].write();
-                for (olc, record) in records {
-                    target.records.insert(olc, record);
-                }
-                self.delegations.write().insert(key.index(), delegate);
-                Some(delegate)
-            }
-            None => {
-                // No online neighbour: records are stranded back on the
-                // (offline) node, as an ungraceful failure would leave
-                // them.
-                let mut state = self.nodes[key.index() as usize].write();
-                for (olc, record) in records {
-                    state.records.insert(olc, record);
-                }
-                None
-            }
-        }
-    }
-
-    /// Brings a node back online. If it had delegated its records on a
-    /// graceful leave, they are reclaimed from the delegate.
+    /// Brings a node back online.
     pub fn rejoin(&self, key: RBitKey) {
-        if let Some(delegate) = self.delegations.write().remove(&key.index()) {
-            // Reclaim only the records this node is responsible for.
-            let mut reclaimed = Vec::new();
-            {
-                let mut source = self.nodes[delegate.index() as usize].write();
-                let keys: Vec<String> = source
-                    .records
-                    .iter()
-                    .filter(|(olc, _)| {
-                        olc.parse::<OlcCode>()
-                            .map(|code| self.key_for(&code) == key)
-                            .unwrap_or(false)
-                    })
-                    .map(|(olc, _)| olc.clone())
-                    .collect();
-                for k in keys {
-                    if let Some(record) = source.records.remove(&k) {
-                        reclaimed.push((k, record));
-                    }
-                }
-            }
-            let mut state = self.nodes[key.index() as usize].write();
-            for (olc, record) in reclaimed {
-                state.records.insert(olc, record);
-            }
-            state.online = true;
-            return;
-        }
         self.nodes[key.index() as usize].write().online = true;
     }
 
-    /// Where lookups for `node` are currently served: the node itself, or
-    /// its delegate after a graceful leave.
-    pub fn responsible_node(&self, node: RBitKey) -> RBitKey {
-        self.delegations.read().get(&node.index()).copied().unwrap_or(node)
-    }
-
     /// Whether a node is online.
-    pub fn is_online(&self, key: RBitKey) -> bool {
+    pub(crate) fn is_online(&self, key: RBitKey) -> bool {
         self.nodes[key.index() as usize].read().online
     }
 
@@ -433,17 +347,8 @@ impl Hypercube {
     }
 
     /// Records stored at one node (cloned), for complex queries.
-    pub fn records_at(&self, key: RBitKey) -> Vec<LocationRecord> {
+    pub(crate) fn records_at(&self, key: RBitKey) -> Vec<LocationRecord> {
         self.nodes[key.index() as usize].read().records.values().cloned().collect()
-    }
-
-    /// Iterates over every stored record (cloned), for queries and display.
-    pub fn all_records(&self) -> Vec<LocationRecord> {
-        let mut out = Vec::new();
-        for node in &self.nodes {
-            out.extend(node.read().records.values().cloned());
-        }
-        out
     }
 }
 
@@ -526,37 +431,6 @@ mod tests {
     #[should_panic(expected = "r must be")]
     fn rejects_zero_dimensions() {
         let _ = Hypercube::new(0);
-    }
-
-    #[test]
-    fn graceful_leave_hands_records_to_delegate() {
-        let dht = Hypercube::new(5);
-        let c = code(44.4949, 11.3426);
-        dht.register_contract(&c, "app:1").unwrap();
-        let key = dht.key_for(&c);
-        let delegate = dht.leave_gracefully(key).expect("a neighbour is online");
-        assert_ne!(delegate, key);
-        assert!(!dht.is_online(key));
-        // Lookups keep working through the delegate.
-        assert_eq!(dht.find_contract(&c).unwrap().as_deref(), Some("app:1"));
-        assert_eq!(dht.responsible_node(key), delegate);
-        // The verifier can still append.
-        assert!(dht.append_cid(&c, "bafyZ").unwrap());
-    }
-
-    #[test]
-    fn rejoin_reclaims_delegated_records() {
-        let dht = Hypercube::new(5);
-        let c = code(44.4949, 11.3426);
-        dht.register_contract(&c, "app:2").unwrap();
-        let key = dht.key_for(&c);
-        let delegate = dht.leave_gracefully(key).unwrap();
-        dht.rejoin(key);
-        assert_eq!(dht.responsible_node(key), key);
-        assert_eq!(dht.find_contract(&c).unwrap().as_deref(), Some("app:2"));
-        // The delegate no longer holds this node's record.
-        assert!(dht.records_at(delegate).iter().all(|r| r.olc != c.as_str()));
-        assert!(!dht.records_at(key).is_empty());
     }
 
     #[test]

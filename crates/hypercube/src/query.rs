@@ -30,7 +30,7 @@ pub struct QueryResult {
 /// dimension `d` strictly above the highest bit in which `n` differs from
 /// `query` — this partitions the superset lattice so no node is visited
 /// twice.
-pub fn superset_keys(query: RBitKey) -> Vec<RBitKey> {
+pub(crate) fn superset_keys(query: RBitKey) -> Vec<RBitKey> {
     let r = query.dimensions();
     let mut out = Vec::new();
     // (node bits, minimum dimension allowed to be added next)

@@ -1,7 +1,7 @@
 //! Compile-time read/write-set inference: **access summaries**.
 //!
 //! For every method (and the constructor) this pass abstract-interprets
-//! the lowered CFG (see [`crate::ir`]) into a sound, finite
+//! the lowered CFG (see `crate::ir`) into a sound, finite
 //! [`AccessSummary`]: which globals the body may read or write, which
 //! map entries it may touch — classified on the key-pattern lattice
 //! `Const ⊑ Param ⊑ ⊤` using the interval and zone domains to narrow
@@ -514,11 +514,6 @@ fn calldata_word(data: &[u8], offset: usize) -> [u8; 32] {
 }
 
 impl ContractSummaries {
-    /// Looks up a method by dispatch name.
-    pub fn method(&self, name: &str) -> Option<&MethodSummary> {
-        self.methods.iter().find(|m| m.name == name)
-    }
-
     /// The storage prefix claiming every cell of `contract` (EVM ⊤
     /// fallback for one contract).
     fn storage_prefix(contract: Address) -> Vec<u8> {
@@ -917,17 +912,18 @@ mod tests {
             }
             assert!(m.summary.is_precise(), "{} degraded: {:?}", m.name, m.summary.degradations());
         }
-        let insert = summaries.method("insert_data").expect("api");
+        let method = |name: &str| summaries.methods.iter().find(|m| m.name == name).expect("api");
+        let insert = method("insert_data");
         assert!(insert.summary.writes_phase, "insert_data decrements availableSits");
         assert!(insert
             .summary
             .maps
             .iter()
             .any(|s| s.write && s.key == KeyPattern::Param("did".into())));
-        let money = summaries.method("insert_money").expect("api");
+        let money = method("insert_money");
         assert!(!money.summary.writes_phase, "insert_money cannot falsify toVerify > 0");
         assert!(money.summary.reads_balance, "returns the balance");
-        let verify = summaries.method("verify").expect("api");
+        let verify = method("verify");
         assert!(verify.summary.writes_phase);
         assert!(verify
             .summary

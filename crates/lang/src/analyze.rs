@@ -14,14 +14,14 @@ use pol_evm::opcode::Op;
 /// re-validation on EVM targets, added to every conservative API
 /// estimate. Calibrated against the production Reach 0.1.11 output for
 /// the proof-of-location contract (attach = 82,437 gas, §5.1.1).
-pub const EVM_RUNTIME_CALL_OVERHEAD: u64 = 43_096;
+pub(crate) const EVM_RUNTIME_CALL_OVERHEAD: u64 = 43_096;
 
 /// Gas the runtime's deployment protocol adds beyond the contract body:
 /// constructor event registrations, the state-commitment initialisation
 /// and the runtime library linked into the image. Calibrated against the
 /// production Reach 0.1.11 output for the proof-of-location contract
 /// (deployment = 1,440,385 gas, §5.1.1).
-pub const EVM_DEPLOY_PROTOCOL_OVERHEAD: u64 = 329_414;
+pub(crate) const EVM_DEPLOY_PROTOCOL_OVERHEAD: u64 = 329_414;
 
 /// Conservative costs of one API.
 #[derive(Debug, Clone, PartialEq, Eq)]

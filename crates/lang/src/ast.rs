@@ -26,7 +26,7 @@ pub enum Ty {
 
 impl Ty {
     /// Whether the type is word-sized (fits a single VM stack slot).
-    pub fn is_word(&self) -> bool {
+    pub(crate) fn is_word(&self) -> bool {
         !matches!(self, Ty::Bytes(_))
     }
 }
@@ -288,22 +288,22 @@ impl Eq for Program {}
 
 impl Program {
     /// Looks up a global's declaration index.
-    pub fn global_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn global_index(&self, name: &str) -> Option<usize> {
         self.globals.iter().position(|g| g.name == name)
     }
 
     /// Looks up a map's declaration index.
-    pub fn map_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn map_index(&self, name: &str) -> Option<usize> {
         self.maps.iter().position(|m| m.name == name)
     }
 
     /// Finds a constructor field's type.
-    pub fn field_ty(&self, name: &str) -> Option<Ty> {
+    pub(crate) fn field_ty(&self, name: &str) -> Option<Ty> {
         self.creator.fields.iter().find(|(n, _)| n == name).map(|(_, t)| *t)
     }
 
     /// All APIs across phases, with their phase index.
-    pub fn all_apis(&self) -> impl Iterator<Item = (usize, &Api)> {
+    pub(crate) fn all_apis(&self) -> impl Iterator<Item = (usize, &Api)> {
         self.phases.iter().enumerate().flat_map(|(i, p)| p.apis.iter().map(move |a| (i, a)))
     }
 

@@ -19,9 +19,9 @@ use pol_avm::program::AvmProgram;
 use std::collections::HashMap;
 
 /// Reserved global-state keys.
-pub const KEY_PHASE: &[u8] = b"_phase";
+pub(crate) const KEY_PHASE: &[u8] = b"_phase";
 /// The creator's address key.
-pub const KEY_CREATOR: &[u8] = b"_creator";
+pub(crate) const KEY_CREATOR: &[u8] = b"_creator";
 
 /// The compiled AVM artifact.
 #[derive(Debug, Clone)]
@@ -58,14 +58,6 @@ impl CompiledAvm {
         let mut out = vec![api.as_bytes().to_vec()];
         out.extend(encode_args(params, args)?);
         Ok(out)
-    }
-
-    /// The box key under which `map[key]`'s commitment lives.
-    pub fn box_key(map: &str, key: u64) -> Vec<u8> {
-        let mut out = map.as_bytes().to_vec();
-        out.push(b':');
-        out.extend_from_slice(&key.to_be_bytes());
-        out
     }
 
     /// The TEAL-like listing of the program.

@@ -23,20 +23,19 @@ use crate::LangError;
 use pol_evm::assembler::Asm;
 use pol_evm::opcode::Op;
 use pol_evm::word::Word;
-use pol_ledger::Address;
 use std::collections::HashMap;
 
 /// Reserved storage slots before the globals.
-pub const SLOT_PHASE: u64 = 0;
+pub(crate) const SLOT_PHASE: u64 = 0;
 /// Slot holding the creator's address.
-pub const SLOT_CREATOR: u64 = 1;
+pub(crate) const SLOT_CREATOR: u64 = 1;
 /// First slot assigned to declared globals (in declaration order).
-pub const GLOBAL_SLOT_BASE: u64 = 2;
+pub(crate) const GLOBAL_SLOT_BASE: u64 = 2;
 /// Base constant mixed into map-slot derivation.
-pub const MAP_SLOT_BASE: u64 = 0x1000;
+pub(crate) const MAP_SLOT_BASE: u64 = 0x1000;
 
 /// The storage slot assigned to the `idx`-th declared global.
-pub fn global_slot(idx: usize) -> u64 {
+pub(crate) fn global_slot(idx: usize) -> u64 {
     GLOBAL_SLOT_BASE + idx as u64
 }
 /// Memory scratch area for slot derivation.
@@ -49,7 +48,7 @@ const STAGING: u64 = 0x80;
 /// contract (dead code behind a terminal revert; never executed). The
 /// default is calibrated so the proof-of-location contract's
 /// conservative deployment analysis matches the paper's 1,440,385 gas.
-pub const DEFAULT_RUNTIME_PAD: usize = 4096;
+pub(crate) const DEFAULT_RUNTIME_PAD: usize = 4096;
 
 /// The compiled EVM artifact.
 #[derive(Debug, Clone)]
@@ -96,11 +95,6 @@ impl CompiledEvm {
         let mut out = selector.to_vec();
         out.extend(encode_values(layout, args)?);
         Ok(out)
-    }
-
-    /// The selector of a viewable global's accessor.
-    pub fn view_selector(&self, global: &str) -> Option<[u8; 4]> {
-        self.selectors.get(&format!("view_{global}")).copied()
     }
 }
 
@@ -741,26 +735,11 @@ pub fn params_width(api: &Api) -> usize {
     layout(&api.params).iter().map(|(_, _, _, len)| len).sum()
 }
 
-/// Decodes a view call's returned word.
-pub fn decode_word(output: &[u8]) -> Word {
-    if output.len() >= 32 {
-        let mut buf = [0u8; 32];
-        buf.copy_from_slice(&output[..32]);
-        Word::from_be_bytes(&buf)
-    } else {
-        Word::from_be_slice(output)
-    }
-}
-
-/// Convenience: the creator address stored by the constructor.
-pub fn creator_slot_value(evm: &pol_evm::Evm, contract: Address) -> Address {
-    evm.storage_at(contract, &Word::from_u64(SLOT_CREATOR)).to_address()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pol_evm::{CallParams, Evm};
+    use pol_ledger::Address;
 
     fn deploy(
         program: &Program,
@@ -800,7 +779,7 @@ mod tests {
         let out =
             evm.call(CallParams::new(Address::ZERO, addr).with_data(data), &mut balances).unwrap();
         assert!(out.success);
-        assert_eq!(decode_word(&out.output), Word::from_u64(3));
+        assert_eq!(Word::from_be_slice(&out.output), Word::from_u64(3));
     }
 
     #[test]
@@ -811,11 +790,11 @@ mod tests {
         let out =
             call(&mut evm, &mut balances, addr, &compiled, "bump", &[AbiValue::Word(5)], caller, 0);
         assert!(out.success, "{:?}", out);
-        assert_eq!(decode_word(&out.output), Word::from_u64(1)); // remaining
+        assert_eq!(Word::from_be_slice(&out.output), Word::from_u64(1)); // remaining
         let out =
             call(&mut evm, &mut balances, addr, &compiled, "bump", &[AbiValue::Word(7)], caller, 0);
         assert!(out.success);
-        assert_eq!(decode_word(&out.output), Word::from_u64(0));
+        assert_eq!(Word::from_be_slice(&out.output), Word::from_u64(0));
         // Phase over: next bump reverts.
         let out =
             call(&mut evm, &mut balances, addr, &compiled, "bump", &[AbiValue::Word(1)], caller, 0);
@@ -824,7 +803,7 @@ mod tests {
         let data = compiled.encode_call("view_count", &[]).unwrap();
         let out =
             evm.call(CallParams::new(Address::ZERO, addr).with_data(data), &mut balances).unwrap();
-        assert_eq!(decode_word(&out.output), Word::from_u64(12));
+        assert_eq!(Word::from_be_slice(&out.output), Word::from_u64(12));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! with post-emission bytecode verification.
 //!
 //! [`compile`] runs the full pipeline: type checking, one flow analysis
-//! per body ([`ProgramFlows`]), source-level verification, the access
+//! per body (`ProgramFlows`), source-level verification, the access
 //! summaries, the gas certificates and the dataflow lints over those
 //! flows, code generation, and finally the *bytecode-level* verifiers
 //! from [`pol_evm::verifier`] and [`pol_avm::verifier`] — so a codegen
@@ -36,7 +36,7 @@ pub enum AbiValue {
 
 impl AbiValue {
     /// Whether this value is acceptable for a parameter of type `ty`.
-    pub fn matches(&self, ty: &Ty) -> bool {
+    pub(crate) fn matches(&self, ty: &Ty) -> bool {
         match (self, ty) {
             (AbiValue::Word(_), Ty::UInt | Ty::Bool) => true,
             (AbiValue::Address(_), Ty::Address) => true,

@@ -9,7 +9,7 @@
 //! matrix lookup) O(1) per query.
 //!
 //! The zone is strictly more precise than the interval domain of
-//! [`crate::ir`] on *relational* facts: `require(b < a)` records
+//! `crate::ir` on *relational* facts: `require(b < a)` records
 //! `b - a ≤ -1`, which later discharges `a - b` underflow theorems that
 //! neither the syntactic dominating-guard matcher nor intervals can
 //! prove, and transitive chains (`a > b, b > c ⊢ a > c`) fall out of
@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 /// A variable tracked by the zone (the zero variable is implicit).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ZVar {
+pub(crate) enum ZVar {
     /// A contract global.
     Global(String),
     /// An API parameter.
@@ -47,7 +47,7 @@ pub struct ZoneStats {
 
 impl ZoneStats {
     /// Accumulates another counter set into this one.
-    pub fn absorb(&mut self, other: ZoneStats) {
+    pub(crate) fn absorb(&mut self, other: ZoneStats) {
         self.constraints += other.constraints;
         self.closures += other.closures;
     }
@@ -61,7 +61,7 @@ const BOUND: i128 = u64::MAX as i128;
 /// program variables are interned at 1.. on first mention. Entry
 /// `m[i][j]` is the tightest proven upper bound on `vᵢ - vⱼ`.
 #[derive(Debug, Clone)]
-pub struct Zone {
+pub(crate) struct Zone {
     vars: Vec<ZVar>,
     index: HashMap<ZVar, usize>,
     m: Vec<i128>,
@@ -77,12 +77,12 @@ impl Default for Zone {
 
 impl Zone {
     /// The unconstrained zone (every variable in `[0, u64::MAX]`).
-    pub fn new() -> Zone {
+    pub(crate) fn new() -> Zone {
         Zone { vars: Vec::new(), index: HashMap::new(), m: vec![0], dim: 1, unsat: false }
     }
 
     /// Whether the conjunction is still satisfiable.
-    pub fn is_sat(&self) -> bool {
+    pub(crate) fn is_sat(&self) -> bool {
         !self.unsat
     }
 
@@ -160,7 +160,7 @@ impl Zone {
     }
 
     /// Asserts `a - b ≤ c` where `None` denotes the zero variable.
-    pub fn add_diff(
+    pub(crate) fn add_diff(
         &mut self,
         a: Option<&ZVar>,
         b: Option<&ZVar>,
@@ -180,7 +180,7 @@ impl Zone {
 
     /// Tightest proven upper bound on `a - b` (`None` = zero variable).
     /// Variables never mentioned keep their fresh `[0, MAX]` defaults.
-    pub fn bound(&self, a: Option<&ZVar>, b: Option<&ZVar>) -> i128 {
+    pub(crate) fn bound(&self, a: Option<&ZVar>, b: Option<&ZVar>) -> i128 {
         if a == b {
             return 0;
         }
@@ -202,14 +202,14 @@ impl Zone {
 
     /// Whether the zone proves `a - b ≤ c`. An unsatisfiable zone
     /// entails everything (the program point is unreachable).
-    pub fn entails_diff(&self, a: Option<&ZVar>, b: Option<&ZVar>, c: i128) -> bool {
+    pub(crate) fn entails_diff(&self, a: Option<&ZVar>, b: Option<&ZVar>, c: i128) -> bool {
         self.unsat || self.bound(a, b) <= c
     }
 
     /// Least upper bound: the weakest zone implied by both arguments
     /// (pointwise maximum over the union of tracked variables, then
     /// re-closed).
-    pub fn join(a: &Zone, b: &Zone, stats: &mut ZoneStats) -> Zone {
+    pub(crate) fn join(a: &Zone, b: &Zone, stats: &mut ZoneStats) -> Zone {
         if a.unsat {
             return b.clone();
         }
@@ -256,7 +256,7 @@ impl Zone {
 
     /// Drops everything known about `v` (back to `[0, MAX]`, no
     /// relations). Preserves closure.
-    pub fn forget(&mut self, v: &ZVar) {
+    pub(crate) fn forget(&mut self, v: &ZVar) {
         let Some(x) = self.lookup(v) else { return };
         if self.unsat {
             return;
@@ -274,7 +274,7 @@ impl Zone {
 
     /// The image of `v := v + delta` (caller must have proven the
     /// addition cannot wrap). Preserves closure.
-    pub fn shift(&mut self, v: &ZVar, delta: i128) {
+    pub(crate) fn shift(&mut self, v: &ZVar, delta: i128) {
         let Some(x) = self.lookup(v) else { return };
         if self.unsat || delta == 0 {
             return;
@@ -292,7 +292,13 @@ impl Zone {
 
     /// The image of `dst := src + delta` for `dst ≠ src` (wrap-freedom
     /// proven by the caller).
-    pub fn assign_var(&mut self, dst: &ZVar, src: &ZVar, delta: i128, stats: &mut ZoneStats) {
+    pub(crate) fn assign_var(
+        &mut self,
+        dst: &ZVar,
+        src: &ZVar,
+        delta: i128,
+        stats: &mut ZoneStats,
+    ) {
         self.forget(dst);
         self.add_diff(Some(&dst.clone()), Some(&src.clone()), delta, stats);
         self.add_diff(Some(&src.clone()), Some(&dst.clone()), -delta, stats);
@@ -300,7 +306,7 @@ impl Zone {
 
     /// The image of `dst := e` where only the interval `[lo, hi]` of `e`
     /// is known: all relations are dropped, the bounds are kept.
-    pub fn assign_bounds(&mut self, dst: &ZVar, lo: u64, hi: u64, stats: &mut ZoneStats) {
+    pub(crate) fn assign_bounds(&mut self, dst: &ZVar, lo: u64, hi: u64, stats: &mut ZoneStats) {
         self.forget(dst);
         if hi < u64::MAX {
             self.add_diff(Some(&dst.clone()), None, hi as i128, stats);
@@ -312,7 +318,7 @@ impl Zone {
 
     /// Largest value `v` may take (`u64::MAX` when unconstrained, `None`
     /// when the zone is unsatisfiable).
-    pub fn var_max(&self, v: &ZVar) -> Option<u64> {
+    pub(crate) fn var_max(&self, v: &ZVar) -> Option<u64> {
         if self.unsat {
             return None;
         }
@@ -320,7 +326,7 @@ impl Zone {
     }
 
     /// Smallest value `v` may take.
-    pub fn var_min(&self, v: &ZVar) -> Option<u64> {
+    pub(crate) fn var_min(&self, v: &ZVar) -> Option<u64> {
         if self.unsat {
             return None;
         }
@@ -332,11 +338,11 @@ impl Zone {
 
 /// A difference-logic term: an optional variable plus a constant
 /// offset. `(None, k)` is the constant `k`.
-pub type DiffTerm = (Option<ZVar>, i128);
+pub(crate) type DiffTerm = (Option<ZVar>, i128);
 
 /// Translates an expression into a difference term, or `None` when it
 /// is not of the form `var`, `const`, `var + const` or `var - const`.
-pub fn term(expr: &Expr) -> Option<DiffTerm> {
+pub(crate) fn term(expr: &Expr) -> Option<DiffTerm> {
     match expr {
         Expr::UInt(v) => Some((None, *v as i128)),
         Expr::Param(p) => Some((Some(ZVar::Param(p.clone())), 0)),
@@ -360,7 +366,7 @@ pub fn term(expr: &Expr) -> Option<DiffTerm> {
 /// Whether a term's runtime value provably equals its mathematical
 /// value (no modular wrap) under the zone. Constant offsets on a
 /// variable require the zone to entail headroom first.
-pub fn term_wrap_free(zone: &Zone, t: &DiffTerm) -> bool {
+pub(crate) fn term_wrap_free(zone: &Zone, t: &DiffTerm) -> bool {
     match t {
         (None, k) => (0..=BOUND).contains(k),
         (Some(_), 0) => true,
@@ -386,7 +392,7 @@ fn negate(op: BinOp) -> BinOp {
 /// Assumes `cond == truth` into the zone, returning the resulting
 /// satisfiability. Atoms outside the difference fragment (opaque
 /// values, disjunctions, may-wrap terms) are soundly skipped.
-pub fn assume(zone: &mut Zone, cond: &Expr, truth: bool, stats: &mut ZoneStats) -> bool {
+pub(crate) fn assume(zone: &mut Zone, cond: &Expr, truth: bool, stats: &mut ZoneStats) -> bool {
     match cond {
         Expr::Not(inner) => assume(zone, inner, !truth, stats),
         Expr::Bin(BinOp::And, lhs, rhs) if truth => {
@@ -429,7 +435,7 @@ pub fn assume(zone: &mut Zone, cond: &Expr, truth: bool, stats: &mut ZoneStats) 
 /// Whether the zone proves `minuend ≥ subtrahend` — the underflow
 /// obligation for `minuend - subtrahend`. Both sides must be wrap-free
 /// difference terms for the comparison to be meaningful.
-pub fn entails_ge(zone: &Zone, minuend: &Expr, subtrahend: &Expr) -> bool {
+pub(crate) fn entails_ge(zone: &Zone, minuend: &Expr, subtrahend: &Expr) -> bool {
     if !zone.is_sat() {
         return true;
     }

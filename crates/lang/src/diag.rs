@@ -4,7 +4,7 @@
 //!
 //! Spans are byte offsets into the contract source. Programs built
 //! through the AST builder API (rather than [`crate::parse()`]) carry an
-//! empty [`SpanTable`]; their diagnostics fall back to [`Span::DUMMY`]
+//! empty [`SpanTable`]; their diagnostics fall back to `Span::DUMMY`
 //! and render without a source snippet.
 
 use std::collections::HashMap;
@@ -20,7 +20,7 @@ pub struct Span {
 
 impl Span {
     /// The placeholder span of AST nodes with no surface syntax.
-    pub const DUMMY: Span = Span { start: usize::MAX, end: usize::MAX };
+    pub(crate) const DUMMY: Span = Span { start: usize::MAX, end: usize::MAX };
 
     /// Builds a span.
     pub fn new(start: usize, end: usize) -> Span {
@@ -28,7 +28,7 @@ impl Span {
     }
 
     /// Whether this is the placeholder span.
-    pub fn is_dummy(&self) -> bool {
+    pub(crate) fn is_dummy(&self) -> bool {
         *self == Span::DUMMY
     }
 
@@ -67,7 +67,7 @@ impl std::fmt::Display for Severity {
 /// definition here").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Note {
-    /// Where the note points (may be [`Span::DUMMY`]).
+    /// Where the note points (may be `Span::DUMMY`).
     pub span: Span,
     /// The note text.
     pub message: String,
@@ -92,7 +92,7 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// A new error diagnostic (span defaults to [`Span::DUMMY`]).
+    /// A new error diagnostic (span defaults to `Span::DUMMY`).
     pub fn error(code: &'static str, message: impl Into<String>) -> Diagnostic {
         Diagnostic {
             code,
@@ -105,7 +105,7 @@ impl Diagnostic {
     }
 
     /// A new warning diagnostic (span defaults to [`Span::DUMMY`]).
-    pub fn warning(code: &'static str, message: impl Into<String>) -> Diagnostic {
+    pub(crate) fn warning(code: &'static str, message: impl Into<String>) -> Diagnostic {
         Diagnostic { severity: Severity::Warning, ..Diagnostic::error(code, message) }
     }
 
@@ -118,14 +118,14 @@ impl Diagnostic {
 
     /// Adds a secondary note.
     #[must_use]
-    pub fn note(mut self, span: Span, message: impl Into<String>) -> Diagnostic {
+    pub(crate) fn note(mut self, span: Span, message: impl Into<String>) -> Diagnostic {
         self.notes.push(Note { span, message: message.into() });
         self
     }
 
     /// Attaches a suggestion.
     #[must_use]
-    pub fn suggest(mut self, suggestion: impl Into<String>) -> Diagnostic {
+    pub(crate) fn suggest(mut self, suggestion: impl Into<String>) -> Diagnostic {
         self.suggestion = Some(suggestion.into());
         self
     }
@@ -144,7 +144,7 @@ impl std::fmt::Display for Diagnostic {
 
 /// Who owns a statement list (for span addressing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Owner {
+pub(crate) enum Owner {
     /// The constructor body.
     Constructor,
     /// An API body, by phase and API index.
@@ -160,7 +160,7 @@ pub enum Owner {
 /// the side [`SpanTable`] so the AST itself stays position-free (and
 /// structural equality ignores formatting).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum NodePath {
+pub(crate) enum NodePath {
     /// The contract name.
     ContractName,
     /// A creator field, by index.
@@ -213,23 +213,13 @@ pub struct SpanTable {
 
 impl SpanTable {
     /// Records a node's span.
-    pub fn set(&mut self, path: NodePath, span: Span) {
+    pub(crate) fn set(&mut self, path: NodePath, span: Span) {
         self.map.insert(path, span);
     }
 
     /// Looks up a node's span, `Span::DUMMY` when unknown.
-    pub fn get(&self, path: &NodePath) -> Span {
+    pub(crate) fn get(&self, path: &NodePath) -> Span {
         self.map.get(path).copied().unwrap_or(Span::DUMMY)
-    }
-
-    /// Number of recorded spans.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no spans are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -263,10 +253,10 @@ mod tests {
     #[test]
     fn span_table_defaults_to_dummy() {
         let mut t = SpanTable::default();
-        assert!(t.is_empty());
+        assert!(t.map.is_empty());
         t.set(NodePath::Global(0), Span::new(1, 2));
         assert_eq!(t.get(&NodePath::Global(0)), Span::new(1, 2));
         assert_eq!(t.get(&NodePath::Global(1)), Span::DUMMY);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.map.len(), 1);
     }
 }

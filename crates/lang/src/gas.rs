@@ -3,7 +3,7 @@
 //! For every dispatchable method of a contract (constructor, phase
 //! APIs, generated `view_*` accessors, `closeContract`) this module
 //! derives a **sound worst-case gas certificate** for both backends by
-//! abstract interpretation over the lowered CFG ([`crate::ir`]):
+//! abstract interpretation over the lowered CFG (`crate::ir`):
 //!
 //! * the cost walker mirrors the code generators' emission
 //!   ([`crate::backend::evm`], [`crate::backend::avm`]) op for op, so
@@ -22,10 +22,10 @@
 //!   [`GasBound::Affine`]. AVM certificates are opcode-budget constants
 //!   ([`GasBound::Const`]).
 //!
-//! Two EVM pricings share the EVM walker. [`EvmModel::Cold`] prices ops
+//! Two EVM pricings share the EVM walker. `EvmModel::Cold` prices ops
 //! the way [`pol_evm`]'s interpreter worst case does and yields the
 //! runtime certificates consumed by the executor's scheduler seeding
-//! and `pol-node` admission. [`EvmModel::Verifier`] prices every op exactly
+//! and `pol-node` admission. `EvmModel::Verifier` prices every op exactly
 //! like [`pol_evm::verifier::conservative_op_gas`] at a fixed payload
 //! width and skips memory accounting, so the *unpruned* bound can be
 //! sandwiched between the bytecode verifier's observed worst path and
@@ -905,7 +905,7 @@ pub(crate) fn certify_compiled(
 /// like the bytecode verifier at `payload_bytes`. By construction it
 /// lies between the verifier's observed worst path (which may prune
 /// constant branches) and the straight-line sum over the fragment.
-pub fn evm_fragment_bound(
+pub(crate) fn evm_fragment_bound(
     program: &Program,
     flows: &ProgramFlows,
     phase_idx: usize,
@@ -921,7 +921,7 @@ pub fn evm_fragment_bound(
 /// Unpruned worst-path opcode cost of one API's AVM fragment. Lies
 /// between the AVM verifier's observed worst path and
 /// [`pol_avm::cost::program_cost`] of the fragment.
-pub fn avm_fragment_bound(
+pub(crate) fn avm_fragment_bound(
     program: &Program,
     flows: &ProgramFlows,
     phase_idx: usize,
@@ -934,7 +934,7 @@ pub fn avm_fragment_bound(
 
 impl ContractGasBounds {
     /// Looks up a method certificate by dispatch name.
-    pub fn method(&self, name: &str) -> Option<&MethodGas> {
+    pub(crate) fn method(&self, name: &str) -> Option<&MethodGas> {
         self.methods.iter().find(|m| m.name == name)
     }
 

@@ -34,7 +34,7 @@ use std::collections::{HashMap, HashSet};
 /// A non-branching instruction, tagged with its source statement path
 /// (see [`crate::diag::NodePath::Stmt`]).
 #[derive(Debug, Clone)]
-pub enum Inst {
+pub(crate) enum Inst {
     /// `name = value`.
     Set {
         /// Global name.
@@ -84,7 +84,7 @@ pub enum Inst {
 
 impl Inst {
     /// The source statement path of the instruction.
-    pub fn path(&self) -> &[u32] {
+    pub(crate) fn path(&self) -> &[u32] {
         match self {
             Inst::Set { path, .. }
             | Inst::MapPut { path, .. }
@@ -112,7 +112,7 @@ impl Inst {
 
 /// Where a `Require` terminator came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Src {
+pub(crate) enum Src {
     /// A source `require(…)` statement at this path.
     Stmt(Vec<u32>),
     /// The phase's `while` condition, checked at API entry.
@@ -121,7 +121,7 @@ pub enum Src {
 
 /// Block terminators.
 #[derive(Debug, Clone)]
-pub enum Term {
+pub(crate) enum Term {
     /// Unconditional fallthrough.
     Goto(usize),
     /// Two-way branch on a condition (an `if` statement).
@@ -150,7 +150,7 @@ pub enum Term {
 
 /// One basic block.
 #[derive(Debug, Clone)]
-pub struct Block {
+pub(crate) struct Block {
     /// Straight-line instructions.
     pub insts: Vec<Inst>,
     /// Terminator.
@@ -164,7 +164,7 @@ pub struct Block {
 /// A lowered body. Block 0 is the entry; successor edges always point
 /// at higher block indices (the builder emits blocks topologically).
 #[derive(Debug, Clone)]
-pub struct Cfg {
+pub(crate) struct Cfg {
     /// Blocks in topological order.
     pub blocks: Vec<Block>,
     /// The body this CFG was lowered from.
@@ -173,7 +173,7 @@ pub struct Cfg {
 
 impl Cfg {
     /// Successor block indices of a block.
-    pub fn successors(&self, b: usize) -> Vec<usize> {
+    pub(crate) fn successors(&self, b: usize) -> Vec<usize> {
         match &self.blocks[b].term {
             Term::Goto(n) => vec![*n],
             Term::Branch { then_b, else_b, .. } => vec![*then_b, *else_b],
@@ -183,7 +183,7 @@ impl Cfg {
     }
 
     /// Predecessor lists for every block.
-    pub fn predecessors(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn predecessors(&self) -> Vec<Vec<usize>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
         for b in 0..self.blocks.len() {
             for s in self.successors(b) {
@@ -266,7 +266,7 @@ impl Builder {
 
 /// Lowers one API body (the phase's `while` condition becomes an entry
 /// `Require`, as the generated code checks it before the body runs).
-pub fn lower_api(program: &Program, phase_idx: usize, api_idx: usize) -> Cfg {
+pub(crate) fn lower_api(program: &Program, phase_idx: usize, api_idx: usize) -> Cfg {
     let phase = &program.phases[phase_idx];
     let api = &phase.apis[api_idx];
     let mut b = Builder { blocks: Vec::new() };
@@ -279,7 +279,7 @@ pub fn lower_api(program: &Program, phase_idx: usize, api_idx: usize) -> Cfg {
 }
 
 /// Lowers the constructor body.
-pub fn lower_constructor(program: &Program) -> Cfg {
+pub(crate) fn lower_constructor(program: &Program) -> Cfg {
     let mut b = Builder { blocks: Vec::new() };
     let entry = b.new_block();
     b.lower_stmts(entry, &program.constructor, &mut Vec::new());
@@ -290,7 +290,7 @@ pub fn lower_constructor(program: &Program) -> Cfg {
 
 /// A `u64` interval `[lo, hi]`; booleans live in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Itv {
+pub(crate) struct Itv {
     /// Inclusive lower bound.
     pub lo: u64,
     /// Inclusive upper bound.
@@ -299,17 +299,17 @@ pub struct Itv {
 
 impl Itv {
     /// The full range (no information).
-    pub const TOP: Itv = Itv { lo: 0, hi: u64::MAX };
+    pub(crate) const TOP: Itv = Itv { lo: 0, hi: u64::MAX };
     /// The boolean range.
-    pub const BOOL: Itv = Itv { lo: 0, hi: 1 };
+    pub(crate) const BOOL: Itv = Itv { lo: 0, hi: 1 };
 
     /// A single value.
-    pub fn exact(v: u64) -> Itv {
+    pub(crate) fn exact(v: u64) -> Itv {
         Itv { lo: v, hi: v }
     }
 
     /// `Some(v)` when the interval is the single value `v`.
-    pub fn as_const(&self) -> Option<u64> {
+    pub(crate) fn as_const(&self) -> Option<u64> {
         (self.lo == self.hi).then_some(self.lo)
     }
 
@@ -335,7 +335,7 @@ enum Var {
 
 /// An abstract store: variables not present map to [`Itv::TOP`].
 #[derive(Debug, Clone, Default)]
-pub struct Env {
+pub(crate) struct Env {
     vars: HashMap<Var, Itv>,
 }
 
@@ -356,7 +356,7 @@ impl Env {
     /// read-only view the access-summary pass uses to narrow map-key
     /// expressions (overflow tracking is the analysis's concern, not
     /// the caller's).
-    pub fn interval_of(&self, expr: &Expr) -> Itv {
+    pub(crate) fn interval_of(&self, expr: &Expr) -> Itv {
         let mut overflow = false;
         self.eval(expr, &mut overflow)
     }
@@ -619,7 +619,7 @@ fn constrain(env: &mut Env, v: &Var, op: BinOp, bound: Itv, truth: bool) -> bool
 
 /// A constant-folded condition discovered by the flow analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConstCond {
+pub(crate) struct ConstCond {
     /// Where the condition came from.
     pub src: Src,
     /// Its constant truth value.
@@ -629,7 +629,7 @@ pub struct ConstCond {
 /// How a subtraction theorem was (or was not) discharged by the flow
 /// analyses. See [`BodyAnalysis::sub_safety`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubProof {
+pub(crate) enum SubProof {
     /// The non-relational interval domain proved `minuend ≥ subtrahend`.
     Interval,
     /// The interval domain gave up but the relational zone domain
@@ -641,7 +641,7 @@ pub enum SubProof {
 
 /// The result of running all forward passes over one body.
 #[derive(Debug)]
-pub struct BodyAnalysis {
+pub(crate) struct BodyAnalysis {
     /// The lowered CFG.
     pub cfg: Cfg,
     /// Entry env per block; `None` = unreachable.
@@ -668,7 +668,7 @@ pub struct BodyAnalysis {
 /// certificates and the bytecode cross-check all borrow. Built once per
 /// compile (see [`crate::backend::compile`]).
 #[derive(Debug)]
-pub struct ProgramFlows {
+pub(crate) struct ProgramFlows {
     /// The constructor body.
     pub constructor: BodyAnalysis,
     /// API bodies, indexed `[phase][api]`.
@@ -677,7 +677,7 @@ pub struct ProgramFlows {
 
 impl ProgramFlows {
     /// Analyses every body once; `relational` toggles the zone pass.
-    pub fn new(program: &Program, relational: bool) -> ProgramFlows {
+    pub(crate) fn new(program: &Program, relational: bool) -> ProgramFlows {
         let apis = program.phases.iter().enumerate().map(|(pi, phase)| {
             (0..phase.apis.len()).map(|ai| analyze_api(program, pi, ai, relational)).collect()
         });
@@ -685,14 +685,14 @@ impl ProgramFlows {
     }
 
     /// Every body: the constructor, then the APIs in dispatch order.
-    pub fn bodies(&self) -> impl Iterator<Item = &BodyAnalysis> {
+    pub(crate) fn bodies(&self) -> impl Iterator<Item = &BodyAnalysis> {
         std::iter::once(&self.constructor).chain(self.apis.iter().flatten())
     }
 }
 
 /// Runs the interval analysis (and, when `relational`, the zone pass)
 /// over one API body.
-pub fn analyze_api(
+pub(crate) fn analyze_api(
     program: &Program,
     phase_idx: usize,
     api_idx: usize,
@@ -704,7 +704,7 @@ pub fn analyze_api(
 
 /// Runs the interval analysis (and, when `relational`, the zone pass)
 /// over the constructor body.
-pub fn analyze_constructor(program: &Program, relational: bool) -> BodyAnalysis {
+pub(crate) fn analyze_constructor(program: &Program, relational: bool) -> BodyAnalysis {
     let cfg = lower_constructor(program);
     let zone = relational.then(|| {
         let mut z = Zone::new();
@@ -896,7 +896,7 @@ fn run_flow(cfg: Cfg, entry: Env, entry_zone: Option<Zone>) -> BodyAnalysis {
 
 /// A global-definition site found by the reaching-definitions pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Def {
+pub(crate) struct Def {
     /// Defined global.
     pub name: String,
     /// Block index.
@@ -909,19 +909,19 @@ pub struct Def {
 
 impl BodyAnalysis {
     /// Whether block `b` is reachable from the entry.
-    pub fn reachable(&self, b: usize) -> bool {
+    pub(crate) fn reachable(&self, b: usize) -> bool {
         self.envs[b].is_some()
     }
 
     /// The reachable blocks with their indices, in topological order.
-    pub fn reachable_blocks(&self) -> impl Iterator<Item = (usize, &Block)> {
+    pub(crate) fn reachable_blocks(&self) -> impl Iterator<Item = (usize, &Block)> {
         self.cfg.blocks.iter().enumerate().filter(|(b, _)| self.reachable(*b))
     }
 
     /// Whether the interval analysis proves `minuend - subtrahend`
     /// cannot underflow at the statement with this path. This is the
     /// fallback consulted when the syntactic guard matcher gives up.
-    pub fn proves_sub_safe(&self, path: &[u32], minuend: &Expr, subtrahend: &Expr) -> bool {
+    pub(crate) fn proves_sub_safe(&self, path: &[u32], minuend: &Expr, subtrahend: &Expr) -> bool {
         let Some(env) = self.stmt_envs.get(path) else { return false };
         let mut of = false;
         let m = env.eval(minuend, &mut of);
@@ -932,7 +932,7 @@ impl BodyAnalysis {
     /// How (if at all) `minuend - subtrahend` at this statement is
     /// proven underflow-free: intervals first, then the relational zone
     /// domain over the accumulated path conditions.
-    pub fn sub_safety(&self, path: &[u32], minuend: &Expr, subtrahend: &Expr) -> SubProof {
+    pub(crate) fn sub_safety(&self, path: &[u32], minuend: &Expr, subtrahend: &Expr) -> SubProof {
         if self.proves_sub_safe(path, minuend, subtrahend) {
             return SubProof::Interval;
         }
@@ -946,13 +946,13 @@ impl BodyAnalysis {
 
     /// The zone at a statement, for callers layering extra relational
     /// queries (e.g. the cross-contract conservation check).
-    pub fn zone_at(&self, path: &[u32]) -> Option<&Zone> {
+    pub(crate) fn zone_at(&self, path: &[u32]) -> Option<&Zone> {
         self.stmt_zones.get(path)
     }
 
     /// The abstract store observed just before the statement at `path`
     /// (`None` when the statement is unreachable).
-    pub fn env_at(&self, path: &[u32]) -> Option<&Env> {
+    pub(crate) fn env_at(&self, path: &[u32]) -> Option<&Env> {
         self.stmt_envs.get(path)
     }
 
@@ -961,7 +961,7 @@ impl BodyAnalysis {
     /// function `run_flow` applies, minus the relational zone. Lets the
     /// access-summary pass narrow map keys read inside `if`/`require`
     /// conditions soundly.
-    pub fn term_env(&self, b: usize) -> Option<Env> {
+    pub(crate) fn term_env(&self, b: usize) -> Option<Env> {
         let mut env = self.envs.get(b)?.clone()?;
         for inst in &self.cfg.blocks[b].insts {
             match inst {
@@ -979,7 +979,7 @@ impl BodyAnalysis {
     /// Source paths of statements that can never execute, one per
     /// unreachable region (the first instruction of each unreachable
     /// block all of whose predecessors are reachable-or-entry).
-    pub fn unreachable_stmts(&self) -> Vec<Vec<u32>> {
+    pub(crate) fn unreachable_stmts(&self) -> Vec<Vec<u32>> {
         let preds = self.cfg.predecessors();
         let mut out = Vec::new();
         for (b, block_preds) in preds.iter().enumerate() {
@@ -997,7 +997,7 @@ impl BodyAnalysis {
 
     /// Reaching definitions: all global-definition sites, plus for each
     /// block the set of definition indices reaching its entry.
-    pub fn reaching_defs(&self) -> (Vec<Def>, Vec<HashSet<usize>>) {
+    pub(crate) fn reaching_defs(&self) -> (Vec<Def>, Vec<HashSet<usize>>) {
         let n = self.cfg.blocks.len();
         let mut defs = Vec::new();
         for (b, block) in self.cfg.blocks.iter().enumerate() {
@@ -1039,7 +1039,7 @@ impl BodyAnalysis {
     /// read can observe. Globals live at a normal `Return` count as
     /// read (they are observable through views and later calls), so
     /// only assignments overwritten before any use are flagged.
-    pub fn dead_stores(&self) -> Vec<Def> {
+    pub(crate) fn dead_stores(&self) -> Vec<Def> {
         let (defs, ins) = self.reaching_defs();
         if defs.is_empty() {
             return Vec::new();
@@ -1098,7 +1098,7 @@ impl BodyAnalysis {
     }
 
     /// Reachable map writes and deletes: `(map name, statement path)`.
-    pub fn map_ops(&self) -> (Vec<MapSite>, Vec<MapSite>) {
+    pub(crate) fn map_ops(&self) -> (Vec<MapSite>, Vec<MapSite>) {
         let mut puts = Vec::new();
         let mut dels = Vec::new();
         for (_, block) in self.reachable_blocks() {
@@ -1115,7 +1115,7 @@ impl BodyAnalysis {
 }
 
 /// A reachable map operation site: `(map name, statement path)`.
-pub type MapSite = (String, Vec<u32>);
+pub(crate) type MapSite = (String, Vec<u32>);
 
 /// Collects global names read by an expression.
 fn expr_global_reads(expr: &Expr, out: &mut Vec<String>) {

@@ -44,7 +44,7 @@ pub mod check;
 pub mod dbm;
 pub mod diag;
 pub mod gas;
-pub mod ir;
+pub(crate) mod ir;
 pub mod lint;
 pub mod parse;
 pub mod pretty;
@@ -52,8 +52,8 @@ pub mod verify;
 pub mod xcontract;
 
 pub use ast::Program;
-pub use diag::{Diagnostic, Severity, Span};
-pub use parse::{parse, ParseError};
+pub use diag::Diagnostic;
+pub use parse::parse;
 
 fn join_diags(diags: &[Diagnostic]) -> String {
     diags.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("; ")

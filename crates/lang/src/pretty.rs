@@ -20,7 +20,7 @@ use crate::diag::{Diagnostic, Span};
 /// followed by `note:` snippets and an `= help:` suggestion when the
 /// diagnostic carries them. Diagnostics without a source span render
 /// the header line only.
-pub fn render_diagnostic(diag: &Diagnostic, source: &str, filename: &str) -> String {
+pub(crate) fn render_diagnostic(diag: &Diagnostic, source: &str, filename: &str) -> String {
     let mut out = format!("{}[{}]: {}\n", diag.severity, diag.code, diag.message);
     if let Some(snip) = snippet(diag.span, source, filename) {
         out.push_str(&snip);

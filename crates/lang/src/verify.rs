@@ -16,7 +16,7 @@
 //! * **arithmetic safety** — every subtraction is dominated by a guard
 //!   bounding the minuend (phase conditions count, as they gate entry);
 //!   when the syntactic matcher gives up, the interval analysis of
-//!   [`crate::ir`] is consulted, and when *that* gives up the
+//!   `crate::ir` is consulted, and when *that* gives up the
 //!   relational zone domain of [`crate::dbm`] (difference constraints
 //!   collected from the path conditions) is the last fallback before a
 //!   failure is reported — see [`VerifyReport::relationally_discharged`];
@@ -26,7 +26,7 @@
 //!   never raw.
 //!
 //! Failures are structured [`Diagnostic`]s (codes `V0101`–`V0105`) with
-//! source spans, renderable by [`crate::pretty::render_diagnostic`].
+//! source spans, renderable by `crate::pretty::render_diagnostic`.
 
 use crate::ast::{BinOp, Expr, Program, Stmt};
 use crate::dbm::ZoneStats;
@@ -35,7 +35,7 @@ use crate::ir::{self, ProgramFlows};
 
 /// The participant-assumption mode of a verification pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
+pub(crate) enum Mode {
     /// All participants follow the protocol: `pay` declarations hold.
     AllHonest,
     /// No participant is trusted: every parameter is adversarial and

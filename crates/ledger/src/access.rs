@@ -31,11 +31,8 @@ pub enum KeyClaim {
 }
 
 impl KeyClaim {
-    /// The ⊤ claim: covers every key.
-    pub const ALL: KeyClaim = KeyClaim::Prefix(Vec::new());
-
     /// Whether the claim covers `key`.
-    pub fn covers(&self, key: &StateKey) -> bool {
+    pub(crate) fn covers(&self, key: &StateKey) -> bool {
         match self {
             KeyClaim::Exact(k) => k == key,
             KeyClaim::Prefix(p) => p.is_empty() || codec::encode_key(key).starts_with(p),
@@ -45,7 +42,7 @@ impl KeyClaim {
     /// Whether two claims can both cover some key. Exact-vs-prefix is a
     /// `starts_with` test; two prefixes overlap iff one extends the
     /// other (prefix families are laminar under the injective codec).
-    pub fn overlaps(&self, other: &KeyClaim) -> bool {
+    pub(crate) fn overlaps(&self, other: &KeyClaim) -> bool {
         match (self, other) {
             (KeyClaim::Exact(a), KeyClaim::Exact(b)) => a == b,
             (KeyClaim::Exact(k), KeyClaim::Prefix(p))
@@ -55,7 +52,7 @@ impl KeyClaim {
     }
 
     /// Whether the claim is a family rather than a single key.
-    pub fn is_wild(&self) -> bool {
+    pub(crate) fn is_wild(&self) -> bool {
         matches!(self, KeyClaim::Prefix(_))
     }
 }
@@ -163,8 +160,9 @@ mod tests {
         assert!(!p_storage.covers(&StateKey::Storage(addr(8), [9u8; 32])));
         assert!(!p_storage.covers(&StateKey::Balance(addr(7))));
         assert!(!p.covers(&StateKey::Storage(addr(7), [0u8; 32])), "code prefix is not storage");
-        assert!(KeyClaim::ALL.covers(&StateKey::DeployCount));
-        assert!(KeyClaim::ALL.overlaps(&p_storage));
+        let all = KeyClaim::Prefix(Vec::new());
+        assert!(all.covers(&StateKey::DeployCount));
+        assert!(all.overlaps(&p_storage));
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn tag_u64(tag: u8, v: u64) -> Vec<u8> {
 }
 
 /// Strict inverse of [`encode_key`]; `None` on any framing violation.
-pub fn decode_key(bytes: &[u8]) -> Option<StateKey> {
+pub(crate) fn decode_key(bytes: &[u8]) -> Option<StateKey> {
     let (&tag, rest) = bytes.split_first()?;
     let addr = |b: &[u8]| -> Option<Address> { Some(Address(b.try_into().ok()?)) };
     match tag {

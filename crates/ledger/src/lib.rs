@@ -11,23 +11,20 @@
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod account;
 pub mod address;
-pub mod block;
+pub(crate) mod block;
 pub mod codec;
-pub mod receipt;
+pub(crate) mod receipt;
 pub mod state;
-pub mod tx;
+pub(crate) mod tx;
 pub mod units;
 
 pub use access::{AccessClaims, KeyClaim};
-pub use account::Account;
 pub use address::{Address, ContractId};
 pub use block::{Block, BlockHash};
 pub use receipt::{Receipt, TxStatus};
 pub use state::{
-    apply_split, sets_intersect, BalancePatchBase, Checkpoint, Overlay, ReadSet, StateBase,
-    StateBlob, StateKey, StateValue, StateView, WorldState, WriteSet,
+    Overlay, ReadSet, StateBlob, StateKey, StateValue, StateView, WorldState, WriteSet,
 };
 pub use tx::{Transaction, TxId, TxKind, VerifiedTx};
 pub use units::{Amount, Currency};

@@ -194,17 +194,6 @@ pub type ReadSet = HashMap<StateKey, Option<StateValue>>;
 /// The set of mutations an execution produced; `None` deletes the key.
 pub type WriteSet = HashMap<StateKey, Option<StateValue>>;
 
-/// Whether two read/write sets touch any common key ([`ReadSet`] and
-/// [`WriteSet`] are the same map type, so any combination works).
-/// Probes the smaller set against the larger one.
-pub fn sets_intersect(a: &ReadSet, b: &WriteSet) -> bool {
-    if a.len() <= b.len() {
-        a.keys().any(|key| b.contains_key(key))
-    } else {
-        b.keys().any(|key| a.contains_key(key))
-    }
-}
-
 /// The committed, flat world state: a typed map over a byte backend.
 ///
 /// Every committed mutation is mirrored — in canonical byte form (see
@@ -304,12 +293,6 @@ impl WorldState {
         self.backend.prove(&codec::encode_key(key))
     }
 
-    /// A self-contained copy of the backend contents (volatile for
-    /// persistent backends), e.g. to seed [`WorldState::with_backend`].
-    pub fn snapshot_backend(&self) -> Box<dyn StateBackend> {
-        self.backend.snapshot_backend()
-    }
-
     fn mirror_one(&mut self, key: &StateKey, value: Option<&StateValue>) {
         let batch = [(codec::encode_key(key), value.map(codec::encode_value))];
         self.backend.commit(&batch).expect("state backend commit failed");
@@ -329,7 +312,7 @@ impl WorldState {
     }
 
     /// Removes a committed value directly.
-    pub fn remove(&mut self, key: &StateKey) {
+    pub(crate) fn remove(&mut self, key: &StateKey) {
         self.mirror_one(key, None);
         self.entries.remove(key);
     }
@@ -671,20 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn sets_intersect_finds_shared_keys() {
-        let mut reads = ReadSet::new();
-        reads.insert(StateKey::Balance(addr(1)), Some(StateValue::U128(1)));
-        reads.insert(StateKey::Nonce(addr(1)), None);
-        let mut writes = WriteSet::new();
-        writes.insert(StateKey::Balance(addr(2)), Some(StateValue::U128(2)));
-        assert!(!sets_intersect(&reads, &writes));
-        writes.insert(StateKey::Nonce(addr(1)), Some(StateValue::U64(3)));
-        assert!(sets_intersect(&reads, &writes));
-        assert!(sets_intersect(&writes, &reads), "symmetric regardless of probe order");
-        assert!(!sets_intersect(&ReadSet::new(), &writes));
-    }
-
-    #[test]
     fn state_root_is_backend_agnostic() {
         let mut mem_world = WorldState::new();
         let (mut trie_world, opaque) =
@@ -716,7 +685,7 @@ mod tests {
         let mut world = WorldState::new();
         world.set_balance(addr(7), 77);
         world.set(StateKey::AppGlobal(1, b"k".to_vec()), StateValue::Bytes(b"v".to_vec()));
-        let (restored, opaque) = WorldState::with_backend(world.snapshot_backend());
+        let (restored, opaque) = WorldState::with_backend(world.backend.snapshot_backend());
         assert!(opaque.is_empty());
         assert_eq!(restored.balance(addr(7)), 77);
         assert_eq!(

@@ -7,18 +7,18 @@
 //! regenerated tables are directly comparable.
 
 /// Euro price of one ETH on 2022-11-17, per the paper.
-pub const EUR_PER_ETH: f64 = 1156.0;
+pub(crate) const EUR_PER_ETH: f64 = 1156.0;
 /// Euro price of one MATIC on 2022-11-17, per the paper.
-pub const EUR_PER_MATIC: f64 = 0.85;
+pub(crate) const EUR_PER_MATIC: f64 = 0.85;
 /// Euro price of one ALGO on 2022-11-17, per the paper.
-pub const EUR_PER_ALGO: f64 = 0.26;
+pub(crate) const EUR_PER_ALGO: f64 = 0.26;
 
 /// One gwei in wei.
 pub const GWEI: u128 = 1_000_000_000;
 /// One ether (or MATIC) in wei.
-pub const WEI_PER_COIN: u128 = 1_000_000_000_000_000_000;
+pub(crate) const WEI_PER_COIN: u128 = 1_000_000_000_000_000_000;
 /// One Algo in microAlgos.
-pub const MICROALGO_PER_ALGO: u128 = 1_000_000;
+pub(crate) const MICROALGO_PER_ALGO: u128 = 1_000_000;
 
 /// The native currency of a simulated chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,7 +33,7 @@ pub enum Currency {
 
 impl Currency {
     /// Base units per whole coin.
-    pub fn base_units_per_coin(&self) -> u128 {
+    pub(crate) fn base_units_per_coin(&self) -> u128 {
         match self {
             Currency::Eth | Currency::Matic => WEI_PER_COIN,
             Currency::Algo => MICROALGO_PER_ALGO,
@@ -72,7 +72,7 @@ impl std::fmt::Display for Currency {
 /// ```
 /// use pol_ledger::{Amount, Currency};
 ///
-/// let fee = Amount::from_coins(0.06, Currency::Eth);
+/// let fee = Amount::from_base_units(60_000_000_000_000_000, Currency::Eth);
 /// assert!((fee.as_eur() - 69.36).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -90,17 +90,6 @@ impl Amount {
     /// Builds an amount from raw base units (wei / µAlgo).
     pub fn from_base_units(base_units: u128, currency: Currency) -> Amount {
         Amount { base_units, currency }
-    }
-
-    /// Builds an amount from a (possibly fractional) coin count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coins` is negative or not finite.
-    pub fn from_coins(coins: f64, currency: Currency) -> Amount {
-        assert!(coins.is_finite() && coins >= 0.0, "coin amount must be non-negative");
-        let units = (coins * currency.base_units_per_coin() as f64).round() as u128;
-        Amount { base_units: units, currency }
     }
 
     /// The raw base-unit count.
@@ -159,23 +148,11 @@ mod tests {
     }
 
     #[test]
-    fn algo_units() {
-        let fee = Amount::from_coins(0.001, Currency::Algo);
-        assert_eq!(fee.base_units(), 1000);
-    }
-
-    #[test]
     fn checked_add_mixed_currencies() {
-        let a = Amount::from_coins(1.0, Currency::Eth);
-        let b = Amount::from_coins(1.0, Currency::Algo);
+        let a = Amount::from_base_units(10u128.pow(18), Currency::Eth);
+        let b = Amount::from_base_units(1_000_000, Currency::Algo);
         assert!(a.checked_add(&b).is_none());
         let c = a.checked_add(&a).unwrap();
         assert_eq!(c.as_coins(), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_coins_panic() {
-        let _ = Amount::from_coins(-1.0, Currency::Eth);
     }
 }

@@ -5,29 +5,29 @@
 /// Time only moves when an event is processed or a caller explicitly
 /// advances it, so runs are reproducible regardless of host speed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     now_us: u64,
 }
 
 impl VirtualClock {
     /// A clock at time zero.
-    pub fn new() -> VirtualClock {
+    pub(crate) fn new() -> VirtualClock {
         VirtualClock::default()
     }
 
     /// Current simulated time, microseconds.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.now_us
     }
 
     /// Advances to `t` (no-op if `t` is in the past — the clock is
     /// monotonic).
-    pub fn advance_to(&mut self, t_us: u64) {
+    pub(crate) fn advance_to(&mut self, t_us: u64) {
         self.now_us = self.now_us.max(t_us);
     }
 
     /// Advances by `delta` microseconds.
-    pub fn advance_by(&mut self, delta_us: u64) {
+    pub(crate) fn advance_by(&mut self, delta_us: u64) {
         self.now_us = self.now_us.saturating_add(delta_us);
     }
 }

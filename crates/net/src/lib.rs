@@ -8,11 +8,11 @@
 //! overlay's behaviour under loss, churn and partitions can be measured
 //! instead of assumed.
 //!
-//! * [`clock::VirtualClock`] — simulated time in microseconds; nothing here
+//! * `clock::VirtualClock` — simulated time in microseconds; nothing here
 //!   reads the wall clock, so every run is reproducible from its seed.
-//! * [`link::LinkModel`] — per-link latency distributions (fixed, uniform,
-//!   log-normal), jitter, drop probability and duplication.
-//! * [`sim::NetSim`] — the event queue: schedules message arrivals in
+//! * [`link::LinkModel`] — per-link latency distributions (fixed,
+//!   uniform), jitter, drop probability and duplication.
+//! * `sim::NetSim` — the event queue: schedules message arrivals in
 //!   virtual time, never lets a message overtake an earlier one on the
 //!   same link, and applies partitions and node churn.
 //! * [`retry::RetryPolicy`] — timeout + exponential backoff with
@@ -33,29 +33,25 @@
 //! use pol_net::{MessageClass, NodeId};
 //!
 //! let net = SimTransport::builder(7)
-//!     .link(LinkModel::wan().with_drop_prob(0.05))
+//!     .link(LinkModel::lan().with_drop_prob(0.05))
 //!     .retry(RetryPolicy::default())
 //!     .build();
 //! let latency = net.deliver(NodeId(0), NodeId(1), MessageClass::DhtLookup)?;
 //! assert!(latency > 0);
-//! # Ok::<(), pol_net::TransportError>(())
+//! # Ok::<(), pol_net::transport::TransportError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
+pub(crate) mod clock;
 pub mod link;
 pub mod retry;
-pub mod sim;
+pub(crate) mod sim;
 pub mod stats;
 pub mod transport;
 
-pub use link::LinkModel;
-pub use retry::RetryPolicy;
-pub use sim::NetSim;
 pub use stats::TransportStats;
-pub use transport::{DirectTransport, SimTransport, Transport, TransportError};
 
 /// Identifier of a simulated network endpoint.
 ///
@@ -88,7 +84,7 @@ pub enum MessageClass {
 
 impl MessageClass {
     /// Stable lowercase name, used in CSV output.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             MessageClass::DhtLookup => "dht_lookup",
             MessageClass::DhtStore => "dht_store",
@@ -97,15 +93,6 @@ impl MessageClass {
             MessageClass::Control => "control",
         }
     }
-
-    /// Every class, in stats/CSV order.
-    pub const ALL: [MessageClass; 5] = [
-        MessageClass::DhtLookup,
-        MessageClass::DhtStore,
-        MessageClass::DfsRequest,
-        MessageClass::DfsBlock,
-        MessageClass::Control,
-    ];
 }
 
 impl std::fmt::Display for MessageClass {

@@ -15,14 +15,6 @@ pub enum Latency {
         /// Upper bound, microseconds.
         hi_us: u64,
     },
-    /// Log-normal around a median — the classic heavy-tailed WAN shape.
-    LogNormal {
-        /// Median latency, microseconds.
-        median_us: u64,
-        /// Dispersion (σ of the underlying normal); 0.5 is a mild tail,
-        /// 1.0 a heavy one.
-        sigma: f64,
-    },
 }
 
 /// Full per-link model: latency plus fault-injection knobs.
@@ -60,17 +52,6 @@ impl LinkModel {
         }
     }
 
-    /// A wide-area link: log-normal around 40 ms with a moderate tail —
-    /// the regime the paper's P2P overlay would really run in.
-    pub fn wan() -> LinkModel {
-        LinkModel {
-            latency: Latency::LogNormal { median_us: 40_000, sigma: 0.5 },
-            jitter_us: 2_000,
-            drop_prob: 0.0,
-            duplicate_prob: 0.0,
-        }
-    }
-
     /// Returns the model with the drop probability replaced.
     ///
     /// # Panics
@@ -82,25 +63,8 @@ impl LinkModel {
         self
     }
 
-    /// Returns the model with the duplication probability replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ p ≤ 1`.
-    pub fn with_duplicate_prob(mut self, p: f64) -> LinkModel {
-        assert!((0.0..=1.0).contains(&p), "duplicate_prob {p} not a probability");
-        self.duplicate_prob = p;
-        self
-    }
-
-    /// Returns the model with the jitter bound replaced.
-    pub fn with_jitter_us(mut self, jitter_us: u64) -> LinkModel {
-        self.jitter_us = jitter_us;
-        self
-    }
-
     /// Samples one message's propagation delay.
-    pub fn sample_latency_us(&self, rng: &mut StdRng) -> u64 {
+    pub(crate) fn sample_latency_us(&self, rng: &mut StdRng) -> u64 {
         let base = match self.latency {
             Latency::Fixed(us) => us,
             Latency::Uniform { lo_us, hi_us } => {
@@ -110,34 +74,20 @@ impl LinkModel {
                     lo_us
                 }
             }
-            Latency::LogNormal { median_us, sigma } => {
-                let z = standard_normal(rng);
-                let scaled = (median_us as f64) * (sigma * z).exp();
-                // Clamp the tail at 100× the median so one sample cannot
-                // freeze a sweep.
-                scaled.min(median_us as f64 * 100.0).max(0.0) as u64
-            }
         };
         let jitter = if self.jitter_us > 0 { rng.gen_range(0..=self.jitter_us) } else { 0 };
         base.saturating_add(jitter)
     }
 
     /// Samples whether a message is dropped.
-    pub fn sample_drop(&self, rng: &mut StdRng) -> bool {
+    pub(crate) fn sample_drop(&self, rng: &mut StdRng) -> bool {
         self.drop_prob > 0.0 && rng.gen_bool(self.drop_prob)
     }
 
     /// Samples whether a delivered message is duplicated.
-    pub fn sample_duplicate(&self, rng: &mut StdRng) -> bool {
+    pub(crate) fn sample_duplicate(&self, rng: &mut StdRng) -> bool {
         self.duplicate_prob > 0.0 && rng.gen_bool(self.duplicate_prob)
     }
-}
-
-/// A standard normal draw via Box–Muller (deterministic given the RNG).
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]
@@ -175,24 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn log_normal_median_roughly_holds() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let link = LinkModel {
-            latency: Latency::LogNormal { median_us: 40_000, sigma: 0.5 },
-            jitter_us: 0,
-            drop_prob: 0.0,
-            duplicate_prob: 0.0,
-        };
-        let mut samples: Vec<u64> = (0..2001).map(|_| link.sample_latency_us(&mut rng)).collect();
-        samples.sort_unstable();
-        let median = samples[samples.len() / 2];
-        assert!(
-            (20_000..=80_000).contains(&median),
-            "empirical median {median} too far from 40000"
-        );
-    }
-
-    #[test]
     fn drop_probability_respected_at_extremes() {
         let mut rng = StdRng::seed_from_u64(4);
         let lossless = LinkModel::lan();
@@ -203,7 +135,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_samples() {
-        let link = LinkModel::wan().with_drop_prob(0.3);
+        let link = LinkModel::lan().with_drop_prob(0.3);
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
         for _ in 0..100 {

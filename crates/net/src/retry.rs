@@ -37,21 +37,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: one attempt, no backoff.
-    pub fn no_retry(timeout_us: u64) -> RetryPolicy {
-        RetryPolicy {
-            timeout_us,
-            base_backoff_us: 0,
-            multiplier: 1.0,
-            max_backoff_us: 0,
-            max_attempts: 1,
-            jitter_frac: 0.0,
-        }
-    }
-
     /// The deterministic (jitter-free) backoff before attempt number
     /// `attempt` (2-based: the first retry is attempt 2).
-    pub fn base_backoff_for(&self, attempt: u32) -> u64 {
+    pub(crate) fn base_backoff_for(&self, attempt: u32) -> u64 {
         if attempt < 2 || self.base_backoff_us == 0 {
             return 0;
         }
@@ -60,33 +48,13 @@ impl RetryPolicy {
     }
 
     /// Samples the jittered backoff before attempt `attempt`.
-    pub fn backoff_for(&self, attempt: u32, rng: &mut StdRng) -> u64 {
+    pub(crate) fn backoff_for(&self, attempt: u32, rng: &mut StdRng) -> u64 {
         let base = self.base_backoff_for(attempt);
         if base == 0 || self.jitter_frac <= 0.0 {
             return base;
         }
         let jitter_cap = ((base as f64) * self.jitter_frac) as u64;
         base + if jitter_cap > 0 { rng.gen_range(0..=jitter_cap) } else { 0 }
-    }
-
-    /// The full jittered wait schedule of one exchange: for each attempt,
-    /// the backoff slept before sending it. Useful for tests and for
-    /// reasoning about worst-case lookup time.
-    pub fn schedule(&self, rng: &mut StdRng) -> Vec<u64> {
-        (1..=self.max_attempts).map(|attempt| self.backoff_for(attempt, rng)).collect()
-    }
-
-    /// Worst-case total wall-clock time of one exchange that fails every
-    /// attempt (all timeouts plus all maximal backoffs), microseconds.
-    pub fn worst_case_us(&self) -> u64 {
-        let mut total = 0u64;
-        for attempt in 1..=self.max_attempts {
-            let base = self.base_backoff_for(attempt);
-            let jitter = ((base as f64) * self.jitter_frac.max(0.0)) as u64;
-            total =
-                total.saturating_add(self.timeout_us).saturating_add(base).saturating_add(jitter);
-        }
-        total
     }
 }
 
@@ -115,37 +83,17 @@ mod tests {
     #[test]
     fn jitter_is_bounded_and_deterministic() {
         let policy = RetryPolicy { jitter_frac: 0.5, ..RetryPolicy::default() };
-        let mut a = StdRng::seed_from_u64(11);
-        let mut b = StdRng::seed_from_u64(11);
-        let sched_a = policy.schedule(&mut a);
-        let sched_b = policy.schedule(&mut b);
+        let schedule = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (1..=policy.max_attempts).map(|n| policy.backoff_for(n, &mut rng)).collect::<Vec<_>>()
+        };
+        let sched_a = schedule(11);
+        let sched_b = schedule(11);
         assert_eq!(sched_a, sched_b, "same seed, same schedule");
         for (attempt, &waited) in sched_a.iter().enumerate() {
             let base = policy.base_backoff_for(attempt as u32 + 1);
             assert!(waited >= base);
             assert!(waited <= base + base / 2, "jitter beyond 50% of base");
         }
-    }
-
-    #[test]
-    fn no_retry_schedule_is_single_zero() {
-        let policy = RetryPolicy::no_retry(9);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(policy.schedule(&mut rng), vec![0]);
-        assert_eq!(policy.worst_case_us(), 9);
-    }
-
-    #[test]
-    fn worst_case_covers_all_attempts() {
-        let policy = RetryPolicy {
-            timeout_us: 10,
-            base_backoff_us: 5,
-            multiplier: 2.0,
-            max_backoff_us: 100,
-            max_attempts: 3,
-            jitter_frac: 0.0,
-        };
-        // attempts: t=10 + (5+10) + (10+10)
-        assert_eq!(policy.worst_case_us(), 10 + 15 + 20);
     }
 }

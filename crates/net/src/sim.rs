@@ -12,7 +12,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// A message in flight (or delivered).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
+pub(crate) struct Message {
     /// Unique, monotonically increasing id (doubles as the tie-breaker
     /// making event order total and deterministic).
     pub id: u64,
@@ -30,7 +30,7 @@ pub struct Message {
 
 /// A delivered message with its arrival time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Delivery {
+pub(crate) struct Delivery {
     /// The message.
     pub message: Message,
     /// Arrival time, microseconds.
@@ -39,7 +39,7 @@ pub struct Delivery {
 
 /// Why a send attempt failed immediately (before entering the queue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendError {
+pub(crate) enum SendError {
     /// The sender is offline (churned out).
     SenderOffline(NodeId),
     /// The destination is offline; the message is silently lost.
@@ -76,7 +76,7 @@ impl PartialOrd for Scheduled {
 /// built with the same seed and driven by the same call sequence produce
 /// identical histories.
 #[derive(Debug)]
-pub struct NetSim {
+pub(crate) struct NetSim {
     clock: VirtualClock,
     rng: StdRng,
     next_id: u64,
@@ -96,7 +96,7 @@ pub struct NetSim {
 impl NetSim {
     /// Creates a simulator with every node online and `default_link`
     /// behaviour on all links.
-    pub fn new(seed: u64, default_link: LinkModel) -> NetSim {
+    pub(crate) fn new(seed: u64, default_link: LinkModel) -> NetSim {
         NetSim {
             clock: VirtualClock::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -112,30 +112,25 @@ impl NetSim {
     }
 
     /// Current virtual time, microseconds.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.clock.now_us()
     }
 
     /// Advances the clock without delivering anything (idle waiting, e.g.
     /// a sender sitting out a retry backoff).
-    pub fn advance_by(&mut self, delta_us: u64) {
+    pub(crate) fn advance_by(&mut self, delta_us: u64) {
         self.clock.advance_by(delta_us);
     }
 
-    /// Overrides the model of the directed link `from → to`.
-    pub fn set_link(&mut self, from: NodeId, to: NodeId, model: LinkModel) {
-        self.link_overrides.insert((from, to), model);
-    }
-
     /// Overrides both directions between `a` and `b`.
-    pub fn set_link_symmetric(&mut self, a: NodeId, b: NodeId, model: LinkModel) {
+    pub(crate) fn set_link_symmetric(&mut self, a: NodeId, b: NodeId, model: LinkModel) {
         self.link_overrides.insert((a, b), model);
         self.link_overrides.insert((b, a), model);
     }
 
     /// Marks a node online/offline (churn). Offline nodes neither send nor
     /// receive; messages already in flight to them are dropped on arrival.
-    pub fn set_online(&mut self, node: NodeId, online: bool) {
+    pub(crate) fn set_online(&mut self, node: NodeId, online: bool) {
         if online {
             self.offline.remove(&node);
         } else {
@@ -143,26 +138,21 @@ impl NetSim {
         }
     }
 
-    /// Whether a node is currently online.
-    pub fn is_online(&self, node: NodeId) -> bool {
-        !self.offline.contains(&node)
-    }
-
     /// Installs a bidirectional partition: nodes in `island` can only talk
     /// among themselves, everyone else only among themselves. Replaces any
     /// previous partition.
-    pub fn partition(&mut self, island: impl IntoIterator<Item = NodeId>) {
+    pub(crate) fn partition(&mut self, island: impl IntoIterator<Item = NodeId>) {
         self.partition = Some(island.into_iter().collect());
     }
 
     /// Removes the partition.
-    pub fn heal(&mut self) {
+    pub(crate) fn heal(&mut self) {
         self.partition = None;
     }
 
     /// Whether the fault state (churn + partition) currently allows
     /// `from → to` traffic.
-    pub fn can_reach(&self, from: NodeId, to: NodeId) -> bool {
+    pub(crate) fn can_reach(&self, from: NodeId, to: NodeId) -> bool {
         if self.offline.contains(&from) || self.offline.contains(&to) {
             return false;
         }
@@ -179,7 +169,7 @@ impl NetSim {
     /// Attempts to send one message now. On success the message (plus any
     /// duplicate the link injects) joins the event queue and its id is
     /// returned; on failure the loss is recorded in the statistics.
-    pub fn send(
+    pub(crate) fn send(
         &mut self,
         from: NodeId,
         to: NodeId,
@@ -241,7 +231,7 @@ impl NetSim {
     /// arrival. Messages whose destination churned offline after the send
     /// are dropped (recorded, clock still advances). Returns `None` when
     /// the queue is idle.
-    pub fn step(&mut self) -> Option<Delivery> {
+    pub(crate) fn step(&mut self) -> Option<Delivery> {
         while let Some(Reverse(event)) = self.queue.pop() {
             self.clock.advance_to(event.arrival_us);
             if self.offline.contains(&event.message.to) {
@@ -259,34 +249,20 @@ impl NetSim {
         None
     }
 
-    /// Runs the queue dry, returning every delivery in order.
-    pub fn drain(&mut self) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        while let Some(delivery) = self.step() {
-            out.push(delivery);
-        }
-        out
-    }
-
-    /// Number of messages still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Read access to the accumulated statistics.
-    pub fn stats(&self) -> &TransportStats {
+    pub(crate) fn stats(&self) -> &TransportStats {
         &self.stats
     }
 
     /// Mutable access to the statistics (for callers layering their own
     /// accounting, e.g. retry loops marking `retried`/`timed_out`).
-    pub fn stats_mut(&mut self) -> &mut TransportStats {
+    pub(crate) fn stats_mut(&mut self) -> &mut TransportStats {
         &mut self.stats
     }
 
     /// Exclusive access to the simulator's RNG (all transport randomness
     /// flows through it, keeping runs reproducible).
-    pub fn rng_mut(&mut self) -> &mut StdRng {
+    pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
         &mut self.rng
     }
 }
@@ -303,13 +279,13 @@ mod tests {
     #[test]
     fn deliveries_come_out_in_time_order() {
         let mut sim = NetSim::new(1, LinkModel::ideal());
-        sim.set_link(NodeId(0), NodeId(1), fixed(500));
-        sim.set_link(NodeId(0), NodeId(2), fixed(100));
-        sim.set_link(NodeId(0), NodeId(3), fixed(300));
+        sim.set_link_symmetric(NodeId(0), NodeId(1), fixed(500));
+        sim.set_link_symmetric(NodeId(0), NodeId(2), fixed(100));
+        sim.set_link_symmetric(NodeId(0), NodeId(3), fixed(300));
         sim.send(NodeId(0), NodeId(1), MessageClass::Control).unwrap();
         sim.send(NodeId(0), NodeId(2), MessageClass::Control).unwrap();
         sim.send(NodeId(0), NodeId(3), MessageClass::Control).unwrap();
-        let order: Vec<u64> = sim.drain().iter().map(|d| d.message.to.0).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| sim.step()).map(|d| d.message.to.0).collect();
         assert_eq!(order, vec![2, 3, 1], "nearest destination first");
         assert_eq!(sim.now_us(), 500, "clock ends at the last arrival");
     }
@@ -332,7 +308,7 @@ mod tests {
         // High jitter would let later sends sample shorter latencies; the
         // per-link floor must keep arrival order equal to send order.
         let mut sim = NetSim::new(3, LinkModel::ideal());
-        sim.set_link(
+        sim.set_link_symmetric(
             NodeId(7),
             NodeId(8),
             LinkModel {
@@ -343,7 +319,7 @@ mod tests {
         let ids: Vec<u64> = (0..50)
             .map(|_| sim.send(NodeId(7), NodeId(8), MessageClass::Control).unwrap())
             .collect();
-        let delivered: Vec<u64> = sim.drain().iter().map(|d| d.message.id).collect();
+        let delivered: Vec<u64> = std::iter::from_fn(|| sim.step()).map(|d| d.message.id).collect();
         assert_eq!(delivered, ids, "FIFO per link");
     }
 
@@ -352,7 +328,7 @@ mod tests {
         let mut sim = NetSim::new(4, fixed(100));
         let a = sim.send(NodeId(0), NodeId(1), MessageClass::Control).unwrap();
         let b = sim.send(NodeId(2), NodeId(3), MessageClass::Control).unwrap();
-        let order: Vec<u64> = sim.drain().iter().map(|d| d.message.id).collect();
+        let order: Vec<u64> = std::iter::from_fn(|| sim.step()).map(|d| d.message.id).collect();
         assert_eq!(order, vec![a, b]);
     }
 
@@ -419,25 +395,25 @@ mod tests {
 
     #[test]
     fn duplication_delivers_twice_but_counts_once_in_latency() {
-        let mut sim = NetSim::new(9, fixed(50).with_duplicate_prob(1.0));
+        let mut sim = NetSim::new(9, LinkModel { duplicate_prob: 1.0, ..fixed(50) });
         sim.send(NodeId(0), NodeId(1), MessageClass::DfsBlock).unwrap();
-        let deliveries = sim.drain();
+        let deliveries: Vec<Delivery> = std::iter::from_fn(|| sim.step()).collect();
         assert_eq!(deliveries.len(), 2);
         assert!(deliveries.iter().any(|d| d.message.duplicate));
         let stats = sim.stats().class(MessageClass::DfsBlock);
         assert_eq!(stats.delivered, 2);
         assert_eq!(stats.duplicated, 1);
-        assert_eq!(stats.latency.count(), 1, "duplicates don't skew latency");
+        assert_eq!(stats.latency.count, 1, "duplicates don't skew latency");
     }
 
     #[test]
     fn identical_seeds_identical_histories() {
         let run = |seed: u64| -> Vec<(u64, u64)> {
-            let mut sim = NetSim::new(seed, LinkModel::wan().with_drop_prob(0.2));
+            let mut sim = NetSim::new(seed, LinkModel::lan().with_drop_prob(0.2));
             for i in 0..100u64 {
                 let _ = sim.send(NodeId(i % 7), NodeId((i + 1) % 7), MessageClass::DhtLookup);
             }
-            sim.drain().iter().map(|d| (d.message.id, d.at_us)).collect()
+            std::iter::from_fn(|| sim.step()).map(|d| (d.message.id, d.at_us)).collect()
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43), "different seed, different history");

@@ -5,7 +5,7 @@ use crate::{MessageClass, NodeId};
 use std::collections::BTreeMap;
 
 /// Number of power-of-two latency buckets (covers up to ~2^39 µs ≈ 6 days).
-pub const LATENCY_BUCKETS: usize = 40;
+pub(crate) const LATENCY_BUCKETS: usize = 40;
 
 /// A fixed-bucket log₂ histogram of latencies in microseconds.
 ///
@@ -16,51 +16,30 @@ pub const LATENCY_BUCKETS: usize = 40;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; LATENCY_BUCKETS],
-    count: u64,
-    sum_us: u128,
+    pub(crate) count: u64,
     max_us: u64,
 }
 
 impl Default for LatencyHistogram {
     fn default() -> LatencyHistogram {
-        LatencyHistogram { buckets: [0; LATENCY_BUCKETS], count: 0, sum_us: 0, max_us: 0 }
+        LatencyHistogram { buckets: [0; LATENCY_BUCKETS], count: 0, max_us: 0 }
     }
 }
 
 impl LatencyHistogram {
     /// Records one latency sample.
-    pub fn record(&mut self, latency_us: u64) {
+    pub(crate) fn record(&mut self, latency_us: u64) {
         let bucket = if latency_us <= 1 { 0 } else { (63 - latency_us.leading_zeros()) as usize }
             .min(LATENCY_BUCKETS - 1);
         self.buckets[bucket] += 1;
         self.count += 1;
-        self.sum_us += u128::from(latency_us);
         self.max_us = self.max_us.max(latency_us);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency, microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
-    }
-
-    /// Largest recorded sample, microseconds.
-    pub fn max_us(&self) -> u64 {
-        self.max_us
     }
 
     /// The latency at quantile `q` (`0 < q ≤ 1`), resolved to the upper
     /// edge of the bucket holding that rank (and clamped to the observed
     /// maximum). Returns 0 when empty.
-    pub fn quantile_us(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -139,12 +118,12 @@ pub struct TransportStats {
 
 impl TransportStats {
     /// Mutable counters for `class`, created on first use.
-    pub fn class_mut(&mut self, class: MessageClass) -> &mut ClassCounters {
+    pub(crate) fn class_mut(&mut self, class: MessageClass) -> &mut ClassCounters {
         self.per_class.entry(class).or_default()
     }
 
     /// Mutable counters for `peer`, created on first use.
-    pub fn peer_mut(&mut self, peer: NodeId) -> &mut PeerCounters {
+    pub(crate) fn peer_mut(&mut self, peer: NodeId) -> &mut PeerCounters {
         self.per_peer.entry(peer).or_default()
     }
 
@@ -181,7 +160,6 @@ impl TransportStats {
                 merged.buckets[i] += n;
             }
             merged.count += counters.latency.count;
-            merged.sum_us += counters.latency.sum_us;
             merged.max_us = merged.max_us.max(counters.latency.max_us);
         }
         merged
@@ -202,11 +180,11 @@ mod tests {
         for _ in 0..10 {
             h.record(100_000);
         }
-        assert_eq!(h.count(), 100);
+        assert_eq!(h.count, 100);
         assert!(h.p50_us() < 200, "median in the fast bucket, got {}", h.p50_us());
         assert!(h.p95_us() >= 65_536, "p95 in the slow bucket, got {}", h.p95_us());
-        assert_eq!(h.max_us(), 100_000);
-        assert!(h.p99_us() <= h.max_us());
+        assert_eq!(h.max_us, 100_000);
+        assert!(h.p99_us() <= h.max_us);
     }
 
     #[test]
@@ -214,7 +192,6 @@ mod tests {
         let h = LatencyHistogram::default();
         assert_eq!(h.p50_us(), 0);
         assert_eq!(h.p99_us(), 0);
-        assert_eq!(h.mean_us(), 0.0);
     }
 
     #[test]
@@ -222,7 +199,7 @@ mod tests {
         let mut h = LatencyHistogram::default();
         h.record(0);
         h.record(1);
-        assert_eq!(h.count(), 2);
+        assert_eq!(h.count, 2);
         assert!(h.p50_us() <= 1);
     }
 
@@ -230,7 +207,7 @@ mod tests {
     fn huge_sample_clamps_to_last_bucket() {
         let mut h = LatencyHistogram::default();
         h.record(u64::MAX);
-        assert_eq!(h.count(), 1);
+        assert_eq!(h.count, 1);
         assert_eq!(h.p99_us(), u64::MAX);
     }
 
@@ -252,7 +229,7 @@ mod tests {
         stats.class_mut(MessageClass::DhtLookup).latency.record(10);
         stats.class_mut(MessageClass::DfsBlock).latency.record(1_000_000);
         let merged = stats.merged_latency();
-        assert_eq!(merged.count(), 2);
-        assert_eq!(merged.max_us(), 1_000_000);
+        assert_eq!(merged.count, 2);
+        assert_eq!(merged.max_us, 1_000_000);
     }
 }

@@ -123,7 +123,7 @@ impl SimTransport {
         self.sim.lock().set_online(node, online);
     }
 
-    /// Installs a bidirectional partition (see [`NetSim::partition`]).
+    /// Installs a bidirectional partition (see `NetSim::partition`).
     pub fn partition(&self, island: impl IntoIterator<Item = NodeId>) {
         self.sim.lock().partition(island);
     }
@@ -136,11 +136,6 @@ impl SimTransport {
     /// Overrides the link model between two nodes, both directions.
     pub fn set_link_symmetric(&self, a: NodeId, b: NodeId, model: LinkModel) {
         self.sim.lock().set_link_symmetric(a, b, model);
-    }
-
-    /// The retry policy in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// A snapshot of the accumulated statistics.
@@ -274,7 +269,7 @@ mod tests {
     #[test]
     fn deterministic_across_identical_transports() {
         let run = |seed| {
-            let t = SimTransport::builder(seed).link(LinkModel::wan().with_drop_prob(0.1)).build();
+            let t = SimTransport::builder(seed).link(LinkModel::lan().with_drop_prob(0.1)).build();
             let mut log = Vec::new();
             for i in 0..40u64 {
                 log.push(t.deliver(NodeId(i % 5), NodeId((i + 2) % 5), MessageClass::DhtLookup));

@@ -4,8 +4,7 @@
 //! the node at times drawn from the environment, independent of how fast
 //! the node confirms them — or congestion collapse is invisible (a closed
 //! loop self-throttles). [`PoissonArrivals`] draws exponential
-//! inter-arrival gaps on the virtual clock; a rate multiplier lets the
-//! generator schedule bursty congestion phases.
+//! inter-arrival gaps on the virtual clock.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,7 +14,6 @@ use rand::{Rng, SeedableRng};
 pub struct PoissonArrivals {
     rng: StdRng,
     rate_per_ms: f64,
-    multiplier: f64,
     now_ms: f64,
 }
 
@@ -34,18 +32,8 @@ impl PoissonArrivals {
         PoissonArrivals {
             rng: StdRng::seed_from_u64(seed),
             rate_per_ms: rate_per_s / 1000.0,
-            multiplier: 1.0,
             now_ms: 0.0,
         }
-    }
-
-    /// Scales the base rate from the next draw onward (burst phases:
-    /// `2.0` doubles traffic, `0.5` halves it). Non-positive or
-    /// non-finite multipliers are clamped to a small positive floor so
-    /// the process always advances.
-    pub fn set_rate_multiplier(&mut self, multiplier: f64) {
-        self.multiplier =
-            if multiplier.is_finite() && multiplier > 0.0 { multiplier } else { 1e-9 };
     }
 
     /// Draws the next arrival time, in whole virtual milliseconds.
@@ -54,7 +42,7 @@ impl PoissonArrivals {
     pub fn next_arrival_ms(&mut self) -> u64 {
         // Inverse-CDF sampling: gap = -ln(1 - U) / λ with U ∈ [0, 1).
         let u: f64 = self.rng.gen();
-        let gap = -(1.0 - u).ln() / (self.rate_per_ms * self.multiplier);
+        let gap = -(1.0 - u).ln() / self.rate_per_ms;
         self.now_ms += gap;
         self.now_ms as u64
     }
@@ -84,7 +72,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_per_seed_and_burst_speeds_up() {
+    fn deterministic_per_seed() {
         let a: Vec<u64> = {
             let mut p = PoissonArrivals::new(42, 10.0);
             (0..50).map(|_| p.next_arrival_ms()).collect()
@@ -94,16 +82,6 @@ mod tests {
             (0..50).map(|_| p.next_arrival_ms()).collect()
         };
         assert_eq!(a, b, "same seed, same schedule");
-
-        let mut burst = PoissonArrivals::new(42, 10.0);
-        burst.set_rate_multiplier(10.0);
-        let fast: Vec<u64> = (0..50).map(|_| burst.next_arrival_ms()).collect();
-        assert!(
-            fast.last().unwrap() < a.last().unwrap(),
-            "10x multiplier compresses the schedule: {:?} vs {:?}",
-            fast.last(),
-            a.last()
-        );
     }
 
     #[test]

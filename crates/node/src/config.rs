@@ -14,7 +14,7 @@ use std::path::Path;
 
 /// Where a resolved configuration value came from (highest wins).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Layer {
+pub(crate) enum Layer {
     /// Built-in default.
     Default,
     /// `key = value` line in the config file.
@@ -294,7 +294,7 @@ impl NodeConfig {
     }
 
     /// The layer that decided `key` (defaults count as [`Layer::Default`]).
-    pub fn origin(&self, key: &str) -> Layer {
+    pub(crate) fn origin(&self, key: &str) -> Layer {
         self.origins.get(key).copied().unwrap_or(Layer::Default)
     }
 

@@ -12,14 +12,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arrivals;
-pub mod config;
-pub mod mempool;
-pub mod metrics;
-pub mod service;
+pub(crate) mod arrivals;
+pub(crate) mod config;
+pub(crate) mod mempool;
+pub(crate) mod metrics;
+pub(crate) mod service;
 
 pub use arrivals::PoissonArrivals;
-pub use config::{ConfigError, Layer, NodeConfig};
-pub use mempool::{Admission, AdmissionError, ParkingLot, RejectionCounts};
+pub use config::{ConfigError, NodeConfig};
+pub use mempool::{Admission, AdmissionError, RejectionCounts};
 pub use metrics::{LatencySummary, MetricsSnapshot};
 pub use service::{DrainReport, DropReason, NodeService, TxTerminal};

@@ -119,7 +119,7 @@ pub struct RejectionCounts {
 
 impl RejectionCounts {
     /// Buckets one refusal.
-    pub fn record(&mut self, error: &AdmissionError) {
+    pub(crate) fn record(&mut self, error: &AdmissionError) {
         match error {
             AdmissionError::QueueFull { .. } => self.queue_full += 1,
             AdmissionError::ParkingFull { .. } => self.parking_full += 1,
@@ -158,25 +158,20 @@ impl RejectionCounts {
 /// gaps fill. Only signature-checked transactions park — garbage cannot
 /// occupy a slot, and a released transaction is not checked again.
 #[derive(Debug, Default)]
-pub struct ParkingLot {
+pub(crate) struct ParkingLot {
     by_sender: BTreeMap<Address, BTreeMap<u64, (VerifiedTx, u64)>>,
     count: usize,
 }
 
 impl ParkingLot {
     /// An empty lot.
-    pub fn new() -> ParkingLot {
+    pub(crate) fn new() -> ParkingLot {
         ParkingLot::default()
     }
 
     /// Parked transactions across all senders.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.count
-    }
-
-    /// Whether nothing is parked.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Parks `tx` (admitted at virtual time `admit_ms`) under its sender,
@@ -187,7 +182,7 @@ impl ParkingLot {
     /// [`AdmissionError::ParkingFull`] when the sender's quota is
     /// exhausted, [`AdmissionError::AlreadyParked`] on a duplicate
     /// `(sender, nonce)`.
-    pub fn park(
+    pub(crate) fn park(
         &mut self,
         tx: VerifiedTx,
         admit_ms: u64,
@@ -208,7 +203,7 @@ impl ParkingLot {
 
     /// Removes and returns the parked transaction of `sender` with
     /// exactly nonce `next`, if present — the gap just filled.
-    pub fn take_ready(&mut self, sender: Address, next: u64) -> Option<(VerifiedTx, u64)> {
+    pub(crate) fn take_ready(&mut self, sender: Address, next: u64) -> Option<(VerifiedTx, u64)> {
         let slot = self.by_sender.get_mut(&sender)?;
         let entry = slot.remove(&next)?;
         if slot.is_empty() {
@@ -220,7 +215,7 @@ impl ParkingLot {
 
     /// Empties the lot, returning everything still parked (shutdown path:
     /// gaps that never filled).
-    pub fn drain_all(&mut self) -> Vec<(VerifiedTx, u64)> {
+    pub(crate) fn drain_all(&mut self) -> Vec<(VerifiedTx, u64)> {
         let mut out = Vec::with_capacity(self.count);
         for (_, slot) in std::mem::take(&mut self.by_sender) {
             out.extend(slot.into_values());
@@ -255,7 +250,7 @@ mod tests {
         assert_eq!((ready.tx().nonce, admit), (1, 20));
         let (ready, _) = lot.take_ready(sender, 2).unwrap();
         assert_eq!(ready.tx().nonce, 2);
-        assert!(lot.is_empty());
+        assert_eq!(lot.len(), 0);
     }
 
     #[test]
@@ -273,7 +268,7 @@ mod tests {
         // Another sender is unaffected by the first sender's quota.
         lot.park(tx(2, 5), 0, 1).unwrap();
         assert_eq!(lot.drain_all().len(), 2);
-        assert!(lot.is_empty());
+        assert_eq!(lot.len(), 0);
     }
 
     #[test]

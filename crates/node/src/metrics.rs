@@ -30,7 +30,7 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// Summarises `samples` (admission→confirmation, milliseconds).
     /// Returns the zero summary for an empty slice.
-    pub fn from_samples(samples: &[u64]) -> LatencySummary {
+    pub(crate) fn from_samples(samples: &[u64]) -> LatencySummary {
         if samples.is_empty() {
             return LatencySummary::default();
         }
@@ -50,7 +50,7 @@ impl LatencySummary {
 
 /// Nearest-rank percentile over an ascending-sorted slice: the smallest
 /// sample with at least `p`% of the distribution at or below it.
-pub fn percentile(sorted: &[u64], p: u64) -> u64 {
+pub(crate) fn percentile(sorted: &[u64], p: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

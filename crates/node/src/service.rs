@@ -194,7 +194,7 @@ impl NodeService {
     /// One run-loop iteration: produce the next block, harvest newly
     /// confirmable receipts, and capture a metrics snapshot when one is
     /// due.
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         self.chain.step_block();
         self.harvest();
         if self.chain.now_ms() >= self.next_snapshot_ms {
@@ -253,7 +253,7 @@ impl NodeService {
 
     /// Captures the current metrics snapshot (also recorded periodically
     /// by [`NodeService::tick`]).
-    pub fn snapshot_now(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot_now(&self) -> MetricsSnapshot {
         let height = self.chain.height();
         let last_block_gas_used = self.chain.block(height).map(|b| b.gas_used).unwrap_or_default();
         let gas_limit = self.chain.config.gas_limit;
@@ -313,11 +313,6 @@ impl NodeService {
     /// Cumulative dropped terminals.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Admitted transactions without a terminal state yet.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
     }
 
     /// Cumulative refusals by class.
@@ -459,7 +454,7 @@ mod tests {
         let counts = service.rejections();
         assert_eq!((counts.over_budget, counts.total()), (1, 1));
         assert_eq!(service.snapshot_now().parked, 0);
-        assert_eq!((service.admitted(), service.in_flight()), (0, 0));
+        assert_eq!((service.admitted(), service.pending.len()), (0, 0));
     }
 
     #[test]
@@ -476,7 +471,7 @@ mod tests {
         let counts = service.rejections();
         assert_eq!((counts.bad_signature, counts.total()), (1, 1));
         assert_eq!(service.snapshot_now().parked, 0, "garbage occupies no parking slot");
-        assert_eq!((service.admitted(), service.in_flight()), (0, 0));
+        assert_eq!((service.admitted(), service.pending.len()), (0, 0));
     }
 
     #[test]
@@ -534,7 +529,7 @@ mod tests {
         ));
         // The drain invariant: admitted == confirmed + dropped.
         assert_eq!(service.admitted(), service.confirmed() + service.dropped());
-        assert_eq!(service.in_flight(), 0);
+        assert_eq!(service.pending.len(), 0);
 
         let late = transfer(&service, kp, *addr, 1);
         assert!(matches!(service.submit_at(9999, late), Err(AdmissionError::ShuttingDown)));

@@ -27,21 +27,19 @@
 //! All three backends produce the **same root for the same contents**:
 //! the root is defined as the canonical Merkle-trie commitment over the
 //! current entry set, which the trie keeps up to date node by node and
-//! the other two recompute via [`trie::scratch_root`]. That is what lets the
+//! the other two recompute via `trie::scratch_root`. That is what lets the
 //! differential CI gate assert byte-identical `state_digest()` values
 //! across backends and across sequential/parallel execution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod memory;
-pub mod trie;
-pub mod wal;
+pub(crate) mod memory;
+pub(crate) mod trie;
+pub(crate) mod wal;
 
 pub use memory::MemoryBackend;
-pub use trie::{
-    scratch_root, verify_proof, MerkleProof, ProofClaim, ProofError, TrieBackend, EMPTY_ROOT,
-};
+pub use trie::{verify_proof, MerkleProof, ProofClaim, ProofError, TrieBackend, EMPTY_ROOT};
 pub use wal::WalBackend;
 
 /// One mutation of a commit batch: `Some` writes the value, `None`
@@ -107,7 +105,7 @@ pub trait StateBackend: Send + Sync {
 
     /// The authenticated commitment over the current contents: the
     /// canonical binary-Merkle-trie root over `sha256(key)` paths (see
-    /// [`trie::scratch_root`]). Empty store ⇒ [`EMPTY_ROOT`].
+    /// `trie::scratch_root`). Empty store ⇒ [`EMPTY_ROOT`].
     fn root(&self) -> [u8; 32];
 
     /// Marks a block boundary at `height` (snapshot/durability hook; the

@@ -294,7 +294,7 @@ mod tally {
     use std::cell::Cell;
 
     #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-    pub struct Tally {
+    pub(crate) struct Tally {
         pub leaves: usize,
         pub branches: usize,
     }
@@ -310,7 +310,7 @@ mod tally {
         static TALLY: Cell<Tally> = const { Cell::new(Tally { leaves: 0, branches: 0 }) };
     }
 
-    pub fn count(bump: impl FnOnce(&mut Tally)) {
+    pub(crate) fn count(bump: impl FnOnce(&mut Tally)) {
         TALLY.with(|cell| {
             let mut tally = cell.get();
             bump(&mut tally);
@@ -319,7 +319,7 @@ mod tally {
     }
 
     /// Reads and zeroes the current thread's tally.
-    pub fn take() -> Tally {
+    pub(crate) fn take() -> Tally {
         TALLY.with(Cell::take)
     }
 }
@@ -328,7 +328,7 @@ mod tally {
 /// scratch in `O(n log n)`: this is the commitment definition every
 /// backend's [`StateBackend::root`] must agree with. `leaves` yields
 /// `(sha256(key), sha256(value))` pairs in any order.
-pub fn scratch_root<I: IntoIterator<Item = ([u8; 32], [u8; 32])>>(leaves: I) -> [u8; 32] {
+pub(crate) fn scratch_root<I: IntoIterator<Item = ([u8; 32], [u8; 32])>>(leaves: I) -> [u8; 32] {
     let mut hashed: Vec<([u8; 32], [u8; 32])> =
         leaves.into_iter().map(|(kh, vh)| (kh, leaf_hash(&kh, &vh))).collect();
     hashed.sort_unstable_by_key(|a| a.0);
@@ -544,7 +544,7 @@ impl TrieBackend {
 
     /// An inclusion proof for a present `key`, or an exclusion proof for
     /// an absent one — always succeeds.
-    pub fn prove_key(&self, key: &[u8]) -> MerkleProof {
+    pub(crate) fn prove_key(&self, key: &[u8]) -> MerkleProof {
         let kh = sha256(key);
         let mut siblings = Vec::new();
         let mut cursor = self.root.as_deref();

@@ -41,10 +41,6 @@ const RECORD_MAGIC: u8 = 0xC1;
 const SNAPSHOT_MAGIC: &[u8; 8] = b"POLSNAP1";
 const CHECK_LEN: usize = 8;
 
-/// Default number of logged commits that triggers a snapshot at the next
-/// block boundary.
-pub const DEFAULT_SNAPSHOT_EVERY: u64 = 4_096;
-
 /// The write-ahead-log backend: a log in front of a [`MemoryBackend`].
 /// All reads are served from the in-memory image; the log and snapshot
 /// files exist to rebuild that image after a restart (clean or crashed).
@@ -244,7 +240,7 @@ impl WalBackend {
     /// # Errors
     ///
     /// I/O failures while writing or renaming the snapshot.
-    pub fn snapshot_now(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn snapshot_now(&mut self) -> Result<(), StoreError> {
         let mut buf = Vec::new();
         buf.extend_from_slice(SNAPSHOT_MAGIC);
         buf.extend_from_slice(&self.commit_seq.to_be_bytes());

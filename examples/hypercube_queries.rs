@@ -13,7 +13,7 @@ use pol::hypercube::{query, Hypercube};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dht = Hypercube::new(6);
-    println!("hypercube: r = {}, {} nodes", dht.dimensions(), dht.len());
+    println!("hypercube: r = {}, {} nodes", dht.dimensions(), 1u32 << dht.dimensions());
 
     // The paper's worked encoding example (Fig. 1.3).
     let code: pol::geo::OlcCode = "6PH57VP3+PR".parse()?;
