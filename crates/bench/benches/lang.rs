@@ -1,6 +1,6 @@
 //! Compiler-pipeline benchmarks and the factory ablation.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pol_core::contract::pol_program;
 use pol_core::factory::Factory;
 use pol_lang::backend::AbiValue;
@@ -15,6 +15,64 @@ fn pipeline(c: &mut Criterion) {
     c.bench_function("lang/compile-both-backends", |b| {
         b.iter(|| backend::compile(black_box(&program)).unwrap())
     });
+}
+
+/// A contract of `apis` APIs over `apis / 8` maps in the shape of the
+/// spine's `compile-corpus` synthetics: one deleting API per map, the
+/// rest cycling through its four bodies (map write, guarded subtraction,
+/// branch, log).
+fn synthetic(apis: usize) -> String {
+    let maps = (apis / 8).max(1);
+    let mut src = format!(
+        "contract synth_{apis} {{\n    participant Creator {{\n        slots: uint,\n    }}\n\n    \
+         global open: uint = field(slots) view;\n    global acc: uint = 0 view;\n"
+    );
+    for m in 0..maps {
+        src.push_str(&format!("    map m{m}[32];\n"));
+    }
+    src.push_str("\n    phase live while open > 0 invariant open >= 0 {\n");
+    for i in 0..apis {
+        let (m, c) = (i % maps, 1 + i % 9);
+        let body = if i < maps {
+            format!("delete m{m}[k];")
+        } else {
+            match (i - maps) % 4 {
+                0 => format!("acc = acc + v; m{m}[k] = [v];"),
+                1 => format!("require(v >= {c}); acc = acc + (v - {c});"),
+                2 => format!("if v > {c} {{ acc = acc + 1; }} else {{ m{m}[k] = [(v + {c})]; }}"),
+                _ => format!("acc = acc + {c}; log(k, v);"),
+            }
+        };
+        src.push_str(&format!("        api f{i}(k: uint, v: uint) -> acc {{ {body} }}\n"));
+    }
+    src.push_str("    }\n}\n");
+    src
+}
+
+/// The size sweep: the back half of the pipeline over 4 to 256 APIs,
+/// with the per-API rate beside each timing so superlinear growth reads
+/// as a falling rate.
+fn size_sweep(c: &mut Criterion) {
+    let programs: Vec<_> = [4usize, 16, 64, 256]
+        .into_iter()
+        .map(|apis| (apis, pol_lang::parse(&synthetic(apis)).expect("synthetic contract parses")))
+        .collect();
+    let mut group = c.benchmark_group("lang/compile-apis");
+    for (apis, program) in &programs {
+        group.throughput(Throughput::Elements(*apis as u64));
+        group.bench_function(apis.to_string(), |b| {
+            b.iter(|| backend::compile(black_box(program)).unwrap())
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("lang/analyze-apis");
+    for (apis, program) in &programs {
+        group.throughput(Throughput::Elements(*apis as u64));
+        group.bench_function(apis.to_string(), |b| {
+            b.iter(|| analyze::analyze(black_box(program)).unwrap())
+        });
+    }
+    group.finish();
 }
 
 fn factory_ablation(c: &mut Criterion) {
@@ -41,5 +99,5 @@ fn factory_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, pipeline, factory_ablation);
+criterion_group!(benches, pipeline, size_sweep, factory_ablation);
 criterion_main!(benches);

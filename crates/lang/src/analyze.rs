@@ -4,11 +4,10 @@
 //! alongside the verification summary.
 
 use crate::ast::{Program, Stmt};
-use crate::backend::{avm as avm_backend, evm as evm_backend};
+use crate::backend::{avm as avm_backend, evm as evm_backend, evm_linear_bound};
 use crate::verify;
 use crate::LangError;
 use pol_evm::gas;
-use pol_evm::opcode::Op;
 
 /// Per-call gas overhead of the (Reach-equivalent) runtime's state
 /// re-validation on EVM targets, added to every conservative API
@@ -134,7 +133,7 @@ pub fn analyze(program: &Program) -> Result<Analysis, LangError> {
         - compiled_evm.runtime_len
         - pol_evm::assembler::DEPLOY_WRAPPER_LEN;
     let constructor_gas =
-        straight_line_gas(&compiled_evm.init_code[..constructor_len], arg_bytes as u64);
+        evm_linear_bound(&compiled_evm.init_code[..constructor_len], arg_bytes as u64);
     let deploy_intrinsic = gas::G_TRANSACTION
         + gas::G_TXCREATE
         + gas::G_TXDATANONZERO * (compiled_evm.init_code.len() + arg_bytes) as u64;
@@ -153,7 +152,7 @@ pub fn analyze(program: &Program) -> Result<Analysis, LangError> {
             + 4 * gas::G_TXDATANONZERO
             + payload * (gas::G_TXDATANONZERO + gas::G_TXDATAZERO) / 2;
         let evm_gas =
-            call_intrinsic + straight_line_gas(&fragment, payload) + EVM_RUNTIME_CALL_OVERHEAD;
+            call_intrinsic + evm_linear_bound(&fragment, payload) + EVM_RUNTIME_CALL_OVERHEAD;
         let avm_ops = avm_backend::api_fragment(program, phase_idx, api)?;
         apis.push(ApiCost {
             name: api.name.clone(),
@@ -186,38 +185,6 @@ fn count_steps(stmts: &[Stmt]) -> usize {
         }
     }
     n
-}
-
-/// Conservative straight-line gas of a bytecode fragment.
-///
-/// Storage costs follow the Reach runtime's *warm-state* accounting: the
-/// runtime touches its (single-commitment) state at call entry, so
-/// subsequent slot accesses are warm (`G_warmaccess`) and writes are
-/// resets (`G_sreset`) — zero→non-zero transitions are amortized against
-/// the entry deposit the runtime collects. Hashing, logging and copy
-/// costs are bounded by `payload_bytes`.
-fn straight_line_gas(code: &[u8], payload_bytes: u64) -> u64 {
-    let mut total = 0u64;
-    let mut pc = 0usize;
-    while pc < code.len() {
-        let byte = code[pc];
-        pc += 1;
-        let Some((op, variant)) = Op::decode(byte) else { continue };
-        if op == Op::Push1 {
-            pc += variant as usize + 1;
-        }
-        total += op.base_gas();
-        total += match op {
-            Op::SLoad => gas::G_WARMACCESS,
-            Op::SStore => gas::G_SRESET,
-            Op::Keccak256 => gas::G_KECCAK256WORD * gas::words(payload_bytes as usize),
-            Op::Call => gas::G_COLDACCOUNTACCESS + gas::G_CALLVALUE,
-            Op::Log0 | Op::Log1 => gas::G_LOGDATA * payload_bytes,
-            Op::CallDataCopy | Op::CodeCopy => gas::G_COPY * gas::words(payload_bytes as usize),
-            _ => 0,
-        };
-    }
-    total
 }
 
 #[cfg(test)]

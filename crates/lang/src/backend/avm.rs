@@ -107,7 +107,7 @@ pub fn api_fragment(
     api: &Api,
 ) -> Result<Vec<AvmOp>, LangError> {
     let mut ctx = Ctx { program, params: HashMap::new(), ops: Vec::new(), next_label: 1000 };
-    ctx.bind_params(&api.params, 1);
+    ctx.bind_params(Some(&api.name), &api.params)?;
     ctx.compile_api(phase_idx, api)?;
     Ok(ctx.ops)
 }
@@ -125,7 +125,8 @@ struct Ctx<'p> {
 ///
 /// # Errors
 ///
-/// [`LangError::Backend`] on model restrictions.
+/// [`LangError::Backend`] on model restrictions: an API or the creator
+/// declares more parameters than `txna ApplicationArgs` can index.
 pub fn compile(program: &Program) -> Result<CompiledAvm, LangError> {
     let mut ctx = Ctx { program, params: HashMap::new(), ops: Vec::new(), next_label: 0 };
 
@@ -140,7 +141,7 @@ pub fn compile(program: &Program) -> Result<CompiledAvm, LangError> {
     let mut entries = Vec::new();
     for (phase_idx, api) in program.all_apis() {
         let label = ctx.fresh_label();
-        entries.push((phase_idx, api.clone(), label));
+        entries.push((phase_idx, api, label));
         api_params.insert(
             api.name.clone(),
             api.params.iter().map(|(n, t)| (n.clone(), *t)).collect::<Vec<_>>(),
@@ -162,8 +163,8 @@ pub fn compile(program: &Program) -> Result<CompiledAvm, LangError> {
     // ---- API bodies ----
     for (phase_idx, api, label) in entries {
         ctx.ops.push(AvmOp::Label(label));
-        ctx.bind_params(&api.params, 1);
-        ctx.compile_api(phase_idx, &api)?;
+        ctx.bind_params(Some(&api.name), &api.params)?;
+        ctx.compile_api(phase_idx, api)?;
     }
 
     // ---- closeContract ----
@@ -196,7 +197,7 @@ pub fn compile(program: &Program) -> Result<CompiledAvm, LangError> {
     ctx.ops.push(AvmOp::PushBytes(KEY_PHASE.to_vec()));
     ctx.ops.push(AvmOp::PushInt(0));
     ctx.ops.push(AvmOp::AppGlobalPut);
-    ctx.bind_params(&program.creator.fields, 0);
+    ctx.bind_params(None, &program.creator.fields)?;
     for global in &program.globals {
         ctx.ops.push(AvmOp::PushBytes(global.name.as_bytes().to_vec()));
         match &global.init {
@@ -233,15 +234,30 @@ impl Ctx<'_> {
         self.next_label - 1
     }
 
-    fn bind_params(&mut self, params: &[(String, Ty)], base: u8) {
-        self.params.clear();
-        for (i, (name, ty)) in params.iter().enumerate() {
-            self.params.insert(name.clone(), (base + i as u8, *ty));
+    /// Binds the parameters of `api` (application arguments 1.., after the
+    /// method name) or, for `None`, the creator's fields (creation
+    /// arguments 0..). The argument index is one byte on the AVM, so a
+    /// list that runs past index 255 is refused rather than wrapped onto
+    /// the first arguments.
+    fn bind_params(&mut self, api: Option<&str>, params: &[(String, Ty)]) -> Result<(), LangError> {
+        let base = u8::from(api.is_some());
+        let limit = 256 - usize::from(base);
+        if params.len() > limit {
+            let owner = api.map_or("the creator".to_string(), |name| format!("api {name:?}"));
+            return Err(LangError::Backend(format!(
+                "{owner} declares {} parameters; the AVM backend addresses at most {limit}",
+                params.len()
+            )));
         }
+        self.params.clear();
+        for ((name, ty), idx) in params.iter().zip(base..=u8::MAX) {
+            self.params.insert(name.clone(), (idx, *ty));
+        }
+        Ok(())
     }
 
     fn compile_api(&mut self, phase_idx: usize, api: &Api) -> Result<(), LangError> {
-        let phase = &self.program.phases[phase_idx].clone();
+        let phase = &self.program.phases[phase_idx];
         // require _phase == phase_idx
         self.ops.push(AvmOp::PushBytes(KEY_PHASE.to_vec()));
         self.ops.push(AvmOp::AppGlobalGet);
@@ -597,6 +613,73 @@ mod tests {
             )
             .unwrap();
         assert!(!out.approved);
+    }
+
+    /// A contract whose creator has `fields` fields and whose one API has
+    /// `params` parameters and adds the first to the last.
+    fn wide(fields: usize, params: usize) -> Program {
+        let list = |prefix: &str, n: usize| {
+            (0..n).map(|i| format!("{prefix}{i}: uint")).collect::<Vec<_>>().join(", ")
+        };
+        crate::parse(&format!(
+            "contract wide {{ participant Creator {{ {} }}
+             global open: uint = field(c{}) view; global acc: uint = 0 view;
+             phase live while open > 0 invariant open >= 0 {{
+                 api f({}) -> acc {{ acc = p0 + p{}; }}
+             }} }}",
+            list("c", fields),
+            fields - 1,
+            list("p", params),
+            params - 1
+        ))
+        .unwrap()
+    }
+
+    fn backend_error<T: std::fmt::Debug>(result: Result<T, LangError>) -> String {
+        match result {
+            Err(LangError::Backend(message)) => message,
+            other => panic!("expected a backend error, got {other:?}"),
+        }
+    }
+
+    /// Index 0 is the method name, so 255 parameters reach the last index
+    /// one byte can hold; creation arguments start at 0.
+    #[test]
+    fn last_addressable_argument_is_255() {
+        let program = wide(1, 255);
+        let ops = compile(&program).unwrap().program.ops().to_vec();
+        assert!(ops.contains(&AvmOp::TxnArg(1)) && ops.contains(&AvmOp::TxnArg(255)));
+        assert!(crate::backend::compile(&program).is_ok());
+        let ops = compile(&wide(256, 1)).unwrap().program.ops().to_vec();
+        assert!(ops.contains(&AvmOp::TxnArg(255)));
+    }
+
+    /// `p256` must not alias `ApplicationArgs 1` (release) or overflow the
+    /// index (debug): every entry point refuses the program.
+    #[test]
+    fn api_with_260_parameters_is_refused() {
+        let program = wide(1, 260);
+        let api = &program.phases[0].apis[0];
+        for message in [
+            backend_error(compile(&program)),
+            backend_error(api_fragment(&program, 0, api)),
+            backend_error(crate::backend::compile(&program)),
+            backend_error(crate::analyze::analyze(&program)),
+        ] {
+            assert!(message.contains("api \"f\"") && message.contains("255"), "{message}");
+        }
+    }
+
+    #[test]
+    fn creator_with_260_fields_is_refused() {
+        let program = wide(260, 1);
+        for message in [
+            backend_error(compile(&program)),
+            backend_error(crate::backend::compile(&program)),
+            backend_error(crate::analyze::analyze(&program)),
+        ] {
+            assert!(message.contains("the creator") && message.contains("256"), "{message}");
+        }
     }
 
     #[test]

@@ -176,62 +176,64 @@ fn verify_bytecode(
                 allowed_post_call_sstore_keys: &allowed,
                 payload_bytes: payload,
             };
-            if let Ok(fragment) = evm::api_fragment(program, phase_idx, api) {
-                match pol_evm::verifier::verify(&fragment, &cfg) {
-                    Ok(report) => {
-                        let stat = crate::gas::evm_fragment_bound(
-                            program, flows, phase_idx, api_idx, payload,
-                        );
-                        let bound = evm_linear_bound(&fragment, payload);
-                        let observed = report.worst_case_gas;
-                        diags.extend(two_sided_gate(
-                            "X0401", &api.name, "gas", observed, stat, bound, at,
-                        ));
-                    }
-                    Err(e) => diags.push(
-                        Diagnostic::error(
-                            "B0301",
-                            format!("api {:?}: EVM fragment rejected: {e}", api.name),
-                        )
-                        .at(at),
-                    ),
+            // A fragment that cannot be regenerated is as unverified as
+            // one the verifier refuses: both are the target's B-code.
+            let evm_checked = evm::api_fragment(program, phase_idx, api)
+                .map_err(|e| format!("not generated: {e}"))
+                .and_then(|fragment| match pol_evm::verifier::verify(&fragment, &cfg) {
+                    Ok(report) => Ok((fragment, report)),
+                    Err(e) => Err(format!("rejected: {e}")),
+                });
+            match evm_checked {
+                Ok((fragment, report)) => {
+                    let stat =
+                        crate::gas::evm_fragment_bound(program, flows, phase_idx, api_idx, payload);
+                    let bound = evm_linear_bound(&fragment, payload);
+                    let observed = report.worst_case_gas;
+                    diags.extend(two_sided_gate(
+                        "X0401", &api.name, "gas", observed, stat, bound, at,
+                    ));
                 }
+                Err(why) => diags.push(
+                    Diagnostic::error("B0301", format!("api {:?}: EVM fragment {why}", api.name))
+                        .at(at),
+                ),
             }
-            if let Ok(ops) = avm::api_fragment(program, phase_idx, api) {
-                let fragment = pol_avm::program::AvmProgram::new(ops);
-                match pol_avm::verifier::verify(&fragment) {
-                    Ok(report) => {
-                        if report.worst_case_cost > pol_avm::cost::CALL_BUDGET {
-                            diags.push(
-                                Diagnostic::error(
-                                    "B0303",
-                                    format!(
-                                        "api {:?}: verified worst-case cost {} exceeds the \
-                                         per-call budget {}",
-                                        api.name,
-                                        report.worst_case_cost,
-                                        pol_avm::cost::CALL_BUDGET
-                                    ),
-                                )
-                                .at(at),
-                            );
-                        }
-                        let stat =
-                            crate::gas::avm_fragment_bound(program, flows, phase_idx, api_idx);
-                        let bound = pol_avm::cost::program_cost(fragment.ops());
-                        let observed = report.worst_case_cost;
-                        diags.extend(two_sided_gate(
-                            "X0402", &api.name, "cost", observed, stat, bound, at,
-                        ));
+            let avm_checked = avm::api_fragment(program, phase_idx, api)
+                .map_err(|e| format!("not generated: {e}"))
+                .map(pol_avm::program::AvmProgram::new)
+                .and_then(|fragment| match pol_avm::verifier::verify(&fragment) {
+                    Ok(report) => Ok((fragment, report)),
+                    Err(e) => Err(format!("rejected: {e}")),
+                });
+            match avm_checked {
+                Ok((fragment, report)) => {
+                    if report.worst_case_cost > pol_avm::cost::CALL_BUDGET {
+                        diags.push(
+                            Diagnostic::error(
+                                "B0303",
+                                format!(
+                                    "api {:?}: verified worst-case cost {} exceeds the per-call \
+                                     budget {}",
+                                    api.name,
+                                    report.worst_case_cost,
+                                    pol_avm::cost::CALL_BUDGET
+                                ),
+                            )
+                            .at(at),
+                        );
                     }
-                    Err(e) => diags.push(
-                        Diagnostic::error(
-                            "B0302",
-                            format!("api {:?}: AVM fragment rejected: {e}", api.name),
-                        )
-                        .at(at),
-                    ),
+                    let stat = crate::gas::avm_fragment_bound(program, flows, phase_idx, api_idx);
+                    let bound = pol_avm::cost::program_cost(fragment.ops());
+                    let observed = report.worst_case_cost;
+                    diags.extend(two_sided_gate(
+                        "X0402", &api.name, "cost", observed, stat, bound, at,
+                    ));
                 }
+                Err(why) => diags.push(
+                    Diagnostic::error("B0302", format!("api {:?}: AVM fragment {why}", api.name))
+                        .at(at),
+                ),
             }
         }
     }
@@ -271,10 +273,17 @@ fn two_sided_gate(
 }
 
 /// The conservative straight-line gas bound of a fragment: the linear
-/// opcode sum under the same warm-state model as the analysis. On the
-/// loop-free code this backend emits, every execution path is a
-/// subsequence of the instruction stream, so the verified worst path can
-/// never exceed this.
+/// opcode sum, which the analysis reports (Fig. 5.1) and the X0401 gate
+/// holds the certificates under. On the loop-free code this backend
+/// emits, every execution path is a subsequence of the instruction
+/// stream, so the verified worst path can never exceed this.
+///
+/// Storage costs follow the Reach runtime's *warm-state* accounting: the
+/// runtime touches its (single-commitment) state at call entry, so
+/// subsequent slot accesses are warm (`G_warmaccess`) and writes are
+/// resets (`G_sreset`) — zero→non-zero transitions are amortized against
+/// the entry deposit the runtime collects. Hashing, logging and copy
+/// costs are bounded by `payload_bytes`.
 pub(crate) fn evm_linear_bound(code: &[u8], payload_bytes: u64) -> u64 {
     let mut total = 0u64;
     let mut pc = 0usize;
