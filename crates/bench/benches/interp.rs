@@ -1,5 +1,6 @@
 //! Interpreter micro-benchmarks: EVM pre-decode cost, what the shared
-//! code cache buys per call, and AVM call latency.
+//! code cache buys per call, what a cached call costs as the contract's
+//! image grows around the same executed body, and AVM call latency.
 //!
 //! ```sh
 //! cargo bench -p pol-bench --bench interp
@@ -67,20 +68,27 @@ fn evm_benches(c: &mut Criterion) {
     group.bench_function("decode", |b| b.iter(|| EvmProgram::decode(black_box(runtime.clone()))));
     group.finish();
 
-    let cached = CodeCache::new();
-    c.bench_function("interp/evm/call-cached", |b| {
+    bench_call(c, "interp/evm/call-cached", &world, addr, &CodeCache::new());
+    bench_call(c, "interp/evm/call-uncached", &world, addr, &CodeCache::disabled());
+
+    // The same eight-iteration body in images of growing size (4,805
+    // bytes is the PoL contract's runtime): a call should cost what it
+    // executes, so the three read alike.
+    for size in [64usize, 1024, 4805] {
+        let mut image = loop_runtime(8);
+        image.resize(size, Op::Stop as u8);
+        let (world, addr) = deployed_world(&image);
+        let id = format!("interp/evm/call-cached/{size}");
+        bench_call(c, &id, &world, addr, &CodeCache::new());
+    }
+}
+
+/// Times one call of `addr` per iteration, each on a fresh overlay.
+fn bench_call(c: &mut Criterion, id: &str, world: &WorldState, addr: Address, cache: &CodeCache) {
+    c.bench_function(id, |b| {
         b.iter(|| {
-            let mut view = Overlay::new(&world);
-            call_contract(&mut view, call_params(addr), &cached)
-                .expect("bench call succeeds")
-                .gas_used
-        })
-    });
-    let uncached = CodeCache::disabled();
-    c.bench_function("interp/evm/call-uncached", |b| {
-        b.iter(|| {
-            let mut view = Overlay::new(&world);
-            call_contract(&mut view, call_params(addr), &uncached)
+            let mut view = Overlay::new(world);
+            call_contract(&mut view, call_params(addr), cache)
                 .expect("bench call succeeds")
                 .gas_used
         })

@@ -8,13 +8,21 @@
 //! AVM programs carry their derived rows themselves, so on the AVM
 //! preset the cache toggle is inert and the three modes are what is
 //! compared.
+//!
+//! On EVM presets a run may first *redeploy at the same address*: a
+//! deployment of other code whose constructor reverts shares a block with
+//! the real one. A failed deploy leaves `DeployCount` where it was, so
+//! both target one address, and the program the calls then run must be
+//! the one that was installed, in every mode and with or without the
+//! cache.
 
 use pol_avm::opcode::AvmOp;
 use pol_avm::AvmProgram;
 use pol_chainsim::{presets, ChainPreset, ExecStats, ExecutionMode, VmKind};
 use pol_evm::assembler::Asm;
 use pol_evm::opcode::Op;
-use pol_ledger::ContractId;
+use pol_ledger::address::contract_address;
+use pol_ledger::{ContractId, Transaction};
 use proptest::prelude::*;
 
 /// The deployed call target: one generated contract or app per run.
@@ -126,13 +134,15 @@ fn preset_for(idx: usize) -> ChainPreset {
     }
 }
 
-/// Deploys the generated contract and runs the call storm, returning
-/// everything observable plus the executor counters.
+/// Deploys the generated contract (after a failed deployment of other
+/// code at the same address when `redeploy` is set) and runs the call
+/// storm, returning everything observable plus the executor counters.
 fn run(
     preset_idx: usize,
     seed: u64,
     snippets: &[Snippet],
     calls: &[u8],
+    redeploy: bool,
     mode: ExecutionMode,
     cached: bool,
 ) -> (Vec<String>, u128, [u8; 32], ExecStats) {
@@ -146,12 +156,36 @@ fn run(
         users.push(chain.create_funded_account(10u128.pow(20)));
     }
 
+    let mut ids = Vec::new();
     let target = match chain.config.vm {
         VmKind::Evm => {
             let runtime = evm_runtime(snippets);
+            let (deployer, from) = &users[0];
+            if redeploy {
+                // Same runtime behind one more `JUMPDEST`: other bytes, and
+                // every jump target in them one off.
+                let other = [&[Op::JumpDest as u8][..], &runtime[..]].concat();
+                let reverting = Asm::new().push_u64(0).push_u64(0).op(Op::Revert).build();
+                let (max_fee, priority) = chain.suggested_fees();
+                let failing = Transaction::create(
+                    *from,
+                    Asm::initcode(&reverting, &other),
+                    chain.next_nonce(*from),
+                )
+                .with_gas_limit(5_000_000)
+                .with_fees(max_fee, priority)
+                .signed(deployer);
+                ids.push(chain.submit(failing).unwrap());
+            }
             let receipt =
-                chain.deploy_evm(&users[0].0, Asm::deploy_wrapper(&runtime), 5_000_000).unwrap();
-            Target::Contract(receipt.created.expect("deployed"))
+                chain.deploy_evm(deployer, Asm::deploy_wrapper(&runtime), 5_000_000).unwrap();
+            let created = receipt.created.expect("deployed");
+            assert_eq!(created, ContractId::Evm(contract_address(from, 0)), "address reused");
+            for failed in &ids {
+                let receipt = chain.poll_receipt(*failed).expect("both deployments share a block");
+                assert_eq!(receipt.created, None, "the other code must not deploy");
+            }
+            Target::Contract(created)
         }
         VmKind::Avm => {
             let receipt = chain.deploy_app(&users[0].0, avm_program(snippets), vec![]).unwrap();
@@ -159,7 +193,6 @@ fn run(
         }
     };
 
-    let mut ids = Vec::new();
     for &call in calls {
         let kp = &users[usize::from(call) % USERS].0;
         match target {
@@ -194,16 +227,18 @@ proptest! {
         workers in 2..6usize,
         snippets in proptest::collection::vec(snippet_strategy(), 1..8),
         calls in proptest::collection::vec(any::<u8>(), 2..12),
+        redeploy in any::<bool>(),
     ) {
-        let oracle = run(preset_idx, seed, &snippets, &calls, ExecutionMode::Sequential, false);
+        let case = |mode, cached| run(preset_idx, seed, &snippets, &calls, redeploy, mode, cached);
+        let oracle = case(ExecutionMode::Sequential, false);
         prop_assert_eq!(oracle.3.code_cache_hits, 0, "disabled cache must never hit");
 
         let runs = [
-            run(preset_idx, seed, &snippets, &calls, ExecutionMode::Sequential, true),
-            run(preset_idx, seed, &snippets, &calls, ExecutionMode::Parallel { workers }, true),
-            run(preset_idx, seed, &snippets, &calls, ExecutionMode::Parallel { workers }, false),
-            run(preset_idx, seed, &snippets, &calls, ExecutionMode::ParallelStatic { workers }, true),
-            run(preset_idx, seed, &snippets, &calls, ExecutionMode::ParallelStatic { workers }, false),
+            case(ExecutionMode::Sequential, true),
+            case(ExecutionMode::Parallel { workers }, true),
+            case(ExecutionMode::Parallel { workers }, false),
+            case(ExecutionMode::ParallelStatic { workers }, true),
+            case(ExecutionMode::ParallelStatic { workers }, false),
         ];
         for (receipts, burned, digest, stats) in runs {
             prop_assert_eq!(&oracle.0, &receipts);
@@ -221,7 +256,7 @@ proptest! {
         // The cached sequential run replays the same program for every
         // call after the first: on an EVM chain it must have hit the
         // cache; an AVM chain never consults it.
-        let cached_seq = run(preset_idx, seed, &snippets, &calls, ExecutionMode::Sequential, true);
+        let cached_seq = case(ExecutionMode::Sequential, true);
         if preset_for(preset_idx).config.vm == VmKind::Evm {
             prop_assert!(
                 cached_seq.3.code_cache_hits > 0,

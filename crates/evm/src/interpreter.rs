@@ -19,7 +19,6 @@ use pol_crypto::keccak256;
 use pol_ledger::state::{self, BalancePatchBase, Overlay, StateKey, StateValue, WorldState};
 use pol_ledger::{address, Address, StateView};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Hard cap on VM memory to keep simulations bounded.
 const MAX_MEMORY: usize = 1 << 20;
@@ -151,9 +150,8 @@ fn load_storage(state: &mut dyn StateView, contract: Address, slot: Word) -> Wor
 
 /// Runs `init_code` as a deployment from `deployer` against a state view,
 /// storing whatever it returns as the new contract's runtime code. The
-/// init code is decoded through `cache` (keyed by content hash, so
-/// repeated deployments of the same init code — and every speculative
-/// retry of this one — decode once).
+/// init code's decode is counted and timed on `cache` but not retained:
+/// init code carries its constructor arguments and never runs again.
 ///
 /// Returns the new contract's address and the execution outcome (whose
 /// `gas_used` includes intrinsic, execution and code-deposit gas). All
@@ -177,9 +175,7 @@ pub fn deploy_contract(
         return Err(EvmError::OutOfGas { limit: gas_limit });
     }
     let checkpoint = state.checkpoint();
-    // Temporarily install the init code at the target address so the
-    // frame can CODECOPY from it.
-    state.put(StateKey::Code(address), StateValue::Bytes(init_code.to_vec()));
+    let program = cache.decode(init_code.to_vec());
     let params = CallParams {
         caller: deployer,
         contract: address,
@@ -189,7 +185,7 @@ pub fn deploy_contract(
         block_number: 1,
         timestamp_s: 1,
     };
-    match execute(state, &params, cache) {
+    match execute(state, &params, &program) {
         Ok(mut outcome) if outcome.success && !outcome.output.is_empty() => {
             let deposit = gas::G_CODEDEPOSIT * outcome.output.len() as u64;
             if intrinsic + outcome.gas_used + deposit > gas_limit {
@@ -220,7 +216,8 @@ pub fn deploy_contract(
 /// Executes a message call against a deployed contract through a state
 /// view, resolving the contract's pre-decoded program through `cache` so
 /// repeated calls (and every speculation attempt across the executor's
-/// modes) skip re-decoding.
+/// modes) skip re-decoding. The code is read from state once; a call
+/// that fails before its frame starts never consults the cache.
 ///
 /// The `gas_used` in the outcome includes the transaction-intrinsic gas.
 /// Value is moved from caller to contract before the checkpoint (matching
@@ -236,9 +233,11 @@ pub fn call_contract(
     params: CallParams,
     cache: &CodeCache,
 ) -> Result<ExecOutcome, EvmError> {
-    if state.get(&StateKey::Code(params.contract)).is_none() {
-        return Err(EvmError::UnknownContract(params.contract));
-    }
+    let code = match state.get(&StateKey::Code(params.contract)) {
+        Some(StateValue::Bytes(code)) => code,
+        Some(_) => Vec::new(),
+        None => return Err(EvmError::UnknownContract(params.contract)),
+    };
     let intrinsic = gas::intrinsic_gas(&params.data, false);
     if intrinsic > params.gas_limit {
         return Err(EvmError::OutOfGas { limit: params.gas_limit });
@@ -253,9 +252,10 @@ pub fn call_contract(
         let to_balance = state.balance_of(params.contract);
         state.set_balance_of(params.contract, to_balance + params.value);
     }
+    let program = cache.resolve(params.contract, code);
     let checkpoint = state.checkpoint();
-    let inner = CallParams { gas_limit: params.gas_limit - intrinsic, ..params.clone() };
-    match execute(state, &inner, cache) {
+    let inner = CallParams { gas_limit: params.gas_limit - intrinsic, ..params };
+    match execute(state, &inner, &program) {
         Ok(mut outcome) => {
             outcome.gas_used += intrinsic;
             if !outcome.success {
@@ -271,31 +271,24 @@ pub fn call_contract(
     }
 }
 
-/// Fetches a contract's code and resolves its pre-decoded program
-/// through the cache, keyed by the keccak-256 content hash of the bytes.
-/// Content addressing is the only sound key: a failed deploy leaves
-/// `DeployCount` unbumped, so the same address can later hold different
-/// code, while identical bytes always decode identically.
-fn load_program(
-    state: &mut dyn StateView,
-    contract: Address,
-    cache: &CodeCache,
-) -> Result<Arc<EvmProgram>, EvmError> {
-    let code = match state.get(&StateKey::Code(contract)) {
-        Some(v) => v.as_bytes().map(<[u8]>::to_vec).unwrap_or_default(),
-        None => return Err(EvmError::UnknownContract(contract)),
-    };
-    let key = keccak256(&code);
-    Ok(cache.get_or_decode(key, move || EvmProgram::decode(code)))
+/// A stack operand used as an offset, a size or a jump target: `None`
+/// when it does not fit `usize`, so that no site acts on a truncated low
+/// limb. What `None` means is the site's: a memory error, an invalid
+/// jump, or a source offset past the end of anything.
+fn operand(word: Word) -> Option<usize> {
+    if word.fits_u64() {
+        usize::try_from(word.as_u64()).ok()
+    } else {
+        None
+    }
 }
 
 #[allow(clippy::too_many_lines)]
 fn execute(
     state: &mut dyn StateView,
     params: &CallParams,
-    cache: &CodeCache,
+    program: &EvmProgram,
 ) -> Result<ExecOutcome, EvmError> {
-    let program = load_program(state, params.contract, cache)?;
     let instrs = program.instrs();
     let mut stack: Vec<Word> = Vec::with_capacity(64);
     let mut memory: Vec<u8> = Vec::new();
@@ -324,6 +317,29 @@ fn execute(
                 return Err(EvmError::StackError);
             }
             stack.push($w);
+        }};
+    }
+    /// Pops a memory offset or size: one past `usize` is past the cap.
+    macro_rules! pop_mem {
+        () => {
+            operand(pop!()).ok_or(EvmError::MemoryOverflow)?
+        };
+    }
+    /// Pops a calldata or code offset: one past `usize` is past the end
+    /// of either, where every byte reads as zero.
+    macro_rules! pop_src {
+        () => {
+            operand(pop!()).unwrap_or(usize::MAX)
+        };
+    }
+    /// Takes a jump to the byte offset `$dest` (a `JUMPDEST`, or a fault).
+    macro_rules! jump {
+        ($dest:expr) => {{
+            let dest = operand($dest);
+            match dest.and_then(|dest| program.jump_target(dest)) {
+                Some(target) => ip = target as usize,
+                None => return Err(EvmError::InvalidJump(dest.unwrap_or(usize::MAX))),
+            }
         }};
     }
 
@@ -445,8 +461,8 @@ fn execute(
                 push!(a.not());
             }
             Op::Keccak256 => {
-                let off = pop!().as_u64() as usize;
-                let size = pop!().as_u64() as usize;
+                let off = pop_mem!();
+                let size = pop_mem!();
                 charge!(gas::G_KECCAK256WORD * gas::words(size));
                 let (end, grow) = expand(&mut memory, off, size)?;
                 charge!(grow);
@@ -459,7 +475,7 @@ fn execute(
             Op::Caller => push!(Word::from(params.caller)),
             Op::CallValue => push!(Word::from_u128(params.value)),
             Op::CallDataLoad => {
-                let off = pop!().as_u64() as usize;
+                let off = pop_src!();
                 let mut buf = [0u8; 32];
                 for (i, slot) in buf.iter_mut().enumerate() {
                     *slot = byte_at(&params.data, off, i);
@@ -468,9 +484,9 @@ fn execute(
             }
             Op::CallDataSize => push!(Word::from_u64(params.data.len() as u64)),
             Op::CallDataCopy | Op::CodeCopy => {
-                let mem_off = pop!().as_u64() as usize;
-                let src_off = pop!().as_u64() as usize;
-                let size = pop!().as_u64() as usize;
+                let mem_off = pop_mem!();
+                let src_off = pop_src!();
+                let size = pop_mem!();
                 charge!(gas::G_COPY * gas::words(size));
                 let (end, grow) = expand(&mut memory, mem_off, size)?;
                 charge!(grow);
@@ -485,7 +501,7 @@ fn execute(
                 let _ = pop!();
             }
             Op::MLoad => {
-                let off = pop!().as_u64() as usize;
+                let off = pop_mem!();
                 let (end, grow) = expand(&mut memory, off, 32)?;
                 charge!(grow);
                 let mut buf = [0u8; 32];
@@ -493,7 +509,7 @@ fn execute(
                 push!(Word::from_be_bytes(&buf));
             }
             Op::MStore => {
-                let off = pop!().as_u64() as usize;
+                let off = pop_mem!();
                 let value = pop!();
                 let (end, grow) = expand(&mut memory, off, 32)?;
                 charge!(grow);
@@ -534,21 +550,11 @@ fn execute(
                     );
                 }
             }
-            Op::Jump => {
-                let dest = pop!().as_u64() as usize;
-                match program.jump_target(dest) {
-                    Some(t) => ip = t as usize,
-                    None => return Err(EvmError::InvalidJump(dest)),
-                }
-            }
+            Op::Jump => jump!(pop!()),
             Op::JumpI => {
-                let dest = pop!().as_u64() as usize;
-                let cond = pop!();
+                let (dest, cond) = (pop!(), pop!());
                 if !cond.is_zero() {
-                    match program.jump_target(dest) {
-                        Some(t) => ip = t as usize,
-                        None => return Err(EvmError::InvalidJump(dest)),
-                    }
+                    jump!(dest);
                 }
             }
             Op::JumpDest => {}
@@ -572,8 +578,8 @@ fn execute(
                 stack.swap(top, other);
             }
             Op::Log0 | Op::Log1 => {
-                let off = pop!().as_u64() as usize;
-                let size = pop!().as_u64() as usize;
+                let off = pop_mem!();
+                let size = pop_mem!();
                 if op == Op::Log1 {
                     let _topic = pop!();
                 }
@@ -607,8 +613,8 @@ fn execute(
                 }
             }
             Op::Return | Op::Revert => {
-                let off = pop!().as_u64() as usize;
-                let size = pop!().as_u64() as usize;
+                let off = pop_mem!();
+                let size = pop_mem!();
                 let (end, grow) = expand(&mut memory, off, size)?;
                 charge!(grow);
                 let output = memory[off..end].to_vec();
@@ -863,12 +869,16 @@ mod tests {
         assert!(matches!(err, EvmError::OutOfGas { .. }));
     }
 
-    /// Offsets and sizes come off the contract's stack: sums past `usize`
-    /// must end in the typed memory error (or read as zero bytes where
-    /// the EVM pads), never in a wrapped index or a panic.
+    /// Offsets, sizes and jump targets come off the contract's stack as
+    /// 256-bit words: sums past `usize`, and operands of 2⁶⁴ + k whose low
+    /// limb alone would land on valid ground, must end in the typed error
+    /// (or read as zero bytes where the EVM pads), never in a wrapped or
+    /// truncated index or a panic.
     #[test]
     fn offsets_near_usize_max_fail_typed_or_read_zero() {
         const HUGE: u64 = 0xffff_ffff_ffff_fff5;
+        let huge = Word::from_u64(HUGE);
+        let past = |k: u64| Word::from_u128((1u128 << 64) + u128::from(k));
         let deploy_and_call = |runtime: Vec<u8>| {
             let mut evm = Evm::new();
             let mut balances = Balances::new();
@@ -876,20 +886,34 @@ mod tests {
             let (addr, _) = evm.deploy(Address::ZERO, &init, 30_000_000, &mut balances).unwrap();
             evm.call(CallParams::new(Address::ZERO, addr).with_data(vec![0xab; 64]), &mut balances)
         };
-        let overflowing = [
-            ("mload", Asm::new().push_u64(HUGE).op(Op::MLoad)),
-            ("mstore", Asm::new().push_u64(1).push_u64(HUGE).op(Op::MStore)),
-            ("keccak256", Asm::new().push_u64(32).push_u64(HUGE).op(Op::Keccak256)),
-            ("return", Asm::new().push_u64(32).push_u64(HUGE).op(Op::Return)),
-            ("revert", Asm::new().push_u64(32).push_u64(HUGE).op(Op::Revert)),
-            ("log0", Asm::new().push_u64(32).push_u64(HUGE).op(Op::Log0)),
-            ("log1", Asm::new().push_u64(0).push_u64(32).push_u64(HUGE).op(Op::Log1)),
-            (
-                "calldatacopy",
-                Asm::new().push_u64(32).push_u64(0).push_u64(HUGE).op(Op::CallDataCopy),
-            ),
-            ("codecopy", Asm::new().push_u64(32).push_u64(0).push_u64(HUGE).op(Op::CodeCopy)),
-        ];
+        let mut overflowing: Vec<(String, Asm)> = Vec::new();
+        for (what, off) in [("HUGE", huge), ("2^64", past(0))] {
+            overflowing.push((format!("mload {what}"), Asm::new().push_word(off).op(Op::MLoad)));
+            let mstore = Asm::new().push_u64(1).push_word(off).op(Op::MStore);
+            overflowing.push((format!("mstore {what}"), mstore));
+        }
+        for (what, off, size) in [
+            ("offset HUGE", huge, Word::from_u64(32)),
+            ("offset 2^64", past(0), Word::from_u64(32)),
+            ("size 2^64+32", Word::ZERO, past(32)),
+        ] {
+            let sized = [
+                ("keccak256", Op::Keccak256),
+                ("return", Op::Return),
+                ("revert", Op::Revert),
+                ("log0", Op::Log0),
+            ];
+            for (name, op) in sized {
+                let asm = Asm::new().push_word(size).push_word(off).op(op);
+                overflowing.push((format!("{name} {what}"), asm));
+            }
+            let log1 = Asm::new().push_u64(0).push_word(size).push_word(off).op(Op::Log1);
+            overflowing.push((format!("log1 {what}"), log1));
+            for (name, op) in [("calldatacopy", Op::CallDataCopy), ("codecopy", Op::CodeCopy)] {
+                let asm = Asm::new().push_word(size).push_u64(0).push_word(off).op(op);
+                overflowing.push((format!("{name} {what}"), asm));
+            }
+        }
         for (name, asm) in overflowing {
             assert_eq!(
                 deploy_and_call(asm.build()).unwrap_err(),
@@ -900,22 +924,43 @@ mod tests {
         // A log whose data charge alone overflows `u64` runs out of gas.
         let err = deploy_and_call(Asm::new().push_u64(HUGE).push_u64(0).op(Op::Log0).build());
         assert!(matches!(err, Err(EvmError::OutOfGas { .. })), "{err:?}");
-        // Source offsets past the end of calldata or code read as zeros.
-        let zero_padded = [
-            (
-                "calldataload",
-                Asm::new().push_u64(HUGE).op(Op::CallDataLoad).push_u64(0).op(Op::MStore),
-            ),
-            (
-                "calldatacopy",
-                Asm::new().push_u64(32).push_u64(HUGE).push_u64(0).op(Op::CallDataCopy),
-            ),
-            ("codecopy", Asm::new().push_u64(32).push_u64(HUGE).push_u64(0).op(Op::CodeCopy)),
-        ];
-        for (name, asm) in zero_padded {
-            let out = deploy_and_call(asm.push_u64(32).push_u64(0).op(Op::Return).build()).unwrap();
-            assert_eq!(out.output, vec![0u8; 32], "{name}");
+        // Source offsets past the end of calldata (0xab throughout) or of
+        // the code read as zeros.
+        for (what, src_off) in [("HUGE", huge), ("2^64", past(0))] {
+            let zero_padded = [
+                (
+                    "calldataload",
+                    Asm::new().push_word(src_off).op(Op::CallDataLoad).push_u64(0).op(Op::MStore),
+                ),
+                (
+                    "calldatacopy",
+                    Asm::new().push_u64(32).push_word(src_off).push_u64(0).op(Op::CallDataCopy),
+                ),
+                (
+                    "codecopy",
+                    Asm::new().push_u64(32).push_word(src_off).push_u64(0).op(Op::CodeCopy),
+                ),
+            ];
+            for (name, asm) in zero_padded {
+                let out =
+                    deploy_and_call(asm.push_u64(32).push_u64(0).op(Op::Return).build()).unwrap();
+                assert_eq!(out.output, vec![0u8; 32], "{name} {what}");
+            }
         }
+        // `PUSH9 2⁶⁴ + k; JUMP; INVALID; JUMPDEST; STOP` with the `JUMPDEST`
+        // at byte k: the low limb alone is a valid target.
+        let landing = [0xfe, Op::JumpDest as u8, Op::Stop as u8];
+        let mut jump = Asm::new().push_word(past(12)).op(Op::Jump).build();
+        jump.extend(landing);
+        assert_eq!(jump[12], Op::JumpDest as u8);
+        assert_eq!(deploy_and_call(jump).unwrap_err(), EvmError::InvalidJump(usize::MAX));
+        let mut jumpi = Asm::new().push_u64(1).push_word(past(14)).op(Op::JumpI).build();
+        jumpi.extend(landing);
+        assert_eq!(jumpi[14], Op::JumpDest as u8);
+        assert_eq!(deploy_and_call(jumpi).unwrap_err(), EvmError::InvalidJump(usize::MAX));
+        // An untaken `JUMPI` never looks at its target.
+        let untaken = Asm::new().push_u64(0).push_word(past(14)).op(Op::JumpI).op(Op::Stop);
+        assert!(deploy_and_call(untaken.build()).unwrap().success);
     }
 
     #[test]
@@ -993,6 +1038,32 @@ mod tests {
         assert_eq!(err, EvmError::InsufficientValue);
     }
 
+    /// The checks before a frame starts keep their order (no contract,
+    /// then intrinsic gas, then value), and a call that fails one of them
+    /// is no cache lookup.
+    #[test]
+    fn calls_refused_before_their_frame_never_consult_the_cache() {
+        let mut evm = Evm::new();
+        let mut balances = Balances::new();
+        let init = Asm::deploy_wrapper(&Asm::new().op(Op::Stop).build());
+        let (addr, _) = evm.deploy(Address::ZERO, &init, 30_000_000, &mut balances).unwrap();
+        let after_deploy = evm.cache.stats();
+        let poor = Address([3; 20]);
+        let nowhere = Address([4; 20]);
+        let refused = [
+            (CallParams::new(poor, nowhere).with_gas_limit(1), EvmError::UnknownContract(nowhere)),
+            (
+                CallParams::new(poor, addr).with_value(1).with_gas_limit(1),
+                EvmError::OutOfGas { limit: 1 },
+            ),
+            (CallParams::new(poor, addr).with_value(1), EvmError::InsufficientValue),
+        ];
+        for (params, expected) in refused {
+            assert_eq!(evm.call(params, &mut balances).unwrap_err(), expected);
+        }
+        assert_eq!(evm.cache.stats(), after_deploy);
+    }
+
     #[test]
     fn deploy_charges_code_deposit() {
         let runtime = Asm::new().op(Op::Stop).build();
@@ -1024,6 +1095,28 @@ mod tests {
         assert_eq!(second.gas_used, third.gas_used, "steady-state gas must be stable");
         let stats = evm.cache.stats();
         assert!(stats.hits > 0, "second call must reuse the decoded program: {stats:?}");
+    }
+
+    /// Init code carries its constructor arguments, so every deployment's
+    /// is distinct and none can run again: only the runtime image the
+    /// instances share may stay decoded.
+    #[test]
+    fn deployments_retain_the_runtime_image_and_no_init_code() {
+        let runtime = Asm::new().push_u64(0).op(Op::SLoad).op(Op::Pop).op(Op::Stop).build();
+        let mut evm = Evm::new();
+        let mut balances = Balances::new();
+        for argument in 1..=6 {
+            let constructor = Asm::new().push_u64(argument).push_u64(0).op(Op::SStore).build();
+            let init = Asm::initcode(&constructor, &runtime);
+            let (addr, _) = evm.deploy(Address::ZERO, &init, 30_000_000, &mut balances).unwrap();
+            assert_eq!(evm.storage_at(addr, &Word::ZERO), Word::from_u64(argument));
+            assert!(evm.call(CallParams::new(Address::ZERO, addr), &mut balances).unwrap().success);
+        }
+        assert_eq!(evm.cache.retained(), 1, "{:?}", evm.cache);
+        // Six init decodes and one runtime decode; five instances found
+        // the template's program under its content hash.
+        let stats = evm.cache.stats();
+        assert_eq!((stats.hits, stats.misses), (5, 7));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! for every `PUSH`. [`EvmProgram::decode`] hoists all of that to
 //! validation time: one pass turns the bytecode into a `Vec<Instr>` — one
 //! (op, variant) or inline `PUSH` immediate per opcode — and records each
-//! `JUMPDEST`'s byte offset against its instruction index.
+//! `JUMPDEST`'s instruction index in a table indexed by byte offset.
 //!
 //! Decoding is semantics-preserving, not validating: unknown opcode
 //! bytes become [`Instr::Invalid`] and a `PUSH` whose immediate runs past
@@ -16,7 +16,9 @@
 
 use crate::opcode::Op;
 use crate::word::Word;
-use std::collections::HashMap;
+
+/// `EvmProgram::jumpdests` entry of a byte offset that is no `JUMPDEST`.
+const NO_TARGET: u32 = u32::MAX;
 
 /// One pre-decoded instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,8 +42,9 @@ pub(crate) enum Instr {
 pub struct EvmProgram {
     code: Vec<u8>,
     instrs: Vec<Instr>,
-    /// `JUMPDEST` byte offset → instruction index, for dynamic jumps.
-    jumpdests: HashMap<usize, u32>,
+    /// Instruction index of the `JUMPDEST` at each byte offset of `code`
+    /// (`NO_TARGET` everywhere else): a dynamic jump is one indexed load.
+    jumpdests: Vec<u32>,
 }
 
 impl EvmProgram {
@@ -49,7 +52,7 @@ impl EvmProgram {
     /// immediates and the `JUMPDEST` table.
     pub fn decode(code: Vec<u8>) -> EvmProgram {
         let mut instrs: Vec<Instr> = Vec::with_capacity(code.len() / 2);
-        let mut jumpdests: HashMap<usize, u32> = HashMap::new();
+        let mut jumpdests = vec![NO_TARGET; code.len()];
         let mut pc = 0usize;
         while pc < code.len() {
             let byte = code[pc];
@@ -66,7 +69,7 @@ impl EvmProgram {
                     pc += n;
                 }
                 Some((Op::JumpDest, _)) => {
-                    jumpdests.insert(at, instrs.len() as u32);
+                    jumpdests[at] = instrs.len() as u32;
                     instrs.push(Instr::Plain(Op::JumpDest, 0));
                 }
                 Some((op, variant)) => instrs.push(Instr::Plain(op, variant)),
@@ -89,7 +92,7 @@ impl EvmProgram {
     /// Resolves a dynamic jump's byte destination to an instruction
     /// index, if it lands on a `JUMPDEST`.
     pub(crate) fn jump_target(&self, dest: usize) -> Option<u32> {
-        self.jumpdests.get(&dest).copied()
+        self.jumpdests.get(dest).copied().filter(|target| *target != NO_TARGET)
     }
 }
 
