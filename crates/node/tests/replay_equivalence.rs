@@ -13,6 +13,11 @@
 //! included exactly once if its gap fills, and every admitted transaction
 //! holds a terminal receipt after a graceful drain (zero lost).
 //!
+//! Every case runs twice, under `execution = sequential` (the node's
+//! default) and under `execution = parallel`. The replay chain is always
+//! sequential, so the second run is also the node-level Sequential ≡
+//! Parallel check, whatever the default happens to be.
+//!
 //! Determinism notes (why replay is exact on `devnet_evm`): rejected
 //! submissions return before any chain mutation or RNG draw, propagation
 //! delay is fixed at zero (no draw), blocks sit on a jitter-free slot
@@ -57,6 +62,126 @@ fn build_chain(seed: u64) -> (Chain, Vec<(Keypair, Address)>) {
     (chain, users)
 }
 
+/// One generated interleaving through a node executing blocks in the
+/// `execution` mode, against the sequential replay of what it admitted.
+fn check_replay(ops: &[Op], seed: u64, execution: &str) {
+    // --- Service run: the full admission gauntlet. -----------------
+    let mut config = NodeConfig::default();
+    config.execution = execution.to_string();
+    let (mut chain, users) = build_chain(seed);
+    chain.set_execution_mode(config.execution_mode().unwrap());
+    let mut service = NodeService::new(chain, &config);
+    // (parked id, releasing filler id) pairs that must both confirm.
+    let mut filled_gaps: Vec<(TxId, TxId)> = Vec::new();
+    let mut admitted_ids: Vec<TxId> = Vec::new();
+    let mut t = 0u64;
+    for op in ops {
+        t += op.gap_ms;
+        let (kp, from) = &users[op.user];
+        let to = users[(op.user + 1) % USERS].1;
+        service.run_until(t);
+        let (max_fee, prio) = service.chain().suggested_fees();
+        let next = service.chain().next_nonce(*from);
+        let mut submit = |service: &mut NodeService, tx: Transaction| {
+            let result = service.submit_at(t, tx);
+            if let Ok(admission) = &result {
+                admitted_ids.push(admission.id());
+            }
+            result
+        };
+        match op.kind {
+            0 => {
+                let tx =
+                    Transaction::transfer(*from, to, 3, next).with_fees(max_fee, prio).signed(kp);
+                submit(&mut service, tx).expect("funded in-order transfer admits");
+            }
+            1 => {
+                // Out-of-order pair: nonce+1 parks, the filler frees it.
+                let ahead = Transaction::transfer(*from, to, 5, next + 1)
+                    .with_fees(max_fee, prio)
+                    .signed(kp);
+                let filler =
+                    Transaction::transfer(*from, to, 7, next).with_fees(max_fee, prio).signed(kp);
+                let parked = submit(&mut service, ahead);
+                let released = submit(&mut service, filler);
+                if let (Ok(Admission::Parked(p)), Ok(Admission::Queued(q))) = (parked, released) {
+                    filled_gaps.push((p, q));
+                }
+            }
+            2 => {
+                // Lone gap: parks now; a later op may or may not fill it.
+                let tx = Transaction::transfer(*from, to, 11, next + 1)
+                    .with_fees(max_fee, prio)
+                    .signed(kp);
+                let _ = submit(&mut service, tx);
+            }
+            3 => {
+                // Valid the first time a user appears, stale afterwards.
+                let tx =
+                    Transaction::transfer(*from, to, 13, 0).with_fees(max_fee, prio).signed(kp);
+                let _ = submit(&mut service, tx);
+            }
+            4 => {
+                let tx =
+                    Transaction::transfer(*from, to, 1, next).with_fees(u128::MAX, prio).signed(kp);
+                prop_assert!(submit(&mut service, tx).is_err(), "overflow cap must refuse");
+            }
+            5 => {
+                let tx = Transaction::transfer(*from, to, FUND.saturating_mul(10), next)
+                    .with_fees(max_fee, prio)
+                    .signed(kp);
+                prop_assert!(submit(&mut service, tx).is_err(), "underfunded must refuse");
+            }
+            _ => {
+                let tx = Transaction::transfer(*from, to, 1, next).with_fees(max_fee, prio);
+                prop_assert!(submit(&mut service, tx).is_err(), "unsigned must refuse");
+            }
+        }
+    }
+    service.run_until(t + 500);
+    let report = service.shutdown();
+
+    // --- Terminal-receipt invariants. ------------------------------
+    prop_assert_eq!(report.lost, 0, "graceful drain may lose nothing");
+    prop_assert_eq!(
+        service.admitted(),
+        service.confirmed() + service.dropped(),
+        "every admitted tx has a terminal receipt"
+    );
+    for id in &admitted_ids {
+        prop_assert!(service.terminal(*id).is_some(), "admitted {id:?} lacks a terminal");
+    }
+    for (parked, filler) in &filled_gaps {
+        for id in [parked, filler] {
+            prop_assert!(
+                matches!(service.terminal(*id), Some(TxTerminal::Confirmed(_))),
+                "filled-gap tx {id:?} must confirm exactly once"
+            );
+        }
+    }
+
+    // --- Filtered sequential replay. -------------------------------
+    // The admitted log holds exactly the chain-accepted transactions,
+    // in chain order, stamped with their submission-time clock.
+    let log: Vec<(u64, Transaction)> = service.admitted_log().to_vec();
+    // Every chain-accepted tx confirms (zero lost), and only
+    // chain-accepted txs confirm: the log is exactly the confirmed set.
+    prop_assert_eq!(log.len() as u64, service.confirmed());
+    let final_now = service.chain().now_ms();
+    let (mut replay, _same_users) = build_chain(seed);
+    for (at_ms, tx) in &log {
+        replay.advance_to(*at_ms);
+        replay.submit(tx.clone()).expect("the filtered sequence must replay cleanly in order");
+    }
+    replay.advance_to(final_now);
+    prop_assert_eq!(
+        replay.state_digest(),
+        service.chain().state_digest(),
+        "admission layering changed committed state"
+    );
+    prop_assert_eq!(replay.total_burned(), service.chain().total_burned());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -65,126 +190,8 @@ proptest! {
         ops in ops_strategy(),
         seed in 0u64..500,
     ) {
-        // --- Service run: the full admission gauntlet. -----------------
-        let config = NodeConfig::default();
-        let (chain, users) = build_chain(seed);
-        let mut service = NodeService::new(chain, &config);
-        // (parked id, releasing filler id) pairs that must both confirm.
-        let mut filled_gaps: Vec<(TxId, TxId)> = Vec::new();
-        let mut admitted_ids: Vec<TxId> = Vec::new();
-        let mut t = 0u64;
-        for op in &ops {
-            t += op.gap_ms;
-            let (kp, from) = &users[op.user];
-            let to = users[(op.user + 1) % USERS].1;
-            service.run_until(t);
-            let (max_fee, prio) = service.chain().suggested_fees();
-            let next = service.chain().next_nonce(*from);
-            let mut submit = |service: &mut NodeService, tx: Transaction| {
-                let result = service.submit_at(t, tx);
-                if let Ok(admission) = &result {
-                    admitted_ids.push(admission.id());
-                }
-                result
-            };
-            match op.kind {
-                0 => {
-                    let tx = Transaction::transfer(*from, to, 3, next)
-                        .with_fees(max_fee, prio)
-                        .signed(kp);
-                    submit(&mut service, tx).expect("funded in-order transfer admits");
-                }
-                1 => {
-                    // Out-of-order pair: nonce+1 parks, the filler frees it.
-                    let ahead = Transaction::transfer(*from, to, 5, next + 1)
-                        .with_fees(max_fee, prio)
-                        .signed(kp);
-                    let filler = Transaction::transfer(*from, to, 7, next)
-                        .with_fees(max_fee, prio)
-                        .signed(kp);
-                    let parked = submit(&mut service, ahead);
-                    let released = submit(&mut service, filler);
-                    if let (Ok(Admission::Parked(p)), Ok(Admission::Queued(q))) =
-                        (parked, released)
-                    {
-                        filled_gaps.push((p, q));
-                    }
-                }
-                2 => {
-                    // Lone gap: parks now; a later op may or may not fill it.
-                    let tx = Transaction::transfer(*from, to, 11, next + 1)
-                        .with_fees(max_fee, prio)
-                        .signed(kp);
-                    let _ = submit(&mut service, tx);
-                }
-                3 => {
-                    // Valid the first time a user appears, stale afterwards.
-                    let tx = Transaction::transfer(*from, to, 13, 0)
-                        .with_fees(max_fee, prio)
-                        .signed(kp);
-                    let _ = submit(&mut service, tx);
-                }
-                4 => {
-                    let tx = Transaction::transfer(*from, to, 1, next)
-                        .with_fees(u128::MAX, prio)
-                        .signed(kp);
-                    prop_assert!(submit(&mut service, tx).is_err(), "overflow cap must refuse");
-                }
-                5 => {
-                    let tx = Transaction::transfer(*from, to, FUND.saturating_mul(10), next)
-                        .with_fees(max_fee, prio)
-                        .signed(kp);
-                    prop_assert!(submit(&mut service, tx).is_err(), "underfunded must refuse");
-                }
-                _ => {
-                    let tx = Transaction::transfer(*from, to, 1, next).with_fees(max_fee, prio);
-                    prop_assert!(submit(&mut service, tx).is_err(), "unsigned must refuse");
-                }
-            }
+        for execution in ["sequential", "parallel"] {
+            check_replay(&ops, seed, execution);
         }
-        service.run_until(t + 500);
-        let report = service.shutdown();
-
-        // --- Terminal-receipt invariants. ------------------------------
-        prop_assert_eq!(report.lost, 0, "graceful drain may lose nothing");
-        prop_assert_eq!(
-            service.admitted(),
-            service.confirmed() + service.dropped(),
-            "every admitted tx has a terminal receipt"
-        );
-        for id in &admitted_ids {
-            prop_assert!(service.terminal(*id).is_some(), "admitted {id:?} lacks a terminal");
-        }
-        for (parked, filler) in &filled_gaps {
-            for id in [parked, filler] {
-                prop_assert!(
-                    matches!(service.terminal(*id), Some(TxTerminal::Confirmed(_))),
-                    "filled-gap tx {id:?} must confirm exactly once"
-                );
-            }
-        }
-
-        // --- Filtered sequential replay. -------------------------------
-        // The admitted log holds exactly the chain-accepted transactions,
-        // in chain order, stamped with their submission-time clock.
-        let log: Vec<(u64, Transaction)> = service.admitted_log().to_vec();
-        // Every chain-accepted tx confirms (zero lost), and only
-        // chain-accepted txs confirm: the log is exactly the confirmed set.
-        prop_assert_eq!(log.len() as u64, service.confirmed());
-        let final_now = service.chain().now_ms();
-        let (mut replay, _same_users) = build_chain(seed);
-        for (at_ms, tx) in &log {
-            replay.advance_to(*at_ms);
-            replay
-                .submit(tx.clone())
-                .expect("the filtered sequence must replay cleanly in order");
-        }
-        replay.advance_to(final_now);
-        prop_assert_eq!(
-            replay.state_digest(),
-            service.chain().state_digest(),
-            "admission layering changed committed state"
-        );
-        prop_assert_eq!(replay.total_burned(), service.chain().total_burned());
     }
 }
