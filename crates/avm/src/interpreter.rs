@@ -1,7 +1,7 @@
 //! The AVM interpreter over the journaled world state.
 //!
-//! Like the EVM, execution is expressed as free functions over a
-//! [`StateView`] ([`create_app`], [`call_app`]) so the chain simulator can
+//! Like the EVM, execution is expressed as free functions over an
+//! [`Overlay`] ([`create_app`], [`call_app`]) so the chain simulator can
 //! run application calls inside speculative overlays, while the [`Avm`]
 //! façade wraps a private [`WorldState`] and keeps the historical
 //! standalone API with balances threaded through as a mutable map.
@@ -17,7 +17,7 @@ use crate::program::AvmProgram;
 use crate::state::TealValue;
 use pol_crypto::{keccak256, sha256};
 use pol_ledger::state::{self, BalancePatchBase, Overlay, StateKey, StateValue, WorldState};
-use pol_ledger::{Address, StateView};
+use pol_ledger::Address;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -146,7 +146,7 @@ fn state_to_teal(value: StateValue) -> TealValue {
     }
 }
 
-/// Creates an application against a state view: runs `program` once with
+/// Creates an application against an overlay: runs `program` once with
 /// `ApplicationID == 0` (creation semantics); if it approves, the app is
 /// installed and its id returned. All effects of failed creations are
 /// rolled back via the journal.
@@ -156,7 +156,7 @@ fn state_to_teal(value: StateValue) -> TealValue {
 /// Machine errors, or [`AvmError::CreateRejected`] if the creation run
 /// rejects.
 pub fn create_app(
-    state: &mut dyn StateView,
+    state: &mut Overlay<'_>,
     creator: Address,
     program: AvmProgram,
     args: Vec<Vec<u8>>,
@@ -183,14 +183,14 @@ pub fn create_app(
     }
 }
 
-/// Executes an application call against a state view. State changes,
+/// Executes an application call against an overlay. State changes,
 /// the grouped payment and inner payments are all rolled back when the
 /// program rejects or faults.
 ///
 /// # Errors
 ///
 /// Machine errors ([`AvmError`]); rejection is NOT an error.
-pub fn call_app(state: &mut dyn StateView, params: AppCallParams) -> Result<AppOutcome, AvmError> {
+pub fn call_app(state: &mut Overlay<'_>, params: AppCallParams) -> Result<AppOutcome, AvmError> {
     if state.get(&StateKey::AppProgram(params.app_id)).is_none() {
         return Err(AvmError::UnknownApp(params.app_id));
     }
@@ -198,7 +198,7 @@ pub fn call_app(state: &mut dyn StateView, params: AppCallParams) -> Result<AppO
 }
 
 fn run(
-    state: &mut dyn StateView,
+    state: &mut Overlay<'_>,
     params: &AppCallParams,
     creating: bool,
 ) -> Result<AppOutcome, AvmError> {
@@ -228,7 +228,7 @@ fn run(
 
 #[allow(clippy::too_many_lines)]
 fn execute(
-    state: &mut dyn StateView,
+    state: &mut Overlay<'_>,
     params: &AppCallParams,
     creating: bool,
     app_address: Address,

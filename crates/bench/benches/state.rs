@@ -2,7 +2,7 @@
 //! cycles and backend commit costs on ledger-shaped batches.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pol_ledger::{Address, Overlay, StateKey, StateValue, StateView, WorldState};
+use pol_ledger::{Address, Overlay, StateKey, StateValue, WorldState};
 use pol_store::{MemoryBackend, StateBackend, TrieBackend};
 use std::hint::black_box;
 

@@ -109,7 +109,6 @@ pub struct Chain {
     code_cache: CodeCache,
     facts: StaticFacts,
     sanitize: bool,
-    gas_sanitize: bool,
     gas_precheck_clamps: u64,
 }
 
@@ -183,7 +182,6 @@ impl Chain {
             // commit against its static access claims; release builds
             // (benches) skip the bookkeeping unless asked.
             sanitize: cfg!(debug_assertions),
-            gas_sanitize: cfg!(debug_assertions),
             gas_precheck_clamps: 0,
         }
     }
@@ -740,7 +738,6 @@ impl Chain {
             avm_payloads: &self.avm_payloads,
             facts: &self.facts,
             sanitize: self.sanitize,
-            gas_sanitize: self.gas_sanitize,
             cache: &self.code_cache,
         };
         let outcome = executor::run_block(

@@ -24,7 +24,7 @@ use pol_avm::{call_app, create_app, AppCallParams};
 use pol_evm::{call_contract, deploy_contract, CallParams, CodeCache};
 use pol_ledger::{
     AccessClaims, Address, Amount, ContractId, Currency, Overlay, ReadSet, Receipt, StateKey,
-    StateView, Transaction, TxId, TxKind, TxStatus, WorldState, WriteSet,
+    Transaction, TxId, TxKind, TxStatus, WorldState, WriteSet,
 };
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -146,11 +146,6 @@ pub(crate) struct ExecCtx<'a> {
     /// the soundness contract of the static summaries, enforced on
     /// every test run.
     pub(crate) sanitize: bool,
-    /// When set, every commit re-resolves the transaction's static gas
-    /// certificate and panics if the observed `gas_used` exceeds it —
-    /// the soundness contract of the cost pass, enforced on every test
-    /// run.
-    pub(crate) gas_sanitize: bool,
     /// Shared pre-decoded EVM program cache: one decode per distinct
     /// program, reused across executions, execution modes and blocks.
     pub(crate) cache: &'a CodeCache,
@@ -246,21 +241,20 @@ fn tx_claims(ctx: &ExecCtx<'_>, pending: &PendingTx) -> Option<AccessClaims> {
 /// transaction's static claims — the summaries' soundness contract,
 /// checked on every commit while [`ExecCtx::sanitize`] is set — or if
 /// its observed `gas_used` exceeds the transaction's static gas
-/// certificate while [`ExecCtx::gas_sanitize`] is set.
+/// certificate, the cost pass's soundness contract, in every debug build
+/// (so on every test run).
 fn sanitize_commit(ctx: &ExecCtx<'_>, pending: &PendingTx, out: &TxOutcome) {
-    if ctx.gas_sanitize {
-        // A machine error reports `gas_used = gas_limit` (not a metered
-        // spend), so the certificate says nothing about it.
-        if out.gas_used < pending.tx.gas_limit {
-            let bound = ctx.facts.tx_gas_bound(ctx.vm, ctx.avm_payloads, &pending.tx, pending.id);
-            if let Some(bound) = bound {
-                assert!(
-                    out.gas_used <= bound,
-                    "gas sanitizer: tx {:?} used {} gas, exceeding its static certificate {bound}",
-                    pending.id,
-                    out.gas_used,
-                );
-            }
+    // A machine error reports `gas_used = gas_limit` (not a metered
+    // spend), so the certificate says nothing about it.
+    if cfg!(debug_assertions) && out.gas_used < pending.tx.gas_limit {
+        let bound = ctx.facts.tx_gas_bound(ctx.vm, ctx.avm_payloads, &pending.tx, pending.id);
+        if let Some(bound) = bound {
+            assert!(
+                out.gas_used <= bound,
+                "gas sanitizer: tx {:?} used {} gas, exceeding its static certificate {bound}",
+                pending.id,
+                out.gas_used,
+            );
         }
     }
     if !ctx.sanitize {
@@ -698,7 +692,6 @@ mod tests {
             // suite: any transfer claim that under-approximates the
             // observed footprint panics the test.
             sanitize: true,
-            gas_sanitize: true,
             cache: shared_cache(),
         }
     }

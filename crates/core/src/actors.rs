@@ -1,5 +1,6 @@
-//! The system's actors: Prover, Witness, Verifier and the Certification
-//! Authority (§2.1).
+//! The system's actors: Prover, Witness and the Certification Authority
+//! (§2.1). The verifier is the authority's witness list in the hands of a
+//! wallet; `PolSystem` holds that wallet.
 
 use crate::proof::{LocationProof, ProofRequest};
 use crate::proximity::RadioChannel;
@@ -109,13 +110,6 @@ impl Witness {
     }
 }
 
-/// A permissioned verifier, designated by the Certification Authority.
-#[derive(Debug)]
-pub(crate) struct Verifier {
-    /// The witness public-key list the authority distributes (§2.3.1.2).
-    pub witness_list: Vec<PublicKey>,
-}
-
 /// The Certification Authority: whitelists witnesses and designates
 /// verifiers, issuing Verifiable Credentials for both.
 #[derive(Debug)]
@@ -137,13 +131,8 @@ impl CertificationAuthority {
         Credential::issue(&self.identity.signing, subject.did.clone(), Role::Witness, now_ms)
     }
 
-    /// Designates a verifier, handing it the current witness list.
-    pub(crate) fn designate_verifier(&self) -> Verifier {
-        Verifier { witness_list: self.witnesses.clone() }
-    }
-
-    /// The current witness list (delivered to verifiers on every
-    /// enrolment in a deployed system).
+    /// The current witness public-key list, which the authority
+    /// distributes to the verifiers it designates (§2.3.1.2).
     pub(crate) fn witness_list(&self) -> &[PublicKey] {
         &self.witnesses
     }
@@ -189,7 +178,7 @@ mod tests {
         let req = request(&prover, nonce);
         let proof =
             witness.attest(&mut rng, &registry, req, &prover.identity, &prover.position).unwrap();
-        assert!(proof.verify(&ca.designate_verifier().witness_list).is_ok());
+        assert!(proof.verify(ca.witness_list()).is_ok());
     }
 
     #[test]

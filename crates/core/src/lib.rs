@@ -12,7 +12,8 @@
 //! verified report CIDs into the hypercube ("garbage-in").
 //!
 //! * [`proof`] — location-proof construction and verification;
-//! * [`actors`] — Prover, Witness, Verifier, Certification Authority;
+//! * [`actors`] — Prover, Witness, Certification Authority (the verifier
+//!   is a wallet of the [`system`] holding the authority's witness list);
 //! * `proximity` — the simulated Bluetooth neighbourhood;
 //! * `replay` — nonce tracking against replayed proofs;
 //! * [`contract`] — the PoL contract written in the blockchain-agnostic

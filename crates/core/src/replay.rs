@@ -8,12 +8,12 @@
 use crate::PolError;
 use std::collections::HashSet;
 
-/// Per-witness nonce issuance and consumption tracking.
+/// Per-witness nonce issuance: a nonce is valid while outstanding, and
+/// consuming it removes it.
 #[derive(Debug, Default)]
 pub(crate) struct NonceRegistry {
     next: u64,
     outstanding: HashSet<u64>,
-    consumed: HashSet<u64>,
 }
 
 impl NonceRegistry {
@@ -37,11 +37,11 @@ impl NonceRegistry {
     /// [`PolError::ReplayDetected`] if the nonce was never issued or was
     /// already used.
     pub(crate) fn consume(&mut self, nonce: u64) -> Result<(), PolError> {
-        if !self.outstanding.remove(&nonce) {
-            return Err(PolError::ReplayDetected(nonce));
+        if self.outstanding.remove(&nonce) {
+            Ok(())
+        } else {
+            Err(PolError::ReplayDetected(nonce))
         }
-        self.consumed.insert(nonce);
-        Ok(())
     }
 }
 

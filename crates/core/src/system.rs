@@ -2,27 +2,26 @@
 //! DFS + DID registry + actors, with the per-chain interaction scripts
 //! whose latencies Chapter 5 measures.
 //!
-//! Transaction scripts per operation (the "connector protocols"):
-//!
-//! | op | EVM chains | Algorand |
-//! |---|---|---|
-//! | deploy | DID anchor, contract creation, `insert_data` (3 txs) | DID anchor, app create, min-balance funding, state-MBR funding, extra-page funding, opt-in payment, box-MBR funding, `insert_data` (8 txs — "Algorand executed more transactions … in the deployment phase", §5.1.5) |
-//! | attach | DID anchor, `insert_data` (2 txs) | DID anchor, opt-in payment, box-MBR funding, `insert_data` (4 txs) |
-//! | fund | `insert_money` (1 tx) | same |
-//! | verify | `verify` per prover (1 tx each) | same |
+//! Those scripts (the "connector protocols") are data: `connector`
+//! holds the deploy and attach step lists of each VM, `run_script` is
+//! the one loop that executes a list and meters it into an
+//! [`OpRecord`], and `submit_api` is the one place a call is encoded
+//! for the chain that will run it. Funding, verifying and closing are
+//! one-call scripts on every chain.
 
-use crate::actors::{CertificationAuthority, Prover, Verifier, Witness};
+use crate::actors::{CertificationAuthority, Prover, Witness};
 use crate::contract::{pol_program, MAX_USERS, POSITION_CAPACITY};
 use crate::factory::Factory;
 use crate::proof::{ProofRequest, SubmittedEntry, ENTRY_CAPACITY};
 use crate::PolError;
 use pol_chainsim::{AccessQuery, Chain, GasQuery, VmKind};
+use pol_crypto::ed25519::Keypair;
 use pol_dfs::{Cid, DfsNetwork, PeerId};
 use pol_did::{Did, DidRegistry, Identity};
 use pol_geo::{olc, Coordinates, OlcCode};
 use pol_hypercube::Hypercube;
 use pol_lang::backend::AbiValue;
-use pol_ledger::{Address, Amount, ContractId, Transaction};
+use pol_ledger::{Address, Amount, ContractId, Receipt, Transaction, TxId, TxStatus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -113,6 +112,64 @@ impl Default for SystemConfig {
     }
 }
 
+/// One transaction of a connector script.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Publish the sender's DID digest to the DID-generation contract.
+    Anchor,
+    /// Create the area's EVM contract from the factory template.
+    CreateContract,
+    /// Create the area's AVM application from the factory template.
+    CreateApp,
+    /// Pay this many base units into the contract's account.
+    Pay(u128),
+    /// Call this API of the contract (Fig. 3.1: a transaction of its own,
+    /// also for the creator).
+    Call(&'static str),
+}
+
+/// Minimum-balance requirement for one box entry, µAlgo
+/// (2500 + 400 × (key + value bytes), per the Algorand spec).
+const BOX_MBR: u128 = 2_500 + 400 * (16 + ENTRY_CAPACITY as u128);
+
+/// The connector protocols: the `(deploy, attach)` scripts a prover
+/// runs on chains of one VM. Algorand "executed more transactions … in
+/// the deployment phase" (§5.1.5) because an application's account is
+/// funded and opted into by explicit payments.
+fn connector(vm: VmKind) -> (&'static [Step], &'static [Step]) {
+    use Step::{Anchor, Call, CreateApp, CreateContract, Pay};
+    match vm {
+        VmKind::Evm => {
+            (&[Anchor, CreateContract, Call("insert_data")], &[Anchor, Call("insert_data")])
+        }
+        VmKind::Avm => (
+            &[
+                Anchor,
+                CreateApp,
+                Pay(100_000),    // account minimum balance
+                Pay(28_500 * 7), // global-state MBR
+                Pay(100_000),    // extra program page
+                Pay(0),          // opt-in
+                Pay(BOX_MBR),
+                Call("insert_data"),
+            ],
+            &[Anchor, Pay(0), Pay(BOX_MBR), Call("insert_data")],
+        ),
+    }
+}
+
+/// What the steps of one script send.
+#[derive(Default)]
+struct Payload<'a> {
+    /// `Anchor`: the sender's DID digest.
+    did_digest: u64,
+    /// `Create*`: the constructor arguments.
+    ctor: &'a [AbiValue],
+    /// `Call`: the API's arguments and the value attached to it.
+    args: &'a [AbiValue],
+    value: u128,
+}
+
 struct AreaState {
     contract: ContractId,
     /// Pending entries awaiting verification: DID digest → (entry, DID).
@@ -134,13 +191,13 @@ pub struct PolSystem {
     provers: Vec<Prover>,
     prover_peers: Vec<PeerId>,
     witnesses: Vec<Witness>,
-    verifier: Option<(Verifier, pol_crypto::ed25519::Keypair)>,
+    /// The designated verifier's wallet keys; its witness list is the
+    /// Certification Authority's.
+    verifier: Option<Keypair>,
     rng: StdRng,
     /// Sink address standing in for the DID-generation contract the
     /// anchor transactions reference (§2.4's "first smart contract").
     did_anchor: Address,
-    /// DID digest → DID, published by anchor transactions.
-    did_directory: HashMap<u64, Did>,
     areas: HashMap<String, AreaState>,
     ops: Vec<OpRecord>,
 }
@@ -186,7 +243,6 @@ impl PolSystem {
             verifier: None,
             rng,
             did_anchor: Address([0xD1; 20]),
-            did_directory: HashMap::new(),
             areas: HashMap::new(),
             ops: Vec::new(),
         }
@@ -234,7 +290,6 @@ impl PolSystem {
         self.did_registry.register_identity(&identity, self.chain.now_ms())?;
         let prover = Prover::new(identity, position);
         self.chain.fund(prover.wallet, self.config.initial_funds);
-        self.did_directory.insert(prover.identity.did.numeric_id(), prover.identity.did.clone());
         self.provers.push(prover);
         self.prover_peers.push(self.dfs.create_peer());
         Ok(ProverId(self.provers.len() - 1))
@@ -250,10 +305,6 @@ impl PolSystem {
         let identity = Identity::generate(&mut self.rng);
         self.did_registry.register_identity(&identity, self.chain.now_ms())?;
         let credential = self.ca.enroll_witness(&identity, self.chain.now_ms());
-        // Refresh any designated verifier's witness list.
-        if let Some((verifier, _)) = &mut self.verifier {
-            verifier.witness_list = self.ca.witness_list().to_vec();
-        }
         self.witnesses.push(Witness::new(identity, position, credential));
         Ok(WitnessId(self.witnesses.len() - 1))
     }
@@ -337,84 +388,52 @@ impl PolSystem {
 
         // 3. Hypercube lookup, then the chain script.
         let existing = self.hypercube.find_contract(&area)?;
-        let start_ms = self.chain.now_ms();
-        let mut fee = Amount::zero(self.chain.config.currency);
-        let mut txs = 0usize;
-        let (contract, kind) = match existing {
-            None => {
-                let contract =
-                    self.deploy_script(prover_id, &area, &entry, &request, &mut fee, &mut txs)?;
-                self.hypercube.register_contract(&area, contract.to_string())?;
-                let deployed_ms = self.chain.now_ms();
-                self.factory.track(contract, area.as_str().to_string(), deployed_ms);
-                self.areas.insert(
-                    area.as_str().to_string(),
-                    AreaState { contract, pending: HashMap::new() },
-                );
-                (contract, OpKind::Deploy)
-            }
-            Some(_) => {
-                let contract = self
-                    .areas
-                    .get(area.as_str())
-                    .map(|a| a.contract)
-                    .ok_or_else(|| PolError::Unknown(format!("area {area}")))?;
-                self.attach_script(prover_id, contract, &entry, &request, &mut fee, &mut txs)?;
-                (contract, OpKind::Attach)
-            }
+        let keys = self.provers[prover_id.0].wallet_keys().clone();
+        let did_digest = request.did.numeric_id();
+        let ctor = self.constructor_args(&request);
+        let payload = Payload {
+            did_digest,
+            ctor: &ctor,
+            args: &[AbiValue::Bytes(entry.to_bytes()), AbiValue::Word(u128::from(did_digest))],
+            value: 0,
         };
-        let latency_ms = self.chain.now_ms().saturating_sub(start_ms);
+        let (deploy, attach) = connector(self.chain.config.vm);
+        let (kind, steps, known) = match existing {
+            None => (OpKind::Deploy, deploy, None),
+            Some(_) => (OpKind::Attach, attach, Some(self.area_contract(&area)?)),
+        };
+        let (contract, op) = self.run_script(kind, prover_id.0, &keys, known, steps, &payload)?;
+        if known.is_none() {
+            self.hypercube.register_contract(&area, contract.to_string())?;
+            let deployed_ms = self.chain.now_ms();
+            self.factory.track(contract, area.as_str().to_string(), deployed_ms);
+            self.areas
+                .insert(area.as_str().to_string(), AreaState { contract, pending: HashMap::new() });
+        }
         // Cache the pending entry for the verifier (recovered from the
         // insert transaction's log in a real deployment).
-        let did_digest = request.did.numeric_id();
         self.areas
             .get_mut(area.as_str())
             .expect("area recorded")
             .pending
             .insert(did_digest, (entry, request.did.clone()));
-        self.ops.push(OpRecord { kind, user: prover_id.0, latency_ms, fee, txs });
-        Ok(SubmissionOutcome { area, contract, kind, latency_ms, fee, cid })
+        let outcome = SubmissionOutcome {
+            area,
+            contract,
+            kind: op.kind,
+            latency_ms: op.latency_ms,
+            fee: op.fee,
+            cid,
+        };
+        self.ops.push(op);
+        Ok(outcome)
     }
 
-    fn anchor_tx(
-        &mut self,
-        prover_id: ProverId,
-        fee: &mut Amount,
-        txs: &mut usize,
-    ) -> Result<(), PolError> {
-        let prover = &self.provers[prover_id.0];
-        let wallet = prover.wallet;
-        let did_digest = prover.identity.did.numeric_id();
-        let keys = prover.wallet_keys().clone();
-        let (max_fee, prio) = self.chain.suggested_fees();
-        let mut tx =
-            Transaction::transfer(wallet, self.did_anchor, 0, self.chain.next_nonce(wallet))
-                .with_fees(max_fee, prio);
-        tx.data = did_digest.to_be_bytes().to_vec();
-        let tx = tx.signed(&keys);
-        let receipt = self.chain.submit_and_wait(tx)?;
-        *fee = fee.checked_add(&receipt.fee).expect("same currency");
-        *txs += 1;
-        Ok(())
-    }
-
-    fn payment_tx(
-        &mut self,
-        from_keys: &pol_crypto::ed25519::Keypair,
-        to: Address,
-        value: u128,
-        fee: &mut Amount,
-        txs: &mut usize,
-    ) -> Result<(), PolError> {
-        let from = Address::from_public_key(&from_keys.public);
-        let (max_fee, prio) = self.chain.suggested_fees();
-        let tx = Transaction::transfer(from, to, value, self.chain.next_nonce(from))
-            .with_fees(max_fee, prio)
-            .signed(from_keys);
-        let receipt = self.chain.submit_and_wait(tx)?;
-        *fee = fee.checked_add(&receipt.fee).expect("same currency");
-        *txs += 1;
-        Ok(())
+    fn area_contract(&self, area: &OlcCode) -> Result<ContractId, PolError> {
+        self.areas
+            .get(area.as_str())
+            .map(|a| a.contract)
+            .ok_or_else(|| PolError::Unknown(format!("area {area}")))
     }
 
     fn constructor_args(&self, request: &ProofRequest) -> Vec<AbiValue> {
@@ -432,89 +451,105 @@ impl PolSystem {
         args
     }
 
-    fn insert_args(entry: &SubmittedEntry, did_digest: u64) -> Vec<AbiValue> {
-        vec![AbiValue::Bytes(entry.to_bytes()), AbiValue::Word(u128::from(did_digest))]
+    /// Runs `steps` as `keys`' transactions, each awaited before the
+    /// next, against `contract` (or the one a `Create*` step makes), and
+    /// meters them: the record's latency, fee and transaction count are
+    /// the whole script's.
+    fn run_script(
+        &mut self,
+        kind: OpKind,
+        user: usize,
+        keys: &Keypair,
+        mut contract: Option<ContractId>,
+        steps: &[Step],
+        payload: &Payload<'_>,
+    ) -> Result<(ContractId, OpRecord), PolError> {
+        let start_ms = self.chain.now_ms();
+        let fee = Amount::zero(self.chain.config.currency);
+        let mut op = OpRecord { kind, user, latency_ms: 0, fee, txs: 0 };
+        for step in steps {
+            let receipt = match *step {
+                Step::Anchor => {
+                    let data = payload.did_digest.to_be_bytes().to_vec();
+                    self.transfer(keys, self.did_anchor, 0, data)?
+                }
+                Step::CreateContract => {
+                    let init = self.factory.evm_init_code(payload.ctor)?;
+                    self.chain.deploy_evm(keys, init, 3_000_000)?
+                }
+                Step::CreateApp => {
+                    let args = self.factory.avm_create_args(payload.ctor)?;
+                    let program = self.factory.compiled().avm.program.clone();
+                    self.chain.deploy_app(keys, program, args)?
+                }
+                Step::Pay(amount) => {
+                    let account = match contract.expect("scripts create before they pay") {
+                        ContractId::Evm(address) => address,
+                        ContractId::App(app_id) => pol_avm::Avm::app_address(app_id),
+                    };
+                    self.transfer(keys, account, amount, Vec::new())?
+                }
+                Step::Call(api) => {
+                    let contract = contract.expect("scripts create before they call");
+                    let id = self.submit_api(keys, contract, api, payload.args, payload.value)?;
+                    expect_success(self.chain.await_tx(id)?)?
+                }
+            };
+            if matches!(step, Step::CreateContract | Step::CreateApp) {
+                let created = receipt.created.ok_or_else(|| {
+                    PolError::Ledger(pol_ledger::LedgerError::ExecutionFailed(format!(
+                        "contract creation rejected: {:?}",
+                        receipt.status
+                    )))
+                })?;
+                self.register_static_resolvers(created);
+                contract = Some(created);
+            }
+            op.fee = op.fee.checked_add(&receipt.fee).expect("same currency");
+            op.txs += 1;
+        }
+        op.latency_ms = self.chain.now_ms().saturating_sub(start_ms);
+        Ok((contract.expect("every script names or creates its contract"), op))
     }
 
-    fn deploy_script(
+    /// A plain payment from `keys`' wallet, awaited.
+    fn transfer(
         &mut self,
-        prover_id: ProverId,
-        area: &OlcCode,
-        entry: &SubmittedEntry,
-        request: &ProofRequest,
-        fee: &mut Amount,
-        txs: &mut usize,
-    ) -> Result<ContractId, PolError> {
-        let _ = area;
-        self.anchor_tx(prover_id, fee, txs)?;
-        let keys = self.provers[prover_id.0].wallet_keys().clone();
-        let did_digest = request.did.numeric_id();
-        let ctor = self.constructor_args(request);
-        let contract = match self.chain.config.vm {
-            VmKind::Evm => {
-                let init = self.factory.evm_init_code(&ctor)?;
-                let receipt = self.chain.deploy_evm(&keys, init, 3_000_000)?;
-                *fee = fee.checked_add(&receipt.fee).expect("same currency");
-                *txs += 1;
-                let contract = receipt.created.ok_or_else(|| {
-                    PolError::Ledger(pol_ledger::LedgerError::ExecutionFailed(format!(
-                        "deploy reverted: {:?}",
-                        receipt.status
-                    )))
-                })?;
-                self.register_static_resolvers(contract);
-                // insert_data by the creator (Fig. 3.1: separate tx).
-                let data = self
-                    .factory
-                    .compiled()
-                    .evm
-                    .encode_call("insert_data", &Self::insert_args(entry, did_digest))?;
-                let receipt = self.chain.call_evm(&keys, contract, data, 0, 1_000_000)?;
-                self.expect_success(&receipt)?;
-                *fee = fee.checked_add(&receipt.fee).expect("same currency");
-                *txs += 1;
-                contract
+        keys: &Keypair,
+        to: Address,
+        value: u128,
+        data: Vec<u8>,
+    ) -> Result<Receipt, PolError> {
+        let from = Address::from_public_key(&keys.public);
+        let (max_fee, prio) = self.chain.suggested_fees();
+        let mut tx = Transaction::transfer(from, to, value, self.chain.next_nonce(from))
+            .with_fees(max_fee, prio);
+        tx.data = data;
+        Ok(self.chain.submit_and_wait(tx.signed(keys))?)
+    }
+
+    /// Encodes `api(args)` for the VM `contract` lives on and submits the
+    /// call without awaiting it: the only place that knows how a chain
+    /// is called.
+    fn submit_api(
+        &mut self,
+        keys: &Keypair,
+        contract: ContractId,
+        api: &str,
+        args: &[AbiValue],
+        value: u128,
+    ) -> Result<TxId, PolError> {
+        let compiled = self.factory.compiled();
+        Ok(match contract {
+            ContractId::Evm(_) => {
+                let data = compiled.evm.encode_call(api, args)?;
+                self.chain.submit_call_evm(keys, contract, data, value, 1_000_000)?
             }
-            VmKind::Avm => {
-                // App creation.
-                let args = self.factory.avm_create_args(&ctor)?;
-                let receipt = self.chain.deploy_app(
-                    &keys,
-                    self.factory.compiled().avm.program.clone(),
-                    args,
-                )?;
-                *fee = fee.checked_add(&receipt.fee).expect("same currency");
-                *txs += 1;
-                let contract = receipt.created.ok_or_else(|| {
-                    PolError::Ledger(pol_ledger::LedgerError::ExecutionFailed(format!(
-                        "app create rejected: {:?}",
-                        receipt.status
-                    )))
-                })?;
-                self.register_static_resolvers(contract);
-                let app_id = contract.as_app().expect("avm contract");
-                let app_addr = pol_avm::Avm::app_address(app_id);
-                // Algorand connector funding steps: app min balance,
-                // global-state MBR, extra program page, opt-in, box MBR.
-                self.payment_tx(&keys, app_addr, 100_000, fee, txs)?; // min balance
-                self.payment_tx(&keys, app_addr, 28_500 * 7, fee, txs)?; // global MBR
-                self.payment_tx(&keys, app_addr, 100_000, fee, txs)?; // extra page
-                self.payment_tx(&keys, app_addr, 0, fee, txs)?; // opt-in
-                self.payment_tx(&keys, app_addr, box_mbr(), fee, txs)?; // box MBR
-                                                                        // insert_data.
-                let args = self
-                    .factory
-                    .compiled()
-                    .avm
-                    .encode_call("insert_data", &Self::insert_args(entry, did_digest))?;
-                let receipt = self.chain.call_app(&keys, app_id, args, 0)?;
-                self.expect_success(&receipt)?;
-                *fee = fee.checked_add(&receipt.fee).expect("same currency");
-                *txs += 1;
-                contract
+            ContractId::App(app_id) => {
+                let args = compiled.avm.encode_call(api, args)?;
+                self.chain.submit_call_app(keys, app_id, args, value)?
             }
-        };
-        Ok(contract)
+        })
     }
 
     /// Hands the template's static access summaries and worst-case gas
@@ -555,80 +590,32 @@ impl PolSystem {
         }
     }
 
-    fn attach_script(
-        &mut self,
-        prover_id: ProverId,
-        contract: ContractId,
-        entry: &SubmittedEntry,
-        request: &ProofRequest,
-        fee: &mut Amount,
-        txs: &mut usize,
-    ) -> Result<(), PolError> {
-        self.anchor_tx(prover_id, fee, txs)?;
-        let keys = self.provers[prover_id.0].wallet_keys().clone();
-        let did_digest = request.did.numeric_id();
-        match self.chain.config.vm {
-            VmKind::Evm => {
-                let data = self
-                    .factory
-                    .compiled()
-                    .evm
-                    .encode_call("insert_data", &Self::insert_args(entry, did_digest))?;
-                let receipt = self.chain.call_evm(&keys, contract, data, 0, 1_000_000)?;
-                self.expect_success(&receipt)?;
-                *fee = fee.checked_add(&receipt.fee).expect("same currency");
-                *txs += 1;
-            }
-            VmKind::Avm => {
-                let app_id = contract.as_app().expect("avm contract");
-                let app_addr = pol_avm::Avm::app_address(app_id);
-                self.payment_tx(&keys, app_addr, 0, fee, txs)?; // opt-in
-                self.payment_tx(&keys, app_addr, box_mbr(), fee, txs)?; // box MBR
-                let args = self
-                    .factory
-                    .compiled()
-                    .avm
-                    .encode_call("insert_data", &Self::insert_args(entry, did_digest))?;
-                let receipt = self.chain.call_app(&keys, app_id, args, 0)?;
-                self.expect_success(&receipt)?;
-                *fee = fee.checked_add(&receipt.fee).expect("same currency");
-                *txs += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Designates (or returns) the verifier, funding its wallet.
-    pub(crate) fn verifier(&mut self) -> &Verifier {
-        if self.verifier.is_none() {
-            let identity = Identity::generate(&mut self.rng);
-            let keys = identity.signing.clone();
-            let wallet = Address::from_public_key(&keys.public);
-            self.chain.fund(wallet, self.config.initial_funds);
-            let verifier = self.ca.designate_verifier();
-            self.verifier = Some((verifier, keys));
-        }
-        &self.verifier.as_ref().expect("just set").0
+    /// The verifier's wallet keys. The first use designates the verifier:
+    /// a fresh identity with a funded wallet.
+    fn verifier_keys(&mut self) -> Keypair {
+        let keys = self.verifier.get_or_insert_with(|| {
+            let keys = Identity::generate(&mut self.rng).signing;
+            self.chain.fund(Address::from_public_key(&keys.public), self.config.initial_funds);
+            keys
+        });
+        keys.clone()
     }
 
     /// The verifier pass over one area (§4.1.5): fund the contract, then
-    /// for each pending entry validate the proof off-chain (witness list,
-    /// digest reconstruction via the DID directory, report availability
-    /// on the DFS) and, when valid, call the contract's `verify` API —
-    /// which re-checks the commitment, pays the reward and deletes the
-    /// entry — and finally insert the CID into the hypercube
-    /// ("garbage-in"). Returns how many provers were verified.
+    /// for each pending entry validate the proof off-chain (the
+    /// Certification Authority's witness list, digest reconstruction from
+    /// the submitter's DID, report availability on the DFS) and, when
+    /// valid, call the contract's `verify` API — which re-checks the
+    /// commitment, pays the reward and deletes the entry — and finally
+    /// insert the CID into the hypercube ("garbage-in"). Returns how many
+    /// provers were verified.
     ///
     /// # Errors
     ///
     /// Chain or routing failures; invalid proofs are *skipped*, not
     /// errors.
     pub fn run_verifier(&mut self, area: &OlcCode) -> Result<usize, PolError> {
-        self.verifier();
-        let (verifier_keys, witness_list) = {
-            let (v, k) = self.verifier.as_ref().expect("designated");
-            (k.clone(), v.witness_list.clone())
-        };
+        let keys = self.verifier_keys();
         let area_key = area.as_str().to_string();
         let state =
             self.areas.get(&area_key).ok_or_else(|| PolError::Unknown(format!("area {area}")))?;
@@ -640,27 +627,13 @@ impl PolSystem {
         }
 
         // Fund the contract with enough for every pending reward.
-        let start = self.chain.now_ms();
         let budget =
             (self.config.reward + self.config.witness_reward.unwrap_or(0)) * pending.len() as u128;
-        let mut fee = Amount::zero(self.chain.config.currency);
-        let mut txs = 0usize;
-        self.call_api(
-            &verifier_keys,
-            contract,
-            "insert_money",
-            &[AbiValue::Word(budget)],
-            budget,
-            &mut fee,
-            &mut txs,
-        )?;
-        self.ops.push(OpRecord {
-            kind: OpKind::Fund,
-            user: usize::MAX,
-            latency_ms: self.chain.now_ms().saturating_sub(start),
-            fee,
-            txs,
-        });
+        let fund = Payload { args: &[AbiValue::Word(budget)], value: budget, ..Payload::default() };
+        let script = &[Step::Call("insert_money")];
+        let (_, op) =
+            self.run_script(OpKind::Fund, usize::MAX, &keys, Some(contract), script, &fund)?;
+        self.ops.push(op);
 
         // Submit the whole verify storm before awaiting anything: the
         // burst lands in as few blocks as possible, where the chain's
@@ -668,12 +641,11 @@ impl PolSystem {
         // concurrently instead of paying one block per prover.
         let mut awaiting = Vec::new();
         for (did_digest, entry, did) in pending {
-            // Off-chain validation first (garbage-in filter).
-            if entry.verify_against(&did, area, &witness_list).is_err() {
-                continue;
-            }
-            // The report must actually be retrievable.
-            if self.dfs.get(&entry.cid).is_err() {
+            // Off-chain validation first (garbage-in filter), and the
+            // report must actually be retrievable.
+            if entry.verify_against(&did, area, self.ca.witness_list()).is_err()
+                || self.dfs.get(&entry.cid).is_err()
+            {
                 continue;
             }
             let start = self.chain.now_ms();
@@ -685,25 +657,13 @@ impl PolSystem {
                 verify_args.push(AbiValue::Address(Address::from_public_key(&entry.witness)));
             }
             verify_args.push(AbiValue::Bytes(entry.to_bytes()));
-            let id = match self.chain.config.vm {
-                VmKind::Evm => {
-                    let data = self.factory.compiled().evm.encode_call("verify", &verify_args)?;
-                    self.chain.submit_call_evm(&verifier_keys, contract, data, 0, 1_000_000)?
-                }
-                VmKind::Avm => {
-                    let app_id = contract.as_app().expect("avm contract");
-                    let call_args =
-                        self.factory.compiled().avm.encode_call("verify", &verify_args)?;
-                    self.chain.submit_call_app(&verifier_keys, app_id, call_args, 0)?
-                }
-            };
+            let id = self.submit_api(&keys, contract, "verify", &verify_args, 0)?;
             awaiting.push((did_digest, entry, id, start));
         }
 
         let mut verified = 0usize;
         for (did_digest, entry, id, start) in awaiting {
-            let receipt = self.chain.await_tx(id)?;
-            self.expect_success(&receipt)?;
+            let receipt = expect_success(self.chain.await_tx(id)?)?;
             self.hypercube.append_cid(area, entry.cid.as_str())?;
             self.areas.get_mut(&area_key).expect("exists").pending.remove(&did_digest);
             verified += 1;
@@ -725,73 +685,29 @@ impl PolSystem {
     ///
     /// Chain failures, or a revert when phases are still active.
     pub fn close_area(&mut self, area: &OlcCode) -> Result<(), PolError> {
-        self.verifier();
-        let keys = self.verifier.as_ref().expect("designated").1.clone();
-        let contract = self
-            .areas
-            .get(area.as_str())
-            .map(|a| a.contract)
-            .ok_or_else(|| PolError::Unknown(format!("area {area}")))?;
-        let start = self.chain.now_ms();
-        let mut fee = Amount::zero(self.chain.config.currency);
-        let mut txs = 0usize;
-        self.call_api(&keys, contract, "closeContract", &[], 0, &mut fee, &mut txs)?;
-        self.ops.push(OpRecord {
-            kind: OpKind::Close,
-            user: usize::MAX,
-            latency_ms: self.chain.now_ms().saturating_sub(start),
-            fee,
-            txs,
-        });
+        let keys = self.verifier_keys();
+        let contract = self.area_contract(area)?;
+        let script = &[Step::Call("closeContract")];
+        let (_, op) = self.run_script(
+            OpKind::Close,
+            usize::MAX,
+            &keys,
+            Some(contract),
+            script,
+            &Payload::default(),
+        )?;
+        self.ops.push(op);
         Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn call_api(
-        &mut self,
-        keys: &pol_crypto::ed25519::Keypair,
-        contract: ContractId,
-        api: &str,
-        args: &[AbiValue],
-        value: u128,
-        fee: &mut Amount,
-        txs: &mut usize,
-    ) -> Result<(), PolError> {
-        let receipt = match self.chain.config.vm {
-            VmKind::Evm => {
-                let data = self.factory.compiled().evm.encode_call(api, args)?;
-                self.chain.call_evm(keys, contract, data, value, 1_000_000)?
-            }
-            VmKind::Avm => {
-                let app_id = contract.as_app().expect("avm contract");
-                let call_args = if api == "closeContract" {
-                    vec![b"closeContract".to_vec()]
-                } else {
-                    self.factory.compiled().avm.encode_call(api, args)?
-                };
-                self.chain.call_app(keys, app_id, call_args, value)?
-            }
-        };
-        self.expect_success(&receipt)?;
-        *fee = fee.checked_add(&receipt.fee).expect("same currency");
-        *txs += 1;
-        Ok(())
-    }
-
-    fn expect_success(&self, receipt: &pol_ledger::Receipt) -> Result<(), PolError> {
-        match &receipt.status {
-            pol_ledger::TxStatus::Success => Ok(()),
-            pol_ledger::TxStatus::Reverted(msg) => Err(PolError::Ledger(
-                pol_ledger::LedgerError::ExecutionFailed(format!("reverted: {msg}")),
-            )),
-        }
     }
 }
 
-/// Minimum-balance requirement for one box entry, µAlgo
-/// (2500 + 400 × (key + value bytes), per the Algorand spec).
-fn box_mbr() -> u128 {
-    2_500 + 400 * (16 + ENTRY_CAPACITY as u128)
+fn expect_success(receipt: Receipt) -> Result<Receipt, PolError> {
+    match &receipt.status {
+        TxStatus::Success => Ok(receipt),
+        TxStatus::Reverted(msg) => Err(PolError::Ledger(pol_ledger::LedgerError::ExecutionFailed(
+            format!("reverted: {msg}"),
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -870,6 +786,9 @@ mod tests {
             assert_eq!(ops[0].txs, deploy_txs, "{vm:?} deploy txs");
             assert_eq!(ops[1].kind, OpKind::Attach);
             assert_eq!(ops[1].txs, attach_txs, "{vm:?} attach txs");
+            // The table and the run cannot disagree.
+            let (deploy, attach) = connector(vm);
+            assert_eq!((deploy.len(), attach.len()), (deploy_txs, attach_txs), "{vm:?} scripts");
         }
     }
 

@@ -36,7 +36,7 @@ pub use store::{DfsNetwork, PeerId};
 /// Errors raised by the distributed file store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DfsError {
-    /// No online provider currently hosts the content.
+    /// No provider currently hosts the content.
     NotFound(String),
     /// The referenced peer does not exist.
     UnknownPeer(u64),

@@ -23,7 +23,6 @@ struct PeerState {
     blocks: HashMap<Cid, Vec<u8>>,
     /// Blocks protected from garbage collection.
     pins: HashSet<Cid>,
-    online: bool,
 }
 
 /// The shared DFS network: peers, provider records, retrieval.
@@ -52,10 +51,10 @@ impl DfsNetwork {
         DfsNetwork::default()
     }
 
-    /// Registers a new online peer.
+    /// Registers a new peer.
     pub fn create_peer(&self) -> PeerId {
         let mut peers = self.peers.write();
-        peers.push(PeerState { online: true, ..PeerState::default() });
+        peers.push(PeerState::default());
         PeerId(peers.len() as u64 - 1)
     }
 
@@ -77,22 +76,18 @@ impl DfsNetwork {
         Ok(cid)
     }
 
-    /// Retrieves content from any online provider.
+    /// Retrieves content from any provider.
     ///
     /// # Errors
     ///
-    /// Returns [`DfsError::NotFound`] when no online provider hosts it.
+    /// Returns [`DfsError::NotFound`] when no provider hosts it.
     pub fn get(&self, cid: &Cid) -> Result<Vec<u8>, DfsError> {
         let providers = self.providers.read();
         let hosts = providers.get(cid).ok_or_else(|| DfsError::NotFound(cid.to_string()))?;
         let peers = self.peers.read();
         for host in hosts {
-            if let Some(state) = peers.get(host.0 as usize) {
-                if state.online {
-                    if let Some(data) = state.blocks.get(cid) {
-                        return Ok(data.clone());
-                    }
-                }
+            if let Some(data) = peers.get(host.0 as usize).and_then(|state| state.blocks.get(cid)) {
+                return Ok(data.clone());
             }
         }
         Err(DfsError::NotFound(cid.to_string()))
@@ -108,7 +103,7 @@ impl DfsNetwork {
     ///
     /// # Errors
     ///
-    /// [`DfsError::NotFound`] when no online provider hosts the content;
+    /// [`DfsError::NotFound`] when no provider hosts the content;
     /// [`DfsError::Unreachable`] when hosts exist but every exchange timed
     /// out.
     pub fn get_via(
@@ -129,11 +124,10 @@ impl DfsNetwork {
         let peers = self.peers.read();
         let mut tried = 0u32;
         for host in hosts {
-            let Some(state) = peers.get(host.0 as usize) else { continue };
-            if !state.online {
+            let Some(data) = peers.get(host.0 as usize).and_then(|state| state.blocks.get(cid))
+            else {
                 continue;
-            }
-            let Some(data) = state.blocks.get(cid) else { continue };
+            };
             tried += 1;
             let request =
                 transport.deliver(NodeId(requester.0), NodeId(host.0), MessageClass::DfsRequest);

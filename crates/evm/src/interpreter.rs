@@ -1,6 +1,6 @@
 //! The bytecode interpreter over the journaled world state.
 //!
-//! Execution is expressed as free functions over a [`StateView`]
+//! Execution is expressed as free functions over an [`Overlay`]
 //! ([`deploy_contract`], [`call_contract`]) so the chain simulator can run
 //! transactions inside speculative overlays; the [`Evm`] façade wraps a
 //! private [`WorldState`] and keeps the historical standalone API (with
@@ -17,7 +17,7 @@ use crate::program::{EvmProgram, Instr};
 use crate::word::Word;
 use pol_crypto::keccak256;
 use pol_ledger::state::{self, BalancePatchBase, Overlay, StateKey, StateValue, WorldState};
-use pol_ledger::{address, Address, StateView};
+use pol_ledger::{address, Address};
 use std::collections::{HashMap, HashSet};
 
 /// Hard cap on VM memory to keep simulations bounded.
@@ -140,7 +140,7 @@ fn storage_key(contract: Address, slot: Word) -> StateKey {
     StateKey::Storage(contract, slot.to_be_bytes())
 }
 
-fn load_storage(state: &mut dyn StateView, contract: Address, slot: Word) -> Word {
+fn load_storage(state: &mut Overlay<'_>, contract: Address, slot: Word) -> Word {
     state
         .get(&storage_key(contract, slot))
         .and_then(|v| v.as_word())
@@ -148,7 +148,7 @@ fn load_storage(state: &mut dyn StateView, contract: Address, slot: Word) -> Wor
         .unwrap_or(Word::ZERO)
 }
 
-/// Runs `init_code` as a deployment from `deployer` against a state view,
+/// Runs `init_code` as a deployment from `deployer` against an overlay,
 /// storing whatever it returns as the new contract's runtime code. The
 /// init code's decode is counted and timed on `cache` but not retained:
 /// init code carries its constructor arguments and never runs again.
@@ -162,7 +162,7 @@ fn load_storage(state: &mut dyn StateView, contract: Address, slot: Word) -> Wor
 /// Machine errors, plus [`EvmError::BadDeploy`] if the init code reverts
 /// or returns nothing.
 pub fn deploy_contract(
-    state: &mut dyn StateView,
+    state: &mut Overlay<'_>,
     deployer: Address,
     init_code: &[u8],
     gas_limit: u64,
@@ -213,8 +213,8 @@ pub fn deploy_contract(
     }
 }
 
-/// Executes a message call against a deployed contract through a state
-/// view, resolving the contract's pre-decoded program through `cache` so
+/// Executes a message call against a deployed contract through an
+/// overlay, resolving the contract's pre-decoded program through `cache` so
 /// repeated calls (and every speculation attempt across the executor's
 /// modes) skip re-decoding. The code is read from state once; a call
 /// that fails before its frame starts never consults the cache.
@@ -229,7 +229,7 @@ pub fn deploy_contract(
 ///
 /// Machine errors ([`EvmError`]); reverts are NOT errors.
 pub fn call_contract(
-    state: &mut dyn StateView,
+    state: &mut Overlay<'_>,
     params: CallParams,
     cache: &CodeCache,
 ) -> Result<ExecOutcome, EvmError> {
@@ -285,7 +285,7 @@ fn operand(word: Word) -> Option<usize> {
 
 #[allow(clippy::too_many_lines)]
 fn execute(
-    state: &mut dyn StateView,
+    state: &mut Overlay<'_>,
     params: &CallParams,
     program: &EvmProgram,
 ) -> Result<ExecOutcome, EvmError> {

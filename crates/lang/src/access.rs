@@ -50,7 +50,7 @@ use crate::ir::{self, BodyAnalysis, Inst, ProgramFlows, Term};
 use pol_avm::app_address;
 use pol_crypto::keccak256;
 use pol_evm::Word;
-use pol_ledger::access::AccessClaims;
+use pol_ledger::access::{AccessClaims, KeyClaim};
 use pol_ledger::codec::encode_key;
 use pol_ledger::{Address, StateKey};
 use std::collections::{BTreeSet, HashMap};
@@ -428,7 +428,6 @@ pub struct MethodSummary {
     pub summary: AccessSummary,
     selector: [u8; 4],
     layout: Vec<(String, Ty, usize, usize)>,
-    params: Vec<(String, Ty)>,
 }
 
 /// Compile-time access summaries for every dispatchable method of one
@@ -479,7 +478,6 @@ pub(crate) fn summarize_flows(program: &Program, flows: &ProgramFlows) -> Contra
                 summary,
                 selector: entry.selector,
                 layout: evm_backend::layout(entry.params()),
-                params: entry.params().to_vec(),
                 name: entry.name,
             }
         })
@@ -513,25 +511,80 @@ fn calldata_word(data: &[u8], offset: usize) -> [u8; 32] {
     word
 }
 
+/// The prefix claiming every balance (⊤ transfer recipients).
+fn balance_prefix() -> Vec<u8> {
+    encode_key(&StateKey::Balance(Address::ZERO))[..1].to_vec()
+}
+
+/// Where one deployed instance keeps its state: everything
+/// [`ContractSummaries::instantiate`] needs to know about a backend.
+/// The derivations replay the ones [`crate::backend::evm`] and
+/// [`crate::backend::avm`] emit.
+enum KeySpace {
+    Evm(Address),
+    Avm(u64),
+}
+
+impl KeySpace {
+    /// The key holding the code a call executes.
+    fn program(&self) -> StateKey {
+        match *self {
+            KeySpace::Evm(contract) => StateKey::Code(contract),
+            KeySpace::Avm(app_id) => StateKey::AppProgram(app_id),
+        }
+    }
+
+    /// The account holding the contract's funds.
+    fn escrow(&self) -> Address {
+        match *self {
+            KeySpace::Evm(contract) => contract,
+            KeySpace::Avm(app_id) => app_address(app_id),
+        }
+    }
+
+    /// A cell outside the maps (phase, creator, a global): a storage
+    /// slot on the EVM, a named global on the AVM.
+    fn cell(&self, slot: u64, name: &[u8]) -> StateKey {
+        match *self {
+            KeySpace::Evm(contract) => StateKey::Storage(contract, slot_word(slot)),
+            KeySpace::Avm(app_id) => StateKey::AppGlobal(app_id, name.to_vec()),
+        }
+    }
+
+    /// The entry of map `name` (declaration index `idx`) under a `uint`
+    /// key given as a 32-byte big-endian word, or with no key the
+    /// smallest prefix covering every entry: map slots are hashed all
+    /// over one contract's storage on the EVM, so ⊤ is that whole
+    /// storage; on the AVM it is the map's boxes.
+    fn map_claim(&self, name: &str, idx: usize, key: Option<[u8; 32]>) -> KeyClaim {
+        match *self {
+            KeySpace::Evm(contract) => match key {
+                Some(key) => {
+                    let mut preimage = [0u8; 64];
+                    preimage[..32].copy_from_slice(&key);
+                    preimage[32..].copy_from_slice(&slot_word(MAP_SLOT_BASE + idx as u64));
+                    KeyClaim::Exact(StateKey::Storage(contract, keccak256(&preimage)))
+                }
+                None => KeyClaim::Prefix(
+                    encode_key(&StateKey::Storage(contract, [0u8; 32]))[..21].to_vec(),
+                ),
+            },
+            KeySpace::Avm(app_id) => {
+                let mut box_key = name.as_bytes().to_vec();
+                box_key.push(b':');
+                match key {
+                    Some(key) => {
+                        box_key.extend_from_slice(&key[24..]);
+                        KeyClaim::Exact(StateKey::AppBox(app_id, box_key))
+                    }
+                    None => KeyClaim::Prefix(encode_key(&StateKey::AppBox(app_id, box_key))),
+                }
+            }
+        }
+    }
+}
+
 impl ContractSummaries {
-    /// The storage prefix claiming every cell of `contract` (EVM ⊤
-    /// fallback for one contract).
-    fn storage_prefix(contract: Address) -> Vec<u8> {
-        encode_key(&StateKey::Storage(contract, [0u8; 32]))[..21].to_vec()
-    }
-
-    /// The prefix claiming every balance (⊤ transfer recipients).
-    fn balance_prefix() -> Vec<u8> {
-        encode_key(&StateKey::Balance(Address::ZERO))[..1].to_vec()
-    }
-
-    /// The prefix claiming every entry of one AVM map.
-    fn box_prefix(app_id: u64, map: &str) -> Vec<u8> {
-        let mut head = map.as_bytes().to_vec();
-        head.push(b':');
-        encode_key(&StateKey::AppBox(app_id, head))
-    }
-
     /// Resolves an EVM call against the summaries: returns sound claims
     /// for the state keys the call may touch, or `None` when no sound
     /// claim can be made. The caller adds fee-settlement claims.
@@ -546,93 +599,12 @@ impl ContractSummaries {
         value: u128,
         calldata: &[u8],
     ) -> Option<AccessClaims> {
-        let mut claims = AccessClaims::default();
-        claims.read(StateKey::Code(contract));
-        if value > 0 {
-            claims.read_write(StateKey::Balance(sender));
-            claims.read_write(StateKey::Balance(contract));
-        }
-        let selector = {
-            let w = calldata_word(calldata, 0);
-            [w[0], w[1], w[2], w[3]]
-        };
-        let Some(method) = self.methods.iter().find(|m| m.selector == selector) else {
-            return Some(claims); // unknown selector: dispatcher reverts
-        };
-        let s = &method.summary;
-        let slot_key = |slot: u64| StateKey::Storage(contract, slot_word(slot));
-
-        if matches!(method.kind, MethodKind::Close) {
-            claims.read(slot_key(SLOT_PHASE));
-            claims.read(slot_key(SLOT_CREATOR));
-            claims.read_write(StateKey::Balance(contract));
-            claims.read_write_prefix(Self::balance_prefix());
-            return Some(claims);
-        }
-        if s.reads_phase {
-            if s.writes_phase {
-                claims.read_write(slot_key(SLOT_PHASE));
-            } else {
-                claims.read(slot_key(SLOT_PHASE));
-            }
-        }
-        for g in &s.globals_read {
-            if !s.globals_written.contains(g) {
-                claims.read(slot_key(global_slot(*self.global_index.get(g)?)));
-            }
-        }
-        for g in &s.globals_written {
-            claims.read_write(slot_key(global_slot(*self.global_index.get(g)?)));
-        }
-        let param_word = |name: &str| -> Option<[u8; 32]> {
-            let (_, _, off, _) = method.layout.iter().find(|(n, _, _, _)| n == name)?;
+        let selector = calldata_word(calldata, 0);
+        let method = self.methods.iter().find(|m| m.selector == selector[..4]);
+        self.instantiate(&KeySpace::Evm(contract), sender, value > 0, method, |pos, _width| {
+            let (_, _, off, _) = method?.layout[pos];
             Some(calldata_word(calldata, 4 + off))
-        };
-        for site in &s.maps {
-            let idx = *self.map_index.get(&site.map)?;
-            let key_word = match &site.key {
-                KeyPattern::Const(k) => Some(Word::from_u128(u128::from(*k)).to_be_bytes()),
-                KeyPattern::Param(p) => param_word(p),
-                KeyPattern::Top => None,
-            };
-            match key_word {
-                Some(word) => {
-                    let mut preimage = [0u8; 64];
-                    preimage[..32].copy_from_slice(&word);
-                    preimage[32..].copy_from_slice(&slot_word(MAP_SLOT_BASE + idx as u64));
-                    let key = StateKey::Storage(contract, keccak256(&preimage));
-                    if site.write {
-                        claims.read_write(key);
-                    } else {
-                        claims.read(key);
-                    }
-                }
-                None => {
-                    if site.write {
-                        claims.read_write_prefix(Self::storage_prefix(contract));
-                    } else {
-                        claims.read_prefix(Self::storage_prefix(contract));
-                    }
-                }
-            }
-        }
-        if s.reads_balance || !s.transfers.is_empty() {
-            claims.read(StateKey::Balance(contract));
-        }
-        if !s.transfers.is_empty() {
-            claims.read_write(StateKey::Balance(contract));
-        }
-        for site in &s.transfers {
-            match &site.to {
-                AddrPattern::Caller => claims.read_write(StateKey::Balance(sender)),
-                AddrPattern::Param(p) => {
-                    let word = param_word(p)?;
-                    claims.read_write(StateKey::Balance(Word::from_be_bytes(&word).to_address()));
-                }
-                AddrPattern::Top => claims.read_write_prefix(Self::balance_prefix()),
-            }
-        }
-        Some(claims)
+        })
     }
 
     /// Resolves an AVM application call against the summaries; the
@@ -646,99 +618,102 @@ impl ContractSummaries {
         payment: u64,
         args: &[Vec<u8>],
     ) -> Option<AccessClaims> {
+        // A missing or unknown dispatch symbol is rejected after reading
+        // only the program; views are EVM-only entries.
+        let method = args.first().and_then(|symbol| {
+            self.methods
+                .iter()
+                .find(|m| m.kind != MethodKind::View && m.name.as_bytes() == symbol.as_slice())
+        });
+        self.instantiate(&KeySpace::Avm(app_id), sender, payment > 0, method, |pos, width| {
+            // An argument that is not its type's exact encoding makes the
+            // call's footprint unpredictable from here — refuse to claim
+            // rather than widening.
+            let raw = args.get(1 + pos).filter(|raw| raw.len() == width)?;
+            let mut word = [0u8; 32];
+            word[32 - width..].copy_from_slice(raw);
+            Some(word)
+        })
+    }
+
+    /// Instantiates `method`'s summary in one backend's key space.
+    /// `param(pos, width)` is the call's value of the method's `pos`-th
+    /// parameter, right-aligned in a 32-byte word (`width` is 8 for a
+    /// `uint`, 20 for an address); `None` from it refuses the claim.
+    fn instantiate(
+        &self,
+        space: &KeySpace,
+        sender: Address,
+        pays: bool,
+        method: Option<&MethodSummary>,
+        param: impl Fn(usize, usize) -> Option<[u8; 32]>,
+    ) -> Option<AccessClaims> {
+        let escrow = StateKey::Balance(space.escrow());
         let mut claims = AccessClaims::default();
-        claims.read(StateKey::AppProgram(app_id));
-        let escrow = app_address(app_id);
-        if payment > 0 {
+        claims.read(space.program());
+        if pays {
             claims.read_write(StateKey::Balance(sender));
-            claims.read_write(StateKey::Balance(escrow));
+            claims.read_write(escrow.clone());
         }
-        let Some(symbol) = args.first() else {
-            return Some(claims); // missing dispatch arg: rejected
-        };
-        let method = self
-            .methods
-            .iter()
-            .filter(|m| !matches!(m.kind, MethodKind::View)) // views are EVM-only entries
-            .find(|m| m.name.as_bytes() == symbol.as_slice());
         let Some(method) = method else {
-            return Some(claims); // unknown symbol: rejected
+            return Some(claims); // the dispatcher rejects the call
         };
         let s = &method.summary;
-        let global_key = |name: &[u8]| StateKey::AppGlobal(app_id, name.to_vec());
+        let param = |name: &str, width: usize| {
+            param(method.layout.iter().position(|(n, ..)| n == name)?, width)
+        };
 
-        if matches!(method.kind, MethodKind::Close) {
-            claims.read(global_key(avm_backend::KEY_PHASE));
-            claims.read(global_key(avm_backend::KEY_CREATOR));
-            claims.read_write(StateKey::Balance(escrow));
-            claims.read_write_prefix(Self::balance_prefix());
+        let phase = || space.cell(SLOT_PHASE, avm_backend::KEY_PHASE);
+        if method.kind == MethodKind::Close {
+            claims.read(phase());
+            claims.read(space.cell(SLOT_CREATOR, avm_backend::KEY_CREATOR));
+            claims.read_write(escrow);
+            claims.read_write_prefix(balance_prefix());
             return Some(claims);
         }
         if s.reads_phase {
             if s.writes_phase {
-                claims.read_write(global_key(avm_backend::KEY_PHASE));
+                claims.read_write(phase());
             } else {
-                claims.read(global_key(avm_backend::KEY_PHASE));
+                claims.read(phase());
             }
         }
+        let global =
+            |g: &String| Some(space.cell(global_slot(*self.global_index.get(g)?), g.as_bytes()));
         for g in &s.globals_read {
             if !s.globals_written.contains(g) {
-                claims.read(global_key(g.as_bytes()));
+                claims.read(global(g)?);
             }
         }
         for g in &s.globals_written {
-            claims.read_write(global_key(g.as_bytes()));
+            claims.read_write(global(g)?);
         }
-        let param_arg = |name: &str| -> Option<&[u8]> {
-            let pos = method.params.iter().position(|(n, _)| n == name)?;
-            args.get(1 + pos).map(Vec::as_slice)
-        };
         for site in &s.maps {
-            self.map_index.get(&site.map)?;
-            let key_bytes: Option<[u8; 8]> = match &site.key {
-                KeyPattern::Const(k) => Some(k.to_be_bytes()),
-                // A key argument that is not the 8-byte uint encoding
-                // makes the call's footprint unpredictable from here —
-                // refuse to claim rather than widening.
-                KeyPattern::Param(p) => Some(param_arg(p)?.try_into().ok()?),
+            let key = match &site.key {
+                KeyPattern::Const(k) => Some(Word::from_u128(u128::from(*k)).to_be_bytes()),
+                KeyPattern::Param(p) => Some(param(p, 8)?),
                 KeyPattern::Top => None,
             };
-            match key_bytes {
-                Some(kb) => {
-                    let mut box_key = site.map.as_bytes().to_vec();
-                    box_key.push(b':');
-                    box_key.extend_from_slice(&kb);
-                    let key = StateKey::AppBox(app_id, box_key);
-                    if site.write {
-                        claims.read_write(key);
-                    } else {
-                        claims.read(key);
-                    }
-                }
-                None => {
-                    let prefix = Self::box_prefix(app_id, &site.map);
-                    if site.write {
-                        claims.read_write_prefix(prefix);
-                    } else {
-                        claims.read_prefix(prefix);
-                    }
-                }
+            let claim = space.map_claim(&site.map, *self.map_index.get(&site.map)?, key);
+            claims.reads.push(claim.clone());
+            if site.write {
+                claims.writes.push(claim);
             }
         }
         if s.reads_balance || !s.transfers.is_empty() {
-            claims.read(StateKey::Balance(escrow));
+            claims.read(escrow.clone());
         }
         if !s.transfers.is_empty() {
-            claims.read_write(StateKey::Balance(escrow));
+            claims.read_write(escrow);
         }
         for site in &s.transfers {
             match &site.to {
                 AddrPattern::Caller => claims.read_write(StateKey::Balance(sender)),
                 AddrPattern::Param(p) => {
-                    let raw: [u8; 20] = param_arg(p)?.try_into().ok()?;
-                    claims.read_write(StateKey::Balance(Address(raw)));
+                    let word = param(p, 20)?;
+                    claims.read_write(StateKey::Balance(Word::from_be_bytes(&word).to_address()));
                 }
-                AddrPattern::Top => claims.read_write_prefix(Self::balance_prefix()),
+                AddrPattern::Top => claims.read_write_prefix(balance_prefix()),
             }
         }
         Some(claims)
@@ -992,6 +967,61 @@ mod tests {
         // A malformed (non-8-byte) key argument cannot be resolved.
         let bad = vec![b"insert_data".to_vec(), vec![1u8; 224], vec![1, 2, 3]];
         assert_eq!(summaries.resolve_app_call(5, sender, 0, &bad), None);
+    }
+
+    /// The shared body must instantiate the same claim shape in both key
+    /// spaces: `[exact reads, exact writes, read prefixes, write prefixes]`.
+    /// The documented differences do not move a count: a view exists on
+    /// the EVM only (the AVM rejects its symbol after reading the
+    /// program), and a ⊤ map key is one prefix on either — the contract's
+    /// whole storage on the EVM, one map's boxes on the AVM.
+    #[test]
+    fn evm_and_avm_claims_have_the_same_shape() {
+        use crate::backend::AbiValue;
+        fn shape(claims: &AccessClaims) -> [usize; 4] {
+            let exact =
+                |cs: &[KeyClaim]| cs.iter().filter(|c| matches!(c, KeyClaim::Exact(_))).count();
+            let [r, w] = [&claims.reads, &claims.writes].map(|cs| exact(cs));
+            [r, w, claims.reads.len() - r, claims.writes.len() - w]
+        }
+        let v2 =
+            parse(include_str!("../../core/contracts/proof_of_location_v2.pol")).expect("parses");
+        let sender = Address([9u8; 20]);
+        for program in [pol_v1(), v2] {
+            let summaries = summarize(&program);
+            let compiled = crate::backend::compile(&program).expect("compiles");
+            for m in &summaries.methods {
+                let args: Vec<AbiValue> = m
+                    .layout
+                    .iter()
+                    .map(|(_, ty, ..)| match ty {
+                        Ty::Address => AbiValue::Address(Address([3u8; 20])),
+                        Ty::Bytes(cap) => AbiValue::Bytes(vec![1u8; *cap]),
+                        Ty::UInt | Ty::Bool => AbiValue::Word(42),
+                    })
+                    .collect();
+                let calldata = compiled.evm.encode_call(&m.name, &args).expect("encodes");
+                let evm = summaries
+                    .resolve_evm_call(Address([7u8; 20]), sender, 1, &calldata)
+                    .expect("resolves");
+                let app_args = match m.kind {
+                    MethodKind::View => vec![m.name.as_bytes().to_vec()],
+                    _ => compiled.avm.encode_call(&m.name, &args).expect("encodes"),
+                };
+                let avm = summaries.resolve_app_call(5, sender, 1, &app_args).expect("resolves");
+                if m.kind == MethodKind::View {
+                    // Program plus the payment on the AVM; the EVM adds the global.
+                    assert_eq!(
+                        (shape(&avm), shape(&evm)),
+                        ([3, 2, 0, 0], [4, 2, 0, 0]),
+                        "{}",
+                        m.name
+                    );
+                } else {
+                    assert_eq!(shape(&evm), shape(&avm), "{}: {evm:?} vs {avm:?}", m.name);
+                }
+            }
+        }
     }
 
     #[test]

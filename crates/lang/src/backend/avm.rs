@@ -80,7 +80,12 @@ fn encode_args(params: &[(String, Ty)], args: &[AbiValue]) -> Result<Vec<Vec<u8>
             return Err(LangError::Backend(format!("argument {name:?} does not match {ty:?}")));
         }
         out.push(match value {
-            AbiValue::Word(w) => (*w as u64).to_be_bytes().to_vec(),
+            AbiValue::Word(w) => u64::try_from(*w)
+                .map_err(|_| {
+                    LangError::Backend(format!("argument {name:?} does not fit the AVM's uint64"))
+                })?
+                .to_be_bytes()
+                .to_vec(),
             AbiValue::Address(a) => a.0.to_vec(),
             AbiValue::Bytes(b) => {
                 let cap = match ty {
@@ -148,6 +153,8 @@ pub fn compile(program: &Program) -> Result<CompiledAvm, LangError> {
         );
     }
     let close_label = ctx.fresh_label();
+    // Like the branch below, behind any API of the same name.
+    api_params.entry("closeContract".to_string()).or_default();
     for (_, api, label) in &entries {
         ctx.ops.push(AvmOp::TxnArg(0));
         ctx.ops.push(AvmOp::PushBytes(api.name.as_bytes().to_vec()));
@@ -593,7 +600,8 @@ mod tests {
         let before = balances[&creator];
         let out = avm
             .call(
-                AppCallParams::new(caller, app_id).with_args(vec![b"closeContract".to_vec()]),
+                AppCallParams::new(caller, app_id)
+                    .with_args(compiled.encode_call("closeContract", &[]).unwrap()),
                 &mut balances,
             )
             .unwrap();
@@ -652,6 +660,22 @@ mod tests {
         assert!(crate::backend::compile(&program).is_ok());
         let ops = compile(&wide(256, 1)).unwrap().program.ops().to_vec();
         assert!(ops.contains(&AvmOp::TxnArg(255)));
+    }
+
+    /// A word past 2⁶⁴ is itself on the EVM; truncating it here would give
+    /// one source two meanings.
+    #[test]
+    fn word_argument_past_u64_is_refused() {
+        let compiled = compile(&Program::counter_example()).unwrap();
+        let wide = [AbiValue::Word((1u128 << 64) + 5)];
+        for message in [
+            backend_error(compiled.encode_call("bump", &wide)),
+            backend_error(compiled.encode_create_args(&wide)),
+        ] {
+            assert!(message.contains("uint64"), "{message}");
+        }
+        let max = AbiValue::Word(u128::from(u64::MAX));
+        assert_eq!(compiled.encode_call("bump", &[max]).unwrap()[1], [0xff; 8]);
     }
 
     /// `p256` must not alias `ApplicationArgs 1` (release) or overflow the

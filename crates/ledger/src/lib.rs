@@ -23,9 +23,7 @@ pub use access::{AccessClaims, KeyClaim};
 pub use address::{Address, ContractId};
 pub use block::{Block, BlockHash};
 pub use receipt::{Receipt, TxStatus};
-pub use state::{
-    Overlay, ReadSet, StateBlob, StateKey, StateValue, StateView, WorldState, WriteSet,
-};
+pub use state::{Overlay, ReadSet, StateBlob, StateKey, StateValue, WorldState, WriteSet};
 pub use tx::{Transaction, TxId, TxKind, VerifiedTx};
 pub use units::{Amount, Currency};
 

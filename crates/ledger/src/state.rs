@@ -403,39 +403,9 @@ impl StateBase for WorldState {
     }
 }
 
-/// A checkpoint into an overlay's journal (see [`StateView::checkpoint`]).
+/// A checkpoint into an overlay's journal (see [`Overlay::checkpoint`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Checkpoint(usize);
-
-/// The mutable state interface the interpreters execute against:
-/// versioned reads, journaled writes, nested checkpoints.
-pub trait StateView {
-    /// Reads a value (recording it in the read set where applicable).
-    fn get(&mut self, key: &StateKey) -> Option<StateValue>;
-
-    /// Writes a value.
-    fn put(&mut self, key: StateKey, value: StateValue);
-
-    /// Deletes a key.
-    fn delete(&mut self, key: StateKey);
-
-    /// Opens a checkpoint; [`StateView::rollback_to`] undoes every write
-    /// made after it. Checkpoints nest (inner frames roll back first).
-    fn checkpoint(&mut self) -> Checkpoint;
-
-    /// Rolls the write journal back to a checkpoint.
-    fn rollback_to(&mut self, checkpoint: Checkpoint);
-
-    /// Convenience: an account balance (absent reads as 0).
-    fn balance_of(&mut self, address: Address) -> u128 {
-        self.get(&StateKey::Balance(address)).and_then(|v| v.as_u128()).unwrap_or(0)
-    }
-
-    /// Convenience: overwrite an account balance.
-    fn set_balance_of(&mut self, address: Address, amount: u128) {
-        self.put(StateKey::Balance(address), StateValue::U128(amount));
-    }
-}
 
 /// One journal entry: the key touched and the overlay-local entry it had
 /// before (`None` = the overlay had no local write for the key yet).
@@ -472,10 +442,10 @@ impl<'a> Overlay<'a> {
         self.journal.push((key.clone(), prior));
         self.writes.insert(key, value);
     }
-}
 
-impl StateView for Overlay<'_> {
-    fn get(&mut self, key: &StateKey) -> Option<StateValue> {
+    /// Reads a value, recording its first fall-through to the base in
+    /// the read set.
+    pub fn get(&mut self, key: &StateKey) -> Option<StateValue> {
         if let Some(local) = self.writes.get(key) {
             return local.clone();
         }
@@ -488,19 +458,24 @@ impl StateView for Overlay<'_> {
         from_base
     }
 
-    fn put(&mut self, key: StateKey, value: StateValue) {
+    /// Writes a value.
+    pub fn put(&mut self, key: StateKey, value: StateValue) {
         self.record_write(key, Some(value));
     }
 
-    fn delete(&mut self, key: StateKey) {
+    /// Deletes a key.
+    pub fn delete(&mut self, key: StateKey) {
         self.record_write(key, None);
     }
 
-    fn checkpoint(&mut self) -> Checkpoint {
+    /// Opens a checkpoint; [`Overlay::rollback_to`] undoes every write
+    /// made after it. Checkpoints nest (inner frames roll back first).
+    pub fn checkpoint(&mut self) -> Checkpoint {
         Checkpoint(self.journal.len())
     }
 
-    fn rollback_to(&mut self, checkpoint: Checkpoint) {
+    /// Rolls the write journal back to a checkpoint.
+    pub fn rollback_to(&mut self, checkpoint: Checkpoint) {
         while self.journal.len() > checkpoint.0 {
             let (key, prior) = self.journal.pop().expect("journal non-empty");
             match prior {
@@ -513,12 +488,22 @@ impl StateView for Overlay<'_> {
             }
         }
     }
+
+    /// Convenience: an account balance (absent reads as 0).
+    pub fn balance_of(&mut self, address: Address) -> u128 {
+        self.get(&StateKey::Balance(address)).and_then(|v| v.as_u128()).unwrap_or(0)
+    }
+
+    /// Convenience: overwrite an account balance.
+    pub fn set_balance_of(&mut self, address: Address, amount: u128) {
+        self.put(StateKey::Balance(address), StateValue::U128(amount));
+    }
 }
 
 /// A base that reads balances from a caller-owned map and everything else
 /// from a [`WorldState`] — the bridge that lets the standalone `Evm` /
 /// `Avm` façades keep their historical `&mut Balances` APIs while the
-/// machines execute against a [`StateView`].
+/// machines execute against an [`Overlay`].
 pub struct BalancePatchBase<'a> {
     world: &'a WorldState,
     balances: &'a HashMap<Address, u128>,
