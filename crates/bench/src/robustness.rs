@@ -368,6 +368,19 @@ mod tests {
     }
 
     #[test]
+    fn every_attempt_is_delivered_or_dropped() {
+        for row in run_sweep(crate::EVAL_SEED) {
+            for (class, c) in &row.transport.per_class {
+                let at = format!("{} {} {class}", row.scenario, row.layer);
+                assert_eq!(c.sent, c.delivered + c.dropped, "{at}");
+                assert!(c.timed_out <= c.dropped, "a timeout follows a drop: {at}");
+                // Every exchange's first attempt is a send but not a retry.
+                assert!(c.sent == 0 || c.retried < c.sent, "{at}");
+            }
+        }
+    }
+
+    #[test]
     fn csv_rows_match_header_arity() {
         let scenario = &scenarios()[0];
         let row = run_dht(3, scenario);

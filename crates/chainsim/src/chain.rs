@@ -138,14 +138,25 @@ impl Chain {
     /// e.g. a `pol_store::WalBackend` for crash-restart durability or a
     /// `pol_store::TrieBackend` for per-block roots and Merkle proofs.
     /// Entries already persisted in the backend are restored into the
-    /// typed world (opaque blob values are dropped from the typed view;
-    /// see `WorldState::with_backend`).
+    /// typed world.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the keys, if the backend holds entries the typed
+    /// world cannot restore (compiled AVM programs persist only as content
+    /// digests; see `WorldState::with_backend`): a chain that kept the
+    /// app's state but not its program would fail every call while its
+    /// digest still committed to the program.
     pub(crate) fn new_with_backend(
         config: ChainConfig,
         seed: u64,
         backend: Box<dyn StateBackend>,
     ) -> Chain {
-        let (world, _opaque) = WorldState::with_backend(backend);
+        let (world, opaque) = WorldState::with_backend(backend);
+        if !opaque.is_empty() {
+            let keys: Vec<String> = opaque.iter().map(|key| pol_crypto::hex::encode(key)).collect();
+            panic!("state backend holds entries the chain cannot restore: {}", keys.join(", "));
+        }
         Chain::with_world(config, seed, world)
     }
 

@@ -114,3 +114,23 @@ fn wal_backend_survives_chain_restart() {
     assert_eq!(chain.balance(alice_addr), balance_before);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An AVM program persists only as its content digest, so a reopened log
+/// cannot restore it: the chain must refuse the log rather than come back
+/// with the app's state but without its program.
+#[test]
+#[should_panic(expected = "cannot restore: 070000000000000001")] // `StateKey::AppProgram(1)`
+fn wal_restart_refuses_an_unrestorable_program() {
+    use pol_avm::opcode::AvmOp::{PushInt, Return};
+    let dir = temp_dir("avm-restart");
+    let preset = presets::devnet_algo();
+    {
+        let mut chain = preset.build_with_backend(57, Box::new(WalBackend::open(&dir, 2).unwrap()));
+        let (alice, _) = chain.create_funded_account(10_000_000);
+        let program = pol_avm::AvmProgram::new(vec![PushInt(1), Return]);
+        chain.deploy_app(&alice, program, vec![]).unwrap();
+    }
+    let reopened = WalBackend::open(&dir, 2).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    preset.build_with_backend(58, Box::new(reopened));
+}

@@ -300,7 +300,6 @@ mod tests {
 
     #[test]
     fn get_via_falls_back_to_reachable_provider() {
-        use pol_net::link::LinkModel;
         use pol_net::retry::RetryPolicy;
         use pol_net::transport::SimTransport;
 
@@ -314,11 +313,7 @@ mod tests {
             .retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() })
             .build();
         // Sever both directions between the requester and provider a only.
-        transport.set_link_symmetric(
-            NodeId(requester.0),
-            NodeId(a.0),
-            LinkModel::ideal().with_drop_prob(1.0),
-        );
+        transport.partition([NodeId(requester.0), NodeId(b.0)]);
         assert_eq!(dfs.get_via(&transport, requester, &cid).unwrap(), b"replicated");
         let stats = transport.stats();
         assert!(stats.class(MessageClass::DfsRequest).timed_out >= 1);

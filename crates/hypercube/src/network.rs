@@ -136,44 +136,32 @@ impl Hypercube {
 
     /// Routes a lookup for `code` from node 0, recording statistics.
     ///
-    /// Equivalent to `Hypercube::lookup_via` over a zero-latency
-    /// [`DirectTransport`].
-    ///
     /// # Errors
     ///
     /// Propagates [`RoutingError`] from the underlying greedy router.
     pub fn lookup(&self, code: &OlcCode) -> Result<Route, RoutingError> {
-        self.lookup_via(&DirectTransport, code)
+        self.route(&DirectTransport, code, MessageClass::DhtLookup)
     }
 
-    /// Routes a lookup for `code` from node 0, charging every hop to
-    /// `transport` and recording statistics on success.
+    /// Routes `code` from node 0 to the node responsible for it, charging
+    /// every hop to `transport` as one `class` exchange and recording
+    /// statistics on success. Lookups and stores take the same path; only
+    /// the class their hops are counted under differs.
     ///
     /// # Errors
     ///
     /// Propagates [`RoutingError`] from the greedy router, and returns
     /// [`RoutingError::Timeout`] when the transport exhausts its retries
     /// on any hop of the route.
-    pub(crate) fn lookup_via(
+    fn route(
         &self,
         transport: &dyn Transport,
         code: &OlcCode,
+        class: MessageClass,
     ) -> Result<Route, RoutingError> {
         let source = RBitKey::from_bits(0, self.r);
         let target = self.key_for(code);
         let route = routing::route(source, target, self.max_hops, |k| self.is_online(k))?;
-        self.charge_route(transport, &route, MessageClass::DhtLookup)?;
-        self.stats.write().record(route.hops());
-        Ok(route)
-    }
-
-    /// Delivers one message per edge of `route` through `transport`.
-    fn charge_route(
-        &self,
-        transport: &dyn Transport,
-        route: &Route,
-        class: MessageClass,
-    ) -> Result<(), RoutingError> {
         for pair in route.path.windows(2) {
             transport.deliver(NodeId(pair[0].index()), NodeId(pair[1].index()), class).map_err(
                 |TransportError::Timeout { to, attempts, .. }| RoutingError::Timeout {
@@ -182,7 +170,8 @@ impl Hypercube {
                 },
             )?;
         }
-        Ok(())
+        self.stats.write().record(route.hops());
+        Ok(route)
     }
 
     /// Looks up the contract registered for an area, if any.
@@ -204,7 +193,7 @@ impl Hypercube {
         transport: &dyn Transport,
         code: &OlcCode,
     ) -> Result<Option<String>, RoutingError> {
-        let route = self.lookup_via(transport, code)?;
+        let route = self.route(transport, code, MessageClass::DhtLookup)?;
         let node = &self.nodes[route.target().index() as usize];
         Ok(node.read().records.get(code.as_str()).map(|r| r.contract_id.clone()))
     }
@@ -221,22 +210,7 @@ impl Hypercube {
         code: &OlcCode,
         contract_id: impl Into<String>,
     ) -> Result<bool, RoutingError> {
-        self.register_contract_via(&DirectTransport, code, contract_id)
-    }
-
-    /// [`Hypercube::register_contract`] with the store routed through
-    /// `transport` (one [`MessageClass::DhtStore`] exchange per hop).
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing failures, including transport timeouts.
-    pub(crate) fn register_contract_via(
-        &self,
-        transport: &dyn Transport,
-        code: &OlcCode,
-        contract_id: impl Into<String>,
-    ) -> Result<bool, RoutingError> {
-        let route = self.route_store(transport, code)?;
+        let route = self.route(&DirectTransport, code, MessageClass::DhtStore)?;
         let node = &self.nodes[route.target().index() as usize];
         let mut state = node.write();
         if state.records.contains_key(code.as_str()) {
@@ -258,21 +232,7 @@ impl Hypercube {
     ///
     /// Propagates routing failures.
     pub fn append_cid(&self, code: &OlcCode, cid: impl Into<String>) -> Result<bool, RoutingError> {
-        self.append_cid_via(&DirectTransport, code, cid)
-    }
-
-    /// [`Hypercube::append_cid`] with the store routed through `transport`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing failures, including transport timeouts.
-    pub(crate) fn append_cid_via(
-        &self,
-        transport: &dyn Transport,
-        code: &OlcCode,
-        cid: impl Into<String>,
-    ) -> Result<bool, RoutingError> {
-        let route = self.route_store(transport, code)?;
+        let route = self.route(&DirectTransport, code, MessageClass::DhtStore)?;
         let node = &self.nodes[route.target().index() as usize];
         let mut state = node.write();
         match state.records.get_mut(code.as_str()) {
@@ -281,41 +241,13 @@ impl Hypercube {
         }
     }
 
-    /// Routes a store operation: same path as a lookup, but hops are
-    /// charged as [`MessageClass::DhtStore`].
-    fn route_store(
-        &self,
-        transport: &dyn Transport,
-        code: &OlcCode,
-    ) -> Result<Route, RoutingError> {
-        let source = RBitKey::from_bits(0, self.r);
-        let target = self.key_for(code);
-        let route = routing::route(source, target, self.max_hops, |k| self.is_online(k))?;
-        self.charge_route(transport, &route, MessageClass::DhtStore)?;
-        self.stats.write().record(route.hops());
-        Ok(route)
-    }
-
     /// Returns a copy of the record for an area, if present.
     ///
     /// # Errors
     ///
     /// Propagates routing failures.
     pub fn record(&self, code: &OlcCode) -> Result<Option<LocationRecord>, RoutingError> {
-        self.record_via(&DirectTransport, code)
-    }
-
-    /// [`Hypercube::record`] with every hop charged to `transport`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates routing failures, including transport timeouts.
-    pub(crate) fn record_via(
-        &self,
-        transport: &dyn Transport,
-        code: &OlcCode,
-    ) -> Result<Option<LocationRecord>, RoutingError> {
-        let route = self.lookup_via(transport, code)?;
+        let route = self.route(&DirectTransport, code, MessageClass::DhtLookup)?;
         let node = &self.nodes[route.target().index() as usize];
         Ok(node.read().records.get(code.as_str()).cloned())
     }
@@ -496,7 +428,7 @@ mod tests {
         for i in 0..10 {
             let c = code(40.0 + f64::from(i) * 0.29, 9.0 + f64::from(i) * 0.31);
             assert!(direct.register_contract(&c, format!("app:{i}")).unwrap());
-            assert!(simulated.register_contract_via(&transport, &c, format!("app:{i}")).unwrap());
+            assert!(simulated.register_contract(&c, format!("app:{i}")).unwrap());
             assert_eq!(
                 direct.find_contract(&c).unwrap(),
                 simulated.find_contract_via(&transport, &c).unwrap()

@@ -225,17 +225,6 @@ impl Default for WorldState {
     }
 }
 
-impl Clone for WorldState {
-    fn clone(&self) -> WorldState {
-        WorldState {
-            entries: self.entries.clone(),
-            // Persistent backends snapshot into a volatile copy: the clone
-            // shares no files with the original and keeps the same root.
-            backend: self.backend.snapshot_backend(),
-        }
-    }
-}
-
 impl WorldState {
     /// An empty world over the default in-memory backend.
     pub fn new() -> WorldState {
@@ -670,7 +659,8 @@ mod tests {
         let mut world = WorldState::new();
         world.set_balance(addr(7), 77);
         world.set(StateKey::AppGlobal(1, b"k".to_vec()), StateValue::Bytes(b"v".to_vec()));
-        let (restored, opaque) = WorldState::with_backend(world.backend.snapshot_backend());
+        let backend = MemoryBackend::from_entries(world.backend.entries());
+        let (restored, opaque) = WorldState::with_backend(Box::new(backend));
         assert!(opaque.is_empty());
         assert_eq!(restored.balance(addr(7)), 77);
         assert_eq!(
@@ -679,16 +669,6 @@ mod tests {
         );
         assert_eq!(restored.state_root(), world.state_root());
         assert_eq!(restored.digest_input(), world.digest_input());
-    }
-
-    #[test]
-    fn clone_preserves_root_and_detaches() {
-        let mut world = WorldState::new();
-        world.set_balance(addr(8), 5);
-        let snapshot = world.clone();
-        world.set_balance(addr(8), 6);
-        assert_ne!(world.state_root(), snapshot.state_root());
-        assert_eq!(snapshot.balance(addr(8)), 5);
     }
 
     #[test]

@@ -3,26 +3,24 @@
 //! The paper's PoL architecture is a P2P overlay — a hypercube DHT keyed
 //! by location codes plus an IPFS-like file store — but the sibling crates
 //! model those layers as zero-latency in-memory calls. This crate supplies
-//! the missing instrument: a discrete-event message transport with a
-//! virtual clock, per-link FIFO queues and pluggable fault models, so the
-//! overlay's behaviour under loss, churn and partitions can be measured
-//! instead of assumed.
+//! the missing instrument: a simulated message transport with a virtual
+//! clock and fault models, so the overlay's behaviour under loss, churn
+//! and partitions can be measured instead of assumed.
 //!
-//! * `clock::VirtualClock` — simulated time in microseconds; nothing here
-//!   reads the wall clock, so every run is reproducible from its seed.
-//! * [`link::LinkModel`] — per-link latency distributions (fixed,
-//!   uniform), jitter, drop probability and duplication.
-//! * `sim::NetSim` — the event queue: schedules message arrivals in
-//!   virtual time, never lets a message overtake an earlier one on the
-//!   same link, and applies partitions and node churn.
+//! * [`link::LinkModel`] — the latency distribution (fixed, uniform),
+//!   jitter and drop probability every link shares.
 //! * [`retry::RetryPolicy`] — timeout + exponential backoff with
 //!   deterministic seeded jitter.
-//! * [`stats::TransportStats`] — per-peer and per-message-class counters
-//!   with latency histograms (p50/p95/p99).
+//! * [`stats::TransportStats`] — per-message-class counters with latency
+//!   histograms (p50/p95/p99).
 //! * [`transport::Transport`] — the seam the DHT and DFS layers call
 //!   through: [`transport::DirectTransport`] preserves the historical
 //!   zero-latency behaviour bit-for-bit, while [`transport::SimTransport`]
-//!   routes every hop through the simulator.
+//!   simulates every hop. Each `deliver` is one synchronous exchange: an
+//!   attempt is lost to churn, a partition or the link (the sender waits
+//!   out the timeout, backs off and retries) or arrives after a sampled
+//!   latency, all in virtual microseconds drawn from one seeded RNG, so
+//!   every run is reproducible from its seed.
 //!
 //! # Examples
 //!
@@ -44,10 +42,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod clock;
 pub mod link;
 pub mod retry;
-pub(crate) mod sim;
 pub mod stats;
 pub mod transport;
 
@@ -57,7 +53,7 @@ pub use stats::TransportStats;
 ///
 /// The DHT maps hypercube keys to `NodeId(key.index())`; the DFS maps
 /// `PeerId(n)` to `NodeId(n)`. The spaces only meet when a caller chooses
-/// to share one simulator between layers.
+/// to share one transport between layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u64);
 

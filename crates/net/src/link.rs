@@ -1,4 +1,4 @@
-//! Per-link behaviour: latency distributions and fault injection knobs.
+//! Link behaviour: latency distributions and message loss.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -17,7 +17,8 @@ pub enum Latency {
     },
 }
 
-/// Full per-link model: latency plus fault-injection knobs.
+/// The link model every pair of nodes shares: latency plus the drop
+/// probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Base one-way delay distribution.
@@ -26,8 +27,6 @@ pub struct LinkModel {
     pub jitter_us: u64,
     /// Probability a message is silently dropped.
     pub drop_prob: f64,
-    /// Probability a delivered message is also delivered a second time.
-    pub duplicate_prob: f64,
 }
 
 impl Default for LinkModel {
@@ -39,7 +38,7 @@ impl Default for LinkModel {
 impl LinkModel {
     /// An ideal link: zero latency, no faults.
     pub fn ideal() -> LinkModel {
-        LinkModel { latency: Latency::Fixed(0), jitter_us: 0, drop_prob: 0.0, duplicate_prob: 0.0 }
+        LinkModel { latency: Latency::Fixed(0), jitter_us: 0, drop_prob: 0.0 }
     }
 
     /// A datacenter-ish link: 200–500 µs, lossless.
@@ -48,7 +47,6 @@ impl LinkModel {
             latency: Latency::Uniform { lo_us: 200, hi_us: 500 },
             jitter_us: 50,
             drop_prob: 0.0,
-            duplicate_prob: 0.0,
         }
     }
 
@@ -83,11 +81,6 @@ impl LinkModel {
     pub(crate) fn sample_drop(&self, rng: &mut StdRng) -> bool {
         self.drop_prob > 0.0 && rng.gen_bool(self.drop_prob)
     }
-
-    /// Samples whether a delivered message is duplicated.
-    pub(crate) fn sample_duplicate(&self, rng: &mut StdRng) -> bool {
-        self.duplicate_prob > 0.0 && rng.gen_bool(self.duplicate_prob)
-    }
 }
 
 #[cfg(test)]
@@ -98,12 +91,7 @@ mod tests {
     #[test]
     fn fixed_latency_is_exact() {
         let mut rng = StdRng::seed_from_u64(1);
-        let link = LinkModel {
-            latency: Latency::Fixed(777),
-            jitter_us: 0,
-            drop_prob: 0.0,
-            duplicate_prob: 0.0,
-        };
+        let link = LinkModel { latency: Latency::Fixed(777), jitter_us: 0, drop_prob: 0.0 };
         for _ in 0..10 {
             assert_eq!(link.sample_latency_us(&mut rng), 777);
         }
@@ -116,7 +104,6 @@ mod tests {
             latency: Latency::Uniform { lo_us: 100, hi_us: 200 },
             jitter_us: 10,
             drop_prob: 0.0,
-            duplicate_prob: 0.0,
         };
         for _ in 0..1000 {
             let l = link.sample_latency_us(&mut rng);

@@ -1,7 +1,6 @@
-//! Transport observability: per-peer and per-class counters with latency
-//! histograms.
+//! Transport observability: per-class counters with latency histograms.
 
-use crate::{MessageClass, NodeId};
+use crate::MessageClass;
 use std::collections::BTreeMap;
 
 /// Number of power-of-two latency buckets (covers up to ~2^39 µs ≈ 6 days).
@@ -83,48 +82,28 @@ pub struct ClassCounters {
     pub delivered: u64,
     /// Messages lost to the link, a partition or an offline node.
     pub dropped: u64,
-    /// Extra copies delivered by link duplication.
-    pub duplicated: u64,
     /// Retransmissions performed after a timeout.
     pub retried: u64,
     /// Exchanges abandoned after the final attempt timed out.
     pub timed_out: u64,
-    /// End-to-end exchange latencies (including backoff waits).
+    /// One-way latencies of the delivered messages (retry waits excluded).
     pub latency: LatencyHistogram,
-}
-
-/// Per-peer send/receive totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PeerCounters {
-    /// Attempts originating at this peer.
-    pub sent: u64,
-    /// Messages delivered to this peer.
-    pub received: u64,
-    /// Messages lost on links out of this peer.
-    pub dropped: u64,
 }
 
 /// Aggregate transport statistics.
 ///
-/// Maps are ordered (`BTreeMap`) so iteration — and therefore every report
-/// generated from them — is deterministic.
+/// The map is ordered (`BTreeMap`) so iteration — and therefore every
+/// report generated from it — is deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Counters keyed by message class.
     pub per_class: BTreeMap<MessageClass, ClassCounters>,
-    /// Counters keyed by peer.
-    pub per_peer: BTreeMap<NodeId, PeerCounters>,
 }
 
 impl TransportStats {
     /// Mutable counters for `class`, created on first use.
     pub(crate) fn class_mut(&mut self, class: MessageClass) -> &mut ClassCounters {
         self.per_class.entry(class).or_default()
-    }
-
-    /// Mutable counters for `peer`, created on first use.
-    pub(crate) fn peer_mut(&mut self, peer: NodeId) -> &mut PeerCounters {
-        self.per_peer.entry(peer).or_default()
     }
 
     /// Counters for `class` (zeroes if the class was never used).
@@ -217,10 +196,8 @@ mod tests {
         stats.class_mut(MessageClass::DhtLookup).sent += 3;
         stats.class_mut(MessageClass::DhtLookup).delivered += 2;
         stats.class_mut(MessageClass::DfsRequest).sent += 1;
-        stats.peer_mut(NodeId(4)).sent += 4;
         assert_eq!(stats.total_sent(), 4);
         assert_eq!(stats.total_delivered(), 2);
-        assert_eq!(stats.per_peer[&NodeId(4)].sent, 4);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 
 use crate::link::LinkModel;
 use crate::retry::RetryPolicy;
-use crate::sim::NetSim;
 use crate::stats::TransportStats;
 use crate::{MessageClass, NodeId};
 use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::collections::HashSet;
 
 /// Why an exchange ultimately failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,12 +52,6 @@ pub trait Transport {
     /// [`TransportError::Timeout`] when every attempt failed.
     fn deliver(&self, from: NodeId, to: NodeId, class: MessageClass)
         -> Result<u64, TransportError>;
-
-    /// Current virtual time, microseconds (0 for non-simulated
-    /// transports).
-    fn now_us(&self) -> u64 {
-        0
-    }
 }
 
 /// The historical zero-latency in-memory "network": every delivery
@@ -84,7 +80,7 @@ pub struct SimTransportBuilder {
 }
 
 impl SimTransportBuilder {
-    /// Sets the default link model for every pair of nodes.
+    /// Sets the link model every pair of nodes shares.
     pub fn link(mut self, link: LinkModel) -> SimTransportBuilder {
         self.link = link;
         self
@@ -98,17 +94,73 @@ impl SimTransportBuilder {
 
     /// Builds the transport.
     pub fn build(self) -> SimTransport {
-        SimTransport { sim: Mutex::new(NetSim::new(self.seed, self.link)), retry: self.retry }
+        let network = Network {
+            now_us: 0,
+            rng: StdRng::seed_from_u64(self.seed),
+            link: self.link,
+            offline: HashSet::new(),
+            partition: None,
+            stats: TransportStats::default(),
+        };
+        SimTransport { network: Mutex::new(network), retry: self.retry }
     }
 }
 
-/// A [`Transport`] that routes every exchange through the discrete-event
-/// simulator: latency is sampled from the link model, losses trigger the
-/// retry policy (timeout + backoff in virtual time), and everything is
-/// recorded in [`TransportStats`].
+/// The simulated network: a virtual clock, the one RNG every sample
+/// draws from, the fault state and the counters.
+///
+/// Time moves only when an attempt delivers, times out or backs off, so
+/// two networks built with the same seed and driven by the same calls
+/// have identical histories.
+#[derive(Debug)]
+struct Network {
+    /// Virtual time, microseconds; nothing here reads the wall clock.
+    now_us: u64,
+    rng: StdRng,
+    link: LinkModel,
+    /// Churned-out nodes: they neither send nor receive.
+    offline: HashSet<NodeId>,
+    /// Active partition: nodes in the set reach only each other, nodes
+    /// outside it likewise, until healed.
+    partition: Option<HashSet<NodeId>>,
+    stats: TransportStats,
+}
+
+impl Network {
+    /// Whether churn and the partition let `from` reach `to`.
+    fn reachable(&self, from: NodeId, to: NodeId) -> bool {
+        !self.offline.contains(&from)
+            && !self.offline.contains(&to)
+            && self
+                .partition
+                .as_ref()
+                .is_none_or(|island| island.contains(&from) == island.contains(&to))
+    }
+
+    /// Sends one message now: on arrival the clock advances by its
+    /// sampled latency and `true` is returned; a message lost to churn, a
+    /// partition or the link leaves the clock where it is.
+    fn attempt(&mut self, from: NodeId, to: NodeId, class: MessageClass) -> bool {
+        self.stats.class_mut(class).sent += 1;
+        if !self.reachable(from, to) || self.link.sample_drop(&mut self.rng) {
+            self.stats.class_mut(class).dropped += 1;
+            return false;
+        }
+        let arrival_us = self.now_us.saturating_add(self.link.sample_latency_us(&mut self.rng));
+        let counters = self.stats.class_mut(class);
+        counters.delivered += 1;
+        counters.latency.record(arrival_us - self.now_us);
+        self.now_us = arrival_us;
+        true
+    }
+}
+
+/// A [`Transport`] that simulates every exchange: latency is sampled from
+/// the link model, losses trigger the retry policy (timeout + backoff in
+/// virtual time), and everything is recorded in [`TransportStats`].
 #[derive(Debug)]
 pub struct SimTransport {
-    sim: Mutex<NetSim>,
+    network: Mutex<Network>,
     retry: RetryPolicy,
 }
 
@@ -120,27 +172,29 @@ impl SimTransport {
 
     /// Marks a node online/offline (churn).
     pub fn set_online(&self, node: NodeId, online: bool) {
-        self.sim.lock().set_online(node, online);
+        let mut network = self.network.lock();
+        if online {
+            network.offline.remove(&node);
+        } else {
+            network.offline.insert(node);
+        }
     }
 
-    /// Installs a bidirectional partition (see `NetSim::partition`).
+    /// Installs a bidirectional partition: nodes in `island` can only
+    /// talk among themselves, everyone else only among themselves.
+    /// Replaces any previous partition.
     pub fn partition(&self, island: impl IntoIterator<Item = NodeId>) {
-        self.sim.lock().partition(island);
+        self.network.lock().partition = Some(island.into_iter().collect());
     }
 
     /// Heals any active partition.
     pub fn heal(&self) {
-        self.sim.lock().heal();
-    }
-
-    /// Overrides the link model between two nodes, both directions.
-    pub fn set_link_symmetric(&self, a: NodeId, b: NodeId, model: LinkModel) {
-        self.sim.lock().set_link_symmetric(a, b, model);
+        self.network.lock().partition = None;
     }
 
     /// A snapshot of the accumulated statistics.
     pub fn stats(&self) -> TransportStats {
-        self.sim.lock().stats().clone()
+        self.network.lock().stats.clone()
     }
 }
 
@@ -151,42 +205,23 @@ impl Transport for SimTransport {
         to: NodeId,
         class: MessageClass,
     ) -> Result<u64, TransportError> {
-        let mut sim = self.sim.lock();
-        let start = sim.now_us();
-        for attempt in 1..=self.retry.max_attempts.max(1) {
+        let mut network = self.network.lock();
+        let start = network.now_us;
+        let attempts = self.retry.max_attempts.max(1);
+        for attempt in 1..=attempts {
             if attempt > 1 {
-                sim.stats_mut().class_mut(class).retried += 1;
-                let backoff = self.retry.backoff_for(attempt, sim.rng_mut());
-                sim.advance_by(backoff);
+                network.stats.class_mut(class).retried += 1;
+                let backoff = self.retry.backoff_for(attempt, &mut network.rng);
+                network.now_us = network.now_us.saturating_add(backoff);
             }
-            match sim.send(from, to, class) {
-                Ok(id) => {
-                    // Drain the queue up to (and including) our message.
-                    // Unrelated arrivals (duplicates of earlier exchanges)
-                    // are delivered along the way.
-                    let mut arrived = false;
-                    while let Some(delivery) = sim.step() {
-                        if delivery.message.id == id {
-                            arrived = true;
-                            break;
-                        }
-                    }
-                    if arrived {
-                        return Ok(sim.now_us() - start);
-                    }
-                    // Scheduled but lost at arrival (destination churned
-                    // out mid-flight): the sender only sees silence.
-                    sim.advance_by(self.retry.timeout_us);
-                }
-                Err(_) => sim.advance_by(self.retry.timeout_us),
+            if network.attempt(from, to, class) {
+                return Ok(network.now_us - start);
             }
+            // The sender only sees silence.
+            network.now_us = network.now_us.saturating_add(self.retry.timeout_us);
         }
-        sim.stats_mut().class_mut(class).timed_out += 1;
-        Err(TransportError::Timeout { from, to, attempts: self.retry.max_attempts.max(1) })
-    }
-
-    fn now_us(&self) -> u64 {
-        self.sim.lock().now_us()
+        network.stats.class_mut(class).timed_out += 1;
+        Err(TransportError::Timeout { from, to, attempts })
     }
 }
 
@@ -195,13 +230,26 @@ mod tests {
     use super::*;
     use crate::link::Latency;
 
+    impl SimTransport {
+        fn now_us(&self) -> u64 {
+            self.network.lock().now_us
+        }
+    }
+
+    /// One attempt per exchange, so each `deliver` is one message.
+    fn single_shot(seed: u64, link: LinkModel) -> SimTransport {
+        SimTransport::builder(seed)
+            .link(link)
+            .retry(RetryPolicy { max_attempts: 1, ..RetryPolicy::default() })
+            .build()
+    }
+
     #[test]
     fn direct_transport_is_free_and_infallible() {
         let t = DirectTransport;
         for i in 0..100 {
             assert_eq!(t.deliver(NodeId(0), NodeId(i), MessageClass::DhtLookup), Ok(0));
         }
-        assert_eq!(t.now_us(), 0);
     }
 
     #[test]
@@ -259,11 +307,43 @@ mod tests {
 
     #[test]
     fn partitioned_destination_times_out_then_heals() {
-        let t = SimTransport::builder(4).link(LinkModel::ideal()).build();
-        t.partition([NodeId(0)]);
-        assert!(t.deliver(NodeId(0), NodeId(1), MessageClass::Control).is_err());
-        t.heal();
+        let t = single_shot(5, LinkModel::ideal());
+        t.partition([NodeId(0), NodeId(1)]);
+        assert!(t.deliver(NodeId(0), NodeId(2), MessageClass::Control).is_err());
+        assert!(t.deliver(NodeId(2), NodeId(1), MessageClass::Control).is_err());
+        // Intra-island traffic still flows, both sides.
         assert!(t.deliver(NodeId(0), NodeId(1), MessageClass::Control).is_ok());
+        assert!(t.deliver(NodeId(2), NodeId(3), MessageClass::Control).is_ok());
+        t.heal();
+        assert!(t.deliver(NodeId(0), NodeId(2), MessageClass::Control).is_ok());
+        assert!(t.deliver(NodeId(2), NodeId(1), MessageClass::Control).is_ok());
+        let control = t.stats().class(MessageClass::Control);
+        assert_eq!((control.sent, control.delivered, control.dropped), (6, 4, 2));
+    }
+
+    #[test]
+    fn churned_out_node_cannot_send_or_receive() {
+        let t = single_shot(6, LinkModel::ideal());
+        t.set_online(NodeId(9), false);
+        assert!(t.deliver(NodeId(9), NodeId(1), MessageClass::Control).is_err());
+        assert!(t.deliver(NodeId(1), NodeId(9), MessageClass::Control).is_err());
+        assert!(t.deliver(NodeId(1), NodeId(2), MessageClass::Control).is_ok());
+        t.set_online(NodeId(9), true);
+        assert!(t.deliver(NodeId(1), NodeId(9), MessageClass::Control).is_ok());
+        assert_eq!(t.stats().class(MessageClass::Control).dropped, 2);
+    }
+
+    #[test]
+    fn full_loss_drops_everything() {
+        let t = single_shot(8, LinkModel::ideal().with_drop_prob(1.0));
+        for _ in 0..10 {
+            assert!(t.deliver(NodeId(0), NodeId(1), MessageClass::DhtLookup).is_err());
+        }
+        let stats = t.stats().class(MessageClass::DhtLookup);
+        assert_eq!(stats.sent, 10);
+        assert_eq!(stats.dropped, 10);
+        assert_eq!(stats.delivered, 0);
+        assert_eq!(stats.latency.count, 0);
     }
 
     #[test]
@@ -274,8 +354,9 @@ mod tests {
             for i in 0..40u64 {
                 log.push(t.deliver(NodeId(i % 5), NodeId((i + 2) % 5), MessageClass::DhtLookup));
             }
-            (log, t.now_us())
+            (log, t.now_us(), t.stats())
         };
         assert_eq!(run(7), run(7));
+        assert_ne!(run(7), run(8), "different seed, different history");
     }
 }

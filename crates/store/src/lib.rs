@@ -93,9 +93,6 @@ pub trait StateBackend: Send + Sync {
     /// A short static name ("memory", "wal", "trie") for reports.
     fn name(&self) -> &'static str;
 
-    /// Reads the value stored under `key`.
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>>;
-
     /// Applies one batch of puts/deletes atomically.
     ///
     /// # Errors
@@ -119,14 +116,6 @@ pub trait StateBackend: Send + Sync {
         Ok(())
     }
 
-    /// Number of live entries.
-    fn len(&self) -> usize;
-
-    /// Whether the store holds no entries.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// A snapshot of every entry, sorted by key (restore, conformance
     /// and explorer paths — not a hot-path API).
     fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)>;
@@ -138,9 +127,4 @@ pub trait StateBackend: Send + Sync {
         let _ = key;
         None
     }
-
-    /// A self-contained copy of the current contents. Persistent
-    /// backends clone into a volatile store (the copy shares no files
-    /// with the original); the root is preserved exactly.
-    fn snapshot_backend(&self) -> Box<dyn StateBackend>;
 }

@@ -34,6 +34,11 @@ impl MemoryBackend {
         self.map.iter()
     }
 
+    /// Number of live entries (the WAL's snapshot header).
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
     /// Applies one owned put (`Some`) or delete (`None`): the single
     /// mutation every commit, WAL replay and snapshot load goes through.
     pub(crate) fn apply(&mut self, key: Vec<u8>, value: Option<Vec<u8>>) {
@@ -53,10 +58,6 @@ impl StateBackend for MemoryBackend {
         "memory"
     }
 
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.map.get(key).cloned()
-    }
-
     fn commit(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError> {
         for (key, value) in batch {
             self.apply(key.clone(), value.clone());
@@ -68,15 +69,7 @@ impl StateBackend for MemoryBackend {
         map_root(&self.map)
     }
 
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
     fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-    }
-
-    fn snapshot_backend(&self) -> Box<dyn StateBackend> {
-        Box::new(self.clone())
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! Structure and hashing are separate. [`StateBackend::commit`] edits
 //! structure only: a node nobody else holds is edited where it lies, a
-//! node shared with a [`StateBackend::snapshot_backend`] copy is cloned
+//! node shared with a `TrieBackend::clone` copy is cloned
 //! first (`Arc::make_mut` — copy-on-write, one level at a time), and
 //! every node on the way down loses its memoised hash. A node is hashed
 //! when somebody needs its hash and at most once until it is edited
@@ -588,10 +588,6 @@ impl StateBackend for TrieBackend {
         "trie"
     }
 
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.map.get(key).cloned()
-    }
-
     fn commit(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError> {
         for (key, value) in batch {
             match value {
@@ -623,20 +619,12 @@ impl StateBackend for TrieBackend {
         Ok(())
     }
 
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
     fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
     fn prove(&self, key: &[u8]) -> Option<MerkleProof> {
         Some(self.prove_key(key))
-    }
-
-    fn snapshot_backend(&self) -> Box<dyn StateBackend> {
-        Box::new(self.clone())
     }
 }
 
@@ -687,7 +675,7 @@ mod tests {
                 }
             }
             assert_eq!(trie.root(), map_root(&model), "divergence after op {i}");
-            assert_eq!(trie.len(), model.len());
+            assert_eq!(trie.map.len(), model.len());
         }
     }
 
@@ -751,7 +739,7 @@ mod tests {
         let mut trie = TrieBackend::new();
         let (k, v) = kv(7);
         trie.commit(&[(k.clone(), Some(v))]).unwrap();
-        let snap = trie.snapshot_backend();
+        let snap = trie.clone();
         let before = snap.root();
         trie.commit(&[(k, None)]).unwrap();
         assert_eq!(snap.root(), before, "snapshot mutated by original");

@@ -299,10 +299,6 @@ impl StateBackend for WalBackend {
         "wal"
     }
 
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.image.get(key)
-    }
-
     fn commit(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError> {
         if batch.is_empty() {
             return Ok(());
@@ -329,18 +325,8 @@ impl StateBackend for WalBackend {
         Ok(())
     }
 
-    fn len(&self) -> usize {
-        self.image.len()
-    }
-
     fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.image.entries()
-    }
-
-    fn snapshot_backend(&self) -> Box<dyn StateBackend> {
-        // A clone must not share the log file; it degrades to a volatile
-        // copy with the identical contents (and therefore root).
-        Box::new(self.image.clone())
     }
 }
 
@@ -362,6 +348,10 @@ mod tests {
         (k.as_bytes().to_vec(), None)
     }
 
+    fn get(wal: &WalBackend, k: &str) -> Option<Vec<u8>> {
+        wal.entries().into_iter().find(|(key, _)| key == k.as_bytes()).map(|(_, v)| v)
+    }
+
     #[test]
     fn clean_restart_replays_log() {
         let dir = temp_dir("clean");
@@ -373,9 +363,9 @@ mod tests {
         };
         let reopened = WalBackend::open(&dir, 1_000).unwrap();
         assert_eq!(reopened.commit_seq(), 2);
-        assert_eq!(reopened.get(b"a"), None);
-        assert_eq!(reopened.get(b"b"), Some(b"2".to_vec()));
-        assert_eq!(reopened.get(b"c"), Some(b"3".to_vec()));
+        assert_eq!(get(&reopened, "a"), None);
+        assert_eq!(get(&reopened, "b"), Some(b"2".to_vec()));
+        assert_eq!(get(&reopened, "c"), Some(b"3".to_vec()));
         assert_eq!(reopened.root(), root);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -394,7 +384,7 @@ mod tests {
         let reopened = WalBackend::open(&dir, 2).unwrap();
         assert_eq!(reopened.snapshot_seq(), 2);
         assert_eq!(reopened.commit_seq(), 3);
-        assert_eq!(reopened.len(), 3);
+        assert_eq!(reopened.image.len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -415,7 +405,7 @@ mod tests {
         drop(log);
         let reopened = WalBackend::open(&dir, 1_000).unwrap();
         assert_eq!(reopened.commit_seq(), 1, "partial record must not apply");
-        assert_eq!(reopened.get(b"b"), None);
+        assert_eq!(get(&reopened, "b"), None);
         assert_eq!(reopened.root(), mid_root);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -435,7 +425,7 @@ mod tests {
         std::fs::write(&log_path, &bytes).unwrap();
         let reopened = WalBackend::open(&dir, 1_000).unwrap();
         assert_eq!(reopened.commit_seq(), 1);
-        assert_eq!(reopened.get(b"a"), Some(b"1".to_vec()));
+        assert_eq!(get(&reopened, "a"), Some(b"1".to_vec()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -457,8 +447,8 @@ mod tests {
         }
         let reopened = WalBackend::open(&dir, 1_000).unwrap();
         assert_eq!(reopened.commit_seq(), 2);
-        assert_eq!(reopened.get(b"c"), Some(b"3".to_vec()));
-        assert_eq!(reopened.get(b"b"), None);
+        assert_eq!(get(&reopened, "c"), Some(b"3".to_vec()));
+        assert_eq!(get(&reopened, "b"), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
