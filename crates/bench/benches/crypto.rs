@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pol_crypto::ed25519::{Keypair, Point};
 use pol_crypto::x25519::XKeypair;
-use pol_crypto::{keccak256, sealed, sha256, vrf};
+use pol_crypto::{keccak256, scalar, sealed, sha256, vrf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -49,6 +49,22 @@ fn signatures(c: &mut Criterion) {
     });
 }
 
+/// One row per operation a signature, a key or a sealed box is built
+/// from: the fixed-base `[k]B`, the two X25519 uses, and the two scalar
+/// reductions.
+fn operations(c: &mut Criterion) {
+    let wide: [u8; 64] = core::array::from_fn(|i| (i as u8).wrapping_mul(151) ^ 0xa5);
+    let k = scalar::reduce64(&wide);
+    c.bench_function("ed25519/mul_base", |b| b.iter(|| Point::mul_base(black_box(&k))));
+    c.bench_function("x25519/keygen", |b| b.iter(|| XKeypair::from_seed(black_box(&k))));
+    let (alice, bob) = (XKeypair::from_seed(&[1u8; 32]), XKeypair::from_seed(&[2u8; 32]));
+    c.bench_function("x25519/dh", |b| b.iter(|| alice.diffie_hellman(black_box(&bob.public))));
+    c.bench_function("scalar/reduce64", |b| b.iter(|| scalar::reduce64(black_box(&wide))));
+    c.bench_function("scalar/muladd", |b| {
+        b.iter(|| scalar::muladd(black_box(&k), black_box(&k), black_box(&k)))
+    });
+}
+
 fn vrf_and_boxes(c: &mut Criterion) {
     let kp = Keypair::from_seed(&[9u8; 32]);
     let (_, proof) = vrf::prove(&kp, b"round 1");
@@ -71,5 +87,5 @@ fn vrf_and_boxes(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, hashes, signatures, vrf_and_boxes);
+criterion_group!(benches, hashes, signatures, operations, vrf_and_boxes);
 criterion_main!(benches);

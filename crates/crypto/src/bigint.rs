@@ -1,5 +1,6 @@
 //! Minimal fixed-width big-integer helpers (256/512 bits, little-endian
-//! `u64` limbs) backing the Ed25519 scalar arithmetic.
+//! `u64` limbs) backing the EVM's word arithmetic and the scalar
+//! canonicality check.
 
 /// 256-bit unsigned integer as four little-endian `u64` limbs.
 pub type U256 = [u64; 4];
@@ -95,30 +96,12 @@ pub fn from_le_bytes32(bytes: &[u8; 32]) -> U256 {
     out
 }
 
-/// Converts 64 little-endian bytes into a [`U512`].
-pub(crate) fn from_le_bytes64(bytes: &[u8; 64]) -> U512 {
-    let mut out = [0u64; 8];
-    for (i, limb) in out.iter_mut().enumerate() {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
-        *limb = u64::from_le_bytes(b);
-    }
-    out
-}
-
 /// Serializes a [`U256`] to 32 little-endian bytes.
 pub fn to_le_bytes32(x: &U256) -> [u8; 32] {
     let mut out = [0u8; 32];
     for (i, limb) in x.iter().enumerate() {
         out[i * 8..i * 8 + 8].copy_from_slice(&limb.to_le_bytes());
     }
-    out
-}
-
-/// Widens a [`U256`] to a [`U512`].
-pub(crate) fn widen(x: &U256) -> U512 {
-    let mut out = [0u64; 8];
-    out[..4].copy_from_slice(x);
     out
 }
 

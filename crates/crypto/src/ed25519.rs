@@ -33,6 +33,15 @@ const VAR_ENTRIES: usize = 1 << (VAR_WIDTH - 2);
 const BASE_WIDTH: usize = 8;
 const BASE_ENTRIES: usize = 1 << (BASE_WIDTH - 2);
 
+/// The fixed-base comb reads a scalar as a 5 × 52 bit matrix (bit 52i + c
+/// in tooth i, column c) and splits the columns into two blocks of 26.
+const COMB_TEETH: usize = 5;
+const COMB_BLOCKS: usize = 2;
+const COMB_SPACING: usize = 26;
+const COMB_TOOTH_BITS: usize = COMB_BLOCKS * COMB_SPACING;
+/// The non-empty subsets of the teeth, one table entry each per block.
+const COMB_ENTRIES: usize = (1 << COMB_TEETH) - 1;
+
 /// A point on edwards25519 in extended homogeneous coordinates
 /// (X : Y : Z : T) with x = X/Z, y = Y/Z, xy = T/Z.
 #[derive(Clone, Copy, Debug)]
@@ -64,6 +73,51 @@ impl Cached {
             t2d: self.t2d.neg(),
         }
     }
+}
+
+/// A sum or a double before its last four products: the point
+/// (EF : GH : FG : EH). Doubling reads X, Y and Z only, so a result that
+/// is doubled next never forms T = EH.
+#[derive(Clone, Copy)]
+struct Completed {
+    e: Fe,
+    f: Fe,
+    g: Fe,
+    h: Fe,
+}
+
+impl Completed {
+    /// The neutral element (0 : 1 : 1 : 0).
+    const IDENTITY: Completed = Completed { e: Fe::ZERO, f: Fe::ONE, g: Fe::ONE, h: Fe::ONE };
+
+    fn to_extended(self) -> Point {
+        Point {
+            x: self.e.mul(&self.f),
+            y: self.g.mul(&self.h),
+            z: self.f.mul(&self.g),
+            t: self.e.mul(&self.h),
+        }
+    }
+
+    fn double(self) -> Completed {
+        double_xyz(&self.e.mul(&self.f), &self.g.mul(&self.h), &self.f.mul(&self.g))
+    }
+
+    fn add(self, rhs: &Cached) -> Completed {
+        self.to_extended().add_cached(rhs)
+    }
+}
+
+/// The doubling law on (X : Y : Z); it does not need T.
+fn double_xyz(x: &Fe, y: &Fe, z: &Fe) -> Completed {
+    let a = x.square();
+    let b = y.square();
+    let c = z.square().mul_small(2);
+    let h = a.add(&b);
+    let e = h.sub(&x.add(y).square());
+    let g = a.sub(&b);
+    let f = c.add(&g);
+    Completed { e, f, g, h }
 }
 
 /// The signed digits of a scalar in width-w non-adjacent form, one per
@@ -110,7 +164,7 @@ fn odd_multiples<const N: usize>(p: &Point) -> [Cached; N] {
     let mut multiple = *p;
     let mut table = [p.to_cached(); N];
     for entry in table.iter_mut().skip(1) {
-        multiple = multiple.add_cached(&p2);
+        multiple = multiple.add_cached(&p2).to_extended();
         *entry = multiple.to_cached();
     }
     table
@@ -123,27 +177,64 @@ fn base_table() -> &'static [Cached; BASE_ENTRIES] {
     TABLE.get_or_init(|| odd_multiples(&BASE))
 }
 
+/// The comb's table (10 KiB), built on first use: for block j, entry
+/// m − 1 is Σ 2^(52i + 26j)·B over the teeth i set in the mask m.
+fn comb_table() -> &'static [[Cached; COMB_ENTRIES]; COMB_BLOCKS] {
+    static TABLE: OnceLock<[[Cached; COMB_ENTRIES]; COMB_BLOCKS]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        core::array::from_fn(|block| {
+            let mut tooth = BASE;
+            for _ in 0..block * COMB_SPACING {
+                tooth = tooth.double();
+            }
+            let mut sums = [Point::identity(); 1 << COMB_TEETH];
+            for i in 0..COMB_TEETH {
+                for mask in 0..1 << i {
+                    sums[mask | 1 << i] = sums[mask].add(&tooth);
+                }
+                for _ in 0..COMB_TOOTH_BITS {
+                    tooth = tooth.double();
+                }
+            }
+            core::array::from_fn(|m| sums[m + 1].to_cached())
+        })
+    })
+}
+
+/// The comb's column at `bit` (below 52): bit `bit + 52i` of `k` as bit i
+/// of a subset mask.
+fn comb_mask(k: &[u8; 32], bit: usize) -> usize {
+    let mut mask = 0;
+    for i in 0..COMB_TEETH {
+        let n = bit + i * COMB_TOOTH_BITS;
+        if n < 256 && (k[n / 8] >> (n % 8)) & 1 == 1 {
+            mask |= 1 << i;
+        }
+    }
+    mask
+}
+
 /// Σ [kᵢ]Pᵢ in one interleaved pass (Straus): the doublings are shared,
 /// and each term adds a table entry, or its negation, where its recoded
 /// scalar has a non-zero digit. Each term is a scalar's NAF and the odd multiples
 /// of its point.
 fn multi_scalar_mul(terms: &[(&Naf, &[Cached])]) -> Point {
     let used = |i: &usize| terms.iter().any(|(naf, _)| naf[*i] != 0);
-    let Some(top) = (0..257).rev().find(used) else {
-        return Point::identity();
-    };
-    let mut acc = Point::identity();
+    let top = (0..257).rev().find(used).unwrap_or(0);
+    let mut acc = Completed::IDENTITY;
     for i in (0..=top).rev() {
-        acc = acc.double();
         for (naf, table) in terms {
             let digit = naf[i];
             if digit != 0 {
                 let entry = &table[usize::from(digit.unsigned_abs() / 2)];
-                acc = acc.add_cached(&if digit > 0 { *entry } else { entry.neg() });
+                acc = acc.add(&if digit > 0 { *entry } else { entry.neg() });
             }
         }
+        if i > 0 {
+            acc = acc.double();
+        }
     }
-    acc
+    acc.to_extended()
 }
 
 impl Point {
@@ -167,33 +258,22 @@ impl Point {
     }
 
     /// The unified, complete addition law against a prepared addend.
-    fn add_cached(&self, rhs: &Cached) -> Point {
+    fn add_cached(&self, rhs: &Cached) -> Completed {
         let a = self.y.sub(&self.x).mul(&rhs.y_minus_x);
         let b = self.y.add(&self.x).mul(&rhs.y_plus_x);
         let c = self.t.mul(&rhs.t2d);
         let d = self.z.mul(&rhs.z2);
-        let e = b.sub(&a);
-        let f = d.sub(&c);
-        let g = d.add(&c);
-        let h = b.add(&a);
-        Point { x: e.mul(&f), y: g.mul(&h), z: f.mul(&g), t: e.mul(&h) }
+        Completed { e: b.sub(&a), f: d.sub(&c), g: d.add(&c), h: b.add(&a) }
     }
 
     /// Point addition (unified, complete formulas).
     pub fn add(&self, rhs: &Point) -> Point {
-        self.add_cached(&rhs.to_cached())
+        self.add_cached(&rhs.to_cached()).to_extended()
     }
 
     /// Point doubling.
     pub fn double(&self) -> Point {
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = self.z.square().mul_small(2);
-        let h = a.add(&b);
-        let e = h.sub(&self.x.add(&self.y).square());
-        let g = a.sub(&b);
-        let f = c.add(&g);
-        Point { x: e.mul(&f), y: g.mul(&h), z: f.mul(&g), t: e.mul(&h) }
+        double_xyz(&self.x, &self.y, &self.z).to_extended()
     }
 
     /// Negation: (x, y) → (−x, y).
@@ -208,10 +288,31 @@ impl Point {
         multi_scalar_mul(&[(&wnaf(k, VAR_WIDTH), &odd_multiples::<VAR_ENTRIES>(self))])
     }
 
-    /// `[k]B` for the base point B, from the static table of its odd
-    /// multiples.
+    /// `[k]B` for the base point B and any 256-bit `k`, by a fixed-base
+    /// comb (Lim–Lee): column t of each block selects one subset sum, so
+    /// the 52 columns cost 25 doublings and at most 52 additions.
     pub fn mul_base(k: &[u8; 32]) -> Point {
-        multi_scalar_mul(&[(&wnaf(k, BASE_WIDTH), base_table())])
+        let table = comb_table();
+        let mut acc = Completed::IDENTITY;
+        for t in (0..COMB_SPACING).rev() {
+            for (block, entries) in table.iter().enumerate() {
+                let mask = comb_mask(k, block * COMB_SPACING + t);
+                if mask != 0 {
+                    acc = acc.add(&entries[mask - 1]);
+                }
+            }
+            if t > 0 {
+                acc = acc.double();
+            }
+        }
+        acc.to_extended()
+    }
+
+    /// The u-coordinate (Z + Y)/(Z − Y) of this point's image on
+    /// Curve25519 under RFC 7748 §4.1's birational map, which takes B to
+    /// u = 9.
+    pub(crate) fn montgomery_u(&self) -> [u8; 32] {
+        self.z.add(&self.y).mul(&self.z.sub(&self.y).invert()).to_bytes()
     }
 
     /// `[a]P + [b]B` for the base point B — the verification equation's

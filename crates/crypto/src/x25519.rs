@@ -1,13 +1,7 @@
 //! RFC 7748 X25519 Diffie–Hellman over Curve25519 (Montgomery form).
 
+use crate::ed25519::Point;
 use crate::field25519::Fe;
-
-/// The Montgomery ladder base point u = 9.
-pub(crate) const BASEPOINT: [u8; 32] = {
-    let mut b = [0u8; 32];
-    b[0] = 9;
-    b
-};
 
 /// An X25519 keypair for key agreement.
 #[derive(Clone)]
@@ -25,10 +19,13 @@ impl std::fmt::Debug for XKeypair {
 }
 
 impl XKeypair {
-    /// Derives a keypair from a 32-byte seed (the seed is clamped).
+    /// Derives a keypair from a 32-byte seed (the seed is clamped). The
+    /// public key is X25519(secret, 9), computed as the u-coordinate of
+    /// `[secret]B` on the birationally equivalent Edwards curve, whose
+    /// fixed-base comb is cheaper than a ladder.
     pub fn from_seed(seed: &[u8; 32]) -> XKeypair {
         let secret = clamp(*seed);
-        let public = scalar_mult(&secret, &BASEPOINT);
+        let public = Point::mul_base(&secret).montgomery_u();
         XKeypair { secret, public }
     }
 
@@ -96,6 +93,21 @@ pub(crate) fn scalar_mult(k: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
 mod tests {
     use super::*;
     use crate::hex;
+
+    /// The Montgomery ladder base point u = 9.
+    const BASEPOINT: [u8; 32] = {
+        let mut b = [0u8; 32];
+        b[0] = 9;
+        b
+    };
+
+    #[test]
+    fn keygen_matches_the_ladder_from_u_9() {
+        for seed in [[0u8; 32], [0xff; 32], [7; 32]] {
+            let kp = XKeypair::from_seed(&seed);
+            assert_eq!(kp.public, scalar_mult(&kp.secret, &BASEPOINT));
+        }
+    }
 
     #[test]
     fn rfc7748_vector_1() {

@@ -30,6 +30,45 @@ fn scalar_mul_reference(p: &Point, k: &[u8; 32]) -> Point {
     result
 }
 
+/// `a·b + c mod ℓ` by the generic long division the scalar code used
+/// before its fold over ℓ = 2^252 + δ.
+fn muladd_reference(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32]) -> [u8; 32] {
+    let mut wide = bigint::mul256(&bigint::from_le_bytes32(a), &bigint::from_le_bytes32(b));
+    let c = bigint::from_le_bytes32(c);
+    let mut carry = 0u128;
+    for (i, limb) in wide.iter_mut().enumerate() {
+        let sum = u128::from(*limb) + u128::from(c.get(i).copied().unwrap_or(0)) + carry;
+        *limb = sum as u64;
+        carry = sum >> 64;
+    }
+    // a, b, c < 2^256, so a·b + c < 2^512.
+    assert_eq!(carry, 0);
+    bigint::to_le_bytes32(&bigint::reduce512(&wide, &scalar::L))
+}
+
+/// `x mod ℓ` for 64 little-endian bytes, by long division.
+fn reduce64_reference(x: &[u8; 64]) -> [u8; 32] {
+    let wide: [u64; 8] =
+        core::array::from_fn(|i| u64::from_le_bytes(x[8 * i..8 * i + 8].try_into().unwrap()));
+    bigint::to_le_bytes32(&bigint::reduce512(&wide, &scalar::L))
+}
+
+/// The scalars where a fold's carries and signs turn: 0, ℓ − 1, ℓ, ℓ + 1,
+/// 2^252 and 2^256 − 1.
+fn scalar_edges() -> Vec<[u8; 32]> {
+    let l = scalar::L;
+    let mut two_252 = [0u8; 32];
+    two_252[31] = 0x10;
+    vec![
+        [0u8; 32],
+        bigint::to_le_bytes32(&bigint::sub256(&l, &[1, 0, 0, 0]).0),
+        bigint::to_le_bytes32(&l),
+        bigint::to_le_bytes32(&bigint::add256(&l, &[1, 0, 0, 0]).0),
+        two_252,
+        [0xff; 32],
+    ]
+}
+
 /// The verifier `PublicKey::verify` was before the rewrite: the same
 /// checks in the same order, [s]B and R + [k]A by two separate ladders.
 fn verify_reference(key: &PublicKey, message: &[u8], signature: &Signature) -> bool {
@@ -140,6 +179,29 @@ proptest! {
         let mut wide = [0u8; 64];
         wide[..16].copy_from_slice(&expect.to_le_bytes());
         prop_assert_eq!(ab_c, scalar::reduce64(&wide));
+    }
+
+    /// The ℓ-specific reductions agree with long division over arbitrary
+    /// full-width inputs.
+    #[test]
+    fn scalar_reductions_match_long_division(
+        a in any::<[u8; 32]>(),
+        b in any::<[u8; 32]>(),
+        c in any::<[u8; 32]>(),
+        wide in any::<[u8; 64]>(),
+    ) {
+        prop_assert_eq!(scalar::muladd(&a, &b, &c), muladd_reference(&a, &b, &c));
+        prop_assert_eq!(scalar::reduce64(&wide), reduce64_reference(&wide));
+    }
+
+    /// X25519 keygen through the Edwards comb gives the public key the
+    /// Montgomery ladder gives from u = 9.
+    #[test]
+    fn x25519_keygen_matches_the_ladder(seed in any::<[u8; 32]>()) {
+        let kp = XKeypair::from_seed(&seed);
+        let mut nine = [0u8; 32];
+        nine[0] = 9;
+        prop_assert_eq!(kp.public, kp.diffie_hellman(&nine));
     }
 
     /// Edwards point compression round-trips for scalar multiples of B.
@@ -280,20 +342,58 @@ proptest! {
 }
 
 /// Scalars at the edges of the 256-bit range, where the recoding's last
-/// carry lands on digit 256 (or nothing is set at all).
+/// carry lands on digit 256 (or nothing is set at all), and scalars with
+/// the bits on both sides of each of the comb's 26-bit boundaries set.
 #[test]
 fn scalar_mul_edges_match_double_and_add() {
     let mut top_bit = [0u8; 32];
     top_bit[31] = 0x80;
     let mut one = [0u8; 32];
     one[0] = 1;
+    let with_bits = |bits: &[usize]| {
+        let mut k = [0u8; 32];
+        for &n in bits {
+            k[n / 8] |= 1 << (n % 8);
+        }
+        k
+    };
+    let boundaries: Vec<usize> = (26..256).step_by(26).collect();
+    let mut scalars = vec![[0u8; 32], one, top_bit, [0xff; 32]];
+    scalars.extend(boundaries.iter().map(|&n| with_bits(&[n - 1, n])));
+    let every_boundary: Vec<usize> = boundaries.iter().flat_map(|&n| [n - 1, n]).collect();
+    scalars.push(with_bits(&[&every_boundary[..], &[0, 255]].concat()));
     let p = Point::base().double().add(&Point::base());
-    for k in [[0u8; 32], one, top_bit, [0xff; 32]] {
+    for k in scalars {
         let hex_k = hex::encode(&k);
         assert!(p.scalar_mul(&k).ct_eq(&scalar_mul_reference(&p, &k)), "{hex_k}");
         assert!(Point::mul_base(&k).ct_eq(&scalar_mul_reference(&Point::base(), &k)), "{hex_k}");
         let both = scalar_mul_reference(&p, &k).add(&scalar_mul_reference(&Point::base(), &k));
         assert!(Point::double_scalar_mul_base(&k, &p, &k).ct_eq(&both), "{hex_k}");
+    }
+}
+
+/// Every combination of edge scalars as `muladd`'s operands, and every
+/// pair as the halves of `reduce64`'s input (2^512 − 1 among them), agrees
+/// with long division.
+#[test]
+fn scalar_reduction_edges_match_long_division() {
+    let edges = scalar_edges();
+    for x in &edges {
+        for y in &edges {
+            let mut wide = [0u8; 64];
+            wide[..32].copy_from_slice(x);
+            wide[32..].copy_from_slice(y);
+            assert_eq!(
+                scalar::reduce64(&wide),
+                reduce64_reference(&wide),
+                "{}",
+                hex::encode(&wide)
+            );
+            for z in &edges {
+                let what = [x, y, z].map(|v| hex::encode(v));
+                assert_eq!(scalar::muladd(x, y, z), muladd_reference(x, y, z), "{what:?}");
+            }
+        }
     }
 }
 

@@ -592,18 +592,20 @@ fn execute(
                 // Simplified: plain value send (no reentrant execution).
                 let _gas = pop!();
                 let to = pop!().to_address();
-                let value = pop!().as_u128();
+                let word = pop!();
                 let _in_off = pop!();
                 let _in_size = pop!();
                 let _out_off = pop!();
                 let _out_size = pop!();
                 let mut cost = gas::G_COLDACCOUNTACCESS;
-                if value > 0 {
+                if !word.is_zero() {
                     cost += gas::G_CALLVALUE - gas::G_CALLSTIPEND;
                 }
                 charge!(cost);
+                let value = word.as_u128();
                 let self_balance = state.balance_of(params.contract);
-                if self_balance < value {
+                // A value past `u128` exceeds every balance.
+                if !word.fits_u128() || self_balance < value {
                     push!(Word::ZERO);
                 } else {
                     state.set_balance_of(params.contract, self_balance - value);
@@ -1023,6 +1025,41 @@ mod tests {
         assert_eq!(Word::from_be_slice(&out.output), Word::ONE);
         assert_eq!(balances[&target], 100);
         assert_eq!(balances[&addr], 400);
+    }
+
+    /// A `CALL` value of 2¹²⁸ + 5 is more than any balance: it pays the
+    /// value-bearing cost, pushes 0 and moves nothing, where its low 128
+    /// bits alone (5) would go through.
+    #[test]
+    fn call_value_past_u128_sends_nothing() {
+        let target = Address([7; 20]);
+        let send = |value: Word| {
+            let mut runtime = Asm::new()
+                .push_u64(0) // out_size
+                .push_u64(0) // out_off
+                .push_u64(0) // in_size
+                .push_u64(0) // in_off
+                .push_word(value)
+                .push_word(Word::from(target))
+                .push_u64(0) // gas
+                .op(Op::Call)
+                .build();
+            runtime.extend(return_top().build());
+            let mut evm = Evm::new();
+            let mut balances = Balances::new();
+            let init = Asm::deploy_wrapper(&runtime);
+            let (addr, _) = evm.deploy(Address::ZERO, &init, 30_000_000, &mut balances).unwrap();
+            balances.insert(addr, 1_000);
+            let out = evm.call(CallParams::new(Address([9; 20]), addr), &mut balances).unwrap();
+            assert!(out.success);
+            let flag = Word::from_be_slice(&out.output);
+            (flag, out.gas_used, balances.get(&target).copied().unwrap_or(0), balances[&addr])
+        };
+        let (flag, gas_small, to, from) = send(Word::from_u64(5));
+        assert_eq!((flag, to, from), (Word::ONE, 5, 995));
+        let (flag, gas_huge, to, from) = send(Word([5, 0, 1, 0]));
+        assert_eq!((flag, to, from), (Word::ZERO, 0, 1_000));
+        assert_eq!(gas_huge, gas_small);
     }
 
     #[test]

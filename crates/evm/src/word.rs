@@ -40,6 +40,11 @@ impl Word {
         self.0[1] == 0 && self.0[2] == 0 && self.0[3] == 0
     }
 
+    /// Whether the value fits in a `u128`.
+    pub(crate) fn fits_u128(&self) -> bool {
+        self.0[2] == 0 && self.0[3] == 0
+    }
+
     /// Whether the word is zero.
     pub fn is_zero(&self) -> bool {
         self.0 == [0; 4]
