@@ -26,17 +26,30 @@ fn signatures(c: &mut Criterion) {
     let msg = [0x5au8; 96];
     let sig = kp.sign(&msg);
     c.bench_function("ed25519/sign", |b| b.iter(|| kp.sign(black_box(&msg))));
+    // One key over and over: verify finds it prepared.
     c.bench_function("ed25519/verify", |b| {
         b.iter(|| assert!(kp.public.verify(black_box(&msg), &sig)))
     });
-    // The two halves of a verification: decoding a point, and the
-    // interleaved [a]P + [b]B.
+    // More keys than verify keeps prepared, in a cycle: every call meets
+    // its key as if for the first time.
+    let signed: Vec<_> = (0..600u16)
+        .map(|i| {
+            let mut seed = [0x6bu8; 32];
+            seed[..2].copy_from_slice(&i.to_le_bytes());
+            let kp = Keypair::from_seed(&seed);
+            (kp.public, kp.sign(&msg))
+        })
+        .collect();
+    c.bench_function("ed25519/verify-cold", |b| {
+        let mut cycle = signed.iter().cycle();
+        b.iter(|| {
+            let (key, sig) = cycle.next().unwrap();
+            assert!(key.verify(black_box(&msg), sig))
+        })
+    });
+    // The decoding half of a first verification, and of every R.
     c.bench_function("ed25519/decompress", |b| {
         b.iter(|| Point::decompress(black_box(&kp.public.0)).unwrap())
-    });
-    let key = Point::decompress(&kp.public.0).unwrap();
-    c.bench_function("ed25519/double_scalar", |b| {
-        b.iter(|| Point::double_scalar_mul_base(black_box(&sig.r), &key, black_box(&sig.s)))
     });
     c.bench_function("ed25519/keygen", |b| {
         let mut i = 0u64;
@@ -79,7 +92,7 @@ fn vrf_and_boxes(c: &mut Criterion) {
         b.iter_batched(
             || StdRng::seed_from_u64(1),
             |mut rng| {
-                let boxed = sealed::seal(&mut rng, &recipient.public, black_box(&payload));
+                let boxed = sealed::seal(&mut rng, &recipient.public, black_box(&payload)).unwrap();
                 sealed::open(&recipient, &boxed).unwrap()
             },
             BatchSize::SmallInput,

@@ -7,7 +7,8 @@
 use crate::field25519::Fe;
 use crate::sha512::Sha512;
 use crate::{bigint, hex, scalar, CryptoError};
-use std::sync::OnceLock;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The curve constant d = −121665/121666.
 const D: Fe =
@@ -25,13 +26,19 @@ const BASE: Point = Point {
     t: Fe([1841354044333475, 16398895984059, 755974180946558, 900171276175154, 1821297809914039]),
 };
 
-/// wNAF width for a point met once (the key in `verify`), and the eight
-/// odd multiples built per call that its digits index.
+/// wNAF width for a point that is not fixed (a key in `verify`, the
+/// operand of `scalar_mul`), and the eight odd multiples its digits index.
 const VAR_WIDTH: usize = 5;
 const VAR_ENTRIES: usize = 1 << (VAR_WIDTH - 2);
 /// wNAF width for the base point, and its 64 odd multiples built once.
 const BASE_WIDTH: usize = 8;
 const BASE_ENTRIES: usize = 1 << (BASE_WIDTH - 2);
+
+/// `verify` splits both of its scalars at 2^128 into two half-width terms.
+const SPLIT_BITS: usize = 128;
+/// The most keys `verify` keeps prepared (2.5 KiB each); a full memo is
+/// cleared.
+const PREPARED_KEYS: usize = 512;
 
 /// The fixed-base comb reads a scalar as a 5 × 52 bit matrix (bit 52i + c
 /// in tooth i, column c) and splits the columns into two blocks of 26.
@@ -170,11 +177,68 @@ fn odd_multiples<const N: usize>(p: &Point) -> [Cached; N] {
     table
 }
 
-/// The odd multiples B, 3B, …, 127B of the base point (10 KiB), built on
+/// The odd multiples of P and of [2^128]P: one table for each half of a
+/// scalar split at 2^128.
+type SplitTable<const N: usize> = [[Cached; N]; 2];
+
+fn split_odd_multiples<const N: usize>(p: &Point) -> SplitTable<N> {
+    [odd_multiples(p), odd_multiples(&p.double_n(SPLIT_BITS))]
+}
+
+/// A scalar's low and high 128 bits, each as a 256-bit scalar.
+fn split(k: &[u8; 32]) -> [[u8; 32]; 2] {
+    let half = SPLIT_BITS / 8;
+    let mut halves = [[0u8; 32]; 2];
+    halves[0][..half].copy_from_slice(&k[..half]);
+    halves[1][..half].copy_from_slice(&k[half..]);
+    halves
+}
+
+/// B, 3B, …, 127B and the same multiples of [2^128]B (20 KiB), built on
 /// first use.
-fn base_table() -> &'static [Cached; BASE_ENTRIES] {
-    static TABLE: OnceLock<[Cached; BASE_ENTRIES]> = OnceLock::new();
-    TABLE.get_or_init(|| odd_multiples(&BASE))
+fn base_tables() -> &'static SplitTable<BASE_ENTRIES> {
+    static TABLES: OnceLock<SplitTable<BASE_ENTRIES>> = OnceLock::new();
+    TABLES.get_or_init(|| split_odd_multiples(&BASE))
+}
+
+/// A key as `verify` reads it: −A, −3A, …, −15A and the same multiples of
+/// −[2^128]A (2.5 KiB).
+type PreparedKey = SplitTable<VAR_ENTRIES>;
+
+/// The process-wide memo of prepared keys, by their exact bytes.
+fn prepared_keys() -> &'static Mutex<HashMap<[u8; 32], Arc<PreparedKey>>> {
+    static MEMO: OnceLock<Mutex<HashMap<[u8; 32], Arc<PreparedKey>>>> = OnceLock::new();
+    MEMO.get_or_init(Mutex::default)
+}
+
+/// The prepared form of the key encoded by `bytes`, or `None`, and nothing
+/// kept, when it does not decompress. A key is prepared outside the lock,
+/// and a memo holding `PREPARED_KEYS` keys is cleared before the next
+/// insert. Each update is one whole insert or clear, so a map whose lock
+/// was poisoned still holds only correct tables and is used as it is.
+fn prepared_key(bytes: &[u8; 32]) -> Option<Arc<PreparedKey>> {
+    let memo = prepared_keys();
+    if let Some(key) = memo.lock().unwrap_or_else(PoisonError::into_inner).get(bytes) {
+        return Some(Arc::clone(key));
+    }
+    let key = Arc::new(split_odd_multiples(&Point::decompress(bytes).ok()?.neg()));
+    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+    if memo.len() >= PREPARED_KEYS {
+        memo.clear();
+    }
+    memo.insert(*bytes, Arc::clone(&key));
+    Some(key)
+}
+
+/// `[k]P + [s]B` for the point P whose split table is `key`, in one
+/// Straus pass over four half-width terms: with k = k₀ + 2^128·k₁ and
+/// s = s₀ + 2^128·s₁ it is [k₀]P + [k₁]([2^128]P) + [s₀]B + [s₁]([2^128]B),
+/// the same group element, for at most 128 doublings instead of about 253.
+fn split_double_scalar_mul(k: &[u8; 32], key: &PreparedKey, s: &[u8; 32]) -> Point {
+    let [k_lo, k_hi] = split(k).map(|half| wnaf(&half, VAR_WIDTH));
+    let [s_lo, s_hi] = split(s).map(|half| wnaf(&half, BASE_WIDTH));
+    let base = base_tables();
+    multi_scalar_mul(&[(&k_lo, &key[0]), (&k_hi, &key[1]), (&s_lo, &base[0]), (&s_hi, &base[1])])
 }
 
 /// The comb's table (10 KiB), built on first use: for block j, entry
@@ -183,18 +247,13 @@ fn comb_table() -> &'static [[Cached; COMB_ENTRIES]; COMB_BLOCKS] {
     static TABLE: OnceLock<[[Cached; COMB_ENTRIES]; COMB_BLOCKS]> = OnceLock::new();
     TABLE.get_or_init(|| {
         core::array::from_fn(|block| {
-            let mut tooth = BASE;
-            for _ in 0..block * COMB_SPACING {
-                tooth = tooth.double();
-            }
+            let mut tooth = BASE.double_n(block * COMB_SPACING);
             let mut sums = [Point::identity(); 1 << COMB_TEETH];
             for i in 0..COMB_TEETH {
                 for mask in 0..1 << i {
                     sums[mask | 1 << i] = sums[mask].add(&tooth);
                 }
-                for _ in 0..COMB_TOOTH_BITS {
-                    tooth = tooth.double();
-                }
+                tooth = tooth.double_n(COMB_TOOTH_BITS);
             }
             core::array::from_fn(|m| sums[m + 1].to_cached())
         })
@@ -276,6 +335,14 @@ impl Point {
         double_xyz(&self.x, &self.y, &self.z).to_extended()
     }
 
+    /// `[2^n]P` by n doublings, of which only the last forms T.
+    fn double_n(&self, n: usize) -> Point {
+        if n == 0 {
+            return *self;
+        }
+        (1..n).fold(double_xyz(&self.x, &self.y, &self.z), |acc, _| acc.double()).to_extended()
+    }
+
     /// Negation: (x, y) → (−x, y).
     pub(crate) fn neg(&self) -> Point {
         Point { x: self.x.neg(), y: self.y, z: self.z, t: self.t.neg() }
@@ -313,15 +380,6 @@ impl Point {
     /// u = 9.
     pub(crate) fn montgomery_u(&self) -> [u8; 32] {
         self.z.add(&self.y).mul(&self.z.sub(&self.y).invert()).to_bytes()
-    }
-
-    /// `[a]P + [b]B` for the base point B — the verification equation's
-    /// shape — sharing one run of doublings between the two terms.
-    pub fn double_scalar_mul_base(a: &[u8; 32], p: &Point, b: &[u8; 32]) -> Point {
-        multi_scalar_mul(&[
-            (&wnaf(a, VAR_WIDTH), &odd_multiples::<VAR_ENTRIES>(p)),
-            (&wnaf(b, BASE_WIDTH), base_table()),
-        ])
     }
 
     /// Compresses to the 32-byte encoding: y with the sign of x in bit 255.
@@ -523,11 +581,13 @@ impl Keypair {
 }
 
 impl PublicKey {
-    /// Verifies `signature` over `message`: s is canonical, the key A and R
+    /// Verifies `signature` over `message`: s is canonical, R and the key A
     /// both decompress, and the cofactorless equation `[s]B = R + [k]A` holds
     /// with k = H(R ‖ A ‖ M) mod ℓ. The equation is evaluated as
-    /// `[s]B − [k]A == R`, which is one double-scalar multiplication and a
-    /// projective comparison; small-order keys and R are not singled out.
+    /// `[s]B − [k]A == R`, which is one multi-scalar multiplication with
+    /// both scalars split at 2^128 and a projective comparison; small-order
+    /// keys and R are not singled out. A key's tables are built on its first
+    /// verification and kept in a bounded process-wide memo.
     ///
     /// Returns `false` for invalid points, non-canonical scalars, or a
     /// failed group equation — never panics on malformed input.
@@ -535,20 +595,18 @@ impl PublicKey {
         if !scalar::is_canonical(&signature.s) {
             return false;
         }
-        let a = match Point::decompress(&self.0) {
-            Ok(p) => p,
-            Err(_) => return false,
+        let Ok(r) = Point::decompress(&signature.r) else {
+            return false;
         };
-        let r = match Point::decompress(&signature.r) {
-            Ok(p) => p,
-            Err(_) => return false,
+        let Some(key) = prepared_key(&self.0) else {
+            return false;
         };
         let mut h = Sha512::new();
         h.update(&signature.r);
         h.update(&self.0);
         h.update(message);
         let k = scalar::reduce64(&h.finalize());
-        Point::double_scalar_mul_base(&k, &a.neg(), &signature.s).ct_eq(&r)
+        split_double_scalar_mul(&k, &key, &signature.s).ct_eq(&r)
     }
 
     /// Parses a public key from its lowercase hex encoding.
@@ -783,7 +841,11 @@ mod tests {
         }
 
         let decode = |e: &str| -> [u8; 32] { hex::decode_array(e).unwrap() };
-        for (encoding, decompresses, accepted_r) in EDGE_ENCODINGS {
+        // Twice, the second time in reverse order, so every key that
+        // decompresses decides again from its prepared tables.
+        for (encoding, decompresses, accepted_r) in
+            EDGE_ENCODINGS.into_iter().chain(EDGE_ENCODINGS.into_iter().rev())
+        {
             let bytes = decode(encoding);
             assert_eq!(Point::decompress(&bytes).is_ok(), decompresses, "decompress {encoding}");
             // Never a substitute for an honest R or an honest key.
@@ -837,6 +899,72 @@ mod tests {
         let five_b = b.scalar_mul(&k);
         let manual = b.double().double().add(&b);
         assert_eq!(five_b, manual);
+    }
+
+    /// However many keys arrive, the memo never holds more than its bound,
+    /// and a key that does not decompress is never kept.
+    #[test]
+    fn memo_holds_at_most_its_bound() {
+        for i in 0..PREPARED_KEYS as u16 + 8 {
+            let mut seed = [0x5eu8; 32];
+            seed[..2].copy_from_slice(&i.to_le_bytes());
+            assert!(prepared_key(&Keypair::from_seed(&seed).public.0).is_some());
+            assert!(prepared_keys().lock().unwrap().len() <= PREPARED_KEYS);
+        }
+        let mut seven = [0u8; 32];
+        seven[0] = 7;
+        assert!(prepared_key(&seven).is_none());
+        assert!(!prepared_keys().lock().unwrap().contains_key(&seven));
+    }
+
+    /// `[k]P` by MSB-first double-and-add over the public group law.
+    fn double_and_add(p: &Point, k: &[u8; 32]) -> Point {
+        (0..256).rev().fold(Point::identity(), |acc, n| {
+            let acc = acc.double();
+            if (k[n / 8] >> (n % 8)) & 1 == 1 {
+                acc.add(p)
+            } else {
+                acc
+            }
+        })
+    }
+
+    /// The split equation is `[k]P + [s]B` for scalars with the bits on
+    /// both sides of the split and at the top set, on a key with and
+    /// without a torsion component.
+    #[test]
+    fn split_equation_matches_double_and_add() {
+        let with_bits = |bits: &[usize]| {
+            let mut k = [0u8; 32];
+            for &n in bits {
+                k[n / 8] |= 1 << (n % 8);
+            }
+            k
+        };
+        let l_minus_1 = bigint::to_le_bytes32(&bigint::sub256(&scalar::L, &[1, 0, 0, 0]).0);
+        let scalars = [
+            [0u8; 32],
+            l_minus_1,
+            with_bits(&[127]),
+            with_bits(&[128]),
+            with_bits(&[252]),
+            with_bits(&[255]),
+            with_bits(&[127, 128, 252, 255]),
+            [0xff; 32],
+        ];
+        let a = Point::decompress(&Keypair::from_seed(&[6u8; 32]).public.0).unwrap();
+        let order_8 = Point::decompress(&hex::decode_array(EDGE_ENCODINGS[4].0).unwrap()).unwrap();
+        let s_b: Vec<Point> = scalars.iter().map(|s| double_and_add(&BASE, s)).collect();
+        for p in [a, a.add(&order_8)] {
+            let key = split_odd_multiples(&p);
+            for k in &scalars {
+                let k_p = double_and_add(&p, k);
+                for (s, s_b) in scalars.iter().zip(&s_b) {
+                    let what = [k, s].map(|v| hex::encode(v));
+                    assert!(split_double_scalar_mul(k, &key, s).ct_eq(&k_p.add(s_b)), "{what:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -87,6 +87,12 @@ fn verify_reference(key: &PublicKey, message: &[u8], signature: &Signature) -> b
     lhs.ct_eq(&r.add(&scalar_mul_reference(&a, &k)))
 }
 
+/// One triple verified twice: the first call prepares a key it has not
+/// met, the second finds it prepared.
+fn verify_twice(key: &PublicKey, message: &[u8], signature: &Signature) -> [bool; 2] {
+    [key.verify(message, signature), key.verify(message, signature)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -231,9 +237,9 @@ proptest! {
         prop_assert!(sum.ct_eq(&parts));
     }
 
-    /// wNAF scalar multiplication, the base-table path and the interleaved
-    /// double-scalar path agree with double-and-add for every 256-bit
-    /// scalar, reduced or not (k ≥ 2^255 carries into digit 256).
+    /// wNAF scalar multiplication and the comb agree with double-and-add
+    /// for every 256-bit scalar, reduced or not (k ≥ 2^255 carries into
+    /// digit 256).
     #[test]
     fn scalar_mul_matches_double_and_add(
         k in any::<[u8; 32]>(),
@@ -248,15 +254,13 @@ proptest! {
         }
         let p = Keypair::from_seed(&seed).public;
         let p = Point::decompress(&p.0).unwrap();
-        let k_p = scalar_mul_reference(&p, &k);
-        let j_b = scalar_mul_reference(&Point::base(), &j);
-        prop_assert!(p.scalar_mul(&k).ct_eq(&k_p));
-        prop_assert!(Point::mul_base(&j).ct_eq(&j_b));
-        prop_assert!(Point::double_scalar_mul_base(&k, &p, &j).ct_eq(&k_p.add(&j_b)));
+        prop_assert!(p.scalar_mul(&k).ct_eq(&scalar_mul_reference(&p, &k)));
+        prop_assert!(Point::mul_base(&j).ct_eq(&scalar_mul_reference(&Point::base(), &j)));
     }
 
     /// The verifier decides exactly as the one it replaced: on honest
-    /// triples and on every single-bit mutation of R, s, key or message.
+    /// triples and on every single-bit mutation of R, s, key or message,
+    /// the first time it meets a key and again with the key prepared.
     #[test]
     fn verify_matches_reference_under_bit_flips(
         seed in any::<[u8; 32]>(),
@@ -266,8 +270,8 @@ proptest! {
     ) {
         let kp = Keypair::from_seed(&seed);
         let sig = kp.sign(&msg);
-        prop_assert!(kp.public.verify(&msg, &sig));
         prop_assert!(verify_reference(&kp.public, &msg, &sig));
+        prop_assert_eq!(verify_twice(&kp.public, &msg, &sig), [true; 2]);
 
         let (mut key, mut sig, mut msg) = (kp.public, sig, msg);
         let target: &mut [u8] = match field {
@@ -278,11 +282,11 @@ proptest! {
         };
         let bit = bit % (target.len() * 8);
         target[bit / 8] ^= 1 << (bit % 8);
-        prop_assert_eq!(key.verify(&msg, &sig), verify_reference(&key, &msg, &sig));
+        prop_assert_eq!(verify_twice(&key, &msg, &sig), [verify_reference(&key, &msg, &sig); 2]);
     }
 
     /// Arbitrary bytes as key, R and s never panic and never split the two
-    /// verifiers.
+    /// verifiers, cold or warm.
     #[test]
     fn verify_matches_reference_on_arbitrary_bytes(
         key in any::<[u8; 32]>(),
@@ -298,7 +302,7 @@ proptest! {
             s[31] &= 0x0f;
         }
         let (key, sig) = (PublicKey(key), Signature { r, s });
-        prop_assert_eq!(key.verify(&msg, &sig), verify_reference(&key, &msg, &sig));
+        prop_assert_eq!(verify_twice(&key, &msg, &sig), [verify_reference(&key, &msg, &sig); 2]);
     }
 
     /// X25519 key agreement is symmetric for arbitrary seeds.
@@ -314,7 +318,7 @@ proptest! {
     fn sealed_box_roundtrip(seed in any::<u64>(), msg in proptest::collection::vec(any::<u8>(), 0..200), flip in any::<usize>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let recipient = XKeypair::generate(&mut rng);
-        let boxed = sealed::seal(&mut rng, &recipient.public, &msg);
+        let boxed = sealed::seal(&mut rng, &recipient.public, &msg).unwrap();
         prop_assert_eq!(sealed::open(&recipient, &boxed).unwrap(), msg);
         let mut tampered = boxed.clone();
         let idx = flip % tampered.len();
@@ -367,9 +371,56 @@ fn scalar_mul_edges_match_double_and_add() {
         let hex_k = hex::encode(&k);
         assert!(p.scalar_mul(&k).ct_eq(&scalar_mul_reference(&p, &k)), "{hex_k}");
         assert!(Point::mul_base(&k).ct_eq(&scalar_mul_reference(&Point::base(), &k)), "{hex_k}");
-        let both = scalar_mul_reference(&p, &k).add(&scalar_mul_reference(&Point::base(), &k));
-        assert!(Point::double_scalar_mul_base(&k, &p, &k).ct_eq(&both), "{hex_k}");
     }
+}
+
+/// Honest and tampered signatures under `n` keys derived from `tag`, with
+/// the decision each must get.
+fn signed_under_keys(tag: u8, n: u16) -> Vec<(PublicKey, Signature, bool)> {
+    (0..n)
+        .map(|i| {
+            let mut seed = [tag; 32];
+            seed[..2].copy_from_slice(&i.to_le_bytes());
+            let kp = Keypair::from_seed(&seed);
+            let mut sig = kp.sign(b"prepared");
+            // Every third signature has a flipped bit in s.
+            let honest = i % 3 != 0;
+            if !honest {
+                sig.s[0] ^= 1;
+            }
+            (kp.public, sig, honest)
+        })
+        .collect()
+}
+
+/// More keys than the memo holds, then the first of them again: every
+/// decision survives the memo filling and being cleared.
+#[test]
+fn verify_decides_alike_past_the_memo_capacity() {
+    let signed = signed_under_keys(0x3c, 600);
+    for (key, sig, honest) in signed.iter().chain(&signed[..64]) {
+        assert_eq!(key.verify(b"prepared", sig), *honest, "{key}");
+    }
+}
+
+/// Two threads released together onto the same new keys decide as one
+/// thread does afterwards.
+#[test]
+fn verify_decides_alike_across_threads() {
+    let signed = signed_under_keys(0xc3, 48);
+    let decide = || -> Vec<bool> {
+        signed.iter().map(|(key, sig, _)| key.verify(b"prepared", sig)).collect()
+    };
+    let start = std::sync::Barrier::new(2);
+    let racing = || {
+        start.wait();
+        decide()
+    };
+    let [a, b] =
+        std::thread::scope(|s| [s.spawn(racing), s.spawn(racing)].map(|t| t.join().unwrap()));
+    let single = decide();
+    assert_eq!(single, signed.iter().map(|(_, _, honest)| *honest).collect::<Vec<_>>());
+    assert_eq!((&a, &b), (&single, &single));
 }
 
 /// Every combination of edge scalars as `muladd`'s operands, and every

@@ -34,7 +34,7 @@ impl Challenge {
     /// # Errors
     ///
     /// Returns [`DidError::KeyMismatch`] if the document's agreement key is
-    /// malformed.
+    /// malformed or a low-order point, to which no challenge can be sealed.
     pub fn issue<R: rand::RngCore>(
         rng: &mut R,
         document: &DidDocument,
@@ -42,7 +42,8 @@ impl Challenge {
         let agreement_pk = document.agreement_public_key()?;
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill_bytes(&mut nonce);
-        let ciphertext = sealed::seal(rng, &agreement_pk, &nonce);
+        let ciphertext =
+            sealed::seal(rng, &agreement_pk, &nonce).map_err(|_| DidError::KeyMismatch)?;
         Ok(Challenge { ciphertext, expected: nonce })
     }
 
@@ -93,6 +94,7 @@ pub fn authenticate<R: rand::RngCore>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pol_crypto::x25519::XKeypair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -111,6 +113,24 @@ mod tests {
         let mallory = Identity::generate(&mut rng);
         let doc = alice.document(0);
         assert_eq!(authenticate(&mut rng, &doc, &mallory), Err(DidError::ChallengeFailed));
+    }
+
+    /// A document whose agreement key is a low-order point (u = 0 or 1)
+    /// would key its challenge by a zero shared secret, which a responder
+    /// with the zero secret also computes: no challenge is issued to it.
+    #[test]
+    fn low_order_agreement_key_authenticates_nobody() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let alice = Identity::generate(&mut rng);
+        for u in [0u8, 1] {
+            let mut low_order = [0u8; 32];
+            low_order[0] = u;
+            let mut doc = alice.document(0);
+            doc.agreement_key = pol_crypto::hex::encode(&low_order);
+            let mut anyone = Identity::generate(&mut rng);
+            anyone.agreement = XKeypair { secret: [0u8; 32], public: low_order };
+            assert_eq!(authenticate(&mut rng, &doc, &anyone), Err(DidError::KeyMismatch));
+        }
     }
 
     #[test]
