@@ -94,6 +94,8 @@ pub struct Chain {
     pub config: ChainConfig,
     now_ms: u64,
     blocks: Vec<Block>,
+    /// The hash of the last block, hashed once when it was produced.
+    tip: BlockHash,
     base_fee: u128,
     mempool: Vec<PendingTx>,
     world: WorldState,
@@ -175,6 +177,7 @@ impl Chain {
             base_fee: config.initial_base_fee,
             config,
             now_ms: 0,
+            tip: genesis.hash(),
             blocks: vec![genesis],
             mempool: Vec::new(),
             world,
@@ -762,10 +765,12 @@ impl Chain {
         let block_gas_used = background_gas + outcome.tx_gas;
         self.total_burned += outcome.burned;
         let mut included = Vec::new();
+        let mut ids = Vec::new();
         for (pending, receipt) in outcome.committed {
             self.avm_payloads.remove(&pending.id);
             self.receipts.insert(pending.id, PendingReceipt { receipt, included_height: height });
             included.push(pending.tx);
+            ids.push(pending.id);
         }
         self.mempool = outcome.leftover;
 
@@ -775,16 +780,17 @@ impl Chain {
                 feemarket::next_base_fee(self.base_fee, block_gas_used, self.config.gas_target);
         }
 
-        let parent = self.blocks.last().expect("genesis exists").hash();
-        self.blocks.push(Block {
+        let block = Block {
             number: height,
-            parent,
+            parent: self.tip,
             timestamp_ms: block_time,
             proposer,
             base_fee_per_gas: self.base_fee,
             gas_used: block_gas_used,
             transactions: included,
-        });
+        };
+        self.tip = block.hash_with_ids(&ids);
+        self.blocks.push(block);
         // Block boundary: the WAL's durability flush / snapshot policy,
         // the trie's hashing of what the block dirtied (a no-op for the
         // memory backend).
@@ -1175,6 +1181,40 @@ mod tests {
             funded,
             "burned more than was debited"
         );
+    }
+
+    /// The tip hash a block is produced with, from the ids the chain
+    /// already holds, is `Block::hash()` of that block: every block's
+    /// parent is its predecessor's hash, and the tip is the last one's.
+    #[test]
+    fn produced_blocks_chain_by_their_hashes() {
+        for (preset, seed) in [(presets::devnet_evm(), 18), (presets::devnet_algo(), 19)] {
+            let mut chain = preset.build(seed);
+            let (alice, alice_addr) = chain.create_funded_account(10u128.pow(18));
+            let (_, bob_addr) = chain.create_funded_account(0);
+            let (max_fee, prio) = chain.suggested_fees();
+            for round in 0..3u64 {
+                let ids: Vec<TxId> = (0..3)
+                    .map(|i| {
+                        let tx = Transaction::transfer(alice_addr, bob_addr, 1, 3 * round + i)
+                            .with_fees(max_fee, prio)
+                            .signed(&alice);
+                        chain.submit(tx).unwrap()
+                    })
+                    .collect();
+                for id in ids {
+                    assert!(chain.await_tx(id).unwrap().status.is_success());
+                }
+                chain.step_block();
+            }
+            let height = chain.height();
+            let blocks: Vec<&Block> = (0..=height).map(|h| chain.block(h).unwrap()).collect();
+            assert!(blocks.iter().any(|b| b.transactions.len() > 1), "{}", chain.config.name);
+            for pair in blocks.windows(2) {
+                assert_eq!(pair[1].parent, pair[0].hash(), "block {}", pair[1].number);
+            }
+            assert_eq!(chain.tip, blocks[height as usize].hash());
+        }
     }
 
     /// Regression: a transfer carrying no recipient used to credit

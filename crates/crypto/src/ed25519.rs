@@ -26,17 +26,23 @@ const BASE: Point = Point {
     t: Fe([1841354044333475, 16398895984059, 755974180946558, 900171276175154, 1821297809914039]),
 };
 
-/// wNAF width for a point that is not fixed (a key in `verify`, the
-/// operand of `scalar_mul`), and the eight odd multiples its digits index.
+/// wNAF width for the operand of `scalar_mul`, and the eight odd multiples
+/// its digits index.
 const VAR_WIDTH: usize = 5;
 const VAR_ENTRIES: usize = 1 << (VAR_WIDTH - 2);
-/// wNAF width for the base point, and its 64 odd multiples built once.
+/// wNAF width for a key in `verify`, and the four odd multiples per chunk
+/// its digits index.
+const KEY_WIDTH: usize = 4;
+const KEY_ENTRIES: usize = 1 << (KEY_WIDTH - 2);
+/// wNAF width for the base point, and its 64 odd multiples per chunk.
 const BASE_WIDTH: usize = 8;
 const BASE_ENTRIES: usize = 1 << (BASE_WIDTH - 2);
 
-/// `verify` splits both of its scalars at 2^128 into two half-width terms.
-const SPLIT_BITS: usize = 128;
-/// The most keys `verify` keeps prepared (2.5 KiB each); a full memo is
+/// `verify` splits both of its scalars into eight chunks of 32 digit
+/// positions; the carry digit at position 256 belongs to the top chunk.
+const CHUNKS: usize = 8;
+const CHUNK_BITS: usize = 32;
+/// The most keys `verify` keeps prepared (3.75 KiB each); a full memo is
 /// cleared.
 const PREPARED_KEYS: usize = 512;
 
@@ -60,8 +66,7 @@ pub struct Point {
 }
 
 /// A point prepared as an addend, (Y+X, Y−X, 2Z, 2dT): the four products
-/// of the addition law that depend on one operand only. A table entry is
-/// prepared once and added many times.
+/// of the addition law that depend on one operand only.
 #[derive(Clone, Copy)]
 struct Cached {
     y_plus_x: Fe,
@@ -70,15 +75,20 @@ struct Cached {
     t2d: Fe,
 }
 
-impl Cached {
-    /// Negating (x, y) swaps Y+X with Y−X and flips T.
-    fn neg(&self) -> Cached {
-        Cached {
-            y_plus_x: self.y_minus_x,
-            y_minus_x: self.y_plus_x,
-            z2: self.z2,
-            t2d: self.t2d.neg(),
-        }
+/// A point prepared as an addend with Z = 1, (y+x, y−x, 2dxy): the cached
+/// form without its Z, so an addition costs one product fewer. Every
+/// table of odd multiples or subset sums holds this form.
+#[derive(Clone, Copy)]
+struct Affine {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+impl Affine {
+    /// Negating (x, y) swaps y+x with y−x and flips xy.
+    fn neg(&self) -> Affine {
+        Affine { y_plus_x: self.y_minus_x, y_minus_x: self.y_plus_x, xy2d: self.xy2d.neg() }
     }
 }
 
@@ -110,8 +120,8 @@ impl Completed {
         double_xyz(&self.e.mul(&self.f), &self.g.mul(&self.h), &self.f.mul(&self.g))
     }
 
-    fn add(self, rhs: &Cached) -> Completed {
-        self.to_extended().add_cached(rhs)
+    fn add_affine(self, rhs: &Affine) -> Completed {
+        self.to_extended().add_affine(rhs)
     }
 }
 
@@ -165,45 +175,59 @@ fn wnaf(k: &[u8; 32], w: usize) -> Naf {
     naf
 }
 
-/// P, 3P, 5P, …, (2N−1)P as addends.
-fn odd_multiples<const N: usize>(p: &Point) -> [Cached; N] {
+/// P, 3P, 5P, …, (2N−1)P.
+fn odd_multiples<const N: usize>(p: &Point) -> [Point; N] {
     let p2 = p.double().to_cached();
     let mut multiple = *p;
-    let mut table = [p.to_cached(); N];
-    for entry in table.iter_mut().skip(1) {
-        multiple = multiple.add_cached(&p2).to_extended();
-        *entry = multiple.to_cached();
+    core::array::from_fn(|i| {
+        if i > 0 {
+            multiple = multiple.add_cached(&p2).to_extended();
+        }
+        multiple
+    })
+}
+
+/// The odd multiples of [2^(32i)]P for each chunk i.
+fn chunk_multiples<const N: usize>(p: &Point) -> [[Point; N]; CHUNKS] {
+    let mut row = *p;
+    core::array::from_fn(|i| {
+        if i > 0 {
+            row = row.double_n(CHUNK_BITS);
+        }
+        odd_multiples(&row)
+    })
+}
+
+/// Every point of `rows` as an affine addend, the whole set normalised
+/// with one inversion (Montgomery's trick): the product of every Z is
+/// inverted once, and each 1/Z is recovered from it with two products.
+fn batch_to_affine<const N: usize, const M: usize>(rows: &[[Point; N]; M]) -> [[Affine; N]; M] {
+    let points = rows.as_flattened();
+    // First Z₀·…·Zᵢ₋₁ at each i, then 1/Zᵢ in its place, last point first.
+    let mut zinv = Vec::with_capacity(points.len());
+    let mut product = Fe::ONE;
+    for p in points {
+        zinv.push(product);
+        product = product.mul(&p.z);
     }
-    table
+    let mut inv = product.invert();
+    for (z, p) in zinv.iter_mut().zip(points).rev() {
+        *z = inv.mul(z);
+        inv = inv.mul(&p.z);
+    }
+    core::array::from_fn(|i| core::array::from_fn(|j| rows[i][j].to_affine(&zinv[i * N + j])))
 }
 
-/// The odd multiples of P and of [2^128]P: one table for each half of a
-/// scalar split at 2^128.
-type SplitTable<const N: usize> = [[Cached; N]; 2];
-
-fn split_odd_multiples<const N: usize>(p: &Point) -> SplitTable<N> {
-    [odd_multiples(p), odd_multiples(&p.double_n(SPLIT_BITS))]
+/// The odd multiples B, 3B, …, 127B of [2^(32i)]B for each chunk i
+/// (60 KiB), built on first use.
+fn base_tables() -> &'static [[Affine; BASE_ENTRIES]; CHUNKS] {
+    static TABLES: OnceLock<[[Affine; BASE_ENTRIES]; CHUNKS]> = OnceLock::new();
+    TABLES.get_or_init(|| batch_to_affine(&chunk_multiples(&BASE)))
 }
 
-/// A scalar's low and high 128 bits, each as a 256-bit scalar.
-fn split(k: &[u8; 32]) -> [[u8; 32]; 2] {
-    let half = SPLIT_BITS / 8;
-    let mut halves = [[0u8; 32]; 2];
-    halves[0][..half].copy_from_slice(&k[..half]);
-    halves[1][..half].copy_from_slice(&k[half..]);
-    halves
-}
-
-/// B, 3B, …, 127B and the same multiples of [2^128]B (20 KiB), built on
-/// first use.
-fn base_tables() -> &'static SplitTable<BASE_ENTRIES> {
-    static TABLES: OnceLock<SplitTable<BASE_ENTRIES>> = OnceLock::new();
-    TABLES.get_or_init(|| split_odd_multiples(&BASE))
-}
-
-/// A key as `verify` reads it: −A, −3A, …, −15A and the same multiples of
-/// −[2^128]A (2.5 KiB).
-type PreparedKey = SplitTable<VAR_ENTRIES>;
+/// A key as `verify` reads it: −A, −3A, −5A, −7A and the same multiples
+/// of −[2^(32i)]A for each chunk i (3.75 KiB).
+type PreparedKey = [[Affine; KEY_ENTRIES]; CHUNKS];
 
 /// The process-wide memo of prepared keys, by their exact bytes.
 fn prepared_keys() -> &'static Mutex<HashMap<[u8; 32], Arc<PreparedKey>>> {
@@ -221,7 +245,7 @@ fn prepared_key(bytes: &[u8; 32]) -> Option<Arc<PreparedKey>> {
     if let Some(key) = memo.lock().unwrap_or_else(PoisonError::into_inner).get(bytes) {
         return Some(Arc::clone(key));
     }
-    let key = Arc::new(split_odd_multiples(&Point::decompress(bytes).ok()?.neg()));
+    let key = Arc::new(batch_to_affine(&chunk_multiples(&Point::decompress(bytes).ok()?.neg())));
     let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
     if memo.len() >= PREPARED_KEYS {
         memo.clear();
@@ -230,23 +254,69 @@ fn prepared_key(bytes: &[u8; 32]) -> Option<Arc<PreparedKey>> {
     Some(key)
 }
 
-/// `[k]P + [s]B` for the point P whose split table is `key`, in one
-/// Straus pass over four half-width terms: with k = k₀ + 2^128·k₁ and
-/// s = s₀ + 2^128·s₁ it is [k₀]P + [k₁]([2^128]P) + [s₀]B + [s₁]([2^128]B),
-/// the same group element, for at most 128 doublings instead of about 253.
-fn split_double_scalar_mul(k: &[u8; 32], key: &PreparedKey, s: &[u8; 32]) -> Point {
-    let [k_lo, k_hi] = split(k).map(|half| wnaf(&half, VAR_WIDTH));
-    let [s_lo, s_hi] = split(s).map(|half| wnaf(&half, BASE_WIDTH));
-    let base = base_tables();
-    multi_scalar_mul(&[(&k_lo, &key[0]), (&k_hi, &key[1]), (&s_lo, &base[0]), (&s_hi, &base[1])])
+/// A recoded scalar's digits by chunk: digit p sits in chunk
+/// min(p / 32, 7) at offset p − 32·chunk, so only the top chunk has a
+/// digit at offset 32, the carry out of bit 255.
+type ChunkedNaf = [[i8; CHUNK_BITS + 1]; CHUNKS];
+
+fn chunked(naf: &Naf) -> ChunkedNaf {
+    let mut chunks = [[0i8; CHUNK_BITS + 1]; CHUNKS];
+    for (p, &digit) in naf.iter().enumerate() {
+        let chunk = (p / CHUNK_BITS).min(CHUNKS - 1);
+        chunks[chunk][p - chunk * CHUNK_BITS] = digit;
+    }
+    chunks
 }
 
-/// The comb's table (10 KiB), built on first use: for block j, entry
+/// Σ [kᵢ]Pᵢ in one interleaved pass (Straus): the doublings are shared,
+/// and each term adds a table entry, or its negation, where its digits
+/// are non-zero. Each term is a row of wNAF digits, all rows the same
+/// length, and the odd multiples of its point.
+fn multi_scalar_mul(terms: &[(&[i8], &[Affine])]) -> Point {
+    let len = terms.first().map_or(0, |(digits, _)| digits.len());
+    let used = |offset: &usize| terms.iter().any(|(digits, _)| digits[*offset] != 0);
+    let top = (0..len).rev().find(used).unwrap_or(0);
+    let mut acc = Completed::IDENTITY;
+    for offset in (0..=top).rev() {
+        for (digits, table) in terms {
+            let digit = digits[offset];
+            if digit != 0 {
+                let entry = &table[usize::from(digit.unsigned_abs() / 2)];
+                acc = acc.add_affine(&if digit > 0 { *entry } else { entry.neg() });
+            }
+        }
+        if offset > 0 {
+            acc = acc.double();
+        }
+    }
+    acc.to_extended()
+}
+
+/// `[k]P + [s]B` for the point P whose chunk tables are `key`, as sixteen
+/// Straus terms. Each scalar's digits are split by `chunked`, so with kᵢ
+/// and sᵢ the digits of chunk i it is Σ [kᵢ]([2^(32i)]P) + [sᵢ]([2^(32i)]B),
+/// the same group element, for at most 31 doublings when k, s < 2^253
+/// (32 with a carry digit) instead of about 253.
+fn split_double_scalar_mul(k: &[u8; 32], key: &PreparedKey, s: &[u8; 32]) -> Point {
+    let k = chunked(&wnaf(k, KEY_WIDTH));
+    let s = chunked(&wnaf(s, BASE_WIDTH));
+    let base = base_tables();
+    let terms: [(&[i8], &[Affine]); 2 * CHUNKS] = core::array::from_fn(|i| {
+        if i < CHUNKS {
+            (&k[i][..], &key[i][..])
+        } else {
+            (&s[i - CHUNKS][..], &base[i - CHUNKS][..])
+        }
+    });
+    multi_scalar_mul(&terms)
+}
+
+/// The comb's table (7.3 KiB), built on first use: for block j, entry
 /// m − 1 is Σ 2^(52i + 26j)·B over the teeth i set in the mask m.
-fn comb_table() -> &'static [[Cached; COMB_ENTRIES]; COMB_BLOCKS] {
-    static TABLE: OnceLock<[[Cached; COMB_ENTRIES]; COMB_BLOCKS]> = OnceLock::new();
+fn comb_table() -> &'static [[Affine; COMB_ENTRIES]; COMB_BLOCKS] {
+    static TABLE: OnceLock<[[Affine; COMB_ENTRIES]; COMB_BLOCKS]> = OnceLock::new();
     TABLE.get_or_init(|| {
-        core::array::from_fn(|block| {
+        batch_to_affine(&core::array::from_fn(|block| {
             let mut tooth = BASE.double_n(block * COMB_SPACING);
             let mut sums = [Point::identity(); 1 << COMB_TEETH];
             for i in 0..COMB_TEETH {
@@ -255,8 +325,8 @@ fn comb_table() -> &'static [[Cached; COMB_ENTRIES]; COMB_BLOCKS] {
                 }
                 tooth = tooth.double_n(COMB_TOOTH_BITS);
             }
-            core::array::from_fn(|m| sums[m + 1].to_cached())
-        })
+            core::array::from_fn(|m| sums[m + 1])
+        }))
     })
 }
 
@@ -271,29 +341,6 @@ fn comb_mask(k: &[u8; 32], bit: usize) -> usize {
         }
     }
     mask
-}
-
-/// Σ [kᵢ]Pᵢ in one interleaved pass (Straus): the doublings are shared,
-/// and each term adds a table entry, or its negation, where its recoded
-/// scalar has a non-zero digit. Each term is a scalar's NAF and the odd multiples
-/// of its point.
-fn multi_scalar_mul(terms: &[(&Naf, &[Cached])]) -> Point {
-    let used = |i: &usize| terms.iter().any(|(naf, _)| naf[*i] != 0);
-    let top = (0..257).rev().find(used).unwrap_or(0);
-    let mut acc = Completed::IDENTITY;
-    for i in (0..=top).rev() {
-        for (naf, table) in terms {
-            let digit = naf[i];
-            if digit != 0 {
-                let entry = &table[usize::from(digit.unsigned_abs() / 2)];
-                acc = acc.add(&if digit > 0 { *entry } else { entry.neg() });
-            }
-        }
-        if i > 0 {
-            acc = acc.double();
-        }
-    }
-    acc.to_extended()
 }
 
 impl Point {
@@ -316,12 +363,29 @@ impl Point {
         }
     }
 
+    /// This point as an affine addend, given 1/Z.
+    fn to_affine(self, zinv: &Fe) -> Affine {
+        let x = self.x.mul(zinv);
+        let y = self.y.mul(zinv);
+        Affine { y_plus_x: y.add(&x), y_minus_x: y.sub(&x), xy2d: x.mul(&y).mul(&D2) }
+    }
+
     /// The unified, complete addition law against a prepared addend.
     fn add_cached(&self, rhs: &Cached) -> Completed {
         let a = self.y.sub(&self.x).mul(&rhs.y_minus_x);
         let b = self.y.add(&self.x).mul(&rhs.y_plus_x);
         let c = self.t.mul(&rhs.t2d);
         let d = self.z.mul(&rhs.z2);
+        Completed { e: b.sub(&a), f: d.sub(&c), g: d.add(&c), h: b.add(&a) }
+    }
+
+    /// The same law against an affine addend, whose Z = 1 turns the
+    /// product Z₁·2Z₂ into 2Z₁.
+    fn add_affine(&self, rhs: &Affine) -> Completed {
+        let a = self.y.sub(&self.x).mul(&rhs.y_minus_x);
+        let b = self.y.add(&self.x).mul(&rhs.y_plus_x);
+        let c = self.t.mul(&rhs.xy2d);
+        let d = self.z.add(&self.z);
         Completed { e: b.sub(&a), f: d.sub(&c), g: d.add(&c), h: b.add(&a) }
     }
 
@@ -352,7 +416,8 @@ impl Point {
     /// value, reduced or not). Variable-time, like everything in this
     /// simulation's substrate.
     pub fn scalar_mul(&self, k: &[u8; 32]) -> Point {
-        multi_scalar_mul(&[(&wnaf(k, VAR_WIDTH), &odd_multiples::<VAR_ENTRIES>(self))])
+        let [table] = batch_to_affine(&[odd_multiples::<VAR_ENTRIES>(self)]);
+        multi_scalar_mul(&[(&wnaf(k, VAR_WIDTH), &table)])
     }
 
     /// `[k]B` for the base point B and any 256-bit `k`, by a fixed-base
@@ -365,7 +430,7 @@ impl Point {
             for (block, entries) in table.iter().enumerate() {
                 let mask = comb_mask(k, block * COMB_SPACING + t);
                 if mask != 0 {
-                    acc = acc.add(&entries[mask - 1]);
+                    acc = acc.add_affine(&entries[mask - 1]);
                 }
             }
             if t > 0 {
@@ -585,9 +650,10 @@ impl PublicKey {
     /// both decompress, and the cofactorless equation `[s]B = R + [k]A` holds
     /// with k = H(R ‖ A ‖ M) mod ℓ. The equation is evaluated as
     /// `[s]B − [k]A == R`, which is one multi-scalar multiplication with
-    /// both scalars split at 2^128 and a projective comparison; small-order
-    /// keys and R are not singled out. A key's tables are built on its first
-    /// verification and kept in a bounded process-wide memo.
+    /// both scalars split into eight 32-bit chunks and a projective
+    /// comparison; small-order keys and R are not singled out. A key's
+    /// tables are built on its first verification and kept in a bounded
+    /// process-wide memo.
     ///
     /// Returns `false` for invalid points, non-canonical scalars, or a
     /// failed group equation — never panics on malformed input.
@@ -929,9 +995,14 @@ mod tests {
         })
     }
 
+    fn order_8_point() -> Point {
+        Point::decompress(&hex::decode_array(EDGE_ENCODINGS[4].0).unwrap()).unwrap()
+    }
+
     /// The split equation is `[k]P + [s]B` for scalars with the bits on
-    /// both sides of the split and at the top set, on a key with and
-    /// without a torsion component.
+    /// both sides of every chunk boundary and at the top set (2^256 − 1
+    /// puts a carry digit at 256), on a key with and without a torsion
+    /// component.
     #[test]
     fn split_equation_matches_double_and_add() {
         let with_bits = |bits: &[usize]| {
@@ -942,21 +1013,14 @@ mod tests {
             k
         };
         let l_minus_1 = bigint::to_le_bytes32(&bigint::sub256(&scalar::L, &[1, 0, 0, 0]).0);
-        let scalars = [
-            [0u8; 32],
-            l_minus_1,
-            with_bits(&[127]),
-            with_bits(&[128]),
-            with_bits(&[252]),
-            with_bits(&[255]),
-            with_bits(&[127, 128, 252, 255]),
-            [0xff; 32],
-        ];
+        let boundaries: Vec<usize> =
+            (1..CHUNKS).flat_map(|i| [CHUNK_BITS * i - 1, CHUNK_BITS * i]).collect();
+        let mut scalars = vec![[0u8; 32], l_minus_1, [0xff; 32]];
+        scalars.extend(boundaries.iter().chain(&[252, 255]).map(|&n| with_bits(&[n])));
         let a = Point::decompress(&Keypair::from_seed(&[6u8; 32]).public.0).unwrap();
-        let order_8 = Point::decompress(&hex::decode_array(EDGE_ENCODINGS[4].0).unwrap()).unwrap();
         let s_b: Vec<Point> = scalars.iter().map(|s| double_and_add(&BASE, s)).collect();
-        for p in [a, a.add(&order_8)] {
-            let key = split_odd_multiples(&p);
+        for p in [a, a.add(&order_8_point())] {
+            let key = batch_to_affine(&chunk_multiples(&p));
             for k in &scalars {
                 let k_p = double_and_add(&p, k);
                 for (s, s_b) in scalars.iter().zip(&s_b) {
@@ -965,6 +1029,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One batched inversion gives every entry the affine coordinates
+    /// X/Z, Y/Z that a per-point inversion does, the identity included:
+    /// a small-order key's chunk multiples past the first are all it.
+    #[test]
+    fn batched_affine_matches_per_point_inversion() {
+        let a = Point::decompress(&Keypair::from_seed(&[6u8; 32]).public.0).unwrap();
+        for p in [order_8_point(), a.add(&order_8_point())] {
+            let rows = chunk_multiples::<KEY_ENTRIES>(&p);
+            let affine = batch_to_affine(&rows);
+            for (point, entry) in rows.as_flattened().iter().zip(affine.as_flattened()) {
+                let zinv = point.z.invert();
+                let (x, y) = (point.x.mul(&zinv), point.y.mul(&zinv));
+                assert_eq!(entry.y_plus_x, y.add(&x));
+                assert_eq!(entry.y_minus_x, y.sub(&x));
+                assert_eq!(entry.xy2d, x.mul(&y).mul(&D2));
+            }
+        }
+        let identities = chunk_multiples::<KEY_ENTRIES>(&order_8_point())
+            .as_flattened()
+            .iter()
+            .filter(|q| **q == Point::identity())
+            .count();
+        assert_eq!(identities, (CHUNKS - 1) * KEY_ENTRIES);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Blocks and block hashes.
 
 use crate::address::Address;
-use crate::tx::Transaction;
+use crate::tx::{Transaction, TxId};
 use pol_crypto::{hex, sha256};
 
 /// A block hash.
@@ -48,14 +48,28 @@ pub struct Block {
 impl Block {
     /// Computes the block hash from header fields and transaction ids.
     pub fn hash(&self) -> BlockHash {
-        let mut preimage = Vec::with_capacity(128 + self.transactions.len() * 32);
+        let ids: Vec<TxId> = self.transactions.iter().map(Transaction::id).collect();
+        self.hash_with_ids(&ids)
+    }
+
+    /// The block hash over the header fields and `ids`, which must be the
+    /// ids of `transactions` in order: a producer that already holds them
+    /// skips re-encoding and re-hashing every transaction. Debug builds
+    /// check that they are.
+    pub fn hash_with_ids(&self, ids: &[TxId]) -> BlockHash {
+        debug_assert_eq!(ids.len(), self.transactions.len(), "one id per transaction");
+        debug_assert!(
+            ids.iter().zip(&self.transactions).all(|(id, tx)| *id == tx.id()),
+            "ids are the transactions' ids, in order"
+        );
+        let mut preimage = Vec::with_capacity(128 + ids.len() * 32);
         preimage.extend_from_slice(&self.number.to_be_bytes());
         preimage.extend_from_slice(&self.parent.0);
         preimage.extend_from_slice(&self.timestamp_ms.to_be_bytes());
         preimage.extend_from_slice(&self.proposer.0);
         preimage.extend_from_slice(&self.base_fee_per_gas.to_be_bytes());
-        for tx in &self.transactions {
-            preimage.extend_from_slice(&tx.id().0);
+        for id in ids {
+            preimage.extend_from_slice(&id.0);
         }
         BlockHash(sha256(&preimage))
     }
