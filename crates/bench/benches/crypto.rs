@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pol_crypto::ed25519::{Keypair, Point};
 use pol_crypto::x25519::XKeypair;
-use pol_crypto::{keccak256, scalar, sealed, sha256, vrf};
+use pol_crypto::{keccak256, scalar, sealed, sha256};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -78,14 +78,7 @@ fn operations(c: &mut Criterion) {
     });
 }
 
-fn vrf_and_boxes(c: &mut Criterion) {
-    let kp = Keypair::from_seed(&[9u8; 32]);
-    let (_, proof) = vrf::prove(&kp, b"round 1");
-    c.bench_function("vrf/prove", |b| b.iter(|| vrf::prove(&kp, black_box(b"round 1"))));
-    c.bench_function("vrf/verify", |b| {
-        b.iter(|| vrf::verify(&kp.public, black_box(b"round 1"), &proof).unwrap())
-    });
-
+fn boxes(c: &mut Criterion) {
     let recipient = XKeypair::from_seed(&[4u8; 32]);
     let payload = [0x11u8; 32];
     c.bench_function("sealed/seal+open", |b| {
@@ -100,5 +93,5 @@ fn vrf_and_boxes(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, hashes, signatures, operations, vrf_and_boxes);
+criterion_group!(benches, hashes, signatures, operations, boxes);
 criterion_main!(benches);

@@ -5,7 +5,7 @@ use crate::executor::{self, ExecCtx, ExecStats, ExecutionMode};
 use crate::facts::{AccessResolver, GasResolver, StaticFacts};
 use crate::feemarket;
 use pol_avm::{AvmProgram, AvmView};
-use pol_consensus::{pos, ppos, StakeRegistry};
+use pol_consensus::StakeRegistry;
 use pol_crypto::ed25519::Keypair;
 use pol_crypto::sha256;
 use pol_evm::CodeCache;
@@ -65,11 +65,9 @@ pub struct ChainConfig {
     /// (node-provider RPC polling, signing); dithers the phase at which
     /// the next transaction of a sequential workload lands in a slot.
     pub client_delay_ms: (u64, u64),
-    /// Number of consensus validators.
+    /// Number of equal-stake validators; each block's proposer is a
+    /// stake-weighted draw among them.
     pub validators: usize,
-    /// Run the full consensus protocol (VRF sortition / proposer
-    /// sampling) per block instead of the fast hash-based shortcut.
-    pub full_consensus: bool,
 }
 
 pub(crate) struct PendingTx {
@@ -103,7 +101,6 @@ pub struct Chain {
     receipts: HashMap<TxId, PendingReceipt>,
     rng: StdRng,
     registry: StakeRegistry,
-    validator_keys: Vec<Keypair>,
     randao: [u8; 32],
     total_burned: u128,
     exec_mode: ExecutionMode,
@@ -163,7 +160,7 @@ impl Chain {
     }
 
     fn with_world(config: ChainConfig, seed: u64, world: WorldState) -> Chain {
-        let (registry, validator_keys) = StakeRegistry::equal_stake(config.validators.max(1), 32);
+        let registry = StakeRegistry::equal_stake(config.validators.max(1), 32);
         let genesis = Block {
             number: 0,
             parent: BlockHash::GENESIS_PARENT,
@@ -185,7 +182,6 @@ impl Chain {
             receipts: HashMap::new(),
             rng: StdRng::seed_from_u64(seed),
             registry,
-            validator_keys,
             randao: sha256(b"genesis-randao"),
             total_burned: 0,
             exec_mode: ExecutionMode::Sequential,
@@ -688,48 +684,15 @@ impl Chain {
         };
         let height = self.blocks.len() as u64;
 
-        // Consensus: pick a proposer.
-        let proposer = if self.config.full_consensus {
-            match self.config.vm {
-                VmKind::Evm => {
-                    let v = pos::select_proposer(&self.registry, height, &self.randao)
-                        .expect("registry non-empty");
-                    let proposer_addr = v.address;
-                    let key = self
-                        .validator_keys
-                        .iter()
-                        .find(|k| k.public == v.public)
-                        .expect("keys match registry");
-                    let sig = key.sign(&height.to_be_bytes());
-                    self.randao = pos::next_randao(&self.randao, &sig);
-                    proposer_addr
-                }
-                VmKind::Avm => {
-                    match ppos::run_round(
-                        &self.registry,
-                        &self.validator_keys,
-                        &self.randao,
-                        height,
-                    ) {
-                        Ok(outcome) => {
-                            self.randao = outcome.next_seed;
-                            Address::from_public_key(&outcome.leader)
-                        }
-                        Err(_) => Address::ZERO,
-                    }
-                }
-            }
-        } else {
-            // Fast path: hash-based stake-weighted pick.
-            let mut preimage = self.randao.to_vec();
-            preimage.extend_from_slice(&height.to_be_bytes());
-            let digest = sha256(&preimage);
-            self.randao = digest;
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&digest[..8]);
-            let point = u64::from_le_bytes(b) % self.registry.total_stake();
-            self.registry.by_stake_point(point).address
-        };
+        // Consensus: a hash-chained, stake-weighted proposer pick.
+        let mut preimage = self.randao.to_vec();
+        preimage.extend_from_slice(&height.to_be_bytes());
+        let digest = sha256(&preimage);
+        self.randao = digest;
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&digest[..8]);
+        let point = u64::from_le_bytes(b) % self.registry.total_stake();
+        let proposer = self.registry.by_stake_point(point).address;
 
         // Congestion: background traffic eats block capacity.
         let load = self.config.congestion.step(&mut self.rng);
@@ -1214,6 +1177,65 @@ mod tests {
                 assert_eq!(pair[1].parent, pair[0].hash(), "block {}", pair[1].number);
             }
             assert_eq!(chain.tip, blocks[height as usize].hash());
+        }
+    }
+
+    /// Each block's proposer is a stake-weighted draw from a hash chain
+    /// seeded by `sha256(b"genesis-randao")`, and the proposer is part of
+    /// every block hash. The first proposers and the tip after 64 empty
+    /// blocks are pinned, so neither the validator addresses nor the seed
+    /// chain can move silently.
+    #[test]
+    fn proposers_are_registry_validators_drawn_from_the_pinned_seed_chain() {
+        use std::collections::HashSet;
+        let cases = [
+            (
+                presets::goerli(),
+                [
+                    "0x7c049707b92a0a881ae21cf8452b9e975d0020ef",
+                    "0xfdc4ffc3dfe6a703ab89b5e03495f4f61d8279d8",
+                    "0xa552ee0df603b0b49830efcab56b3d5497fe13ab",
+                    "0x04221bb69cfb457d21953d55bf70c27de19ed811",
+                    "0xa552ee0df603b0b49830efcab56b3d5497fe13ab",
+                    "0xab92e7a23c065ec5985ac9d73cbc0088a57b41c3",
+                    "0xe3f45cec9ebb0a154827aada051c505bd8d3dec0",
+                    "0xe3f45cec9ebb0a154827aada051c505bd8d3dec0",
+                ],
+                "0x164e7d02b2245a9ce2ef3433bf17ecb36947847b24abef46b523515bd1ad990e",
+            ),
+            (
+                presets::algorand_testnet(),
+                [
+                    "0x7c049707b92a0a881ae21cf8452b9e975d0020ef",
+                    "0xfdc4ffc3dfe6a703ab89b5e03495f4f61d8279d8",
+                    "0xe70a3b36f9bbf7380105da068dcd73e06ac3bbd2",
+                    "0x7c049707b92a0a881ae21cf8452b9e975d0020ef",
+                    "0xe70a3b36f9bbf7380105da068dcd73e06ac3bbd2",
+                    "0x8e9af17c1fd3527c5484a4a27aa19ac11f62a910",
+                    "0xfdc4ffc3dfe6a703ab89b5e03495f4f61d8279d8",
+                    "0xfdc4ffc3dfe6a703ab89b5e03495f4f61d8279d8",
+                ],
+                "0x3530b23dbca624b8a7434f7bb03620ae5f7748a7f0b4b1e21f1085ba8cd61735",
+            ),
+        ];
+        for (preset, first_eight, tip) in cases {
+            let mut chain = preset.build(7);
+            for _ in 0..64 {
+                chain.step_block();
+            }
+            let registry = &chain.registry;
+            let validators: HashSet<Address> =
+                (0..registry.total_stake()).map(|p| registry.by_stake_point(p).address).collect();
+            let proposers: Vec<Address> =
+                (1..=64).map(|h| chain.block(h).unwrap().proposer).collect();
+            let unknown: Vec<&Address> =
+                proposers.iter().filter(|p| !validators.contains(p)).collect();
+            assert!(unknown.is_empty(), "{}: proposed by non-validators {unknown:?}", preset.name);
+            let distinct: HashSet<&Address> = proposers.iter().collect();
+            assert!(distinct.len() > 1, "{}: one validator proposed every block", preset.name);
+            let first: Vec<String> = proposers[..8].iter().map(Address::to_string).collect();
+            assert_eq!(first, first_eight, "{}", preset.name);
+            assert_eq!(chain.tip.to_string(), tip, "{}", preset.name);
         }
     }
 

@@ -60,7 +60,6 @@ fn evm_base(name: &str, currency: Currency) -> ChainConfig {
         propagation_ms: (200, 3_000),
         client_delay_ms: (500, 11_500),
         validators: 16,
-        full_consensus: false,
     }
 }
 
@@ -119,19 +118,8 @@ pub fn algorand_testnet() -> ChainPreset {
         propagation_ms: (50, 400),
         client_delay_ms: (0, 0),
         validators: 8,
-        full_consensus: false,
     };
     ChainPreset { name: config.name.clone(), config }
-}
-
-/// Algorand with the full VRF-sortition consensus in the loop (slower to
-/// simulate; used by the consensus integration tests and ablations).
-pub fn algorand_full_consensus() -> ChainPreset {
-    let mut preset = algorand_testnet();
-    preset.config.full_consensus = true;
-    preset.config.name = "Algorand Testnet (full consensus)".to_string();
-    preset.name = preset.config.name.clone();
-    preset
 }
 
 /// A fast, deterministic EVM devnet for unit tests (`reach run`-style

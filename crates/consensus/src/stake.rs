@@ -1,6 +1,5 @@
 //! Validator sets and stake accounting.
 
-use pol_crypto::ed25519::PublicKey;
 use pol_ledger::Address;
 
 /// A staked validator.
@@ -8,8 +7,6 @@ use pol_ledger::Address;
 pub struct Validator {
     /// The validator's account.
     pub address: Address,
-    /// Its consensus (signing / VRF) key.
-    pub public: PublicKey,
     /// Stake in base units; selection probability is proportional to it.
     pub stake: u64,
 }
@@ -37,16 +34,6 @@ impl StakeRegistry {
         self.validators.push(validator);
     }
 
-    /// The registered validators.
-    pub(crate) fn validators(&self) -> &[Validator] {
-        &self.validators
-    }
-
-    /// Whether the set is empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.validators.is_empty()
-    }
-
     /// Total stake across validators.
     pub fn total_stake(&self) -> u64 {
         self.validators.iter().map(|v| v.stake).sum()
@@ -70,24 +57,18 @@ impl StakeRegistry {
         panic!("stake point {point} beyond total stake {acc}");
     }
 
-    /// Builds a registry of `n` equal-stake validators with seeded keys —
-    /// the standard fixture for simulations.
-    pub fn equal_stake(n: usize, stake: u64) -> (StakeRegistry, Vec<pol_crypto::ed25519::Keypair>) {
+    /// Builds a registry of `n` equal-stake validators whose addresses
+    /// come from seeded keys — the standard fixture for simulations.
+    pub fn equal_stake(n: usize, stake: u64) -> StakeRegistry {
         let mut registry = StakeRegistry::new();
-        let mut keys = Vec::with_capacity(n);
         for i in 0..n {
             let mut seed = [0u8; 32];
             seed[..8].copy_from_slice(&(i as u64).to_le_bytes());
             seed[8] = 0x7a;
-            let kp = pol_crypto::ed25519::Keypair::from_seed(&seed);
-            registry.register(Validator {
-                address: Address::from_public_key(&kp.public),
-                public: kp.public,
-                stake,
-            });
-            keys.push(kp);
+            let public = pol_crypto::ed25519::Keypair::from_seed(&seed).public;
+            registry.register(Validator { address: Address::from_public_key(&public), stake });
         }
-        (registry, keys)
+        registry
     }
 }
 
@@ -97,27 +78,25 @@ mod tests {
 
     #[test]
     fn weighted_pick() {
-        let (mut registry, _) = StakeRegistry::equal_stake(2, 10);
+        let mut registry = StakeRegistry::equal_stake(2, 10);
         registry.validators[1].stake = 30;
         assert_eq!(registry.total_stake(), 40);
-        assert_eq!(registry.by_stake_point(5).address, registry.validators()[0].address);
-        assert_eq!(registry.by_stake_point(10).address, registry.validators()[1].address);
-        assert_eq!(registry.by_stake_point(39).address, registry.validators()[1].address);
+        assert_eq!(registry.by_stake_point(5).address, registry.validators[0].address);
+        assert_eq!(registry.by_stake_point(10).address, registry.validators[1].address);
+        assert_eq!(registry.by_stake_point(39).address, registry.validators[1].address);
     }
 
     #[test]
     #[should_panic(expected = "must hold stake")]
     fn zero_stake_rejected() {
-        let (_, keys) = StakeRegistry::equal_stake(1, 1);
         let mut registry = StakeRegistry::new();
-        registry.register(Validator { address: Address::ZERO, public: keys[0].public, stake: 0 });
+        registry.register(Validator { address: Address::ZERO, stake: 0 });
     }
 
     #[test]
     fn equal_stake_fixture() {
-        let (registry, keys) = StakeRegistry::equal_stake(8, 32);
-        assert_eq!(registry.validators().len(), 8);
-        assert_eq!(keys.len(), 8);
+        let registry = StakeRegistry::equal_stake(8, 32);
+        assert_eq!(registry.validators.len(), 8);
         assert_eq!(registry.total_stake(), 8 * 32);
     }
 }

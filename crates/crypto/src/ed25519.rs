@@ -1,8 +1,8 @@
 //! RFC 8032 Ed25519 signatures over the edwards25519 curve.
 //!
 //! Used throughout the proof-of-location system: witnesses sign location
-//! proofs, DID controllers prove key possession, validators sign blocks and
-//! sortition credentials.
+//! proofs, DID controllers prove key possession, and every transaction is
+//! signed by its sender.
 
 use crate::field25519::Fe;
 use crate::sha512::Sha512;

@@ -9,9 +9,7 @@
 //! * `keccak` — Keccak-256 as used by the EVM and Ethereum addresses,
 //! * [`ed25519`] — RFC 8032 signatures over edwards25519,
 //! * [`x25519`] — RFC 7748 Diffie–Hellman, used by [`sealed`] boxes for the
-//!   DID challenge–response authentication,
-//! * [`vrf`] — a verifiable random function built from deterministic
-//!   Ed25519 signatures, used by the Algorand-style sortition.
+//!   DID challenge–response authentication.
 //!
 //! # Examples
 //!
@@ -36,7 +34,6 @@ pub mod scalar;
 pub mod sealed;
 pub mod sha256;
 pub mod sha512;
-pub mod vrf;
 pub mod x25519;
 
 pub use keccak::keccak256;

@@ -16,53 +16,6 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-/// Incremental SHA-256 hasher.
-#[derive(Clone, Debug)]
-pub(crate) struct Sha256 {
-    state: [u32; 8],
-    buffer: [u8; 64],
-    buffered: usize,
-    length: u64,
-}
-
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha256 {
-    /// Creates a hasher in its initial state.
-    pub(crate) fn new() -> Self {
-        Sha256 { state: H0, buffer: [0u8; 64], buffered: 0, length: 0 }
-    }
-
-    /// Absorbs `data` into the hash state.
-    pub(crate) fn update(&mut self, data: &[u8]) {
-        self.length = self.length.wrapping_add(data.len() as u64);
-        let mut data = data;
-        if self.buffered > 0 {
-            let take = (64 - self.buffered).min(data.len());
-            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
-            self.buffered += take;
-            data = &data[take..];
-            if self.buffered < 64 {
-                return;
-            }
-            compress(&mut self.state, &self.buffer);
-            self.buffered = 0;
-        }
-        let tail = compress_blocks(&mut self.state, data);
-        self.buffer[..tail.len()].copy_from_slice(tail);
-        self.buffered = tail.len();
-    }
-
-    /// Finishes the computation, returning the 32-byte digest.
-    pub(crate) fn finalize(self) -> [u8; 32] {
-        finish(self.state, &self.buffer[..self.buffered], self.length)
-    }
-}
-
 /// Compresses every whole 64-byte block of `data` straight from the
 /// slice and returns the unconsumed tail (fewer than 64 bytes).
 fn compress_blocks<'a>(state: &mut [u32; 8], data: &'a [u8]) -> &'a [u8] {
@@ -164,13 +117,8 @@ mod tests {
 
     #[test]
     fn million_a() {
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
-        }
         assert_eq!(
-            hex::encode(&h.finalize()),
+            hex::encode(&sha256(&vec![b'a'; 1_000_000])),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }
@@ -190,27 +138,16 @@ mod tests {
         digest_bytes(state)
     }
 
-    fn in_two_updates(data: &[u8], split: usize) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(&data[..split]);
-        h.update(&data[split..]);
-        h.finalize()
-    }
-
     #[test]
-    fn incremental_matches_oneshot() {
+    fn one_step_padding_matches_the_book() {
         // Every length across the one-block, length-in-its-own-block and
-        // multi-block paddings, split at every point.
+        // multi-block paddings.
         let data: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
         for len in 0..=data.len() {
             let message = &data[..len];
-            let digest = sha256(message);
-            assert_eq!(digest, padded_by_the_book(message), "length {len}");
-            for split in 0..=len {
-                assert_eq!(in_two_updates(message, split), digest, "length {len} split at {split}");
-            }
+            assert_eq!(sha256(message), padded_by_the_book(message), "length {len}");
         }
-        // The NIST vectors through the same two routes.
+        // The NIST vectors through the book's padding.
         for (message, hex_digest) in [
             (&b"abc"[..], "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
             (
@@ -219,9 +156,6 @@ mod tests {
             ),
         ] {
             assert_eq!(hex::encode(&padded_by_the_book(message)), hex_digest);
-            for split in 0..=message.len() {
-                assert_eq!(hex::encode(&in_two_updates(message, split)), hex_digest);
-            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //!   error-severity lints) accepts a program, the emitted bytecode must
 //!   pass both post-emission verifiers and every cost cross-check —
 //!   i.e. [`pol_lang::backend::compile`] must succeed, since codegen is
-//!   supposed to be total on verified programs.
+//!   meant to be total on verified programs.
 //! * The verified worst-case costs must respect the conservative
 //!   straight-line bounds the analysis reports (the X0401/X0402
 //!   invariants), which we re-check here explicitly per API fragment.

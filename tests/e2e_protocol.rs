@@ -113,27 +113,6 @@ fn fifth_user_rejected_when_seats_full() {
 }
 
 #[test]
-fn full_consensus_chain_produces_valid_rounds() {
-    // The Algorand preset with real VRF sortition in the block loop.
-    let mut preset = presets::algorand_full_consensus();
-    preset.config.block_ms = 100;
-    preset.config.block_jitter_ms = 0;
-    preset.config.propagation_ms = (0, 0);
-    let config = SystemConfig { max_users: 1, ..SystemConfig::default() };
-    let mut system = PolSystem::new(preset.build(4), config);
-    let p = system.register_prover(BASE.0, BASE.1).unwrap();
-    let w = system.register_witness(BASE.0, BASE.1 + 0.00001).unwrap();
-    let out = system.submit_report(p, w, b"consensus".to_vec()).unwrap();
-    assert_eq!(system.run_verifier(&out.area).unwrap(), 1);
-    // Proposers rotate across blocks (VRF-selected leaders).
-    let mut proposers = std::collections::HashSet::new();
-    for h in 1..=system.chain().height() {
-        proposers.insert(system.chain().block(h).unwrap().proposer);
-    }
-    assert!(proposers.len() > 1, "leaders should rotate, got {proposers:?}");
-}
-
-#[test]
 fn report_latencies_follow_chain_cadence() {
     // On the simulated Algorand testnet, the deploy script is 8 rounds
     // and the attach script 4 rounds — ±jitter.
