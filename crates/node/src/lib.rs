@@ -3,9 +3,9 @@
 //! Where `pol-chainsim` models a chain and `pol-bench` measures closed
 //! scenarios end-to-end, this crate runs the chain *as a service*: a
 //! continuous run loop on the block cadence, an ingestion front door
-//! with bounded admission and nonce-gap parking, layered configuration
-//! (CLI > env > file > defaults) and a periodic metrics surface. The
-//! `pol-node` binary wires these together; the benchmark's
+//! with bounded admission and nonce-gap parking, `--key value`
+//! configuration over built-in defaults and a periodic metrics surface.
+//! The `pol-node` binary wires these together; the benchmark's
 //! `report-storm` and `area-hotspot` workloads drive the same
 //! [`NodeService`] under an open arrival schedule.
 

@@ -1,23 +1,21 @@
-//! The `pol-node` binary: resolve layered configuration, run the node's
-//! block-production loop for the configured virtual duration with an
-//! optional built-in local workload, print periodic metrics, then drain
+//! The `pol-node` binary: parse the configuration flags, run the node's
+//! block-production loop for the configured virtual duration with
+//! optional built-in local traffic, print periodic metrics, then drain
 //! gracefully.
 //!
 //! ```text
-//! pol-node [--config node.conf] [--key value ...] \
-//!          [--local-users N] [--local-rate TX_PER_S]
+//! pol-node [--key value | --key=value ...]
 //! ```
 //!
-//! Every configuration key also works as `POL_NODE_*` in the environment
-//! and as `key = value` in the config file; CLI wins. `--local-users`
-//! and `--local-rate` are binary-only: they fund N accounts and replace
-//! the (absent) network with local Poisson transfer traffic so a bare
-//! `cargo run -p pol-node` demonstrates the full loop. The open-workload
-//! measurements are the `report-storm` and `area-hotspot` workloads of
-//! the repository's benchmark (`BENCHMARK.json`).
+//! `--local-users N` funds N accounts and `--local-rate R` sends
+//! Poisson transfers among them, standing in for the (absent) network so
+//! a bare `cargo run -p pol-node` demonstrates the full loop;
+//! `--local-users 0` runs the loop with no traffic. `--help` lists every
+//! key with its default. The open-workload measurements are the
+//! `report-storm` and `area-hotspot` workloads of the repository's
+//! benchmark (`BENCHMARK.json`).
 
 use pol_node::{NodeConfig, NodeService, PoissonArrivals};
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -30,44 +28,29 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(raw_args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
-    // Peel off the binary-only flags; everything else goes through the
-    // layered resolver.
-    let mut config_path: Option<PathBuf> = None;
-    let mut local_users: usize = 4;
-    let mut local_rate: f64 = 50.0;
-    let mut passthrough = Vec::new();
-    let mut args = raw_args.into_iter();
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("flag {name} is missing its value"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{}", usage());
-                return Ok(());
-            }
-            "--config" => config_path = Some(PathBuf::from(take("--config")?)),
-            "--local-users" => local_users = take("--local-users")?.parse()?,
-            "--local-rate" => local_rate = take("--local-rate")?.parse()?,
-            _ => passthrough.push(arg),
-        }
+fn run(args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!(
+            "pol-node — long-lived proof-of-location node service\n\n\
+             USAGE:\n  pol-node [--KEY VALUE | --KEY=VALUE ...]\n\nKEYS:\n{}",
+            NodeConfig::help()
+        );
+        return Ok(());
     }
-
-    let config =
-        NodeConfig::layered(config_path.as_deref(), &|var| std::env::var(var).ok(), &passthrough)?;
+    let config = NodeConfig::from_args(&args)?;
     println!("pol-node starting with configuration:\n{}", config.describe());
 
     let mut service = NodeService::from_config(&config)?;
-    let senders: Vec<_> = (0..local_users)
+    let senders: Vec<_> = (0..config.local_users)
         .map(|_| service.chain_mut().create_funded_account(10u128.pow(21)))
         .collect();
 
-    if senders.is_empty() || local_rate <= 0.0 {
+    if senders.is_empty() {
         // No local traffic: just run the block-production loop.
         service.run_until(config.duration_ms);
     } else {
-        let mut arrivals = PoissonArrivals::new(config.seed ^ 0x706f_6c5f_6e6f_6465, local_rate);
+        let mut arrivals =
+            PoissonArrivals::new(config.seed ^ 0x706f_6c5f_6e6f_6465, config.local_rate);
         for n in 0usize.. {
             let at_ms = arrivals.next_arrival_ms();
             if at_ms >= config.duration_ms {
@@ -123,32 +106,23 @@ fn run(raw_args: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// Sender and recipient of the `n`-th local transfer: the accounts take
-/// turns sending, each paying the next one round-robin.
+/// turns sending, each paying the next one round-robin. The parser
+/// refuses one account, the only count at which a sender pays itself.
 fn local_pair(n: usize, accounts: usize) -> (usize, usize) {
     (n % accounts, (n + 1) % accounts)
-}
-
-fn usage() -> String {
-    let defaults = NodeConfig::default();
-    format!(
-        "pol-node — long-lived proof-of-location node service\n\n\
-         USAGE:\n  pol-node [--config FILE] [--KEY VALUE ...] [--local-users N] [--local-rate R]\n\n\
-         Configuration keys (CLI flag > POL_NODE_* env > config file > default):\n{}\n\n\
-         Binary-only flags:\n  \
-         --config FILE        layered config file of `key = value` lines\n  \
-         --local-users N      accounts generating built-in local traffic (default 4)\n  \
-         --local-rate R       local traffic rate, tx per virtual second (default 50)",
-        defaults.describe()
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::local_pair;
+    use pol_node::NodeConfig;
 
     #[test]
     fn local_transfers_never_pay_their_own_sender() {
+        let parses = |n: usize| NodeConfig::from_args(&[format!("--local-users={n}")]).is_ok();
+        assert!(!parses(1), "one account would pay itself on every transfer");
         for accounts in 2..=4 {
+            assert!(parses(accounts));
             for n in 0..2 * accounts {
                 let (from, to) = local_pair(n, accounts);
                 assert_ne!(from, to, "transfer {n} of {accounts} accounts pays itself");

@@ -1,10 +1,10 @@
 //! Periodic metrics snapshots: the node's monitoring surface.
 //!
-//! The run loop captures a [`MetricsSnapshot`] every
-//! `metrics-interval-ms` of virtual time — mempool depth, base fee,
-//! block fullness, cumulative executor counters and a confirmation
-//! latency summary — so sustained-load runs can be plotted as a time
-//! series rather than a single end-of-run aggregate.
+//! The run loop captures a [`MetricsSnapshot`] every 10 s of virtual
+//! time — mempool depth, base fee, block fullness, cumulative executor
+//! counters and a confirmation latency summary — so sustained-load runs
+//! can be plotted as a time series rather than a single end-of-run
+//! aggregate.
 
 use crate::mempool::RejectionCounts;
 use pol_chainsim::ExecStats;

@@ -19,6 +19,14 @@ use pol_chainsim::Chain;
 use pol_ledger::{LedgerError, Receipt, Transaction, TxId, VerifiedTx};
 use std::collections::HashMap;
 
+/// Nonce-gap transactions parked per sender before admission refuses.
+const MAX_PARKED_PER_SENDER: usize = 16;
+/// Virtual milliseconds between metrics snapshots.
+const METRICS_INTERVAL_MS: u64 = 10_000;
+/// Blocks the shutdown drain may produce before declaring stragglers
+/// lost.
+const DRAIN_BLOCK_LIMIT: u64 = 10_000;
+
 /// Why an admitted transaction was dropped instead of confirmed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DropReason {
@@ -54,9 +62,6 @@ pub struct DrainReport {
 pub struct NodeService {
     chain: Chain,
     capacity: usize,
-    max_parked_per_sender: usize,
-    metrics_interval_ms: u64,
-    drain_block_limit: u64,
     parking: ParkingLot,
     /// Admitted-but-not-terminal: id → virtual admission time.
     pending: HashMap<TxId, u64>,
@@ -79,13 +84,10 @@ impl NodeService {
     /// Wraps an already-built chain (accounts funded, contracts deployed)
     /// in a service configured by `config`.
     pub fn new(chain: Chain, config: &NodeConfig) -> NodeService {
-        let next_snapshot_ms = chain.now_ms() + config.metrics_interval_ms;
+        let next_snapshot_ms = chain.now_ms() + METRICS_INTERVAL_MS;
         NodeService {
             chain,
             capacity: config.mempool_capacity.max(1),
-            max_parked_per_sender: config.max_parked_per_sender.max(1),
-            metrics_interval_ms: config.metrics_interval_ms.max(1),
-            drain_block_limit: config.drain_block_limit.max(1),
             parking: ParkingLot::new(),
             pending: HashMap::new(),
             terminals: HashMap::new(),
@@ -149,7 +151,7 @@ impl NodeService {
         let sender = verified.tx().from;
         let id = verified.id();
         if verified.tx().nonce > self.chain.next_nonce(sender) {
-            self.parking.park(verified, now, self.max_parked_per_sender)?;
+            self.parking.park(verified, now, MAX_PARKED_PER_SENDER)?;
             self.pending.insert(id, now);
             self.admitted += 1;
             return Ok(Admission::Parked(id));
@@ -200,7 +202,7 @@ impl NodeService {
         if self.chain.now_ms() >= self.next_snapshot_ms {
             let snapshot = self.snapshot_now();
             self.snapshots.push(snapshot);
-            self.next_snapshot_ms = self.chain.now_ms() + self.metrics_interval_ms;
+            self.next_snapshot_ms = self.chain.now_ms() + METRICS_INTERVAL_MS;
         }
     }
 
@@ -244,7 +246,7 @@ impl NodeService {
             self.dropped += 1;
         }
         let mut drained_blocks = 0u64;
-        while !self.pending.is_empty() && drained_blocks < self.drain_block_limit {
+        while !self.pending.is_empty() && drained_blocks < DRAIN_BLOCK_LIMIT {
             self.tick();
             drained_blocks += 1;
         }
@@ -396,8 +398,7 @@ mod tests {
 
     #[test]
     fn capacity_refuses_with_queue_full() {
-        let mut config = NodeConfig::default();
-        config.mempool_capacity = 2;
+        let config = NodeConfig { mempool_capacity: 2, ..NodeConfig::default() };
         let mut chain = presets::devnet_evm().build(config.seed);
         let (kp, addr) = chain.create_funded_account(10u128.pow(21));
         let mut service = NodeService::new(chain, &config);
@@ -538,13 +539,12 @@ mod tests {
 
     #[test]
     fn run_loop_captures_periodic_snapshots() {
-        let mut config = NodeConfig::default();
-        config.metrics_interval_ms = 500;
+        let config = NodeConfig::default();
         let chain = presets::devnet_evm().build(config.seed);
         let mut service = NodeService::new(chain, &config);
-        service.run_until(2_600);
-        // devnet blocks every 100 ms → snapshots due at 600, 1100, … 2600.
-        assert!(service.snapshots().len() >= 4, "{}", service.snapshots().len());
+        service.run_until(4 * METRICS_INTERVAL_MS + 100);
+        // devnet blocks every 100 ms → a snapshot at each interval's end.
+        assert_eq!(service.snapshots().len(), 4, "{}", service.snapshots().len());
         let heights: Vec<u64> = service.snapshots().iter().map(|s| s.height).collect();
         assert!(heights.windows(2).all(|w| w[0] < w[1]), "{heights:?}");
     }

@@ -66,8 +66,7 @@ fn build_chain(seed: u64) -> (Chain, Vec<(Keypair, Address)>) {
 /// `execution` mode, against the sequential replay of what it admitted.
 fn check_replay(ops: &[Op], seed: u64, execution: &str) {
     // --- Service run: the full admission gauntlet. -----------------
-    let mut config = NodeConfig::default();
-    config.execution = execution.to_string();
+    let config = NodeConfig { execution: execution.to_string(), ..NodeConfig::default() };
     let (mut chain, users) = build_chain(seed);
     chain.set_execution_mode(config.execution_mode().unwrap());
     let mut service = NodeService::new(chain, &config);
