@@ -1,12 +1,12 @@
 //! The evaluation harness: regenerates every table and figure of the
 //! paper's Chapter 5 from the simulated networks.
 //!
-//! * `cargo run -p pol-bench --bin tables` — Tables 5.1–5.4 (deploy and
-//!   attach statistics for 16 and 32 users on Goerli, Mumbai and
-//!   Algorand), printed beside the paper's reported values;
-//! * `cargo run -p pol-bench --bin figures` — Fig. 5.1 (conservative
-//!   analysis) and the per-user latency series of Figs. 5.2–5.5 as CSV
-//!   under `results/`;
+//! * `cargo run --release -p pol-bench --bin results` — Tables 5.1–5.4
+//!   (deploy and attach statistics for 16 and 32 users on Goerli, Mumbai
+//!   and Algorand) beside the paper's reported values, Fig. 5.1
+//!   (conservative analysis), the per-user latency series of
+//!   Figs. 5.2–5.5 and the [`robustness`] sweep, all written under
+//!   `results/`;
 //! * `cargo bench` — Criterion micro-benchmarks of every substrate plus
 //!   the ablations listed in DESIGN.md.
 

@@ -256,7 +256,9 @@ pub fn compile(program: &Program) -> Result<CompiledEvm, LangError> {
     compile_with_pad(program, DEFAULT_RUNTIME_PAD)
 }
 
-/// Compiles with an explicit runtime pad (ablation benches vary this).
+/// Compiles with an explicit runtime pad. Only tests call it: to run
+/// unpadded bytecode, and to check that the pad lands in the runtime
+/// image alone.
 ///
 /// # Errors
 ///

@@ -43,57 +43,67 @@ use pol_lang::{lint, pretty, xcontract};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let relational = !take_flag(&mut args, "--no-relational");
-    let json_path = take_value(&mut args, "--json");
-    match args.split_first() {
-        Some((cmd, rest)) if cmd == "lint" && !rest.is_empty() => lint_files(rest, relational),
-        Some((cmd, rest)) if cmd == "verify" && !rest.is_empty() => {
-            exit_code(verify_files(rest, relational, json_path.as_deref()))
-        }
-        Some((cmd, rest)) if cmd == "summaries" && !rest.is_empty() => {
-            exit_code(summarize_files(rest, json_path.as_deref()))
-        }
-        Some((cmd, rest)) if cmd == "gas" && !rest.is_empty() => {
-            exit_code(gas_files(rest, json_path.as_deref()))
-        }
-        Some((cmd, rest)) if cmd == "codes" && rest.is_empty() => {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = args.split_first() else { return usage() };
+    let Some(Options { relational, json_path, files }) = Options::parse(rest) else {
+        return usage();
+    };
+    let json = json_path.as_deref();
+    // Each subcommand takes only the flags its usage line names:
+    // (subcommand, relational, json, no files).
+    match (cmd.as_str(), relational, json, files.is_empty()) {
+        ("lint", _, None, false) => lint_files(&files, relational),
+        ("verify", _, _, false) => exit_code(verify_files(&files, relational, json)),
+        ("summaries", true, _, false) => exit_code(summarize_files(&files, json)),
+        ("gas", true, _, false) => exit_code(gas_files(&files, json)),
+        ("codes", true, None, true) => {
             print!("{}", lint::codes_markdown());
             ExitCode::SUCCESS
         }
-        _ => {
-            eprintln!(
-                "usage: polc lint [--no-relational] <file.pol>...\n\
-                 \x20      polc verify [--no-relational] [--json <path>] <file.pol>...\n\
-                 \x20      polc summaries [--json <path>] <file.pol>...\n\
-                 \x20      polc gas [--json <path>] <file.pol>...\n\
-                 \x20      polc codes"
-            );
-            ExitCode::from(2)
-        }
+        _ => usage(),
     }
+}
+
+fn usage() -> ExitCode {
+    eprintln!(
+        "usage: polc lint [--no-relational] <file.pol>...\n\
+         \x20      polc verify [--no-relational] [--json <path>] <file.pol>...\n\
+         \x20      polc summaries [--json <path>] <file.pol>...\n\
+         \x20      polc gas [--json <path>] <file.pol>...\n\
+         \x20      polc codes"
+    );
+    ExitCode::from(2)
 }
 
 fn exit_code(outcome: Result<(), ExitCode>) -> ExitCode {
     outcome.err().unwrap_or(ExitCode::SUCCESS)
 }
 
-/// Removes `flag` from `args`; returns whether it was present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
+/// One subcommand's arguments after its name.
+struct Options {
+    relational: bool,
+    json_path: Option<String>,
+    files: Vec<String>,
 }
 
-/// Removes `flag <value>` from `args`; returns the value when present.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let idx = args.iter().position(|a| a == flag)?;
-    if idx + 1 >= args.len() {
-        return None;
+impl Options {
+    /// Separates the flags from the files. `None` (a usage error) on an
+    /// unknown or repeated flag, or `--json` without a path after it.
+    fn parse(args: &[String]) -> Option<Self> {
+        let mut opts = Options { relational: true, json_path: None, files: Vec::new() };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--no-relational" if opts.relational => opts.relational = false,
+                "--json" if opts.json_path.is_none() => {
+                    opts.json_path = Some(args.next().filter(|p| !p.starts_with("--"))?.clone());
+                }
+                flag if flag.starts_with("--") => return None,
+                file => opts.files.push(file.to_string()),
+            }
+        }
+        Some(opts)
     }
-    let value = args.remove(idx + 1);
-    args.remove(idx);
-    Some(value)
 }
 
 fn lint_files(files: &[String], relational: bool) -> ExitCode {

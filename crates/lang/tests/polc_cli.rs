@@ -1,6 +1,6 @@
 //! End-to-end tests of the `polc` binary: the `--no-relational` switch,
-//! the `verify` subcommand with its JSON statistics output, and the
-//! code registry.
+//! the `verify` subcommand with its JSON statistics output, the code
+//! registry, and which subcommands take which flags.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -147,4 +147,44 @@ fn gas_rejects_unparseable_and_unchecked_input() {
     std::fs::write(&bogus, "contract {").expect("fixture written");
     let out = polc(&["gas", &bogus.to_string_lossy()]);
     assert_eq!(out.status.code(), Some(2), "parse errors exit 2");
+}
+
+#[test]
+fn flags_outside_their_subcommand_are_usage_errors() {
+    let v1 = contract("proof_of_location.pol");
+    let json_path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("misplaced_flag.json");
+    let _ = std::fs::remove_file(&json_path);
+    let json = json_path.to_string_lossy().into_owned();
+    for args in [
+        &["summaries", "--no-relational", &v1][..],
+        &["gas", "--no-relational", &v1][..],
+        &["codes", "--no-relational"][..],
+        &["codes", "--json", &json][..],
+        &["lint", "--json", &json, &fixture("relational_guard.pol")][..],
+        &["gas", "--json", &json, "--json", &json, &v1][..],
+        &["verify", "--no-relational", "--no-relational", &v1][..],
+        &["gas", "--bogus", &v1][..],
+    ] {
+        let out = polc(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("usage: polc"), "{args:?}: {stderr}");
+    }
+    assert!(!json_path.exists(), "a rejected --json still wrote its file");
+}
+
+#[test]
+fn json_without_a_path_is_a_usage_error() {
+    let v1 = contract("proof_of_location.pol");
+    for args in [
+        &["gas", &v1, "--json"][..],
+        &["summaries", &v1, "--json"][..],
+        &["verify", &v1, "--json"][..],
+        &["verify", "--json", "--no-relational", &v1][..],
+    ] {
+        let out = polc(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("usage: polc"), "{args:?}: {stderr}");
+    }
 }

@@ -1,6 +1,6 @@
 //! Evaluation-shape tests: small versions of the Chapter-5 runs whose
 //! qualitative conclusions must hold on every build. (The full tables
-//! come from `cargo run -p pol-bench --bin tables`.)
+//! and figures come from `cargo run --release -p pol-bench --bin results`.)
 
 use pol_bench as bench;
 use pol_chainsim::presets;
