@@ -2,6 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pol_crypto::ed25519::{Keypair, Point};
+use pol_crypto::sha256::sha256_x16;
 use pol_crypto::x25519::XKeypair;
 use pol_crypto::{keccak256, scalar, sealed, sha256};
 use rand::rngs::StdRng;
@@ -18,6 +19,15 @@ fn hashes(c: &mut Criterion) {
             b.iter(|| keccak256(black_box(&data)))
         });
     }
+    // A trie node's 65-byte preimage alone and sixteen at a time. Both
+    // rows count messages, so their rates compare directly; the x16 row
+    // returns all sixteen digests, so no lane can be optimised away.
+    let nodes: [[u8; 65]; 16] =
+        core::array::from_fn(|l| core::array::from_fn(|i| (65 * l + i) as u8));
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("sha256/65", |b| b.iter(|| sha256(black_box(&nodes[0]))));
+    group.throughput(Throughput::Elements(16));
+    group.bench_function("sha256-x16/65", |b| b.iter(|| sha256_x16(black_box(&nodes))));
     group.finish();
 }
 

@@ -3,9 +3,10 @@
 use pol_crypto::bigint::{self, U256};
 use pol_crypto::ed25519::{Keypair, Point, PublicKey, Signature};
 use pol_crypto::field25519::Fe;
+use pol_crypto::sha256::sha256_x16;
 use pol_crypto::sha512::Sha512;
 use pol_crypto::x25519::XKeypair;
-use pol_crypto::{base32, hex, scalar, sealed};
+use pol_crypto::{base32, hex, scalar, sealed, sha256};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -324,6 +325,15 @@ proptest! {
         let idx = flip % tampered.len();
         tampered[idx] ^= 0x01;
         prop_assert!(sealed::open(&recipient, &tampered).is_err());
+    }
+
+    /// The sixteen-lane kernel equals the one-message hash lane for lane.
+    #[test]
+    fn sha256_x16_matches_sha256(msgs in any::<[[u8; 65]; 16]>()) {
+        let digests = sha256_x16(&msgs);
+        for (digest, msg) in digests.iter().zip(&msgs) {
+            prop_assert_eq!(*digest, sha256(msg));
+        }
     }
 
     /// hex and base32 are inverses on arbitrary bytes.

@@ -23,9 +23,12 @@
 //! first (`Arc::make_mut` — copy-on-write, one level at a time), and
 //! every node on the way down loses its memoised hash. A node is hashed
 //! when somebody needs its hash and at most once until it is edited
-//! again: [`StateBackend::flush_block`] fills every empty memo, on every
-//! core when the block was large enough to pay for the threads, so each
-//! dirty node costs one hash per block however many commits crossed it;
+//! again (two threads reading snapshots that share an unhashed node may
+//! both hash it, to the same value). Empty memos are filled one way:
+//! deepest level first, sixteen nodes to a `sha256_x16` call.
+//! [`StateBackend::flush_block`] fills every one, on every core when the
+//! block was large enough to pay for the threads, so each dirty node
+//! costs one hash per block however many commits crossed it;
 //! [`StateBackend::root`] and [`TrieBackend::prove`] fill whatever they
 //! meet empty, so both are exact mid-block and memo reads after a flush.
 //!
@@ -38,6 +41,7 @@
 
 use crate::{BatchEntry, StateBackend, StoreError};
 use pol_crypto::sha256;
+use pol_crypto::sha256::sha256_x16;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -50,25 +54,32 @@ fn bit(hash: &[u8; 32], depth: usize) -> bool {
     (hash[depth / 8] >> (7 - depth % 8)) & 1 == 1
 }
 
+/// Tag byte of a leaf's preimage.
+const LEAF: u8 = 0;
+/// Tag byte of a branch's preimage.
+const BRANCH: u8 = 1;
+
+/// `tag ‖ first ‖ second` — the 65 bytes every node hash is taken over.
+fn preimage(tag: u8, first: &[u8; 32], second: &[u8; 32]) -> [u8; 65] {
+    let mut buf = [0u8; 65];
+    buf[0] = tag;
+    buf[1..33].copy_from_slice(first);
+    buf[33..65].copy_from_slice(second);
+    buf
+}
+
 /// `sha256(0x00 ‖ key_hash ‖ value_hash)` — the leaf commitment.
 fn leaf_hash(key_hash: &[u8; 32], value_hash: &[u8; 32]) -> [u8; 32] {
     #[cfg(test)]
     tally::count(|t| t.leaves += 1);
-    let mut buf = [0u8; 65];
-    buf[1..33].copy_from_slice(key_hash);
-    buf[33..65].copy_from_slice(value_hash);
-    sha256(&buf)
+    sha256(&preimage(LEAF, key_hash, value_hash))
 }
 
 /// `sha256(0x01 ‖ left ‖ right)` — the branch commitment.
 fn branch_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
     #[cfg(test)]
     tally::count(|t| t.branches += 1);
-    let mut buf = [0u8; 65];
-    buf[0] = 1;
-    buf[1..33].copy_from_slice(left);
-    buf[33..65].copy_from_slice(right);
-    sha256(&buf)
+    sha256(&preimage(BRANCH, left, right))
 }
 
 /// A trie node. `hash` memoises the node's commitment: empty from the
@@ -91,23 +102,29 @@ impl Node {
         Arc::new(Node::Branch { left, right, hash: OnceLock::new() })
     }
 
-    /// The node's commitment, computed (children first) if the memo is
-    /// empty. Threads racing on one node compute it once: the loser
-    /// waits, and a wait only ever points down the tree.
+    /// The node's commitment, filling every empty memo under it first.
     fn hash(&self) -> [u8; 32] {
-        match self {
-            Node::Leaf { key_hash, value_hash, hash } => {
-                *hash.get_or_init(|| leaf_hash(key_hash, value_hash))
-            }
-            Node::Branch { left, right, hash } => {
-                *hash.get_or_init(|| branch_hash(&child_hash(left), &child_hash(right)))
-            }
-        }
+        fill_subtree(self);
+        *self.memo().get().expect("filled")
+    }
+
+    fn memo(&self) -> &OnceLock<[u8; 32]> {
+        let (Node::Leaf { hash, .. } | Node::Branch { hash, .. }) = self;
+        hash
     }
 
     fn is_hashed(&self) -> bool {
-        let (Node::Leaf { hash, .. } | Node::Branch { hash, .. }) = self;
-        hash.get().is_some()
+        self.memo().get().is_some()
+    }
+
+    /// The bytes the node's hash is taken over.
+    fn preimage(&self) -> [u8; 65] {
+        match self {
+            Node::Leaf { key_hash, value_hash, .. } => preimage(LEAF, key_hash, value_hash),
+            Node::Branch { left, right, .. } => {
+                preimage(BRANCH, &child_hash(left), &child_hash(right))
+            }
+        }
     }
 
     fn key_hash(&self) -> [u8; 32] {
@@ -208,29 +225,93 @@ fn remove(slot: &mut Option<Arc<Node>>, depth: usize, kh: &[u8; 32]) {
 
 /// Fewest keys committed since the last [`StateBackend::flush_block`]
 /// for which the flush hashes on worker threads; below it the calling
-/// thread does all of it. Set from the 2-core development host, blocks
-/// of `n` overwrites on a 40 000-key trie, median flush of 40 blocks in
-/// µs, one thread against two:
+/// thread does all of it. Set from the 2-vCPU development host, blocks
+/// of `n` overwrites on a 40 000-key trie, median flush of 100 blocks in
+/// µs, one thread and two alternating block by block (the busy row has a
+/// spinning process on the second core; `flush_threshold_table` in the
+/// tests prints the rows, see its doc):
 ///
 /// ```text
-/// n                    16    32    64   128   256   1024
-/// one thread          147   272   496   930  1640   4323
-/// two, 2nd core free  168   223   350   696  1069   2467
-/// two, 2nd core busy  161   282   507   936  1715   4449
+/// n                    16    32    64   128   256   512   1024
+/// one thread          128   213   330   566   993  1901   3102
+/// two threads         173   293   478   723  1007  1616   2616
+/// two, 2nd core busy  260   462   888  1388  1872  2460   3671
 /// ```
 ///
-/// Two threads break even between 16 and 32 keys when the second core
-/// is there to be had and cost a spawn (25–120 µs) when it is not; 64 is
-/// twice the break-even, where the win is 29 % and the loss 2–6 %.
-const PARALLEL_FLUSH_MIN_KEYS: usize = 64;
+/// With a free second core, two threads break even near 256 keys and
+/// win 15 % at 512 and 1024; with a busy one they lose 29 % at 512 and
+/// 18 % at 1024. 512 is twice the break-even.
+const PARALLEL_FLUSH_MIN_KEYS: usize = 512;
 
 /// Dirty subtrees handed out per thread. The descent stops at the first
 /// level that has this many per core and threads take them one at a
 /// time, so a worker that starts late or shares its core with another
 /// tenant costs the flush one subtree's wait and not half the trie's
-/// (same host and blocks as above, two threads: 337–372 µs at 64 keys
-/// against 356–441 with one subtree each; no difference from 256 up).
+/// (same harness, two threads, quartiles of 100 flushes: 2151–2678 µs
+/// at 512 keys against 2096–3631 with one subtree each, 3316–3963 at
+/// 1024 against 3358–4352; the medians are within 7 %, the slow
+/// quarter is not).
 const SUBTREES_PER_WORKER: usize = 4;
+
+/// The children of `level`'s nodes whose memos are empty, left to right.
+fn unhashed_children<'a>(level: &[&'a Node]) -> Vec<&'a Node> {
+    level
+        .iter()
+        .flat_map(|node| match node {
+            Node::Branch { left, right, .. } => [left.as_deref(), right.as_deref()],
+            Node::Leaf { .. } => [None, None],
+        })
+        .flatten()
+        .filter(|node| !node.is_hashed())
+        .collect()
+}
+
+/// Fills every empty memo at and under `node`. Gathers the unhashed
+/// nodes level by level from `node` down, then hashes the levels deepest
+/// first through [`hash_level`]: a node's children are always one level
+/// further down, so their memos are filled before its preimage is read.
+fn fill_subtree(node: &Node) {
+    if node.is_hashed() {
+        return;
+    }
+    let mut levels = vec![vec![node]];
+    loop {
+        let below = unhashed_children(levels.last().expect("starts with one level"));
+        if below.is_empty() {
+            break;
+        }
+        levels.push(below);
+    }
+    for level in levels.iter().rev() {
+        hash_level(level);
+    }
+}
+
+/// Fills the memo of every node in `level`, whose children are all
+/// hashed: sixteen at a time through [`sha256_x16`], the last fewer than
+/// sixteen one by one. A memo found already filled was filled by another
+/// thread reading a snapshot that shares the node, with the same hash.
+fn hash_level(level: &[&Node]) {
+    let preimage = |node: &Node| {
+        let bytes = node.preimage();
+        #[cfg(test)]
+        tally::count(|t| match bytes[0] {
+            LEAF => t.leaves += 1,
+            _ => t.branches += 1,
+        });
+        bytes
+    };
+    let mut chunks = level.chunks_exact(16);
+    for chunk in &mut chunks {
+        let digests = sha256_x16(&core::array::from_fn(|i| preimage(chunk[i])));
+        for (node, digest) in chunk.iter().zip(digests) {
+            _ = node.memo().set(digest);
+        }
+    }
+    for node in chunks.remainder() {
+        _ = node.memo().set(sha256(&preimage(node)));
+    }
+}
 
 /// Fills every empty memo under `root` using `ways` threads, the caller
 /// among them. Descends level by level from the root, keeping only
@@ -241,15 +322,7 @@ const SUBTREES_PER_WORKER: usize = 4;
 fn fill_memos(root: &Node, ways: usize) {
     let mut level: Vec<&Node> = vec![root];
     while ways > 1 && level.len() < ways * SUBTREES_PER_WORKER {
-        let below: Vec<&Node> = level
-            .iter()
-            .flat_map(|node| match node {
-                Node::Branch { left, right, .. } => [left.as_deref(), right.as_deref()],
-                Node::Leaf { .. } => [None, None],
-            })
-            .flatten()
-            .filter(|node| !node.is_hashed())
-            .collect();
+        let below = unhashed_children(&level);
         if below.is_empty() {
             break;
         }
@@ -261,7 +334,7 @@ fn fill_memos(root: &Node, ways: usize) {
     let next = AtomicUsize::new(0);
     let work = || {
         while let Some(node) = level.get(next.fetch_add(1, Ordering::Relaxed)) {
-            node.hash();
+            fill_subtree(node);
         }
     };
     #[cfg(test)]
@@ -839,6 +912,48 @@ mod tests {
             }
             let model: BTreeMap<_, _> = (0..keys).map(kv).collect();
             assert_eq!(flushes, [map_root(&model); 3], "{keys} keys");
+        }
+    }
+
+    /// Prints the rows of [`PARALLEL_FLUSH_MIN_KEYS`]' table: the median
+    /// and quartiles of 100 flushes of `n` overwrites on a 40 000-key
+    /// trie, one thread and two alternating block by block. Run it on an
+    /// idle host with
+    /// `cargo test --release -p pol-store --lib flush_threshold_table -- --ignored --nocapture`,
+    /// and again with a spinning process on the second core for the busy
+    /// row.
+    #[test]
+    #[ignore = "a measurement, not a check"]
+    fn flush_threshold_table() {
+        let key = |i: u32| i.to_be_bytes().to_vec();
+        let mut preloaded = TrieBackend::new();
+        let preload: Vec<_> = (0..40_000u32).map(|i| (key(i), Some(vec![0u8; 16]))).collect();
+        preloaded.commit(&preload).unwrap();
+        preloaded.flush_with(1);
+        for n in [16u32, 32, 64, 128, 256, 512, 1024] {
+            let mut tries = [preloaded.clone(), preloaded.clone()];
+            let mut micros = [Vec::new(), Vec::new()];
+            for block in 0..100u32 {
+                let batch: Vec<_> = (0..n)
+                    .map(|j| {
+                        let value = (block * n + j).to_be_bytes().to_vec();
+                        (key((block * 7919 + j * 131) % 40_000), Some(value))
+                    })
+                    .collect();
+                for turn in 0..2 {
+                    let one_or_two = if block % 2 == 0 { turn } else { 1 - turn };
+                    let trie = &mut tries[one_or_two];
+                    trie.commit(&batch).unwrap();
+                    let start = std::time::Instant::now();
+                    trie.flush_with(one_or_two + 1);
+                    micros[one_or_two].push(start.elapsed().as_micros());
+                }
+            }
+            let [one, two] = micros.map(|mut m| {
+                m.sort_unstable();
+                format!("{} [{}, {}]", m[50], m[25], m[75])
+            });
+            println!("n = {n}: one thread {one} µs, two {two} µs");
         }
     }
 }
