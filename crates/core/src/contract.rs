@@ -218,7 +218,7 @@ fn pol_program_ast() -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pol_lang::{analyze, check, verify};
+    use pol_lang::{analyze, check, gas, verify};
 
     #[test]
     fn v2_witness_reward_variant_compiles_and_verifies() {
@@ -277,23 +277,25 @@ mod tests {
     }
 
     #[test]
-    fn pol_program_analysis_runs() {
-        let analysis = analyze::analyze(&pol_program()).unwrap();
-        assert!(analysis.verified);
-        assert!(analysis.api("verify").is_some());
-        assert!(analysis.api("insert_money").is_some());
-        assert_eq!(analysis.maps, 1);
-    }
-
-    #[test]
     fn analysis_matches_paper_figure_5_1() {
-        // §5.1.1: deployment uses 1,440,385 gas, attach 82,437 gas;
+        // Fig. 5.1 prints the certificates admission is held to.
         // Fig. 2.11: "Checked 42 theorems; No failures!".
-        let analysis = analyze::analyze(&pol_program()).unwrap();
-        assert_eq!(analysis.evm_deploy_gas, 1_440_385);
-        assert_eq!(analysis.api("insert_data").unwrap().evm_gas, 82_437);
+        let program = pol_program();
+        let analysis = analyze::analyze(&program).unwrap();
+        let bounds = gas::certify(&program).unwrap();
+        let deploy = (bounds.constructor_evm.worst_case(), bounds.constructor_avm.worst_case());
+        assert_eq!((Some(analysis.evm_deploy_gas), Some(analysis.avm_create_cost)), deploy);
+        let names: Vec<_> = analysis.apis.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(names, ["insert_data", "insert_money", "verify"]);
+        assert_eq!(analysis.maps, 1);
+        for api in &analysis.apis {
+            let m = bounds.methods.iter().find(|m| m.name == api.name).unwrap();
+            let certified = (m.evm.worst_case(), m.avm.worst_case());
+            assert_eq!((Some(api.evm_gas), Some(api.avm_cost)), certified, "{}", api.name);
+        }
         assert_eq!(analysis.theorems, 42);
-        let report = verify::verify(&pol_program());
+        assert!(analysis.verified);
+        let report = verify::verify(&program);
         assert!(report.to_string().contains("Checked 42 theorems; No failures!"));
     }
 }

@@ -29,7 +29,6 @@ pub struct Instance {
 /// A contract factory for one compiled template.
 #[derive(Debug)]
 pub struct Factory {
-    program: Program,
     compiled: CompiledContract,
     instances: Vec<Instance>,
 }
@@ -44,17 +43,12 @@ impl Factory {
     /// Propagates compiler-pipeline failures.
     pub fn new(program: Program) -> Result<Factory, PolError> {
         let compiled = pol_lang::backend::compile(&program)?;
-        Ok(Factory { program, compiled, instances: Vec::new() })
+        Ok(Factory { compiled, instances: Vec::new() })
     }
 
     /// The template's compiled artifacts.
     pub fn compiled(&self) -> &CompiledContract {
         &self.compiled
-    }
-
-    /// The verified source program.
-    pub(crate) fn program(&self) -> &Program {
-        &self.program
     }
 
     /// The template's static access summaries, shared so every deployed

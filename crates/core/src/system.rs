@@ -24,7 +24,7 @@ use pol_lang::backend::AbiValue;
 use pol_ledger::{Address, Amount, ContractId, Receipt, Transaction, TxId, TxStatus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Handle to a registered prover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,8 +172,8 @@ struct Payload<'a> {
 
 struct AreaState {
     contract: ContractId,
-    /// Pending entries awaiting verification: DID digest → (entry, DID).
-    pending: HashMap<u64, (SubmittedEntry, Did)>,
+    /// Pending entries by DID digest, in the order the verifier submits.
+    pending: BTreeMap<u64, (SubmittedEntry, Did)>,
 }
 
 /// The wired system.
@@ -266,16 +266,6 @@ impl PolSystem {
     /// Recorded chain operations, in execution order.
     pub fn operations(&self) -> &[OpRecord] {
         &self.ops
-    }
-
-    /// The conservative compiler analysis of the deployed program
-    /// (Fig. 5.1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis failures.
-    pub fn analysis(&self) -> Result<pol_lang::analyze::Analysis, PolError> {
-        Ok(pol_lang::analyze::analyze(self.factory.program())?)
     }
 
     /// Registers a prover at the given coordinates: identity generation,
@@ -407,8 +397,8 @@ impl PolSystem {
             self.hypercube.register_contract(&area, contract.to_string())?;
             let deployed_ms = self.chain.now_ms();
             self.factory.track(contract, area.as_str().to_string(), deployed_ms);
-            self.areas
-                .insert(area.as_str().to_string(), AreaState { contract, pending: HashMap::new() });
+            let state = AreaState { contract, pending: BTreeMap::new() };
+            self.areas.insert(area.as_str().to_string(), state);
         }
         // Cache the pending entry for the verifier (recovered from the
         // insert transaction's log in a real deployment).
@@ -804,23 +794,36 @@ mod tests {
         assert_eq!(system.operations().len(), ops_before);
     }
 
-    #[test]
-    fn close_returns_residue_to_creator() {
-        let mut system = devnet_system(VmKind::Avm);
-        // Fill all 4 seats so both phases can complete.
+    /// One seeded campaign filling all four seats, so both phases
+    /// complete: reports, the verifier pass and the close.
+    fn four_prover_campaign(vm: VmKind) -> PolSystem {
+        let mut system = devnet_system(vm);
         let base = (44.4949, 11.3426);
-        let mut provers = Vec::new();
-        for i in 0..4 {
-            provers.push(system.register_prover(base.0 + 0.000001 * i as f64, base.1).unwrap());
-        }
         let w = system.register_witness(base.0, base.1 + 0.00001).unwrap();
         let mut area = None;
-        for &p in &provers {
-            let out = system.submit_report(p, w, b"report".to_vec()).unwrap();
-            area = Some(out.area);
+        for i in 0..4 {
+            let p = system.register_prover(base.0 + 0.000001 * i as f64, base.1).unwrap();
+            area = Some(system.submit_report(p, w, b"report".to_vec()).unwrap().area);
         }
         let area = area.unwrap();
         assert_eq!(system.run_verifier(&area).unwrap(), 4);
         system.close_area(&area).unwrap();
+        system
+    }
+
+    #[test]
+    fn close_returns_residue_to_creator() {
+        four_prover_campaign(VmKind::Avm);
+    }
+
+    #[test]
+    fn verifier_submits_in_a_fixed_order() {
+        let block_hashes = |vm| {
+            let system = four_prover_campaign(vm);
+            (0..).map_while(|h| system.chain().block(h)).map(|b| b.hash()).collect::<Vec<_>>()
+        };
+        for vm in [VmKind::Evm, VmKind::Avm] {
+            assert_eq!(block_hashes(vm), block_hashes(vm), "{vm:?}");
+        }
     }
 }

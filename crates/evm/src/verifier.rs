@@ -20,7 +20,7 @@
 //!   unaccounted state write;
 //! * **worst-case gas** — the maximum conservative gas over all paths,
 //!   using the same warm-state dynamic model as the language's
-//!   conservative analysis, so the two bounds are comparable.
+//!   straight-line bound, so the compiler's cost gate can compare them.
 
 use crate::gas;
 use crate::opcode::Op;
@@ -137,8 +137,8 @@ impl std::fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// The conservative cost of one opcode under the same warm-state model
-/// the language's straight-line analysis uses, so path bounds and
-/// linear bounds are directly comparable.
+/// the language's straight-line bound uses, so path bounds and linear
+/// bounds are directly comparable.
 pub fn conservative_op_gas(op: Op, payload_bytes: u64) -> u64 {
     op.base_gas()
         + match op {

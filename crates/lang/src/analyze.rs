@@ -1,26 +1,17 @@
 //! The conservative cost analysis — the compiler report reproduced as
 //! Fig. 5.1 of the paper: before deployment, the compiler bounds the
 //! worst-case resources of every operation on every target chain,
-//! alongside the verification summary.
+//! alongside the verification summary. Every figure is the scalar worst
+//! case of a [`crate::gas`] certificate, so the report prints exactly
+//! what admission and the scheduler are later held to.
 
+use crate::access::MethodKind;
 use crate::ast::{Program, Stmt};
-use crate::backend::{avm as avm_backend, evm as evm_backend, evm_linear_bound};
-use crate::verify;
+use crate::backend::{avm as avm_backend, evm as evm_backend};
+use crate::gas::{certify_compiled, GasBound};
+use crate::ir::ProgramFlows;
+use crate::verify::verify_flows;
 use crate::LangError;
-use pol_evm::gas;
-
-/// Per-call gas overhead of the (Reach-equivalent) runtime's state
-/// re-validation on EVM targets, added to every conservative API
-/// estimate. Calibrated against the production Reach 0.1.11 output for
-/// the proof-of-location contract (attach = 82,437 gas, §5.1.1).
-pub(crate) const EVM_RUNTIME_CALL_OVERHEAD: u64 = 43_096;
-
-/// Gas the runtime's deployment protocol adds beyond the contract body:
-/// constructor event registrations, the state-commitment initialisation
-/// and the runtime library linked into the image. Calibrated against the
-/// production Reach 0.1.11 output for the proof-of-location contract
-/// (deployment = 1,440,385 gas, §5.1.1).
-pub(crate) const EVM_DEPLOY_PROTOCOL_OVERHEAD: u64 = 329_414;
 
 /// Conservative costs of one API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,55 +102,30 @@ impl std::fmt::Display for Analysis {
 ///
 /// # Errors
 ///
-/// Backend errors if code generation fails.
+/// Backend errors if code generation fails on either target.
 pub fn analyze(program: &Program) -> Result<Analysis, LangError> {
-    let report = verify::verify(program);
+    let flows = ProgramFlows::new(program, true);
+    let report = verify_flows(program, &flows);
     let compiled_evm = evm_backend::compile(program)?;
-    let compiled_avm = avm_backend::compile(program)?;
+    // The AVM backend refuses some programs the EVM one accepts (an
+    // argument index past one byte); either refusal means no report.
+    avm_backend::compile(program)?;
+    let bounds = certify_compiled(program, &flows, &compiled_evm);
 
-    // Deployment: intrinsic on the init code with worst-case (non-zero)
-    // constructor args, straight-line constructor execution, and the
-    // code deposit.
-    let arg_bytes: usize = program
-        .creator
-        .fields
+    // The phase APIs in declaration order; the generated views and
+    // `closeContract` are not in the report.
+    let apis = bounds
+        .methods
         .iter()
-        .map(|(_, ty)| match ty {
-            crate::ast::Ty::Bytes(cap) => cap.div_ceil(32) * 32,
-            _ => 32,
+        .filter(|m| m.kind == MethodKind::Api)
+        .map(|m| ApiCost {
+            name: m.name.clone(),
+            evm_gas: worst_case(&m.evm),
+            avm_cost: worst_case(&m.avm),
         })
-        .sum();
-    let constructor_len = compiled_evm.init_code.len()
-        - compiled_evm.runtime_len
-        - pol_evm::assembler::DEPLOY_WRAPPER_LEN;
-    let constructor_gas =
-        evm_linear_bound(&compiled_evm.init_code[..constructor_len], arg_bytes as u64);
-    let deploy_intrinsic = gas::G_TRANSACTION
-        + gas::G_TXCREATE
-        + gas::G_TXDATANONZERO * (compiled_evm.init_code.len() + arg_bytes) as u64;
-    let evm_deploy_gas = deploy_intrinsic
-        + constructor_gas
-        + gas::G_CODEDEPOSIT * compiled_evm.runtime_len as u64
-        + EVM_DEPLOY_PROTOCOL_OVERHEAD;
-
-    let mut apis = Vec::new();
-    let mut agnostic_steps = program.constructor.len();
-    for (phase_idx, api) in program.all_apis() {
-        agnostic_steps += count_steps(&api.body) + 1;
-        let fragment = evm_backend::api_fragment(program, phase_idx, api)?;
-        let payload = evm_backend::params_width(api) as u64;
-        let call_intrinsic = gas::G_TRANSACTION
-            + 4 * gas::G_TXDATANONZERO
-            + payload * (gas::G_TXDATANONZERO + gas::G_TXDATAZERO) / 2;
-        let evm_gas =
-            call_intrinsic + evm_linear_bound(&fragment, payload) + EVM_RUNTIME_CALL_OVERHEAD;
-        let avm_ops = avm_backend::api_fragment(program, phase_idx, api)?;
-        apis.push(ApiCost {
-            name: api.name.clone(),
-            evm_gas,
-            avm_cost: pol_avm::cost::program_cost(&avm_ops),
-        });
-    }
+        .collect();
+    let agnostic_steps = program.constructor.len()
+        + program.all_apis().map(|(_, api)| count_steps(&api.body) + 1).sum::<usize>();
 
     Ok(Analysis {
         contract: program.name.clone(),
@@ -168,12 +134,18 @@ pub fn analyze(program: &Program) -> Result<Analysis, LangError> {
         state_slots: program.globals.len() + 2,
         maps: program.maps.len(),
         agnostic_steps,
-        evm_deploy_gas,
+        evm_deploy_gas: worst_case(&bounds.constructor_evm),
         evm_runtime_bytes: compiled_evm.runtime_len,
-        avm_create_cost: pol_avm::cost::program_cost(compiled_avm.program.ops()),
+        avm_create_cost: worst_case(&bounds.constructor_avm),
         avm_min_fee: pol_avm::cost::MIN_TXN_FEE,
         apis,
     })
+}
+
+/// A certificate's scalar worst case; ⊤ (never produced for a program
+/// that compiles) reads as unbounded.
+fn worst_case(bound: &GasBound) -> u64 {
+    bound.worst_case().unwrap_or(u64::MAX)
 }
 
 fn count_steps(stmts: &[Stmt]) -> usize {
@@ -190,6 +162,9 @@ fn count_steps(stmts: &[Stmt]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gas::certify;
+    use crate::parse::parse;
+    use pol_evm::gas;
 
     #[test]
     fn counter_analysis_is_consistent() {
@@ -205,6 +180,27 @@ mod tests {
         let text = analysis.to_string();
         assert!(text.contains("Conservative analysis"));
         assert!(text.contains("No failures!"));
+    }
+
+    #[test]
+    fn every_figure_is_a_certificate_worst_case() {
+        let programs = [
+            Program::counter_example(),
+            parse(include_str!("../../core/contracts/proof_of_location.pol")).expect("parses"),
+            parse(include_str!("../../core/contracts/proof_of_location_v2.pol")).expect("parses"),
+        ];
+        for program in &programs {
+            let (analysis, bounds) = (analyze(program).unwrap(), certify(program).unwrap());
+            let deploy = (bounds.constructor_evm.worst_case(), bounds.constructor_avm.worst_case());
+            assert_eq!((Some(analysis.evm_deploy_gas), Some(analysis.avm_create_cost)), deploy);
+            let names: Vec<_> = program.all_apis().map(|(_, api)| &api.name).collect();
+            assert_eq!(analysis.apis.iter().map(|a| &a.name).collect::<Vec<_>>(), names);
+            for api in &analysis.apis {
+                let m = bounds.method(&api.name).unwrap();
+                let certified = (m.evm.worst_case(), m.avm.worst_case());
+                assert_eq!((Some(api.evm_gas), Some(api.avm_cost)), certified, "{}", api.name);
+            }
+        }
     }
 
     #[test]

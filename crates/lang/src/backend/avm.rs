@@ -101,7 +101,8 @@ fn encode_args(params: &[(String, Ty)], args: &[AbiValue]) -> Result<Vec<Vec<u8>
     Ok(out)
 }
 
-/// Compiles one API in isolation for the conservative cost analysis.
+/// Compiles one API in isolation, for the AVM verifier and the X0402
+/// gate.
 ///
 /// # Errors
 ///

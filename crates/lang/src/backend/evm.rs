@@ -46,8 +46,8 @@ const STAGING: u64 = 0x80;
 /// Padding appended to the runtime image, emulating the size of the
 /// runtime library the production Reach compiler links into every
 /// contract (dead code behind a terminal revert; never executed). The
-/// default is calibrated so the proof-of-location contract's
-/// conservative deployment analysis matches the paper's 1,440,385 gas.
+/// chain charges its code deposit, so the pad sizes the deployment fee
+/// the simulated contract pays.
 pub(crate) const DEFAULT_RUNTIME_PAD: usize = 4096;
 
 /// The compiled EVM artifact.
@@ -715,8 +715,8 @@ impl<'p> Ctx<'p> {
     }
 }
 
-/// Compiles one API in isolation, for the conservative cost analysis
-/// (the fragment is scanned linearly, never executed).
+/// Compiles one API in isolation, for the bytecode verifier and the
+/// X0401 gate (the fragment is verified and scanned, never executed).
 ///
 /// # Errors
 ///

@@ -7,11 +7,12 @@
 //! flows, code generation, and finally the *bytecode-level* verifiers
 //! from [`pol_evm::verifier`] and [`pol_avm::verifier`] — so a codegen
 //! bug that emits an unbalanced stack, a bogus jump or a post-transfer
-//! state write is caught before the artifact ever reaches a chain. The
-//! verified worst-case costs are also cross-checked against the static
-//! certificates and the conservative straight-line bounds, per API, on
-//! both targets. Everything the pipeline derives on the way — warnings,
-//! summaries, certificates — is returned with the artifacts.
+//! state write is caught before the artifact ever reaches a chain. Per
+//! API, on both targets, the two-sided cost gate (X0401/X0402) holds the
+//! verified worst-case costs under the static certificates and those
+//! under the straight-line opcode sum. Everything the pipeline derives
+//! on the way — warnings, summaries, certificates — is returned with the
+//! artifacts.
 
 pub mod avm;
 pub mod evm;
@@ -119,9 +120,9 @@ pub fn compile(program: &crate::ast::Program) -> Result<CompiledContract, crate:
     })
 }
 
-/// Runs the post-emission bytecode verifiers over every artifact and
-/// cross-checks the verified worst-case costs against the conservative
-/// straight-line bounds (B0301–B0303, X0401–X0402).
+/// Runs the post-emission bytecode verifiers over every artifact
+/// (B0301–B0303) and the two-sided cost gate on each API's fragments
+/// (X0401–X0402).
 fn verify_bytecode(
     program: &crate::ast::Program,
     flows: &ProgramFlows,
@@ -165,9 +166,8 @@ fn verify_bytecode(
         );
     }
 
-    // Per-API fragments: verify each and cross-check the verified worst
-    // path against the conservative straight-line bound the analysis
-    // uses.
+    // Per-API fragments: verify each and gate the verified worst path
+    // against the certificate and the straight-line bound.
     for (phase_idx, phase) in program.phases.iter().enumerate() {
         for (api_idx, api) in phase.apis.iter().enumerate() {
             let at = program.spans.get(&NodePath::Api { phase: phase_idx, api: api_idx });
@@ -272,11 +272,11 @@ fn two_sided_gate(
     diags
 }
 
-/// The conservative straight-line gas bound of a fragment: the linear
-/// opcode sum, which the analysis reports (Fig. 5.1) and the X0401 gate
-/// holds the certificates under. On the loop-free code this backend
-/// emits, every execution path is a subsequence of the instruction
-/// stream, so the verified worst path can never exceed this.
+/// The straight-line gas bound of a fragment, the upper side of the
+/// X0401 gate: the linear opcode sum the certificates are held under.
+/// On the loop-free code this backend emits, every execution path is a
+/// subsequence of the instruction stream, so the verified worst path can
+/// never exceed this.
 ///
 /// Storage costs follow the Reach runtime's *warm-state* accounting: the
 /// runtime touches its (single-commitment) state at call entry, so

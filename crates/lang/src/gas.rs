@@ -24,8 +24,9 @@
 //!
 //! Two EVM pricings share the EVM walker. `EvmModel::Cold` prices ops
 //! the way [`pol_evm`]'s interpreter worst case does and yields the
-//! runtime certificates consumed by the executor's scheduler seeding
-//! and `pol-node` admission. `EvmModel::Verifier` prices every op exactly
+//! runtime certificates consumed by the executor's scheduler seeding,
+//! `pol-node` admission and the Fig. 5.1 report
+//! ([`crate::analyze`]). `EvmModel::Verifier` prices every op exactly
 //! like [`pol_evm::verifier::conservative_op_gas`] at a fixed payload
 //! width and skips memory accounting, so the *unpruned* bound can be
 //! sandwiched between the bytecode verifier's observed worst path and
@@ -102,7 +103,7 @@ enum EvmModel {
     Cold,
     /// Bytecode-verifier mirror: every op charged
     /// [`conservative_op_gas`] at this payload width, no memory
-    /// accounting. Used only for the two-sided bytecode cross-check.
+    /// accounting. Used only by the X0401 gate.
     Verifier {
         /// The `payload_bytes` the verifier was configured with.
         payload: u64,
@@ -901,10 +902,11 @@ pub(crate) fn certify_compiled(
     }
 }
 
-/// Unpruned worst-path cost of one API's EVM fragment priced exactly
-/// like the bytecode verifier at `payload_bytes`. By construction it
-/// lies between the verifier's observed worst path (which may prune
-/// constant branches) and the straight-line sum over the fragment.
+/// The middle of the X0401 gate: the unpruned worst-path cost of one
+/// API's EVM fragment priced exactly like the bytecode verifier at
+/// `payload_bytes`. By construction it lies between the verifier's
+/// observed worst path (which may prune constant branches) and the
+/// straight-line sum over the fragment.
 pub(crate) fn evm_fragment_bound(
     program: &Program,
     flows: &ProgramFlows,

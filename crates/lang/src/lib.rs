@@ -14,8 +14,8 @@
 //!   guarded transfers, …) run in both honest and dishonest participant
 //!   modes, as Reach does ("Verifying when ALL participants are honest /
 //!   when NO participants are honest", Fig. 2.11);
-//! * [`analyze`] — the conservative cost analysis of Fig. 5.1 (per-chain
-//!   deploy/call costs, state footprint, step counts);
+//! * [`analyze`] — the conservative cost analysis of Fig. 5.1 (the
+//!   [`gas`] certificates per chain, state footprint, step counts);
 //! * [`backend::evm`] — compiles to EVM init+runtime bytecode using the
 //!   state-commitment storage layout (maps hold 32-byte commitments, raw
 //!   data travels in calldata and logs);
@@ -68,8 +68,8 @@ pub enum LangError {
     VerificationFailed(Vec<Diagnostic>),
     /// An error-severity lint diagnostic fired.
     LintErrors(Vec<Diagnostic>),
-    /// Emitted bytecode failed post-emission verification or the cost
-    /// cross-check against the conservative analysis bound.
+    /// Emitted bytecode failed post-emission verification or the
+    /// two-sided cost gate (X0401/X0402).
     BytecodeRejected(Vec<Diagnostic>),
     /// A backend limitation was hit.
     Backend(String),

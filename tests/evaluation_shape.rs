@@ -9,9 +9,17 @@ use pol_crowdsense::simulation::{self, SimulationConfig};
 
 #[test]
 fn figure_5_1_values_are_exact() {
+    // Fig. 5.1 prints the gas certificates, figure for figure.
     let analysis = bench::conservative_analysis();
-    assert_eq!(analysis.evm_deploy_gas, 1_440_385, "paper §5.1.1 deploy gas");
-    assert_eq!(analysis.api("insert_data").unwrap().evm_gas, 82_437, "paper §5.1.1 attach gas");
+    let bounds = pol_lang::gas::certify(&pol_core::contract::pol_program()).unwrap();
+    let deploy = (bounds.constructor_evm.worst_case(), bounds.constructor_avm.worst_case());
+    assert_eq!((Some(analysis.evm_deploy_gas), Some(analysis.avm_create_cost)), deploy);
+    assert_eq!(analysis.apis.len(), 3);
+    for api in &analysis.apis {
+        let m = bounds.methods.iter().find(|m| m.name == api.name).unwrap();
+        let certified = (m.evm.worst_case(), m.avm.worst_case());
+        assert_eq!((Some(api.evm_gas), Some(api.avm_cost)), certified, "{}", api.name);
+    }
     assert_eq!(analysis.theorems, 42, "Fig. 2.11: 42 theorems");
     assert!(analysis.verified);
 }
