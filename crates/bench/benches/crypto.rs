@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pol_crypto::ed25519::{Keypair, Point};
-use pol_crypto::sha256::sha256_x16;
+use pol_crypto::sha256::{sha256_x16, sha256_x16_short};
 use pol_crypto::x25519::XKeypair;
 use pol_crypto::{keccak256, scalar, sealed, sha256};
 use rand::rngs::StdRng;
@@ -28,6 +28,16 @@ fn hashes(c: &mut Criterion) {
     group.bench_function("sha256/65", |b| b.iter(|| sha256(black_box(&nodes[0]))));
     group.throughput(Throughput::Elements(16));
     group.bench_function("sha256-x16/65", |b| b.iter(|| sha256_x16(black_box(&nodes))));
+    // A trie leaf's value, as the ledger encodes an EVM storage word
+    // (tag byte and 32 bytes), alone and sixteen at a time.
+    let values: [[u8; 33]; 16] =
+        core::array::from_fn(|l| core::array::from_fn(|i| (33 * l + i) as u8 ^ 0x5a));
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("sha256/33", |b| b.iter(|| sha256(black_box(&values[0]))));
+    group.throughput(Throughput::Elements(16));
+    group.bench_function("sha256-x16/33", |b| {
+        b.iter(|| sha256_x16_short(black_box(core::array::from_fn(|l| &values[l][..]))))
+    });
     group.finish();
 }
 

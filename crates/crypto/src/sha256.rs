@@ -4,9 +4,11 @@
 //!
 //! [`sha256`] hashes one message of any length. [`sha256_x16`] hashes
 //! sixteen 65-byte messages at once — the shape of a Merkle node,
-//! `tag ‖ left ‖ right` — with every step written over sixteen lanes, so
-//! the compiler's loop vectoriser turns it into vector instructions
-//! without `unsafe`, `std::arch` or target-feature flags.
+//! `tag ‖ left ‖ right` — and [`sha256_x16_short`] sixteen messages of
+//! at most [`SHORT_MESSAGE_MAX`] bytes, such as the trie's leaf values.
+//! Both write every step over sixteen lanes, so the compiler's loop
+//! vectoriser turns them into vector instructions without `unsafe`,
+//! `std::arch` or target-feature flags.
 
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
@@ -128,19 +130,67 @@ type Lanes = [u32; 16];
 /// ```
 pub fn sha256_x16(msgs: &[[u8; 65]; 16]) -> [[u8; 32]; 16] {
     let mut state: [Lanes; 8] = H0.map(|h| [h; 16]);
-    let first: [Lanes; 16] = core::array::from_fn(|j| {
-        core::array::from_fn(|l| {
-            u32::from_be_bytes(msgs[l][4 * j..4 * j + 4].try_into().expect("4 bytes"))
-        })
-    });
-    compress_x16(&mut state, &first);
+    compress_x16(&mut state, &words_x16(|l| msgs[l][..64].try_into().expect("64 bytes")));
     let mut padding = [[0u32; 16]; 16];
     padding[0] = core::array::from_fn(|l| u32::from(msgs[l][64]) << 24 | 0x0080_0000);
     padding[15] = [65 * 8; 16];
     compress_x16(&mut state, &padding);
+    digests_x16(&state)
+}
+
+/// The longest message [`sha256_x16_short`] takes: one 64-byte block
+/// less the `0x80` marker and the 8-byte bit length.
+pub const SHORT_MESSAGE_MAX: usize = 55;
+
+/// The SHA-256 digests of sixteen messages of at most
+/// [`SHORT_MESSAGE_MAX`] bytes each, lane for lane equal to [`sha256`]
+/// of each. The lengths may differ: each lane is padded to its one
+/// block, and the sixteen blocks are compressed at once by the same
+/// lane loops as [`sha256_x16`].
+///
+/// # Panics
+///
+/// If a message is longer than [`SHORT_MESSAGE_MAX`] bytes.
+///
+/// # Examples
+///
+/// ```
+/// use pol_crypto::sha256::{sha256_x16_short, SHORT_MESSAGE_MAX};
+/// let long = [0xa5u8; SHORT_MESSAGE_MAX];
+/// let msgs: [&[u8]; 16] = core::array::from_fn(|l| &long[..l]);
+/// let digests = sha256_x16_short(msgs);
+/// assert_eq!(digests[0], pol_crypto::sha256(b""));
+/// assert_eq!(digests[15], pol_crypto::sha256(&long[..15]));
+/// ```
+pub fn sha256_x16_short(msgs: [&[u8]; 16]) -> [[u8; 32]; 16] {
+    let blocks = msgs.map(|msg| {
+        assert!(msg.len() <= SHORT_MESSAGE_MAX, "{}-byte message is not one block", msg.len());
+        let mut block = [0u8; 64];
+        block[..msg.len()].copy_from_slice(msg);
+        block[msg.len()] = 0x80;
+        block[56..].copy_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        block
+    });
+    let mut state: [Lanes; 8] = H0.map(|h| [h; 16]);
+    compress_x16(&mut state, &words_x16(|l| &blocks[l]));
+    digests_x16(&state)
+}
+
+/// Sixteen 64-byte blocks as big-endian words, word-major: entry `[j][l]`
+/// is word `j` of lane `l`'s block.
+fn words_x16<'a>(block: impl Fn(usize) -> &'a [u8; 64]) -> [Lanes; 16] {
+    core::array::from_fn(|j| {
+        core::array::from_fn(|l| {
+            u32::from_be_bytes(block(l)[4 * j..4 * j + 4].try_into().expect("4 bytes"))
+        })
+    })
+}
+
+/// Each lane's digest, read out of a sixteen-lane state.
+fn digests_x16(state: &[Lanes; 8]) -> [[u8; 32]; 16] {
     core::array::from_fn(|l| {
         let mut out = [0u8; 32];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(&state) {
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
             bytes.copy_from_slice(&word[l].to_be_bytes());
         }
         out
@@ -254,6 +304,34 @@ mod tests {
                 assert_lanes_match(&[msg; 16]);
             }
         }
+    }
+
+    #[test]
+    fn x16_short_matches_the_scalar_hash_at_every_padding_edge() {
+        let data: [u8; SHORT_MESSAGE_MAX] = core::array::from_fn(|i| (i * 37 + 11) as u8);
+        // One length in every lane: empty, one byte, the last length with
+        // a spare byte before the bit length, and the longest.
+        for len in [0, 1, 54, 55] {
+            let msgs = [&data[..len]; 16];
+            for digest in sha256_x16_short(msgs) {
+                assert_eq!(digest, sha256(&data[..len]), "length {len}");
+            }
+        }
+        // Sixteen lengths in one call, the edges among them.
+        let lengths = [0, 55, 1, 54, 2, 53, 31, 32, 33, 7, 8, 9, 55, 0, 40, 54];
+        let msgs: [&[u8]; 16] = core::array::from_fn(|l| &data[..lengths[l]]);
+        for (lane, digest) in sha256_x16_short(msgs).iter().enumerate() {
+            assert_eq!(*digest, sha256(msgs[lane]), "lane {lane}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "56-byte message is not one block")]
+    fn x16_short_refuses_a_two_block_message() {
+        let data = [0u8; 56];
+        let mut msgs: [&[u8]; 16] = [&data[..0]; 16];
+        msgs[9] = &data;
+        sha256_x16_short(msgs);
     }
 
     /// The padding rule read straight off FIPS 180-4 §5.1.1 — message,

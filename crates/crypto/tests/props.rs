@@ -3,7 +3,7 @@
 use pol_crypto::bigint::{self, U256};
 use pol_crypto::ed25519::{Keypair, Point, PublicKey, Signature};
 use pol_crypto::field25519::Fe;
-use pol_crypto::sha256::sha256_x16;
+use pol_crypto::sha256::{sha256_x16, sha256_x16_short, SHORT_MESSAGE_MAX};
 use pol_crypto::sha512::Sha512;
 use pol_crypto::x25519::XKeypair;
 use pol_crypto::{base32, hex, scalar, sealed, sha256};
@@ -331,6 +331,18 @@ proptest! {
     #[test]
     fn sha256_x16_matches_sha256(msgs in any::<[[u8; 65]; 16]>()) {
         let digests = sha256_x16(&msgs);
+        for (digest, msg) in digests.iter().zip(&msgs) {
+            prop_assert_eq!(*digest, sha256(msg));
+        }
+    }
+
+    /// The one-block kernel equals the one-message hash lane for lane,
+    /// with every lane's length drawn on its own.
+    #[test]
+    fn sha256_x16_short_matches_sha256(
+        msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..SHORT_MESSAGE_MAX + 1), 16..17)
+    ) {
+        let digests = sha256_x16_short(core::array::from_fn(|l| &msgs[l][..]));
         for (digest, msg) in digests.iter().zip(&msgs) {
             prop_assert_eq!(*digest, sha256(msg));
         }

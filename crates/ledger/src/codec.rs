@@ -33,42 +33,25 @@ const TAG_APP_BOX: u8 = 10;
 /// Encodes a state key to its canonical byte form.
 pub fn encode_key(key: &StateKey) -> Vec<u8> {
     match key {
-        StateKey::Balance(a) => tag_addr(TAG_BALANCE, a),
-        StateKey::Nonce(a) => tag_addr(TAG_NONCE, a),
-        StateKey::Code(a) => tag_addr(TAG_CODE, a),
-        StateKey::Storage(a, slot) => {
-            let mut out = tag_addr(TAG_STORAGE, a);
-            out.extend_from_slice(slot);
-            out
-        }
+        StateKey::Balance(a) => tagged(TAG_BALANCE, &a.0, &[]),
+        StateKey::Nonce(a) => tagged(TAG_NONCE, &a.0, &[]),
+        StateKey::Code(a) => tagged(TAG_CODE, &a.0, &[]),
+        StateKey::Storage(a, slot) => tagged(TAG_STORAGE, &a.0, slot),
         StateKey::DeployCount => vec![TAG_DEPLOY_COUNT],
         StateKey::AppCount => vec![TAG_APP_COUNT],
-        StateKey::AppProgram(id) => tag_u64(TAG_APP_PROGRAM, *id),
-        StateKey::AppCreator(id) => tag_u64(TAG_APP_CREATOR, *id),
-        StateKey::AppGlobal(id, k) => {
-            let mut out = tag_u64(TAG_APP_GLOBAL, *id);
-            out.extend_from_slice(k);
-            out
-        }
-        StateKey::AppBox(id, k) => {
-            let mut out = tag_u64(TAG_APP_BOX, *id);
-            out.extend_from_slice(k);
-            out
-        }
+        StateKey::AppProgram(id) => tagged(TAG_APP_PROGRAM, &id.to_be_bytes(), &[]),
+        StateKey::AppCreator(id) => tagged(TAG_APP_CREATOR, &id.to_be_bytes(), &[]),
+        StateKey::AppGlobal(id, k) => tagged(TAG_APP_GLOBAL, &id.to_be_bytes(), k),
+        StateKey::AppBox(id, k) => tagged(TAG_APP_BOX, &id.to_be_bytes(), k),
     }
 }
 
-fn tag_addr(tag: u8, a: &Address) -> Vec<u8> {
-    let mut out = Vec::with_capacity(21);
+/// `tag ‖ head ‖ tail` in a buffer allocated once at its final length.
+pub(crate) fn tagged(tag: u8, head: &[u8], tail: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + head.len() + tail.len());
     out.push(tag);
-    out.extend_from_slice(&a.0);
-    out
-}
-
-fn tag_u64(tag: u8, v: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9);
-    out.push(tag);
-    out.extend_from_slice(&v.to_be_bytes());
+    out.extend_from_slice(head);
+    out.extend_from_slice(tail);
     out
 }
 

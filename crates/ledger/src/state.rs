@@ -150,31 +150,11 @@ impl StateValue {
     /// the storage codec (`crate::codec::encode_value`).
     pub(crate) fn digest_bytes(&self) -> Vec<u8> {
         match self {
-            StateValue::U64(v) => {
-                let mut out = vec![1u8];
-                out.extend_from_slice(&v.to_be_bytes());
-                out
-            }
-            StateValue::U128(v) => {
-                let mut out = vec![2u8];
-                out.extend_from_slice(&v.to_be_bytes());
-                out
-            }
-            StateValue::Word(w) => {
-                let mut out = vec![3u8];
-                out.extend_from_slice(w);
-                out
-            }
-            StateValue::Bytes(b) => {
-                let mut out = vec![4u8];
-                out.extend_from_slice(b);
-                out
-            }
-            StateValue::Blob(b) => {
-                let mut out = vec![5u8];
-                out.extend_from_slice(&b.digest_bytes());
-                out
-            }
+            StateValue::U64(v) => codec::tagged(1, &v.to_be_bytes(), &[]),
+            StateValue::U128(v) => codec::tagged(2, &v.to_be_bytes(), &[]),
+            StateValue::Word(w) => codec::tagged(3, w, &[]),
+            StateValue::Bytes(b) => codec::tagged(4, b, &[]),
+            StateValue::Blob(b) => codec::tagged(5, &b.digest_bytes(), &[]),
         }
     }
 }

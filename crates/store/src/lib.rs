@@ -16,9 +16,10 @@
 //!   tail (a crash mid-write loses at most the interrupted commit,
 //!   never corrupts the prefix).
 //! * [`TrieBackend`] — a copy-on-write binary Merkle trie over
-//!   `sha256(key)` paths. A commit edits structure and hashes nothing;
-//!   [`StateBackend::flush_block`] hashes each node the block dirtied
-//!   once, across the host's cores; the root and proofs read the
+//!   `sha256(key)` paths whose leaves hold the only copy of the entries.
+//!   A commit hashes its keys and edits structure;
+//!   [`StateBackend::flush_block`] hashes each value and node the block
+//!   dirtied once, across the host's cores; the root and proofs read the
 //!   memoised hashes (and fill any a mid-block caller finds missing).
 //!   Every key yields an inclusion proof (or an exclusion proof when
 //!   absent) checkable by the standalone [`verify_proof`] function with

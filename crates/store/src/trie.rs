@@ -17,15 +17,21 @@
 //! empty trie root = 32 zero bytes
 //! ```
 //!
-//! Structure and hashing are separate. [`StateBackend::commit`] edits
-//! structure only: a node nobody else holds is edited where it lies, a
-//! node shared with a `TrieBackend::clone` copy is cloned
-//! first (`Arc::make_mut` — copy-on-write, one level at a time), and
-//! every node on the way down loses its memoised hash. A node is hashed
-//! when somebody needs its hash and at most once until it is edited
-//! again (two threads reading snapshots that share an unhashed node may
-//! both hash it, to the same value). Empty memos are filled one way:
-//! deepest level first, sixteen nodes to a `sha256_x16` call.
+//! The trie is the only copy of the entries: each leaf owns its key and
+//! value bytes, and [`StateBackend::entries`] and proofs read them there.
+//!
+//! Structure and hashing are separate. [`StateBackend::commit`] hashes
+//! each key once, for its path, and otherwise edits structure only: a
+//! node nobody else holds is edited where it lies (a value of unchanged
+//! length is overwritten in its own buffer), a node shared with a
+//! `TrieBackend::clone` copy is cloned first (`Arc::make_mut` —
+//! copy-on-write, one level at a time), and every node on the way down
+//! loses its memoised hash. A node is hashed when somebody needs its
+//! hash and at most once until it is edited again (two threads reading
+//! snapshots that share an unhashed node may both hash it, to the same
+//! value). Empty memos are filled one way: deepest level first, the
+//! level's leaf values sixteen to a `sha256_x16_short` call, then its
+//! node preimages sixteen to a `sha256_x16` call.
 //! [`StateBackend::flush_block`] fills every one, on every core when the
 //! block was large enough to pay for the threads, so each dirty node
 //! costs one hash per block however many commits crossed it;
@@ -41,7 +47,7 @@
 
 use crate::{BatchEntry, StateBackend, StoreError};
 use pol_crypto::sha256;
-use pol_crypto::sha256::sha256_x16;
+use pol_crypto::sha256::{sha256_x16, sha256_x16_short, SHORT_MESSAGE_MAX};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -82,20 +88,26 @@ fn branch_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
     sha256(&preimage(BRANCH, left, right))
 }
 
-/// A trie node. `hash` memoises the node's commitment: empty from the
-/// moment an edit passes through the node until somebody asks for the
-/// hash again. An empty memo never sits below a filled one — every edit
-/// clears the whole path from the root — so a filled memo vouches for
-/// its entire subtree.
+/// A trie node. A leaf holds its entry's bytes and `sha256(key)`, its
+/// path; the value's hash is taken when the leaf's is. `hash` memoises
+/// the node's commitment: empty from the moment an edit passes through
+/// the node until somebody asks for the hash again. An empty memo never
+/// sits below a filled one — every edit clears the whole path from the
+/// root — so a filled memo vouches for its entire subtree.
 #[derive(Debug, Clone)]
 enum Node {
-    Leaf { key_hash: [u8; 32], value_hash: [u8; 32], hash: OnceLock<[u8; 32]> },
+    Leaf { key_hash: [u8; 32], key: Box<[u8]>, value: Box<[u8]>, hash: OnceLock<[u8; 32]> },
     Branch { left: Option<Arc<Node>>, right: Option<Arc<Node>>, hash: OnceLock<[u8; 32]> },
 }
 
 impl Node {
-    fn leaf(key_hash: [u8; 32], value_hash: [u8; 32]) -> Arc<Node> {
-        Arc::new(Node::Leaf { key_hash, value_hash, hash: OnceLock::new() })
+    fn leaf(key_hash: [u8; 32], key: &[u8], value: &[u8]) -> Arc<Node> {
+        Arc::new(Node::Leaf {
+            key_hash,
+            key: key.into(),
+            value: value.into(),
+            hash: OnceLock::new(),
+        })
     }
 
     fn branch(left: Option<Arc<Node>>, right: Option<Arc<Node>>) -> Arc<Node> {
@@ -115,16 +127,6 @@ impl Node {
 
     fn is_hashed(&self) -> bool {
         self.memo().get().is_some()
-    }
-
-    /// The bytes the node's hash is taken over.
-    fn preimage(&self) -> [u8; 65] {
-        match self {
-            Node::Leaf { key_hash, value_hash, .. } => preimage(LEAF, key_hash, value_hash),
-            Node::Branch { left, right, .. } => {
-                preimage(BRANCH, &child_hash(left), &child_hash(right))
-            }
-        }
     }
 
     fn key_hash(&self) -> [u8; 32] {
@@ -152,15 +154,15 @@ fn join(depth: usize, a: Arc<Node>, b: Arc<Node>) -> Arc<Node> {
     }
 }
 
-/// Inserts or updates `(key_hash → value_hash)` under `slot`, editing
-/// unshared nodes in place, copying shared ones, and clearing the memo
-/// of every node it passes. Hashes nothing.
-fn insert(mut slot: &mut Option<Arc<Node>>, kh: [u8; 32], vh: [u8; 32]) {
+/// Inserts or updates `key → value` (`kh = sha256(key)`) under `slot`,
+/// editing unshared nodes in place, copying shared ones, and clearing
+/// the memo of every node it passes. Hashes nothing.
+fn insert(mut slot: &mut Option<Arc<Node>>, kh: [u8; 32], key: &[u8], value: &[u8]) {
     let mut depth = 0usize;
     loop {
         match slot.as_deref() {
             None => {
-                *slot = Some(Node::leaf(kh, vh));
+                *slot = Some(Node::leaf(kh, key, value));
                 return;
             }
             // Another key owns this prefix: both leaves move down to
@@ -168,14 +170,18 @@ fn insert(mut slot: &mut Option<Arc<Node>>, kh: [u8; 32], vh: [u8; 32]) {
             // so it keeps its memo and is never copied.
             Some(Node::Leaf { key_hash, .. }) if *key_hash != kh => {
                 let other = slot.take().expect("matched Some");
-                *slot = Some(join(depth, other, Node::leaf(kh, vh)));
+                *slot = Some(join(depth, other, Node::leaf(kh, key, value)));
                 return;
             }
             Some(_) => {}
         }
         match Arc::make_mut(slot.as_mut().expect("matched Some")) {
-            Node::Leaf { value_hash, hash, .. } => {
-                *value_hash = vh;
+            Node::Leaf { value: old, hash, .. } => {
+                if old.len() == value.len() {
+                    old.copy_from_slice(value);
+                } else {
+                    *old = value.into();
+                }
                 hash.take();
                 return;
             }
@@ -192,8 +198,8 @@ fn insert(mut slot: &mut Option<Arc<Node>>, kh: [u8; 32], vh: [u8; 32]) {
 /// clear-as-you-pass discipline as [`insert`]. Collapses single-leaf
 /// branches on the way up so the shape stays canonical (a leaf always
 /// sits at the shallowest depth where its prefix is unique). The caller
-/// knows the key is present; an absent one would cost a dirtied path and
-/// change nothing.
+/// knows the key is present ([`holds`]); an absent one would cost a
+/// dirtied path and change nothing.
 fn remove(slot: &mut Option<Arc<Node>>, depth: usize, kh: &[u8; 32]) {
     match slot.as_deref() {
         None => return,
@@ -223,24 +229,42 @@ fn remove(slot: &mut Option<Arc<Node>>, depth: usize, kh: &[u8; 32]) {
     }
 }
 
+/// Whether a leaf for `kh` sits under `slot`: the read-only descent
+/// that keeps [`remove`] off the paths of absent keys.
+fn holds(mut slot: &Option<Arc<Node>>, kh: &[u8; 32]) -> bool {
+    let mut depth = 0usize;
+    loop {
+        match slot.as_deref() {
+            None => return false,
+            Some(Node::Leaf { key_hash, .. }) => return key_hash == kh,
+            Some(Node::Branch { left, right, .. }) => {
+                slot = if bit(kh, depth) { right } else { left };
+                depth += 1;
+            }
+        }
+    }
+}
+
 /// Fewest keys committed since the last [`StateBackend::flush_block`]
 /// for which the flush hashes on worker threads; below it the calling
 /// thread does all of it. Set from the 2-vCPU development host, blocks
 /// of `n` overwrites on a 40 000-key trie, median flush of 100 blocks in
-/// µs, one thread and two alternating block by block (the busy row has a
+/// µs (the values' hashes included), one thread and two alternating
+/// block by block, median of three runs (the busy row is one run with a
 /// spinning process on the second core; `flush_threshold_table` in the
 /// tests prints the rows, see its doc):
 ///
 /// ```text
 /// n                    16    32    64   128   256   512   1024
-/// one thread          128   213   330   566   993  1901   3102
-/// two threads         173   293   478   723  1007  1616   2616
-/// two, 2nd core busy  260   462   888  1388  1872  2460   3671
+/// one thread          197   321   544   895  1605  2750   5022
+/// two threads         260   356   604   885  1342  2037   3399
+/// two, 2nd core busy  359   554  1050  1597  2249  3308   6122
 /// ```
 ///
-/// With a free second core, two threads break even near 256 keys and
-/// win 15 % at 512 and 1024; with a busy one they lose 29 % at 512 and
-/// 18 % at 1024. 512 is twice the break-even.
+/// With a free second core, two threads break even near 128 keys and
+/// win 16 % at 256, 26 % at 512 and 32 % at 1024; with a busy one they
+/// lose 19 % at 512 and 10 % at 1024. At 512 the free-core gain is a
+/// quarter and the busy-core loss under a fifth.
 const PARALLEL_FLUSH_MIN_KEYS: usize = 512;
 
 /// Dirty subtrees handed out per thread. The descent stops at the first
@@ -288,12 +312,20 @@ fn fill_subtree(node: &Node) {
 }
 
 /// Fills the memo of every node in `level`, whose children are all
-/// hashed: sixteen at a time through [`sha256_x16`], the last fewer than
-/// sixteen one by one. A memo found already filled was filled by another
-/// thread reading a snapshot that shares the node, with the same hash.
+/// hashed. The leaves' values are hashed first ([`value_hashes`]); then
+/// the node preimages go sixteen at a time through [`sha256_x16`], the
+/// last fewer than sixteen one by one. A memo found already filled was
+/// filled by another thread reading a snapshot that shares the node,
+/// with the same hash.
 fn hash_level(level: &[&Node]) {
-    let preimage = |node: &Node| {
-        let bytes = node.preimage();
+    let value_hashes = value_hashes(level);
+    let preimage = |i: usize| {
+        let bytes = match level[i] {
+            Node::Leaf { key_hash, .. } => preimage(LEAF, key_hash, &value_hashes[i]),
+            Node::Branch { left, right, .. } => {
+                preimage(BRANCH, &child_hash(left), &child_hash(right))
+            }
+        };
         #[cfg(test)]
         tally::count(|t| match bytes[0] {
             LEAF => t.leaves += 1,
@@ -301,16 +333,46 @@ fn hash_level(level: &[&Node]) {
         });
         bytes
     };
-    let mut chunks = level.chunks_exact(16);
-    for chunk in &mut chunks {
-        let digests = sha256_x16(&core::array::from_fn(|i| preimage(chunk[i])));
-        for (node, digest) in chunk.iter().zip(digests) {
+    let batched = level.len() - level.len() % 16;
+    for start in (0..batched).step_by(16) {
+        let digests = sha256_x16(&core::array::from_fn(|i| preimage(start + i)));
+        for (node, digest) in level[start..start + 16].iter().zip(digests) {
             _ = node.memo().set(digest);
         }
     }
-    for node in chunks.remainder() {
-        _ = node.memo().set(sha256(&preimage(node)));
+    for (i, node) in level.iter().enumerate().skip(batched) {
+        _ = node.memo().set(sha256(&preimage(i)));
     }
+}
+
+/// `sha256(value)` of every leaf in `level`, by position (zeros where a
+/// branch stands). Values of at most [`SHORT_MESSAGE_MAX`] bytes — every
+/// value the ledger's codec writes but code and long byte strings — go
+/// sixteen to a [`sha256_x16_short`] call; longer ones, and the last
+/// fewer than sixteen short ones, one by one.
+fn value_hashes(level: &[&Node]) -> Vec<[u8; 32]> {
+    let mut hashes = vec![[0u8; 32]; level.len()];
+    let mut short: Vec<(usize, &[u8])> = Vec::new();
+    for (i, node) in level.iter().enumerate() {
+        if let Node::Leaf { value, .. } = node {
+            if value.len() <= SHORT_MESSAGE_MAX {
+                short.push((i, value));
+            } else {
+                hashes[i] = sha256(value);
+            }
+        }
+    }
+    let mut chunks = short.chunks_exact(16);
+    for chunk in &mut chunks {
+        let digests = sha256_x16_short(core::array::from_fn(|j| chunk[j].1));
+        for (&(i, _), digest) in chunk.iter().zip(digests) {
+            hashes[i] = digest;
+        }
+    }
+    for &(i, value) in chunks.remainder() {
+        hashes[i] = sha256(value);
+    }
+    hashes
 }
 
 /// Fills every empty memo under `root` using `ways` threads, the caller
@@ -594,15 +656,14 @@ pub fn verify_proof(
 }
 
 /// The copy-on-write Merkle trie backend: commits edit structure in
-/// `O(k log n)` without hashing, [`StateBackend::flush_block`] hashes
-/// each node dirtied since the last flush once, and every key yields an
-/// inclusion or exclusion proof. [`StateBackend::root`] and
-/// [`TrieBackend::prove`] hash on demand, so they are exact at any
-/// point, mid-block included. A plain sorted map serves point reads and
-/// iteration; the trie carries the commitment.
+/// `O(k log n)` and hash only the keys, [`StateBackend::flush_block`]
+/// hashes each value and node dirtied since the last flush once, and
+/// every key yields an inclusion or exclusion proof.
+/// [`StateBackend::root`] and [`TrieBackend::prove`] hash on demand, so
+/// they are exact at any point, mid-block included. The leaves hold the
+/// only copy of the entries; [`StateBackend::entries`] walks them.
 #[derive(Debug, Default, Clone)]
 pub struct TrieBackend {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
     root: Option<Arc<Node>>,
     /// Keys committed since the last flush: the size of the hashing
     /// debt, which decides whether the flush is worth threads.
@@ -624,14 +685,13 @@ impl TrieBackend {
         loop {
             match cursor {
                 None => return MerkleProof { claim: ProofClaim::AbsentEmpty, siblings },
-                Some(Node::Leaf { key_hash, value_hash, .. }) => {
+                Some(Node::Leaf { key_hash, value, .. }) => {
                     let claim = if *key_hash == kh {
-                        let value = self.map.get(key).cloned().expect("map and trie in sync");
-                        ProofClaim::Present(value)
+                        ProofClaim::Present(value.to_vec())
                     } else {
                         ProofClaim::AbsentLeaf {
                             other_key_hash: *key_hash,
-                            other_value_hash: *value_hash,
+                            other_value_hash: sha256(value),
                         }
                     };
                     return MerkleProof { claim, siblings };
@@ -663,14 +723,12 @@ impl StateBackend for TrieBackend {
 
     fn commit(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError> {
         for (key, value) in batch {
+            let kh = sha256(key);
             match value {
-                Some(v) => {
-                    insert(&mut self.root, sha256(key), sha256(v));
-                    self.map.insert(key.clone(), v.clone());
-                }
+                Some(v) => insert(&mut self.root, kh, key, v),
                 None => {
-                    if self.map.remove(key).is_some() {
-                        remove(&mut self.root, 0, &sha256(key));
+                    if holds(&self.root, &kh) {
+                        remove(&mut self.root, 0, &kh);
                     }
                 }
             }
@@ -693,7 +751,18 @@ impl StateBackend for TrieBackend {
     }
 
     fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.map.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+        let mut entries = Vec::new();
+        let mut stack: Vec<&Node> = self.root.as_deref().into_iter().collect();
+        while let Some(node) = stack.pop() {
+            match node {
+                Node::Leaf { key, value, .. } => entries.push((key.to_vec(), value.to_vec())),
+                Node::Branch { left, right, .. } => {
+                    stack.extend([left.as_deref(), right.as_deref()].into_iter().flatten());
+                }
+            }
+        }
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        entries
     }
 
     fn prove(&self, key: &[u8]) -> Option<MerkleProof> {
@@ -748,7 +817,8 @@ mod tests {
                 }
             }
             assert_eq!(trie.root(), map_root(&model), "divergence after op {i}");
-            assert_eq!(trie.map.len(), model.len());
+            let model_entries: Vec<_> = model.clone().into_iter().collect();
+            assert_eq!(trie.entries(), model_entries, "entries after op {i}");
         }
     }
 
@@ -891,7 +961,7 @@ mod tests {
         let root = trie.root();
         trie.prove_key(&key(151));
         assert_eq!(tally::take(), Tally::default(), "a flushed trie answers from memos");
-        assert_eq!(root, map_root(&trie.map));
+        assert_eq!(root, map_root(&trie.entries().into_iter().collect()));
     }
 
     #[test]
@@ -913,6 +983,55 @@ mod tests {
             let model: BTreeMap<_, _> = (0..keys).map(kv).collect();
             assert_eq!(flushes, [map_root(&model); 3], "{keys} keys");
         }
+    }
+
+    #[test]
+    fn values_on_both_sides_of_the_one_block_limit_hash_like_the_scratch_root() {
+        // Lengths around SHORT_MESSAGE_MAX, so most levels batch short
+        // values through the kernel and hash long ones, and a chunk's
+        // remainder, one by one.
+        let value = |i: u32, round: u32| {
+            let len = [0, 1, 54, 55, 56, 64, 200, 9, 33][((i + round) % 9) as usize];
+            vec![(i ^ round) as u8; len]
+        };
+        let mut trie = TrieBackend::new();
+        let mut model = BTreeMap::new();
+        for round in 0..3u32 {
+            // Round 0 inserts; later rounds overwrite with new lengths,
+            // and the same length in place every ninth key.
+            let batch: Vec<_> =
+                (0..3_000u32).map(|i| (kv(i).0, Some(value(i, round * 9 + i % 2)))).collect();
+            trie.commit(&batch).unwrap();
+            model.extend(batch.into_iter().map(|(k, v)| (k, v.expect("a write"))));
+            assert_eq!(trie.root(), map_root(&model), "mid-block, round {round}");
+            trie.flush_block(u64::from(round)).unwrap();
+            assert_eq!(trie.root(), map_root(&model), "flushed, round {round}");
+        }
+        let (key, _) = kv(17);
+        let proof = trie.prove_key(&key);
+        assert_eq!(verify_proof(&trie.root(), &key, &proof).unwrap(), model.get(&key).cloned());
+    }
+
+    #[test]
+    fn deleting_an_absent_key_after_a_flush_dirties_nothing() {
+        let mut trie = TrieBackend::new();
+        trie.commit(&[(kv(0).0, None)]).unwrap();
+        assert_eq!(trie.root(), EMPTY_ROOT);
+        let batch: Vec<_> = (0..500).map(|i| (kv(i).0, Some(kv(i).1))).collect();
+        trie.commit(&batch).unwrap();
+        trie.flush_block(1).unwrap();
+        let root = trie.root();
+        // Absent keys of both kinds: a path that ends in an empty slot,
+        // and one that ends at another key's leaf.
+        let absent: Vec<_> = (1_000..1_100).map(|i| (kv(i).0, None)).collect();
+        let claims: Vec<_> = absent.iter().map(|(key, _)| trie.prove_key(key).claim).collect();
+        assert!(claims.contains(&ProofClaim::AbsentEmpty));
+        assert!(claims.iter().any(|claim| matches!(claim, ProofClaim::AbsentLeaf { .. })));
+        tally::take();
+        trie.commit(&absent).unwrap();
+        assert_eq!(owed(&trie), Tally::default(), "a delete of nothing dirtied a path");
+        assert_eq!(trie.root(), root);
+        assert_eq!(tally::take(), Tally::default());
     }
 
     /// Prints the rows of [`PARALLEL_FLUSH_MIN_KEYS`]' table: the median
