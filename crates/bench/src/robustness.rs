@@ -11,8 +11,6 @@
 
 use pol_geo::{olc, Coordinates, OlcCode, RBitKey};
 use pol_hypercube::{Hypercube, NetworkStats, HOP_BUCKETS};
-use pol_net::link::LinkModel;
-use pol_net::retry::RetryPolicy;
 use pol_net::transport::SimTransport;
 use pol_net::NodeId;
 use rand::{Rng, SeedableRng};
@@ -101,7 +99,7 @@ impl RobustnessRow {
 
     /// Renders the row in the `CSV_HEADER` schema.
     pub(crate) fn to_csv(&self) -> String {
-        let lat = self.transport.merged_latency();
+        let lat = &self.transport.latency;
         format!(
             "{},{},{},{},{},{},{:.4},{:.3},{},{},{:.3},{:.3},{:.3},{},{},{},{},{}",
             self.scenario,
@@ -117,17 +115,12 @@ impl RobustnessRow {
             lat.p50_us() as f64 / 1_000.0,
             lat.p95_us() as f64 / 1_000.0,
             lat.p99_us() as f64 / 1_000.0,
-            self.transport.total_sent(),
-            self.transport.total_delivered(),
-            self.transport.total_dropped(),
-            self.transport.total_retried(),
-            self.timed_out(),
+            self.transport.sent,
+            self.transport.delivered,
+            self.transport.dropped,
+            self.transport.retried,
+            self.transport.timed_out,
         )
-    }
-
-    /// Total exchanges abandoned after the final retry.
-    pub(crate) fn timed_out(&self) -> u64 {
-        self.transport.per_class.values().map(|c| c.timed_out).sum()
     }
 }
 
@@ -161,7 +154,7 @@ pub fn summary_table(rows: &[RobustnessRow]) -> String {
         "scenario", "layer", "loss", "churn", "success", "mean_hops", "p50_ms", "p99_ms", "retries"
     ));
     for row in rows {
-        let lat = row.transport.merged_latency();
+        let lat = &row.transport.latency;
         out.push_str(&format!(
             "{:<16} {:<4} {:>4}% {:>5}% {:>7.1}% {:>9.2} {:>8.2} {:>8.2} {:>8}\n",
             row.scenario,
@@ -172,7 +165,7 @@ pub fn summary_table(rows: &[RobustnessRow]) -> String {
             row.hops.mean_hops(),
             lat.p50_us() as f64 / 1_000.0,
             lat.p99_us() as f64 / 1_000.0,
-            row.transport.total_retried(),
+            row.transport.retried,
         ));
     }
     out
@@ -188,13 +181,6 @@ fn areas() -> Vec<OlcCode> {
                 .expect("full-precision code")
         })
         .collect()
-}
-
-fn transport_for(seed: u64, scenario: &Scenario) -> SimTransport {
-    SimTransport::builder(seed)
-        .link(LinkModel::lan().with_drop_prob(scenario.loss))
-        .retry(RetryPolicy::default())
-        .build()
 }
 
 /// Deterministically samples `count` distinct ids from `1..n` (id 0 — the
@@ -235,7 +221,7 @@ fn run_dht(seed: u64, scenario: &Scenario) -> RobustnessRow {
     }
     let baseline = dht.stats();
 
-    let transport = transport_for(seed, scenario);
+    let transport = SimTransport::new(seed, scenario.loss);
     for node in churn_targets(seed ^ 0xD47, 1 << R, scenario.churn) {
         dht.fail_node(RBitKey::from_bits(node as u32, R));
         transport.set_online(NodeId(node), false);
@@ -287,7 +273,7 @@ fn run_dfs(seed: u64, scenario: &Scenario) -> RobustnessRow {
         })
         .collect();
 
-    let transport = transport_for(seed, scenario);
+    let transport = SimTransport::new(seed, scenario.loss);
     for peer in churn_targets(seed ^ 0xDF5, PEERS as u64, scenario.churn) {
         // Transport-level churn only: the provider records still point at
         // the peer, so the fetch has to discover unreachability by timing
@@ -324,6 +310,7 @@ fn run_dfs(seed: u64, scenario: &Scenario) -> RobustnessRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pol_net::transport::MAX_ATTEMPTS;
 
     #[test]
     fn scenario_grid_shape() {
@@ -340,7 +327,7 @@ mod tests {
         assert_eq!(scenario.name, "loss00_churn00");
         let row = run_dht(7, scenario);
         assert_eq!(row.successes, row.ops);
-        assert_eq!(row.timed_out(), 0);
+        assert_eq!(row.transport.timed_out, 0);
         assert!(row.hops.p50_hops() <= row.hops.p99_hops());
         assert!(row.hops.p99_hops() <= u32::from(R));
     }
@@ -349,7 +336,7 @@ mod tests {
     fn loss_degrades_but_retries_recover_most() {
         let lossy = Scenario { name: "t".into(), loss: 0.10, churn: 0.0, partition: false };
         let row = run_dht(7, &lossy);
-        assert!(row.transport.total_retried() > 0, "10% loss must trigger retries");
+        assert!(row.transport.retried > 0, "10% loss must trigger retries");
         assert!(
             row.success_rate() > 0.9,
             "retries should recover most lookups, got {}",
@@ -370,13 +357,13 @@ mod tests {
     #[test]
     fn every_attempt_is_delivered_or_dropped() {
         for row in run_sweep(crate::EVAL_SEED) {
-            for (class, c) in &row.transport.per_class {
-                let at = format!("{} {} {class}", row.scenario, row.layer);
-                assert_eq!(c.sent, c.delivered + c.dropped, "{at}");
-                assert!(c.timed_out <= c.dropped, "a timeout follows a drop: {at}");
-                // Every exchange's first attempt is a send but not a retry.
-                assert!(c.sent == 0 || c.retried < c.sent, "{at}");
-            }
+            let c = &row.transport;
+            let at = format!("{} {}", row.scenario, row.layer);
+            assert_eq!(c.sent, c.delivered + c.dropped, "{at}");
+            // A timeout follows one drop per attempt.
+            assert!(c.timed_out * u64::from(MAX_ATTEMPTS) <= c.dropped, "{at}");
+            // Every exchange's first attempt is a send but not a retry.
+            assert!(c.sent == 0 || c.retried < c.sent, "{at}");
         }
     }
 

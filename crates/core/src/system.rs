@@ -170,12 +170,6 @@ struct Payload<'a> {
     value: u128,
 }
 
-struct AreaState {
-    contract: ContractId,
-    /// Pending entries by DID digest, in the order the verifier submits.
-    pending: BTreeMap<u64, (SubmittedEntry, Did)>,
-}
-
 /// The wired system.
 pub struct PolSystem {
     chain: Chain,
@@ -198,7 +192,10 @@ pub struct PolSystem {
     /// Sink address standing in for the DID-generation contract the
     /// anchor transactions reference (§2.4's "first smart contract").
     did_anchor: Address,
-    areas: HashMap<String, AreaState>,
+    /// Each area's entries awaiting the verifier, by DID digest: the
+    /// order it submits them in. The area's contract is the factory's
+    /// record.
+    pending: HashMap<String, BTreeMap<u64, (SubmittedEntry, Did)>>,
     ops: Vec<OpRecord>,
 }
 
@@ -208,7 +205,7 @@ impl std::fmt::Debug for PolSystem {
             .field("chain", &self.chain.config.name)
             .field("provers", &self.provers.len())
             .field("witnesses", &self.witnesses.len())
-            .field("areas", &self.areas.len())
+            .field("areas", &self.factory.instances().len())
             .finish()
     }
 }
@@ -243,7 +240,7 @@ impl PolSystem {
             verifier: None,
             rng,
             did_anchor: Address([0xD1; 20]),
-            areas: HashMap::new(),
+            pending: HashMap::new(),
             ops: Vec::new(),
         }
     }
@@ -397,15 +394,12 @@ impl PolSystem {
             self.hypercube.register_contract(&area, contract.to_string())?;
             let deployed_ms = self.chain.now_ms();
             self.factory.track(contract, area.as_str().to_string(), deployed_ms);
-            let state = AreaState { contract, pending: BTreeMap::new() };
-            self.areas.insert(area.as_str().to_string(), state);
         }
         // Cache the pending entry for the verifier (recovered from the
         // insert transaction's log in a real deployment).
-        self.areas
-            .get_mut(area.as_str())
-            .expect("area recorded")
-            .pending
+        self.pending
+            .entry(area.as_str().to_string())
+            .or_default()
             .insert(did_digest, (entry, request.did.clone()));
         let outcome = SubmissionOutcome {
             area,
@@ -420,9 +414,9 @@ impl PolSystem {
     }
 
     fn area_contract(&self, area: &OlcCode) -> Result<ContractId, PolError> {
-        self.areas
-            .get(area.as_str())
-            .map(|a| a.contract)
+        self.factory
+            .instance_for(area.as_str())
+            .map(|instance| instance.contract)
             .ok_or_else(|| PolError::Unknown(format!("area {area}")))
     }
 
@@ -606,12 +600,14 @@ impl PolSystem {
     /// errors.
     pub fn run_verifier(&mut self, area: &OlcCode) -> Result<usize, PolError> {
         let keys = self.verifier_keys();
-        let area_key = area.as_str().to_string();
-        let state =
-            self.areas.get(&area_key).ok_or_else(|| PolError::Unknown(format!("area {area}")))?;
-        let contract = state.contract;
-        let pending: Vec<(u64, SubmittedEntry, Did)> =
-            state.pending.iter().map(|(k, (e, d))| (*k, e.clone(), d.clone())).collect();
+        let contract = self.area_contract(area)?;
+        let pending: Vec<(u64, SubmittedEntry, Did)> = self
+            .pending
+            .get(area.as_str())
+            .into_iter()
+            .flatten()
+            .map(|(k, (e, d))| (*k, e.clone(), d.clone()))
+            .collect();
         if pending.is_empty() {
             return Ok(0);
         }
@@ -655,7 +651,7 @@ impl PolSystem {
         for (did_digest, entry, id, start) in awaiting {
             let receipt = expect_success(self.chain.await_tx(id)?)?;
             self.hypercube.append_cid(area, entry.cid.as_str())?;
-            self.areas.get_mut(&area_key).expect("exists").pending.remove(&did_digest);
+            self.pending.get_mut(area.as_str()).expect("entry was pending").remove(&did_digest);
             verified += 1;
             self.ops.push(OpRecord {
                 kind: OpKind::Verify,
@@ -792,6 +788,14 @@ mod tests {
         let err = system.submit_report(p, w, b"fake".to_vec()).unwrap_err();
         assert!(matches!(err, PolError::OutOfRange { .. }));
         assert_eq!(system.operations().len(), ops_before);
+    }
+
+    #[test]
+    fn an_area_without_a_contract_is_unknown() {
+        let mut system = devnet_system(VmKind::Evm);
+        let area = olc::encode(Coordinates::new(44.4949, 11.3426).unwrap(), 10).unwrap();
+        assert!(matches!(system.run_verifier(&area), Err(PolError::Unknown(_))));
+        assert!(matches!(system.close_area(&area), Err(PolError::Unknown(_))));
     }
 
     /// One seeded campaign filling all four seats, so both phases

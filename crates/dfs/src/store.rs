@@ -3,9 +3,9 @@
 use crate::cid::Cid;
 use crate::DfsError;
 use parking_lot::RwLock;
-use pol_net::transport::Transport;
-use pol_net::{MessageClass, NodeId};
-use std::collections::{HashMap, HashSet};
+use pol_net::transport::{DirectTransport, Transport};
+use pol_net::NodeId;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Identifier of a DFS peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,8 +32,8 @@ struct PeerState {
 #[derive(Default)]
 pub struct DfsNetwork {
     peers: RwLock<Vec<PeerState>>,
-    /// Provider DHT: which peers claim to host a CID.
-    providers: RwLock<HashMap<Cid, HashSet<PeerId>>>,
+    /// Provider DHT: which peers claim to host a CID, in peer-id order.
+    providers: RwLock<HashMap<Cid, BTreeSet<PeerId>>>,
 }
 
 impl std::fmt::Debug for DfsNetwork {
@@ -76,30 +76,21 @@ impl DfsNetwork {
         Ok(cid)
     }
 
-    /// Retrieves content from any provider.
+    /// Retrieves content from any provider: [`DfsNetwork::get_via`] over
+    /// the zero-latency [`DirectTransport`], which reads no endpoint, so
+    /// the requester is nominal.
     ///
     /// # Errors
     ///
     /// Returns [`DfsError::NotFound`] when no provider hosts it.
     pub fn get(&self, cid: &Cid) -> Result<Vec<u8>, DfsError> {
-        let providers = self.providers.read();
-        let hosts = providers.get(cid).ok_or_else(|| DfsError::NotFound(cid.to_string()))?;
-        let peers = self.peers.read();
-        for host in hosts {
-            if let Some(data) = peers.get(host.0 as usize).and_then(|state| state.blocks.get(cid)) {
-                return Ok(data.clone());
-            }
-        }
-        Err(DfsError::NotFound(cid.to_string()))
+        self.get_via(&DirectTransport, PeerId(0), cid)
     }
 
     /// Retrieves content for `requester` over `transport`: providers are
-    /// tried in peer-id order (deterministic), each with one
-    /// [`MessageClass::DfsRequest`] to the provider and one
-    /// [`MessageClass::DfsBlock`] back. A provider whose exchange times out
-    /// is skipped and the next is tried.
-    ///
-    /// [`DfsNetwork::get`] is the zero-latency special case of this method.
+    /// tried in peer-id order (deterministic), each with one request
+    /// exchange to the provider and one block exchange back. A provider
+    /// whose exchange times out is skipped and the next is tried.
     ///
     /// # Errors
     ///
@@ -112,16 +103,10 @@ impl DfsNetwork {
         requester: PeerId,
         cid: &Cid,
     ) -> Result<Vec<u8>, DfsError> {
-        let mut hosts: Vec<PeerId> = self
-            .providers
-            .read()
-            .get(cid)
-            .ok_or_else(|| DfsError::NotFound(cid.to_string()))?
-            .iter()
-            .copied()
-            .collect();
-        hosts.sort_unstable();
+        let providers = self.providers.read();
+        let hosts = providers.get(cid).ok_or_else(|| DfsError::NotFound(cid.to_string()))?;
         let peers = self.peers.read();
+        let me = NodeId(requester.0);
         let mut tried = 0u32;
         for host in hosts {
             let Some(data) = peers.get(host.0 as usize).and_then(|state| state.blocks.get(cid))
@@ -129,14 +114,8 @@ impl DfsNetwork {
                 continue;
             };
             tried += 1;
-            let request =
-                transport.deliver(NodeId(requester.0), NodeId(host.0), MessageClass::DfsRequest);
-            if request.is_err() {
-                continue;
-            }
-            let block =
-                transport.deliver(NodeId(host.0), NodeId(requester.0), MessageClass::DfsBlock);
-            if block.is_ok() {
+            let provider = NodeId(host.0);
+            if transport.deliver(me, provider).is_ok() && transport.deliver(provider, me).is_ok() {
                 return Ok(data.clone());
             }
         }
@@ -267,8 +246,6 @@ mod tests {
 
     #[test]
     fn get_via_direct_matches_get() {
-        use pol_net::transport::DirectTransport;
-
         let dfs = DfsNetwork::new();
         let a = dfs.create_peer();
         let requester = dfs.create_peer();
@@ -278,8 +255,6 @@ mod tests {
 
     #[test]
     fn get_via_times_out_when_links_are_dead() {
-        use pol_net::link::LinkModel;
-        use pol_net::retry::RetryPolicy;
         use pol_net::transport::SimTransport;
 
         let dfs = DfsNetwork::new();
@@ -288,10 +263,7 @@ mod tests {
         let requester = dfs.create_peer();
         let cid = dfs.add(a, b"unfetchable".to_vec()).unwrap();
         dfs.replicate(b, &cid).unwrap();
-        let transport = SimTransport::builder(3)
-            .link(LinkModel::ideal().with_drop_prob(1.0))
-            .retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() })
-            .build();
+        let transport = SimTransport::new(3, 1.0);
         assert_eq!(
             dfs.get_via(&transport, requester, &cid),
             Err(DfsError::Unreachable { cid: cid.to_string(), providers_tried: 2 })
@@ -300,8 +272,7 @@ mod tests {
 
     #[test]
     fn get_via_falls_back_to_reachable_provider() {
-        use pol_net::retry::RetryPolicy;
-        use pol_net::transport::SimTransport;
+        use pol_net::transport::{SimTransport, MAX_ATTEMPTS};
 
         let dfs = DfsNetwork::new();
         let a = dfs.create_peer(); // peer-0: will be cut off
@@ -309,14 +280,15 @@ mod tests {
         let requester = dfs.create_peer(); // peer-2
         let cid = dfs.add(a, b"replicated".to_vec()).unwrap();
         dfs.replicate(b, &cid).unwrap();
-        let transport = SimTransport::builder(9)
-            .retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() })
-            .build();
+        let transport = SimTransport::new(9, 0.0);
         // Sever both directions between the requester and provider a only.
         transport.partition([NodeId(requester.0), NodeId(b.0)]);
         assert_eq!(dfs.get_via(&transport, requester, &cid).unwrap(), b"replicated");
+        // The request to a drops every attempt and times out; b answers
+        // the request and sends the block back, each on its first attempt.
         let stats = transport.stats();
-        assert!(stats.class(MessageClass::DfsRequest).timed_out >= 1);
-        assert_eq!(stats.class(MessageClass::DfsBlock).delivered, 1);
+        assert_eq!(stats.timed_out, 1);
+        assert_eq!(stats.dropped, u64::from(MAX_ATTEMPTS));
+        assert_eq!((stats.sent, stats.delivered), (u64::from(MAX_ATTEMPTS) + 2, 2));
     }
 }

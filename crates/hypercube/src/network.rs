@@ -6,7 +6,7 @@ use crate::routing::{self, Route, RoutingError};
 use parking_lot::RwLock;
 use pol_geo::{rbit, OlcCode, RBitKey};
 use pol_net::transport::{DirectTransport, Transport, TransportError};
-use pol_net::{MessageClass, NodeId};
+use pol_net::NodeId;
 use std::collections::HashMap;
 
 /// Number of fixed hop-count buckets in [`NetworkStats`]: hop counts
@@ -140,30 +140,24 @@ impl Hypercube {
     ///
     /// Propagates [`RoutingError`] from the underlying greedy router.
     pub fn lookup(&self, code: &OlcCode) -> Result<Route, RoutingError> {
-        self.route(&DirectTransport, code, MessageClass::DhtLookup)
+        self.route(&DirectTransport, code)
     }
 
     /// Routes `code` from node 0 to the node responsible for it, charging
-    /// every hop to `transport` as one `class` exchange and recording
-    /// statistics on success. Lookups and stores take the same path; only
-    /// the class their hops are counted under differs.
+    /// every hop to `transport` as one exchange and recording statistics
+    /// on success. Lookups and stores take the same path.
     ///
     /// # Errors
     ///
     /// Propagates [`RoutingError`] from the greedy router, and returns
     /// [`RoutingError::Timeout`] when the transport exhausts its retries
     /// on any hop of the route.
-    fn route(
-        &self,
-        transport: &dyn Transport,
-        code: &OlcCode,
-        class: MessageClass,
-    ) -> Result<Route, RoutingError> {
+    fn route(&self, transport: &dyn Transport, code: &OlcCode) -> Result<Route, RoutingError> {
         let source = RBitKey::from_bits(0, self.r);
         let target = self.key_for(code);
         let route = routing::route(source, target, self.max_hops, |k| self.is_online(k))?;
         for pair in route.path.windows(2) {
-            transport.deliver(NodeId(pair[0].index()), NodeId(pair[1].index()), class).map_err(
+            transport.deliver(NodeId(pair[0].index()), NodeId(pair[1].index())).map_err(
                 |TransportError::Timeout { to, attempts, .. }| RoutingError::Timeout {
                     node: to.0,
                     attempts,
@@ -193,7 +187,7 @@ impl Hypercube {
         transport: &dyn Transport,
         code: &OlcCode,
     ) -> Result<Option<String>, RoutingError> {
-        let route = self.route(transport, code, MessageClass::DhtLookup)?;
+        let route = self.route(transport, code)?;
         let node = &self.nodes[route.target().index() as usize];
         Ok(node.read().records.get(code.as_str()).map(|r| r.contract_id.clone()))
     }
@@ -210,7 +204,7 @@ impl Hypercube {
         code: &OlcCode,
         contract_id: impl Into<String>,
     ) -> Result<bool, RoutingError> {
-        let route = self.route(&DirectTransport, code, MessageClass::DhtStore)?;
+        let route = self.route(&DirectTransport, code)?;
         let node = &self.nodes[route.target().index() as usize];
         let mut state = node.write();
         if state.records.contains_key(code.as_str()) {
@@ -232,7 +226,7 @@ impl Hypercube {
     ///
     /// Propagates routing failures.
     pub fn append_cid(&self, code: &OlcCode, cid: impl Into<String>) -> Result<bool, RoutingError> {
-        let route = self.route(&DirectTransport, code, MessageClass::DhtStore)?;
+        let route = self.route(&DirectTransport, code)?;
         let node = &self.nodes[route.target().index() as usize];
         let mut state = node.write();
         match state.records.get_mut(code.as_str()) {
@@ -247,7 +241,7 @@ impl Hypercube {
     ///
     /// Propagates routing failures.
     pub fn record(&self, code: &OlcCode) -> Result<Option<LocationRecord>, RoutingError> {
-        let route = self.route(&DirectTransport, code, MessageClass::DhtLookup)?;
+        let route = self.route(&DirectTransport, code)?;
         let node = &self.nodes[route.target().index() as usize];
         Ok(node.read().records.get(code.as_str()).cloned())
     }
@@ -398,19 +392,14 @@ mod tests {
 
     #[test]
     fn lossy_transport_surfaces_typed_timeout() {
-        use pol_net::link::LinkModel;
-        use pol_net::retry::RetryPolicy;
-        use pol_net::transport::SimTransport;
+        use pol_net::transport::{SimTransport, MAX_ATTEMPTS};
 
         let dht = Hypercube::new(6);
         let c = code(44.4949, 11.3426);
         dht.register_contract(&c, "app:1").unwrap();
-        let transport = SimTransport::builder(11)
-            .link(LinkModel::ideal().with_drop_prob(1.0))
-            .retry(RetryPolicy { max_attempts: 2, ..RetryPolicy::default() })
-            .build();
+        let transport = SimTransport::new(11, 1.0);
         match dht.find_contract_via(&transport, &c) {
-            Err(RoutingError::Timeout { attempts, .. }) => assert_eq!(attempts, 2),
+            Err(RoutingError::Timeout { attempts, .. }) => assert_eq!(attempts, MAX_ATTEMPTS),
             other => panic!("expected a transport timeout, got {other:?}"),
         }
         // The same lookup through the default transport still succeeds:
@@ -424,7 +413,7 @@ mod tests {
 
         let direct = Hypercube::new(6);
         let simulated = Hypercube::new(6);
-        let transport = SimTransport::builder(5).build();
+        let transport = SimTransport::new(5, 0.0);
         for i in 0..10 {
             let c = code(40.0 + f64::from(i) * 0.29, 9.0 + f64::from(i) * 0.31);
             assert!(direct.register_contract(&c, format!("app:{i}")).unwrap());
@@ -435,6 +424,6 @@ mod tests {
             );
         }
         assert_eq!(direct.stats(), simulated.stats());
-        assert!(transport.stats().total_delivered() > 0);
+        assert!(transport.stats().delivered > 0);
     }
 }

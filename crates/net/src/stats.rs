@@ -1,7 +1,4 @@
-//! Transport observability: per-class counters with latency histograms.
-
-use crate::MessageClass;
-use std::collections::BTreeMap;
+//! Transport observability: counters and a latency histogram.
 
 /// Number of power-of-two latency buckets (covers up to ~2^39 µs ≈ 6 days).
 pub(crate) const LATENCY_BUCKETS: usize = 40;
@@ -73,9 +70,9 @@ impl LatencyHistogram {
     }
 }
 
-/// Counters for one message class.
+/// The transport's counters, accumulated over every exchange.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClassCounters {
+pub struct TransportStats {
     /// Send attempts (each retry counts).
     pub sent: u64,
     /// Messages that reached their destination.
@@ -88,61 +85,6 @@ pub struct ClassCounters {
     pub timed_out: u64,
     /// One-way latencies of the delivered messages (retry waits excluded).
     pub latency: LatencyHistogram,
-}
-
-/// Aggregate transport statistics.
-///
-/// The map is ordered (`BTreeMap`) so iteration — and therefore every
-/// report generated from it — is deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Counters keyed by message class.
-    pub per_class: BTreeMap<MessageClass, ClassCounters>,
-}
-
-impl TransportStats {
-    /// Mutable counters for `class`, created on first use.
-    pub(crate) fn class_mut(&mut self, class: MessageClass) -> &mut ClassCounters {
-        self.per_class.entry(class).or_default()
-    }
-
-    /// Counters for `class` (zeroes if the class was never used).
-    pub fn class(&self, class: MessageClass) -> ClassCounters {
-        self.per_class.get(&class).cloned().unwrap_or_default()
-    }
-
-    /// Total send attempts across classes.
-    pub fn total_sent(&self) -> u64 {
-        self.per_class.values().map(|c| c.sent).sum()
-    }
-
-    /// Total deliveries across classes.
-    pub fn total_delivered(&self) -> u64 {
-        self.per_class.values().map(|c| c.delivered).sum()
-    }
-
-    /// Total drops across classes.
-    pub fn total_dropped(&self) -> u64 {
-        self.per_class.values().map(|c| c.dropped).sum()
-    }
-
-    /// Total retries across classes.
-    pub fn total_retried(&self) -> u64 {
-        self.per_class.values().map(|c| c.retried).sum()
-    }
-
-    /// A latency histogram merging every class.
-    pub fn merged_latency(&self) -> LatencyHistogram {
-        let mut merged = LatencyHistogram::default();
-        for counters in self.per_class.values() {
-            for (i, &n) in counters.latency.buckets.iter().enumerate() {
-                merged.buckets[i] += n;
-            }
-            merged.count += counters.latency.count;
-            merged.max_us = merged.max_us.max(counters.latency.max_us);
-        }
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -188,25 +130,5 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.count, 1);
         assert_eq!(h.p99_us(), u64::MAX);
-    }
-
-    #[test]
-    fn stats_totals_accumulate() {
-        let mut stats = TransportStats::default();
-        stats.class_mut(MessageClass::DhtLookup).sent += 3;
-        stats.class_mut(MessageClass::DhtLookup).delivered += 2;
-        stats.class_mut(MessageClass::DfsRequest).sent += 1;
-        assert_eq!(stats.total_sent(), 4);
-        assert_eq!(stats.total_delivered(), 2);
-    }
-
-    #[test]
-    fn merged_latency_combines_classes() {
-        let mut stats = TransportStats::default();
-        stats.class_mut(MessageClass::DhtLookup).latency.record(10);
-        stats.class_mut(MessageClass::DfsBlock).latency.record(1_000_000);
-        let merged = stats.merged_latency();
-        assert_eq!(merged.count, 2);
-        assert_eq!(merged.max_us, 1_000_000);
     }
 }

@@ -195,3 +195,57 @@ fn underfunded_contract_pays_nobody_but_keeps_entry() {
     assert_eq!(chain.balance(wallet), 0, "no reward without funds");
     assert_eq!(chain.avm().box_count(app_id), 1, "entry still pending");
 }
+
+#[test]
+fn a_stranger_squats_a_seat_and_locks_the_area() {
+    // Seat squatting, pinned as the contract behaves today: it has no
+    // deadline and no way to free a seat. `insert_data` admits any
+    // caller, so a funded stranger who never met a witness stores a
+    // zeroed entry in the second of two seats. The honest late prover is
+    // refused, the verifier verifies only the honest entry, and
+    // `toVerify` never reaches zero, so the area cannot close.
+    use pol::lang::backend::AbiValue;
+    use pol::ledger::{ContractId, Transaction};
+
+    for preset in [presets::devnet_evm(), presets::devnet_algo()] {
+        let config = SystemConfig { max_users: 2, seed: 5, ..SystemConfig::default() };
+        let mut system = PolSystem::new(preset.build(5), config);
+        let w = system.register_witness(BASE.0, BASE.1 + 0.00001).unwrap();
+        let first = system.register_prover(BASE.0, BASE.1).unwrap();
+        let late = system.register_prover(BASE.0 + 0.000001, BASE.1).unwrap();
+        let out = system.submit_report(first, w, b"honest".to_vec()).unwrap();
+
+        let compiled = system.factory().compiled().clone();
+        let args =
+            [AbiValue::Bytes(vec![0; pol::core::proof::ENTRY_CAPACITY]), AbiValue::Word(0xBAD)];
+        let chain = system.chain_mut();
+        let (stranger, from) = chain.create_funded_account(10u128.pow(21));
+        let receipt = match out.contract {
+            ContractId::Evm(_) => {
+                let data = compiled.evm.encode_call("insert_data", &args).unwrap();
+                chain.call_evm(&stranger, out.contract, data, 0, 1_000_000).unwrap()
+            }
+            ContractId::App(app_id) => {
+                // The attach script's opt-in and box-MBR payments.
+                let box_mbr = 2_500 + 400 * (16 + pol::core::proof::ENTRY_CAPACITY as u128);
+                let escrow = pol::avm::Avm::app_address(app_id);
+                for amount in [0, box_mbr] {
+                    let (max_fee, priority) = chain.suggested_fees();
+                    let pay = Transaction::transfer(from, escrow, amount, chain.next_nonce(from))
+                        .with_fees(max_fee, priority)
+                        .signed(&stranger);
+                    assert!(chain.submit_and_wait(pay).unwrap().status.is_success());
+                }
+                let call = compiled.avm.encode_call("insert_data", &args).unwrap();
+                chain.call_app(&stranger, app_id, call, 0).unwrap()
+            }
+        };
+        let name = system.chain().config.name.clone();
+        assert!(receipt.status.is_success(), "{name}: squat {:?}", receipt.status);
+
+        let refused = system.submit_report(late, w, b"too late".to_vec()).unwrap_err();
+        assert!(matches!(refused, PolError::Ledger(_)), "{name}: {refused:?}");
+        assert_eq!(system.run_verifier(&out.area).unwrap(), 1, "{name}");
+        assert!(system.close_area(&out.area).is_err(), "{name}: the squatter's seat never frees");
+    }
+}
