@@ -2,6 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pol_crypto::ed25519::{Keypair, Point};
+use pol_crypto::field25519::Fe;
 use pol_crypto::sha256::{sha256_x16, sha256_x16_short};
 use pol_crypto::x25519::XKeypair;
 use pol_crypto::{keccak256, scalar, sealed, sha256};
@@ -67,7 +68,7 @@ fn signatures(c: &mut Criterion) {
             assert!(key.verify(black_box(&msg), sig))
         })
     });
-    // The decoding half of a first verification, and of every R.
+    // The decoding half of a first verification.
     c.bench_function("ed25519/decompress", |b| {
         b.iter(|| Point::decompress(black_box(&kp.public.0)).unwrap())
     });
@@ -83,12 +84,16 @@ fn signatures(c: &mut Criterion) {
 }
 
 /// One row per operation a signature, a key or a sealed box is built
-/// from: the fixed-base `[k]B`, the two X25519 uses, and the two scalar
-/// reductions.
+/// from: the field inverse, the fixed-base `[k]B` and the compression of
+/// its result, the two X25519 uses, and the two scalar reductions.
 fn operations(c: &mut Criterion) {
     let wide: [u8; 64] = core::array::from_fn(|i| (i as u8).wrapping_mul(151) ^ 0xa5);
     let k = scalar::reduce64(&wide);
+    let x = Fe::from_bytes(&k);
+    c.bench_function("field/invert", |b| b.iter(|| black_box(&x).invert()));
     c.bench_function("ed25519/mul_base", |b| b.iter(|| Point::mul_base(black_box(&k))));
+    let k_b = Point::mul_base(&k);
+    c.bench_function("ed25519/compress", |b| b.iter(|| black_box(&k_b).compress()));
     c.bench_function("x25519/keygen", |b| b.iter(|| XKeypair::from_seed(black_box(&k))));
     let (alice, bob) = (XKeypair::from_seed(&[1u8; 32]), XKeypair::from_seed(&[2u8; 32]));
     c.bench_function("x25519/dh", |b| b.iter(|| alice.diffie_hellman(black_box(&bob.public))));

@@ -594,10 +594,17 @@ impl PolSystem {
     /// insert the CID into the hypercube ("garbage-in"). Returns how many
     /// provers were verified.
     ///
+    /// Every submitted `verify` is awaited, and each settles its entry: a
+    /// success is paid and listed, a revert (the entry was already taken,
+    /// say) is refused. Either way the entry leaves the pending set, and
+    /// one entry's revert leaves the rest of the pass standing. An entry
+    /// that fails the off-chain checks is never submitted and stays
+    /// pending.
+    ///
     /// # Errors
     ///
-    /// Chain or routing failures; invalid proofs are *skipped*, not
-    /// errors.
+    /// Chain or routing failures; invalid proofs and reverted `verify`
+    /// calls are *skipped*, not errors.
     pub fn run_verifier(&mut self, area: &OlcCode) -> Result<usize, PolError> {
         let keys = self.verifier_keys();
         let contract = self.area_contract(area)?;
@@ -649,9 +656,13 @@ impl PolSystem {
 
         let mut verified = 0usize;
         for (did_digest, entry, id, start) in awaiting {
-            let receipt = expect_success(self.chain.await_tx(id)?)?;
-            self.hypercube.append_cid(area, entry.cid.as_str())?;
+            let receipt = self.chain.await_tx(id)?;
+            // Paid or refused, the contract has settled this entry.
             self.pending.get_mut(area.as_str()).expect("entry was pending").remove(&did_digest);
+            if !receipt.status.is_success() {
+                continue;
+            }
+            self.hypercube.append_cid(area, entry.cid.as_str())?;
             verified += 1;
             self.ops.push(OpRecord {
                 kind: OpKind::Verify,

@@ -46,11 +46,11 @@ const CHUNK_BITS: usize = 32;
 /// cleared.
 const PREPARED_KEYS: usize = 512;
 
-/// The fixed-base comb reads a scalar as a 5 × 52 bit matrix (bit 52i + c
-/// in tooth i, column c) and splits the columns into two blocks of 26.
-const COMB_TEETH: usize = 5;
+/// The fixed-base comb reads a scalar as an 8 × 32 bit matrix (bit 32i + c
+/// in tooth i, column c) and splits the columns into two blocks of 16.
+const COMB_TEETH: usize = 8;
 const COMB_BLOCKS: usize = 2;
-const COMB_SPACING: usize = 26;
+const COMB_SPACING: usize = 16;
 const COMB_TOOTH_BITS: usize = COMB_BLOCKS * COMB_SPACING;
 /// The non-empty subsets of the teeth, one table entry each per block.
 const COMB_ENTRIES: usize = (1 << COMB_TEETH) - 1;
@@ -311,8 +311,8 @@ fn split_double_scalar_mul(k: &[u8; 32], key: &PreparedKey, s: &[u8; 32]) -> Poi
     multi_scalar_mul(&terms)
 }
 
-/// The comb's table (7.3 KiB), built on first use: for block j, entry
-/// m − 1 is Σ 2^(52i + 26j)·B over the teeth i set in the mask m.
+/// The comb's table (510 entries, 60 KiB), built on first use: for block
+/// j, entry m − 1 is Σ 2^(32i + 16j)·B over the teeth i set in the mask m.
 fn comb_table() -> &'static [[Affine; COMB_ENTRIES]; COMB_BLOCKS] {
     static TABLE: OnceLock<[[Affine; COMB_ENTRIES]; COMB_BLOCKS]> = OnceLock::new();
     TABLE.get_or_init(|| {
@@ -330,7 +330,7 @@ fn comb_table() -> &'static [[Affine; COMB_ENTRIES]; COMB_BLOCKS] {
     })
 }
 
-/// The comb's column at `bit` (below 52): bit `bit + 52i` of `k` as bit i
+/// The comb's column at `bit` (below 32): bit `bit + 32i` of `k` as bit i
 /// of a subset mask.
 fn comb_mask(k: &[u8; 32], bit: usize) -> usize {
     let mut mask = 0;
@@ -422,7 +422,7 @@ impl Point {
 
     /// `[k]B` for the base point B and any 256-bit `k`, by a fixed-base
     /// comb (Lim–Lee): column t of each block selects one subset sum, so
-    /// the 52 columns cost 25 doublings and at most 52 additions.
+    /// the 32 columns cost 15 doublings and at most 32 additions.
     pub fn mul_base(k: &[u8; 32]) -> Point {
         let table = comb_table();
         let mut acc = Completed::IDENTITY;
@@ -649,11 +649,22 @@ impl PublicKey {
     /// Verifies `signature` over `message`: s is canonical, R and the key A
     /// both decompress, and the cofactorless equation `[s]B = R + [k]A` holds
     /// with k = H(R ‖ A ‖ M) mod ℓ. The equation is evaluated as
-    /// `[s]B − [k]A == R`, which is one multi-scalar multiplication with
-    /// both scalars split into eight 32-bit chunks and a projective
-    /// comparison; small-order keys and R are not singled out. A key's
-    /// tables are built on its first verification and kept in a bounded
+    /// `[s]B − [k]A == R`: one multi-scalar multiplication with both
+    /// scalars split into eight 32-bit chunks, whose result P is compressed
+    /// and compared with `r`, R's bytes with y reduced mod p and R's sign
+    /// bit kept. Small-order keys and R are not singled out. A key's tables
+    /// are built on its first verification and kept in a bounded
     /// process-wide memo.
+    ///
+    /// Comparing encodings decides as decompressing R and comparing points
+    /// did. If `r` decompresses to a point Q, then `compress(Q) == r`:
+    /// `decompress` takes the x whose parity is R's sign bit and refuses
+    /// x = 0 with the bit set, so Q's encoding is y mod p with that bit.
+    /// Since compression is injective on points, P == Q exactly when
+    /// `compress(P) == r`. If `r` does not decompress, no point has an
+    /// encoding equal to it, and both ways refuse. A non-canonical y ≥ p
+    /// decompresses as y − p, which the reduction in `r` matches; k still
+    /// hashes R's original bytes.
     ///
     /// Returns `false` for invalid points, non-canonical scalars, or a
     /// failed group equation — never panics on malformed input.
@@ -661,9 +672,6 @@ impl PublicKey {
         if !scalar::is_canonical(&signature.s) {
             return false;
         }
-        let Ok(r) = Point::decompress(&signature.r) else {
-            return false;
-        };
         let Some(key) = prepared_key(&self.0) else {
             return false;
         };
@@ -672,7 +680,9 @@ impl PublicKey {
         h.update(&self.0);
         h.update(message);
         let k = scalar::reduce64(&h.finalize());
-        split_double_scalar_mul(&k, &key, &signature.s).ct_eq(&r)
+        let mut r = Fe::from_bytes(&signature.r).to_bytes();
+        r[31] |= signature.r[31] & 0x80;
+        split_double_scalar_mul(&k, &key, &signature.s).compress() == r
     }
 
     /// Parses a public key from its lowercase hex encoding.

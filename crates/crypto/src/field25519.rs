@@ -1,7 +1,18 @@
 //! Arithmetic in GF(2^255 − 19) with five 51-bit limbs.
 #![allow(clippy::needless_range_loop)] // limb indexing mirrors the reference implementation
 
+use crate::bigint;
+
 const MASK: u64 = (1 << 51) - 1;
+
+/// The low 62 bits of a word: one limb of the signed radix-2^62 form that
+/// [`Fe::invert`] works in.
+const M62: u64 = u64::MAX >> 2;
+/// p in signed 62-bit limbs, sparse: −19 + 128·2^248.
+const P62: [i64; 5] = [-19, 0, 0, 0, 128];
+/// p⁻¹ mod 2^62, which picks the multiple of p that makes each update of
+/// the Bézout coefficients divisible by 2^62.
+const P_INV62: u64 = 0x3943_5e50_d794_35e5;
 
 /// An element of the field GF(2^255 − 19).
 ///
@@ -171,9 +182,8 @@ impl Fe {
         }
     }
 
-    /// The shared head of the two fixed-exponent addition chains:
-    /// `(self^(2^250 − 1), self^11)` in 249 squarings and 10 multiplies.
-    fn pow_2_250_1(&self) -> (Fe, Fe) {
+    /// `self^(2^250 − 1)` in 249 squarings and 10 multiplies.
+    fn pow_2_250_1(&self) -> Fe {
         let z2 = self.square();
         let z9 = z2.square_n(2).mul(self);
         let z11 = z9.mul(&z2);
@@ -184,22 +194,48 @@ impl Fe {
         let z_50_0 = z_40_0.square_n(10).mul(&z_10_0);
         let z_100_0 = z_50_0.square_n(50).mul(&z_50_0);
         let z_200_0 = z_100_0.square_n(100).mul(&z_100_0);
-        (z_200_0.square_n(50).mul(&z_50_0), z11)
+        z_200_0.square_n(50).mul(&z_50_0)
     }
 
-    /// Multiplicative inverse (x^(p−2)); returns zero for zero.
+    /// Multiplicative inverse; returns zero for zero.
+    ///
+    /// Variable time, by Bernstein and Yang's divsteps ("Fast constant-time
+    /// gcd computation and modular inversion", TCHES 2019) as
+    /// libsecp256k1's `modinv64_var` batches them: f = p and g = x run
+    /// through divsteps 62 at a time, each batch one 2×2 matrix applied to
+    /// (f, g) and to the Bézout coefficients (d, e) mod p, until g = 0.
+    /// Then f = ±1 and d·x ≡ f, so ±d is the inverse.
     pub fn invert(&self) -> Fe {
-        // p − 2 = 2^255 − 21 = (2^250 − 1)·2^5 + 11.
-        let (z_250_0, z11) = self.pow_2_250_1();
-        z_250_0.square_n(5).mul(&z11)
+        let mut d = [0i64; 5];
+        let mut e = [1, 0, 0, 0, 0];
+        let mut f = P62;
+        let mut g = to_signed62(&self.to_bytes());
+        let mut len = 5;
+        let mut eta = -1;
+        loop {
+            let t = divsteps_62(&mut eta, f[0] as u64, g[0] as u64);
+            update_de(&mut d, &mut e, &t);
+            update_fg(&mut f[..len], &mut g[..len], &t);
+            if g[..len].iter().all(|&limb| limb == 0) {
+                break;
+            }
+            // f and g shrink: once both top limbs are only sign, fold them
+            // into the limb below.
+            let (f_top, g_top) = (f[len - 1], g[len - 1]);
+            if len > 1 && matches!(f_top, 0 | -1) && matches!(g_top, 0 | -1) {
+                f[len - 2] |= ((f_top as u64) << 62) as i64;
+                g[len - 2] |= ((g_top as u64) << 62) as i64;
+                len -= 1;
+            }
+        }
+        from_signed62(normalize62(d, f[len - 1] < 0))
     }
 
     /// Raises to (p − 5)/8 = 2^252 − 3, the exponent used by square-root
     /// extraction during point decompression.
     pub fn pow_p58(&self) -> Fe {
         // 2^252 − 3 = (2^250 − 1)·2^2 + 1.
-        let (z_250_0, _) = self.pow_2_250_1();
-        z_250_0.square_n(2).mul(self)
+        self.pow_2_250_1().square_n(2).mul(self)
     }
 
     /// Whether the canonical encoding is odd (the "sign" bit of x).
@@ -249,6 +285,157 @@ impl Fe {
     }
 }
 
+/// The matrix of a batch of 62 divsteps: 2^62·(f′, g′) = (u·f + v·g, q·f + r·g).
+struct Transition {
+    u: i64,
+    v: i64,
+    q: i64,
+    r: i64,
+}
+
+fn wide(a: i64, b: i64) -> i128 {
+    i128::from(a) * i128::from(b)
+}
+
+/// A canonical field element's bytes as five signed 62-bit limbs.
+fn to_signed62(bytes: &[u8; 32]) -> [i64; 5] {
+    let w = bigint::from_le_bytes32(bytes);
+    [
+        w[0] & M62,
+        (w[0] >> 62 | w[1] << 2) & M62,
+        (w[1] >> 60 | w[2] << 4) & M62,
+        (w[2] >> 58 | w[3] << 6) & M62,
+        w[3] >> 56,
+    ]
+    .map(|limb| limb as i64)
+}
+
+/// Limbs in [0, 2^62) of a value in [0, p) back to a field element.
+fn from_signed62(limbs: [i64; 5]) -> Fe {
+    let l = limbs.map(|limb| limb as u64);
+    let w =
+        [l[0] | l[1] << 62, l[1] >> 2 | l[2] << 60, l[2] >> 4 | l[3] << 58, l[3] >> 6 | l[4] << 56];
+    Fe::from_bytes(&bigint::to_le_bytes32(&w))
+}
+
+/// 62 divsteps on the low words of f and g (f odd), with η = −δ. Runs of
+/// zero bits in g are shifted out at once, and each odd step cancels up
+/// to six (after a swap) or four low bits of g with one multiple of f.
+fn divsteps_62(eta: &mut i64, f0: u64, g0: u64) -> Transition {
+    let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
+    let (mut f, mut g) = (f0, g0);
+    let mut left = 62;
+    loop {
+        // A sentinel bit stops the count at the steps left.
+        let zeros = (g | u64::MAX << left).trailing_zeros();
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        *eta -= i64::from(zeros);
+        left -= zeros;
+        if left == 0 {
+            break;
+        }
+        let swapped = *eta < 0;
+        if swapped {
+            *eta = -*eta;
+            (f, g) = (g, f.wrapping_neg());
+            (u, q) = (q, u.wrapping_neg());
+            (v, r) = (r, v.wrapping_neg());
+        }
+        // No more than the steps left, and no more than η + 1 before the
+        // sign of η flips again.
+        let limit = (*eta + 1).min(i64::from(left)) as u32;
+        let w = if swapped {
+            let mask = u64::MAX >> (64 - limit) & 63;
+            f.wrapping_mul(g).wrapping_mul(f.wrapping_mul(f).wrapping_sub(2)) & mask
+        } else {
+            let mask = u64::MAX >> (64 - limit) & 15;
+            let f_inv4 = f.wrapping_add((f.wrapping_add(1) & 4) << 1);
+            f_inv4.wrapping_neg().wrapping_mul(g) & mask
+        };
+        g = g.wrapping_add(f.wrapping_mul(w));
+        q = q.wrapping_add(u.wrapping_mul(w));
+        r = r.wrapping_add(v.wrapping_mul(w));
+    }
+    Transition { u: u as i64, v: v as i64, q: q as i64, r: r as i64 }
+}
+
+/// (d, e) ← t·(d, e) / 2^62 mod p. Inputs and outputs lie in (−2p, p); the
+/// multiple of p added makes the low 62 bits zero, so the division is a
+/// shift.
+fn update_de(d: &mut [i64; 5], e: &mut [i64; 5], t: &Transition) {
+    let (sd, se) = (d[4] >> 63, e[4] >> 63);
+    let mut md = (t.u & sd) + (t.v & se);
+    let mut me = (t.q & sd) + (t.r & se);
+    let mut cd = wide(t.u, d[0]) + wide(t.v, e[0]);
+    let mut ce = wide(t.q, d[0]) + wide(t.r, e[0]);
+    md -= (P_INV62.wrapping_mul(cd as u64).wrapping_add(md as u64) & M62) as i64;
+    me -= (P_INV62.wrapping_mul(ce as u64).wrapping_add(me as u64) & M62) as i64;
+    cd += wide(P62[0], md);
+    ce += wide(P62[0], me);
+    debug_assert!(cd as u64 & M62 == 0 && ce as u64 & M62 == 0);
+    cd >>= 62;
+    ce >>= 62;
+    for i in 1..5 {
+        cd += wide(t.u, d[i]) + wide(t.v, e[i]) + wide(P62[i], md);
+        ce += wide(t.q, d[i]) + wide(t.r, e[i]) + wide(P62[i], me);
+        d[i - 1] = (cd as u64 & M62) as i64;
+        e[i - 1] = (ce as u64 & M62) as i64;
+        cd >>= 62;
+        ce >>= 62;
+    }
+    d[4] = cd as i64;
+    e[4] = ce as i64;
+}
+
+/// (f, g) ← t·(f, g) / 2^62 over their `len` live limbs; the low 62 bits
+/// are zero by construction of t.
+fn update_fg(f: &mut [i64], g: &mut [i64], t: &Transition) {
+    let len = f.len();
+    let mut cf = wide(t.u, f[0]) + wide(t.v, g[0]);
+    let mut cg = wide(t.q, f[0]) + wide(t.r, g[0]);
+    debug_assert!(cf as u64 & M62 == 0 && cg as u64 & M62 == 0);
+    cf >>= 62;
+    cg >>= 62;
+    for i in 1..len {
+        cf += wide(t.u, f[i]) + wide(t.v, g[i]);
+        cg += wide(t.q, f[i]) + wide(t.r, g[i]);
+        f[i - 1] = (cf as u64 & M62) as i64;
+        g[i - 1] = (cg as u64 & M62) as i64;
+        cf >>= 62;
+        cg >>= 62;
+    }
+    f[len - 1] = cf as i64;
+    g[len - 1] = cg as i64;
+}
+
+/// d in (−2p, p), negated when f ended at −1, brought into [0, p) with
+/// limbs in [0, 2^62).
+fn normalize62(mut d: [i64; 5], negate: bool) -> [i64; 5] {
+    let carry = |d: &mut [i64; 5]| {
+        for i in 0..4 {
+            d[i + 1] += d[i] >> 62;
+            d[i] &= M62 as i64;
+        }
+    };
+    let add_p_if_negative = |d: &mut [i64; 5]| {
+        if d[4] < 0 {
+            for (limb, p) in d.iter_mut().zip(P62) {
+                *limb += p;
+            }
+        }
+    };
+    add_p_if_negative(&mut d);
+    if negate {
+        d = d.map(|limb| -limb);
+    }
+    carry(&mut d);
+    add_p_if_negative(&mut d);
+    carry(&mut d);
+    d
+}
+
 impl PartialEq for Fe {
     fn eq(&self, other: &Self) -> bool {
         self.to_bytes() == other.to_bytes()
@@ -284,6 +471,7 @@ mod tests {
         let a = fe(987654321);
         assert_eq!(a.mul(&a.invert()), Fe::ONE);
         assert_eq!(Fe::ZERO.invert(), Fe::ZERO);
+        assert_eq!(P_INV62.wrapping_mul(P62[0] as u64) & M62, 1);
     }
 
     #[test]

@@ -155,21 +155,22 @@ impl Sha512 {
         }
     }
 
-    /// Finishes the computation, returning the 64-byte digest.
+    /// Finishes the computation, returning the 64-byte digest. The
+    /// buffered tail, `0x80`, zeros and the 128-bit length are built as
+    /// the last block, or the last two when the tail leaves no room for
+    /// the length.
     pub fn finalize(mut self) -> [u8; 64] {
-        let bit_len = self.length.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 112 {
-            self.update(&[0]);
+        let tail = self.buffered;
+        let mut block = [0u8; 128];
+        block[..tail].copy_from_slice(&self.buffer[..tail]);
+        block[tail] = 0x80;
+        if tail >= 112 {
+            self.compress(&block);
+            block = [0u8; 128];
         }
-        self.buffer[112..128].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
+        block[112..].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
         self.compress(&block);
-        let mut out = [0u8; 64];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 8..i * 8 + 8].copy_from_slice(&w.to_be_bytes());
-        }
-        out
+        digest_bytes(&self.state)
     }
 
     fn compress(&mut self, block: &[u8; 128]) {
@@ -212,6 +213,14 @@ impl Sha512 {
     }
 }
 
+fn digest_bytes(state: &[u64; 8]) -> [u8; 64] {
+    let mut out = [0u8; 64];
+    for (bytes, word) in out.chunks_exact_mut(8).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
 /// Computes the SHA-512 digest of `data` in one shot.
 pub(crate) fn sha512(data: &[u8]) -> [u8; 64] {
     let mut h = Sha512::new();
@@ -235,6 +244,47 @@ mod tests {
             hex::encode(&sha512(b"")),
             "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce\
              47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"
+        );
+    }
+
+    /// The padding rule read straight off FIPS 180-4 §5.1.2 — message,
+    /// `0x80`, zeros to 112 mod 128, the 128-bit bit length — built in a
+    /// `Vec`, so `finalize`'s one-step padding has something independent
+    /// to equal.
+    fn padded_by_the_book(data: &[u8]) -> [u8; 64] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 128 != 112 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u128 * 8).to_be_bytes());
+        let mut h = Sha512::new();
+        for block in padded.chunks_exact(128) {
+            h.compress(block.try_into().expect("chunks_exact yields 128 bytes"));
+        }
+        digest_bytes(&h.state)
+    }
+
+    #[test]
+    fn one_step_padding_matches_the_book() {
+        // Both sides of the one-block and two-block paddings, and a
+        // message of several blocks, each whole and split across two
+        // updates.
+        let data: Vec<u8> = (0..1000).map(|i| (i % 251) as u8).collect();
+        for len in [0, 1, 111, 112, 113, 127, 128, 129, 239, 240, 1000] {
+            let message = &data[..len];
+            let expected = padded_by_the_book(message);
+            assert_eq!(sha512(message), expected, "length {len}");
+            let mut h = Sha512::new();
+            h.update(&message[..len / 2]);
+            h.update(&message[len / 2..]);
+            assert_eq!(h.finalize(), expected, "length {len}, split");
+        }
+        // The NIST vector through the book's padding.
+        assert_eq!(
+            hex::encode(&padded_by_the_book(b"abc")),
+            "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
+             2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
         );
     }
 

@@ -15,6 +15,15 @@ fn fe_from(seed: [u8; 32]) -> Fe {
     Fe::from_bytes(&seed)
 }
 
+/// x^(p−2), the inverse by Fermat's little theorem, through the generic
+/// square-and-multiply.
+fn fermat_inverse(x: &Fe) -> Fe {
+    let mut p_minus_2 = [0xffu8; 32];
+    p_minus_2[0] = 0xeb;
+    p_minus_2[31] = 0x7f;
+    x.pow(&p_minus_2)
+}
+
 /// The reference the wNAF code is pinned to: the MSB-first double-and-add
 /// ladder `Point::scalar_mul` was before the rewrite, over the public
 /// group law.
@@ -112,20 +121,30 @@ proptest! {
         }
     }
 
-    /// The dedicated squaring and the two addition-chain exponentiations
-    /// agree with multiplication and generic square-and-multiply.
+    /// The dedicated squaring and the addition-chain exponentiation agree
+    /// with multiplication and generic square-and-multiply.
     #[test]
     fn field_square_and_fixed_exponents(a in any::<[u8; 32]>()) {
         let a = fe_from(a);
         prop_assert_eq!(a.square(), a.mul(&a));
-        let mut p_minus_2 = [0xffu8; 32];
-        p_minus_2[0] = 0xeb;
-        p_minus_2[31] = 0x7f;
-        prop_assert_eq!(a.invert(), a.pow(&p_minus_2));
         let mut p58 = [0xffu8; 32];
         p58[0] = 0xfd;
         p58[31] = 0x0f;
         prop_assert_eq!(a.pow_p58(), a.pow(&p58));
+    }
+
+    /// The divstep inverse equals Fermat's x^(p−2) by generic
+    /// square-and-multiply, on arbitrary bytes (y ≥ p among them) and on
+    /// the loose limbs a sum leaves, and every non-zero x times it is one.
+    #[test]
+    fn field_invert_matches_fermat(a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
+        let (a, b) = (fe_from(a), fe_from(b));
+        for x in [a, a.add(&b)] {
+            prop_assert_eq!(x.invert(), fermat_inverse(&x));
+            if !x.is_zero() {
+                prop_assert_eq!(x.mul(&x.invert()), Fe::ONE);
+            }
+        }
     }
 
     /// Field serialization is canonical: to_bytes ∘ from_bytes ∘ to_bytes
@@ -367,9 +386,34 @@ proptest! {
     }
 }
 
+/// The inverse at 0, 1, 2, 19, p − 1 and 2^255 − 1 (which reads as 18).
+#[test]
+fn field_invert_edges_match_fermat() {
+    let small = |n: u8| {
+        let mut bytes = [0u8; 32];
+        bytes[0] = n;
+        Fe::from_bytes(&bytes)
+    };
+    let mut p_minus_1 = [0xffu8; 32];
+    p_minus_1[0] = 0xec;
+    p_minus_1[31] = 0x7f;
+    let edges = [0, 1, 2, 19]
+        .map(small)
+        .into_iter()
+        .chain([p_minus_1, [0xff; 32]].map(|b| Fe::from_bytes(&b)));
+    for x in edges {
+        assert_eq!(x.invert(), fermat_inverse(&x), "{}", hex::encode(&x.to_bytes()));
+        if !x.is_zero() {
+            assert_eq!(x.mul(&x.invert()), Fe::ONE);
+        }
+    }
+    assert_eq!(Fe::from_bytes(&p_minus_1).invert(), Fe::from_bytes(&p_minus_1));
+}
+
 /// Scalars at the edges of the 256-bit range, where the recoding's last
 /// carry lands on digit 256 (or nothing is set at all), and scalars with
-/// the bits on both sides of each of the comb's 26-bit boundaries set.
+/// the bits on both sides of each of the comb's 16-bit column blocks and
+/// 32-bit teeth set.
 #[test]
 fn scalar_mul_edges_match_double_and_add() {
     let mut top_bit = [0u8; 32];
@@ -383,7 +427,7 @@ fn scalar_mul_edges_match_double_and_add() {
         }
         k
     };
-    let boundaries: Vec<usize> = (26..256).step_by(26).collect();
+    let boundaries: Vec<usize> = (16..256).step_by(16).collect();
     let mut scalars = vec![[0u8; 32], one, top_bit, [0xff; 32]];
     scalars.extend(boundaries.iter().map(|&n| with_bits(&[n - 1, n])));
     let every_boundary: Vec<usize> = boundaries.iter().flat_map(|&n| [n - 1, n]).collect();

@@ -249,3 +249,105 @@ fn a_stranger_squats_a_seat_and_locks_the_area() {
         assert!(system.close_area(&out.area).is_err(), "{name}: the squatter's seat never frees");
     }
 }
+
+#[test]
+fn a_stolen_reward_reverts_one_verify_and_the_pass_keeps_the_rest() {
+    // A stranger takes one entry's reward before the verifier's pass:
+    // the entry's bytes are public (they are `insert_data`'s calldata),
+    // and `verify` pays whichever wallet its caller names. The verifier's
+    // own `verify` for that entry then reverts. That revert is the
+    // entry's outcome alone: the other two entries are paid, exactly
+    // their CIDs reach the hypercube, and nothing is left for a second
+    // pass. The theft itself is pinned as the contract allows it today.
+    use pol::chainsim::explorer::contract_history;
+    use pol::crypto::{ed25519::Keypair, sha256};
+    use pol::lang::backend::AbiValue;
+    use pol::ledger::{Address, ContractId};
+    use std::collections::BTreeSet;
+
+    for preset in [presets::devnet_evm(), presets::devnet_algo()] {
+        let config = SystemConfig { max_users: 3, seed: 9, ..SystemConfig::default() };
+        let reward = config.reward;
+        let mut system = PolSystem::new(preset.build(9), config);
+        let name = system.chain().config.name.clone();
+        let w = system.register_witness(BASE.0, BASE.1 + 0.00001).unwrap();
+        let provers: Vec<_> = (0..3)
+            .map(|i| system.register_prover(BASE.0 + 0.000001 * f64::from(i), BASE.1).unwrap())
+            .collect();
+        let outs: Vec<_> = provers
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| system.submit_report(p, w, format!("report {i}").into_bytes()).unwrap())
+            .collect();
+        let (area, contract) = (outs[0].area.clone(), outs[0].contract);
+        assert!(outs.iter().all(|out| out.area == area && out.contract == contract), "{name}");
+
+        // The first prover's entry, as its insert carried it: the witness
+        // issued nonces 0, 1 and 2 in submission order.
+        let victim = system.prover(provers[0]).unwrap();
+        let did = victim.identity.did.clone();
+        let request = ProofRequest {
+            did: did.clone(),
+            olc: area.clone(),
+            nonce: 0,
+            cid: outs[0].cid.clone(),
+            wallet: victim.wallet,
+        };
+        let witness = system.witness_identity(w).unwrap().signing.clone();
+        let entry = SubmittedEntry::from_proof(&LocationProof::issue(&witness, request));
+
+        let thief = Keypair::from_seed(&sha256(&[&b"adversary"[..], &[0]].concat()));
+        let thief_wallet = Address::from_public_key(&thief.public);
+        system.chain_mut().fund(thief_wallet, 10u128.pow(21));
+        let compiled = system.factory().compiled().clone();
+        let call = |system: &mut PolSystem, api: &str, args: &[AbiValue], value: u128| {
+            let chain = system.chain_mut();
+            match contract {
+                ContractId::Evm(_) => {
+                    let data = compiled.evm.encode_call(api, args).unwrap();
+                    chain.call_evm(&thief, contract, data, value, 1_000_000).unwrap()
+                }
+                ContractId::App(app_id) => {
+                    let args = compiled.avm.encode_call(api, args).unwrap();
+                    chain.call_app(&thief, app_id, args, value).unwrap()
+                }
+            }
+        };
+        let funded = call(&mut system, "insert_money", &[AbiValue::Word(reward)], reward);
+        assert!(funded.status.is_success(), "{name}: fund {:?}", funded.status);
+        let before = system.chain().balance(thief_wallet);
+        let args = [
+            AbiValue::Word(u128::from(did.numeric_id())),
+            AbiValue::Address(thief_wallet),
+            AbiValue::Bytes(entry.to_bytes()),
+        ];
+        let stolen = call(&mut system, "verify", &args, 0);
+        assert!(stolen.status.is_success(), "{name}: theft {:?}", stolen.status);
+        assert_eq!(
+            system.chain().balance(thief_wallet),
+            before - stolen.fee.base_units() + reward,
+            "{name}: the stranger was paid"
+        );
+
+        let history = contract_history(system.chain(), contract).len();
+        assert_eq!(system.run_verifier(&area).unwrap(), 2, "{name}");
+        let paid: BTreeSet<String> = outs[1..].iter().map(|out| out.cid.to_string()).collect();
+        let listed = system.hypercube.record(&area).unwrap().unwrap().cids;
+        assert_eq!(listed.iter().cloned().collect::<BTreeSet<_>>(), paid, "{name}");
+        assert_eq!(listed.len(), 2, "{name}");
+        assert_eq!(system.run_verifier(&area).unwrap(), 0, "{name}: a second pass");
+        system.close_area(&area).unwrap();
+
+        // The stranger is nobody the protocol knows.
+        let verifiers: BTreeSet<Address> = contract_history(system.chain(), contract)[history..]
+            .iter()
+            .map(|row| row.from)
+            .collect();
+        assert_eq!(verifiers.len(), 1, "{name}: one verifier");
+        let mut participants: BTreeSet<Address> =
+            provers.iter().map(|&p| system.prover(p).unwrap().wallet).collect();
+        participants.insert(Address::from_public_key(&witness.public));
+        participants.extend(verifiers);
+        assert!(!participants.contains(&thief_wallet), "{name}");
+    }
+}
