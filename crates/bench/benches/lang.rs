@@ -1,10 +1,10 @@
 //! Compiler-pipeline benchmarks and the factory ablation.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pol_core::contract::pol_program;
+use pol_core::contract::{pol_program, POL_SOURCE};
 use pol_core::factory::Factory;
 use pol_lang::backend::AbiValue;
-use pol_lang::{analyze, backend, check, verify};
+use pol_lang::{access, analyze, backend, check, gas, verify};
 use std::hint::black_box;
 
 fn pipeline(c: &mut Criterion) {
@@ -47,6 +47,25 @@ fn synthetic(apis: usize) -> String {
     }
     src.push_str("    }\n}\n");
     src
+}
+
+/// The lexer and parser, the access summaries and the gas certificates
+/// — the passes `compile-corpus` runs besides those above — on the
+/// paper's contract and on the 64-API synthetic.
+fn passes(c: &mut Criterion) {
+    let api64 = synthetic(64);
+    for (label, source) in [("pol-v1", POL_SOURCE), ("api64", api64.as_str())] {
+        let program = pol_lang::parse(source).expect("contract parses");
+        c.bench_function(format!("lang/parse/{label}"), |b| {
+            b.iter(|| pol_lang::parse(black_box(source)).unwrap())
+        });
+        c.bench_function(format!("lang/summarize/{label}"), |b| {
+            b.iter(|| access::summarize(black_box(&program)))
+        });
+        c.bench_function(format!("lang/certify/{label}"), |b| {
+            b.iter(|| gas::certify(black_box(&program)).unwrap())
+        });
+    }
 }
 
 /// The size sweep: the back half of the pipeline over 4 to 256 APIs,
@@ -99,5 +118,5 @@ fn factory_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, pipeline, size_sweep, factory_ablation);
+criterion_group!(benches, pipeline, passes, size_sweep, factory_ablation);
 criterion_main!(benches);

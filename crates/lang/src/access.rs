@@ -42,11 +42,13 @@
 //! ever commute.
 
 use crate::ast::{Expr, Program, Ty};
-use crate::backend::evm::{global_slot, DispatchTarget, MAP_SLOT_BASE, SLOT_CREATOR, SLOT_PHASE};
+use crate::backend::evm::{
+    global_slot, DispatchEntry, DispatchTarget, MAP_SLOT_BASE, SLOT_CREATOR, SLOT_PHASE,
+};
 use crate::backend::{avm as avm_backend, evm as evm_backend};
 use crate::dbm;
 use crate::diag::Owner;
-use crate::ir::{self, BodyAnalysis, Inst, ProgramFlows, Term};
+use crate::ir::{BodyAnalysis, Env, Inst, ProgramFlows, Src, Term};
 use pol_avm::app_address;
 use pol_crypto::keccak256;
 use pol_evm::Word;
@@ -175,44 +177,40 @@ impl AccessSummary {
     }
 }
 
-/// Collects global/balance/map-name reads of an expression — used for
-/// the phase-advance refinement (key precision is irrelevant there).
-#[derive(Debug, Default)]
-struct CondFootprint {
-    globals: BTreeSet<String>,
-    maps: BTreeSet<String>,
-    balance: bool,
+/// Whether a body with this summary can change an input of `cond`: a
+/// global it reads, a map it reads, or — through a transfer — the
+/// balance. Used for the phase-advance refinement (key precision is
+/// irrelevant there).
+fn writes_cond_input(cond: &Expr, summary: &AccessSummary) -> bool {
+    match cond {
+        Expr::Global(g) => summary.globals_written.contains(g.as_str()),
+        Expr::Balance => !summary.transfers.is_empty(),
+        Expr::MapGet { map, key } | Expr::MapContains { map, key } => {
+            summary.maps.iter().any(|site| site.write && site.map == *map)
+                || writes_cond_input(key, summary)
+        }
+        Expr::Hash(parts) => parts.iter().any(|p| writes_cond_input(p, summary)),
+        Expr::Bin(_, a, b) => writes_cond_input(a, summary) || writes_cond_input(b, summary),
+        Expr::Not(inner) => writes_cond_input(inner, summary),
+        Expr::UInt(_) | Expr::Param(_) | Expr::Caller => false,
+    }
 }
 
-fn cond_footprint(expr: &Expr, fp: &mut CondFootprint) {
-    match expr {
-        Expr::Global(g) => {
-            fp.globals.insert(g.clone());
-        }
-        Expr::Balance => fp.balance = true,
-        Expr::MapGet { map, key } | Expr::MapContains { map, key } => {
-            fp.maps.insert(map.clone());
-            cond_footprint(key, fp);
-        }
-        Expr::Hash(parts) => parts.iter().for_each(|p| cond_footprint(p, fp)),
-        Expr::Bin(_, a, b) => {
-            cond_footprint(a, fp);
-            cond_footprint(b, fp);
-        }
-        Expr::Not(inner) => cond_footprint(inner, fp),
-        Expr::UInt(_) | Expr::Param(_) | Expr::Caller => {}
+/// Inserts `name` into a name set, allocating only when it is new.
+fn note(set: &mut BTreeSet<String>, name: &str) {
+    if !set.contains(name) {
+        set.insert(name.to_string());
     }
 }
 
 /// Classifies a map-key expression at a program point: the interval
 /// domain first (guard refinement can pin `require(k == 7)` keys), then
 /// the relational zone (difference bounds can pin keys the intervals
-/// lose through joins), then the syntactic parameter case, then ⊤.
-fn classify_key(key: &Expr, env: Option<&ir::Env>, zone: Option<&dbm::Zone>) -> KeyPattern {
-    // No store (an expression evaluated around the body): the default
-    // (⊤) store keeps constants and parameters and nothing else.
-    let default_env = ir::Env::default();
-    if let Some(c) = env.unwrap_or(&default_env).interval_of(key).as_const() {
+/// lose through joins), then the syntactic parameter case, then ⊤. An
+/// expression evaluated around the body sees the ⊤ store, which keeps
+/// constants and parameters and nothing else.
+fn classify_key(key: &Expr, env: Env<'_>, zone: Option<&dbm::Zone>) -> KeyPattern {
+    if let Some(c) = env.interval_of(key).as_const() {
         return KeyPattern::Const(c);
     }
     if let (Some(zone), Some((Some(var), k))) = (zone, dbm::term(key)) {
@@ -239,25 +237,17 @@ fn classify_addr(to: &Expr) -> AddrPattern {
 }
 
 struct Collector<'a> {
-    flow: &'a BodyAnalysis,
+    flow: &'a BodyAnalysis<'a>,
     summary: AccessSummary,
 }
 
 impl Collector<'_> {
     /// Records every read an expression performs; map keys classified
     /// against the store observed at `path` (or the block terminator's
-    /// replayed store for condition expressions).
-    fn reads(
-        &mut self,
-        expr: &Expr,
-        env: Option<&ir::Env>,
-        zone: Option<&dbm::Zone>,
-        path: &[u32],
-    ) {
+    /// store for condition expressions).
+    fn reads(&mut self, expr: &Expr, env: Env<'_>, zone: Option<&dbm::Zone>, path: &[u32]) {
         match expr {
-            Expr::Global(g) => {
-                self.summary.globals_read.insert(g.clone());
-            }
+            Expr::Global(g) => note(&mut self.summary.globals_read, g),
             Expr::Balance => self.summary.reads_balance = true,
             Expr::MapGet { map, key } | Expr::MapContains { map, key } => {
                 self.map_site(map, key, false, env, zone, path);
@@ -282,7 +272,7 @@ impl Collector<'_> {
         map: &str,
         key: &Expr,
         write: bool,
-        env: Option<&ir::Env>,
+        env: Env<'_>,
         zone: Option<&dbm::Zone>,
         path: &[u32],
     ) {
@@ -293,12 +283,14 @@ impl Collector<'_> {
     fn walk_body(&mut self) {
         let flow = self.flow;
         for (b, block) in flow.reachable_blocks() {
-            for inst in &block.insts {
-                let path = inst.path();
-                let (env, zone) = (flow.env_at(path), flow.zone_at(path));
+            for i in block.insts.clone() {
+                let inst = flow.cfg.insts[i];
+                let path = flow.path(inst.path());
+                let env = flow.env_before(i).unwrap_or(flow.top());
+                let zone = flow.zone_before(i);
                 match inst {
                     Inst::Set { name, value, .. } => {
-                        self.summary.globals_written.insert(name.clone());
+                        note(&mut self.summary.globals_written, name);
                         self.reads(value, env, zone, path);
                     }
                     Inst::MapPut { map, key, value, .. } => {
@@ -327,17 +319,17 @@ impl Collector<'_> {
                 }
             }
             // Condition expressions in terminators read state too; the
-            // replayed terminator store keeps mid-block assignments
-            // from laundering a stale constant into a key pattern.
-            let env = flow.term_env(b);
-            match &block.term {
-                Term::Branch { cond, path, .. } => self.reads(cond, env.as_ref(), None, path),
+            // terminator store, after the block's assignments, keeps
+            // them from laundering a stale constant into a key pattern.
+            let env = flow.term_env(b).unwrap_or(flow.top());
+            match block.term {
+                Term::Branch { cond, path, .. } => self.reads(cond, env, None, flow.path(path)),
                 Term::Require { cond, src, .. } => {
                     let path: &[u32] = match src {
-                        ir::Src::Stmt(p) => p,
-                        ir::Src::PhaseCond => &[],
+                        Src::Stmt(p) => flow.path(p),
+                        Src::PhaseCond => &[],
                     };
-                    self.reads(cond, env.as_ref(), None, path);
+                    self.reads(cond, env, None, path);
                 }
                 Term::Goto(_) | Term::Return => {}
             }
@@ -370,22 +362,16 @@ fn summary_for_flow(program: &Program, flow: &BodyAnalysis) -> AccessSummary {
             // program point of the body, so their map keys classify
             // against no store.
             if let Some(pay) = &api_decl.pay {
-                c.reads(pay, None, None, &[]);
+                c.reads(pay, flow.top(), None, &[]);
             }
-            c.reads(&api_decl.returns, None, None, &[]);
+            c.reads(&api_decl.returns, flow.top(), None, &[]);
             let mut summary = c.summary;
             summary.reads_phase = true;
             summary.uses_pay = api_decl.pay.is_some();
 
             // Phase-advance refinement: the counter can only move when
             // the body changes an input of the phase condition.
-            let mut fp = CondFootprint::default();
-            cond_footprint(&phase_decl.while_cond, &mut fp);
-            let writes_cond_global = fp.globals.iter().any(|g| summary.globals_written.contains(g));
-            let writes_cond_map =
-                summary.maps.iter().any(|site| site.write && fp.maps.contains(&site.map));
-            let moves_balance = fp.balance && !summary.transfers.is_empty();
-            summary.writes_phase = writes_cond_global || writes_cond_map || moves_balance;
+            summary.writes_phase = writes_cond_input(&phase_decl.while_cond, &summary);
             summary
         }
     }
@@ -447,14 +433,19 @@ pub struct ContractSummaries {
 
 /// Runs the access-summary pass over a checked program.
 pub fn summarize(program: &Program) -> ContractSummaries {
-    summarize_flows(program, &ProgramFlows::new(program, true))
+    let table = evm_backend::dispatch_table(program);
+    summarize_flows(program, &ProgramFlows::new(program, true), &table)
 }
 
-/// [`summarize`] over flows the caller already computed (the compile
-/// pipeline's, see [`crate::backend::compile`]).
-pub(crate) fn summarize_flows(program: &Program, flows: &ProgramFlows) -> ContractSummaries {
-    let methods = evm_backend::dispatch_table(program)
-        .into_iter()
+/// [`summarize`] over the flows and the method table the caller already
+/// built (the compile pipeline's, see [`crate::backend::compile`]).
+pub(crate) fn summarize_flows(
+    program: &Program,
+    flows: &ProgramFlows,
+    table: &[DispatchEntry<'_>],
+) -> ContractSummaries {
+    let methods = table
+        .iter()
         .map(|entry| {
             let summary = match entry.target {
                 DispatchTarget::Api { phase, api_idx, .. } => {
@@ -478,7 +469,7 @@ pub(crate) fn summarize_flows(program: &Program, flows: &ProgramFlows) -> Contra
                 summary,
                 selector: entry.selector,
                 layout: evm_backend::layout(entry.params()),
-                name: entry.name,
+                name: entry.name.clone(),
             }
         })
         .collect();

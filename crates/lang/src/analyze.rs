@@ -102,15 +102,18 @@ impl std::fmt::Display for Analysis {
 ///
 /// # Errors
 ///
-/// Backend errors if code generation fails on either target.
+/// [`LangError::TypeErrors`] when the program fails the type checker;
+/// backend errors if code generation fails on either target.
 pub fn analyze(program: &Program) -> Result<Analysis, LangError> {
+    crate::check::checked(program)?;
     let flows = ProgramFlows::new(program, true);
     let report = verify_flows(program, &flows);
-    let compiled_evm = evm_backend::compile(program)?;
+    let table = evm_backend::dispatch_table(program);
+    let compiled_evm = evm_backend::emit(program, &table, evm_backend::DEFAULT_RUNTIME_PAD)?;
     // The AVM backend refuses some programs the EVM one accepts (an
     // argument index past one byte); either refusal means no report.
-    avm_backend::compile(program)?;
-    let bounds = certify_compiled(program, &flows, &compiled_evm);
+    avm_backend::emit(program)?;
+    let bounds = certify_compiled(program, &flows, &compiled_evm, &table);
 
     // The phase APIs in declaration order; the generated views and
     // `closeContract` are not in the report.

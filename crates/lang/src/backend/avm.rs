@@ -112,6 +112,16 @@ pub fn api_fragment(
     phase_idx: usize,
     api: &Api,
 ) -> Result<Vec<AvmOp>, LangError> {
+    crate::check::checked(program)?;
+    fragment(program, phase_idx, api)
+}
+
+/// [`api_fragment`] for a program already checked.
+pub(crate) fn fragment(
+    program: &Program,
+    phase_idx: usize,
+    api: &Api,
+) -> Result<Vec<AvmOp>, LangError> {
     let mut ctx = Ctx { program, params: HashMap::new(), ops: Vec::new(), next_label: 1000 };
     ctx.bind_params(Some(&api.name), &api.params)?;
     ctx.compile_api(phase_idx, api)?;
@@ -122,18 +132,25 @@ struct Ctx<'p> {
     program: &'p Program,
     /// Parameter name → (index in app args, type). Index 0 is the method
     /// name for calls; constructor params start at 0.
-    params: HashMap<String, (u8, Ty)>,
+    params: HashMap<&'p str, (u8, Ty)>,
     ops: Vec<AvmOp>,
     next_label: usize,
 }
 
-/// Compiles a checked program to an AVM approval program.
+/// Compiles a program to an AVM approval program.
 ///
 /// # Errors
 ///
+/// [`LangError::TypeErrors`] when the program fails the type checker;
 /// [`LangError::Backend`] on model restrictions: an API or the creator
 /// declares more parameters than `txna ApplicationArgs` can index.
 pub fn compile(program: &Program) -> Result<CompiledAvm, LangError> {
+    crate::check::checked(program)?;
+    emit(program)
+}
+
+/// [`compile`] for a program already checked.
+pub(crate) fn emit(program: &Program) -> Result<CompiledAvm, LangError> {
     let mut ctx = Ctx { program, params: HashMap::new(), ops: Vec::new(), next_label: 0 };
 
     // if ApplicationID == 0 -> creation branch
@@ -236,7 +253,7 @@ pub fn compile(program: &Program) -> Result<CompiledAvm, LangError> {
     })
 }
 
-impl Ctx<'_> {
+impl<'p> Ctx<'p> {
     fn fresh_label(&mut self) -> usize {
         self.next_label += 1;
         self.next_label - 1
@@ -247,7 +264,11 @@ impl Ctx<'_> {
     /// arguments 0..). The argument index is one byte on the AVM, so a
     /// list that runs past index 255 is refused rather than wrapped onto
     /// the first arguments.
-    fn bind_params(&mut self, api: Option<&str>, params: &[(String, Ty)]) -> Result<(), LangError> {
+    fn bind_params(
+        &mut self,
+        api: Option<&str>,
+        params: &'p [(String, Ty)],
+    ) -> Result<(), LangError> {
         let base = u8::from(api.is_some());
         let limit = 256 - usize::from(base);
         if params.len() > limit {
@@ -259,7 +280,7 @@ impl Ctx<'_> {
         }
         self.params.clear();
         for ((name, ty), idx) in params.iter().zip(base..=u8::MAX) {
-            self.params.insert(name.clone(), (idx, *ty));
+            self.params.insert(name, (idx, *ty));
         }
         Ok(())
     }

@@ -145,7 +145,7 @@ struct Ctx<'p> {
     program: &'p Program,
     source: ParamSource,
     /// name → (ty, offset within the args area, padded length).
-    params: HashMap<String, (Ty, usize, usize)>,
+    params: HashMap<&'p str, (Ty, usize, usize)>,
     asm: Asm,
     revert_label: pol_evm::assembler::Label,
     staging_top: u64,
@@ -154,17 +154,22 @@ struct Ctx<'p> {
 /// Computes the `(name, ty, offset, padded_len)` layout for a parameter
 /// or field list (offsets relative to the start of the argument area).
 pub(crate) fn layout(params: &[(String, Ty)]) -> Vec<(String, Ty, usize, usize)> {
-    let mut out = Vec::with_capacity(params.len());
+    layout_iter(params).map(|(name, ty, off, len)| (name.to_string(), ty, off, len)).collect()
+}
+
+/// [`layout`], borrowing the names.
+pub(crate) fn layout_iter(
+    params: &[(String, Ty)],
+) -> impl Iterator<Item = (&str, Ty, usize, usize)> {
     let mut off = 0usize;
-    for (name, ty) in params {
+    params.iter().map(move |(name, ty)| {
         let len = match ty {
             Ty::Bytes(cap) => cap.div_ceil(32) * 32,
             _ => 32,
         };
-        out.push((name.clone(), *ty, off, len));
         off += len;
-    }
-    out
+        (name.as_str(), *ty, off - len, len)
+    })
 }
 
 /// The canonical signature used for selector derivation.
@@ -245,11 +250,11 @@ pub(crate) fn dispatch_table(program: &Program) -> Vec<DispatchEntry<'_>> {
     apis.chain(views).chain(std::iter::once(close)).collect()
 }
 
-/// Compiles a checked program to EVM bytecode with the default runtime
-/// pad.
+/// Compiles a program to EVM bytecode with the default runtime pad.
 ///
 /// # Errors
 ///
+/// [`LangError::TypeErrors`] when the program fails the type checker;
 /// [`LangError::Backend`] on model restrictions (e.g. byte values used in
 /// word context — normally excluded by the type checker).
 pub fn compile(program: &Program) -> Result<CompiledEvm, LangError> {
@@ -264,6 +269,17 @@ pub fn compile(program: &Program) -> Result<CompiledEvm, LangError> {
 ///
 /// As for [`compile`].
 pub fn compile_with_pad(program: &Program, runtime_pad: usize) -> Result<CompiledEvm, LangError> {
+    crate::check::checked(program)?;
+    emit(program, &dispatch_table(program), runtime_pad)
+}
+
+/// [`compile_with_pad`] for a program already checked, over its
+/// [`dispatch_table`].
+pub(crate) fn emit(
+    program: &Program,
+    table: &[DispatchEntry<'_>],
+    runtime_pad: usize,
+) -> Result<CompiledEvm, LangError> {
     let mut selectors = HashMap::new();
     let mut param_layouts = HashMap::new();
 
@@ -278,9 +294,8 @@ pub fn compile_with_pad(program: &Program, runtime_pad: usize) -> Result<Compile
     asm = asm.push_bytes(&shift).swap(1).op(Op::Div);
 
     // Dispatch table.
-    let table = dispatch_table(program);
     let mut labels = Vec::with_capacity(table.len());
-    for entry in &table {
+    for entry in table {
         selectors.insert(entry.name.clone(), entry.selector);
         param_layouts.insert(entry.name.clone(), layout(entry.params()));
         let label = asm.new_label();
@@ -366,9 +381,8 @@ fn emit_constructor(
     let revert_label = asm.new_label();
     // _creator = CALLER
     asm = asm.op(Op::Caller).push_u64(SLOT_CREATOR).op(Op::SStore);
-    let fields: Vec<(String, Ty)> =
-        program.creator.fields.iter().map(|(n, t)| (n.clone(), *t)).collect();
-    let mut ctx = Ctx::new(program, ParamSource::Code(args_off), &fields, asm, revert_label);
+    let fields = &program.creator.fields;
+    let mut ctx = Ctx::new(program, ParamSource::Code(args_off), fields, asm, revert_label);
     let _ = field_layout;
 
     // Globals.
@@ -411,12 +425,12 @@ impl<'p> Ctx<'p> {
     fn new(
         program: &'p Program,
         source: ParamSource,
-        params: &[(String, Ty)],
+        params: &'p [(String, Ty)],
         asm: Asm,
         revert_label: pol_evm::assembler::Label,
     ) -> Ctx<'p> {
-        let mut map = HashMap::new();
-        for (name, ty, off, len) in layout(params) {
+        let mut map = HashMap::with_capacity(params.len());
+        for (name, ty, off, len) in layout_iter(params) {
             map.insert(name, (ty, off, len));
         }
         let staging_top = STAGING + map.values().map(|(_, _, len)| *len as u64).sum::<u64>();
@@ -722,6 +736,16 @@ impl<'p> Ctx<'p> {
 ///
 /// As for [`compile`].
 pub fn api_fragment(program: &Program, phase_idx: usize, api: &Api) -> Result<Vec<u8>, LangError> {
+    crate::check::checked(program)?;
+    fragment(program, phase_idx, api)
+}
+
+/// [`api_fragment`] for a program already checked.
+pub(crate) fn fragment(
+    program: &Program,
+    phase_idx: usize,
+    api: &Api,
+) -> Result<Vec<u8>, LangError> {
     let mut asm = Asm::new();
     let revert_label = asm.new_label();
     let mut ctx = Ctx::new(program, ParamSource::CallData, &api.params, asm, revert_label);
@@ -734,7 +758,7 @@ pub fn api_fragment(program: &Program, phase_idx: usize, api: &Api) -> Result<Ve
 /// Total padded byte width of an API's parameters (calldata size minus
 /// the selector).
 pub fn params_width(api: &Api) -> usize {
-    layout(&api.params).iter().map(|(_, _, _, len)| len).sum()
+    layout_iter(&api.params).map(|(_, _, _, len)| len).sum()
 }
 
 #[cfg(test)]

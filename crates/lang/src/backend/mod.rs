@@ -79,24 +79,22 @@ pub struct CompiledContract {
 /// emitted artifact fails post-emission verification or a cost
 /// cross-check.
 pub fn compile(program: &crate::ast::Program) -> Result<CompiledContract, crate::LangError> {
-    let type_errors = crate::check::check(program);
-    if !type_errors.is_empty() {
-        return Err(crate::LangError::TypeErrors(type_errors));
-    }
-    // Every body is analysed once; each later stage borrows the flows
-    // and hands what it derives forward.
+    crate::check::checked(program)?;
+    // Every body is analysed, and the method table derived, once; each
+    // later stage borrows them and hands what it derives forward.
     let flows = ProgramFlows::new(program, true);
     let report = crate::verify::verify_flows(program, &flows);
     if !report.ok() {
         return Err(crate::LangError::VerificationFailed(report.failures));
     }
+    let table = evm::dispatch_table(program);
     // EVM codegen runs ahead of the lints because L0008 prices the
     // deployment payload; its own failure still surfaces after theirs.
-    let evm_and_bounds = evm::compile(program).map(|evm| {
-        let bounds = crate::gas::certify_compiled(program, &flows, &evm);
+    let evm_and_bounds = evm::emit(program, &table, evm::DEFAULT_RUNTIME_PAD).map(|evm| {
+        let bounds = crate::gas::certify_compiled(program, &flows, &evm, &table);
         (evm, bounds)
     });
-    let summaries = crate::access::summarize_flows(program, &flows);
+    let summaries = crate::access::summarize_flows(program, &flows, &table);
     let gas_bounds = evm_and_bounds.as_ref().ok().map(|(_, bounds)| bounds);
     let (lint_errors, warnings): (Vec<_>, Vec<_>) =
         crate::lint::lint_facts(program, &flows, &summaries, gas_bounds)
@@ -106,7 +104,7 @@ pub fn compile(program: &crate::ast::Program) -> Result<CompiledContract, crate:
         return Err(crate::LangError::LintErrors(lint_errors));
     }
     let (compiled_evm, gas_bounds) = evm_and_bounds?;
-    let compiled_avm = avm::compile(program)?;
+    let compiled_avm = avm::emit(program)?;
     let rejections = verify_bytecode(program, &flows, &compiled_evm, &compiled_avm);
     if !rejections.is_empty() {
         return Err(crate::LangError::BytecodeRejected(rejections));
@@ -178,7 +176,7 @@ fn verify_bytecode(
             };
             // A fragment that cannot be regenerated is as unverified as
             // one the verifier refuses: both are the target's B-code.
-            let evm_checked = evm::api_fragment(program, phase_idx, api)
+            let evm_checked = evm::fragment(program, phase_idx, api)
                 .map_err(|e| format!("not generated: {e}"))
                 .and_then(|fragment| match pol_evm::verifier::verify(&fragment, &cfg) {
                     Ok(report) => Ok((fragment, report)),
@@ -199,7 +197,7 @@ fn verify_bytecode(
                         .at(at),
                 ),
             }
-            let avm_checked = avm::api_fragment(program, phase_idx, api)
+            let avm_checked = avm::fragment(program, phase_idx, api)
                 .map_err(|e| format!("not generated: {e}"))
                 .map(pol_avm::program::AvmProgram::new)
                 .and_then(|fragment| match pol_avm::verifier::verify(&fragment) {

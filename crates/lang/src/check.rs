@@ -6,6 +6,7 @@
 
 use crate::ast::{BinOp, Expr, GlobalInit, Program, Stmt, Ty};
 use crate::diag::{Diagnostic, NodePath, Owner, Span};
+use crate::LangError;
 
 /// Scope of one checking pass: the parameters in scope and whether
 /// globals may be referenced.
@@ -13,10 +14,33 @@ struct Ctx<'p> {
     program: &'p Program,
     params: &'p [(String, Ty)],
     allow_params: bool,
-    /// Span attributed to diagnostics raised while checking the current
-    /// statement or expression.
-    at: Span,
+    /// The node diagnostics raised while checking the current statement
+    /// or expression point at; its span is looked up only when one is.
+    at: Site,
+    /// The current statement's path, for [`Site::Stmt`].
+    prefix: Vec<u32>,
     errors: Vec<Diagnostic>,
+}
+
+/// What a diagnostic raised now points at.
+enum Site {
+    /// Nothing (no source position).
+    Nowhere,
+    /// A declaration or expression slot.
+    Node(NodePath),
+    /// The statement of this body at [`Ctx::prefix`].
+    Stmt(Owner),
+}
+
+/// `Ok` for a well-typed program, else its type errors: the guard each
+/// public pass that assumes a checked program runs first.
+pub(crate) fn checked(program: &Program) -> Result<(), LangError> {
+    let errors = check(program);
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(LangError::TypeErrors(errors))
+    }
 }
 
 /// Type-checks a program, returning all diagnostics (empty = well typed).
@@ -103,10 +127,11 @@ pub fn check(program: &Program) -> Vec<Diagnostic> {
             program,
             params: &program.creator.fields,
             allow_params: true,
-            at: Span::DUMMY,
+            at: Site::Nowhere,
+            prefix: Vec::new(),
             errors: Vec::new(),
         };
-        check_block(&mut ctx, Owner::Constructor, &mut Vec::new(), &program.constructor);
+        check_block(&mut ctx, Owner::Constructor, &program.constructor);
         errors.extend(ctx.errors);
     }
 
@@ -121,27 +146,27 @@ pub fn check(program: &Program) -> Vec<Diagnostic> {
         std::collections::HashMap::new();
     for (phase_idx, phase) in program.phases.iter().enumerate() {
         // Phase conditions range over globals only.
-        let no_params: Vec<(String, Ty)> = Vec::new();
         let mut ctx = Ctx {
             program,
-            params: &no_params,
+            params: &[],
             allow_params: false,
-            at: program.spans.get(&NodePath::PhaseCond(phase_idx)),
+            at: Site::Node(NodePath::PhaseCond(phase_idx)),
+            prefix: Vec::new(),
             errors: Vec::new(),
         };
         ctx.expect(&phase.while_cond, Ty::Bool, "phase condition");
-        ctx.at = program.spans.get(&NodePath::Invariant(phase_idx));
+        ctx.at = Site::Node(NodePath::Invariant(phase_idx));
         ctx.expect(&phase.invariant, Ty::Bool, "phase invariant");
         errors.extend(ctx.errors);
 
         for (api_idx, api) in phase.apis.iter().enumerate() {
-            let api_span = program.spans.get(&NodePath::Api { phase: phase_idx, api: api_idx });
+            let api_node = NodePath::Api { phase: phase_idx, api: api_idx };
             match api_sites.entry(api.name.as_str()) {
                 std::collections::hash_map::Entry::Occupied(first) => {
                     let &(fp, fa) = first.get();
                     errors.push(
                         Diagnostic::error("E0009", format!("duplicate api {:?}", api.name))
-                            .at(api_span)
+                            .at(program.spans.get(&api_node))
                             .note(
                                 program.spans.get(&NodePath::Api { phase: fp, api: fa }),
                                 "first declared here",
@@ -157,16 +182,17 @@ pub fn check(program: &Program) -> Vec<Diagnostic> {
                 program,
                 params: &api.params,
                 allow_params: true,
-                at: api_span,
+                at: Site::Node(api_node),
+                prefix: Vec::new(),
                 errors: Vec::new(),
             };
             if let Some(pay) = &api.pay {
-                ctx.at = program.spans.get(&NodePath::ApiPay { phase: phase_idx, api: api_idx });
+                ctx.at = Site::Node(NodePath::ApiPay { phase: phase_idx, api: api_idx });
                 ctx.expect(pay, Ty::UInt, "pay amount");
             }
             let owner = Owner::Api { phase: phase_idx as u32, api: api_idx as u32 };
-            check_block(&mut ctx, owner, &mut Vec::new(), &api.body);
-            ctx.at = program.spans.get(&NodePath::ApiReturns { phase: phase_idx, api: api_idx });
+            check_block(&mut ctx, owner, &api.body);
+            ctx.at = Site::Node(NodePath::ApiReturns { phase: phase_idx, api: api_idx });
             ctx.expect(&api.returns, Ty::UInt, "api return");
             errors.extend(ctx.errors.into_iter().map(|mut d| {
                 d.message = format!("api {:?}: {}", api.name, d.message);
@@ -180,26 +206,32 @@ pub fn check(program: &Program) -> Vec<Diagnostic> {
 /// Checks every statement of a body, pointing `ctx.at` at each
 /// statement's span before descending so expression-level diagnostics
 /// land on the right source line.
-fn check_block(ctx: &mut Ctx<'_>, owner: Owner, prefix: &mut Vec<u32>, stmts: &[Stmt]) {
+fn check_block(ctx: &mut Ctx<'_>, owner: Owner, stmts: &[Stmt]) {
     for (i, stmt) in stmts.iter().enumerate() {
-        prefix.push(i as u32);
-        ctx.at = ctx.program.spans.get(&NodePath::Stmt(owner, prefix.clone()));
+        ctx.prefix.push(i as u32);
+        ctx.at = Site::Stmt(owner);
         ctx.check_stmt_shallow(stmt);
         if let Stmt::If { then, otherwise, .. } = stmt {
-            prefix.push(0);
-            check_block(ctx, owner, prefix, then);
-            prefix.pop();
-            prefix.push(1);
-            check_block(ctx, owner, prefix, otherwise);
-            prefix.pop();
+            ctx.prefix.push(0);
+            check_block(ctx, owner, then);
+            ctx.prefix.pop();
+            ctx.prefix.push(1);
+            check_block(ctx, owner, otherwise);
+            ctx.prefix.pop();
         }
-        prefix.pop();
+        ctx.prefix.pop();
     }
 }
 
 impl Ctx<'_> {
     fn err(&mut self, code: &'static str, message: impl Into<String>) {
-        self.errors.push(Diagnostic::error(code, message).at(self.at));
+        let spans = &self.program.spans;
+        let span = match &self.at {
+            Site::Nowhere => Span::DUMMY,
+            Site::Node(node) => spans.get(node),
+            Site::Stmt(owner) => spans.get(&NodePath::Stmt(*owner, self.prefix.clone())),
+        };
+        self.errors.push(Diagnostic::error(code, message).at(span));
     }
 
     /// Checks one statement without descending into `If` arms (the

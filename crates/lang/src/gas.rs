@@ -35,7 +35,7 @@
 
 use crate::access::json_str;
 use crate::ast::{Api, Expr, GlobalInit, Program, Ty};
-use crate::backend::evm::{self as evm_backend, CompiledEvm, DispatchTarget};
+use crate::backend::evm::{self as evm_backend, CompiledEvm, DispatchEntry, DispatchTarget};
 use crate::ir::{BodyAnalysis, Cfg, Inst, ProgramFlows, Term};
 use crate::LangError;
 use pol_evm::gas as evm_gas;
@@ -114,7 +114,7 @@ enum EvmModel {
 struct EvmWalk<'p> {
     program: &'p Program,
     /// name → (ty, offset, padded len), as laid out by the backend.
-    params: HashMap<String, (Ty, u64, u64)>,
+    params: HashMap<&'p str, (Ty, u64, u64)>,
     /// Constructor parameters live in the code tail (`CODECOPY`),
     /// API parameters in calldata.
     code_args: bool,
@@ -127,12 +127,12 @@ struct EvmWalk<'p> {
 impl<'p> EvmWalk<'p> {
     fn new(
         program: &'p Program,
-        params: &[(String, Ty)],
+        params: &'p [(String, Ty)],
         code_args: bool,
         model: EvmModel,
     ) -> EvmWalk<'p> {
-        let mut map = HashMap::new();
-        for (name, ty, off, len) in evm_backend::layout(params) {
+        let mut map = HashMap::with_capacity(params.len());
+        for (name, ty, off, len) in evm_backend::layout_iter(params) {
             map.insert(name, (ty, off as u64, len as u64));
         }
         let staging_top = STAGING + map.values().map(|(_, _, len)| *len).sum::<u64>();
@@ -315,7 +315,7 @@ impl<'p> EvmWalk<'p> {
 /// generator's emission.
 trait CostModel {
     /// One straight-line instruction.
-    fn inst(&mut self, inst: &Inst) -> u64;
+    fn inst(&mut self, inst: Inst<'_>) -> u64;
     /// Evaluating a `require`/`if` condition and testing it.
     fn check(&mut self, cond: &Expr) -> u64;
     /// The jump that closes a then-arm (else arms fall through).
@@ -360,17 +360,17 @@ fn body_max<M: CostModel>(m: &mut M, flow: &BodyAnalysis, prune: bool, ret_cost:
         if !live(b) {
             continue;
         }
-        let mut cost: u64 = block.insts.iter().map(|i| m.inst(i)).sum();
-        cost += match &block.term {
+        let mut cost: u64 = cfg.insts(b).iter().map(|i| m.inst(*i)).sum();
+        cost += match block.term {
             Term::Goto(t) => {
                 let jump = if block.closes_then { m.then_exit() } else { 0 };
-                jump + enter(*t, m) + down[*t]
+                jump + enter(t, m) + down[t]
             }
             // A dead successor was skipped above, so its `down` is 0.
-            Term::Require { cond, next, .. } => m.check(cond) + m.require_fail().max(down[*next]),
+            Term::Require { cond, next, .. } => m.check(cond) + m.require_fail().max(down[next]),
             Term::Branch { cond, then_b, else_b, .. } => {
-                let else_arm = if live(*else_b) { enter(*else_b, m) + down[*else_b] } else { 0 };
-                m.check(cond) + down[*then_b].max(else_arm)
+                let else_arm = if live(else_b) { enter(else_b, m) + down[else_b] } else { 0 };
+                m.check(cond) + down[then_b].max(else_arm)
             }
             Term::Return => ret_cost,
         };
@@ -418,13 +418,13 @@ fn api_fragment_max<M: CostModel>(
     let down = body_max(m, flow, prune, ret_cost);
     // Entry block: `require while_cond` with the payment check wedged
     // between it and the body (the backends emit them in that order).
-    let body = match &flow.cfg.blocks[0].term {
+    let body = match flow.cfg.blocks[0].term {
         Term::Require { cond, next, .. } => {
             let (check, fail) = (m.check(cond), m.require_fail());
-            if prune && !flow.reachable(*next) {
+            if prune && !flow.reachable(next) {
                 check + fail
             } else {
-                check + fail.max(m.pay_check(api.pay.as_ref()) + down[*next])
+                check + fail.max(m.pay_check(api.pay.as_ref()) + down[next])
             }
         }
         // Defensive: lower_api always emits the entry require.
@@ -435,7 +435,7 @@ fn api_fragment_max<M: CostModel>(
 
 impl CostModel for EvmWalk<'_> {
     /// Mirrors `emit_stmt` for the straight-line instructions.
-    fn inst(&mut self, inst: &Inst) -> u64 {
+    fn inst(&mut self, inst: Inst<'_>) -> u64 {
         match inst {
             Inst::Set { name, value, .. } => {
                 let idx = self.program.global_index(name).expect("checked");
@@ -581,12 +581,12 @@ const A_INNER_PAY: u64 = 20;
 struct AvmWalk<'p> {
     program: &'p Program,
     /// Parameter name → type (TxnArg indices don't affect cost).
-    params: HashMap<String, Ty>,
+    params: HashMap<&'p str, Ty>,
 }
 
 impl<'p> AvmWalk<'p> {
-    fn new(program: &'p Program, params: &[(String, Ty)]) -> AvmWalk<'p> {
-        AvmWalk { program, params: params.iter().cloned().collect() }
+    fn new(program: &'p Program, params: &'p [(String, Ty)]) -> AvmWalk<'p> {
+        AvmWalk { program, params: params.iter().map(|(name, ty)| (name.as_str(), *ty)).collect() }
     }
 
     fn box_key(&self, key: &Expr) -> u64 {
@@ -635,7 +635,7 @@ impl<'p> AvmWalk<'p> {
 }
 
 impl CostModel for AvmWalk<'_> {
-    fn inst(&mut self, inst: &Inst) -> u64 {
+    fn inst(&mut self, inst: Inst<'_>) -> u64 {
         match inst {
             Inst::Set { name, value, .. } => {
                 let idx = self.program.global_index(name).expect("checked");
@@ -747,26 +747,30 @@ pub struct ContractGasBounds {
     avm_unknown_cost: u64,
 }
 
-/// Runs the cost-bound pass over a checked program.
+/// Runs the cost-bound pass over a program.
 ///
 /// # Errors
 ///
-/// [`LangError::Backend`] when the program does not compile (the
-/// constructor certificate prices the deployment payload, which needs
-/// the compiled artifact's dimensions).
+/// [`LangError::TypeErrors`] when the program fails the type checker;
+/// [`LangError::Backend`] when it does not compile (the constructor
+/// certificate prices the deployment payload, which needs the compiled
+/// artifact's dimensions).
 pub fn certify(program: &Program) -> Result<ContractGasBounds, LangError> {
-    let compiled = evm_backend::compile(program)?;
-    Ok(certify_compiled(program, &ProgramFlows::new(program, true), &compiled))
+    crate::check::checked(program)?;
+    let table = evm_backend::dispatch_table(program);
+    let compiled = evm_backend::emit(program, &table, evm_backend::DEFAULT_RUNTIME_PAD)?;
+    Ok(certify_compiled(program, &ProgramFlows::new(program, true), &compiled, &table))
 }
 
-/// [`certify`] over the flows and the EVM artifact the caller already
-/// built (the compile pipeline's, see [`crate::backend::compile`]).
+/// [`certify`] over the flows, the EVM artifact and the method table the
+/// caller already built (the compile pipeline's, see
+/// [`crate::backend::compile`]).
 pub(crate) fn certify_compiled(
     program: &Program,
     flows: &ProgramFlows,
     compiled: &CompiledEvm,
+    table: &[DispatchEntry<'_>],
 ) -> ContractGasBounds {
-    let table = evm_backend::dispatch_table(program);
     let n_apis = program.all_apis().count() as u64;
     // txn ApplicationID; bz; n_apis failed probes; the close probe.
     let avm_scan = 2 * A_OP + 4 * A_OP * n_apis + 4 * A_OP;
@@ -814,7 +818,7 @@ pub(crate) fn certify_compiled(
                 }
             };
             let exec = evm_dispatch_cost(entry) + body;
-            let width: u64 = evm_backend::layout(e.params()).iter().map(|l| l.3 as u64).sum();
+            let width: u64 = evm_backend::layout_iter(e.params()).map(|l| l.3 as u64).sum();
             let (kind, phase) = e.kind_and_phase(program);
             MethodGas {
                 name: e.name.clone(),
@@ -855,9 +859,8 @@ pub(crate) fn certify_compiled(
         exec += 5 * w.push() + w.copy(Op::CodeCopy, 0, runtime_len);
         exec += mem_expansion(w.mem_hi);
         let deposit = evm_gas::G_CODEDEPOSIT * runtime_len;
-        let fields_width: u64 = evm_backend::layout(&program.creator.fields)
-            .iter()
-            .map(|(_, _, _, len)| *len as u64)
+        let fields_width: u64 = evm_backend::layout_iter(&program.creator.fields)
+            .map(|(_, _, _, len)| len as u64)
             .sum();
         let payload = compiled.init_code.len() as u64 + fields_width;
         evm_affine(exec + deposit, payload, true)
@@ -1255,9 +1258,9 @@ mod tests {
 
     #[test]
     fn dead_branch_is_pruned_from_the_certificate() {
-        // `if 0 { expensive } else {}` — the interval domain kills the
-        // then arm, so the pruned certificate must beat the unpruned
-        // fragment bound by at least the map-write cost.
+        // `if 0 == 1 { expensive } else {}` — the interval domain kills
+        // the then arm, so the pruned certificate must beat the live
+        // one by at least the map-write cost.
         use crate::ast::*;
         let expensive =
             Stmt::MapSet { map: "m".into(), key: Expr::UInt(1), value: vec![Expr::UInt(2)] };
@@ -1279,7 +1282,7 @@ mod tests {
                     Box::new(Expr::Global("live".into())),
                     Box::new(Expr::UInt(0)),
                 ),
-                invariant: Expr::UInt(1),
+                invariant: Expr::ge(Expr::global("live"), Expr::UInt(0)),
                 apis: vec![Api {
                     name: "go".into(),
                     params: vec![],
@@ -1291,12 +1294,12 @@ mod tests {
             spans: crate::diag::SpanTable::default(),
         };
         let dead = mk(vec![Stmt::If {
-            cond: Expr::UInt(0),
+            cond: Expr::eq(Expr::UInt(0), Expr::UInt(1)),
             then: vec![expensive.clone()],
             otherwise: vec![],
         }]);
         let live = mk(vec![Stmt::If {
-            cond: Expr::Global("live".into()),
+            cond: Expr::gt(Expr::global("live"), Expr::UInt(0)),
             then: vec![expensive],
             otherwise: vec![],
         }]);

@@ -23,69 +23,162 @@
 //! The forward passes over one body are a [`BodyAnalysis`]; those of a
 //! whole program are a [`ProgramFlows`], built once per compile and
 //! borrowed by every consumer.
+//!
+//! The interval passes allocate per body, not per statement or
+//! variable. A per-program [`Names`] table gives every global and map a
+//! dense id, and a body's [`Slots`] add its own parameters and the
+//! balance; an abstract store is one `Itv` per slot;
+//! instructions borrow their expressions from the AST and address their
+//! statement paths in one arena per body; and the per-instruction facts
+//! are flat vectors indexed by the instruction's position. Only the zone
+//! domain ([`crate::dbm`]) still copies a matrix per instruction.
 
-use crate::ast::{BinOp, Expr, GlobalInit, Program, Stmt};
+use crate::ast::{BinOp, Expr, GlobalInit, Program, Stmt, Ty};
 use crate::dbm::{self, ZVar, Zone, ZoneStats};
 use crate::diag::Owner;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::ops::Range;
+use std::rc::Rc;
+
+// ------------------------------------------------------------- names --
+
+/// Dense ids for the names a program declares: each global (by its
+/// first declaration) and each map. A name no declaration introduces
+/// has no id: the interval analysis reads it as ⊤ and drops assignments
+/// to it, which only an ill-typed program can ask for.
+#[derive(Debug)]
+pub(crate) struct Names<'p> {
+    globals: HashMap<&'p str, usize>,
+    maps: HashMap<&'p str, usize>,
+}
+
+impl<'p> Names<'p> {
+    pub(crate) fn new(program: &'p Program) -> Names<'p> {
+        /// Gives `name` the next id unless it has one.
+        fn intern<'p>(table: &mut HashMap<&'p str, usize>, name: &'p str) {
+            let next = table.len();
+            table.entry(name).or_insert(next);
+        }
+        let mut globals = HashMap::with_capacity(program.globals.len());
+        for g in &program.globals {
+            intern(&mut globals, &g.name);
+        }
+        let mut maps = HashMap::with_capacity(program.maps.len());
+        for m in &program.maps {
+            intern(&mut maps, &m.name);
+        }
+        Names { globals, maps }
+    }
+
+    /// A map's id: its position among the distinct declared map names.
+    pub(crate) fn map(&self, name: &str) -> Option<usize> {
+        self.maps.get(name).copied()
+    }
+}
+
+/// The store layout of one body: the program's globals, then the body's
+/// own parameters (an API's, or the creator's fields in the
+/// constructor), then the balance.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slots<'a> {
+    names: &'a Names<'a>,
+    params: &'a [(String, Ty)],
+}
+
+impl Slots<'_> {
+    /// Slots in a store.
+    fn len(&self) -> usize {
+        self.balance() + 1
+    }
+
+    fn balance(&self) -> usize {
+        self.names.globals.len() + self.params.len()
+    }
+
+    /// The slot of a global.
+    fn global(&self, name: &str) -> Option<usize> {
+        self.names.globals.get(name).copied()
+    }
+
+    /// The slot an expression names, when it is a variable.
+    fn var(&self, expr: &Expr) -> Option<usize> {
+        match expr {
+            Expr::Global(g) => self.global(g),
+            Expr::Param(p) => {
+                let i = self.params.iter().position(|(name, _)| name == p)?;
+                Some(self.names.globals.len() + i)
+            }
+            Expr::Balance => Some(self.balance()),
+            _ => None,
+        }
+    }
+}
 
 // ---------------------------------------------------------------- IR --
 
-/// A non-branching instruction, tagged with its source statement path
-/// (see [`crate::diag::NodePath::Stmt`]).
-#[derive(Debug, Clone)]
-pub(crate) enum Inst {
+/// A statement path (see [`crate::diag::NodePath::Stmt`]), stored in its
+/// body's path arena; [`Cfg::path`] reads it back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PathId {
+    start: u32,
+    end: u32,
+}
+
+/// A non-branching instruction, borrowing its expressions from the AST
+/// and tagged with its source statement path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Inst<'p> {
     /// `name = value`.
     Set {
         /// Global name.
-        name: String,
+        name: &'p str,
         /// Assigned value.
-        value: Expr,
+        value: &'p Expr,
         /// Source statement path.
-        path: Vec<u32>,
+        path: PathId,
     },
     /// `map[key] = commit(value…)`.
     MapPut {
         /// Map name.
-        map: String,
+        map: &'p str,
         /// Key expression.
-        key: Expr,
+        key: &'p Expr,
         /// Value parts.
-        value: Vec<Expr>,
+        value: &'p [Expr],
         /// Source statement path.
-        path: Vec<u32>,
+        path: PathId,
     },
     /// `delete map[key]`.
     MapDel {
         /// Map name.
-        map: String,
+        map: &'p str,
         /// Key expression.
-        key: Expr,
+        key: &'p Expr,
         /// Source statement path.
-        path: Vec<u32>,
+        path: PathId,
     },
     /// `transfer(to, amount)`.
     Transfer {
         /// Recipient.
-        to: Expr,
+        to: &'p Expr,
         /// Amount.
-        amount: Expr,
+        amount: &'p Expr,
         /// Source statement path.
-        path: Vec<u32>,
+        path: PathId,
     },
     /// `log(parts…)`.
     Emit {
         /// Logged parts.
-        parts: Vec<Expr>,
+        parts: &'p [Expr],
         /// Source statement path.
-        path: Vec<u32>,
+        path: PathId,
     },
 }
 
-impl Inst {
+impl<'p> Inst<'p> {
     /// The source statement path of the instruction.
-    pub(crate) fn path(&self) -> &[u32] {
-        match self {
+    pub(crate) fn path(&self) -> PathId {
+        match *self {
             Inst::Set { path, .. }
             | Inst::MapPut { path, .. }
             | Inst::MapDel { path, .. }
@@ -94,51 +187,48 @@ impl Inst {
         }
     }
 
-    /// All expressions the instruction evaluates.
-    fn exprs(&self) -> Vec<&Expr> {
-        match self {
-            Inst::Set { value, .. } => vec![value],
-            Inst::MapPut { key, value, .. } => {
-                let mut v = vec![key];
-                v.extend(value.iter());
-                v
-            }
-            Inst::MapDel { key, .. } => vec![key],
-            Inst::Transfer { to, amount, .. } => vec![to, amount],
-            Inst::Emit { parts, .. } => parts.iter().collect(),
-        }
+    /// All expressions the instruction evaluates, in evaluation order.
+    fn exprs(&self) -> impl Iterator<Item = &'p Expr> {
+        let (first, second, rest): (Option<&'p Expr>, Option<&'p Expr>, &'p [Expr]) = match *self {
+            Inst::Set { value, .. } => (Some(value), None, &[]),
+            Inst::MapPut { key, value, .. } => (Some(key), None, value),
+            Inst::MapDel { key, .. } => (Some(key), None, &[]),
+            Inst::Transfer { to, amount, .. } => (Some(to), Some(amount), &[]),
+            Inst::Emit { parts, .. } => (None, None, parts),
+        };
+        first.into_iter().chain(second).chain(rest)
     }
 }
 
 /// Where a `Require` terminator came from.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Src {
     /// A source `require(…)` statement at this path.
-    Stmt(Vec<u32>),
+    Stmt(PathId),
     /// The phase's `while` condition, checked at API entry.
     PhaseCond,
 }
 
 /// Block terminators.
-#[derive(Debug, Clone)]
-pub(crate) enum Term {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Term<'p> {
     /// Unconditional fallthrough.
     Goto(usize),
     /// Two-way branch on a condition (an `if` statement).
     Branch {
         /// Condition.
-        cond: Expr,
+        cond: &'p Expr,
         /// Block when true.
         then_b: usize,
         /// Block when false.
         else_b: usize,
         /// Source statement path of the `if`.
-        path: Vec<u32>,
+        path: PathId,
     },
     /// Revert unless the condition holds, else continue.
     Require {
         /// Condition.
-        cond: Expr,
+        cond: &'p Expr,
         /// Successor when the condition holds.
         next: usize,
         /// Provenance.
@@ -150,11 +240,12 @@ pub(crate) enum Term {
 
 /// One basic block.
 #[derive(Debug, Clone)]
-pub(crate) struct Block {
-    /// Straight-line instructions.
-    pub insts: Vec<Inst>,
+pub(crate) struct Block<'p> {
+    /// Positions of the block's straight-line instructions in
+    /// [`Cfg::insts`].
+    pub insts: Range<usize>,
     /// Terminator.
-    pub term: Term,
+    pub term: Term<'p>,
     /// Whether the block's `Goto` closes the *then*-arm of an `if`: the
     /// backends emit a real jump there (`PUSH; JUMP` on the EVM, `b` on
     /// the AVM) while the else side falls through into the join label.
@@ -163,64 +254,101 @@ pub(crate) struct Block {
 
 /// A lowered body. Block 0 is the entry; successor edges always point
 /// at higher block indices (the builder emits blocks topologically).
+/// Instructions sit in source order, which is also the order of their
+/// statement paths; each block's instructions are contiguous.
 #[derive(Debug, Clone)]
-pub(crate) struct Cfg {
+pub(crate) struct Cfg<'p> {
     /// Blocks in topological order.
-    pub blocks: Vec<Block>,
+    pub blocks: Vec<Block<'p>>,
+    /// Every instruction of the body, in source order.
+    pub insts: Vec<Inst<'p>>,
+    /// The arena [`PathId`]s index.
+    paths: Vec<u32>,
     /// The body this CFG was lowered from.
     pub owner: Owner,
 }
 
-impl Cfg {
+impl<'p> Cfg<'p> {
     /// Successor block indices of a block.
-    pub(crate) fn successors(&self, b: usize) -> Vec<usize> {
-        match &self.blocks[b].term {
-            Term::Goto(n) => vec![*n],
-            Term::Branch { then_b, else_b, .. } => vec![*then_b, *else_b],
-            Term::Require { next, .. } => vec![*next],
-            Term::Return => vec![],
-        }
+    pub(crate) fn successors(&self, b: usize) -> impl Iterator<Item = usize> {
+        let (first, second) = match self.blocks[b].term {
+            Term::Goto(n) => (Some(n), None),
+            Term::Branch { then_b, else_b, .. } => (Some(then_b), Some(else_b)),
+            Term::Require { next, .. } => (Some(next), None),
+            Term::Return => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
-    /// Predecessor lists for every block.
-    pub(crate) fn predecessors(&self) -> Vec<Vec<usize>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for b in 0..self.blocks.len() {
-            for s in self.successors(b) {
-                preds[s].push(b);
-            }
-        }
-        preds
+    /// A block's instructions.
+    pub(crate) fn insts(&self, b: usize) -> &[Inst<'p>] {
+        &self.insts[self.blocks[b].insts.clone()]
+    }
+
+    /// The statement path an id names.
+    pub(crate) fn path(&self, id: PathId) -> &[u32] {
+        &self.paths[id.start as usize..id.end as usize]
+    }
+
+    /// The position of the instruction lowered from the statement at
+    /// `path`, for consumers that start from the AST.
+    fn inst_at(&self, path: &[u32]) -> Option<usize> {
+        self.insts.binary_search_by(|inst| self.path(inst.path()).cmp(path)).ok()
     }
 }
 
-struct Builder {
-    blocks: Vec<Block>,
+struct Builder<'p> {
+    blocks: Vec<Block<'p>>,
+    insts: Vec<Inst<'p>>,
+    paths: Vec<u32>,
 }
 
-impl Builder {
+impl<'p> Builder<'p> {
+    fn new() -> Builder<'p> {
+        Builder { blocks: Vec::new(), insts: Vec::new(), paths: Vec::new() }
+    }
+
     fn new_block(&mut self) -> usize {
-        self.blocks.push(Block { insts: Vec::new(), term: Term::Return, closes_then: false });
+        self.blocks.push(Block { insts: 0..0, term: Term::Return, closes_then: false });
         self.blocks.len() - 1
+    }
+
+    fn path(&mut self, prefix: &[u32]) -> PathId {
+        let start = self.paths.len() as u32;
+        self.paths.extend_from_slice(prefix);
+        PathId { start, end: self.paths.len() as u32 }
+    }
+
+    /// Appends an instruction to block `cur`. A block receives all its
+    /// instructions before the builder moves on, so its range stays
+    /// contiguous.
+    fn push(&mut self, cur: usize, inst: Inst<'p>) {
+        let at = self.insts.len();
+        let range = &mut self.blocks[cur].insts;
+        if range.start == range.end {
+            *range = at..at;
+        }
+        debug_assert_eq!(range.end, at, "a block's instructions are contiguous");
+        range.end = at + 1;
+        self.insts.push(inst);
     }
 
     /// Lowers a statement list into `cur`, returning the block that
     /// control reaches afterwards.
-    fn lower_stmts(&mut self, mut cur: usize, stmts: &[Stmt], prefix: &mut Vec<u32>) -> usize {
+    fn lower_stmts(&mut self, mut cur: usize, stmts: &'p [Stmt], prefix: &mut Vec<u32>) -> usize {
         for (i, stmt) in stmts.iter().enumerate() {
             prefix.push(i as u32);
+            let path = self.path(prefix);
             match stmt {
                 Stmt::Require(cond) => {
                     let next = self.new_block();
-                    self.blocks[cur].term =
-                        Term::Require { cond: cond.clone(), next, src: Src::Stmt(prefix.clone()) };
+                    self.blocks[cur].term = Term::Require { cond, next, src: Src::Stmt(path) };
                     cur = next;
                 }
                 Stmt::If { cond, then, otherwise } => {
                     let then_b = self.new_block();
                     let else_b = self.new_block();
-                    self.blocks[cur].term =
-                        Term::Branch { cond: cond.clone(), then_b, else_b, path: prefix.clone() };
+                    self.blocks[cur].term = Term::Branch { cond, then_b, else_b, path };
                     prefix.push(0);
                     let then_end = self.lower_stmts(then_b, then, prefix);
                     prefix.pop();
@@ -233,57 +361,46 @@ impl Builder {
                     self.blocks[else_end].term = Term::Goto(join);
                     cur = join;
                 }
-                Stmt::GlobalSet { name, value } => self.blocks[cur].insts.push(Inst::Set {
-                    name: name.clone(),
-                    value: value.clone(),
-                    path: prefix.clone(),
-                }),
-                Stmt::MapSet { map, key, value } => self.blocks[cur].insts.push(Inst::MapPut {
-                    map: map.clone(),
-                    key: key.clone(),
-                    value: value.clone(),
-                    path: prefix.clone(),
-                }),
-                Stmt::MapDelete { map, key } => self.blocks[cur].insts.push(Inst::MapDel {
-                    map: map.clone(),
-                    key: key.clone(),
-                    path: prefix.clone(),
-                }),
-                Stmt::Transfer { to, amount } => self.blocks[cur].insts.push(Inst::Transfer {
-                    to: to.clone(),
-                    amount: amount.clone(),
-                    path: prefix.clone(),
-                }),
-                Stmt::Log(parts) => self.blocks[cur]
-                    .insts
-                    .push(Inst::Emit { parts: parts.clone(), path: prefix.clone() }),
+                Stmt::GlobalSet { name, value } => self.push(cur, Inst::Set { name, value, path }),
+                Stmt::MapSet { map, key, value } => {
+                    self.push(cur, Inst::MapPut { map, key, value, path })
+                }
+                Stmt::MapDelete { map, key } => self.push(cur, Inst::MapDel { map, key, path }),
+                Stmt::Transfer { to, amount } => {
+                    self.push(cur, Inst::Transfer { to, amount, path })
+                }
+                Stmt::Log(parts) => self.push(cur, Inst::Emit { parts, path }),
             }
             prefix.pop();
         }
         cur
     }
+
+    fn finish(self, owner: Owner) -> Cfg<'p> {
+        Cfg { blocks: self.blocks, insts: self.insts, paths: self.paths, owner }
+    }
 }
 
 /// Lowers one API body (the phase's `while` condition becomes an entry
 /// `Require`, as the generated code checks it before the body runs).
-pub(crate) fn lower_api(program: &Program, phase_idx: usize, api_idx: usize) -> Cfg {
+pub(crate) fn lower_api(program: &Program, phase_idx: usize, api_idx: usize) -> Cfg<'_> {
     let phase = &program.phases[phase_idx];
     let api = &phase.apis[api_idx];
-    let mut b = Builder { blocks: Vec::new() };
+    let mut b = Builder::new();
     let entry = b.new_block();
     let body_start = b.new_block();
     b.blocks[entry].term =
-        Term::Require { cond: phase.while_cond.clone(), next: body_start, src: Src::PhaseCond };
+        Term::Require { cond: &phase.while_cond, next: body_start, src: Src::PhaseCond };
     b.lower_stmts(body_start, &api.body, &mut Vec::new());
-    Cfg { blocks: b.blocks, owner: Owner::Api { phase: phase_idx as u32, api: api_idx as u32 } }
+    b.finish(Owner::Api { phase: phase_idx as u32, api: api_idx as u32 })
 }
 
 /// Lowers the constructor body.
-pub(crate) fn lower_constructor(program: &Program) -> Cfg {
-    let mut b = Builder { blocks: Vec::new() };
+pub(crate) fn lower_constructor(program: &Program) -> Cfg<'_> {
+    let mut b = Builder::new();
     let entry = b.new_block();
     b.lower_stmts(entry, &program.constructor, &mut Vec::new());
-    Cfg { blocks: b.blocks, owner: Owner::Constructor }
+    b.finish(Owner::Constructor)
 }
 
 // --------------------------------------------------- interval domain --
@@ -323,33 +440,29 @@ impl Itv {
         let hi = a.hi.min(b.hi);
         (lo <= hi).then_some(Itv { lo, hi })
     }
-}
 
-/// An abstract variable tracked by the interval analysis.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Var {
-    Global(String),
-    Param(String),
-    Balance,
-}
-
-/// An abstract store: variables not present map to [`Itv::TOP`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Env {
-    vars: HashMap<Var, Itv>,
-}
-
-impl Env {
-    fn get(&self, v: &Var) -> Itv {
-        self.vars.get(v).copied().unwrap_or(Itv::TOP)
-    }
-
-    fn set(&mut self, v: Var, itv: Itv) {
-        if itv == Itv::TOP {
-            self.vars.remove(&v);
+    fn cmp_result(definitely: bool, definitely_not: bool) -> Itv {
+        if definitely {
+            Itv::exact(1)
+        } else if definitely_not {
+            Itv::exact(0)
         } else {
-            self.vars.insert(v, itv);
+            Itv::BOOL
         }
+    }
+}
+
+/// An abstract store: one interval per [`Slots`] slot. A slot past the
+/// end of `vals` reads as [`Itv::TOP`], so an empty store knows nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Env<'a> {
+    slots: Slots<'a>,
+    vals: &'a [Itv],
+}
+
+impl<'a> Env<'a> {
+    fn get(&self, slot: Option<usize>) -> Itv {
+        slot.and_then(|s| self.vals.get(s)).copied().unwrap_or(Itv::TOP)
     }
 
     /// Evaluates an expression to its interval at this store — the
@@ -361,25 +474,12 @@ impl Env {
         self.eval(expr, &mut overflow)
     }
 
-    /// Pointwise join; variables known on only one side become TOP.
-    fn join(a: &Env, b: &Env) -> Env {
-        let mut out = Env::default();
-        for (k, va) in &a.vars {
-            if let Some(vb) = b.vars.get(k) {
-                out.set(k.clone(), Itv::join(*va, *vb));
-            }
-        }
-        out
-    }
-
     /// Evaluates an expression to an interval. Sets `overflow` when the
     /// arithmetic *must* overflow `u64` (lower bounds already overflow).
     fn eval(&self, expr: &Expr, overflow: &mut bool) -> Itv {
         match expr {
             Expr::UInt(v) => Itv::exact(*v),
-            Expr::Param(p) => self.get(&Var::Param(p.clone())),
-            Expr::Global(g) => self.get(&Var::Global(g.clone())),
-            Expr::Balance => self.get(&Var::Balance),
+            Expr::Param(_) | Expr::Global(_) | Expr::Balance => self.get(self.slots.var(expr)),
             Expr::Caller | Expr::MapGet { .. } | Expr::Hash(_) => Itv::TOP,
             Expr::MapContains { .. } => Itv::BOOL,
             Expr::Not(inner) => {
@@ -431,8 +531,9 @@ impl Env {
                         }
                     }
                     BinOp::Div => match a.hi.checked_div(b.lo) {
-                        // Division by zero yields 0 on both VMs' checked
-                        // paths; stay conservative.
+                        // A zero divisor yields 0 on the EVM and aborts
+                        // the call on the AVM; [0, a.hi] covers the EVM
+                        // result, and an aborted call has none.
                         None => Itv { lo: 0, hi: a.hi },
                         Some(hi) => Itv { lo: a.lo / b.hi, hi },
                     },
@@ -488,14 +589,116 @@ impl Env {
     }
 }
 
-impl Itv {
-    fn cmp_result(definitely: bool, definitely_not: bool) -> Itv {
-        if definitely {
-            Itv::exact(1)
-        } else if definitely_not {
-            Itv::exact(0)
+/// The store the flow pass carries through a block: a slot per name.
+struct Store<'a> {
+    slots: Slots<'a>,
+    vals: Vec<Itv>,
+}
+
+impl<'a> Store<'a> {
+    fn view(&self) -> Env<'_> {
+        Env { slots: self.slots, vals: &self.vals }
+    }
+
+    fn eval(&self, expr: &Expr, overflow: &mut bool) -> Itv {
+        self.view().eval(expr, overflow)
+    }
+
+    /// Assigns a slot; a name with no slot is not tracked.
+    fn set(&mut self, slot: Option<usize>, itv: Itv) {
+        if let Some(s) = slot {
+            self.vals[s] = itv;
+        }
+    }
+
+    /// Refines the store under the assumption `cond == truth`. Returns
+    /// `false` when the assumption is infeasible (the refined edge is
+    /// dead).
+    fn refine(&mut self, cond: &Expr, truth: bool) -> bool {
+        let mut of = false;
+        if let Some(c) = self.eval(cond, &mut of).as_const() {
+            if (c != 0) != truth {
+                return false;
+            }
+        }
+        match cond {
+            Expr::Not(inner) => self.refine(inner, !truth),
+            Expr::Bin(BinOp::And, lhs, rhs) if truth => {
+                self.refine(lhs, true) && self.refine(rhs, true)
+            }
+            Expr::Bin(BinOp::Or, lhs, rhs) if !truth => {
+                self.refine(lhs, false) && self.refine(rhs, false)
+            }
+            Expr::Bin(op, lhs, rhs)
+                if matches!(
+                    op,
+                    BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne
+                ) =>
+            {
+                // Constrain a variable on either side against the other
+                // side's interval.
+                let mut feasible = true;
+                if let Some(v) = as_var(lhs) {
+                    let bound = self.eval(rhs, &mut of);
+                    feasible &= self.constrain(v, *op, bound, truth);
+                }
+                if feasible {
+                    if let Some(v) = as_var(rhs) {
+                        let bound = self.eval(lhs, &mut of);
+                        feasible &= self.constrain(v, mirror(*op), bound, truth);
+                    }
+                }
+                feasible
+            }
+            _ => true,
+        }
+    }
+
+    /// Applies `v OP bound == truth` to the variable's interval. Returns
+    /// `false` when the resulting interval is empty.
+    fn constrain(&mut self, v: &Expr, op: BinOp, bound: Itv, truth: bool) -> bool {
+        let slot = self.slots.var(v);
+        let cur = self.view().get(slot);
+        // Normalise to the asserted relation.
+        let op = if truth {
+            op
         } else {
-            Itv::BOOL
+            match op {
+                BinOp::Lt => BinOp::Ge,
+                BinOp::Ge => BinOp::Lt,
+                BinOp::Gt => BinOp::Le,
+                BinOp::Le => BinOp::Gt,
+                BinOp::Eq => BinOp::Ne,
+                BinOp::Ne => BinOp::Eq,
+                other => other,
+            }
+        };
+        let refined = match op {
+            // v < bound ⇒ v ≤ bound.hi - 1.
+            BinOp::Lt => match bound.hi.checked_sub(1) {
+                Some(h) => Itv::meet(cur, Itv { lo: 0, hi: h }),
+                None => None,
+            },
+            BinOp::Le => Itv::meet(cur, Itv { lo: 0, hi: bound.hi }),
+            // v > bound ⇒ v ≥ bound.lo + 1.
+            BinOp::Gt => match bound.lo.checked_add(1) {
+                Some(l) => Itv::meet(cur, Itv { lo: l, hi: u64::MAX }),
+                None => None,
+            },
+            BinOp::Ge => Itv::meet(cur, Itv { lo: bound.lo, hi: u64::MAX }),
+            BinOp::Eq => Itv::meet(cur, bound),
+            BinOp::Ne => match (cur.as_const(), bound.as_const()) {
+                (Some(a), Some(b)) if a == b => None,
+                _ => Some(cur),
+            },
+            _ => Some(cur),
+        };
+        match refined {
+            Some(itv) => {
+                self.set(slot, itv);
+                true
+            }
+            None => false,
         }
     }
 }
@@ -506,55 +709,9 @@ fn uint_comparable(expr: &Expr) -> bool {
     !matches!(expr, Expr::Caller | Expr::MapGet { .. } | Expr::Hash(_))
 }
 
-fn as_var(expr: &Expr) -> Option<Var> {
-    match expr {
-        Expr::Param(p) => Some(Var::Param(p.clone())),
-        Expr::Global(g) => Some(Var::Global(g.clone())),
-        Expr::Balance => Some(Var::Balance),
-        _ => None,
-    }
-}
-
-/// Refines `env` under the assumption `cond == truth`. Returns `false`
-/// when the assumption is infeasible (the refined edge is dead).
-fn refine(env: &mut Env, cond: &Expr, truth: bool) -> bool {
-    let mut of = false;
-    if let Some(c) = env.eval(cond, &mut of).as_const() {
-        if (c != 0) != truth {
-            return false;
-        }
-    }
-    match cond {
-        Expr::Not(inner) => refine(env, inner, !truth),
-        Expr::Bin(BinOp::And, lhs, rhs) if truth => {
-            refine(env, lhs, true) && refine(env, rhs, true)
-        }
-        Expr::Bin(BinOp::Or, lhs, rhs) if !truth => {
-            refine(env, lhs, false) && refine(env, rhs, false)
-        }
-        Expr::Bin(op, lhs, rhs)
-            if matches!(
-                op,
-                BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne
-            ) =>
-        {
-            // Constrain a variable on either side against the other
-            // side's interval.
-            let mut feasible = true;
-            if let Some(v) = as_var(lhs) {
-                let bound = env.eval(rhs, &mut of);
-                feasible &= constrain(env, &v, *op, bound, truth);
-            }
-            if feasible {
-                if let Some(v) = as_var(rhs) {
-                    let bound = env.eval(lhs, &mut of);
-                    feasible &= constrain(env, &v, mirror(*op), bound, truth);
-                }
-            }
-            feasible
-        }
-        _ => true,
-    }
+/// The expression itself when it is a tracked variable.
+fn as_var(expr: &Expr) -> Option<&Expr> {
+    matches!(expr, Expr::Param(_) | Expr::Global(_) | Expr::Balance).then_some(expr)
 }
 
 /// The comparison as seen from the right operand (`a < b` ⇔ `b > a`).
@@ -568,57 +725,10 @@ fn mirror(op: BinOp) -> BinOp {
     }
 }
 
-/// Applies `v OP bound == truth` to the variable's interval. Returns
-/// `false` when the resulting interval is empty.
-fn constrain(env: &mut Env, v: &Var, op: BinOp, bound: Itv, truth: bool) -> bool {
-    let cur = env.get(v);
-    // Normalise to the asserted relation.
-    let op = if truth {
-        op
-    } else {
-        match op {
-            BinOp::Lt => BinOp::Ge,
-            BinOp::Ge => BinOp::Lt,
-            BinOp::Gt => BinOp::Le,
-            BinOp::Le => BinOp::Gt,
-            BinOp::Eq => BinOp::Ne,
-            BinOp::Ne => BinOp::Eq,
-            other => other,
-        }
-    };
-    let refined = match op {
-        // v < bound ⇒ v ≤ bound.hi - 1.
-        BinOp::Lt => match bound.hi.checked_sub(1) {
-            Some(h) => Itv::meet(cur, Itv { lo: 0, hi: h }),
-            None => None,
-        },
-        BinOp::Le => Itv::meet(cur, Itv { lo: 0, hi: bound.hi }),
-        // v > bound ⇒ v ≥ bound.lo + 1.
-        BinOp::Gt => match bound.lo.checked_add(1) {
-            Some(l) => Itv::meet(cur, Itv { lo: l, hi: u64::MAX }),
-            None => None,
-        },
-        BinOp::Ge => Itv::meet(cur, Itv { lo: bound.lo, hi: u64::MAX }),
-        BinOp::Eq => Itv::meet(cur, bound),
-        BinOp::Ne => match (cur.as_const(), bound.as_const()) {
-            (Some(a), Some(b)) if a == b => None,
-            _ => Some(cur),
-        },
-        _ => Some(cur),
-    };
-    match refined {
-        Some(itv) => {
-            env.set(v.clone(), itv);
-            true
-        }
-        None => false,
-    }
-}
-
 // ------------------------------------------------------ body analysis --
 
 /// A constant-folded condition discovered by the flow analysis.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ConstCond {
     /// Where the condition came from.
     pub src: Src,
@@ -639,22 +749,33 @@ pub(crate) enum SubProof {
     Unproven,
 }
 
-/// The result of running all forward passes over one body.
+/// The result of running all forward passes over one body. Facts about
+/// instructions are indexed by the instruction's position in
+/// [`Cfg::insts`]; facts about blocks by the block index.
 #[derive(Debug)]
-pub(crate) struct BodyAnalysis {
+pub(crate) struct BodyAnalysis<'p> {
     /// The lowered CFG.
-    pub cfg: Cfg,
-    /// Entry env per block; `None` = unreachable.
-    pub envs: Vec<Option<Env>>,
-    /// Abstract store immediately before each instruction, by path.
-    stmt_envs: HashMap<Vec<u32>, Env>,
-    /// Zone immediately before each instruction, by path (empty when
-    /// the relational pass is disabled).
-    stmt_zones: HashMap<Vec<u32>, Zone>,
+    pub cfg: Cfg<'p>,
+    names: Rc<Names<'p>>,
+    /// The body's parameters, which lay out its stores with `names`.
+    params: &'p [(String, Ty)],
+    /// Whether each block is reachable from the entry.
+    reached: Vec<bool>,
+    /// The store at each block's terminator, one slot run per block
+    /// (read only for reachable blocks).
+    term_envs: Vec<Itv>,
+    /// Whether each instruction is reachable.
+    inst_reached: Vec<bool>,
+    /// The store just before each instruction, one slot run per
+    /// instruction (read only for reachable ones).
+    inst_envs: Vec<Itv>,
+    /// The zone just before each reachable instruction (`None`
+    /// throughout when the relational pass is disabled).
+    inst_zones: Vec<Option<Zone>>,
     /// Conditions that folded to a constant on every reachable path.
     pub const_conds: Vec<ConstCond>,
     /// Instruction paths whose arithmetic must overflow `u64`.
-    pub definite_overflows: Vec<Vec<u32>>,
+    pub definite_overflows: Vec<PathId>,
     /// `Require` sites the interval domain considers feasible but whose
     /// accumulated path conditions the zone solver proves
     /// unsatisfiable — dead `require` chains (lint L0006).
@@ -666,27 +787,35 @@ pub(crate) struct BodyAnalysis {
 /// The flow analysis of every body of one program: the single set of
 /// static facts the verifier, the lints, the access summaries, the gas
 /// certificates and the bytecode cross-check all borrow. Built once per
-/// compile (see [`crate::backend::compile`]).
+/// public call (see [`crate::backend::compile`]).
 #[derive(Debug)]
-pub(crate) struct ProgramFlows {
+pub(crate) struct ProgramFlows<'p> {
+    names: Rc<Names<'p>>,
     /// The constructor body.
-    pub constructor: BodyAnalysis,
+    pub constructor: BodyAnalysis<'p>,
     /// API bodies, indexed `[phase][api]`.
-    pub apis: Vec<Vec<BodyAnalysis>>,
+    pub apis: Vec<Vec<BodyAnalysis<'p>>>,
 }
 
-impl ProgramFlows {
+impl<'p> ProgramFlows<'p> {
     /// Analyses every body once; `relational` toggles the zone pass.
-    pub(crate) fn new(program: &Program, relational: bool) -> ProgramFlows {
+    pub(crate) fn new(program: &'p Program, relational: bool) -> ProgramFlows<'p> {
+        let names = Rc::new(Names::new(program));
+        let constructor = constructor_flow(program, &names, relational);
         let apis = program.phases.iter().enumerate().map(|(pi, phase)| {
-            (0..phase.apis.len()).map(|ai| analyze_api(program, pi, ai, relational)).collect()
+            (0..phase.apis.len()).map(|ai| api_flow(program, &names, pi, ai, relational)).collect()
         });
-        ProgramFlows { constructor: analyze_constructor(program, relational), apis: apis.collect() }
+        ProgramFlows { constructor, apis: apis.collect(), names }
     }
 
     /// Every body: the constructor, then the APIs in dispatch order.
-    pub(crate) fn bodies(&self) -> impl Iterator<Item = &BodyAnalysis> {
+    pub(crate) fn bodies(&self) -> impl Iterator<Item = &BodyAnalysis<'p>> {
         std::iter::once(&self.constructor).chain(self.apis.iter().flatten())
+    }
+
+    /// The program's name table.
+    pub(crate) fn names(&self) -> &Names<'p> {
+        &self.names
     }
 }
 
@@ -697,15 +826,48 @@ pub(crate) fn analyze_api(
     phase_idx: usize,
     api_idx: usize,
     relational: bool,
-) -> BodyAnalysis {
-    let cfg = lower_api(program, phase_idx, api_idx);
-    run_flow(cfg, entry_env_api(program), relational.then(Zone::new))
+) -> BodyAnalysis<'_> {
+    api_flow(program, &Rc::new(Names::new(program)), phase_idx, api_idx, relational)
 }
 
 /// Runs the interval analysis (and, when `relational`, the zone pass)
 /// over the constructor body.
-pub(crate) fn analyze_constructor(program: &Program, relational: bool) -> BodyAnalysis {
+#[cfg(test)]
+pub(crate) fn analyze_constructor(program: &Program, relational: bool) -> BodyAnalysis<'_> {
+    constructor_flow(program, &Rc::new(Names::new(program)), relational)
+}
+
+/// API entry: globals hold arbitrary values (any number of calls may
+/// have preceded this one), parameters are adversarial — every slot ⊤.
+fn api_flow<'p>(
+    program: &'p Program,
+    names: &Rc<Names<'p>>,
+    phase_idx: usize,
+    api_idx: usize,
+    relational: bool,
+) -> BodyAnalysis<'p> {
+    let cfg = lower_api(program, phase_idx, api_idx);
+    let params = &program.phases[phase_idx].apis[api_idx].params;
+    let entry = vec![Itv::TOP; Slots { names, params }.len()];
+    run_flow(cfg, Rc::clone(names), params, entry, relational.then(Zone::new))
+}
+
+/// Constructor entry: constant-initialised globals hold their exact
+/// value; field-initialised ones are arbitrary.
+fn constructor_flow<'p>(
+    program: &'p Program,
+    names: &Rc<Names<'p>>,
+    relational: bool,
+) -> BodyAnalysis<'p> {
     let cfg = lower_constructor(program);
+    let params = &program.creator.fields;
+    let slots = Slots { names, params };
+    let mut entry = vec![Itv::TOP; slots.len()];
+    for g in &program.globals {
+        if let (GlobalInit::Const(v), Some(slot)) = (&g.init, slots.global(&g.name)) {
+            entry[slot] = Itv::exact(*v);
+        }
+    }
     let zone = relational.then(|| {
         let mut z = Zone::new();
         let mut stats = ZoneStats::default();
@@ -716,25 +878,7 @@ pub(crate) fn analyze_constructor(program: &Program, relational: bool) -> BodyAn
         }
         z
     });
-    run_flow(cfg, entry_env_constructor(program), zone)
-}
-
-/// API entry: globals hold arbitrary values (any number of calls may
-/// have preceded this one), parameters are adversarial.
-fn entry_env_api(_program: &Program) -> Env {
-    Env::default()
-}
-
-/// Constructor entry: constant-initialised globals hold their exact
-/// value; field-initialised ones are arbitrary.
-fn entry_env_constructor(program: &Program) -> Env {
-    let mut env = Env::default();
-    for g in &program.globals {
-        if let GlobalInit::Const(v) = g.init {
-            env.set(Var::Global(g.name.clone()), Itv::exact(v));
-        }
-    }
-    env
+    run_flow(cfg, Rc::clone(names), params, entry, zone)
 }
 
 /// Merges an incoming zone into a successor's entry zone.
@@ -764,18 +908,47 @@ fn zone_assign(zone: &mut Zone, name: &str, value: &Expr, itv: Itv, stats: &mut 
     }
 }
 
-fn run_flow(cfg: Cfg, entry: Env, entry_zone: Option<Zone>) -> BodyAnalysis {
+/// Joins `incoming` into block `succ`'s entry store (`slots` wide),
+/// or seeds it when no edge reached the block yet.
+fn feed(envs: &mut [Itv], reached: &mut [bool], succ: usize, incoming: &[Itv]) {
+    let slots = incoming.len();
+    let entry = &mut envs[succ * slots..(succ + 1) * slots];
+    if reached[succ] {
+        for (e, i) in entry.iter_mut().zip(incoming) {
+            *e = Itv::join(*e, *i);
+        }
+    } else {
+        entry.copy_from_slice(incoming);
+        reached[succ] = true;
+    }
+}
+
+fn run_flow<'p>(
+    cfg: Cfg<'p>,
+    names: Rc<Names<'p>>,
+    params: &'p [(String, Ty)],
+    entry: Vec<Itv>,
+    entry_zone: Option<Zone>,
+) -> BodyAnalysis<'p> {
     let n = cfg.blocks.len();
-    let mut envs: Vec<Option<Env>> = vec![None; n];
-    envs[0] = Some(entry);
+    let layout = Slots { names: &names, params };
+    let slots = layout.len();
+    let mut reached = vec![false; n];
+    let mut envs = vec![Itv::TOP; n * slots];
+    feed(&mut envs, &mut reached, 0, &entry);
     let mut zones: Vec<Option<Zone>> = vec![None; n];
     zones[0] = entry_zone;
-    let mut stmt_envs = HashMap::new();
-    let mut stmt_zones = HashMap::new();
+    let mut term_envs = vec![Itv::TOP; n * slots];
+    let mut inst_reached = vec![false; cfg.insts.len()];
+    let mut inst_envs = vec![Itv::TOP; cfg.insts.len() * slots];
+    let mut inst_zones: Vec<Option<Zone>> = vec![None; cfg.insts.len()];
     let mut const_conds = Vec::new();
     let mut definite_overflows = Vec::new();
     let mut unsat_requires = Vec::new();
     let mut stats = ZoneStats::default();
+    // The working store, and a second one for a branch's then-edge.
+    let mut store = Store { slots: layout, vals: entry };
+    let mut then_store = Store { slots: layout, vals: vec![Itv::TOP; slots] };
 
     // Blocks are emitted topologically, so one in-order sweep reaches a
     // fixpoint on this DAG. The zone rides along with the interval env
@@ -783,32 +956,34 @@ fn run_flow(cfg: Cfg, entry: Env, entry_zone: Option<Zone>) -> BodyAnalysis {
     // interval-driven, so enabling the zone can only discharge more
     // theorems, never change which lints fire (monotone precision).
     for b in 0..n {
-        let Some(mut env) = envs[b].clone() else { continue };
-        let mut zone = zones[b].clone();
-        for inst in &cfg.blocks[b].insts {
-            stmt_envs.insert(inst.path().to_vec(), env.clone());
-            if let Some(z) = &zone {
-                stmt_zones.insert(inst.path().to_vec(), z.clone());
-            }
+        if !reached[b] {
+            continue;
+        }
+        store.vals.copy_from_slice(&envs[b * slots..(b + 1) * slots]);
+        let mut zone = zones[b].take();
+        for i in cfg.blocks[b].insts.clone() {
+            let inst = cfg.insts[i];
+            inst_reached[i] = true;
+            inst_envs[i * slots..(i + 1) * slots].copy_from_slice(&store.vals);
+            inst_zones[i].clone_from(&zone);
             let mut overflow = false;
             for e in inst.exprs() {
-                let _ = env.eval(e, &mut overflow);
+                let _ = store.eval(e, &mut overflow);
             }
             if overflow {
-                definite_overflows.push(inst.path().to_vec());
+                definite_overflows.push(inst.path());
             }
             match inst {
                 Inst::Set { name, value, .. } => {
-                    let mut of = false;
-                    let itv = env.eval(value, &mut of);
+                    let itv = store.view().interval_of(value);
                     if let Some(z) = zone.as_mut() {
                         zone_assign(z, name, value, itv, &mut stats);
                     }
-                    env.set(Var::Global(name.clone()), itv);
+                    store.set(layout.global(name), itv);
                 }
                 Inst::Transfer { .. } => {
                     // The balance shrinks by a dynamic amount.
-                    env.set(Var::Balance, Itv::TOP);
+                    store.vals[layout.balance()] = Itv::TOP;
                     if let Some(z) = zone.as_mut() {
                         z.forget(&ZVar::Balance);
                     }
@@ -816,64 +991,55 @@ fn run_flow(cfg: Cfg, entry: Env, entry_zone: Option<Zone>) -> BodyAnalysis {
                 _ => {}
             }
         }
-        let feed = |envs: &mut Vec<Option<Env>>, succ: usize, incoming: Env| {
-            envs[succ] = Some(match envs[succ].take() {
-                Some(existing) => Env::join(&existing, &incoming),
-                None => incoming,
-            });
-        };
-        match cfg.blocks[b].term.clone() {
+        term_envs[b * slots..(b + 1) * slots].copy_from_slice(&store.vals);
+        match cfg.blocks[b].term {
             Term::Goto(next) => {
-                feed(&mut envs, next, env);
+                feed(&mut envs, &mut reached, next, &store.vals);
                 if let Some(z) = zone {
                     feed_zone(&mut zones, next, z, &mut stats);
                 }
             }
             Term::Require { cond, next, src } => {
                 let mut of = false;
-                if let Some(c) = env.eval(&cond, &mut of).as_const() {
-                    const_conds.push(ConstCond { src: src.clone(), value: c != 0 });
+                if let Some(c) = store.eval(cond, &mut of).as_const() {
+                    const_conds.push(ConstCond { src, value: c != 0 });
                 }
-                let mut pass = env;
-                let interval_ok = refine(&mut pass, &cond, true);
-                let mut zpass = zone;
-                if let Some(z) = zpass.as_mut() {
-                    let zone_ok = dbm::assume(z, &cond, true, &mut stats);
+                let interval_ok = store.refine(cond, true);
+                if let Some(z) = zone.as_mut() {
+                    let zone_ok = dbm::assume(z, cond, true, &mut stats);
                     if interval_ok && !zone_ok {
-                        unsat_requires.push(src.clone());
+                        unsat_requires.push(src);
                     }
                 }
                 if interval_ok {
-                    feed(&mut envs, next, pass);
+                    feed(&mut envs, &mut reached, next, &store.vals);
                     // A zone-unsat edge is fed anyway (sound: an unsat
                     // zone entails everything) so reachability and every
                     // interval-driven lint stay byte-identical with the
                     // relational pass on or off.
-                    if let Some(z) = zpass {
+                    if let Some(z) = zone {
                         feed_zone(&mut zones, next, z, &mut stats);
                     }
                 }
             }
             Term::Branch { cond, then_b, else_b, path } => {
                 let mut of = false;
-                if let Some(c) = env.eval(&cond, &mut of).as_const() {
-                    const_conds.push(ConstCond { src: Src::Stmt(path.clone()), value: c != 0 });
+                if let Some(c) = store.eval(cond, &mut of).as_const() {
+                    const_conds.push(ConstCond { src: Src::Stmt(path), value: c != 0 });
                 }
-                let mut t_env = env.clone();
-                if refine(&mut t_env, &cond, true) {
-                    feed(&mut envs, then_b, t_env);
+                then_store.vals.copy_from_slice(&store.vals);
+                if then_store.refine(cond, true) {
+                    feed(&mut envs, &mut reached, then_b, &then_store.vals);
                     if let Some(z) = &zone {
                         let mut zt = z.clone();
-                        dbm::assume(&mut zt, &cond, true, &mut stats);
+                        dbm::assume(&mut zt, cond, true, &mut stats);
                         feed_zone(&mut zones, then_b, zt, &mut stats);
                     }
                 }
-                let mut f_env = env;
-                if refine(&mut f_env, &cond, false) {
-                    feed(&mut envs, else_b, f_env);
-                    if let Some(z) = zone {
-                        let mut zf = z.clone();
-                        dbm::assume(&mut zf, &cond, false, &mut stats);
+                if store.refine(cond, false) {
+                    feed(&mut envs, &mut reached, else_b, &store.vals);
+                    if let Some(mut zf) = zone {
+                        dbm::assume(&mut zf, cond, false, &mut stats);
                         feed_zone(&mut zones, else_b, zf, &mut stats);
                     }
                 }
@@ -882,11 +1048,16 @@ fn run_flow(cfg: Cfg, entry: Env, entry_zone: Option<Zone>) -> BodyAnalysis {
         }
     }
 
+    drop((store, then_store));
     BodyAnalysis {
         cfg,
-        envs,
-        stmt_envs,
-        stmt_zones,
+        names,
+        params,
+        reached,
+        term_envs,
+        inst_reached,
+        inst_envs,
+        inst_zones,
         const_conds,
         definite_overflows,
         unsat_requires,
@@ -895,34 +1066,86 @@ fn run_flow(cfg: Cfg, entry: Env, entry_zone: Option<Zone>) -> BodyAnalysis {
 }
 
 /// A global-definition site found by the reaching-definitions pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Def {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Def<'p> {
     /// Defined global.
-    pub name: String,
+    pub name: &'p str,
     /// Block index.
     pub block: usize,
-    /// Instruction index within the block.
-    pub inst: usize,
     /// Source statement path.
-    pub path: Vec<u32>,
+    pub path: PathId,
 }
 
-impl BodyAnalysis {
+/// A reachable map write or delete.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MapOp<'p> {
+    /// Map name.
+    pub map: &'p str,
+    /// Whether the site deletes (rather than writes) the entry.
+    pub delete: bool,
+    /// Source statement path.
+    pub path: PathId,
+}
+
+impl<'p> BodyAnalysis<'p> {
     /// Whether block `b` is reachable from the entry.
     pub(crate) fn reachable(&self, b: usize) -> bool {
-        self.envs[b].is_some()
+        self.reached[b]
     }
 
     /// The reachable blocks with their indices, in topological order.
-    pub(crate) fn reachable_blocks(&self) -> impl Iterator<Item = (usize, &Block)> {
+    pub(crate) fn reachable_blocks(&self) -> impl Iterator<Item = (usize, &Block<'p>)> {
         self.cfg.blocks.iter().enumerate().filter(|(b, _)| self.reachable(*b))
+    }
+
+    /// The statement path an id names.
+    pub(crate) fn path(&self, id: PathId) -> &[u32] {
+        self.cfg.path(id)
+    }
+
+    fn layout(&self) -> Slots<'_> {
+        Slots { names: &self.names, params: self.params }
+    }
+
+    /// The run of a flat fact vector that belongs to item `i`.
+    fn slots(&self, i: usize) -> Range<usize> {
+        let slots = self.layout().len();
+        i * slots..(i + 1) * slots
+    }
+
+    /// The store that knows nothing: what expressions evaluated around
+    /// the body (payment, return value) are classified against.
+    pub(crate) fn top(&self) -> Env<'_> {
+        Env { slots: self.layout(), vals: &[] }
+    }
+
+    /// The abstract store just before instruction `i` (`None` when the
+    /// instruction is unreachable).
+    pub(crate) fn env_before(&self, i: usize) -> Option<Env<'_>> {
+        self.inst_reached[i]
+            .then(|| Env { slots: self.layout(), vals: &self.inst_envs[self.slots(i)] })
+    }
+
+    /// The zone just before instruction `i`.
+    pub(crate) fn zone_before(&self, i: usize) -> Option<&Zone> {
+        self.inst_zones[i].as_ref()
+    }
+
+    /// The abstract store at a block's terminator: the block-entry store
+    /// with the block's assignments applied. Lets the access-summary
+    /// pass narrow map keys read inside `if`/`require` conditions
+    /// soundly.
+    pub(crate) fn term_env(&self, b: usize) -> Option<Env<'_>> {
+        self.reached[b].then(|| Env { slots: self.layout(), vals: &self.term_envs[self.slots(b)] })
     }
 
     /// Whether the interval analysis proves `minuend - subtrahend`
     /// cannot underflow at the statement with this path. This is the
     /// fallback consulted when the syntactic guard matcher gives up.
     pub(crate) fn proves_sub_safe(&self, path: &[u32], minuend: &Expr, subtrahend: &Expr) -> bool {
-        let Some(env) = self.stmt_envs.get(path) else { return false };
+        let Some(env) = self.cfg.inst_at(path).and_then(|i| self.env_before(i)) else {
+            return false;
+        };
         let mut of = false;
         let m = env.eval(minuend, &mut of);
         let s = env.eval(subtrahend, &mut of);
@@ -936,7 +1159,7 @@ impl BodyAnalysis {
         if self.proves_sub_safe(path, minuend, subtrahend) {
             return SubProof::Interval;
         }
-        if let Some(zone) = self.stmt_zones.get(path) {
+        if let Some(zone) = self.zone_at(path) {
             if dbm::entails_ge(zone, minuend, subtrahend) {
                 return SubProof::Relational;
             }
@@ -947,89 +1170,61 @@ impl BodyAnalysis {
     /// The zone at a statement, for callers layering extra relational
     /// queries (e.g. the cross-contract conservation check).
     pub(crate) fn zone_at(&self, path: &[u32]) -> Option<&Zone> {
-        self.stmt_zones.get(path)
-    }
-
-    /// The abstract store observed just before the statement at `path`
-    /// (`None` when the statement is unreachable).
-    pub(crate) fn env_at(&self, path: &[u32]) -> Option<&Env> {
-        self.stmt_envs.get(path)
-    }
-
-    /// The abstract store at a block's terminator: the block-entry
-    /// store with the block's assignments replayed — the same transfer
-    /// function `run_flow` applies, minus the relational zone. Lets the
-    /// access-summary pass narrow map keys read inside `if`/`require`
-    /// conditions soundly.
-    pub(crate) fn term_env(&self, b: usize) -> Option<Env> {
-        let mut env = self.envs.get(b)?.clone()?;
-        for inst in &self.cfg.blocks[b].insts {
-            match inst {
-                Inst::Set { name, value, .. } => {
-                    let itv = env.interval_of(value);
-                    env.set(Var::Global(name.clone()), itv);
-                }
-                Inst::Transfer { .. } => env.set(Var::Balance, Itv::TOP),
-                _ => {}
-            }
-        }
-        Some(env)
+        self.cfg.inst_at(path).and_then(|i| self.zone_before(i))
     }
 
     /// Source paths of statements that can never execute, one per
     /// unreachable region (the first instruction of each unreachable
-    /// block all of whose predecessors are reachable-or-entry).
-    pub(crate) fn unreachable_stmts(&self) -> Vec<Vec<u32>> {
-        let preds = self.cfg.predecessors();
-        let mut out = Vec::new();
-        for (b, block_preds) in preds.iter().enumerate() {
-            if self.reachable(b) || self.cfg.blocks[b].insts.is_empty() {
-                continue;
-            }
-            // Frontier blocks only: a reachable predecessor exists, so
-            // this is where the dead region starts.
-            if block_preds.iter().any(|p| self.reachable(*p)) {
-                out.push(self.cfg.blocks[b].insts[0].path().to_vec());
+    /// block with a reachable predecessor).
+    pub(crate) fn unreachable_stmts(&self) -> Vec<PathId> {
+        let mut fed = vec![false; self.cfg.blocks.len()];
+        for (b, _) in self.reachable_blocks() {
+            for s in self.cfg.successors(b) {
+                fed[s] = true;
             }
         }
-        out
+        // Frontier blocks only: a reachable predecessor exists, so this
+        // is where the dead region starts.
+        (0..self.cfg.blocks.len())
+            .filter(|&b| !self.reachable(b) && fed[b])
+            .filter_map(|b| self.cfg.insts(b).first().map(Inst::path))
+            .collect()
     }
 
-    /// Reaching definitions: all global-definition sites, plus for each
-    /// block the set of definition indices reaching its entry.
-    pub(crate) fn reaching_defs(&self) -> (Vec<Def>, Vec<HashSet<usize>>) {
-        let n = self.cfg.blocks.len();
+    /// Reaching definitions: all global-definition sites in block
+    /// order, and for each block the definitions reaching its entry
+    /// (`ins[b * defs.len() + d]`).
+    pub(crate) fn reaching_defs(&self) -> (Vec<Def<'p>>, Vec<bool>) {
         let mut defs = Vec::new();
         for (b, block) in self.cfg.blocks.iter().enumerate() {
-            for (i, inst) in block.insts.iter().enumerate() {
-                if let Inst::Set { name, path, .. } = inst {
-                    defs.push(Def { name: name.clone(), block: b, inst: i, path: path.clone() });
+            for inst in &self.cfg.insts[block.insts.clone()] {
+                if let Inst::Set { name, path, .. } = *inst {
+                    defs.push(Def { name, block: b, path });
                 }
             }
         }
-        let gen_kill = |b: usize, input: &HashSet<usize>| -> HashSet<usize> {
-            let mut out = input.clone();
-            for (i, inst) in self.cfg.blocks[b].insts.iter().enumerate() {
-                if let Inst::Set { name, .. } = inst {
-                    let d = defs
-                        .iter()
-                        .position(|def| def.block == b && def.inst == i)
-                        .expect("def indexed");
-                    // A definition kills every other definition of the
-                    // same name and generates itself.
-                    out.retain(|o| defs[*o].name != *name);
-                    out.insert(d);
-                }
-            }
-            out
-        };
-        let mut ins: Vec<HashSet<usize>> = vec![HashSet::new(); n];
+        let nd = defs.len();
+        let mut ins = vec![false; self.cfg.blocks.len() * nd];
+        let mut out = vec![false; nd];
+        let mut first_def = 0;
         // One topological sweep suffices on the DAG.
-        let mut outs: Vec<HashSet<usize>> = vec![HashSet::new(); n];
-        for (b, _) in self.reachable_blocks() {
-            outs[b] = gen_kill(b, &ins[b]);
+        for b in 0..self.cfg.blocks.len() {
+            let d0 = first_def;
+            first_def += defs[d0..].iter().take_while(|d| d.block == b).count();
+            if !self.reachable(b) {
+                continue;
+            }
+            out.copy_from_slice(&ins[b * nd..(b + 1) * nd]);
+            // A definition kills every other definition of the same
+            // name and generates itself.
+            for d in d0..first_def {
+                kill(&defs, &mut out, defs[d].name);
+                out[d] = true;
+            }
             for s in self.cfg.successors(b) {
-                ins[s] = ins[s].union(&outs[b]).copied().collect();
+                for (i, o) in ins[s * nd..(s + 1) * nd].iter_mut().zip(&out) {
+                    *i |= *o;
+                }
             }
         }
         (defs, ins)
@@ -1039,99 +1234,95 @@ impl BodyAnalysis {
     /// read can observe. Globals live at a normal `Return` count as
     /// read (they are observable through views and later calls), so
     /// only assignments overwritten before any use are flagged.
-    pub(crate) fn dead_stores(&self) -> Vec<Def> {
+    pub(crate) fn dead_stores(&self) -> Vec<Def<'p>> {
         let (defs, ins) = self.reaching_defs();
-        if defs.is_empty() {
+        let nd = defs.len();
+        if nd == 0 {
             return Vec::new();
         }
-        let mut used: Vec<bool> = vec![false; defs.len()];
-        for (b, block) in self.reachable_blocks() {
-            // current[name] = def ids currently reaching this point.
-            let mut current: HashMap<&str, Vec<usize>> = HashMap::new();
-            for &d in &ins[b] {
-                current.entry(defs[d].name.as_str()).or_default().push(d);
+        let mut used = vec![false; nd];
+        // The definitions currently reaching the walk's position.
+        let mut current = vec![false; nd];
+        let mut d = 0;
+        for (b, block) in self.cfg.blocks.iter().enumerate() {
+            if !self.reachable(b) {
+                d += defs[d..].iter().take_while(|def| def.block == b).count();
+                continue;
             }
-            let mark_reads =
-                |current: &HashMap<&str, Vec<usize>>, used: &mut Vec<bool>, exprs: Vec<&Expr>| {
-                    let mut reads = Vec::new();
-                    for e in exprs {
-                        expr_global_reads(e, &mut reads);
-                    }
-                    for name in reads {
-                        if let Some(ds) = current.get(name.as_str()) {
-                            for &d in ds {
-                                used[d] = true;
-                            }
-                        }
-                    }
-                };
-            for (i, inst) in block.insts.iter().enumerate() {
-                mark_reads(&current, &mut used, inst.exprs());
-                if let Inst::Set { name, .. } = inst {
-                    let d = defs
-                        .iter()
-                        .position(|def| def.block == b && def.inst == i)
-                        .expect("def indexed");
-                    current.insert(name.as_str(), vec![d]);
+            current.copy_from_slice(&ins[b * nd..(b + 1) * nd]);
+            for inst in self.cfg.insts(b) {
+                for e in inst.exprs() {
+                    mark_reads(e, &defs, &current, &mut used);
+                }
+                if let Inst::Set { name, .. } = *inst {
+                    kill(&defs, &mut current, name);
+                    current[d] = true;
+                    d += 1;
                 }
             }
-            match &block.term {
+            match block.term {
                 Term::Branch { cond, .. } | Term::Require { cond, .. } => {
-                    mark_reads(&current, &mut used, vec![cond]);
+                    mark_reads(cond, &defs, &current, &mut used);
                 }
                 Term::Return => {
                     // Every global is observable after a normal exit.
-                    for ds in current.values() {
-                        for &d in ds {
-                            used[d] = true;
-                        }
+                    for (u, c) in used.iter_mut().zip(&current) {
+                        *u |= *c;
                     }
                 }
                 Term::Goto(_) => {}
             }
         }
         defs.iter()
-            .enumerate()
-            .filter(|(d, def)| !used[*d] && self.reachable(def.block))
-            .map(|(_, def)| def.clone())
+            .zip(&used)
+            .filter(|(def, used)| !**used && self.reachable(def.block))
+            .map(|(def, _)| *def)
             .collect()
     }
 
-    /// Reachable map writes and deletes: `(map name, statement path)`.
-    pub(crate) fn map_ops(&self) -> (Vec<MapSite>, Vec<MapSite>) {
-        let mut puts = Vec::new();
-        let mut dels = Vec::new();
-        for (_, block) in self.reachable_blocks() {
-            for inst in &block.insts {
-                match inst {
-                    Inst::MapPut { map, path, .. } => puts.push((map.clone(), path.clone())),
-                    Inst::MapDel { map, path, .. } => dels.push((map.clone(), path.clone())),
-                    _ => {}
-                }
-            }
-        }
-        (puts, dels)
+    /// Reachable map writes and deletes, in block order.
+    pub(crate) fn map_ops(&self) -> impl Iterator<Item = MapOp<'p>> + '_ {
+        let insts = self.reachable_blocks().flat_map(|(b, _)| self.cfg.insts(b));
+        insts.filter_map(|inst| match *inst {
+            Inst::MapPut { map, path, .. } => Some(MapOp { map, delete: false, path }),
+            Inst::MapDel { map, path, .. } => Some(MapOp { map, delete: true, path }),
+            _ => None,
+        })
     }
 }
 
-/// A reachable map operation site: `(map name, statement path)`.
-pub(crate) type MapSite = (String, Vec<u32>);
-
-/// Collects global names read by an expression.
-fn expr_global_reads(expr: &Expr, out: &mut Vec<String>) {
-    match expr {
-        Expr::Global(g) => out.push(g.clone()),
-        Expr::Bin(_, lhs, rhs) => {
-            expr_global_reads(lhs, out);
-            expr_global_reads(rhs, out);
+/// Clears every definition of `name` from a definition set.
+fn kill(defs: &[Def<'_>], set: &mut [bool], name: &str) {
+    for (s, def) in set.iter_mut().zip(defs) {
+        if def.name == name {
+            *s = false;
         }
-        Expr::Not(inner) => expr_global_reads(inner, out),
-        Expr::Hash(parts) => {
-            for p in parts {
-                expr_global_reads(p, out);
+    }
+}
+
+/// Marks as used every current definition of a global `expr` reads.
+fn mark_reads(expr: &Expr, defs: &[Def<'_>], current: &[bool], used: &mut [bool]) {
+    match expr {
+        Expr::Global(g) => {
+            for ((u, c), def) in used.iter_mut().zip(current).zip(defs) {
+                if *c && def.name == g {
+                    *u = true;
+                }
             }
         }
-        Expr::MapGet { key, .. } | Expr::MapContains { key, .. } => expr_global_reads(key, out),
+        Expr::Bin(_, lhs, rhs) => {
+            mark_reads(lhs, defs, current, used);
+            mark_reads(rhs, defs, current, used);
+        }
+        Expr::Not(inner) => mark_reads(inner, defs, current, used),
+        Expr::Hash(parts) => {
+            for p in parts {
+                mark_reads(p, defs, current, used);
+            }
+        }
+        Expr::MapGet { key, .. } | Expr::MapContains { key, .. } => {
+            mark_reads(key, defs, current, used)
+        }
         Expr::UInt(_) | Expr::Param(_) | Expr::Caller | Expr::Balance => {}
     }
 }
@@ -1140,6 +1331,10 @@ fn expr_global_reads(expr: &Expr, out: &mut Vec<String>) {
 mod tests {
     use super::*;
     use crate::ast::*;
+
+    fn paths(flow: &BodyAnalysis, ids: Vec<PathId>) -> Vec<Vec<u32>> {
+        ids.into_iter().map(|id| flow.path(id).to_vec()).collect()
+    }
 
     fn counter_with_body(body: Vec<Stmt>) -> Program {
         let mut p = Program::counter_example();
@@ -1158,7 +1353,7 @@ mod tests {
             }
         }
         let flow = analyze_api(&p, 0, 0, true);
-        assert!(flow.envs.iter().all(|e| e.is_some()), "counter has no dead code");
+        assert!((0..cfg.blocks.len()).all(|b| flow.reachable(b)), "counter has no dead code");
         assert!(flow.const_conds.is_empty());
         assert!(flow.definite_overflows.is_empty());
     }
@@ -1229,9 +1424,12 @@ mod tests {
             },
         ]);
         let flow = analyze_api(&p, 0, 0, true);
-        let dead = flow.unreachable_stmts();
+        let dead = paths(&flow, flow.unreachable_stmts());
         assert_eq!(dead, vec![vec![1, 0, 0]]);
-        assert!(flow.const_conds.iter().any(|c| c.src == Src::Stmt(vec![1]) && !c.value));
+        assert!(flow
+            .const_conds
+            .iter()
+            .any(|c| matches!(c.src, Src::Stmt(p) if flow.path(p) == [1]) && !c.value));
     }
 
     #[test]
@@ -1243,7 +1441,7 @@ mod tests {
         let flow = analyze_api(&p, 0, 0, true);
         let dead = flow.dead_stores();
         assert_eq!(dead.len(), 1);
-        assert_eq!(dead[0].path, vec![0]);
+        assert_eq!(flow.path(dead[0].path), [0]);
     }
 
     #[test]
@@ -1269,7 +1467,7 @@ mod tests {
         assert_eq!(defs.len(), 2);
         // The join block sees both definitions.
         let ret = flow.cfg.blocks.iter().position(|b| matches!(b.term, Term::Return)).unwrap();
-        assert_eq!(ins[ret].len(), 2);
+        assert_eq!(ins[ret * defs.len()..(ret + 1) * defs.len()], [true, true]);
         // Neither is dead: both reach the return.
         assert!(flow.dead_stores().is_empty());
     }
@@ -1290,9 +1488,9 @@ mod tests {
         ]);
         p.maps.push(MapDecl { name: "m".into(), value_bytes: 64 });
         let flow = analyze_api(&p, 0, 0, true);
-        let (puts, dels) = flow.map_ops();
-        assert_eq!(puts.len(), 1);
-        assert!(dels.is_empty(), "the delete is behind an always-false branch");
+        let ops: Vec<MapOp> = flow.map_ops().collect();
+        assert_eq!(ops.len(), 1);
+        assert!(!ops[0].delete, "the delete is behind an always-false branch");
     }
 
     #[test]
@@ -1302,7 +1500,7 @@ mod tests {
             value: Expr::Bin(BinOp::Add, Box::new(Expr::UInt(u64::MAX)), Box::new(Expr::UInt(1))),
         }]);
         let flow = analyze_api(&p, 0, 0, true);
-        assert_eq!(flow.definite_overflows, vec![vec![0]]);
+        assert_eq!(paths(&flow, flow.definite_overflows.clone()), vec![vec![0]]);
     }
 
     #[test]
@@ -1315,7 +1513,7 @@ mod tests {
             otherwise: vec![],
         }];
         let flow = analyze_constructor(&p, true);
-        assert_eq!(flow.unreachable_stmts(), vec![vec![0, 0, 0]]);
+        assert_eq!(paths(&flow, flow.unreachable_stmts()), vec![vec![0, 0, 0]]);
     }
 
     #[test]
@@ -1412,7 +1610,7 @@ mod tests {
             Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(1) },
         ];
         let flow = analyze_api(&p, 0, 0, true);
-        assert_eq!(flow.unsat_requires, vec![Src::Stmt(vec![1])]);
+        assert!(matches!(flow.unsat_requires[..], [Src::Stmt(p)] if flow.path(p) == [1]));
         // Reachability stays interval-driven: the trailing statement is
         // NOT reported unreachable (monotone with the zone off).
         assert!(flow.unreachable_stmts().is_empty());

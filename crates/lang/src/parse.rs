@@ -56,15 +56,18 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A token's kind. Identifiers carry no text: the token's byte range
+/// indexes the source, and a name becomes an owned `String` only where
+/// the AST stores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tok {
-    Ident(String),
+    Ident,
     Number(u64),
     Punct(&'static str),
     Eof,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Token {
     tok: Tok,
     line: usize,
@@ -75,151 +78,179 @@ struct Token {
     end: usize,
 }
 
-struct Lexer {
-    tokens: Vec<Token>,
+/// The two-byte punctuators, tried before the one-byte ones.
+fn punct2(a: u8, b: u8) -> Option<&'static str> {
+    Some(match (a, b) {
+        (b'=', b'=') => "==",
+        (b'!', b'=') => "!=",
+        (b'<', b'=') => "<=",
+        (b'>', b'=') => ">=",
+        (b'&', b'&') => "&&",
+        (b'|', b'|') => "||",
+        (b'-', b'>') => "->",
+        _ => return None,
+    })
 }
 
-const PUNCTS: [&str; 22] = [
-    "==", "!=", "<=", ">=", "&&", "||", "->", "{", "}", "(", ")", "[", "]", ",", ";", ":", "=",
-    "<", ">", "+", "-", "!",
-];
-const PUNCTS_MULDIV: [&str; 2] = ["*", "/"];
+fn punct1(a: u8) -> Option<&'static str> {
+    Some(match a {
+        b'{' => "{",
+        b'}' => "}",
+        b'(' => "(",
+        b')' => ")",
+        b'[' => "[",
+        b']' => "]",
+        b',' => ",",
+        b';' => ";",
+        b':' => ":",
+        b'=' => "=",
+        b'<' => "<",
+        b'>' => ">",
+        b'+' => "+",
+        b'-' => "-",
+        b'!' => "!",
+        b'*' => "*",
+        b'/' => "/",
+        _ => return None,
+    })
+}
 
-fn lex(source: &str) -> Result<Lexer, ParseError> {
+/// Scans the source's bytes into tokens. Every token is ASCII, so only
+/// whitespace outside ASCII is decoded; columns count characters, as
+/// an editor shows them.
+fn lex(source: &str) -> Result<Vec<Token>, ParseError> {
+    let bytes = source.as_bytes();
     let mut tokens = Vec::new();
-    let bytes: Vec<char> = source.chars().collect();
-    // Byte offset of every char index (plus one-past-the-end), so tokens
-    // can carry byte spans while the scanner works on char indices.
-    let offsets: Vec<usize> = {
-        let mut v = Vec::with_capacity(bytes.len() + 1);
-        let mut b = 0usize;
-        for c in &bytes {
-            v.push(b);
-            b += c.len_utf8();
-        }
-        v.push(b);
-        v
-    };
     let mut i = 0usize;
     let mut line = 1usize;
     let mut col = 1usize;
-    'outer: while i < bytes.len() {
+    while i < bytes.len() {
         let c = bytes[i];
-        if c == '\n' {
+        if c == b'\n' {
             line += 1;
             col = 1;
             i += 1;
             continue;
         }
-        if c.is_whitespace() {
+        // `char::is_whitespace` on the ASCII range (it includes the
+        // vertical tab, which `u8::is_ascii_whitespace` does not).
+        if matches!(c, b'\t' | 0x0B | 0x0C | b'\r' | b' ') {
             i += 1;
             col += 1;
             continue;
         }
-        // Line comments.
-        if c == '/' && bytes.get(i + 1) == Some(&'/') {
-            while i < bytes.len() && bytes[i] != '\n' {
-                i += 1;
-            }
-            continue;
-        }
-        // Two-char punctuation first.
-        for p in PUNCTS {
-            if p.len() == 2 {
-                let mut chars = p.chars();
-                let (a, b) = (chars.next().unwrap(), chars.next().unwrap());
-                if c == a && bytes.get(i + 1) == Some(&b) {
-                    tokens.push(Token {
-                        tok: Tok::Punct(p),
-                        line,
-                        col,
-                        start: offsets[i],
-                        end: offsets[i + 2],
-                    });
-                    i += 2;
-                    col += 2;
-                    continue 'outer;
-                }
-            }
-        }
-        for p in PUNCTS.iter().chain(PUNCTS_MULDIV.iter()) {
-            if p.len() == 1 && c == p.chars().next().unwrap() {
-                tokens.push(Token {
-                    tok: Tok::Punct(p),
+        if !c.is_ascii() {
+            // `i` always sits on a character boundary.
+            let ch = source[i..].chars().next().unwrap_or(char::REPLACEMENT_CHARACTER);
+            if !ch.is_whitespace() {
+                return Err(ParseError {
                     line,
                     col,
-                    start: offsets[i],
-                    end: offsets[i + 1],
+                    message: format!("unexpected character {ch:?}"),
                 });
-                i += 1;
-                col += 1;
-                continue 'outer;
             }
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == '_') {
-                i += 1;
-            }
-            let text: String = bytes[start..i].iter().filter(|c| **c != '_').collect();
-            let value = text.parse::<u64>().map_err(|_| ParseError {
-                line,
-                col,
-                message: format!("number {text:?} out of range"),
-            })?;
-            tokens.push(Token {
-                tok: Tok::Number(value),
-                line,
-                col,
-                start: offsets[start],
-                end: offsets[i],
-            });
-            col += i - start;
+            i += ch.len_utf8();
+            col += 1;
             continue;
         }
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
+        // Line comments.
+        if c == b'/' && bytes.get(i + 1) == Some(&b'/') {
+            while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
-            let text: String = bytes[start..i].iter().collect();
-            tokens.push(Token {
-                tok: Tok::Ident(text),
-                line,
-                col,
-                start: offsets[start],
-                end: offsets[i],
-            });
-            col += i - start;
             continue;
         }
-        return Err(ParseError { line, col, message: format!("unexpected character {c:?}") });
+        let start = i;
+        let tok = if let Some(p) = bytes.get(i + 1).and_then(|&b| punct2(c, b)) {
+            i += 2;
+            Tok::Punct(p)
+        } else if let Some(p) = punct1(c) {
+            i += 1;
+            Tok::Punct(p)
+        } else if c.is_ascii_digit() {
+            let mut value = Some(0u64);
+            while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
+                if bytes[i] != b'_' {
+                    let digit = u64::from(bytes[i] - b'0');
+                    value = value.and_then(|v| v.checked_mul(10)?.checked_add(digit));
+                }
+                i += 1;
+            }
+            match value {
+                Some(v) => Tok::Number(v),
+                None => {
+                    let text: String = source[start..i].chars().filter(|c| *c != '_').collect();
+                    return Err(ParseError {
+                        line,
+                        col,
+                        message: format!("number {text:?} out of range"),
+                    });
+                }
+            }
+        } else if c.is_ascii_alphabetic() || c == b'_' {
+            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
+                i += 1;
+            }
+            Tok::Ident
+        } else {
+            return Err(ParseError {
+                line,
+                col,
+                message: format!("unexpected character {:?}", c as char),
+            });
+        };
+        tokens.push(Token { tok, line, col, start, end: i });
+        col += i - start;
     }
-    tokens.push(Token {
-        tok: Tok::Eof,
-        line,
-        col,
-        start: offsets[bytes.len()],
-        end: offsets[bytes.len()],
-    });
-    Ok(Lexer { tokens })
+    tokens.push(Token { tok: Tok::Eof, line, col, start: bytes.len(), end: bytes.len() });
+    Ok(tokens)
 }
 
-struct Parser {
+struct Parser<'s> {
+    source: &'s str,
     tokens: Vec<Token>,
     pos: usize,
     /// Names currently in parameter scope (API params or constructor
     /// fields); other identifiers resolve to globals.
-    param_scope: Vec<String>,
+    param_scope: Vec<&'s str>,
     /// Spans recorded for the program under construction.
     spans: SpanTable,
     /// End offset of the most recently consumed token.
     last_end: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos].tok
+/// Renders a token the way error messages name it (`Ident("x")`,
+/// `Number(7)`, `Punct("{")`, `Eof`).
+struct Shown<'s>(Tok, &'s str);
+
+impl std::fmt::Display for Shown<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            Tok::Ident => write!(f, "Ident({:?})", self.1),
+            other => write!(f, "{other:?}"),
+        }
+    }
+}
+
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Tok {
+        self.tokens[self.pos].tok
+    }
+
+    /// The next token's text (its identifier name, for `Tok::Ident`).
+    fn text(&self) -> &'s str {
+        let t = &self.tokens[self.pos];
+        &self.source[t.start..t.end]
+    }
+
+    /// The next token as error messages name it.
+    fn shown(&self) -> Shown<'s> {
+        Shown(self.peek(), self.text())
+    }
+
+    /// The identifier at the cursor, if the next token is one.
+    fn peek_ident(&self) -> Option<&'s str> {
+        (self.peek() == Tok::Ident).then(|| self.text())
     }
 
     fn here(&self) -> (usize, usize) {
@@ -236,27 +267,24 @@ impl Parser {
         ParseError { line, col, message: message.into() }
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.pos].tok.clone();
+    fn bump(&mut self) {
         self.last_end = self.tokens[self.pos].end;
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn expect_punct(&mut self, p: &'static str) -> Result<(), ParseError> {
-        match self.peek() {
-            Tok::Punct(q) if *q == p => {
-                self.bump();
-                Ok(())
-            }
-            other => Err(self.error(format!("expected {p:?}, found {other:?}"))),
+        if self.peek() == Tok::Punct(p) {
+            self.bump();
+            Ok(())
+        } else {
+            Err(self.error(format!("expected {p:?}, found {}", self.shown())))
         }
     }
 
     fn eat_punct(&mut self, p: &'static str) -> bool {
-        if matches!(self.peek(), Tok::Punct(q) if *q == p) {
+        if self.peek() == Tok::Punct(p) {
             self.bump();
             true
         } else {
@@ -264,13 +292,13 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(name) => {
+    fn expect_ident(&mut self) -> Result<&'s str, ParseError> {
+        match self.peek_ident() {
+            Some(name) => {
                 self.bump();
                 Ok(name)
             }
-            other => Err(self.error(format!("expected identifier, found {other:?}"))),
+            None => Err(self.error(format!("expected identifier, found {}", self.shown()))),
         }
     }
 
@@ -279,21 +307,19 @@ impl Parser {
         let start = self.start_offset();
         let name = self.expect_ident()?;
         self.spans.set(path, Span::new(start, self.last_end));
-        Ok(name)
+        Ok(name.to_string())
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(name) if name == kw => {
-                self.bump();
-                Ok(())
-            }
-            other => Err(self.error(format!("expected keyword {kw:?}, found {other:?}"))),
+        if self.eat_keyword(kw) {
+            Ok(())
+        } else {
+            Err(self.error(format!("expected keyword {kw:?}, found {}", self.shown())))
         }
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(name) if name == kw) {
+        if self.peek_ident() == Some(kw) {
             self.bump();
             true
         } else {
@@ -302,12 +328,12 @@ impl Parser {
     }
 
     fn expect_number(&mut self) -> Result<u64, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Number(v) => {
                 self.bump();
                 Ok(v)
             }
-            other => Err(self.error(format!("expected number, found {other:?}"))),
+            _ => Err(self.error(format!("expected number, found {}", self.shown()))),
         }
     }
 
@@ -322,37 +348,38 @@ impl Parser {
         let mut globals = Vec::new();
         let mut maps = Vec::new();
         let mut phases = Vec::new();
+        // The creator's field names as the source spells them, for the
+        // constructor's parameter scope.
+        let mut field_names: Vec<&'s str> = Vec::new();
         while !self.eat_punct("}") {
-            match self.peek().clone() {
-                Tok::Ident(kw) if kw == "participant" => {
-                    let p = self.participant()?;
+            match self.peek_ident() {
+                Some("participant") => {
+                    let p = self.participant(&mut field_names)?;
                     if creator.replace(p).is_some() {
                         return Err(self.error("only one participant is supported"));
                     }
                 }
-                Tok::Ident(kw) if kw == "global" => {
+                Some("global") => {
                     let idx = globals.len();
                     globals.push(self.global(idx)?);
                 }
-                Tok::Ident(kw) if kw == "map" => {
+                Some("map") => {
                     let idx = maps.len();
                     maps.push(self.map_decl(idx)?);
                 }
-                Tok::Ident(kw) if kw == "constructor" => {
+                Some("constructor") => {
                     self.bump();
-                    self.param_scope = creator
-                        .as_ref()
-                        .map(|p: &Participant| p.fields.iter().map(|(n, _)| n.clone()).collect())
-                        .unwrap_or_default();
+                    self.param_scope.clear();
+                    self.param_scope.extend(field_names.iter().copied());
                     let mut prefix = Vec::new();
                     constructor = self.block(Owner::Constructor, &mut prefix)?;
                     self.param_scope.clear();
                 }
-                Tok::Ident(kw) if kw == "phase" => {
+                Some("phase") => {
                     let idx = phases.len();
-                    phases.push(self.phase(idx, creator.as_ref())?);
+                    phases.push(self.phase(idx)?);
                 }
-                other => return Err(self.error(format!("unexpected item {other:?}"))),
+                _ => return Err(self.error(format!("unexpected item {}", self.shown()))),
             }
         }
         if !matches!(self.peek(), Tok::Eof) {
@@ -363,13 +390,18 @@ impl Parser {
         Ok(Program { name, creator, constructor, globals, maps, phases, spans })
     }
 
-    fn participant(&mut self) -> Result<Participant, ParseError> {
+    fn participant(&mut self, names: &mut Vec<&'s str>) -> Result<Participant, ParseError> {
         self.expect_keyword("participant")?;
-        let name = self.expect_ident()?;
+        let name = self.expect_ident()?.to_string();
         self.expect_punct("{")?;
         let mut fields = Vec::new();
+        names.clear();
         while !self.eat_punct("}") {
-            let field = self.expect_ident_at(NodePath::Field(fields.len()))?;
+            let start = self.start_offset();
+            let field = self.expect_ident()?;
+            self.spans.set(NodePath::Field(fields.len()), Span::new(start, self.last_end));
+            names.push(field);
+            let field = field.to_string();
             self.expect_punct(":")?;
             let ty = self.ty()?;
             fields.push((field, ty));
@@ -382,7 +414,7 @@ impl Parser {
 
     fn ty(&mut self) -> Result<Ty, ParseError> {
         let name = self.expect_ident()?;
-        match name.as_str() {
+        match name {
             "uint" => Ok(Ty::UInt),
             "bool" => Ok(Ty::Bool),
             "address" => Ok(Ty::Address),
@@ -402,23 +434,23 @@ impl Parser {
         self.expect_punct(":")?;
         let ty = self.ty()?;
         self.expect_punct("=")?;
-        let init = match self.peek().clone() {
-            Tok::Number(v) => {
+        let init = match (self.peek(), self.peek_ident()) {
+            (Tok::Number(v), _) => {
                 self.bump();
                 GlobalInit::Const(v)
             }
-            Tok::Ident(kw) if kw == "field" => {
+            (_, Some("field")) => {
                 self.bump();
                 self.expect_punct("(")?;
-                let field = self.expect_ident()?;
+                let field = self.expect_ident()?.to_string();
                 self.expect_punct(")")?;
                 GlobalInit::FromField(field)
             }
-            Tok::Ident(kw) if kw == "creator" => {
+            (_, Some("creator")) => {
                 self.bump();
                 GlobalInit::CreatorAddress
             }
-            other => return Err(self.error(format!("expected initialiser, found {other:?}"))),
+            _ => return Err(self.error(format!("expected initialiser, found {}", self.shown()))),
         };
         let viewable = self.eat_keyword("view");
         self.expect_punct(";")?;
@@ -435,8 +467,7 @@ impl Parser {
         Ok(MapDecl { name, value_bytes })
     }
 
-    fn phase(&mut self, idx: usize, creator: Option<&Participant>) -> Result<Phase, ParseError> {
-        let _ = creator;
+    fn phase(&mut self, idx: usize) -> Result<Phase, ParseError> {
         self.expect_keyword("phase")?;
         let name = self.expect_ident_at(NodePath::Phase(idx))?;
         self.expect_keyword("while")?;
@@ -458,16 +489,17 @@ impl Parser {
         let name = self.expect_ident_at(NodePath::Api { phase: phase_idx, api: api_idx })?;
         self.expect_punct("(")?;
         let mut params = Vec::new();
+        self.param_scope.clear();
         while !self.eat_punct(")") {
             let pname = self.expect_ident()?;
             self.expect_punct(":")?;
             let ty = self.ty()?;
-            params.push((pname, ty));
+            self.param_scope.push(pname);
+            params.push((pname.to_string(), ty));
             if !self.eat_punct(",") && !matches!(self.peek(), Tok::Punct(")")) {
                 return Err(self.error("expected ',' or ')' in parameters"));
             }
         }
-        self.param_scope = params.iter().map(|(n, _)| n.clone()).collect();
         let pay = if self.eat_keyword("pay") {
             Some(self.spanned_expr(NodePath::ApiPay { phase: phase_idx, api: api_idx })?)
         } else {
@@ -502,8 +534,11 @@ impl Parser {
     }
 
     fn stmt_inner(&mut self, owner: Owner, prefix: &mut Vec<u32>) -> Result<Stmt, ParseError> {
-        match self.peek().clone() {
-            Tok::Ident(kw) if kw == "require" => {
+        let Some(word) = self.peek_ident() else {
+            return Err(self.error(format!("expected statement, found {}", self.shown())));
+        };
+        match word {
+            "require" => {
                 self.bump();
                 self.expect_punct("(")?;
                 let cond = self.expr()?;
@@ -511,16 +546,16 @@ impl Parser {
                 self.expect_punct(";")?;
                 Ok(Stmt::Require(cond))
             }
-            Tok::Ident(kw) if kw == "delete" => {
+            "delete" => {
                 self.bump();
-                let map = self.expect_ident()?;
+                let map = self.expect_ident()?.to_string();
                 self.expect_punct("[")?;
                 let key = self.expr()?;
                 self.expect_punct("]")?;
                 self.expect_punct(";")?;
                 Ok(Stmt::MapDelete { map, key })
             }
-            Tok::Ident(kw) if kw == "transfer" => {
+            "transfer" => {
                 self.bump();
                 self.expect_punct("(")?;
                 let to = self.expr()?;
@@ -530,14 +565,14 @@ impl Parser {
                 self.expect_punct(";")?;
                 Ok(Stmt::Transfer { to, amount })
             }
-            Tok::Ident(kw) if kw == "log" => {
+            "log" => {
                 self.bump();
                 self.expect_punct("(")?;
                 let parts = self.expr_list(")")?;
                 self.expect_punct(";")?;
                 Ok(Stmt::Log(parts))
             }
-            Tok::Ident(kw) if kw == "if" => {
+            "if" => {
                 self.bump();
                 let cond = self.expr()?;
                 prefix.push(0);
@@ -554,8 +589,9 @@ impl Parser {
                 };
                 Ok(Stmt::If { cond, then, otherwise })
             }
-            Tok::Ident(name) => {
+            name => {
                 self.bump();
+                let name = name.to_string();
                 if self.eat_punct("[") {
                     // map set: name[key] = [e, …];
                     let key = self.expr()?;
@@ -572,7 +608,6 @@ impl Parser {
                     Ok(Stmt::GlobalSet { name, value })
                 }
             }
-            other => Err(self.error(format!("expected statement, found {other:?}"))),
         }
     }
 
@@ -580,7 +615,7 @@ impl Parser {
         let mut out = Vec::new();
         while !self.eat_punct(close) {
             out.push(self.expr()?);
-            if !self.eat_punct(",") && !matches!(self.peek(), Tok::Punct(p) if *p == close) {
+            if !self.eat_punct(",") && self.peek() != Tok::Punct(close) {
                 return Err(self.error(format!("expected ',' or {close:?} in list")));
             }
         }
@@ -677,7 +712,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Number(v) => {
                 self.bump();
                 Ok(Expr::UInt(v))
@@ -688,9 +723,10 @@ impl Parser {
                 self.expect_punct(")")?;
                 Ok(e)
             }
-            Tok::Ident(name) => {
+            Tok::Ident => {
+                let name = self.text();
                 self.bump();
-                match name.as_str() {
+                match name {
                     "balance" => Ok(Expr::Balance),
                     "caller" => Ok(Expr::Caller),
                     "hash" => {
@@ -700,7 +736,7 @@ impl Parser {
                     }
                     "contains" => {
                         self.expect_punct("(")?;
-                        let map = self.expect_ident()?;
+                        let map = self.expect_ident()?.to_string();
                         self.expect_punct(",")?;
                         let key = self.expr()?;
                         self.expect_punct(")")?;
@@ -710,16 +746,16 @@ impl Parser {
                         if self.eat_punct("[") {
                             let key = self.expr()?;
                             self.expect_punct("]")?;
-                            Ok(Expr::MapGet { map: name, key: Box::new(key) })
+                            Ok(Expr::MapGet { map: name.to_string(), key: Box::new(key) })
                         } else if self.param_scope.contains(&name) {
-                            Ok(Expr::Param(name))
+                            Ok(Expr::Param(name.to_string()))
                         } else {
-                            Ok(Expr::Global(name))
+                            Ok(Expr::Global(name.to_string()))
                         }
                     }
                 }
             }
-            other => Err(self.error(format!("expected expression, found {other:?}"))),
+            _ => Err(self.error(format!("expected expression, found {}", self.shown()))),
         }
     }
 }
@@ -731,15 +767,165 @@ impl Parser {
 ///
 /// [`ParseError`] with source position on the first syntax error.
 pub fn parse(source: &str) -> Result<Program, ParseError> {
-    let lexer = lex(source)?;
     let mut parser = Parser {
-        tokens: lexer.tokens,
+        source,
+        tokens: lex(source)?,
         pos: 0,
         param_scope: Vec::new(),
         spans: SpanTable::default(),
         last_end: 0,
     };
     parser.program()
+}
+
+/// The char-scanning lexer the byte lexer replaced, kept verbatim as the
+/// reference the differential test holds [`lex`] to.
+#[cfg(test)]
+mod reference {
+    use super::ParseError;
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(super) enum Tok {
+        Ident(String),
+        Number(u64),
+        Punct(&'static str),
+        Eof,
+    }
+
+    #[derive(Debug, Clone)]
+    pub(super) struct Token {
+        pub(super) tok: Tok,
+        pub(super) line: usize,
+        pub(super) col: usize,
+        pub(super) start: usize,
+        pub(super) end: usize,
+    }
+
+    pub(super) struct Lexer {
+        pub(super) tokens: Vec<Token>,
+    }
+
+    const PUNCTS: [&str; 22] = [
+        "==", "!=", "<=", ">=", "&&", "||", "->", "{", "}", "(", ")", "[", "]", ",", ";", ":", "=",
+        "<", ">", "+", "-", "!",
+    ];
+    const PUNCTS_MULDIV: [&str; 2] = ["*", "/"];
+
+    pub(super) fn lex(source: &str) -> Result<Lexer, ParseError> {
+        let mut tokens = Vec::new();
+        let bytes: Vec<char> = source.chars().collect();
+        let offsets: Vec<usize> = {
+            let mut v = Vec::with_capacity(bytes.len() + 1);
+            let mut b = 0usize;
+            for c in &bytes {
+                v.push(b);
+                b += c.len_utf8();
+            }
+            v.push(b);
+            v
+        };
+        let mut i = 0usize;
+        let mut line = 1usize;
+        let mut col = 1usize;
+        'outer: while i < bytes.len() {
+            let c = bytes[i];
+            if c == '\n' {
+                line += 1;
+                col = 1;
+                i += 1;
+                continue;
+            }
+            if c.is_whitespace() {
+                i += 1;
+                col += 1;
+                continue;
+            }
+            if c == '/' && bytes.get(i + 1) == Some(&'/') {
+                while i < bytes.len() && bytes[i] != '\n' {
+                    i += 1;
+                }
+                continue;
+            }
+            for p in PUNCTS {
+                if p.len() == 2 {
+                    let mut chars = p.chars();
+                    let (a, b) = (chars.next().unwrap(), chars.next().unwrap());
+                    if c == a && bytes.get(i + 1) == Some(&b) {
+                        tokens.push(Token {
+                            tok: Tok::Punct(p),
+                            line,
+                            col,
+                            start: offsets[i],
+                            end: offsets[i + 2],
+                        });
+                        i += 2;
+                        col += 2;
+                        continue 'outer;
+                    }
+                }
+            }
+            for p in PUNCTS.iter().chain(PUNCTS_MULDIV.iter()) {
+                if p.len() == 1 && c == p.chars().next().unwrap() {
+                    tokens.push(Token {
+                        tok: Tok::Punct(p),
+                        line,
+                        col,
+                        start: offsets[i],
+                        end: offsets[i + 1],
+                    });
+                    i += 1;
+                    col += 1;
+                    continue 'outer;
+                }
+            }
+            if c.is_ascii_digit() {
+                let start = i;
+                while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == '_') {
+                    i += 1;
+                }
+                let text: String = bytes[start..i].iter().filter(|c| **c != '_').collect();
+                let value = text.parse::<u64>().map_err(|_| ParseError {
+                    line,
+                    col,
+                    message: format!("number {text:?} out of range"),
+                })?;
+                tokens.push(Token {
+                    tok: Tok::Number(value),
+                    line,
+                    col,
+                    start: offsets[start],
+                    end: offsets[i],
+                });
+                col += i - start;
+                continue;
+            }
+            if c.is_ascii_alphabetic() || c == '_' {
+                let start = i;
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
+                    i += 1;
+                }
+                let text: String = bytes[start..i].iter().collect();
+                tokens.push(Token {
+                    tok: Tok::Ident(text),
+                    line,
+                    col,
+                    start: offsets[start],
+                    end: offsets[i],
+                });
+                col += i - start;
+                continue;
+            }
+            return Err(ParseError { line, col, message: format!("unexpected character {c:?}") });
+        }
+        tokens.push(Token {
+            tok: Tok::Eof,
+            line,
+            col,
+            start: offsets[bytes.len()],
+            end: offsets[bytes.len()],
+        });
+        Ok(Lexer { tokens })
+    }
 }
 
 #[cfg(test)]
@@ -946,5 +1132,162 @@ mod tests {
             p.phases[0].while_cond,
             Expr::Bin(BinOp::Lt, Box::new(Expr::global("x")), Box::new(Expr::UInt(5)))
         );
+    }
+    /// Sources the lexer differential and the no-panic property mutate:
+    /// both bundled contracts and every lint fixture.
+    const CORPUS: [&str; 12] = [
+        include_str!("../../core/contracts/proof_of_location.pol"),
+        include_str!("../../core/contracts/proof_of_location_v2.pol"),
+        include_str!("../../../examples/lint/clean_counter.pol"),
+        include_str!("../../../examples/lint/dead_store.pol"),
+        include_str!("../../../examples/lint/gas_bound.pol"),
+        include_str!("../../../examples/lint/leaked_map.pol"),
+        include_str!("../../../examples/lint/relational_guard.pol"),
+        include_str!("../../../examples/lint/top_key.pol"),
+        include_str!("../../../examples/lint/unguarded_subtraction.pol"),
+        include_str!("../../../examples/lint/unreachable_branch.pol"),
+        include_str!("../../../examples/lint/unsat_require.pol"),
+        include_str!("../../../examples/lint/write_after_transfer.pol"),
+    ];
+
+    /// Insertions that stress the lexer: multi-byte characters (two of
+    /// them whitespace), numbers at and past `u64::MAX`, stray slashes.
+    const INSERTS: [&str; 12] = [
+        "é",
+        "\u{00A0}",
+        "\u{3000}",
+        "→",
+        "🦀",
+        "18446744073709551615",
+        " 18446744073709551616 ",
+        "99_999_999_999_999_999_999",
+        "/",
+        " / ",
+        "//",
+        "&",
+    ];
+
+    /// Applies `(kind, at, which)` mutations: kind 0 inserts
+    /// `INSERTS[which]` at the character boundary nearest below `at`
+    /// (a fraction of the length, in 1/1000ths); kind 1 truncates there.
+    fn mutate(source: &str, edits: &[(u8, u16, usize)]) -> String {
+        let mut out = source.to_string();
+        for &(kind, at, which) in edits {
+            let mut pos = out.len() * usize::from(at) / 1000;
+            while !out.is_char_boundary(pos) {
+                pos -= 1;
+            }
+            if kind == 0 {
+                out.insert_str(pos, INSERTS[which % INSERTS.len()]);
+            } else {
+                out.truncate(pos);
+            }
+        }
+        out
+    }
+
+    /// Edits that mostly keep a source parseable, so the type checker
+    /// and the backends see what they must refuse or compile: kind 0
+    /// inserts a multi-byte space at the next whitespace, kind 1 renames
+    /// an identifier to another of the source's names, kind 2 swaps a
+    /// number for 0, 1 or `u64::MAX`, kind 3 applies a [`mutate`] edit.
+    fn mutate_tokens(source: &str, edits: &[(u8, u16, usize)]) -> String {
+        let mut out = source.to_string();
+        for &(kind, at, which) in edits {
+            let Ok(tokens) = lex(&out) else { break };
+            let pick = |want: fn(Tok) -> bool, n: usize| {
+                let of_kind: Vec<&Token> = tokens.iter().filter(|t| want(t.tok)).collect();
+                (!of_kind.is_empty()).then(|| *of_kind[n % of_kind.len()])
+            };
+            let at_kind = |want| pick(want, usize::from(at));
+            match kind {
+                0 => {
+                    let pos = out.len() * usize::from(at) / 1000;
+                    if let Some(ws) = out[pos..].find(char::is_whitespace) {
+                        out.insert(pos + ws, if which % 2 == 0 { '\u{00A0}' } else { '\u{3000}' });
+                    }
+                }
+                1 => {
+                    let is_ident = |t| t == Tok::Ident;
+                    if let (Some(target), Some(name)) = (at_kind(is_ident), pick(is_ident, which)) {
+                        let name = out[name.start..name.end].to_string();
+                        out.replace_range(target.start..target.end, &name);
+                    }
+                }
+                2 => {
+                    if let Some(target) = at_kind(|t| matches!(t, Tok::Number(_))) {
+                        let number = ["0", "1", "18446744073709551615"][which % 3];
+                        out.replace_range(target.start..target.end, number);
+                    }
+                }
+                _ => out = mutate(&out, &[((which % 2) as u8, at, which)]),
+            }
+        }
+        out
+    }
+
+    /// A token as both lexers report it: kind, line, column, byte span.
+    type Lexed = (reference::Tok, usize, usize, usize, usize);
+
+    /// The byte lexer's output in the reference lexer's terms.
+    fn as_reference(source: &str) -> Result<Vec<Lexed>, ParseError> {
+        Ok(lex(source)?
+            .into_iter()
+            .map(|t| {
+                let tok = match t.tok {
+                    Tok::Ident => reference::Tok::Ident(source[t.start..t.end].to_string()),
+                    Tok::Number(v) => reference::Tok::Number(v),
+                    Tok::Punct(p) => reference::Tok::Punct(p),
+                    Tok::Eof => reference::Tok::Eof,
+                };
+                (tok, t.line, t.col, t.start, t.end)
+            })
+            .collect())
+    }
+
+    fn reference_tokens(source: &str) -> Result<Vec<Lexed>, ParseError> {
+        Ok(reference::lex(source)?
+            .tokens
+            .into_iter()
+            .map(|t| (t.tok, t.line, t.col, t.start, t.end))
+            .collect())
+    }
+
+    #[test]
+    fn byte_lexer_matches_reference_on_the_corpus() {
+        for source in CORPUS {
+            assert_eq!(as_reference(source), reference_tokens(source));
+        }
+        for edge in ["", "\u{0B}x", "a\u{85}b", "1_", "x\r\ny", "é", "// only a comment", "&|"] {
+            assert_eq!(as_reference(edge), reference_tokens(edge), "{edge:?}");
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn byte_lexer_matches_reference_on_mutated_sources(
+            which in 0usize..CORPUS.len(),
+            edits in proptest::collection::vec((0u8..2, 0u16..1000, 0usize..INSERTS.len()), 1..5),
+        ) {
+            let source = mutate(CORPUS[which], &edits);
+            prop_assert_eq!(as_reference(&source), reference_tokens(&source), "{:?}", edits);
+        }
+
+        #[test]
+        fn mutated_sources_never_panic_the_pipeline(
+            which in 0usize..CORPUS.len(),
+            edits in proptest::collection::vec((0u8..4, 0u16..1000, 0usize..64), 1..3),
+        ) {
+            let source = mutate_tokens(CORPUS[which], &edits);
+            if let Ok(program) = parse(&source) {
+                if crate::check::check(&program).is_empty() {
+                    let _ = crate::backend::compile(&program);
+                }
+            }
+        }
     }
 }

@@ -133,43 +133,49 @@ pub(crate) fn verify_flows(program: &Program, flows: &ProgramFlows) -> VerifyRep
         .filter(|(_, ty)| matches!(ty, crate::ast::Ty::Bytes(_)))
         .count();
 
-    // --- Generic connector: map cleanup and token linearity.
-    for (map_idx, map) in program.maps.iter().enumerate() {
-        theorems += 1;
-        let mut first_write: Option<(Owner, Vec<u32>)> = None;
-        let mut deleted = false;
-        {
-            let mut scan = |owner: Owner, stmts: &[Stmt]| {
-                for_each_stmt_path(stmts, &mut Vec::new(), &mut |stmt, path| match stmt {
-                    Stmt::MapSet { map: m, .. } if *m == map.name && first_write.is_none() => {
-                        first_write = Some((owner, path.to_vec()));
-                    }
-                    Stmt::MapDelete { map: m, .. } if *m == map.name => deleted = true,
-                    _ => {}
-                });
-            };
-            scan(Owner::Constructor, &program.constructor);
-            for (phase_idx, phase) in program.phases.iter().enumerate() {
-                for (api_idx, api) in phase.apis.iter().enumerate() {
-                    scan(Owner::Api { phase: phase_idx as u32, api: api_idx as u32 }, &api.body);
+    // --- Generic connector: map cleanup and token linearity. One walk
+    // over every body finds, per map, the first write and whether any
+    // delete exists.
+    let names = flows.names();
+    let mut first_write: Vec<Option<(Owner, Vec<u32>)>> = vec![None; program.maps.len()];
+    let mut deleted = vec![false; program.maps.len()];
+    let apis = program.phases.iter().enumerate().flat_map(|(phase_idx, phase)| {
+        phase.apis.iter().enumerate().map(move |(api_idx, api)| {
+            (Owner::Api { phase: phase_idx as u32, api: api_idx as u32 }, &api.body)
+        })
+    });
+    let mut prefix = Vec::new();
+    for (owner, stmts) in std::iter::once((Owner::Constructor, &program.constructor)).chain(apis) {
+        for_each_stmt_path(stmts, &mut prefix, &mut |stmt, path| match stmt {
+            Stmt::MapSet { map, .. } => {
+                if let Some(first) = names.map(map).map(|id| &mut first_write[id]) {
+                    first.get_or_insert_with(|| (owner, path.to_vec()));
                 }
             }
-        }
-        if let Some((owner, path)) = first_write {
-            if !deleted {
-                failures.push(
-                    Diagnostic::error(
-                        "V0105",
-                        format!(
-                            "map {:?} is written but never deleted: storage leaks past finalization",
-                            map.name
-                        ),
-                    )
-                    .at(program.spans.get(&NodePath::Map(map_idx)))
-                    .note(program.spans.get(&NodePath::Stmt(owner, path)), "written here")
-                    .suggest("add a `delete` for the entry on some path before finalization"),
-                );
+            Stmt::MapDelete { map, .. } => {
+                if let Some(id) = names.map(map) {
+                    deleted[id] = true;
+                }
             }
+            _ => {}
+        });
+    }
+    for (map_idx, map) in program.maps.iter().enumerate() {
+        theorems += 1;
+        let Some(id) = names.map(&map.name) else { continue };
+        if let (Some((owner, path)), false) = (&first_write[id], deleted[id]) {
+            failures.push(
+                Diagnostic::error(
+                    "V0105",
+                    format!(
+                        "map {:?} is written but never deleted: storage leaks past finalization",
+                        map.name
+                    ),
+                )
+                .at(program.spans.get(&NodePath::Map(map_idx)))
+                .note(program.spans.get(&NodePath::Stmt(*owner, path.clone())), "written here")
+                .suggest("add a `delete` for the entry on some path before finalization"),
+            );
         }
     }
     // Token linearity: the implicit close pays the full balance to the
@@ -233,11 +239,11 @@ fn verify_api(
     // only ever advances by the epilogue's condition re-check).
     theorems += 1;
 
-    let mut guards: Vec<Expr> = vec![phase.while_cond.clone()];
+    let mut guards = vec![Guard::Holds(&phase.while_cond)];
     // In honest mode the declared payment is a usable fact.
     if mode == Mode::AllHonest {
         if let Some(pay) = &api.pay {
-            guards.push(Expr::ge(Expr::Balance, pay.clone()));
+            guards.push(Guard::BalanceCovers(pay));
         }
     }
 
@@ -335,31 +341,54 @@ fn for_each_stmt_path(stmts: &[Stmt], prefix: &mut Vec<u32>, f: &mut impl FnMut(
     }
 }
 
+/// A fact that dominates a statement, borrowed from the AST. An
+/// else-arm's negated condition is no guard: neither matcher below has
+/// a pattern it could satisfy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Guard<'a> {
+    /// The condition holds (a phase condition, an earlier `require`,
+    /// the `if` whose then-arm encloses the statement).
+    Holds(&'a Expr),
+    /// `balance >= amount`: an honest caller attached the declared
+    /// payment.
+    BalanceCovers(&'a Expr),
+}
+
+impl<'a> Guard<'a> {
+    /// The guard as a binary relation `lhs OP rhs`, when it is one.
+    fn relation(self) -> Option<(BinOp, &'a Expr, &'a Expr)> {
+        static BALANCE: Expr = Expr::Balance;
+        match self {
+            Guard::Holds(Expr::Bin(op, lhs, rhs)) => Some((*op, lhs, rhs)),
+            Guard::BalanceCovers(amount) => Some((BinOp::Ge, &BALANCE, amount)),
+            Guard::Holds(_) => None,
+        }
+    }
+}
+
 /// Visits statements with the dominating guard set (phase conditions,
 /// earlier `Require`s, enclosing `If` conditions) and the statement
 /// path.
-pub(crate) fn walk_guarded(
-    stmts: &[Stmt],
-    guards: &mut Vec<Expr>,
+pub(crate) fn walk_guarded<'a>(
+    stmts: &'a [Stmt],
+    guards: &mut Vec<Guard<'a>>,
     prefix: &mut Vec<u32>,
-    f: &mut impl FnMut(&Stmt, &[Expr], &[u32]),
+    f: &mut impl FnMut(&'a Stmt, &[Guard<'a>], &[u32]),
 ) {
     for (i, stmt) in stmts.iter().enumerate() {
         prefix.push(i as u32);
         f(stmt, guards, prefix);
         match stmt {
-            Stmt::Require(cond) => guards.push(cond.clone()),
+            Stmt::Require(cond) => guards.push(Guard::Holds(cond)),
             Stmt::If { cond, then, otherwise } => {
-                guards.push(cond.clone());
+                guards.push(Guard::Holds(cond));
                 prefix.push(0);
                 walk_guarded(then, guards, prefix, f);
                 prefix.pop();
                 guards.pop();
-                guards.push(Expr::Not(Box::new(cond.clone())));
                 prefix.push(1);
                 walk_guarded(otherwise, guards, prefix, f);
                 prefix.pop();
-                guards.pop();
             }
             _ => {}
         }
@@ -373,7 +402,7 @@ pub(crate) fn walk_guarded(
 /// individually: the summands may be paid out sequentially and their
 /// total is bounded by the balance (the §2.8 witness-reward contract
 /// pays the prover and the witness under one combined guard).
-pub(crate) fn guards_cover_balance(guards: &[Expr], amount: &Expr) -> bool {
+pub(crate) fn guards_cover_balance(guards: &[Guard<'_>], amount: &Expr) -> bool {
     fn add_leaves<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
         match expr {
             Expr::Bin(BinOp::Add, lhs, rhs) => {
@@ -383,18 +412,17 @@ pub(crate) fn guards_cover_balance(guards: &[Expr], amount: &Expr) -> bool {
             other => out.push(other),
         }
     }
-    guards.iter().any(|g| match g {
-        Expr::Bin(BinOp::Ge | BinOp::Gt, lhs, rhs) if **lhs == Expr::Balance => {
-            if **rhs == *amount {
+    guards.iter().any(|g| match g.relation() {
+        Some((BinOp::Ge | BinOp::Gt, lhs, rhs)) if *lhs == Expr::Balance => {
+            if *rhs == *amount {
                 return true;
             }
             let mut leaves = Vec::new();
             add_leaves(rhs, &mut leaves);
             leaves.len() > 1 && leaves.contains(&amount)
         }
-        Expr::Bin(BinOp::Eq, lhs, rhs) => {
-            (**lhs == Expr::Balance && **rhs == *amount)
-                || (**rhs == Expr::Balance && **lhs == *amount)
+        Some((BinOp::Eq, lhs, rhs)) => {
+            (*lhs == Expr::Balance && *rhs == *amount) || (*rhs == Expr::Balance && *lhs == *amount)
         }
         _ => false,
     })
@@ -403,14 +431,13 @@ pub(crate) fn guards_cover_balance(guards: &[Expr], amount: &Expr) -> bool {
 /// Whether some guard bounds `minuend` so `minuend - subtrahend` cannot
 /// underflow: `minuend > 0` (for unit decrements), `minuend >= sub`, or
 /// `minuend > sub`.
-fn guards_bound_minuend(guards: &[Expr], minuend: &Expr, subtrahend: &Expr) -> bool {
-    guards.iter().any(|g| match g {
-        Expr::Bin(BinOp::Gt, lhs, rhs) => {
-            **lhs == *minuend
-                && (**rhs == *subtrahend
-                    || (**rhs == Expr::UInt(0) && *subtrahend == Expr::UInt(1)))
+fn guards_bound_minuend(guards: &[Guard<'_>], minuend: &Expr, subtrahend: &Expr) -> bool {
+    guards.iter().any(|g| match g.relation() {
+        Some((BinOp::Gt, lhs, rhs)) => {
+            *lhs == *minuend
+                && (*rhs == *subtrahend || (*rhs == Expr::UInt(0) && *subtrahend == Expr::UInt(1)))
         }
-        Expr::Bin(BinOp::Ge, lhs, rhs) => **lhs == *minuend && **rhs == *subtrahend,
+        Some((BinOp::Ge, lhs, rhs)) => *lhs == *minuend && *rhs == *subtrahend,
         _ => false,
     })
 }

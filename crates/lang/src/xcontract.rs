@@ -255,7 +255,7 @@ pub fn analyze_system(members: &[SystemMember<'_>]) -> SystemReport {
         for (phase_idx, phase) in program.phases.iter().enumerate() {
             for (api_idx, api) in phase.apis.iter().enumerate() {
                 let mut flow: Option<ir::BodyAnalysis> = None;
-                let mut guards: Vec<Expr> = Vec::new();
+                let mut guards = Vec::new();
                 let mut prefix: Vec<u32> = Vec::new();
                 verify::walk_guarded(
                     &api.body,

@@ -345,21 +345,18 @@ fn hash_level(level: &[&Node]) {
     }
 }
 
-/// `sha256(value)` of every leaf in `level`, by position (zeros where a
-/// branch stands). Values of at most [`SHORT_MESSAGE_MAX`] bytes — every
-/// value the ledger's codec writes but code and long byte strings — go
-/// sixteen to a [`sha256_x16_short`] call; longer ones, and the last
-/// fewer than sixteen short ones, one by one.
-fn value_hashes(level: &[&Node]) -> Vec<[u8; 32]> {
-    let mut hashes = vec![[0u8; 32]; level.len()];
+/// `sha256` of every message, by position (zeros for `None`). Messages
+/// of at most [`SHORT_MESSAGE_MAX`] bytes go sixteen to a
+/// [`sha256_x16_short`] call; longer ones, and the last fewer than
+/// sixteen short ones, one by one.
+fn sha256_each<'a>(msgs: impl ExactSizeIterator<Item = Option<&'a [u8]>>) -> Vec<[u8; 32]> {
+    let mut hashes = vec![[0u8; 32]; msgs.len()];
     let mut short: Vec<(usize, &[u8])> = Vec::new();
-    for (i, node) in level.iter().enumerate() {
-        if let Node::Leaf { value, .. } = node {
-            if value.len() <= SHORT_MESSAGE_MAX {
-                short.push((i, value));
-            } else {
-                hashes[i] = sha256(value);
-            }
+    for (i, msg) in msgs.enumerate() {
+        match msg {
+            Some(msg) if msg.len() <= SHORT_MESSAGE_MAX => short.push((i, msg)),
+            Some(msg) => hashes[i] = sha256(msg),
+            None => {}
         }
     }
     let mut chunks = short.chunks_exact(16);
@@ -369,10 +366,20 @@ fn value_hashes(level: &[&Node]) -> Vec<[u8; 32]> {
             hashes[i] = digest;
         }
     }
-    for &(i, value) in chunks.remainder() {
-        hashes[i] = sha256(value);
+    for &(i, msg) in chunks.remainder() {
+        hashes[i] = sha256(msg);
     }
     hashes
+}
+
+/// `sha256(value)` of every leaf in `level`, by position (zeros where a
+/// branch stands), through [`sha256_each`]: every value the ledger's
+/// codec writes but code and long byte strings is short.
+fn value_hashes(level: &[&Node]) -> Vec<[u8; 32]> {
+    sha256_each(level.iter().map(|node| match node {
+        Node::Leaf { value, .. } => Some(&value[..]),
+        Node::Branch { .. } => None,
+    }))
 }
 
 /// Fills every empty memo under `root` using `ways` threads, the caller
@@ -716,14 +723,26 @@ impl TrieBackend {
     }
 }
 
+/// The smallest commit batch whose keys are hashed sixteen to a
+/// [`sha256_x16_short`] call: one full chunk of the kernel.
+const KEY_BATCH_MIN: usize = 16;
+
 impl StateBackend for TrieBackend {
     fn name(&self) -> &'static str {
         "trie"
     }
 
+    /// A batch of at least sixteen entries hashes its short keys
+    /// sixteen to a [`sha256_x16_short`] call before inserting; a
+    /// smaller one hashes key by key.
     fn commit(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError> {
-        for (key, value) in batch {
-            let kh = sha256(key);
+        let key_hashes = if batch.len() >= KEY_BATCH_MIN {
+            sha256_each(batch.iter().map(|(key, _)| Some(&key[..])))
+        } else {
+            Vec::new()
+        };
+        for (i, (key, value)) in batch.iter().enumerate() {
+            let kh = key_hashes.get(i).copied().unwrap_or_else(|| sha256(key));
             match value {
                 Some(v) => insert(&mut self.root, kh, key, v),
                 None => {
@@ -982,6 +1001,32 @@ mod tests {
             }
             let model: BTreeMap<_, _> = (0..keys).map(kv).collect();
             assert_eq!(flushes, [map_root(&model); 3], "{keys} keys");
+        }
+    }
+
+    #[test]
+    fn batched_key_hashing_matches_one_key_commits() {
+        // Key lengths on both sides of SHORT_MESSAGE_MAX, batch sizes on
+        // both sides of KEY_BATCH_MIN and of a second chunk, a repeated
+        // key within the batch and deletes of present and absent keys.
+        let key = |i: usize| vec![i as u8; [0, 21, 53, 55, 56, 100][i % 6] + i / 6];
+        for size in [15, 16, 17, 33] {
+            let mut batch: Vec<BatchEntry> =
+                (0..size).map(|i| (key(i), Some(vec![i as u8; 1 + i % 7]))).collect();
+            batch[size / 2] = (key(1), Some(b"again".to_vec()));
+            batch[size - 1] = (key(3), None);
+            batch.push((key(size + 60), None));
+            let mut batched = TrieBackend::new();
+            let mut single = TrieBackend::new();
+            for round in 0..2 {
+                batched.commit(&batch).unwrap();
+                for entry in &batch {
+                    single.commit(std::slice::from_ref(entry)).unwrap();
+                }
+                assert_eq!(batched.root(), single.root(), "{size} keys, round {round}");
+                assert_eq!(batched.entries(), single.entries(), "{size} keys, round {round}");
+                batch.reverse();
+            }
         }
     }
 
