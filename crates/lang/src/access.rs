@@ -4,8 +4,8 @@
 //! the lowered CFG (see `crate::ir`) into a sound, finite
 //! [`AccessSummary`]: which globals the body may read or write, which
 //! map entries it may touch — classified on the key-pattern lattice
-//! `Const ⊑ Param ⊑ ⊤` using the interval and zone domains to narrow
-//! key expressions — plus balance and transfer effects and whether the
+//! `Const ⊑ Param ⊑ ⊤` using the interval domain to narrow key
+//! expressions — plus balance and transfer effects and whether the
 //! phase counter may advance.
 //!
 //! [`ContractSummaries`] then *resolves* a summary against a concrete
@@ -46,7 +46,6 @@ use crate::backend::evm::{
     global_slot, DispatchEntry, DispatchTarget, MAP_SLOT_BASE, SLOT_CREATOR, SLOT_PHASE,
 };
 use crate::backend::{avm as avm_backend, evm as evm_backend};
-use crate::dbm;
 use crate::diag::Owner;
 use crate::ir::{BodyAnalysis, Env, Inst, ProgramFlows, Src, Term};
 use pol_avm::app_address;
@@ -66,7 +65,7 @@ use std::collections::{BTreeSet, HashMap};
 /// recipients, see [`AddrPattern::Caller`].)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KeyPattern {
-    /// The key is this constant (interval/zone domains pinned it).
+    /// The key is this constant (the interval domain pinned it).
     Const(u64),
     /// The key is exactly this parameter's value.
     Param(String),
@@ -205,22 +204,12 @@ fn note(set: &mut BTreeSet<String>, name: &str) {
 
 /// Classifies a map-key expression at a program point: the interval
 /// domain first (guard refinement can pin `require(k == 7)` keys), then
-/// the relational zone (difference bounds can pin keys the intervals
-/// lose through joins), then the syntactic parameter case, then ⊤. An
-/// expression evaluated around the body sees the ⊤ store, which keeps
-/// constants and parameters and nothing else.
-fn classify_key(key: &Expr, env: Env<'_>, zone: Option<&dbm::Zone>) -> KeyPattern {
+/// the syntactic parameter case, then ⊤. An expression evaluated around
+/// the body sees the ⊤ store, which keeps constants and parameters and
+/// nothing else.
+fn classify_key(key: &Expr, env: Env<'_>) -> KeyPattern {
     if let Some(c) = env.interval_of(key).as_const() {
         return KeyPattern::Const(c);
-    }
-    if let (Some(zone), Some((Some(var), k))) = (zone, dbm::term(key)) {
-        if let (Some(lo), Some(hi)) = (zone.var_min(&var), zone.var_max(&var)) {
-            if lo == hi {
-                if let Some(v) = i128::from(lo).checked_add(k).and_then(|v| u64::try_from(v).ok()) {
-                    return KeyPattern::Const(v);
-                }
-            }
-        }
     }
     if let Expr::Param(p) = key {
         return KeyPattern::Param(p.clone());
@@ -245,38 +234,30 @@ impl Collector<'_> {
     /// Records every read an expression performs; map keys classified
     /// against the store observed at `path` (or the block terminator's
     /// store for condition expressions).
-    fn reads(&mut self, expr: &Expr, env: Env<'_>, zone: Option<&dbm::Zone>, path: &[u32]) {
+    fn reads(&mut self, expr: &Expr, env: Env<'_>, path: &[u32]) {
         match expr {
             Expr::Global(g) => note(&mut self.summary.globals_read, g),
             Expr::Balance => self.summary.reads_balance = true,
             Expr::MapGet { map, key } | Expr::MapContains { map, key } => {
-                self.map_site(map, key, false, env, zone, path);
-                self.reads(key, env, zone, path);
+                self.map_site(map, key, false, env, path);
+                self.reads(key, env, path);
             }
             Expr::Hash(parts) => {
                 for p in parts {
-                    self.reads(p, env, zone, path);
+                    self.reads(p, env, path);
                 }
             }
             Expr::Bin(_, a, b) => {
-                self.reads(a, env, zone, path);
-                self.reads(b, env, zone, path);
+                self.reads(a, env, path);
+                self.reads(b, env, path);
             }
-            Expr::Not(inner) => self.reads(inner, env, zone, path),
+            Expr::Not(inner) => self.reads(inner, env, path),
             Expr::UInt(_) | Expr::Param(_) | Expr::Caller => {}
         }
     }
 
-    fn map_site(
-        &mut self,
-        map: &str,
-        key: &Expr,
-        write: bool,
-        env: Env<'_>,
-        zone: Option<&dbm::Zone>,
-        path: &[u32],
-    ) {
-        let key = classify_key(key, env, zone);
+    fn map_site(&mut self, map: &str, key: &Expr, write: bool, env: Env<'_>, path: &[u32]) {
+        let key = classify_key(key, env);
         self.summary.maps.push(MapSite { map: map.to_string(), key, write, path: path.to_vec() });
     }
 
@@ -287,33 +268,32 @@ impl Collector<'_> {
                 let inst = flow.cfg.insts[i];
                 let path = flow.path(inst.path());
                 let env = flow.env_before(i).unwrap_or(flow.top());
-                let zone = flow.zone_before(i);
                 match inst {
                     Inst::Set { name, value, .. } => {
                         note(&mut self.summary.globals_written, name);
-                        self.reads(value, env, zone, path);
+                        self.reads(value, env, path);
                     }
                     Inst::MapPut { map, key, value, .. } => {
-                        self.map_site(map, key, true, env, zone, path);
-                        self.reads(key, env, zone, path);
+                        self.map_site(map, key, true, env, path);
+                        self.reads(key, env, path);
                         for part in value {
-                            self.reads(part, env, zone, path);
+                            self.reads(part, env, path);
                         }
                     }
                     Inst::MapDel { map, key, .. } => {
-                        self.map_site(map, key, true, env, zone, path);
-                        self.reads(key, env, zone, path);
+                        self.map_site(map, key, true, env, path);
+                        self.reads(key, env, path);
                     }
                     Inst::Transfer { to, amount, .. } => {
                         self.summary
                             .transfers
                             .push(TransferSite { to: classify_addr(to), path: path.to_vec() });
-                        self.reads(to, env, zone, path);
-                        self.reads(amount, env, zone, path);
+                        self.reads(to, env, path);
+                        self.reads(amount, env, path);
                     }
                     Inst::Emit { parts, .. } => {
                         for part in parts {
-                            self.reads(part, env, zone, path);
+                            self.reads(part, env, path);
                         }
                     }
                 }
@@ -323,13 +303,13 @@ impl Collector<'_> {
             // them from laundering a stale constant into a key pattern.
             let env = flow.term_env(b).unwrap_or(flow.top());
             match block.term {
-                Term::Branch { cond, path, .. } => self.reads(cond, env, None, flow.path(path)),
+                Term::Branch { cond, path, .. } => self.reads(cond, env, flow.path(path)),
                 Term::Require { cond, src, .. } => {
                     let path: &[u32] = match src {
                         Src::Stmt(p) => flow.path(p),
                         Src::PhaseCond => &[],
                     };
-                    self.reads(cond, env, None, path);
+                    self.reads(cond, env, path);
                 }
                 Term::Goto(_) | Term::Return => {}
             }
@@ -362,9 +342,9 @@ fn summary_for_flow(program: &Program, flow: &BodyAnalysis) -> AccessSummary {
             // program point of the body, so their map keys classify
             // against no store.
             if let Some(pay) = &api_decl.pay {
-                c.reads(pay, flow.top(), None, &[]);
+                c.reads(pay, flow.top(), &[]);
             }
-            c.reads(&api_decl.returns, flow.top(), None, &[]);
+            c.reads(&api_decl.returns, flow.top(), &[]);
             let mut summary = c.summary;
             summary.reads_phase = true;
             summary.uses_pay = api_decl.pay.is_some();
@@ -434,7 +414,7 @@ pub struct ContractSummaries {
 /// Runs the access-summary pass over a checked program.
 pub fn summarize(program: &Program) -> ContractSummaries {
     let table = evm_backend::dispatch_table(program);
-    summarize_flows(program, &ProgramFlows::new(program, true), &table)
+    summarize_flows(program, &ProgramFlows::new(program), &table)
 }
 
 /// [`summarize`] over the flows and the method table the caller already

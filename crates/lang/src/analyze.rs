@@ -106,7 +106,7 @@ impl std::fmt::Display for Analysis {
 /// backend errors if code generation fails on either target.
 pub fn analyze(program: &Program) -> Result<Analysis, LangError> {
     crate::check::checked(program)?;
-    let flows = ProgramFlows::new(program, true);
+    let flows = ProgramFlows::new(program);
     let report = verify_flows(program, &flows);
     let table = evm_backend::dispatch_table(program);
     let compiled_evm = evm_backend::emit(program, &table, evm_backend::DEFAULT_RUNTIME_PAD)?;

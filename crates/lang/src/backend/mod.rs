@@ -82,7 +82,7 @@ pub fn compile(program: &crate::ast::Program) -> Result<CompiledContract, crate:
     crate::check::checked(program)?;
     // Every body is analysed, and the method table derived, once; each
     // later stage borrows them and hands what it derives forward.
-    let flows = ProgramFlows::new(program, true);
+    let flows = ProgramFlows::new(program);
     let report = crate::verify::verify_flows(program, &flows);
     if !report.ok() {
         return Err(crate::LangError::VerificationFailed(report.failures));

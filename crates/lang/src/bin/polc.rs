@@ -1,18 +1,17 @@
 //! `polc` — the contract linting / diagnostics front end.
 //!
 //! ```text
-//! polc lint [--no-relational] <file.pol>...
+//! polc lint <file.pol>...
 //!                           run the checker, verifier and dataflow
 //!                           lints; render rustc-style diagnostics.
 //!                           When a sibling `<file>.pol.expected`
 //!                           golden exists, compare against it instead
 //!                           of gating on severity.
-//! polc verify [--no-relational] [--json <path>] <file.pol>...
+//! polc verify [--json <path>] <file.pol>...
 //!                           run the theorem verifier per file, then
 //!                           the cross-contract system analysis over
 //!                           all files together; print both reports
-//!                           and optionally write solver statistics as
-//!                           JSON.
+//!                           and optionally write their counts as JSON.
 //! polc summaries [--json <path>] <file.pol>...
 //!                           run the access-summary analysis and print
 //!                           each method's inferred read/write footprint
@@ -30,10 +29,6 @@
 //!                           results/lint_codes.md by CI).
 //! ```
 //!
-//! `--no-relational` disables the difference-logic zone domain, leaving
-//! only the syntactic matchers and the interval domain — useful for
-//! comparing what the relational layer buys.
-//!
 //! Exit status: 0 when every file is clean (or matches its golden),
 //! 1 when an error-severity diagnostic fires (or a golden mismatches),
 //! 2 on usage or I/O errors.
@@ -45,18 +40,18 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else { return usage() };
-    let Some(Options { relational, json_path, files }) = Options::parse(rest) else {
+    let Some(Options { json_path, files }) = Options::parse(rest) else {
         return usage();
     };
     let json = json_path.as_deref();
     // Each subcommand takes only the flags its usage line names:
-    // (subcommand, relational, json, no files).
-    match (cmd.as_str(), relational, json, files.is_empty()) {
-        ("lint", _, None, false) => lint_files(&files, relational),
-        ("verify", _, _, false) => exit_code(verify_files(&files, relational, json)),
-        ("summaries", true, _, false) => exit_code(summarize_files(&files, json)),
-        ("gas", true, _, false) => exit_code(gas_files(&files, json)),
-        ("codes", true, None, true) => {
+    // (subcommand, json, no files).
+    match (cmd.as_str(), json, files.is_empty()) {
+        ("lint", None, false) => lint_files(&files),
+        ("verify", _, false) => exit_code(verify_files(&files, json)),
+        ("summaries", _, false) => exit_code(summarize_files(&files, json)),
+        ("gas", _, false) => exit_code(gas_files(&files, json)),
+        ("codes", None, true) => {
             print!("{}", lint::codes_markdown());
             ExitCode::SUCCESS
         }
@@ -66,8 +61,8 @@ fn main() -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: polc lint [--no-relational] <file.pol>...\n\
-         \x20      polc verify [--no-relational] [--json <path>] <file.pol>...\n\
+        "usage: polc lint <file.pol>...\n\
+         \x20      polc verify [--json <path>] <file.pol>...\n\
          \x20      polc summaries [--json <path>] <file.pol>...\n\
          \x20      polc gas [--json <path>] <file.pol>...\n\
          \x20      polc codes"
@@ -81,7 +76,6 @@ fn exit_code(outcome: Result<(), ExitCode>) -> ExitCode {
 
 /// One subcommand's arguments after its name.
 struct Options {
-    relational: bool,
     json_path: Option<String>,
     files: Vec<String>,
 }
@@ -90,11 +84,10 @@ impl Options {
     /// Separates the flags from the files. `None` (a usage error) on an
     /// unknown or repeated flag, or `--json` without a path after it.
     fn parse(args: &[String]) -> Option<Self> {
-        let mut opts = Options { relational: true, json_path: None, files: Vec::new() };
+        let mut opts = Options { json_path: None, files: Vec::new() };
         let mut args = args.iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--no-relational" if opts.relational => opts.relational = false,
                 "--json" if opts.json_path.is_none() => {
                     opts.json_path = Some(args.next().filter(|p| !p.starts_with("--"))?.clone());
                 }
@@ -106,7 +99,7 @@ impl Options {
     }
 }
 
-fn lint_files(files: &[String], relational: bool) -> ExitCode {
+fn lint_files(files: &[String]) -> ExitCode {
     let mut failed = false;
     for file in files {
         let source = match std::fs::read_to_string(file) {
@@ -116,7 +109,7 @@ fn lint_files(files: &[String], relational: bool) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let diags = diagnose(&source, relational);
+        let diags = diagnose(&source);
         let rendered = pretty::render_diagnostics(&diags, &source, file);
         if !rendered.is_empty() {
             print!("{rendered}");
@@ -234,11 +227,7 @@ fn gas_files(files: &[String], json_path: Option<&str>) -> Result<(), ExitCode> 
 }
 
 /// Per-file theorem verification plus the cross-contract system pass.
-fn verify_files(
-    files: &[String],
-    relational: bool,
-    json_path: Option<&str>,
-) -> Result<(), ExitCode> {
+fn verify_files(files: &[String], json_path: Option<&str>) -> Result<(), ExitCode> {
     let mut failed = false;
     let mut programs = Vec::new();
     for file in files {
@@ -248,7 +237,7 @@ fn verify_files(
     let mut contract_lines = Vec::new();
     let mut reports = Vec::new();
     for (file, program) in &programs {
-        let report = pol_lang::verify::verify_with(program, relational);
+        let report = pol_lang::verify::verify(program);
         println!("== {file} ({}) ==", program.name);
         println!("{report}");
         println!();
@@ -257,14 +246,10 @@ fn verify_files(
         }
         contract_lines.push(format!(
             "    {{\"file\": \"{file}\", \"name\": \"{}\", \"theorems_checked\": {}, \
-             \"failures\": {}, \"relational\": {{\"constraints\": {}, \"closures\": {}, \
-             \"discharged\": {}}}}}",
+             \"failures\": {}}}",
             program.name,
             report.theorems_checked,
             report.failures.len(),
-            report.zone_stats.constraints,
-            report.zone_stats.closures,
-            report.relationally_discharged,
         ));
         reports.push(report);
     }
@@ -295,16 +280,12 @@ fn verify_files(
     let system_json = format!(
         ",\n  \"system\": {{\"contracts\": {}, \
          \"edges\": {}, \"transfer_sites\": {}, \"conserved\": {}, \
-         \"relationally_proved\": {}, \"aggregate_conserved\": {}, \
-         \"constraints\": {}, \"closures\": {}, \"failures\": {}}}",
+         \"aggregate_conserved\": {}, \"failures\": {}}}",
         system.contracts,
         system.edges.len(),
         system.transfer_edges,
         system.conserved_transfers,
-        system.relationally_proved,
         system.aggregate_conserved,
-        system.zone_stats.constraints,
-        system.zone_stats.closures,
         system.diagnostics.iter().filter(|d| d.is_error()).count(),
     );
     write_json(json_path, &contract_lines, &system_json)?;
@@ -317,7 +298,7 @@ fn verify_files(
 }
 
 /// The full source-level pipeline: parse → type check → verify + lint.
-fn diagnose(source: &str, relational: bool) -> Vec<Diagnostic> {
+fn diagnose(source: &str) -> Vec<Diagnostic> {
     let program = match pol_lang::parse::parse(source) {
         Ok(p) => p,
         Err(e) => {
@@ -329,8 +310,8 @@ fn diagnose(source: &str, relational: bool) -> Vec<Diagnostic> {
     if !type_errors.is_empty() {
         return type_errors;
     }
-    let mut diags = pol_lang::verify::verify_with(&program, relational).failures;
-    diags.extend(lint::lint_with(&program, relational));
+    let mut diags = pol_lang::verify::verify(&program).failures;
+    diags.extend(lint::lint(&program));
     diags
 }
 

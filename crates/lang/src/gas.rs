@@ -12,8 +12,8 @@
 //!   loop-free and blocks are topologically ordered, so the longest
 //!   path is one reverse sweep, shared by both backends through the
 //!   `CostModel` hooks their walkers implement;
-//! * branches the interval/zone domains prove dead are pruned, and a
-//!   phase the domains prove cannot end drops the phase-writeback arm —
+//! * branches the interval domain proves dead are pruned, and a phase
+//!   the domain proves cannot end drops the phase-writeback arm —
 //!   the same narrowing [`crate::access`] uses;
 //! * EVM certificates price storage and account accesses *cold* (the
 //!   worst case for a fresh transaction), charge linear memory
@@ -380,7 +380,7 @@ fn body_max<M: CostModel>(m: &mut M, flow: &BodyAnalysis, prune: bool, ret_cost:
 }
 
 /// Whether the phase-advance writeback is reachable: `false` only when
-/// the interval/zone state at the body's exit proves the `while`
+/// the interval state at the body's exit proves the `while`
 /// condition still holds (the phase cannot end on this call).
 fn phase_can_advance(flow: &BodyAnalysis, while_cond: &Expr, prune: bool) -> bool {
     if !prune {
@@ -759,7 +759,7 @@ pub fn certify(program: &Program) -> Result<ContractGasBounds, LangError> {
     crate::check::checked(program)?;
     let table = evm_backend::dispatch_table(program);
     let compiled = evm_backend::emit(program, &table, evm_backend::DEFAULT_RUNTIME_PAD)?;
-    Ok(certify_compiled(program, &ProgramFlows::new(program, true), &compiled, &table))
+    Ok(certify_compiled(program, &ProgramFlows::new(program), &compiled, &table))
 }
 
 /// [`certify`] over the flows, the EVM artifact and the method table the
@@ -1193,7 +1193,7 @@ mod tests {
     #[test]
     fn fragment_bounds_sandwich_the_bytecode_verifiers() {
         for program in [Program::counter_example(), v1()] {
-            let flows = ProgramFlows::new(&program, true);
+            let flows = ProgramFlows::new(&program);
             let payload = program
                 .all_apis()
                 .map(|(_, api)| evm_backend::params_width(api) as u64)

@@ -30,11 +30,9 @@
 //! balance; an abstract store is one `Itv` per slot;
 //! instructions borrow their expressions from the AST and address their
 //! statement paths in one arena per body; and the per-instruction facts
-//! are flat vectors indexed by the instruction's position. Only the zone
-//! domain ([`crate::dbm`]) still copies a matrix per instruction.
+//! are flat vectors indexed by the instruction's position.
 
 use crate::ast::{BinOp, Expr, GlobalInit, Program, Stmt, Ty};
-use crate::dbm::{self, ZVar, Zone, ZoneStats};
 use crate::diag::Owner;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -736,19 +734,6 @@ pub(crate) struct ConstCond {
     pub value: bool,
 }
 
-/// How a subtraction theorem was (or was not) discharged by the flow
-/// analyses. See [`BodyAnalysis::sub_safety`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SubProof {
-    /// The non-relational interval domain proved `minuend ≥ subtrahend`.
-    Interval,
-    /// The interval domain gave up but the relational zone domain
-    /// ([`crate::dbm`]) entails the bound from the path conditions.
-    Relational,
-    /// Neither domain can prove the subtraction safe.
-    Unproven,
-}
-
 /// The result of running all forward passes over one body. Facts about
 /// instructions are indexed by the instruction's position in
 /// [`Cfg::insts`]; facts about blocks by the block index.
@@ -769,19 +754,10 @@ pub(crate) struct BodyAnalysis<'p> {
     /// The store just before each instruction, one slot run per
     /// instruction (read only for reachable ones).
     inst_envs: Vec<Itv>,
-    /// The zone just before each reachable instruction (`None`
-    /// throughout when the relational pass is disabled).
-    inst_zones: Vec<Option<Zone>>,
     /// Conditions that folded to a constant on every reachable path.
     pub const_conds: Vec<ConstCond>,
     /// Instruction paths whose arithmetic must overflow `u64`.
     pub definite_overflows: Vec<PathId>,
-    /// `Require` sites the interval domain considers feasible but whose
-    /// accumulated path conditions the zone solver proves
-    /// unsatisfiable — dead `require` chains (lint L0006).
-    pub unsat_requires: Vec<Src>,
-    /// Aggregate solver counters for this body.
-    pub zone_stats: ZoneStats,
 }
 
 /// The flow analysis of every body of one program: the single set of
@@ -798,12 +774,12 @@ pub(crate) struct ProgramFlows<'p> {
 }
 
 impl<'p> ProgramFlows<'p> {
-    /// Analyses every body once; `relational` toggles the zone pass.
-    pub(crate) fn new(program: &'p Program, relational: bool) -> ProgramFlows<'p> {
+    /// Analyses every body once.
+    pub(crate) fn new(program: &'p Program) -> ProgramFlows<'p> {
         let names = Rc::new(Names::new(program));
-        let constructor = constructor_flow(program, &names, relational);
+        let constructor = constructor_flow(program, &names);
         let apis = program.phases.iter().enumerate().map(|(pi, phase)| {
-            (0..phase.apis.len()).map(|ai| api_flow(program, &names, pi, ai, relational)).collect()
+            (0..phase.apis.len()).map(|ai| api_flow(program, &names, pi, ai)).collect()
         });
         ProgramFlows { constructor, apis: apis.collect(), names }
     }
@@ -819,22 +795,25 @@ impl<'p> ProgramFlows<'p> {
     }
 }
 
-/// Runs the interval analysis (and, when `relational`, the zone pass)
-/// over one API body.
-pub(crate) fn analyze_api(
-    program: &Program,
-    phase_idx: usize,
-    api_idx: usize,
-    relational: bool,
-) -> BodyAnalysis<'_> {
-    api_flow(program, &Rc::new(Names::new(program)), phase_idx, api_idx, relational)
+/// Runs the interval analysis over one API body.
+#[cfg(test)]
+pub(crate) fn analyze_api(program: &Program, phase_idx: usize, api_idx: usize) -> BodyAnalysis<'_> {
+    api_flow(program, &Rc::new(Names::new(program)), phase_idx, api_idx)
 }
 
-/// Runs the interval analysis (and, when `relational`, the zone pass)
-/// over the constructor body.
+/// Runs the interval analysis over the constructor body.
 #[cfg(test)]
-pub(crate) fn analyze_constructor(program: &Program, relational: bool) -> BodyAnalysis<'_> {
-    constructor_flow(program, &Rc::new(Names::new(program)), relational)
+pub(crate) fn analyze_constructor(program: &Program) -> BodyAnalysis<'_> {
+    constructor_flow(program, &Rc::new(Names::new(program)))
+}
+
+/// The range a phase `invariant` leaves global `name`, refining a store
+/// that knows nothing else; `None` when the invariant cannot hold.
+pub(crate) fn invariant_range(program: &Program, invariant: &Expr, name: &str) -> Option<Itv> {
+    let names = Names::new(program);
+    let slots = Slots { names: &names, params: &[] };
+    let mut store = Store { slots, vals: vec![Itv::TOP; slots.len()] };
+    store.refine(invariant, true).then(|| store.view().get(slots.global(name)))
 }
 
 /// API entry: globals hold arbitrary values (any number of calls may
@@ -844,21 +823,16 @@ fn api_flow<'p>(
     names: &Rc<Names<'p>>,
     phase_idx: usize,
     api_idx: usize,
-    relational: bool,
 ) -> BodyAnalysis<'p> {
     let cfg = lower_api(program, phase_idx, api_idx);
     let params = &program.phases[phase_idx].apis[api_idx].params;
     let entry = vec![Itv::TOP; Slots { names, params }.len()];
-    run_flow(cfg, Rc::clone(names), params, entry, relational.then(Zone::new))
+    run_flow(cfg, Rc::clone(names), params, entry)
 }
 
 /// Constructor entry: constant-initialised globals hold their exact
 /// value; field-initialised ones are arbitrary.
-fn constructor_flow<'p>(
-    program: &'p Program,
-    names: &Rc<Names<'p>>,
-    relational: bool,
-) -> BodyAnalysis<'p> {
+fn constructor_flow<'p>(program: &'p Program, names: &Rc<Names<'p>>) -> BodyAnalysis<'p> {
     let cfg = lower_constructor(program);
     let params = &program.creator.fields;
     let slots = Slots { names, params };
@@ -868,44 +842,7 @@ fn constructor_flow<'p>(
             entry[slot] = Itv::exact(*v);
         }
     }
-    let zone = relational.then(|| {
-        let mut z = Zone::new();
-        let mut stats = ZoneStats::default();
-        for g in &program.globals {
-            if let GlobalInit::Const(v) = g.init {
-                z.assign_bounds(&ZVar::Global(g.name.clone()), v, v, &mut stats);
-            }
-        }
-        z
-    });
-    run_flow(cfg, Rc::clone(names), params, entry, zone)
-}
-
-/// Merges an incoming zone into a successor's entry zone.
-fn feed_zone(zones: &mut [Option<Zone>], succ: usize, incoming: Zone, stats: &mut ZoneStats) {
-    zones[succ] = Some(match zones[succ].take() {
-        Some(existing) => Zone::join(&existing, &incoming, stats),
-        None => incoming,
-    });
-}
-
-/// Transfers `name := value` over the zone. Assignments of the shape
-/// `src ± k` keep their relational content when the zone proves the
-/// arithmetic wrap-free; everything else degrades to the interval
-/// bounds of the assigned value (which is still sound and lets later
-/// relational queries chain with interval facts).
-fn zone_assign(zone: &mut Zone, name: &str, value: &Expr, itv: Itv, stats: &mut ZoneStats) {
-    let dst = ZVar::Global(name.to_string());
-    match dbm::term(value) {
-        Some((Some(src), k)) if dbm::term_wrap_free(zone, &(Some(src.clone()), k)) => {
-            if src == dst {
-                zone.shift(&dst, k);
-            } else {
-                zone.assign_var(&dst, &src, k, stats);
-            }
-        }
-        _ => zone.assign_bounds(&dst, itv.lo, itv.hi, stats),
-    }
+    run_flow(cfg, Rc::clone(names), params, entry)
 }
 
 /// Joins `incoming` into block `succ`'s entry store (`slots` wide),
@@ -928,7 +865,6 @@ fn run_flow<'p>(
     names: Rc<Names<'p>>,
     params: &'p [(String, Ty)],
     entry: Vec<Itv>,
-    entry_zone: Option<Zone>,
 ) -> BodyAnalysis<'p> {
     let n = cfg.blocks.len();
     let layout = Slots { names: &names, params };
@@ -936,36 +872,26 @@ fn run_flow<'p>(
     let mut reached = vec![false; n];
     let mut envs = vec![Itv::TOP; n * slots];
     feed(&mut envs, &mut reached, 0, &entry);
-    let mut zones: Vec<Option<Zone>> = vec![None; n];
-    zones[0] = entry_zone;
     let mut term_envs = vec![Itv::TOP; n * slots];
     let mut inst_reached = vec![false; cfg.insts.len()];
     let mut inst_envs = vec![Itv::TOP; cfg.insts.len() * slots];
-    let mut inst_zones: Vec<Option<Zone>> = vec![None; cfg.insts.len()];
     let mut const_conds = Vec::new();
     let mut definite_overflows = Vec::new();
-    let mut unsat_requires = Vec::new();
-    let mut stats = ZoneStats::default();
     // The working store, and a second one for a branch's then-edge.
     let mut store = Store { slots: layout, vals: entry };
     let mut then_store = Store { slots: layout, vals: vec![Itv::TOP; slots] };
 
     // Blocks are emitted topologically, so one in-order sweep reaches a
-    // fixpoint on this DAG. The zone rides along with the interval env
-    // as a *pure refinement*: reachability (which edges feed) stays
-    // interval-driven, so enabling the zone can only discharge more
-    // theorems, never change which lints fire (monotone precision).
+    // fixpoint on this DAG.
     for b in 0..n {
         if !reached[b] {
             continue;
         }
         store.vals.copy_from_slice(&envs[b * slots..(b + 1) * slots]);
-        let mut zone = zones[b].take();
         for i in cfg.blocks[b].insts.clone() {
             let inst = cfg.insts[i];
             inst_reached[i] = true;
             inst_envs[i * slots..(i + 1) * slots].copy_from_slice(&store.vals);
-            inst_zones[i].clone_from(&zone);
             let mut overflow = false;
             for e in inst.exprs() {
                 let _ = store.eval(e, &mut overflow);
@@ -976,17 +902,11 @@ fn run_flow<'p>(
             match inst {
                 Inst::Set { name, value, .. } => {
                     let itv = store.view().interval_of(value);
-                    if let Some(z) = zone.as_mut() {
-                        zone_assign(z, name, value, itv, &mut stats);
-                    }
                     store.set(layout.global(name), itv);
                 }
                 Inst::Transfer { .. } => {
                     // The balance shrinks by a dynamic amount.
                     store.vals[layout.balance()] = Itv::TOP;
-                    if let Some(z) = zone.as_mut() {
-                        z.forget(&ZVar::Balance);
-                    }
                 }
                 _ => {}
             }
@@ -995,31 +915,14 @@ fn run_flow<'p>(
         match cfg.blocks[b].term {
             Term::Goto(next) => {
                 feed(&mut envs, &mut reached, next, &store.vals);
-                if let Some(z) = zone {
-                    feed_zone(&mut zones, next, z, &mut stats);
-                }
             }
             Term::Require { cond, next, src } => {
                 let mut of = false;
                 if let Some(c) = store.eval(cond, &mut of).as_const() {
                     const_conds.push(ConstCond { src, value: c != 0 });
                 }
-                let interval_ok = store.refine(cond, true);
-                if let Some(z) = zone.as_mut() {
-                    let zone_ok = dbm::assume(z, cond, true, &mut stats);
-                    if interval_ok && !zone_ok {
-                        unsat_requires.push(src);
-                    }
-                }
-                if interval_ok {
+                if store.refine(cond, true) {
                     feed(&mut envs, &mut reached, next, &store.vals);
-                    // A zone-unsat edge is fed anyway (sound: an unsat
-                    // zone entails everything) so reachability and every
-                    // interval-driven lint stay byte-identical with the
-                    // relational pass on or off.
-                    if let Some(z) = zone {
-                        feed_zone(&mut zones, next, z, &mut stats);
-                    }
                 }
             }
             Term::Branch { cond, then_b, else_b, path } => {
@@ -1030,18 +933,9 @@ fn run_flow<'p>(
                 then_store.vals.copy_from_slice(&store.vals);
                 if then_store.refine(cond, true) {
                     feed(&mut envs, &mut reached, then_b, &then_store.vals);
-                    if let Some(z) = &zone {
-                        let mut zt = z.clone();
-                        dbm::assume(&mut zt, cond, true, &mut stats);
-                        feed_zone(&mut zones, then_b, zt, &mut stats);
-                    }
                 }
                 if store.refine(cond, false) {
                     feed(&mut envs, &mut reached, else_b, &store.vals);
-                    if let Some(mut zf) = zone {
-                        dbm::assume(&mut zf, cond, false, &mut stats);
-                        feed_zone(&mut zones, else_b, zf, &mut stats);
-                    }
                 }
             }
             Term::Return => {}
@@ -1057,11 +951,8 @@ fn run_flow<'p>(
         term_envs,
         inst_reached,
         inst_envs,
-        inst_zones,
         const_conds,
         definite_overflows,
-        unsat_requires,
-        zone_stats: stats,
     }
 }
 
@@ -1126,11 +1017,6 @@ impl<'p> BodyAnalysis<'p> {
             .then(|| Env { slots: self.layout(), vals: &self.inst_envs[self.slots(i)] })
     }
 
-    /// The zone just before instruction `i`.
-    pub(crate) fn zone_before(&self, i: usize) -> Option<&Zone> {
-        self.inst_zones[i].as_ref()
-    }
-
     /// The abstract store at a block's terminator: the block-entry store
     /// with the block's assignments applied. Lets the access-summary
     /// pass narrow map keys read inside `if`/`require` conditions
@@ -1150,27 +1036,6 @@ impl<'p> BodyAnalysis<'p> {
         let m = env.eval(minuend, &mut of);
         let s = env.eval(subtrahend, &mut of);
         m.lo >= s.hi
-    }
-
-    /// How (if at all) `minuend - subtrahend` at this statement is
-    /// proven underflow-free: intervals first, then the relational zone
-    /// domain over the accumulated path conditions.
-    pub(crate) fn sub_safety(&self, path: &[u32], minuend: &Expr, subtrahend: &Expr) -> SubProof {
-        if self.proves_sub_safe(path, minuend, subtrahend) {
-            return SubProof::Interval;
-        }
-        if let Some(zone) = self.zone_at(path) {
-            if dbm::entails_ge(zone, minuend, subtrahend) {
-                return SubProof::Relational;
-            }
-        }
-        SubProof::Unproven
-    }
-
-    /// The zone at a statement, for callers layering extra relational
-    /// queries (e.g. the cross-contract conservation check).
-    pub(crate) fn zone_at(&self, path: &[u32]) -> Option<&Zone> {
-        self.cfg.inst_at(path).and_then(|i| self.zone_before(i))
     }
 
     /// Source paths of statements that can never execute, one per
@@ -1352,7 +1217,7 @@ mod tests {
                 assert!(s > b, "edge {b} -> {s} must go forward");
             }
         }
-        let flow = analyze_api(&p, 0, 0, true);
+        let flow = analyze_api(&p, 0, 0);
         assert!((0..cfg.blocks.len()).all(|b| flow.reachable(b)), "counter has no dead code");
         assert!(flow.const_conds.is_empty());
         assert!(flow.definite_overflows.is_empty());
@@ -1397,7 +1262,7 @@ mod tests {
                 value: Expr::sub(Expr::param("by"), Expr::UInt(3)),
             },
         ]);
-        let flow = analyze_api(&p, 0, 0, true);
+        let flow = analyze_api(&p, 0, 0);
         assert!(flow.proves_sub_safe(&[1], &Expr::param("by"), &Expr::UInt(3)));
         assert!(!flow.proves_sub_safe(&[1], &Expr::param("by"), &Expr::UInt(6)));
     }
@@ -1408,7 +1273,7 @@ mod tests {
             name: "count".into(),
             value: Expr::sub(Expr::global("count"), Expr::UInt(1)),
         }]);
-        let flow = analyze_api(&p, 0, 0, true);
+        let flow = analyze_api(&p, 0, 0);
         assert!(!flow.proves_sub_safe(&[0], &Expr::global("count"), &Expr::UInt(1)));
     }
 
@@ -1423,7 +1288,7 @@ mod tests {
                 otherwise: vec![],
             },
         ]);
-        let flow = analyze_api(&p, 0, 0, true);
+        let flow = analyze_api(&p, 0, 0);
         let dead = paths(&flow, flow.unreachable_stmts());
         assert_eq!(dead, vec![vec![1, 0, 0]]);
         assert!(flow
@@ -1438,7 +1303,7 @@ mod tests {
             Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(5) },
             Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(7) },
         ]);
-        let flow = analyze_api(&p, 0, 0, true);
+        let flow = analyze_api(&p, 0, 0);
         let dead = flow.dead_stores();
         assert_eq!(dead.len(), 1);
         assert_eq!(flow.path(dead[0].path), [0]);
@@ -1451,7 +1316,7 @@ mod tests {
             Stmt::GlobalSet { name: "remaining".into(), value: Expr::global("count") },
             Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(7) },
         ]);
-        let flow = analyze_api(&p, 0, 0, true);
+        let flow = analyze_api(&p, 0, 0);
         assert!(flow.dead_stores().is_empty());
     }
 
@@ -1462,7 +1327,7 @@ mod tests {
             then: vec![Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(1) }],
             otherwise: vec![Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(2) }],
         }]);
-        let flow = analyze_api(&p, 0, 0, true);
+        let flow = analyze_api(&p, 0, 0);
         let (defs, ins) = flow.reaching_defs();
         assert_eq!(defs.len(), 2);
         // The join block sees both definitions.
@@ -1487,7 +1352,7 @@ mod tests {
             },
         ]);
         p.maps.push(MapDecl { name: "m".into(), value_bytes: 64 });
-        let flow = analyze_api(&p, 0, 0, true);
+        let flow = analyze_api(&p, 0, 0);
         let ops: Vec<MapOp> = flow.map_ops().collect();
         assert_eq!(ops.len(), 1);
         assert!(!ops[0].delete, "the delete is behind an always-false branch");
@@ -1499,7 +1364,7 @@ mod tests {
             name: "count".into(),
             value: Expr::Bin(BinOp::Add, Box::new(Expr::UInt(u64::MAX)), Box::new(Expr::UInt(1))),
         }]);
-        let flow = analyze_api(&p, 0, 0, true);
+        let flow = analyze_api(&p, 0, 0);
         assert_eq!(paths(&flow, flow.definite_overflows.clone()), vec![vec![0]]);
     }
 
@@ -1512,109 +1377,7 @@ mod tests {
             then: vec![Stmt::Log(vec![Expr::UInt(1)])],
             otherwise: vec![],
         }];
-        let flow = analyze_constructor(&p, true);
+        let flow = analyze_constructor(&p);
         assert_eq!(paths(&flow, flow.unreachable_stmts()), vec![vec![0, 0, 0]]);
-    }
-
-    #[test]
-    fn zone_discharges_mirrored_guard() {
-        // require(floor < by); count = by - floor; — the minuend sits
-        // on the *right* of the comparison (mirrored form), so the
-        // syntactic matcher fails, and with two opaque parameters the
-        // intervals cannot relate them either. Only the zone proves it.
-        let mut p = Program::counter_example();
-        p.phases[0].apis[0].params.push(("floor".into(), Ty::UInt));
-        p.phases[0].apis[0].body = vec![
-            Stmt::Require(Expr::Bin(
-                BinOp::Lt,
-                Box::new(Expr::param("floor")),
-                Box::new(Expr::param("by")),
-            )),
-            Stmt::GlobalSet {
-                name: "count".into(),
-                value: Expr::sub(Expr::param("by"), Expr::param("floor")),
-            },
-        ];
-        let flow = analyze_api(&p, 0, 0, true);
-        assert!(!flow.proves_sub_safe(&[1], &Expr::param("by"), &Expr::param("floor")));
-        assert_eq!(
-            flow.sub_safety(&[1], &Expr::param("by"), &Expr::param("floor")),
-            SubProof::Relational
-        );
-        // Disabled: only the (failing) interval verdict remains.
-        let base = analyze_api(&p, 0, 0, false);
-        assert_eq!(
-            base.sub_safety(&[1], &Expr::param("by"), &Expr::param("floor")),
-            SubProof::Unproven
-        );
-        assert_eq!(base.zone_stats, ZoneStats::default());
-    }
-
-    #[test]
-    fn zone_proves_transitive_chain() {
-        // a > b, b > c ⊢ a - c safe.
-        let mut p = Program::counter_example();
-        for extra in ["a", "b", "c"] {
-            p.phases[0].apis[0].params.push((extra.into(), Ty::UInt));
-        }
-        p.phases[0].apis[0].body = vec![
-            Stmt::Require(Expr::gt(Expr::param("a"), Expr::param("b"))),
-            Stmt::Require(Expr::gt(Expr::param("b"), Expr::param("c"))),
-            Stmt::GlobalSet {
-                name: "count".into(),
-                value: Expr::sub(Expr::param("a"), Expr::param("c")),
-            },
-        ];
-        let flow = analyze_api(&p, 0, 0, true);
-        assert_eq!(
-            flow.sub_safety(&[2], &Expr::param("a"), &Expr::param("c")),
-            SubProof::Relational
-        );
-        assert!(flow.unsat_requires.is_empty());
-        assert!(flow.zone_stats.constraints > 0);
-    }
-
-    #[test]
-    fn zone_survives_tracked_decrement() {
-        // require(count < remaining); remaining = remaining - 1 keeps
-        // remaining ≥ count, so a later remaining - count is safe.
-        let p = counter_with_body(vec![
-            Stmt::Require(Expr::Bin(
-                BinOp::Lt,
-                Box::new(Expr::global("count")),
-                Box::new(Expr::global("remaining")),
-            )),
-            Stmt::GlobalSet {
-                name: "remaining".into(),
-                value: Expr::sub(Expr::global("remaining"), Expr::UInt(1)),
-            },
-            Stmt::GlobalSet {
-                name: "count".into(),
-                value: Expr::sub(Expr::global("remaining"), Expr::global("count")),
-            },
-        ]);
-        let flow = analyze_api(&p, 0, 0, true);
-        assert_eq!(
-            flow.sub_safety(&[2], &Expr::global("remaining"), &Expr::global("count")),
-            SubProof::Relational
-        );
-    }
-
-    #[test]
-    fn contradictory_requires_recorded_as_unsat() {
-        let mut p = Program::counter_example();
-        p.phases[0].apis[0].params.push(("lo".into(), Ty::UInt));
-        p.phases[0].apis[0].body = vec![
-            Stmt::Require(Expr::gt(Expr::param("by"), Expr::param("lo"))),
-            Stmt::Require(Expr::gt(Expr::param("lo"), Expr::param("by"))),
-            Stmt::GlobalSet { name: "count".into(), value: Expr::UInt(1) },
-        ];
-        let flow = analyze_api(&p, 0, 0, true);
-        assert!(matches!(flow.unsat_requires[..], [Src::Stmt(p)] if flow.path(p) == [1]));
-        // Reachability stays interval-driven: the trailing statement is
-        // NOT reported unreachable (monotone with the zone off).
-        assert!(flow.unreachable_stmts().is_empty());
-        let base = analyze_api(&p, 0, 0, false);
-        assert!(base.unsat_requires.is_empty());
     }
 }

@@ -41,7 +41,6 @@ pub mod analyze;
 pub mod ast;
 pub mod backend;
 pub mod check;
-pub mod dbm;
 pub mod diag;
 pub mod gas;
 pub(crate) mod ir;

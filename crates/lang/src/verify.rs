@@ -14,12 +14,13 @@
 //! * **map cleanup** — every map that is written is also deleted from on
 //!   some path (the verification flow of §4.1.5 deletes each DID entry);
 //! * **arithmetic safety** — every subtraction is dominated by a guard
-//!   bounding the minuend (phase conditions count, as they gate entry);
-//!   when the syntactic matcher gives up, the interval analysis of
-//!   `crate::ir` is consulted, and when *that* gives up the
-//!   relational zone domain of [`crate::dbm`] (difference constraints
-//!   collected from the path conditions) is the last fallback before a
-//!   failure is reported — see [`VerifyReport::relationally_discharged`];
+//!   bounding the minuend (phase conditions count, as they gate entry;
+//!   a guard reads the same either way round, so `b < a` bounds `a - b`
+//!   as `a > b` does, and a guard lapses once a global or map it reads
+//!   is written); when the syntactic matcher gives up, the interval
+//!   analysis of `crate::ir` is consulted before a failure is reported.
+//!   Neither relates two guards, so `a > b` and `b > c` do not
+//!   discharge `a - c`;
 //! * **effect ordering** — no state writes after a `Transfer`
 //!   (checks-effects-interactions);
 //! * **knowledge/privacy** — byte payloads are stored as commitments,
@@ -29,8 +30,7 @@
 //! source spans, renderable by `crate::pretty::render_diagnostic`.
 
 use crate::ast::{BinOp, Expr, Program, Stmt};
-use crate::dbm::ZoneStats;
-use crate::diag::{Diagnostic, NodePath, Owner, Span};
+use crate::diag::{Diagnostic, NodePath, Owner};
 use crate::ir::{self, ProgramFlows};
 
 /// The participant-assumption mode of a verification pass.
@@ -50,11 +50,6 @@ pub struct VerifyReport {
     pub theorems_checked: usize,
     /// Structured failures (empty = verified).
     pub failures: Vec<Diagnostic>,
-    /// Theorems neither the syntactic matcher nor the interval domain
-    /// could discharge that the relational zone domain proved.
-    pub relationally_discharged: usize,
-    /// Aggregate difference-logic solver counters across all bodies.
-    pub zone_stats: ZoneStats,
 }
 
 impl VerifyReport {
@@ -71,11 +66,7 @@ impl std::fmt::Display for VerifyReport {
         writeln!(f, "Verifying when ALL participants are honest")?;
         writeln!(f, "Verifying when NO participants are honest")?;
         if self.failures.is_empty() {
-            write!(f, "Checked {} theorems; No failures!", self.theorems_checked)?;
-            if self.relationally_discharged > 0 {
-                write!(f, " ({} discharged relationally)", self.relationally_discharged)?;
-            }
-            Ok(())
+            write!(f, "Checked {} theorems; No failures!", self.theorems_checked)
         } else {
             writeln!(
                 f,
@@ -93,22 +84,14 @@ impl std::fmt::Display for VerifyReport {
 
 /// Verifies a program, returning the aggregated report.
 pub fn verify(program: &Program) -> VerifyReport {
-    verify_with(program, true)
-}
-
-/// [`verify`] with the relational zone fallback toggleable
-/// (`polc --no-relational` disables it for baseline comparisons).
-pub fn verify_with(program: &Program, relational: bool) -> VerifyReport {
-    verify_flows(program, &ProgramFlows::new(program, relational))
+    verify_flows(program, &ProgramFlows::new(program))
 }
 
 /// [`verify`] over flows the caller already computed (the compile
-/// pipeline's, see [`crate::backend::compile`]); whether the zone
-/// fallback applies is a property of those flows.
+/// pipeline's, see [`crate::backend::compile`]).
 pub(crate) fn verify_flows(program: &Program, flows: &ProgramFlows) -> VerifyReport {
     let mut theorems = 0usize;
     let mut failures = Vec::new();
-    let mut relationally_discharged = 0usize;
 
     // --- Knowledge assertions: byte payloads are committed, not stored.
     for (_, api) in program.all_apis() {
@@ -187,17 +170,12 @@ pub(crate) fn verify_flows(program: &Program, flows: &ProgramFlows) -> VerifyRep
     // --- Per-API passes in both modes. The interval analysis is mode-
     // independent (it already treats every parameter as adversarial), so
     // both modes read the same flow.
-    let mut zone_stats = ZoneStats::default();
-    for flow in flows.apis.iter().flatten() {
-        zone_stats.absorb(flow.zone_stats);
-    }
     for mode in [Mode::AllHonest, Mode::NoneHonest] {
         for (phase_idx, phase) in program.phases.iter().enumerate() {
             for (api_idx, api) in phase.apis.iter().enumerate() {
-                let (t, fails, rel) =
+                let (t, fails) =
                     verify_api(program, phase_idx, api_idx, mode, &flows.apis[phase_idx][api_idx]);
                 theorems += t;
-                relationally_discharged += rel;
                 for mut d in fails {
                     d.message = format!("[{mode:?}] api {:?}: {}", api.name, d.message);
                     failures.push(d);
@@ -209,25 +187,24 @@ pub(crate) fn verify_flows(program: &Program, flows: &ProgramFlows) -> VerifyRep
         theorems += program.phases.len();
     }
 
-    VerifyReport { theorems_checked: theorems, failures, relationally_discharged, zone_stats }
+    VerifyReport { theorems_checked: theorems, failures }
 }
 
-/// Verifies one API under the given mode. Returns the theorem count,
-/// the failures, and how many theorems only the zone domain proved.
+/// Verifies one API under the given mode. Returns the theorem count and
+/// the failures.
 fn verify_api(
     program: &Program,
     phase_idx: usize,
     api_idx: usize,
     mode: Mode,
     flow: &ir::BodyAnalysis,
-) -> (usize, Vec<Diagnostic>, usize) {
+) -> (usize, Vec<Diagnostic>) {
     let phase = &program.phases[phase_idx];
     let api = &phase.apis[api_idx];
     let owner = Owner::Api { phase: phase_idx as u32, api: api_idx as u32 };
     let at = |path: &[u32]| program.spans.get(&NodePath::Stmt(owner, path.to_vec()));
     let mut theorems = 0usize;
     let mut failures = Vec::new();
-    let mut relational = 0usize;
 
     // Pay well-formedness.
     if api.pay.is_some() {
@@ -268,23 +245,18 @@ fn verify_api(
                 theorems += 1;
                 // Syntactic dominating-guard matcher first; the interval
                 // analysis proves more (e.g. `require(x >= 5); g = x - 3;`,
-                // where no guard names the subtrahend); the relational
-                // zone domain proves the remainder (mirrored guards
-                // like `require(b < a); g = a - b;`, transitive chains).
-                if !guards_bound_minuend(guards, minuend, subtrahend) {
-                    match flow.sub_safety(path, minuend, subtrahend) {
-                        ir::SubProof::Interval => {}
-                        ir::SubProof::Relational => relational += 1,
-                        ir::SubProof::Unproven => failures.push(
-                            Diagnostic::error(
-                                "V0102",
-                                format!("subtraction {minuend:?} - {subtrahend:?} may underflow"),
-                            )
-                            .at(at(path))
-                            .note(Span::DUMMY, "not provable relationally from the path conditions")
-                            .suggest("add a dominating guard bounding the minuend from below"),
-                        ),
-                    }
+                // where no guard names the subtrahend).
+                if !guards_bound_minuend(guards, minuend, subtrahend)
+                    && !flow.proves_sub_safe(path, minuend, subtrahend)
+                {
+                    failures.push(
+                        Diagnostic::error(
+                            "V0102",
+                            format!("subtraction {minuend:?} - {subtrahend:?} may underflow"),
+                        )
+                        .at(at(path))
+                        .suggest("add a dominating guard bounding the minuend from below"),
+                    );
                 }
             });
             if transferred {
@@ -309,7 +281,7 @@ fn verify_api(
         _ => {}
     });
 
-    (theorems, failures, relational)
+    (theorems, failures)
 }
 
 /// Visits every statement, recursing into `If` arms.
@@ -344,7 +316,7 @@ fn for_each_stmt_path(stmts: &[Stmt], prefix: &mut Vec<u32>, f: &mut impl FnMut(
 /// A fact that dominates a statement, borrowed from the AST. An
 /// else-arm's negated condition is no guard: neither matcher below has
 /// a pattern it could satisfy.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Guard<'a> {
     /// The condition holds (a phase condition, an earlier `require`,
     /// the `if` whose then-arm encloses the statement).
@@ -355,20 +327,73 @@ pub(crate) enum Guard<'a> {
 }
 
 impl<'a> Guard<'a> {
-    /// The guard as a binary relation `lhs OP rhs`, when it is one.
+    /// The guard as a binary relation `lhs OP rhs`, when it is one; a
+    /// `<` or `<=` guard reads mirrored, as `>` or `>=`.
     fn relation(self) -> Option<(BinOp, &'a Expr, &'a Expr)> {
         static BALANCE: Expr = Expr::Balance;
         match self {
+            Guard::Holds(Expr::Bin(BinOp::Lt, lhs, rhs)) => Some((BinOp::Gt, rhs, lhs)),
+            Guard::Holds(Expr::Bin(BinOp::Le, lhs, rhs)) => Some((BinOp::Ge, rhs, lhs)),
             Guard::Holds(Expr::Bin(op, lhs, rhs)) => Some((*op, lhs, rhs)),
             Guard::BalanceCovers(amount) => Some((BinOp::Ge, &BALANCE, amount)),
             Guard::Holds(_) => None,
         }
     }
+
+    /// Whether the guard reads a value `hit` matches.
+    fn reads(self, hit: &impl Fn(&Expr) -> bool) -> bool {
+        match self {
+            Guard::Holds(cond) => reads(cond, hit),
+            Guard::BalanceCovers(amount) => reads(amount, hit),
+        }
+    }
+
+    /// What the guard still says once `amount` has left the balance:
+    /// `balance >= a + b` becomes `balance >= b` after `a` is paid (the
+    /// §2.8 witness reward pays both summands in turn). Any other guard
+    /// that reads the balance no longer holds.
+    fn after_transfer(self, amount: &Expr) -> Option<Guard<'a>> {
+        let reads_balance = |g: Guard<'_>| match g {
+            Guard::BalanceCovers(_) => true,
+            Guard::Holds(_) => g.reads(&|e| *e == Expr::Balance),
+        };
+        if !reads_balance(self) {
+            return Some(self);
+        }
+        let Some((BinOp::Ge | BinOp::Gt, Expr::Balance, Expr::Bin(BinOp::Add, lhs, rhs))) =
+            self.relation()
+        else {
+            return None;
+        };
+        let rest = if **lhs == *amount {
+            Guard::BalanceCovers(rhs)
+        } else if **rhs == *amount {
+            Guard::BalanceCovers(lhs)
+        } else {
+            return None;
+        };
+        (!rest.reads(&|e| *e == Expr::Balance)).then_some(rest)
+    }
+}
+
+/// Whether `hit` matches `expr` or any expression inside it.
+fn reads(expr: &Expr, hit: &impl Fn(&Expr) -> bool) -> bool {
+    hit(expr)
+        || match expr {
+            Expr::Bin(_, lhs, rhs) => reads(lhs, hit) || reads(rhs, hit),
+            Expr::Not(inner) => reads(inner, hit),
+            Expr::Hash(parts) => parts.iter().any(|p| reads(p, hit)),
+            Expr::MapGet { key, .. } | Expr::MapContains { key, .. } => reads(key, hit),
+            _ => false,
+        }
 }
 
 /// Visits statements with the dominating guard set (phase conditions,
 /// earlier `Require`s, enclosing `If` conditions) and the statement
-/// path.
+/// path. A guard lasts only while what it reads is unchanged: a write
+/// to a global or a map drops every guard that reads it, a transfer
+/// spends what a balance guard covered, and after an `if` only the
+/// guards both arms kept remain.
 pub(crate) fn walk_guarded<'a>(
     stmts: &'a [Stmt],
     guards: &mut Vec<Guard<'a>>,
@@ -380,17 +405,36 @@ pub(crate) fn walk_guarded<'a>(
         f(stmt, guards, prefix);
         match stmt {
             Stmt::Require(cond) => guards.push(Guard::Holds(cond)),
+            Stmt::GlobalSet { name, .. } => {
+                guards.retain(|g| !g.reads(&|e| matches!(e, Expr::Global(n) if n == name)));
+            }
+            Stmt::MapSet { map, .. } | Stmt::MapDelete { map, .. } => guards.retain(|g| {
+                !g.reads(&|e| {
+                    matches!(e, Expr::MapGet { map: m, .. } | Expr::MapContains { map: m, .. }
+                        if m == map)
+                })
+            }),
+            Stmt::Transfer { amount, .. } => {
+                guards.retain_mut(|g| match g.after_transfer(amount) {
+                    Some(rest) => {
+                        *g = rest;
+                        true
+                    }
+                    None => false,
+                })
+            }
             Stmt::If { cond, then, otherwise } => {
+                let mut other = guards.clone();
                 guards.push(Guard::Holds(cond));
                 prefix.push(0);
                 walk_guarded(then, guards, prefix, f);
                 prefix.pop();
-                guards.pop();
                 prefix.push(1);
-                walk_guarded(otherwise, guards, prefix, f);
+                walk_guarded(otherwise, &mut other, prefix, f);
                 prefix.pop();
+                guards.retain(|g| other.contains(g));
             }
-            _ => {}
+            Stmt::Log(_) => {}
         }
         prefix.pop();
     }
@@ -530,61 +574,150 @@ mod tests {
         assert!(report.ok(), "{report}");
     }
 
-    #[test]
-    fn zone_discharges_mirrored_guard() {
-        // `require(floor < by); count = by - floor;` — mirrored operand
-        // order defeats the syntactic matcher, and two opaque params
-        // defeat the intervals; only the zone domain proves it.
+    /// The counter program with extra `uint` parameters and this body.
+    fn counter_with(params: &[&str], body: Vec<Stmt>) -> Program {
         let mut p = Program::counter_example();
-        p.phases[0].apis[0].params.push(("floor".into(), Ty::UInt));
-        p.phases[0].apis[0].body = vec![
-            Stmt::Require(Expr::Bin(
-                BinOp::Lt,
-                Box::new(Expr::param("floor")),
-                Box::new(Expr::param("by")),
-            )),
-            Stmt::GlobalSet {
-                name: "count".into(),
-                value: Expr::sub(Expr::param("by"), Expr::param("floor")),
-            },
-        ];
-        let report = verify(&p);
-        assert!(report.ok(), "{report}");
-        // Proved once per mode.
-        assert_eq!(report.relationally_discharged, 2);
-        assert!(report.zone_stats.constraints > 0);
-        assert!(report.to_string().contains("discharged relationally"), "{report}");
+        let api = &mut p.phases[0].apis[0];
+        api.params.extend(params.iter().map(|name| (name.to_string(), Ty::UInt)));
+        api.body = body;
+        p
+    }
 
-        // With the solver off, the same program fails (baseline).
-        let base = verify_with(&p, false);
-        assert!(!base.ok());
-        assert!(base.failures.iter().all(|f| f.code == "V0102"));
-        assert_eq!(base.relationally_discharged, 0);
-        assert_eq!(base.zone_stats, crate::dbm::ZoneStats::default());
+    /// `count = minuend - subtrahend` after `require(guard)`.
+    fn sub_after(params: &[&str], guard: Expr, minuend: &str, subtrahend: &str) -> Program {
+        counter_with(
+            params,
+            vec![
+                Stmt::Require(guard),
+                Stmt::GlobalSet {
+                    name: "count".into(),
+                    value: Expr::sub(Expr::param(minuend), Expr::param(subtrahend)),
+                },
+            ],
+        )
     }
 
     #[test]
-    fn zone_discharges_transitive_chain() {
-        let mut p = Program::counter_example();
-        for extra in ["a", "b", "c"] {
-            p.phases[0].apis[0].params.push((extra.into(), Ty::UInt));
+    fn mirrored_guard_discharges_subtraction() {
+        // `require(floor < by); count = by - floor;` — the minuend sits
+        // on the right; the matcher reads the guard as `by > floor`. Two
+        // opaque parameters leave the intervals nothing to relate.
+        for op in [BinOp::Lt, BinOp::Le] {
+            let guard = Expr::Bin(op, Box::new(Expr::param("floor")), Box::new(Expr::param("by")));
+            let report = verify(&sub_after(&["floor"], guard, "by", "floor"));
+            assert!(report.ok(), "{op:?}: {report}");
         }
-        p.phases[0].apis[0].body = vec![
-            Stmt::Require(Expr::gt(Expr::param("a"), Expr::param("b"))),
-            Stmt::Require(Expr::gt(Expr::param("b"), Expr::param("c"))),
-            Stmt::GlobalSet {
-                name: "count".into(),
-                value: Expr::sub(Expr::param("a"), Expr::param("c")),
-            },
-        ];
-        let report = verify(&p);
-        assert!(report.ok(), "{report}");
-        assert_eq!(report.relationally_discharged, 2);
-        assert!(!verify_with(&p, false).ok());
     }
 
     #[test]
-    fn may_wrap_guard_still_rejected_with_zone() {
+    fn wrong_way_mirrored_guard_still_fails() {
+        // `require(by < floor)` bounds `floor - by`, not `by - floor`.
+        let guard =
+            Expr::Bin(BinOp::Lt, Box::new(Expr::param("by")), Box::new(Expr::param("floor")));
+        let report = verify(&sub_after(&["floor"], guard, "by", "floor"));
+        assert!(!report.ok());
+        assert!(report.failures.iter().all(|f| f.code == "V0102"), "{report}");
+    }
+
+    /// `lhs < rhs`.
+    fn lt(lhs: Expr, rhs: Expr) -> Expr {
+        Expr::Bin(BinOp::Lt, Box::new(lhs), Box::new(rhs))
+    }
+
+    /// `name = value`.
+    fn set(name: &str, value: Expr) -> Stmt {
+        Stmt::GlobalSet { name: name.into(), value }
+    }
+
+    #[test]
+    fn phase_condition_lapses_once_its_global_is_written() {
+        // `while (count < 10)` read mirrored is `10 > count`, but after
+        // `count = count + 5` it no longer bounds `10 - count`.
+        let mut p = counter_with(
+            &[],
+            vec![
+                set(
+                    "count",
+                    Expr::Bin(BinOp::Add, Box::new(Expr::global("count")), Box::new(Expr::UInt(5))),
+                ),
+                set("remaining", Expr::sub(Expr::UInt(10), Expr::global("count"))),
+            ],
+        );
+        p.phases[0].while_cond = lt(Expr::global("count"), Expr::UInt(10));
+        let report = verify(&p);
+        assert_eq!(report.failures.len(), 2, "{report}");
+        assert!(report.failures.iter().all(|f| f.code == "V0102"));
+    }
+
+    #[test]
+    fn guard_lapses_once_its_global_is_written() {
+        // `require(floor < count); count = 0; remaining = count - floor;`
+        // and the same with the write in one arm of an `if`.
+        let guard = || Stmt::Require(lt(Expr::param("floor"), Expr::global("count")));
+        let gap = || set("remaining", Expr::sub(Expr::global("count"), Expr::param("floor")));
+        let reset = || set("count", Expr::UInt(0));
+        let bodies = [
+            vec![guard(), gap()],
+            vec![guard(), reset(), gap()],
+            vec![
+                guard(),
+                Stmt::If {
+                    cond: Expr::gt(Expr::param("by"), Expr::UInt(1)),
+                    then: vec![reset()],
+                    otherwise: vec![],
+                },
+                gap(),
+            ],
+        ];
+        let failures: Vec<usize> = bodies
+            .into_iter()
+            .map(|body| verify(&counter_with(&["floor"], body)).failures.len())
+            .collect();
+        assert_eq!(failures, [0, 2, 2]);
+    }
+
+    #[test]
+    fn transfer_spends_its_balance_guard() {
+        let pay = |amount: &str| Stmt::Transfer { to: Expr::Caller, amount: Expr::param(amount) };
+        let sum = Expr::Bin(BinOp::Add, Box::new(Expr::param("a")), Box::new(Expr::param("b")));
+        let bodies = [
+            // `require(a < balance)` covers one payment of `a`, not two.
+            vec![Stmt::Require(lt(Expr::param("a"), Expr::Balance)), pay("a")],
+            vec![Stmt::Require(lt(Expr::param("a"), Expr::Balance)), pay("a"), pay("a")],
+            // `require(balance >= a + b)` covers `a` then `b`, not `a` twice.
+            vec![Stmt::Require(Expr::ge(Expr::Balance, sum.clone())), pay("a"), pay("b")],
+            vec![Stmt::Require(Expr::ge(Expr::Balance, sum)), pay("a"), pay("a")],
+        ];
+        let v0101 = |body| {
+            let report = verify(&counter_with(&["a", "b"], body));
+            report.failures.iter().filter(|f| f.code == "V0101").count()
+        };
+        let failures: Vec<usize> = bodies.into_iter().map(v0101).collect();
+        assert_eq!(failures, [0, 2, 0, 2]);
+    }
+
+    #[test]
+    fn transitive_chain_is_not_discharged() {
+        // `a > b` and `b > c` imply `a > c`, but neither matcher relates
+        // two guards: the subtraction is rejected, once per mode.
+        let p = counter_with(
+            &["a", "b", "c"],
+            vec![
+                Stmt::Require(Expr::gt(Expr::param("a"), Expr::param("b"))),
+                Stmt::Require(Expr::gt(Expr::param("b"), Expr::param("c"))),
+                Stmt::GlobalSet {
+                    name: "count".into(),
+                    value: Expr::sub(Expr::param("a"), Expr::param("c")),
+                },
+            ],
+        );
+        let report = verify(&p);
+        assert_eq!(report.failures.len(), 2, "{report}");
+        assert!(report.failures.iter().all(|f| f.code == "V0102"));
+    }
+
+    #[test]
+    fn may_wrap_guard_still_rejected() {
         // The verify_soundness pin: `require(a <= p - q)` must not
         // launder a possibly-wrapping `p - q` into a bound on `a`.
         let mut p = Program::counter_example();

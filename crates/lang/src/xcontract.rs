@@ -10,10 +10,10 @@
 //!   a different storage slot, give it a different type, or constrain
 //!   it with phase invariants whose value ranges are *provably
 //!   disjoint* (one contract can never produce a state the other
-//!   accepts). Ranges come from the difference-logic solver
-//!   ([`crate::dbm`]): each phase invariant is assumed into a fresh
-//!   zone and the per-variable bounds are unioned with the declared
-//!   constant initialiser.
+//!   accepts). Ranges come from the interval domain of `crate::ir`:
+//!   each phase invariant refines a store that knows nothing else, and
+//!   the global's bounds are unioned with its declared constant
+//!   initialiser.
 //! * **X0502** — the *compiled* artifacts write state the source never
 //!   declares: an EVM `SSTORE` to a constant key outside the declared
 //!   layout (phase slot, creator slot, one slot per global), map-style
@@ -21,16 +21,15 @@
 //!   whose box/global write sites contradict the declarations.
 //! * **X0503** — a map shared across contracts with incompatible value
 //!   capacities (the commitment payloads cannot round-trip).
-//! * **X0504** — a transfer whose amount is not covered by a proven
-//!   balance bound, using the same ladder as [`crate::verify`]:
-//!   syntactic guard coverage first, then the relational zone at the
-//!   transfer site. When every edge is covered, the system as a whole
-//!   conserves value: the sum of outgoing transfers never exceeds the
-//!   deposits the guards account for (factory aggregate conservation).
+//! * **X0504** — a transfer whose amount is not covered by a dominating
+//!   balance guard, matched as [`crate::verify`] matches V0101 (so
+//!   `amt < balance` covers `amt`). When every edge is covered, the
+//!   system as a whole conserves value: the sum of outgoing transfers
+//!   never exceeds the deposits the guards account for (factory
+//!   aggregate conservation).
 
-use crate::ast::{Expr, GlobalInit, Program, Stmt, Ty};
+use crate::ast::{GlobalInit, Program, Stmt, Ty};
 use crate::backend::{evm as evm_backend, CompiledContract};
-use crate::dbm::{self, ZVar, Zone, ZoneStats};
 use crate::diag::{Diagnostic, NodePath, Owner};
 use crate::{ir, verify};
 use std::collections::HashSet;
@@ -73,16 +72,11 @@ pub struct SystemReport {
     pub edges: Vec<SystemEdge>,
     /// Transfer sites across all members.
     pub transfer_edges: usize,
-    /// Transfer sites with a proven balance bound (syntactic or
-    /// relational).
+    /// Transfer sites a balance guard covers.
     pub conserved_transfers: usize,
-    /// Of the conserved transfers, how many needed the zone.
-    pub relationally_proved: usize,
     /// Whether every transfer edge is covered — the aggregate
     /// conservation theorem (total outflow ≤ proven deposits).
     pub aggregate_conserved: bool,
-    /// Difference-logic solver work done by this pass.
-    pub zone_stats: ZoneStats,
     /// X0501–X0504 findings.
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -99,7 +93,7 @@ impl std::fmt::Display for SystemReport {
         write!(
             f,
             "system of {} contract{}: {} linkage edge{}, {} transfer site{} \
-             ({} conserved, {} relationally); ",
+             ({} conserved); ",
             self.contracts,
             if self.contracts == 1 { "" } else { "s" },
             self.edges.len(),
@@ -107,7 +101,6 @@ impl std::fmt::Display for SystemReport {
             self.transfer_edges,
             if self.transfer_edges == 1 { "" } else { "s" },
             self.conserved_transfers,
-            self.relationally_proved,
         )?;
         if !self.ok() {
             let errors = self.diagnostics.iter().filter(|d| d.is_error()).count();
@@ -121,11 +114,10 @@ impl std::fmt::Display for SystemReport {
 }
 
 /// The value range `[lo, hi]` a contract's declarations and phase
-/// invariants permit for one uint global, via the zone solver. Returns
-/// the full `[0, u64::MAX]` when nothing constrains it (an unknown
-/// initialiser, or an invariant the solver cannot translate).
-fn global_range(program: &Program, name: &str, stats: &mut ZoneStats) -> (u64, u64) {
-    let var = ZVar::Global(name.to_string());
+/// invariants permit for one uint global. Returns the full
+/// `[0, u64::MAX]` when nothing constrains it (an unknown initialiser,
+/// or an invariant the interval domain cannot narrow).
+fn global_range(program: &Program, name: &str) -> (u64, u64) {
     let Some(g) = program.globals.iter().find(|g| g.name == name) else {
         return (0, u64::MAX);
     };
@@ -135,13 +127,11 @@ fn global_range(program: &Program, name: &str, stats: &mut ZoneStats) -> (u64, u
         _ => return (0, u64::MAX),
     };
     for phase in &program.phases {
-        let mut z = Zone::new();
-        dbm::assume(&mut z, &phase.invariant, true, stats);
         // Unsatisfiable invariants mean the phase is unreachable and
         // contributes no states.
-        if let (Some(mn), Some(mx)) = (z.var_min(&var), z.var_max(&var)) {
-            lo = lo.min(mn);
-            hi = hi.max(mx);
+        if let Some(range) = ir::invariant_range(program, &phase.invariant, name) {
+            lo = lo.min(range.lo);
+            hi = hi.max(range.hi);
         }
     }
     (lo, hi)
@@ -151,7 +141,6 @@ fn global_range(program: &Program, name: &str, stats: &mut ZoneStats) -> (u64, u
 pub fn analyze_system(members: &[SystemMember<'_>]) -> SystemReport {
     let mut diagnostics = Vec::new();
     let mut edges = Vec::new();
-    let mut stats = ZoneStats::default();
 
     // --- linkage graph + X0501/X0503: pairwise shared-state checks ---
     for (i, a) in members.iter().enumerate() {
@@ -198,8 +187,8 @@ pub fn analyze_system(members: &[SystemMember<'_>]) -> SystemReport {
                     continue;
                 }
                 if ga.ty == Ty::UInt {
-                    let (alo, ahi) = global_range(a.program, &ga.name, &mut stats);
-                    let (blo, bhi) = global_range(b.program, &gb.name, &mut stats);
+                    let (alo, ahi) = global_range(a.program, &ga.name);
+                    let (blo, bhi) = global_range(b.program, &gb.name);
                     if alo > bhi || blo > ahi {
                         diagnostics.push(
                             Diagnostic::error(
@@ -249,12 +238,10 @@ pub fn analyze_system(members: &[SystemMember<'_>]) -> SystemReport {
     // --- X0504 + aggregate conservation: every transfer edge covered ---
     let mut transfer_edges = 0usize;
     let mut conserved_transfers = 0usize;
-    let mut relationally_proved = 0usize;
     for member in members {
         let program = member.program;
         for (phase_idx, phase) in program.phases.iter().enumerate() {
             for (api_idx, api) in phase.apis.iter().enumerate() {
-                let mut flow: Option<ir::BodyAnalysis> = None;
                 let mut guards = Vec::new();
                 let mut prefix: Vec<u32> = Vec::new();
                 verify::walk_guarded(
@@ -266,17 +253,6 @@ pub fn analyze_system(members: &[SystemMember<'_>]) -> SystemReport {
                         transfer_edges += 1;
                         if verify::guards_cover_balance(guards, amount) {
                             conserved_transfers += 1;
-                            return;
-                        }
-                        let flow = flow.get_or_insert_with(|| {
-                            ir::analyze_api(program, phase_idx, api_idx, true)
-                        });
-                        if flow
-                            .zone_at(path)
-                            .is_some_and(|z| dbm::entails_ge(z, &Expr::Balance, amount))
-                        {
-                            conserved_transfers += 1;
-                            relationally_proved += 1;
                             return;
                         }
                         diagnostics.push(
@@ -298,9 +274,6 @@ pub fn analyze_system(members: &[SystemMember<'_>]) -> SystemReport {
                         );
                     },
                 );
-                if let Some(flow) = flow {
-                    stats.absorb(flow.zone_stats);
-                }
             }
         }
     }
@@ -311,9 +284,7 @@ pub fn analyze_system(members: &[SystemMember<'_>]) -> SystemReport {
         edges,
         transfer_edges,
         conserved_transfers,
-        relationally_proved,
         aggregate_conserved,
-        zone_stats: stats,
         diagnostics,
     }
 }
@@ -470,7 +441,6 @@ mod tests {
         let x0501: Vec<_> = report.diagnostics.iter().filter(|d| d.code == "X0501").collect();
         assert_eq!(x0501.len(), 1, "{:?}", report.diagnostics);
         assert!(x0501[0].message.contains("no state satisfies both"));
-        assert!(report.zone_stats.constraints > 0);
     }
 
     #[test]
@@ -491,8 +461,8 @@ mod tests {
 
     #[test]
     fn relational_guard_conserves_transfer() {
-        // `amt < balance` is not the syntactic `balance >= amt` shape;
-        // only the zone proves coverage.
+        // `amt < balance` covers `amt`: the matcher reads the guard
+        // mirrored, as `balance > amt`.
         let p = parse(
             "contract pot {\n    participant P { }\n    global n: uint = 0;\n\
              \n    phase run while (n < 10) invariant (n <= 10) {\n        api out(amt: uint) -> n {\n            require((amt < balance));\n            transfer(caller, amt);\n            n = (n + 1);\n        }\n    }\n}\n",
@@ -502,7 +472,6 @@ mod tests {
         assert!(report.ok(), "{:?}", report.diagnostics);
         assert_eq!(report.transfer_edges, 1);
         assert_eq!(report.conserved_transfers, 1);
-        assert_eq!(report.relationally_proved, 1);
         assert!(report.aggregate_conserved);
         assert!(report.to_string().contains("aggregate conservation holds"));
     }

@@ -1,6 +1,6 @@
-//! End-to-end tests of the `polc` binary: the `--no-relational` switch,
-//! the `verify` subcommand with its JSON statistics output, the code
-//! registry, and which subcommands take which flags.
+//! End-to-end tests of the `polc` binary: the `verify` subcommand with
+//! its JSON output, the code registry, and which subcommands take which
+//! flags.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -30,31 +30,8 @@ fn contract(name: &str) -> String {
 }
 
 #[test]
-fn relational_guard_is_clean_only_with_the_zone() {
-    let with = polc(&["lint", &fixture("relational_guard.pol")]);
-    assert!(with.status.success(), "{}", String::from_utf8_lossy(&with.stderr));
-
-    // Without the zone the mirrored guard is invisible: V0102 fires and
-    // the (empty) golden mismatches.
-    let without = polc(&["lint", "--no-relational", &fixture("relational_guard.pol")]);
-    assert!(!without.status.success());
-    let stderr = String::from_utf8_lossy(&without.stderr);
-    assert!(stderr.contains("V0102"), "{stderr}");
-}
-
-#[test]
-fn unsat_require_warns_only_with_the_zone() {
-    let with = polc(&["lint", &fixture("unsat_require.pol")]);
-    assert!(with.status.success(), "{}", String::from_utf8_lossy(&with.stderr));
-
-    // Without the zone there is no L0006, so the golden mismatches.
-    let without = polc(&["lint", "--no-relational", &fixture("unsat_require.pol")]);
-    assert!(!without.status.success());
-}
-
-#[test]
 fn verify_reports_system_and_writes_json() {
-    let json_path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("relational_verify.json");
+    let json_path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("verify.json");
     let out = polc(&[
         "verify",
         "--json",
@@ -64,29 +41,21 @@ fn verify_reports_system_and_writes_json() {
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}\n{}", String::from_utf8_lossy(&out.stderr));
-    assert!(stdout.contains("discharged relationally"), "{stdout}");
     assert!(stdout.contains("aggregate conservation holds"), "{stdout}");
 
     let json = std::fs::read_to_string(&json_path).expect("JSON written");
     assert!(json.contains("\"theorems_checked\": 42"), "{json}");
-    assert!(json.contains("\"discharged\": 2"), "{json}");
+    assert!(json.contains("\"theorems_checked\": 52"), "{json}");
+    assert!(json.contains("\"failures\": 0}"), "{json}");
     assert!(json.contains("\"aggregate_conserved\": true"), "{json}");
 }
 
 #[test]
-fn verify_without_the_zone_rejects_the_v2_contract() {
-    let out = polc(&["verify", "--no-relational", &contract("proof_of_location_v2.pol")]);
-    assert!(!out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("FAILURES"), "{stdout}");
-}
-
-#[test]
-fn codes_registry_includes_the_relational_codes() {
+fn codes_registry_includes_the_system_codes() {
     let out = polc(&["codes"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for code in ["L0006", "L0008", "X0501", "X0502", "X0503", "X0504"] {
+    for code in ["L0008", "X0501", "X0502", "X0503", "X0504"] {
         assert!(stdout.contains(code), "missing {code} in:\n{stdout}");
     }
 }
@@ -156,14 +125,12 @@ fn flags_outside_their_subcommand_are_usage_errors() {
     let _ = std::fs::remove_file(&json_path);
     let json = json_path.to_string_lossy().into_owned();
     for args in [
-        &["summaries", "--no-relational", &v1][..],
-        &["gas", "--no-relational", &v1][..],
-        &["codes", "--no-relational"][..],
         &["codes", "--json", &json][..],
         &["lint", "--json", &json, &fixture("relational_guard.pol")][..],
         &["gas", "--json", &json, "--json", &json, &v1][..],
-        &["verify", "--no-relational", "--no-relational", &v1][..],
         &["gas", "--bogus", &v1][..],
+        &["lint", "--no-relational", &fixture("relational_guard.pol")][..],
+        &["verify", "--no-relational", &v1][..],
     ] {
         let out = polc(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -180,7 +147,7 @@ fn json_without_a_path_is_a_usage_error() {
         &["gas", &v1, "--json"][..],
         &["summaries", &v1, "--json"][..],
         &["verify", &v1, "--json"][..],
-        &["verify", "--json", "--no-relational", &v1][..],
+        &["verify", "--json", "--json", &v1][..],
     ] {
         let out = polc(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

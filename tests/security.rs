@@ -3,19 +3,63 @@
 
 use proof_of_location as pol;
 
+use pol::chainsim::explorer::contract_history;
 use pol::chainsim::presets;
 use pol::core::proof::{LocationProof, ProofRequest, SubmittedEntry};
-use pol::core::system::{PolSystem, SystemConfig};
+use pol::core::system::{PolSystem, ProverId, SystemConfig, WitnessId};
 use pol::core::PolError;
+use pol::crypto::{ed25519::Keypair, sha256};
 use pol::dfs::Cid;
 use pol::did::Identity;
 use pol::geo::{olc, Coordinates};
+use pol::ledger::{Address, ContractId};
+use std::collections::BTreeSet;
 
 const BASE: (f64, f64) = (44.4949, 11.3426);
 
 fn system_with(max_users: u64, seed: u64) -> PolSystem {
     let config = SystemConfig { max_users, seed, ..SystemConfig::default() };
     PolSystem::new(presets::devnet_algo().build(seed), config)
+}
+
+/// Adversary `i`: keys `sha256("adversary" ‖ i)`, funded with `amount`.
+/// Every protocol participant's keys come from a generator seeded with
+/// the system's seed, and so do the chain faucet's, so a faucet account
+/// can be a participant; a labelled hash cannot.
+fn adversary(system: &mut PolSystem, i: u8, amount: u128) -> (Keypair, Address) {
+    let keys = Keypair::from_seed(&sha256(&[&b"adversary"[..], &[i]].concat()));
+    let wallet = Address::from_public_key(&keys.public);
+    system.chain_mut().fund(wallet, amount);
+    (keys, wallet)
+}
+
+/// Asserts that `outsider` is none of the wallets the protocol gave a
+/// part in `contract`'s area: a prover's, a witness's, the creator's
+/// (the deployment's sender) or the verifier's (the one sender of every
+/// call from history row `verifier_rows` on).
+fn assert_outsider(
+    system: &PolSystem,
+    outsider: Address,
+    contract: ContractId,
+    provers: &[ProverId],
+    witnesses: &[WitnessId],
+    verifier_rows: usize,
+) {
+    let name = &system.chain().config.name;
+    let history = contract_history(system.chain(), contract);
+    assert_eq!(history[0].method, "Contract Creation", "{name}");
+    let verifiers: BTreeSet<Address> = history[verifier_rows..].iter().map(|r| r.from).collect();
+    assert_eq!(verifiers.len(), 1, "{name}: one verifier");
+    let mut known: BTreeSet<Address> =
+        provers.iter().map(|&p| system.prover(p).unwrap().wallet).collect();
+    known.extend(
+        witnesses.iter().map(|&w| {
+            Address::from_public_key(&system.witness_identity(w).unwrap().signing.public)
+        }),
+    );
+    known.insert(history[0].from);
+    known.extend(verifiers);
+    assert!(!known.contains(&outsider), "{name}: the adversary is a participant");
 }
 
 #[test]
@@ -78,10 +122,14 @@ fn tampered_entry_is_rejected_on_chain() {
             ],
         )
         .unwrap();
-    let (attacker_keys, attacker_addr) = system.chain_mut().create_funded_account(10_000_000);
-    let _ = attacker_addr;
-    let receipt = system.chain_mut().call_app(&attacker_keys, app_id, args, 0).unwrap();
+    let (attacker, attacker_wallet) = adversary(&mut system, 1, 10_000_000);
+    let receipt = system.chain_mut().call_app(&attacker, app_id, args, 0).unwrap();
     assert!(!receipt.status.is_success(), "commitment mismatch must reject: {:?}", receipt.status);
+
+    // The honest entry is still the verifier's to pay.
+    let verifier_rows = contract_history(system.chain(), out.contract).len();
+    assert_eq!(system.run_verifier(&out.area).unwrap(), 1);
+    assert_outsider(&system, attacker_wallet, out.contract, &[p], &[w], verifier_rows);
 }
 
 #[test]
@@ -205,7 +253,7 @@ fn a_stranger_squats_a_seat_and_locks_the_area() {
     // refused, the verifier verifies only the honest entry, and
     // `toVerify` never reaches zero, so the area cannot close.
     use pol::lang::backend::AbiValue;
-    use pol::ledger::{ContractId, Transaction};
+    use pol::ledger::Transaction;
 
     for preset in [presets::devnet_evm(), presets::devnet_algo()] {
         let config = SystemConfig { max_users: 2, seed: 5, ..SystemConfig::default() };
@@ -218,8 +266,8 @@ fn a_stranger_squats_a_seat_and_locks_the_area() {
         let compiled = system.factory().compiled().clone();
         let args =
             [AbiValue::Bytes(vec![0; pol::core::proof::ENTRY_CAPACITY]), AbiValue::Word(0xBAD)];
+        let (stranger, from) = adversary(&mut system, 2, 10u128.pow(21));
         let chain = system.chain_mut();
-        let (stranger, from) = chain.create_funded_account(10u128.pow(21));
         let receipt = match out.contract {
             ContractId::Evm(_) => {
                 let data = compiled.evm.encode_call("insert_data", &args).unwrap();
@@ -245,8 +293,10 @@ fn a_stranger_squats_a_seat_and_locks_the_area() {
 
         let refused = system.submit_report(late, w, b"too late".to_vec()).unwrap_err();
         assert!(matches!(refused, PolError::Ledger(_)), "{name}: {refused:?}");
+        let verifier_rows = contract_history(system.chain(), out.contract).len();
         assert_eq!(system.run_verifier(&out.area).unwrap(), 1, "{name}");
         assert!(system.close_area(&out.area).is_err(), "{name}: the squatter's seat never frees");
+        assert_outsider(&system, from, out.contract, &[first, late], &[w], verifier_rows);
     }
 }
 
@@ -259,11 +309,7 @@ fn a_stolen_reward_reverts_one_verify_and_the_pass_keeps_the_rest() {
     // entry's outcome alone: the other two entries are paid, exactly
     // their CIDs reach the hypercube, and nothing is left for a second
     // pass. The theft itself is pinned as the contract allows it today.
-    use pol::chainsim::explorer::contract_history;
-    use pol::crypto::{ed25519::Keypair, sha256};
     use pol::lang::backend::AbiValue;
-    use pol::ledger::{Address, ContractId};
-    use std::collections::BTreeSet;
 
     for preset in [presets::devnet_evm(), presets::devnet_algo()] {
         let config = SystemConfig { max_users: 3, seed: 9, ..SystemConfig::default() };
@@ -296,9 +342,7 @@ fn a_stolen_reward_reverts_one_verify_and_the_pass_keeps_the_rest() {
         let witness = system.witness_identity(w).unwrap().signing.clone();
         let entry = SubmittedEntry::from_proof(&LocationProof::issue(&witness, request));
 
-        let thief = Keypair::from_seed(&sha256(&[&b"adversary"[..], &[0]].concat()));
-        let thief_wallet = Address::from_public_key(&thief.public);
-        system.chain_mut().fund(thief_wallet, 10u128.pow(21));
+        let (thief, thief_wallet) = adversary(&mut system, 0, 10u128.pow(21));
         let compiled = system.factory().compiled().clone();
         let call = |system: &mut PolSystem, api: &str, args: &[AbiValue], value: u128| {
             let chain = system.chain_mut();
@@ -338,16 +382,6 @@ fn a_stolen_reward_reverts_one_verify_and_the_pass_keeps_the_rest() {
         assert_eq!(system.run_verifier(&area).unwrap(), 0, "{name}: a second pass");
         system.close_area(&area).unwrap();
 
-        // The stranger is nobody the protocol knows.
-        let verifiers: BTreeSet<Address> = contract_history(system.chain(), contract)[history..]
-            .iter()
-            .map(|row| row.from)
-            .collect();
-        assert_eq!(verifiers.len(), 1, "{name}: one verifier");
-        let mut participants: BTreeSet<Address> =
-            provers.iter().map(|&p| system.prover(p).unwrap().wallet).collect();
-        participants.insert(Address::from_public_key(&witness.public));
-        participants.extend(verifiers);
-        assert!(!participants.contains(&thief_wallet), "{name}");
+        assert_outsider(&system, thief_wallet, contract, &provers, &[w], history);
     }
 }
