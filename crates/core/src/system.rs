@@ -537,11 +537,13 @@ impl PolSystem {
     }
 
     /// Hands the template's static access summaries and worst-case gas
-    /// certificates to the chain: summaries let the executor
-    /// lane-partition calls into this instance and the commit-time
-    /// sanitizer police their soundness; certificates seed the
-    /// scheduler's gas estimates, price admission, and are policed by
-    /// the gas sanitizer the same way.
+    /// certificates to the chain. The system's chain keeps the default
+    /// sequential executor, so by default the summaries and certificates
+    /// feed the commit-time access and gas sanitizers (on by default in
+    /// debug builds) and the certificates price admission; only where a
+    /// caller selects a parallel execution mode do the summaries also
+    /// lane-partition calls and the certificates seed the scheduler's
+    /// gas estimates.
     fn register_static_resolvers(&mut self, contract: ContractId) {
         let summaries = self.factory.summaries();
         let bounds = self.factory.gas_bounds();
@@ -629,9 +631,10 @@ impl PolSystem {
         self.ops.push(op);
 
         // Submit the whole verify storm before awaiting anything: the
-        // burst lands in as few blocks as possible, where the chain's
-        // optimistic-parallel executor can speculate the calls
-        // concurrently instead of paying one block per prover.
+        // burst lands in as few blocks as possible instead of paying one
+        // block per prover. (The chain executes them in order; only a
+        // caller that selects a parallel execution mode has them
+        // speculated concurrently.)
         let mut awaiting = Vec::new();
         for (did_digest, entry, did) in pending {
             // Off-chain validation first (garbage-in filter), and the

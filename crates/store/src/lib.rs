@@ -17,11 +17,12 @@
 //!   never corrupts the prefix).
 //! * [`TrieBackend`] — a copy-on-write binary Merkle trie over
 //!   `sha256(key)` paths whose leaves hold the only copy of the entries.
-//!   A commit hashes its keys and edits structure;
-//!   [`StateBackend::flush_block`] hashes each value and node the block
-//!   dirtied once, across the host's cores; the root and proofs read the
-//!   memoised hashes (and fill any a mid-block caller finds missing).
-//!   Every key yields an inclusion proof (or an exclusion proof when
+//!   A commit only records its batch; [`StateBackend::flush_block`]
+//!   settles the block's writes — the last write to each key, applied
+//!   subtree by subtree across the host's cores, each value and node they
+//!   dirtied hashed once — and the root and proofs read the memoised
+//!   hashes. Read mid-block, the root, proofs and entries settle a copy
+//!   and leave the pending writes to the flush. Every key yields an inclusion proof (or an exclusion proof when
 //!   absent) checkable by the standalone [`verify_proof`] function with
 //!   nothing but the root.
 //!
@@ -87,8 +88,8 @@ impl From<std::io::Error> for StoreError {
 /// * [`StateBackend::root`] is a pure function of the current entry
 ///   set — equal contents give equal roots on *every* backend;
 /// * [`StateBackend::flush_block`] marks a block boundary: the WAL's
-///   durability and snapshot policy, the trie's hashing of the nodes the
-///   block dirtied; a no-op for the memory backend. It never changes
+///   durability and snapshot policy, the trie's settle of the block's
+///   writes (structure and hashes); a no-op for the memory backend. It never changes
 ///   what [`StateBackend::root`] or [`StateBackend::prove`] return.
 pub trait StateBackend: Send + Sync {
     /// A short static name ("memory", "wal", "trie") for reports.
@@ -107,7 +108,7 @@ pub trait StateBackend: Send + Sync {
     fn root(&self) -> [u8; 32];
 
     /// Marks a block boundary at `height` (snapshot/durability hook; the
-    /// trie pays the block's hashing here).
+    /// trie applies and hashes the block's writes here).
     ///
     /// # Errors
     ///

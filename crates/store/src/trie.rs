@@ -20,23 +20,27 @@
 //! The trie is the only copy of the entries: each leaf owns its key and
 //! value bytes, and [`StateBackend::entries`] and proofs read them there.
 //!
-//! Structure and hashing are separate. [`StateBackend::commit`] hashes
-//! each key once, for its path, and otherwise edits structure only: a
-//! node nobody else holds is edited where it lies (a value of unchanged
-//! length is overwritten in its own buffer), a node shared with a
-//! `TrieBackend::clone` copy is cloned first (`Arc::make_mut` —
-//! copy-on-write, one level at a time), and every node on the way down
-//! loses its memoised hash. A node is hashed when somebody needs its
-//! hash and at most once until it is edited again (two threads reading
-//! snapshots that share an unhashed node may both hash it, to the same
-//! value). Empty memos are filled one way: deepest level first, the
-//! level's leaf values sixteen to a `sha256_x16_short` call, then its
-//! node preimages sixteen to a `sha256_x16` call.
-//! [`StateBackend::flush_block`] fills every one, on every core when the
-//! block was large enough to pay for the threads, so each dirty node
-//! costs one hash per block however many commits crossed it;
-//! [`StateBackend::root`] and [`TrieBackend::prove`] fill whatever they
-//! meet empty, so both are exact mid-block and memo reads after a flush.
+//! A commit records and the flush settles. [`StateBackend::commit`]
+//! appends its batch's bytes to the block's pending writes and touches
+//! nothing else. [`StateBackend::flush_block`] settles them in one pass:
+//! the last write to each key wins, the keys are hashed sixteen to a
+//! `sha256_x16_short` call, and the writes, sorted by key hash, split
+//! into the runs under each subtree at a fixed depth. Worker threads (or
+//! the caller alone, for a small block) each take a subtree, apply its
+//! run and fill its memos while its nodes are still in cache; the caller
+//! then restores the canonical shape above the split and hashes the
+//! top. Applying a write edits structure only: a node nobody else holds
+//! is edited where it lies (a value of unchanged length is overwritten in
+//! its own buffer), a node shared with a `TrieBackend::clone` copy is
+//! cloned first (`Arc::make_mut` — copy-on-write, one level at a time),
+//! and every node on the way down loses its memoised hash. Memos are
+//! filled one way: deepest level first, the level's leaf values sixteen
+//! to a `sha256_x16_short` call, then its node preimages sixteen to a
+//! `sha256_x16` call, so each dirty node costs one hash per block however
+//! many commits crossed it. A settled trie has every memo filled, so
+//! [`StateBackend::root`] and [`TrieBackend::prove`] are memo reads after
+//! a flush; read mid-block, they (and [`StateBackend::entries`]) settle a
+//! copy that shares every untouched node, and leave the trie as it was.
 //!
 //! [`TrieBackend::prove`] produces inclusion proofs for present keys and
 //! two kinds of exclusion proof for absent ones (the search path ends in
@@ -48,9 +52,10 @@
 use crate::{BatchEntry, StateBackend, StoreError};
 use pol_crypto::sha256;
 use pol_crypto::sha256::{sha256_x16, sha256_x16_short, SHORT_MESSAGE_MAX};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The root commitment of an empty trie.
 pub const EMPTY_ROOT: [u8; 32] = [0u8; 32];
@@ -90,10 +95,10 @@ fn branch_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
 
 /// A trie node. A leaf holds its entry's bytes and `sha256(key)`, its
 /// path; the value's hash is taken when the leaf's is. `hash` memoises
-/// the node's commitment: empty from the moment an edit passes through
-/// the node until somebody asks for the hash again. An empty memo never
-/// sits below a filled one — every edit clears the whole path from the
-/// root — so a filled memo vouches for its entire subtree.
+/// the node's commitment: empty from the moment a settle's edit passes
+/// through the node until the same settle fills it again. An empty memo
+/// never sits below a filled one — every edit clears the whole path from
+/// the root — so a filled memo vouches for its entire subtree.
 #[derive(Debug, Clone)]
 enum Node {
     Leaf { key_hash: [u8; 32], key: Box<[u8]>, value: Box<[u8]>, hash: OnceLock<[u8; 32]> },
@@ -114,10 +119,10 @@ impl Node {
         Arc::new(Node::Branch { left, right, hash: OnceLock::new() })
     }
 
-    /// The node's commitment, filling every empty memo under it first.
+    /// The node's commitment: a memo read, for every memo of a settled
+    /// trie is filled.
     fn hash(&self) -> [u8; 32] {
-        fill_subtree(self);
-        *self.memo().get().expect("filled")
+        *self.memo().get().expect("a settled trie has every memo filled")
     }
 
     fn memo(&self) -> &OnceLock<[u8; 32]> {
@@ -155,10 +160,16 @@ fn join(depth: usize, a: Arc<Node>, b: Arc<Node>) -> Arc<Node> {
 }
 
 /// Inserts or updates `key → value` (`kh = sha256(key)`) under `slot`,
-/// editing unshared nodes in place, copying shared ones, and clearing
-/// the memo of every node it passes. Hashes nothing.
-fn insert(mut slot: &mut Option<Arc<Node>>, kh: [u8; 32], key: &[u8], value: &[u8]) {
-    let mut depth = 0usize;
+/// which sits at `depth`, editing unshared nodes in place, copying
+/// shared ones, and clearing the memo of every node it passes. Hashes
+/// nothing.
+fn insert(
+    mut slot: &mut Option<Arc<Node>>,
+    mut depth: usize,
+    kh: [u8; 32],
+    key: &[u8],
+    value: &[u8],
+) {
     loop {
         match slot.as_deref() {
             None => {
@@ -194,12 +205,13 @@ fn insert(mut slot: &mut Option<Arc<Node>>, kh: [u8; 32], key: &[u8], value: &[u
     }
 }
 
-/// Removes `kh` from under `slot` with the same in-place, copy-if-shared,
-/// clear-as-you-pass discipline as [`insert`]. Collapses single-leaf
-/// branches on the way up so the shape stays canonical (a leaf always
-/// sits at the shallowest depth where its prefix is unique). The caller
-/// knows the key is present ([`holds`]); an absent one would cost a
-/// dirtied path and change nothing.
+/// Removes `kh` from under `slot`, which sits at `depth`, with the same
+/// in-place, copy-if-shared, clear-as-you-pass discipline as [`insert`].
+/// Collapses single-leaf branches on the way up so the shape under
+/// `slot` stays canonical (a leaf always sits at the shallowest depth
+/// where its prefix is unique). The caller knows the key is present
+/// ([`holds`]); an absent one would cost a dirtied path and change
+/// nothing.
 fn remove(slot: &mut Option<Arc<Node>>, depth: usize, kh: &[u8; 32]) {
     match slot.as_deref() {
         None => return,
@@ -216,21 +228,28 @@ fn remove(slot: &mut Option<Arc<Node>>, depth: usize, kh: &[u8; 32]) {
         unreachable!("matched Branch")
     };
     hash.take();
-    let (child, other) = if bit(kh, depth) { (right, left) } else { (left, right) };
-    remove(child, depth + 1, kh);
-    // A branch only exists where at least two keys share the prefix: if
-    // what is left under this one is a lone leaf, lift it (memo and all —
-    // a leaf's hash does not depend on its depth).
-    match (child.as_deref(), other.as_deref()) {
-        (None, None) => *slot = None,
-        (None, Some(Node::Leaf { .. })) => *slot = other.take(),
-        (Some(Node::Leaf { .. }), None) => *slot = child.take(),
-        _ => {}
-    }
+    remove(if bit(kh, depth) { right } else { left }, depth + 1, kh);
+    lift(slot);
 }
 
-/// Whether a leaf for `kh` sits under `slot`: the read-only descent
-/// that keeps [`remove`] off the paths of absent keys.
+/// Restores the canonical shape at a branch whose children are
+/// canonical: a branch only exists where at least two keys share the
+/// prefix, so an empty one goes and one left holding a lone leaf is
+/// replaced by it (memo and all — a leaf's hash does not depend on its
+/// depth). A branch still holding two children, or one branch, stays.
+fn lift(slot: &mut Option<Arc<Node>>) {
+    let Some(Node::Branch { left, right, .. }) = slot.as_deref() else { return };
+    let lone = match (left.as_deref(), right.as_deref()) {
+        (None, None) => None,
+        (Some(Node::Leaf { .. }), None) => left.clone(),
+        (None, Some(Node::Leaf { .. })) => right.clone(),
+        _ => return,
+    };
+    *slot = lone;
+}
+
+/// Whether a leaf for `kh` sits under the root `slot`: the read-only
+/// descent that keeps [`remove`] off the paths of absent keys.
 fn holds(mut slot: &Option<Arc<Node>>, kh: &[u8; 32]) -> bool {
     let mut depth = 0usize;
     loop {
@@ -245,37 +264,47 @@ fn holds(mut slot: &Option<Arc<Node>>, kh: &[u8; 32]) -> bool {
     }
 }
 
-/// Fewest keys committed since the last [`StateBackend::flush_block`]
-/// for which the flush hashes on worker threads; below it the calling
-/// thread does all of it. Set from the 2-vCPU development host, blocks
-/// of `n` overwrites on a 40 000-key trie, median flush of 100 blocks in
-/// µs (the values' hashes included), one thread and two alternating
-/// block by block, median of three runs (the busy row is one run with a
-/// spinning process on the second core; `flush_threshold_table` in the
-/// tests prints the rows, see its doc):
+/// Fewest writes pending at a flush for which the settle runs on worker
+/// threads; below it the calling thread does all of it. Set from the
+/// 2-vCPU development host, blocks of `n` overwrites on a 40 000-key
+/// trie, median flush of 100 blocks in µs (the whole settle: key hashes,
+/// structure, value and node hashes), one thread and two alternating
+/// block by block; the free rows are the median of three runs, the busy
+/// rows one run with a spinning process on the second core
+/// (`flush_threshold_table` in the tests prints the rows, see its doc):
 ///
 /// ```text
 /// n                    16    32    64   128   256   512   1024
-/// one thread          197   321   544   895  1605  2750   5022
-/// two threads         260   356   604   885  1342  2037   3399
-/// two, 2nd core busy  359   554  1050  1597  2249  3308   6122
+/// free, one thread    175   260   523   922  1667  3134   6691
+/// free, two threads   194   348   574   684  1141  2186   4050
+/// busy, one thread    224   394   722   797  2127  3845   6194
+/// busy, two threads   456   726  1245  1170  2648  4286   6356
 /// ```
 ///
-/// With a free second core, two threads break even near 128 keys and
-/// win 16 % at 256, 26 % at 512 and 32 % at 1024; with a busy one they
-/// lose 19 % at 512 and 10 % at 1024. At 512 the free-core gain is a
-/// quarter and the busy-core loss under a fifth.
+/// With a free second core, two threads break even between 64 and 128
+/// keys and win 26 % at 128, 32 % at 256, 30 % at 512 and 39 % at 1024;
+/// with a busy one they lose 24 % at 256, 11 % at 512 and 3 % at 1024 (a
+/// second busy run: 23 %, 23 % and 2 %). At 512 a free core saves 30 %
+/// and a busy one costs 11–23 %; at 256 the busy loss nears the free
+/// gain, so the threshold stays where it was when the flush only hashed.
 const PARALLEL_FLUSH_MIN_KEYS: usize = 512;
 
-/// Dirty subtrees handed out per thread. The descent stops at the first
-/// level that has this many per core and threads take them one at a
-/// time, so a worker that starts late or shares its core with another
-/// tenant costs the flush one subtree's wait and not half the trie's
-/// (same harness, two threads, quartiles of 100 flushes: 2151–2678 µs
-/// at 512 keys against 2096–3631 with one subtree each, 3316–3963 at
-/// 1024 against 3358–4352; the medians are within 7 %, the slow
-/// quarter is not).
+/// Subtrees handed out per thread. A parallel settle splits the trie at
+/// the depth that has this many subtrees per thread and threads take
+/// them one at a time, so a worker that starts late or shares its core
+/// with another tenant costs the flush one subtree's wait and not half
+/// the trie's (hashing alone, two threads, quartiles of 100 flushes:
+/// 2151–2678 µs at 512 keys against 2096–3631 with one subtree each,
+/// 3316–3963 at 1024 against 3358–4352; the medians are within 7 %, the
+/// slow quarter is not).
 const SUBTREES_PER_WORKER: usize = 4;
+
+/// Fewest messages worth one sixteen-lane call: a call costs about what
+/// six or seven scalar hashes do (`hash/sha256-x16/65` and
+/// `hash/sha256-x16/33` read 2.3–2.8× their scalar rows per message), so
+/// a chunk of seven or more is padded to sixteen lanes and a smaller one
+/// is hashed one by one.
+const LANES_MIN: usize = 7;
 
 /// The children of `level`'s nodes whose memos are empty, left to right.
 fn unhashed_children<'a>(level: &[&'a Node]) -> Vec<&'a Node> {
@@ -314,9 +343,8 @@ fn fill_subtree(node: &Node) {
 /// Fills the memo of every node in `level`, whose children are all
 /// hashed. The leaves' values are hashed first ([`value_hashes`]); then
 /// the node preimages go sixteen at a time through [`sha256_x16`], the
-/// last fewer than sixteen one by one. A memo found already filled was
-/// filled by another thread reading a snapshot that shares the node,
-/// with the same hash.
+/// last fewer than sixteen padded to a full call when there are at least
+/// [`LANES_MIN`] of them and one by one otherwise.
 fn hash_level(level: &[&Node]) {
     let value_hashes = value_hashes(level);
     let preimage = |i: usize| {
@@ -333,22 +361,26 @@ fn hash_level(level: &[&Node]) {
         });
         bytes
     };
-    let batched = level.len() - level.len() % 16;
-    for start in (0..batched).step_by(16) {
-        let digests = sha256_x16(&core::array::from_fn(|i| preimage(start + i)));
-        for (node, digest) in level[start..start + 16].iter().zip(digests) {
+    for (start, nodes) in (0..).step_by(16).zip(level.chunks(16)) {
+        if nodes.len() < LANES_MIN {
+            for (i, node) in (start..).zip(nodes) {
+                _ = node.memo().set(sha256(&preimage(i)));
+            }
+            continue;
+        }
+        let lanes =
+            core::array::from_fn(|j| if j < nodes.len() { preimage(start + j) } else { [0u8; 65] });
+        for (node, digest) in nodes.iter().zip(sha256_x16(&lanes)) {
             _ = node.memo().set(digest);
         }
-    }
-    for (i, node) in level.iter().enumerate().skip(batched) {
-        _ = node.memo().set(sha256(&preimage(i)));
     }
 }
 
 /// `sha256` of every message, by position (zeros for `None`). Messages
 /// of at most [`SHORT_MESSAGE_MAX`] bytes go sixteen to a
-/// [`sha256_x16_short`] call; longer ones, and the last fewer than
-/// sixteen short ones, one by one.
+/// [`sha256_x16_short`] call, the last fewer than sixteen padded with
+/// empty lanes when there are at least [`LANES_MIN`] of them; longer
+/// messages, and a smaller last chunk, one by one.
 fn sha256_each<'a>(msgs: impl ExactSizeIterator<Item = Option<&'a [u8]>>) -> Vec<[u8; 32]> {
     let mut hashes = vec![[0u8; 32]; msgs.len()];
     let mut short: Vec<(usize, &[u8])> = Vec::new();
@@ -359,15 +391,17 @@ fn sha256_each<'a>(msgs: impl ExactSizeIterator<Item = Option<&'a [u8]>>) -> Vec
             None => {}
         }
     }
-    let mut chunks = short.chunks_exact(16);
-    for chunk in &mut chunks {
-        let digests = sha256_x16_short(core::array::from_fn(|j| chunk[j].1));
-        for (&(i, _), digest) in chunk.iter().zip(digests) {
+    for chunk in short.chunks(16) {
+        if chunk.len() < LANES_MIN {
+            for &(i, msg) in chunk {
+                hashes[i] = sha256(msg);
+            }
+            continue;
+        }
+        let lanes = core::array::from_fn(|j| chunk.get(j).map_or(&[][..], |&(_, msg)| msg));
+        for (&(i, _), digest) in chunk.iter().zip(sha256_x16_short(lanes)) {
             hashes[i] = digest;
         }
-    }
-    for &(i, msg) in chunks.remainder() {
-        hashes[i] = sha256(msg);
     }
     hashes
 }
@@ -382,34 +416,164 @@ fn value_hashes(level: &[&Node]) -> Vec<[u8; 32]> {
     }))
 }
 
-/// Fills every empty memo under `root` using `ways` threads, the caller
-/// among them. Descends level by level from the root, keeping only
-/// unhashed nodes, until the level holds enough dirty subtrees to share
-/// out (or nothing is left to descend into: a trie too small to split);
-/// the levels above them are hashed by the caller at the end, from the
-/// subtree hashes the workers left.
-fn fill_memos(root: &Node, ways: usize) {
-    let mut level: Vec<&Node> = vec![root];
-    while ways > 1 && level.len() < ways * SUBTREES_PER_WORKER {
-        let below = unhashed_children(&level);
-        if below.is_empty() {
-            break;
+/// The writes committed since the last flush, in commit order. Their
+/// keys and values lie back to back in one buffer, so recording a write
+/// copies its bytes and, once the buffers have grown to a block's size,
+/// allocates nothing. A flush empties the buffers and keeps their
+/// capacity: dropping it and growing them again every block read 4–14 %
+/// lower `state-churn` `ops_per_s` over five alternating pairs, and the
+/// capacity the preload leaves costs that workload about 3 MiB of peak
+/// RSS.
+#[derive(Debug, Default, Clone)]
+struct Pending {
+    bytes: Vec<u8>,
+    /// Each write's key and value (`None` deletes) as ranges of `bytes`.
+    writes: Vec<(Range<usize>, Option<Range<usize>>)>,
+}
+
+/// A pending write that changes the trie: its key's path and its place
+/// among the pending writes.
+#[derive(Debug, Clone, Copy)]
+struct Write {
+    kh: [u8; 32],
+    at: usize,
+}
+
+impl Pending {
+    fn record(&mut self, batch: &[BatchEntry]) {
+        for (key, value) in batch {
+            let key = self.push(key);
+            let value = value.as_deref().map(|value| self.push(value));
+            self.writes.push((key, value));
         }
-        level = below;
     }
-    // A ticket counter only: the hashes themselves are published by each
-    // `OnceLock`, and the scope's join orders them before the caller's
-    // final read.
-    let next = AtomicUsize::new(0);
-    let work = || {
-        while let Some(node) = level.get(next.fetch_add(1, Ordering::Relaxed)) {
+
+    fn push(&mut self, bytes: &[u8]) -> Range<usize> {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(bytes);
+        start..self.bytes.len()
+    }
+
+    /// The key and value (`None` deletes) of pending write `at`.
+    fn write(&self, at: usize) -> (&[u8], Option<&[u8]>) {
+        let (key, value) = &self.writes[at];
+        (&self.bytes[key.clone()], value.clone().map(|value| &self.bytes[value]))
+    }
+
+    /// The writes that change the trie under `root`, sorted by key hash:
+    /// the last write to each key, less deletes of keys `root` does not
+    /// hold. Every key is hashed, sixteen to a call ([`sha256_each`]).
+    fn changes(&self, root: &Option<Arc<Node>>) -> Vec<Write> {
+        let keys = sha256_each(self.writes.iter().map(|(key, _)| Some(&self.bytes[key.clone()])));
+        let mut writes: Vec<Write> =
+            keys.into_iter().zip(0..).map(|(kh, at)| Write { kh, at }).collect();
+        // Latest first within a key, so the one `dedup_by` keeps is the
+        // last write.
+        writes.sort_unstable_by(|a, b| a.kh.cmp(&b.kh).then(b.at.cmp(&a.at)));
+        writes.dedup_by(|older, kept| older.kh == kept.kh);
+        writes.retain(|w| self.writes[w.at].1.is_some() || holds(root, &w.kh));
+        writes
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.writes.clear();
+    }
+}
+
+/// Applies `writes` (sorted by key hash, one per key, every delete of a
+/// present key) under `slot`, which sits at `depth`. Structure only.
+fn apply(slot: &mut Option<Arc<Node>>, depth: usize, writes: &[Write], pending: &Pending) {
+    for w in writes {
+        match pending.write(w.at) {
+            (key, Some(value)) => insert(slot, depth, w.kh, key, value),
+            (_, None) => remove(slot, depth, &w.kh),
+        }
+    }
+}
+
+/// A slot at the split depth and the writes that fall under it.
+type Subtree<'a> = (&'a mut Option<Arc<Node>>, &'a [Write]);
+
+/// Opens the levels above `split` along every prefix that `writes`
+/// (sorted by key hash) fall under, and hands out the slots at `split`
+/// with their runs: on the way down a branch loses its memo (copied
+/// first if shared), and an empty slot or a leaf becomes a branch, the
+/// leaf moved down by its own bit. [`close_top`] undoes what the writes
+/// left non-canonical.
+fn open_top<'a>(
+    slot: &'a mut Option<Arc<Node>>,
+    depth: usize,
+    split: usize,
+    writes: &'a [Write],
+    out: &mut Vec<Subtree<'a>>,
+) {
+    if writes.is_empty() {
+        return;
+    }
+    if depth == split {
+        out.push((slot, writes));
+        return;
+    }
+    if !matches!(slot.as_deref(), Some(Node::Branch { .. })) {
+        *slot = Some(match slot.take() {
+            Some(leaf) if bit(&leaf.key_hash(), depth) => Node::branch(None, Some(leaf)),
+            leaf => Node::branch(leaf, None),
+        });
+    }
+    let Node::Branch { left, right, hash } = Arc::make_mut(slot.as_mut().expect("a branch")) else {
+        unreachable!("made a branch")
+    };
+    hash.take();
+    // Sorted by hash ⇒ sorted by bit path: one partition point splits
+    // the zero-bit prefix from the one-bit suffix.
+    let (zero, one) = writes.split_at(writes.partition_point(|w| !bit(&w.kh, depth)));
+    open_top(left, depth + 1, split, zero, out);
+    open_top(right, depth + 1, split, one, out);
+}
+
+/// Restores the canonical shape of the levels [`open_top`] opened above
+/// `split`, deepest first ([`lift`]). A branch whose memo is filled was
+/// not opened, and is canonical already.
+fn close_top(slot: &mut Option<Arc<Node>>, depth: usize, split: usize) {
+    if depth == split || slot.as_deref().is_none_or(Node::is_hashed) {
+        return;
+    }
+    if let Node::Branch { left, right, .. } = Arc::make_mut(slot.as_mut().expect("matched Some")) {
+        close_top(left, depth + 1, split);
+        close_top(right, depth + 1, split);
+        lift(slot);
+    }
+}
+
+/// Settles `pending` into the trie under `root` using `ways` threads,
+/// the caller among them, and fills every memo the writes emptied. With
+/// one way the root is the one subtree; with more, the trie is split at
+/// the depth that gives [`SUBTREES_PER_WORKER`] subtrees per thread, and
+/// each thread takes a subtree at a time, applies its run and hashes it.
+fn settle(root: &mut Option<Arc<Node>>, pending: &Pending, ways: usize) {
+    let writes = pending.changes(root);
+    let split = match ways {
+        1 => 0,
+        _ => (ways * SUBTREES_PER_WORKER).next_power_of_two().trailing_zeros() as usize,
+    };
+    let mut subtrees = Vec::new();
+    open_top(root, 0, split, &writes, &mut subtrees);
+    let threads = ways.min(subtrees.len());
+    // A ticket dispenser: each thread takes the next subtree until none
+    // is left, so the lock is held only to hand one out.
+    let tickets = Mutex::new(subtrees.into_iter());
+    let work = || loop {
+        let Some((slot, run)) = tickets.lock().expect("no worker panics").next() else { break };
+        apply(slot, split, run, pending);
+        if let Some(node) = slot.as_deref() {
             fill_subtree(node);
         }
     };
     #[cfg(test)]
-    let hashed_by_workers = std::sync::Mutex::new(tally::Tally::default());
+    let hashed_by_workers = Mutex::new(tally::Tally::default());
     std::thread::scope(|scope| {
-        for _ in 1..ways.min(level.len()) {
+        for _ in 1..threads {
             scope.spawn(|| {
                 work();
                 #[cfg(test)]
@@ -420,7 +584,10 @@ fn fill_memos(root: &Node, ways: usize) {
     });
     #[cfg(test)]
     tally::count(|t| *t += hashed_by_workers.into_inner().unwrap());
-    root.hash();
+    close_top(root, 0, split);
+    if let Some(node) = root.as_deref() {
+        fill_subtree(node);
+    }
 }
 
 /// The host's available parallelism, resolved once.
@@ -430,7 +597,7 @@ fn host_parallelism() -> usize {
 }
 
 /// Test-only count of the node hashes computed on behalf of the current
-/// thread: its own, plus those of the [`fill_memos`] workers it waited for.
+/// thread: its own, plus those of the [`settle`] workers it waited for.
 #[cfg(test)]
 mod tally {
     use std::cell::Cell;
@@ -662,19 +829,20 @@ pub fn verify_proof(
     })
 }
 
-/// The copy-on-write Merkle trie backend: commits edit structure in
-/// `O(k log n)` and hash only the keys, [`StateBackend::flush_block`]
-/// hashes each value and node dirtied since the last flush once, and
-/// every key yields an inclusion or exclusion proof.
-/// [`StateBackend::root`] and [`TrieBackend::prove`] hash on demand, so
-/// they are exact at any point, mid-block included. The leaves hold the
-/// only copy of the entries; [`StateBackend::entries`] walks them.
+/// The copy-on-write Merkle trie backend: a commit records its batch,
+/// [`StateBackend::flush_block`] settles the block's writes — structure
+/// in `O(k log n)`, then one hash for each value and node they dirtied —
+/// and every key yields an inclusion or exclusion proof.
+/// [`StateBackend::root`], [`TrieBackend::prove`] and
+/// [`StateBackend::entries`] are exact at any point: mid-block they
+/// settle a copy. The leaves hold the only copy of the entries;
+/// [`StateBackend::entries`] walks them.
 #[derive(Debug, Default, Clone)]
 pub struct TrieBackend {
+    /// Settled: every memo under it is filled.
     root: Option<Arc<Node>>,
-    /// Keys committed since the last flush: the size of the hashing
-    /// debt, which decides whether the flush is worth threads.
-    unflushed_keys: usize,
+    /// Writes committed since the last flush.
+    pending: Pending,
 }
 
 impl TrieBackend {
@@ -686,6 +854,11 @@ impl TrieBackend {
     /// An inclusion proof for a present `key`, or an exclusion proof for
     /// an absent one — always succeeds.
     pub(crate) fn prove_key(&self, key: &[u8]) -> MerkleProof {
+        self.settled().walk(key)
+    }
+
+    /// [`TrieBackend::prove_key`] on a trie with no writes pending.
+    fn walk(&self, key: &[u8]) -> MerkleProof {
         let kh = sha256(key);
         let mut siblings = Vec::new();
         let mut cursor = self.root.as_deref();
@@ -713,65 +886,60 @@ impl TrieBackend {
         }
     }
 
-    /// [`StateBackend::flush_block`]'s hashing, with the thread count a
+    /// [`StateBackend::flush_block`]'s settle, with the thread count a
     /// parameter so tests can force the split.
     fn flush_with(&mut self, ways: usize) {
-        if let Some(root) = &self.root {
-            fill_memos(root, ways);
+        settle(&mut self.root, &self.pending, ways);
+        self.pending.clear();
+    }
+
+    /// Settles the pending writes, on the host's cores when there are
+    /// enough of them to pay for the threads.
+    fn flush(&mut self) {
+        let parallel = self.pending.writes.len() >= PARALLEL_FLUSH_MIN_KEYS;
+        self.flush_with(if parallel { host_parallelism() } else { 1 });
+    }
+
+    /// The trie with its pending writes settled: itself when none are
+    /// pending (always, after a flush), else a settled copy that shares
+    /// every untouched node with it.
+    fn settled(&self) -> Cow<'_, TrieBackend> {
+        if self.pending.writes.is_empty() {
+            return Cow::Borrowed(self);
         }
-        self.unflushed_keys = 0;
+        let mut copy = self.clone();
+        copy.flush();
+        Cow::Owned(copy)
     }
 }
-
-/// The smallest commit batch whose keys are hashed sixteen to a
-/// [`sha256_x16_short`] call: one full chunk of the kernel.
-const KEY_BATCH_MIN: usize = 16;
 
 impl StateBackend for TrieBackend {
     fn name(&self) -> &'static str {
         "trie"
     }
 
-    /// A batch of at least sixteen entries hashes its short keys
-    /// sixteen to a [`sha256_x16_short`] call before inserting; a
-    /// smaller one hashes key by key.
+    /// Records the batch among the block's pending writes; the flush
+    /// applies and hashes them.
     fn commit(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError> {
-        let key_hashes = if batch.len() >= KEY_BATCH_MIN {
-            sha256_each(batch.iter().map(|(key, _)| Some(&key[..])))
-        } else {
-            Vec::new()
-        };
-        for (i, (key, value)) in batch.iter().enumerate() {
-            let kh = key_hashes.get(i).copied().unwrap_or_else(|| sha256(key));
-            match value {
-                Some(v) => insert(&mut self.root, kh, key, v),
-                None => {
-                    if holds(&self.root, &kh) {
-                        remove(&mut self.root, 0, &kh);
-                    }
-                }
-            }
-        }
-        self.unflushed_keys += batch.len();
+        self.pending.record(batch);
         Ok(())
     }
 
     fn root(&self) -> [u8; 32] {
-        child_hash(&self.root)
+        child_hash(&self.settled().root)
     }
 
-    /// Pays the block's hashing debt: every memo emptied since the last
-    /// flush is filled, so [`StateBackend::root`] and
+    /// Settles the block's pending writes, so [`StateBackend::root`] and
     /// [`StateBackend::prove`] are memo reads until the next commit.
     fn flush_block(&mut self, _height: u64) -> Result<(), StoreError> {
-        let parallel = self.unflushed_keys >= PARALLEL_FLUSH_MIN_KEYS;
-        self.flush_with(if parallel { host_parallelism() } else { 1 });
+        self.flush();
         Ok(())
     }
 
     fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let settled = self.settled();
         let mut entries = Vec::new();
-        let mut stack: Vec<&Node> = self.root.as_deref().into_iter().collect();
+        let mut stack: Vec<&Node> = settled.root.as_deref().into_iter().collect();
         while let Some(node) = stack.pop() {
             match node {
                 Node::Leaf { key, value, .. } => entries.push((key.to_vec(), value.to_vec())),
@@ -923,9 +1091,15 @@ mod tests {
         }
     }
 
+    /// The hashing the next flush owes: the empty memos the pending
+    /// writes leave once applied, one key at a time from the root, to a
+    /// copy of the settled trie.
     fn owed(trie: &TrieBackend) -> Tally {
+        let mut root = trie.root.clone();
+        let changes = trie.pending.changes(&root);
+        apply(&mut root, 0, &changes, &trie.pending);
         let mut owed = Tally::default();
-        if let Some(root) = &trie.root {
+        if let Some(root) = &root {
             unhashed(root, false, &mut owed);
         }
         owed
@@ -1005,27 +1179,75 @@ mod tests {
     }
 
     #[test]
-    fn batched_key_hashing_matches_one_key_commits() {
-        // Key lengths on both sides of SHORT_MESSAGE_MAX, batch sizes on
-        // both sides of KEY_BATCH_MIN and of a second chunk, a repeated
-        // key within the batch and deletes of present and absent keys.
-        let key = |i: usize| vec![i as u8; [0, 21, 53, 55, 56, 100][i % 6] + i / 6];
-        for size in [15, 16, 17, 33] {
-            let mut batch: Vec<BatchEntry> =
-                (0..size).map(|i| (key(i), Some(vec![i as u8; 1 + i % 7]))).collect();
-            batch[size / 2] = (key(1), Some(b"again".to_vec()));
-            batch[size - 1] = (key(3), None);
-            batch.push((key(size + 60), None));
-            let mut batched = TrieBackend::new();
-            let mut single = TrieBackend::new();
-            for round in 0..2 {
-                batched.commit(&batch).unwrap();
-                for entry in &batch {
-                    single.commit(std::slice::from_ref(entry)).unwrap();
+    fn a_block_settles_as_one_key_flushes_do_on_every_split() {
+        // Key lengths on both sides of SHORT_MESSAGE_MAX, so the settle
+        // hashes keys in full sixteen-lane calls, in padded ones and one
+        // by one.
+        let key = |i: u32| {
+            let mut key = i.to_be_bytes().to_vec();
+            key.resize([4, 21, 55, 56, 100][i as usize % 5], 0xA5);
+            key
+        };
+        let put = |i: u32, tag: u32| (key(i), Some(vec![tag as u8; 1 + i as usize % 7]));
+        let delete = |i: u32| (key(i), None);
+        // The preloaded keys whose hash starts with the `bits`-bit `prefix`.
+        let under = |prefix: u8, bits: u32| -> Vec<u32> {
+            (0..300)
+                .filter(|&i| u32::from(sha256(&key(i))[0] >> (8 - bits)) == u32::from(prefix))
+                .collect()
+        };
+        let all_but_first = |keys: Vec<u32>| -> Vec<BatchEntry> {
+            assert!(keys.len() > 2, "{} keys under the prefix", keys.len());
+            keys[1..].iter().map(|&i| delete(i)).collect()
+        };
+        let mut blocks: Vec<(String, Vec<BatchEntry>)> = vec![
+            ("300 keys into an empty trie".into(), (0..300).map(|i| put(i, 0)).collect()),
+            ("a key overwritten twice".into(), vec![put(1, 1), put(2, 1), put(1, 2)]),
+            ("a key inserted, then deleted".into(), vec![put(1_000, 3), put(3, 3), delete(1_000)]),
+            ("a key deleted, then inserted again".into(), vec![delete(4), put(5, 4), put(4, 4)]),
+            // The survivor lifts past the split at depth 4 (four ways);
+            // then, a block later, past the one at depth 3 (two ways).
+            ("all but one key of a depth-3 subtree deleted".into(), all_but_first(under(0b101, 3))),
+            ("all but one key of a depth-2 subtree deleted".into(), all_but_first(under(0b10, 2))),
+        ];
+        // Pending counts whose short keys leave a last chunk below
+        // LANES_MIN, one at or above it, and whole chunks; each block
+        // writes a key twice and deletes one the trie never held.
+        for (n, first) in [(6u32, 400), (16, 410), (33, 430), (44, 470)] {
+            let mut batch: Vec<BatchEntry> = (first..first + n).map(|i| put(i, n)).collect();
+            batch.push(put(first, n + 1));
+            batch.push(delete(5_000 + n));
+            blocks.push((format!("{} writes", batch.len()), batch));
+        }
+        let probes: Vec<Vec<u8>> = (0..520).step_by(13).chain([1_000, 5_006]).map(key).collect();
+        let read = |trie: &TrieBackend| {
+            let proofs: Vec<_> = probes.iter().map(|key| trie.prove_key(key)).collect();
+            (trie.root(), trie.entries(), proofs)
+        };
+        for ways in [1usize, 2, 4] {
+            let mut trie = TrieBackend::new();
+            let mut one_by_one = TrieBackend::new();
+            for (name, batch) in &blocks {
+                trie.commit(batch).unwrap();
+                for entry in batch {
+                    one_by_one.commit(std::slice::from_ref(entry)).unwrap();
+                    one_by_one.flush_block(0).unwrap();
                 }
-                assert_eq!(batched.root(), single.root(), "{size} keys, round {round}");
-                assert_eq!(batched.entries(), single.entries(), "{size} keys, round {round}");
-                batch.reverse();
+                let mid_block = read(&trie);
+                let owed_before = owed(&trie);
+                tally::take();
+                trie.flush_with(ways);
+                assert_eq!(tally::take(), owed_before, "{name}, {ways} ways: hashed the debt");
+                let flushed = read(&trie);
+                let expected = read(&one_by_one);
+                assert_eq!(flushed.0, expected.0, "{name}, {ways} ways: root");
+                assert_eq!(flushed.1, expected.1, "{name}, {ways} ways: entries");
+                assert!(flushed.2 == expected.2, "{name}, {ways} ways: proofs");
+                assert!(mid_block == flushed, "{name}, {ways} ways: read before the flush");
+                assert_eq!(flushed.0, map_root(&flushed.1.into_iter().collect()), "{name}");
+                for (key, proof) in probes.iter().zip(&flushed.2) {
+                    assert!(verify_proof(&flushed.0, key, proof).is_ok(), "{name}, {ways} ways");
+                }
             }
         }
     }
