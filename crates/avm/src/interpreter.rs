@@ -529,7 +529,7 @@ impl<'a> AvmView<'a> {
 
     /// Reads a global state value.
     pub(crate) fn global(&self, app_id: u64, key: &[u8]) -> Option<TealValue> {
-        self.world.get(&StateKey::AppGlobal(app_id, key.to_vec())).map(|v| state_to_teal(v.clone()))
+        self.world.get(&StateKey::AppGlobal(app_id, key.to_vec())).map(state_to_teal)
     }
 
     /// Number of boxes held by an app.

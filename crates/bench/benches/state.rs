@@ -1,10 +1,12 @@
 //! Micro-benchmarks of the journaled state layer: overlay open/commit
-//! cycles, backend commit costs on ledger-shaped batches, and a
-//! `state-churn`-shaped block on the bare trie.
+//! cycles, backend commit costs on ledger-shaped batches, a
+//! `state-churn`-shaped block on the bare trie, and typed reads through
+//! `WorldState` on the memory and trie backends.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pol_ledger::codec::{encode_key, encode_value};
-use pol_ledger::{Address, Overlay, StateKey, StateValue, WorldState};
+use pol_ledger::state::StateBase;
+use pol_ledger::{Address, Overlay, StateKey, StateValue, WorldState, WriteSet};
 use pol_store::{BatchEntry, MemoryBackend, StateBackend, TrieBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -200,5 +202,62 @@ fn churn_blocks(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, overlay_rounds, backend_commits, churn_blocks);
+/// Typed reads per `world/read` iteration.
+const READS: usize = 1_024;
+
+/// Typed reads of present keys through `WorldState` (`StateBase::load`,
+/// the path every overlay read falls through to) over a flushed world of
+/// 2,000 and of 75,000 entries — about `state-churn`'s size at the end of
+/// a run — shaped like its accounts: a balance, a nonce and a storage
+/// slot each. A row's keys mix the three kinds in random order.
+fn world_reads(c: &mut Criterion) {
+    let mut group = c.benchmark_group("world");
+    group.throughput(Throughput::Elements(READS as u64));
+    for entries in [2_000u64, 75_000] {
+        let mut rng = StdRng::seed_from_u64(entries);
+        let keys: Vec<StateKey> = (0..entries / 3)
+            .flat_map(|_| {
+                let account = Address(rng.gen());
+                [
+                    StateKey::Balance(account),
+                    StateKey::Nonce(account),
+                    StateKey::Storage(account, rng.gen()),
+                ]
+            })
+            .collect();
+        let probes: Vec<StateKey> =
+            (0..READS).map(|_| keys[rng.gen_range(0..keys.len())].clone()).collect();
+        let backends: [Box<dyn StateBackend>; 2] =
+            [Box::new(MemoryBackend::new()), Box::new(TrieBackend::new())];
+        for backend in backends {
+            let name = backend.name();
+            let (mut world, _) = WorldState::with_backend(backend);
+            for chunk in keys.chunks(256) {
+                let writes: WriteSet = chunk
+                    .iter()
+                    .map(|key| {
+                        let value = match key {
+                            StateKey::Balance(_) => StateValue::U128(rng.gen()),
+                            StateKey::Nonce(_) => StateValue::U64(rng.gen()),
+                            _ => StateValue::Word(rng.gen()),
+                        };
+                        (key.clone(), Some(value))
+                    })
+                    .collect();
+                world.apply(writes);
+            }
+            world.flush_block(1).expect("volatile backends do not fail");
+            group.bench_function(format!("read/{name}/{entries}"), |b| {
+                b.iter(|| {
+                    let found = probes.iter().filter(|key| world.load(key).is_some()).count();
+                    assert_eq!(found, READS, "every probed key is present");
+                    black_box(found)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, overlay_rounds, backend_commits, churn_blocks, world_reads);
 criterion_main!(benches);

@@ -32,18 +32,68 @@ const TAG_APP_BOX: u8 = 10;
 
 /// Encodes a state key to its canonical byte form.
 pub fn encode_key(key: &StateKey) -> Vec<u8> {
-    match key {
-        StateKey::Balance(a) => tagged(TAG_BALANCE, &a.0, &[]),
-        StateKey::Nonce(a) => tagged(TAG_NONCE, &a.0, &[]),
-        StateKey::Code(a) => tagged(TAG_CODE, &a.0, &[]),
-        StateKey::Storage(a, slot) => tagged(TAG_STORAGE, &a.0, slot),
-        StateKey::DeployCount => vec![TAG_DEPLOY_COUNT],
-        StateKey::AppCount => vec![TAG_APP_COUNT],
-        StateKey::AppProgram(id) => tagged(TAG_APP_PROGRAM, &id.to_be_bytes(), &[]),
-        StateKey::AppCreator(id) => tagged(TAG_APP_CREATOR, &id.to_be_bytes(), &[]),
-        StateKey::AppGlobal(id, k) => tagged(TAG_APP_GLOBAL, &id.to_be_bytes(), k),
-        StateKey::AppBox(id, k) => tagged(TAG_APP_BOX, &id.to_be_bytes(), k),
+    key_bytes(key).to_vec()
+}
+
+/// The longest key encoding held on the stack: a storage slot's, and an
+/// AVM global or box name of up to 64 bytes.
+const INLINE_KEY: usize = 1 + 8 + 64;
+
+/// A key's canonical encoding, on the stack unless an AVM global or box
+/// name makes it longer than [`INLINE_KEY`] bytes: what a typed read
+/// hands the backend without allocating.
+pub(crate) enum KeyBytes {
+    Inline([u8; INLINE_KEY], usize),
+    Spilled(Vec<u8>),
+}
+
+impl std::ops::Deref for KeyBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            KeyBytes::Inline(buf, len) => &buf[..*len],
+            KeyBytes::Spilled(bytes) => bytes,
+        }
     }
+}
+
+/// [`encode_key`]'s bytes as [`KeyBytes`].
+pub(crate) fn key_bytes(key: &StateKey) -> KeyBytes {
+    let id;
+    let (tag, head, tail): (u8, &[u8], &[u8]) = match key {
+        StateKey::Balance(a) => (TAG_BALANCE, &a.0, &[]),
+        StateKey::Nonce(a) => (TAG_NONCE, &a.0, &[]),
+        StateKey::Code(a) => (TAG_CODE, &a.0, &[]),
+        StateKey::Storage(a, slot) => (TAG_STORAGE, &a.0, slot),
+        StateKey::DeployCount => (TAG_DEPLOY_COUNT, &[], &[]),
+        StateKey::AppCount => (TAG_APP_COUNT, &[], &[]),
+        StateKey::AppProgram(app) => {
+            id = app.to_be_bytes();
+            (TAG_APP_PROGRAM, &id, &[])
+        }
+        StateKey::AppCreator(app) => {
+            id = app.to_be_bytes();
+            (TAG_APP_CREATOR, &id, &[])
+        }
+        StateKey::AppGlobal(app, k) => {
+            id = app.to_be_bytes();
+            (TAG_APP_GLOBAL, &id, k)
+        }
+        StateKey::AppBox(app, k) => {
+            id = app.to_be_bytes();
+            (TAG_APP_BOX, &id, k)
+        }
+    };
+    let len = 1 + head.len() + tail.len();
+    if len > INLINE_KEY {
+        return KeyBytes::Spilled(tagged(tag, head, tail));
+    }
+    let mut buf = [0u8; INLINE_KEY];
+    buf[0] = tag;
+    buf[1..1 + head.len()].copy_from_slice(head);
+    buf[1 + head.len()..len].copy_from_slice(tail);
+    KeyBytes::Inline(buf, len)
 }
 
 /// `tag ‖ head ‖ tail` in a buffer allocated once at its final length.
@@ -128,6 +178,8 @@ mod tests {
             StateKey::AppGlobal(42, b"counter".to_vec()),
             StateKey::AppGlobal(42, Vec::new()),
             StateKey::AppBox(42, b"box".to_vec()),
+            StateKey::AppBox(42, vec![0xB0; 64]),
+            StateKey::AppGlobal(42, vec![0x61; 65]),
         ]
     }
 
@@ -137,6 +189,7 @@ mod tests {
         let mut encodings = HashSet::new();
         for key in &keys {
             let bytes = encode_key(key);
+            assert_eq!(*key_bytes(key), bytes[..]);
             assert!(encodings.insert(bytes.clone()), "duplicate encoding for {key:?}");
             assert_eq!(decode_key(&bytes).as_ref(), Some(key));
         }

@@ -2,10 +2,15 @@
 //! the chain simulator.
 //!
 //! All persistent chain state — account balances and nonces, EVM contract
-//! code and storage, AVM application programs, globals and boxes — lives
-//! in one flat, typed key/value map, the [`WorldState`]. Execution never
-//! mutates the committed world directly: every transaction runs inside an
-//! [`Overlay`], which
+//! code and storage, AVM application programs, globals and boxes — is
+//! addressed by one closed, typed key space ([`StateKey`] →
+//! [`StateValue`]) and held once, as canonical bytes ([`crate::codec`]),
+//! in the [`StateBackend`] under the [`WorldState`]: a byte hash map by
+//! default, a write-ahead log or a Merkle trie. A typed read encodes its
+//! key and decodes the bytes the backend returns; the one typed thing the
+//! world keeps beside them is each installed compiled program, whose
+//! bytes are only a digest. Execution never mutates the committed world
+//! directly: every transaction runs inside an [`Overlay`], which
 //!
 //! * serves **versioned reads** (overlay writes shadow the base world),
 //! * keeps a **write journal** so any prefix of the mutations can be
@@ -174,34 +179,39 @@ pub type ReadSet = HashMap<StateKey, Option<StateValue>>;
 /// The set of mutations an execution produced; `None` deletes the key.
 pub type WriteSet = HashMap<StateKey, Option<StateValue>>;
 
-/// The committed, flat world state: a typed map over a byte backend.
+/// The committed world state: a typed view of one byte backend.
 ///
-/// Every committed mutation is mirrored — in canonical byte form (see
-/// [`crate::codec`]) — onto a pluggable [`StateBackend`] (`pol-store`):
-/// the in-memory map by default, or a write-ahead log / Merkle trie for
-/// durability and per-block authenticated roots. The typed map is the
-/// read path; the backend is the commitment and persistence path. A
-/// backend I/O failure panics: the simulator treats loss of the
-/// durability layer as fatal rather than silently diverging from its own
-/// log.
+/// Every entry lives once, in canonical byte form (see [`crate::codec`]),
+/// in a pluggable [`StateBackend`] (`pol-store`): the in-memory map by
+/// default, or a write-ahead log / Merkle trie for durability and
+/// authenticated roots. Writes encode onto it; reads ([`WorldState::get`]
+/// and everything built on it) encode the key on the stack, look it up
+/// there and decode the bytes, which allocates only for a variable-length
+/// value. The one typed state kept beside the backend is a side table of
+/// the compiled programs (`StateValue::Blob`) installed through this
+/// world: their bytes are only a content digest and cannot be decoded, so
+/// a read whose bytes are a digest answers from the table. A backend I/O
+/// failure panics: the simulator treats loss of the durability layer as
+/// fatal rather than silently diverging from its own log.
 pub struct WorldState {
-    entries: HashMap<StateKey, StateValue>,
-    /// Byte-level mirror of `entries`, holding the authenticated root.
+    /// The one copy of every entry, and the authenticated root.
     backend: Box<dyn StateBackend>,
+    /// The compiled programs installed through this world, by key.
+    blobs: HashMap<StateKey, Arc<dyn StateBlob>>,
 }
 
 impl std::fmt::Debug for WorldState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorldState")
-            .field("entries", &self.entries)
             .field("backend", &self.backend.name())
+            .field("blobs", &self.blobs)
             .finish_non_exhaustive()
     }
 }
 
 impl Default for WorldState {
     fn default() -> WorldState {
-        WorldState { entries: HashMap::new(), backend: Box::new(MemoryBackend::new()) }
+        WorldState::with_backend(Box::new(MemoryBackend::new())).0
     }
 }
 
@@ -211,30 +221,29 @@ impl WorldState {
         WorldState::default()
     }
 
-    /// Builds a world over `backend`, restoring any entries it already
-    /// holds (crash-restart recovery). Returns the world plus the raw
-    /// keys whose values could not be decoded back into typed entries —
-    /// opaque blobs such as compiled AVM programs, which only encode by
-    /// content digest. Those bytes stay in the backend (and keep counting
-    /// toward the root) but are invisible to typed reads until
-    /// re-registered.
+    /// Builds a world over `backend`, which may already hold entries
+    /// (crash-restart recovery). Returns the world plus the raw keys whose
+    /// values cannot be decoded into typed values — opaque blobs such as
+    /// compiled AVM programs, which only encode by content digest. Those
+    /// bytes stay in the backend (and keep counting toward the root) but
+    /// read as absent until the program is written again.
     pub fn with_backend(backend: Box<dyn StateBackend>) -> (WorldState, Vec<Vec<u8>>) {
-        let mut entries = HashMap::new();
-        let mut opaque = Vec::new();
-        for (key_bytes, value_bytes) in backend.entries() {
-            match (codec::decode_key(&key_bytes), codec::decode_value(&value_bytes)) {
-                (Some(key), Some(value)) => {
-                    entries.insert(key, value);
-                }
-                _ => opaque.push(key_bytes),
-            }
-        }
-        (WorldState { entries, backend }, opaque)
+        let opaque = backend
+            .entries()
+            .into_iter()
+            .filter(|(key, value)| {
+                codec::decode_key(key).is_none() || codec::decode_value(value).is_none()
+            })
+            .map(|(key, _)| key)
+            .collect();
+        (WorldState { backend, blobs: HashMap::new() }, opaque)
     }
 
     /// The authenticated root over the committed contents — the canonical
-    /// Merkle-trie commitment every backend agrees on, and what the chain
-    /// simulator publishes as its per-block state digest.
+    /// Merkle-trie commitment every backend agrees on. Blocks do not
+    /// commit to it (a block header covers its fields and transaction ids
+    /// only): the chain simulator's `state_digest` reads it on demand,
+    /// and [`WorldState::prove`]'s proofs verify against it.
     pub fn state_root(&self) -> [u8; 32] {
         self.backend.root()
     }
@@ -245,8 +254,8 @@ impl WorldState {
     }
 
     /// Marks a block boundary on the backend (durability flush and
-    /// snapshot policy for the write-ahead log, the block's node hashing
-    /// for the trie; a no-op for the memory backend).
+    /// snapshot policy for the write-ahead log, the block's settle and
+    /// node hashing for the trie; a no-op for the memory backend).
     ///
     /// # Errors
     ///
@@ -262,33 +271,48 @@ impl WorldState {
         self.backend.prove(&codec::encode_key(key))
     }
 
-    fn mirror_one(&mut self, key: &StateKey, value: Option<&StateValue>) {
+    /// Keeps the program side table in step with a write of `key`.
+    fn track_blob(&mut self, key: &StateKey, value: Option<&StateValue>) {
+        match value {
+            Some(StateValue::Blob(blob)) => {
+                self.blobs.insert(key.clone(), Arc::clone(blob));
+            }
+            _ if !self.blobs.is_empty() => {
+                self.blobs.remove(key);
+            }
+            _ => {}
+        }
+    }
+
+    fn write_one(&mut self, key: &StateKey, value: Option<&StateValue>) {
+        self.track_blob(key, value);
         let batch = [(codec::encode_key(key), value.map(codec::encode_value))];
         self.backend.commit(&batch).expect("state backend commit failed");
     }
 
-    /// Reads a committed value.
-    pub fn get(&self, key: &StateKey) -> Option<&StateValue> {
-        self.entries.get(key)
+    /// Reads a committed value: the backend's bytes, decoded, or the
+    /// installed program they are the digest of.
+    pub fn get(&self, key: &StateKey) -> Option<StateValue> {
+        let bytes = self.backend.get(&codec::key_bytes(key))?;
+        codec::decode_value(bytes)
+            .or_else(|| self.blobs.get(key).map(|blob| StateValue::Blob(Arc::clone(blob))))
     }
 
     /// Writes a committed value directly (genesis funding, faucets and
     /// other out-of-band bookkeeping; transaction execution goes through
     /// an [`Overlay`] instead).
     pub fn set(&mut self, key: StateKey, value: StateValue) {
-        self.mirror_one(&key, Some(&value));
-        self.entries.insert(key, value);
+        self.write_one(&key, Some(&value));
     }
 
     /// Removes a committed value directly.
     pub(crate) fn remove(&mut self, key: &StateKey) {
-        self.mirror_one(key, None);
-        self.entries.remove(key);
+        self.write_one(key, None);
     }
 
     /// An account's balance, base units (absent key reads as 0).
     pub fn balance(&self, address: Address) -> u128 {
-        self.get(&StateKey::Balance(address)).and_then(StateValue::as_u128).unwrap_or(0)
+        self.get(&StateKey::Balance(address)).and_then(|v| v.as_u128()).unwrap_or(0)
     }
 
     /// Sets an account's balance.
@@ -298,7 +322,7 @@ impl WorldState {
 
     /// An account's next nonce (absent key reads as 0).
     pub fn nonce(&self, address: Address) -> u64 {
-        self.get(&StateKey::Nonce(address)).and_then(StateValue::as_u64).unwrap_or(0)
+        self.get(&StateKey::Nonce(address)).and_then(|v| v.as_u64()).unwrap_or(0)
     }
 
     /// Sets an account's next nonce.
@@ -312,47 +336,49 @@ impl WorldState {
             return;
         }
         let mut batch: Vec<BatchEntry> = Vec::with_capacity(writes.len());
-        for (key, value) in writes {
-            batch.push((codec::encode_key(&key), value.as_ref().map(codec::encode_value)));
-            match value {
-                Some(v) => {
-                    self.entries.insert(key, v);
-                }
-                None => {
-                    self.entries.remove(&key);
-                }
-            }
+        for (key, value) in &writes {
+            self.track_blob(key, value.as_ref());
+            batch.push((codec::encode_key(key), value.as_ref().map(codec::encode_value)));
         }
-        // Write sets iterate in hash order; sorting the mirrored batch
-        // keeps the persistent log bytes deterministic for a given block.
-        batch.sort_by(|a, b| a.0.cmp(&b.0));
+        // Write sets iterate in hash order; sorting the batch keeps the
+        // persistent log bytes deterministic for a given block.
+        batch.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         self.backend.commit(&batch).expect("state backend commit failed");
     }
 
     /// Validates a read set against the current committed world: every
     /// key must still hold exactly the value the speculation observed.
     pub fn validates(&self, reads: &ReadSet) -> bool {
-        reads.iter().all(|(key, observed)| self.entries.get(key) == observed.as_ref())
+        reads.iter().all(|(key, observed)| self.get(key) == *observed)
     }
 
-    /// Iterates over all committed keys (explorer-style inspection).
-    pub fn keys(&self) -> impl Iterator<Item = &StateKey> {
-        self.entries.keys()
+    /// Every committed entry that reads as present, decoded, sorted by
+    /// encoded key: a walk of the whole backend (explorer-style
+    /// inspection and digests, never a hot path).
+    fn decoded_entries(&self) -> impl Iterator<Item = (Vec<u8>, Vec<u8>, StateKey)> + '_ {
+        self.backend.entries().into_iter().filter_map(|(key_bytes, value_bytes)| {
+            let key = codec::decode_key(&key_bytes)?;
+            let readable =
+                codec::decode_value(&value_bytes).is_some() || self.blobs.contains_key(&key);
+            readable.then_some((key_bytes, value_bytes, key))
+        })
+    }
+
+    /// All committed keys that read as present, in encoded-key order.
+    pub fn keys(&self) -> impl Iterator<Item = StateKey> + '_ {
+        self.decoded_entries().map(|(_, _, key)| key)
     }
 
     /// A canonical digest input of the whole world: sorted, length-framed
     /// `encode(key) ‖ encode(value)` records in the storage codec's byte
-    /// form. Hash it with the caller's digest of choice; two worlds are
-    /// identical iff these bytes are. (The per-block commitment the chain
-    /// publishes is [`WorldState::state_root`], which authenticates the
-    /// same entry set as a Merkle trie.)
+    /// form, over the entries that read as present. Hash it with the
+    /// caller's digest of choice; two worlds are identical iff these bytes
+    /// are. ([`WorldState::state_root`] authenticates the backend's whole
+    /// entry set as a Merkle trie.)
     pub fn digest_input(&self) -> Vec<u8> {
         let mut lines: Vec<Vec<u8>> = self
-            .entries
-            .iter()
-            .map(|(k, v)| {
-                let key = codec::encode_key(k);
-                let value = codec::encode_value(v);
+            .decoded_entries()
+            .map(|(key, value, _)| {
                 let mut line = Vec::with_capacity(8 + key.len() + value.len());
                 line.extend_from_slice(&(key.len() as u32).to_be_bytes());
                 line.extend_from_slice(&key);
@@ -368,7 +394,7 @@ impl WorldState {
 
 impl StateBase for WorldState {
     fn load(&self, key: &StateKey) -> Option<StateValue> {
-        self.entries.get(key).cloned()
+        self.get(key)
     }
 }
 
@@ -645,9 +671,59 @@ mod tests {
         assert_eq!(restored.balance(addr(7)), 77);
         assert_eq!(
             restored.get(&StateKey::AppGlobal(1, b"k".to_vec())),
-            Some(&StateValue::Bytes(b"v".to_vec()))
+            Some(StateValue::Bytes(b"v".to_vec()))
         );
         assert_eq!(restored.state_root(), world.state_root());
+        assert_eq!(restored.digest_input(), world.digest_input());
+    }
+
+    /// A stand-in compiled program.
+    #[derive(Debug, PartialEq)]
+    struct Program(u8);
+
+    impl StateBlob for Program {
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn blob_eq(&self, other: &dyn StateBlob) -> bool {
+            other.as_any().downcast_ref::<Program>() == Some(self)
+        }
+
+        fn digest_bytes(&self) -> Vec<u8> {
+            vec![0xD1, self.0]
+        }
+    }
+
+    #[test]
+    fn programs_read_from_the_side_table_while_installed() {
+        let mut world = WorldState::new();
+        let key = StateKey::AppProgram(1);
+        let program = StateValue::Blob(Arc::new(Program(7)));
+        world.set(key.clone(), program.clone());
+        assert_eq!(world.get(&key), Some(program.clone()));
+        // Overwritten by plain bytes, then installed again and deleted:
+        // the table keeps no program the state no longer holds.
+        world.set(key.clone(), StateValue::Bytes(vec![1]));
+        assert_eq!(world.get(&key), Some(StateValue::Bytes(vec![1])));
+        assert!(world.blobs.is_empty());
+        world.set(key.clone(), program.clone());
+        let mut writes = WriteSet::new();
+        writes.insert(key.clone(), None);
+        world.apply(writes);
+        assert_eq!(world.get(&key), None);
+        assert!(world.blobs.is_empty());
+        // A restored world reports the digest as opaque and reads it as
+        // absent until the program is written again.
+        world.set(key.clone(), program.clone());
+        let backend = MemoryBackend::from_entries(world.backend.entries());
+        let (mut restored, opaque) = WorldState::with_backend(Box::new(backend));
+        assert_eq!(opaque, vec![codec::encode_key(&key)]);
+        assert_eq!(restored.get(&key), None);
+        assert_eq!(restored.keys().count(), 0);
+        assert_eq!(restored.state_root(), world.state_root());
+        restored.set(key.clone(), program.clone());
+        assert_eq!(restored.get(&key), Some(program));
         assert_eq!(restored.digest_input(), world.digest_input());
     }
 
@@ -666,6 +742,6 @@ mod tests {
         let writes = view.into_writes();
         apply_split(writes, &mut world, &mut balances);
         assert_eq!(balances[&addr(6)], 4);
-        assert_eq!(world.get(&StateKey::DeployCount), Some(&StateValue::U64(4)));
+        assert_eq!(world.get(&StateKey::DeployCount), Some(StateValue::U64(4)));
     }
 }

@@ -1,17 +1,19 @@
 //! `pol-store` — pluggable persistent state backends with Merkleized
 //! commitments and crash-restart recovery.
 //!
-//! The chain simulator's `WorldState` journals every committed mutation
-//! onto a [`StateBackend`]: an untyped, byte-oriented key/value store
-//! with batch-atomic commits, a block-boundary flush hook and an
-//! *authenticated root* — the commitment `state_digest()` publishes per
-//! block. Three implementations ship:
+//! A [`StateBackend`] is the one copy of the chain simulator's state:
+//! an untyped, byte-oriented key/value store with batch-atomic commits,
+//! point reads, a block-boundary flush hook and an *authenticated root*
+//! over its contents. `WorldState` (in `pol-ledger`) encodes every
+//! committed write onto it and decodes every read from it; it keeps no
+//! typed copy of its own. Three implementations ship:
 //!
-//! * [`MemoryBackend`] — the historical in-memory map, extracted behind
-//!   the trait and kept as the default. Its root is recomputed from
-//!   scratch on demand.
+//! * [`MemoryBackend`] — a byte hash map, the default. Its root is
+//!   recomputed from scratch on demand, and its sorted views (entries,
+//!   the WAL's snapshot) are sorted on demand.
 //! * [`WalBackend`] — an append-only write-ahead log with periodic
-//!   snapshots. Every commit is one length-prefixed, checksummed record;
+//!   snapshots in front of a [`MemoryBackend`] image, which serves its
+//!   reads. Every commit is one length-prefixed, checksummed record;
 //!   [`WalBackend::open`] replays snapshot + log and tolerates a torn
 //!   tail (a crash mid-write loses at most the interrupted commit,
 //!   never corrupts the prefix).
@@ -21,17 +23,19 @@
 //!   settles the block's writes — the last write to each key, applied
 //!   subtree by subtree across the host's cores, each value and node they
 //!   dirtied hashed once — and the root and proofs read the memoised
-//!   hashes. Read mid-block, the root, proofs and entries settle a copy
-//!   and leave the pending writes to the flush. Every key yields an inclusion proof (or an exclusion proof when
-//!   absent) checkable by the standalone [`verify_proof`] function with
-//!   nothing but the root.
+//!   hashes. A read mid-block finds a pending write through an index the
+//!   first such read builds, and any other key in the settled trie; a
+//!   root, proof or entry list mid-block settles a copy once and keeps
+//!   it until the next commit. Every key yields an inclusion proof (or
+//!   an exclusion proof when absent) checkable by the standalone
+//!   [`verify_proof`] function with nothing but the root.
 //!
 //! All three backends produce the **same root for the same contents**:
 //! the root is defined as the canonical Merkle-trie commitment over the
 //! current entry set, which the trie keeps up to date node by node and
 //! the other two recompute via `trie::scratch_root`. That is what lets the
-//! differential CI gate assert byte-identical `state_digest()` values
-//! across backends and across sequential/parallel execution.
+//! differential CI gate assert byte-identical roots across backends and
+//! across sequential/parallel execution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -85,6 +89,8 @@ impl From<std::io::Error> for StoreError {
 ///
 /// * [`StateBackend::commit`] applies a batch atomically — after a
 ///   crash, either the whole batch is visible or none of it is;
+/// * [`StateBackend::get`] sees every commit at once: the last value
+///   written to a key, flushed or not, and nothing for a deleted one;
 /// * [`StateBackend::root`] is a pure function of the current entry
 ///   set — equal contents give equal roots on *every* backend;
 /// * [`StateBackend::flush_block`] marks a block boundary: the WAL's
@@ -101,6 +107,11 @@ pub trait StateBackend: Send + Sync {
     ///
     /// I/O failure on persistent backends.
     fn commit(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError>;
+
+    /// The value committed under `key`, if any: the read path of the
+    /// typed state layer, so it allocates nothing and never settles the
+    /// trie.
+    fn get(&self, key: &[u8]) -> Option<&[u8]>;
 
     /// The authenticated commitment over the current contents: the
     /// canonical binary-Merkle-trie root over `sha256(key)` paths (see

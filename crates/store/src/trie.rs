@@ -40,7 +40,12 @@
 //! many commits crossed it. A settled trie has every memo filled, so
 //! [`StateBackend::root`] and [`TrieBackend::prove`] are memo reads after
 //! a flush; read mid-block, they (and [`StateBackend::entries`]) settle a
-//! copy that shares every untouched node, and leave the trie as it was.
+//! copy that shares every untouched node, keep it until the next commit,
+//! and leave the trie as it was (a flush with the copy still current
+//! adopts it). [`StateBackend::get`] settles nothing: a key with a write
+//! pending reads it through an index over the pending writes, which the
+//! first read to find writes pending builds and every later commit
+//! extends; any other key is one descent of the settled trie.
 //!
 //! [`TrieBackend::prove`] produces inclusion proofs for present keys and
 //! two kinds of exclusion proof for absent ones (the search path ends in
@@ -52,8 +57,7 @@
 use crate::{BatchEntry, StateBackend, StoreError};
 use pol_crypto::sha256;
 use pol_crypto::sha256::{sha256_x16, sha256_x16_short, SHORT_MESSAGE_MAX};
-use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::hash::{BuildHasher, RandomState};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -210,7 +214,7 @@ fn insert(
 /// Collapses single-leaf branches on the way up so the shape under
 /// `slot` stays canonical (a leaf always sits at the shallowest depth
 /// where its prefix is unique). The caller knows the key is present
-/// ([`holds`]); an absent one would cost a dirtied path and change
+/// ([`lookup`]); an absent one would cost a dirtied path and change
 /// nothing.
 fn remove(slot: &mut Option<Arc<Node>>, depth: usize, kh: &[u8; 32]) {
     match slot.as_deref() {
@@ -248,14 +252,17 @@ fn lift(slot: &mut Option<Arc<Node>>) {
     *slot = lone;
 }
 
-/// Whether a leaf for `kh` sits under the root `slot`: the read-only
-/// descent that keeps [`remove`] off the paths of absent keys.
-fn holds(mut slot: &Option<Arc<Node>>, kh: &[u8; 32]) -> bool {
+/// The value of the leaf for `kh` under the root `slot`, if one sits
+/// there: the read-only descent behind [`StateBackend::get`], and the
+/// one that keeps [`remove`] off the paths of absent keys.
+fn lookup<'a>(mut slot: &'a Option<Arc<Node>>, kh: &[u8; 32]) -> Option<&'a [u8]> {
     let mut depth = 0usize;
     loop {
         match slot.as_deref() {
-            None => return false,
-            Some(Node::Leaf { key_hash, .. }) => return key_hash == kh,
+            None => return None,
+            Some(Node::Leaf { key_hash, value, .. }) => {
+                return (key_hash == kh).then_some(&value[..])
+            }
             Some(Node::Branch { left, right, .. }) => {
                 slot = if bit(kh, depth) { right } else { left };
                 depth += 1;
@@ -420,15 +427,107 @@ fn value_hashes(level: &[&Node]) -> Vec<[u8; 32]> {
 /// keys and values lie back to back in one buffer, so recording a write
 /// copies its bytes and, once the buffers have grown to a block's size,
 /// allocates nothing. A flush empties the buffers and keeps their
-/// capacity: dropping it and growing them again every block read 4–14 %
-/// lower `state-churn` `ops_per_s` over five alternating pairs, and the
-/// capacity the preload leaves costs that workload about 3 MiB of peak
-/// RSS.
+/// capacity, unless its block used less than a quarter of it: then they
+/// shrink to that block's size ([`give_back`]). Blocks of one size never
+/// shrink them (dropping the buffers at every flush read 4–14 % lower
+/// `state-churn` `ops_per_s` over five alternating pairs), and a 40,000-
+/// write preload leaves none of its capacity to the 1,024-write blocks
+/// after it.
 #[derive(Debug, Default, Clone)]
 struct Pending {
     bytes: Vec<u8>,
     /// Each write's key and value (`None` deletes) as ranges of `bytes`.
     writes: Vec<(Range<usize>, Option<Range<usize>>)>,
+    /// Where each pending key's last write lies, for reads mid-block:
+    /// built by the first read that finds writes pending, then kept up by
+    /// every commit and emptied by every flush. A trie never read
+    /// mid-block never builds it.
+    index: OnceLock<Index>,
+}
+
+/// The key of pending write `at`.
+fn key_at<'a>(
+    bytes: &'a [u8],
+    writes: &[(Range<usize>, Option<Range<usize>>)],
+    at: u32,
+) -> &'a [u8] {
+    &bytes[writes[at as usize].0.clone()]
+}
+
+/// An open-addressing table from a pending key to its last write: each
+/// slot holds a place among the pending writes or [`Index::EMPTY`], a key
+/// sits in the first slot from its hash's that is empty or its own, and
+/// at most half the slots are taken.
+#[derive(Debug, Default, Clone)]
+struct Index {
+    /// A power of two long, or empty before the first write.
+    slots: Vec<u32>,
+    /// Distinct keys held.
+    keys: usize,
+    /// Randomly keyed, as `HashMap`'s is: keys can come from outside the
+    /// program, and a chosen set must not collide into one probe run.
+    hasher: RandomState,
+}
+
+impl Index {
+    const EMPTY: u32 = u32::MAX;
+    const MIN_SLOTS: usize = 16;
+
+    /// The slot that holds `key`, or the empty one where it would go.
+    fn probe<'a>(&self, key: &[u8], key_of: impl Fn(u32) -> &'a [u8]) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(key) as usize & mask;
+        loop {
+            let at = self.slots[slot];
+            if at == Index::EMPTY || key_of(at) == key {
+                return slot;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Records pending write `at` as its key's last.
+    fn insert<'a>(&mut self, at: usize, key_of: impl Fn(u32) -> &'a [u8] + Copy) {
+        let at = u32::try_from(at).expect("fewer than 2^32 writes pending");
+        if 2 * (self.keys + 1) > self.slots.len() {
+            self.resize((2 * (self.keys + 1)).next_power_of_two(), key_of);
+        }
+        let slot = self.probe(key_of(at), key_of);
+        self.keys += usize::from(self.slots[slot] == Index::EMPTY);
+        self.slots[slot] = at;
+    }
+
+    /// Rehashes every key into `len` slots.
+    fn resize<'a>(&mut self, len: usize, key_of: impl Fn(u32) -> &'a [u8] + Copy) {
+        let held =
+            std::mem::replace(&mut self.slots, vec![Index::EMPTY; len.max(Index::MIN_SLOTS)]);
+        for at in held.into_iter().filter(|&at| at != Index::EMPTY) {
+            let slot = self.probe(key_of(at), key_of);
+            self.slots[slot] = at;
+        }
+    }
+
+    /// Empties the table for the next block, shrinking it by
+    /// [`give_back`]'s rule: to the size this block needed, when that was
+    /// less than a quarter of its room.
+    fn clear(&mut self) {
+        if 4 * 2 * self.keys < self.slots.len() {
+            self.slots =
+                vec![Index::EMPTY; (2 * self.keys).next_power_of_two().max(Index::MIN_SLOTS)];
+        } else {
+            self.slots.fill(Index::EMPTY);
+        }
+        self.keys = 0;
+    }
+}
+
+/// Empties `buf` for the next block, first shrinking it to this block's
+/// size when the block used less than a quarter of its capacity.
+fn give_back<T>(buf: &mut Vec<T>) {
+    if buf.len() < buf.capacity() / 4 {
+        buf.shrink_to(buf.len());
+    }
+    buf.clear();
 }
 
 /// A pending write that changes the trie: its key's path and its place
@@ -441,10 +540,18 @@ struct Write {
 
 impl Pending {
     fn record(&mut self, batch: &[BatchEntry]) {
+        let first = self.writes.len();
         for (key, value) in batch {
             let key = self.push(key);
             let value = value.as_deref().map(|value| self.push(value));
             self.writes.push((key, value));
+        }
+        let Pending { bytes, writes, index } = self;
+        let (bytes, writes) = (&bytes[..], &writes[..]);
+        if let Some(index) = index.get_mut() {
+            for at in first..writes.len() {
+                index.insert(at, |at| key_at(bytes, writes, at));
+            }
         }
     }
 
@@ -452,6 +559,24 @@ impl Pending {
         let start = self.bytes.len();
         self.bytes.extend_from_slice(bytes);
         start..self.bytes.len()
+    }
+
+    /// The last pending write to `key`: `Some(None)` for a delete, `None`
+    /// when no write to it is pending.
+    fn last_write(&self, key: &[u8]) -> Option<Option<&[u8]>> {
+        if self.writes.is_empty() {
+            return None;
+        }
+        let key_of = |at| key_at(&self.bytes, &self.writes, at);
+        let index = self.index.get_or_init(|| {
+            let mut index = Index::default();
+            for at in 0..self.writes.len() {
+                index.insert(at, key_of);
+            }
+            index
+        });
+        let at = index.slots[index.probe(key, key_of)];
+        (at != Index::EMPTY).then(|| self.write(at as usize).1)
     }
 
     /// The key and value (`None` deletes) of pending write `at`.
@@ -471,13 +596,17 @@ impl Pending {
         // last write.
         writes.sort_unstable_by(|a, b| a.kh.cmp(&b.kh).then(b.at.cmp(&a.at)));
         writes.dedup_by(|older, kept| older.kh == kept.kh);
-        writes.retain(|w| self.writes[w.at].1.is_some() || holds(root, &w.kh));
+        writes.retain(|w| self.writes[w.at].1.is_some() || lookup(root, &w.kh).is_some());
         writes
     }
 
+    /// Empties the buffers for the next block ([`give_back`]).
     fn clear(&mut self) {
-        self.bytes.clear();
-        self.writes.clear();
+        give_back(&mut self.bytes);
+        give_back(&mut self.writes);
+        if let Some(index) = self.index.get_mut() {
+            index.clear();
+        }
     }
 }
 
@@ -833,16 +962,20 @@ pub fn verify_proof(
 /// [`StateBackend::flush_block`] settles the block's writes — structure
 /// in `O(k log n)`, then one hash for each value and node they dirtied —
 /// and every key yields an inclusion or exclusion proof.
-/// [`StateBackend::root`], [`TrieBackend::prove`] and
-/// [`StateBackend::entries`] are exact at any point: mid-block they
-/// settle a copy. The leaves hold the only copy of the entries;
-/// [`StateBackend::entries`] walks them.
+/// [`StateBackend::get`], [`StateBackend::root`], [`TrieBackend::prove`]
+/// and [`StateBackend::entries`] are exact at any point: mid-block, `get`
+/// reads a pending write through its index, and the other three share
+/// one settled copy until the next commit. The leaves hold the only copy
+/// of the entries; [`StateBackend::entries`] walks them.
 #[derive(Debug, Default, Clone)]
 pub struct TrieBackend {
     /// Settled: every memo under it is filled.
     root: Option<Arc<Node>>,
     /// Writes committed since the last flush.
     pending: Pending,
+    /// `root` with `pending` settled, once a mid-block root, proof or
+    /// entry list asked for it; every commit empties it.
+    settled: OnceLock<Option<Arc<Node>>>,
 }
 
 impl TrieBackend {
@@ -854,14 +987,9 @@ impl TrieBackend {
     /// An inclusion proof for a present `key`, or an exclusion proof for
     /// an absent one — always succeeds.
     pub(crate) fn prove_key(&self, key: &[u8]) -> MerkleProof {
-        self.settled().walk(key)
-    }
-
-    /// [`TrieBackend::prove_key`] on a trie with no writes pending.
-    fn walk(&self, key: &[u8]) -> MerkleProof {
         let kh = sha256(key);
         let mut siblings = Vec::new();
-        let mut cursor = self.root.as_deref();
+        let mut cursor = self.settled().as_deref();
         loop {
             match cursor {
                 None => return MerkleProof { claim: ProofClaim::AbsentEmpty, siblings },
@@ -891,25 +1019,43 @@ impl TrieBackend {
     fn flush_with(&mut self, ways: usize) {
         settle(&mut self.root, &self.pending, ways);
         self.pending.clear();
+        self.settled.take();
     }
 
-    /// Settles the pending writes, on the host's cores when there are
-    /// enough of them to pay for the threads.
-    fn flush(&mut self) {
-        let parallel = self.pending.writes.len() >= PARALLEL_FLUSH_MIN_KEYS;
-        self.flush_with(if parallel { host_parallelism() } else { 1 });
-    }
-
-    /// The trie with its pending writes settled: itself when none are
-    /// pending (always, after a flush), else a settled copy that shares
-    /// every untouched node with it.
-    fn settled(&self) -> Cow<'_, TrieBackend> {
-        if self.pending.writes.is_empty() {
-            return Cow::Borrowed(self);
+    /// The threads a settle of the pending writes runs on: the host's
+    /// cores when there are enough writes to pay for them, else one.
+    fn ways(&self) -> usize {
+        match self.pending.writes.len() >= PARALLEL_FLUSH_MIN_KEYS {
+            true => host_parallelism(),
+            false => 1,
         }
-        let mut copy = self.clone();
-        copy.flush();
-        Cow::Owned(copy)
+    }
+
+    /// Settles the pending writes, or adopts the copy a mid-block read
+    /// already settled.
+    fn flush(&mut self) {
+        match self.settled.take() {
+            Some(root) => {
+                self.root = root;
+                self.pending.clear();
+            }
+            None => self.flush_with(self.ways()),
+        }
+    }
+
+    /// The root with the pending writes settled: the trie's own when none
+    /// are pending (always, after a flush), else a settled copy that
+    /// shares every untouched node with it, made by the first call after
+    /// a commit and kept until the next.
+    fn settled(&self) -> &Option<Arc<Node>> {
+        if self.pending.writes.is_empty() {
+            return &self.root;
+        }
+        self.settled.get_or_init(|| {
+            let mut root = self.root.clone();
+            settle(&mut root, &self.pending, self.ways());
+            root
+        })
     }
 }
 
@@ -922,11 +1068,21 @@ impl StateBackend for TrieBackend {
     /// applies and hashes them.
     fn commit(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError> {
         self.pending.record(batch);
+        self.settled.take();
         Ok(())
     }
 
+    /// The last pending write to `key` if there is one, else its leaf in
+    /// the settled trie.
+    fn get(&self, key: &[u8]) -> Option<&[u8]> {
+        match self.pending.last_write(key) {
+            Some(write) => write,
+            None => lookup(&self.root, &sha256(key)),
+        }
+    }
+
     fn root(&self) -> [u8; 32] {
-        child_hash(&self.settled().root)
+        child_hash(self.settled())
     }
 
     /// Settles the block's pending writes, so [`StateBackend::root`] and
@@ -937,9 +1093,8 @@ impl StateBackend for TrieBackend {
     }
 
     fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let settled = self.settled();
         let mut entries = Vec::new();
-        let mut stack: Vec<&Node> = settled.root.as_deref().into_iter().collect();
+        let mut stack: Vec<&Node> = self.settled().as_deref().into_iter().collect();
         while let Some(node) = stack.pop() {
             match node {
                 Node::Leaf { key, value, .. } => entries.push((key.to_vec(), value.to_vec())),
@@ -957,16 +1112,19 @@ impl StateBackend for TrieBackend {
     }
 }
 
-/// Convenience: the scratch root over a plain byte map (what the
-/// non-trie backends use to implement [`StateBackend::root`]).
-pub(crate) fn map_root(map: &BTreeMap<Vec<u8>, Vec<u8>>) -> [u8; 32] {
-    scratch_root(map.iter().map(|(k, v)| (sha256(k), sha256(v))))
+/// Convenience: the scratch root over a plain byte map, in any order
+/// (what the non-trie backends use to implement [`StateBackend::root`]).
+pub(crate) fn map_root<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+    map: impl IntoIterator<Item = (K, V)>,
+) -> [u8; 32] {
+    scratch_root(map.into_iter().map(|(k, v)| (sha256(k.as_ref()), sha256(v.as_ref()))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::tally::Tally;
     use super::*;
+    use std::collections::BTreeMap;
 
     fn kv(i: u32) -> (Vec<u8>, Vec<u8>) {
         (format!("key-{i}").into_bytes(), format!("value-{i}").into_bytes())
@@ -1154,7 +1312,7 @@ mod tests {
         let root = trie.root();
         trie.prove_key(&key(151));
         assert_eq!(tally::take(), Tally::default(), "a flushed trie answers from memos");
-        assert_eq!(root, map_root(&trie.entries().into_iter().collect()));
+        assert_eq!(root, map_root(trie.entries()));
     }
 
     #[test]
@@ -1244,7 +1402,7 @@ mod tests {
                 assert_eq!(flushed.1, expected.1, "{name}, {ways} ways: entries");
                 assert!(flushed.2 == expected.2, "{name}, {ways} ways: proofs");
                 assert!(mid_block == flushed, "{name}, {ways} ways: read before the flush");
-                assert_eq!(flushed.0, map_root(&flushed.1.into_iter().collect()), "{name}");
+                assert_eq!(flushed.0, map_root(flushed.1.clone()), "{name}");
                 for (key, proof) in probes.iter().zip(&flushed.2) {
                     assert!(verify_proof(&flushed.0, key, proof).is_ok(), "{name}, {ways} ways");
                 }
@@ -1299,6 +1457,70 @@ mod tests {
         assert_eq!(owed(&trie), Tally::default(), "a delete of nothing dirtied a path");
         assert_eq!(trie.root(), root);
         assert_eq!(tally::take(), Tally::default());
+    }
+
+    #[test]
+    fn reads_between_two_commits_settle_the_pending_writes_once() {
+        let mut trie = TrieBackend::new();
+        let batch: Vec<_> = (0..600).map(|i| (kv(i).0, Some(kv(i).1))).collect();
+        trie.commit(&batch).unwrap();
+        trie.flush_block(1).unwrap();
+        for block in 0..2u32 {
+            let batch: Vec<_> =
+                (0..40).map(|i| (kv(i * 7).0, Some(vec![block as u8; 9]))).collect();
+            trie.commit(&batch).unwrap();
+            trie.commit(&[(kv(3).0, None), (kv(9_000).0, Some(vec![1]))]).unwrap();
+            let owed_before = owed(&trie);
+            assert!(owed_before.leaves >= 40, "{owed_before:?}");
+            tally::take();
+            let reads: Vec<_> =
+                (0..5).map(|_| (trie.root(), trie.prove_key(&kv(7).0), trie.entries())).collect();
+            assert_eq!(tally::take(), owed_before, "five reads, one settle");
+            assert!(reads.windows(2).all(|w| w[0] == w[1]));
+            assert_eq!(trie.get(&kv(7).0), Some(&[block as u8; 9][..]), "a read sees the write");
+            assert_eq!(trie.get(&kv(3).0), None, "and the delete");
+            // The flush adopts the settled copy; the next commit drops it.
+            trie.flush_block(2).unwrap();
+            assert_eq!(tally::take(), Tally::default(), "the flush settled nothing again");
+            assert_eq!(owed(&trie), Tally::default());
+            assert_eq!(trie.root(), reads[0].0);
+            assert_eq!(trie.root(), map_root(trie.entries()));
+        }
+    }
+
+    #[test]
+    fn an_outsized_block_gives_its_capacity_back() {
+        let key = |i: u32| i.to_be_bytes().to_vec();
+        let mut trie = TrieBackend::new();
+        let preload: Vec<_> = (0..40_000).map(|i| (key(i), Some(vec![0u8; 16]))).collect();
+        trie.commit(&preload).unwrap();
+        // A read mid-block builds the index, which must shrink too.
+        assert_eq!(trie.get(&key(17)), Some(&[0u8; 16][..]));
+        let preload_bytes = trie.pending.bytes.len();
+        trie.flush_block(0).unwrap();
+        let capacity = |trie: &TrieBackend| {
+            let index = trie.pending.index.get().expect("a read built the index");
+            (trie.pending.bytes.capacity(), trie.pending.writes.capacity(), index.slots.len())
+        };
+        let kept = capacity(&trie);
+        assert!(kept.0 >= preload_bytes && kept.1 >= 40_000 && kept.2 >= 80_000, "{kept:?}");
+        let block = |b: u32| -> Vec<_> {
+            (0..1_024)
+                .map(|i| (key((b * 1_024 + i * 31) % 50_000), Some(vec![b as u8; 16])))
+                .collect()
+        };
+        trie.commit(&block(1)).unwrap();
+        let block_bytes = trie.pending.bytes.len();
+        trie.flush_block(1).unwrap();
+        let after = capacity(&trie);
+        assert!(after.0 <= block_bytes && after.1 <= 1_024 && after.2 <= 2_048, "{after:?}");
+        // Blocks of one size keep what they use.
+        for b in 2..5 {
+            trie.commit(&block(b)).unwrap();
+            assert_eq!(trie.get(&key(b * 1_024)), Some(&[b as u8; 16][..]));
+            trie.flush_block(u64::from(b)).unwrap();
+            assert_eq!(capacity(&trie), after, "block {b}");
+        }
     }
 
     /// Prints the rows of [`PARALLEL_FLUSH_MIN_KEYS`]' table: the median

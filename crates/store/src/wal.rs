@@ -186,32 +186,15 @@ impl WalBackend {
         };
 
         let mut log = OpenOptions::new().create(true).read(true).append(true).open(&log_path)?;
-        let mut bytes = Vec::new();
         log.seek(SeekFrom::Start(0))?;
-        log.read_to_end(&mut bytes)?;
-
-        let mut at = 0usize;
-        let mut commit_seq = snapshot_seq;
-        let mut commits_in_log = 0u64;
-        while let Some(record) = decode_record(&bytes, at) {
-            at = record.end;
-            // A crash between snapshot-rename and log-truncate leaves
-            // already-snapshotted records behind: skip, don't re-apply.
-            if record.seq <= snapshot_seq {
-                continue;
-            }
-            for (key, value) in record.batch {
-                image.apply(key, value);
-            }
-            commit_seq = record.seq;
-            commits_in_log += 1;
-        }
-        if at < bytes.len() {
+        let replayed = replay(&mut log, &mut image, snapshot_seq)?;
+        if replayed.durable < log.metadata()?.len() {
             // Torn tail: drop the partial record so future appends start
             // on a clean boundary.
-            log.set_len(at as u64)?;
+            log.set_len(replayed.durable)?;
             log.seek(SeekFrom::End(0))?;
         }
+        let Replayed { commit_seq, commits_in_log, .. } = replayed;
 
         Ok(WalBackend {
             dir,
@@ -245,7 +228,7 @@ impl WalBackend {
         buf.extend_from_slice(SNAPSHOT_MAGIC);
         buf.extend_from_slice(&self.commit_seq.to_be_bytes());
         buf.extend_from_slice(&(self.image.len() as u64).to_be_bytes());
-        for (key, value) in self.image.iter() {
+        for (key, value) in self.image.sorted() {
             push_bytes(&mut buf, key);
             push_bytes(&mut buf, value);
         }
@@ -261,6 +244,62 @@ impl WalBackend {
         self.log.seek(SeekFrom::End(0))?;
         self.commits_in_log = 0;
         Ok(())
+    }
+}
+
+/// Bytes of the log read at a time on replay.
+const REPLAY_CHUNK: u64 = 1 << 20;
+
+/// What a replay found in the log.
+struct Replayed {
+    /// Length of the intact record prefix; anything after it is torn.
+    durable: u64,
+    /// Sequence number of the last record applied (the snapshot's if none).
+    commit_seq: u64,
+    /// Records applied, i.e. those past the snapshot.
+    commits_in_log: u64,
+}
+
+/// Applies every intact record of `log` past `snapshot_seq` onto
+/// `image`, in order, and stops at the first incomplete or corrupt one.
+/// The log is read [`REPLAY_CHUNK`] bytes at a time and each record is
+/// dropped once applied, so a replay holds about a chunk of it beside
+/// the image, not the whole file.
+fn replay(
+    log: &mut File,
+    image: &mut MemoryBackend,
+    snapshot_seq: u64,
+) -> Result<Replayed, StoreError> {
+    let mut replayed = Replayed { durable: 0, commit_seq: snapshot_seq, commits_in_log: 0 };
+    let mut buf = Vec::new();
+    let mut at = 0usize;
+    let mut exhausted = false;
+    loop {
+        match decode_record(&buf, at) {
+            Some(record) => {
+                replayed.durable += (record.end - at) as u64;
+                at = record.end;
+                // A crash between snapshot-rename and log-truncate leaves
+                // already-snapshotted records behind: skip, don't re-apply.
+                if record.seq <= snapshot_seq {
+                    continue;
+                }
+                for (key, value) in &record.batch {
+                    image.apply(key, value.as_deref());
+                }
+                replayed.commit_seq = record.seq;
+                replayed.commits_in_log += 1;
+            }
+            // Every byte after the prefix is in `buf`: the record there is
+            // torn or corrupt, and replay ends before it.
+            None if exhausted => return Ok(replayed),
+            None => {
+                buf.drain(..at);
+                at = 0;
+                let read = Read::take(&mut *log, REPLAY_CHUNK).read_to_end(&mut buf)?;
+                exhausted = (read as u64) < REPLAY_CHUNK;
+            }
+        }
     }
 }
 
@@ -283,9 +322,9 @@ fn load_snapshot(path: &Path) -> Result<(MemoryBackend, u64), StoreError> {
     let mut image = MemoryBackend::new();
     for _ in 0..count {
         let klen = cur.u32().ok_or_else(|| corrupt("truncated key length"))? as usize;
-        let key = cur.take(klen).ok_or_else(|| corrupt("truncated key"))?.to_vec();
+        let key = cur.take(klen).ok_or_else(|| corrupt("truncated key"))?;
         let vlen = cur.u32().ok_or_else(|| corrupt("truncated value length"))? as usize;
-        let value = cur.take(vlen).ok_or_else(|| corrupt("truncated value"))?.to_vec();
+        let value = cur.take(vlen).ok_or_else(|| corrupt("truncated value"))?;
         image.apply(key, Some(value));
     }
     if cur.at != payload.len() {
@@ -311,6 +350,10 @@ impl StateBackend for WalBackend {
         self.commit_seq = seq;
         self.commits_in_log += 1;
         self.image.commit(batch)
+    }
+
+    fn get(&self, key: &[u8]) -> Option<&[u8]> {
+        self.image.get(key)
     }
 
     fn root(&self) -> [u8; 32] {
@@ -349,7 +392,7 @@ mod tests {
     }
 
     fn get(wal: &WalBackend, k: &str) -> Option<Vec<u8>> {
-        wal.entries().into_iter().find(|(key, _)| key == k.as_bytes()).map(|(_, v)| v)
+        StateBackend::get(wal, k.as_bytes()).map(<[u8]>::to_vec)
     }
 
     #[test]
@@ -426,6 +469,38 @@ mod tests {
         let reopened = WalBackend::open(&dir, 1_000).unwrap();
         assert_eq!(reopened.commit_seq(), 1);
         assert_eq!(get(&reopened, "a"), Some(b"1".to_vec()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_reads_records_that_straddle_its_chunks() {
+        let dir = temp_dir("chunks");
+        let big = |tag: u8, len: usize| (vec![tag], Some(vec![tag; len]));
+        let mut twin = MemoryBackend::new();
+        let mid_root = {
+            let mut wal = WalBackend::open(&dir, 1_000).unwrap();
+            // Records smaller than a chunk, one larger than two, and a
+            // run of small ones whose boundaries fall anywhere.
+            let mut batches = vec![vec![big(1, 700_000)], vec![big(2, 700_000)]];
+            batches.push(vec![big(3, 2 * REPLAY_CHUNK as usize + 5)]);
+            batches.extend((0..3_000u32).map(|i| vec![put(&format!("k{i}"), "v")]));
+            for batch in &batches {
+                wal.commit(batch).unwrap();
+                twin.commit(batch).unwrap();
+            }
+            let mid = wal.root();
+            wal.commit(&[big(4, 300_000)]).unwrap();
+            mid
+        };
+        assert_eq!(twin.root(), mid_root);
+        let log_path = dir.join("wal.bin");
+        let len = std::fs::metadata(&log_path).unwrap().len();
+        OpenOptions::new().write(true).open(&log_path).unwrap().set_len(len - 5).unwrap();
+        let reopened = WalBackend::open(&dir, 1_000).unwrap();
+        assert_eq!(reopened.commit_seq(), 3_003, "the torn last record is dropped whole");
+        assert_eq!(reopened.root(), mid_root);
+        // The torn record's 31 bytes of framing went with its value.
+        assert_eq!(std::fs::metadata(&log_path).unwrap().len(), len - 300_000 - 31);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

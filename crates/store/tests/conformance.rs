@@ -1,10 +1,10 @@
 //! Shared conformance suite: every backend must behave as the same
 //! key/value store. One deterministic operation stream is applied to all
 //! three backends and to a plain `BTreeMap` model; after every commit the
-//! backends must agree with the model on the entry list and — the
-//! authenticated part of the contract — on the root. The WAL backend
-//! is additionally closed and reopened mid-stream: replay must land it
-//! back in the same state.
+//! backends must agree with the model on every key's read, on the entry
+//! list and — the authenticated part of the contract — on the root. The
+//! WAL backend is additionally closed and reopened mid-stream: replay
+//! must land it back in the same state.
 
 use pol_store::{MemoryBackend, StateBackend, TrieBackend, WalBackend};
 use rand::rngs::StdRng;
@@ -18,10 +18,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Key `k` of the universe.
+fn nth_key(k: u8) -> Vec<u8> {
+    vec![7, k, k ^ 0x5A]
+}
+
 fn key(rng: &mut StdRng) -> Vec<u8> {
     // A small key universe so deletes and overwrites actually hit.
-    let k: u8 = rng.gen_range(0..40);
-    vec![7, k, k ^ 0x5A]
+    nth_key(rng.gen_range(0..40))
 }
 
 fn value(rng: &mut StdRng) -> Vec<u8> {
@@ -31,6 +35,11 @@ fn value(rng: &mut StdRng) -> Vec<u8> {
 
 fn assert_agrees(backend: &dyn StateBackend, model: &BTreeMap<Vec<u8>, Vec<u8>>, step: usize) {
     let name = backend.name();
+    for k in 0..42 {
+        let key = nth_key(k);
+        let read = backend.get(&key);
+        assert_eq!(read, model.get(&key).map(Vec::as_slice), "{name} reads {key:?} at step {step}");
+    }
     let entries: Vec<(Vec<u8>, Vec<u8>)> =
         model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
     assert_eq!(backend.entries(), entries, "entries diverge on {name} at step {step}");
@@ -104,5 +113,48 @@ fn empty_backends_share_the_empty_root() {
     assert_eq!(wal.root(), pol_store::EMPTY_ROOT);
     assert!(MemoryBackend::new().entries().is_empty());
     drop(wal);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_backend_reads_each_commit_pending_or_flushed() {
+    let dir = temp_dir("reads");
+    let put = |k: &str, v: &str| (k.as_bytes().to_vec(), Some(v.as_bytes().to_vec()));
+    let del = |k: &str| (k.as_bytes().to_vec(), None);
+    let mut backends: Vec<Box<dyn StateBackend>> = vec![
+        Box::new(MemoryBackend::new()),
+        Box::new(WalBackend::open(&dir, 2).unwrap()),
+        Box::new(TrieBackend::new()),
+    ];
+    for backend in &mut backends {
+        let name = backend.name();
+        let read =
+            |backend: &dyn StateBackend, k: &str| backend.get(k.as_bytes()).map(<[u8]>::to_vec);
+        backend.commit(&[put("a", "1"), put("b", "2")]).unwrap();
+        assert_eq!(read(&**backend, "a"), Some(b"1".to_vec()), "{name}: a pending write");
+        backend.flush_block(1).unwrap();
+        assert_eq!(read(&**backend, "b"), Some(b"2".to_vec()), "{name}: a flushed write");
+        // One block: an overwrite within a batch and across two, and a
+        // delete of a flushed key and of a pending one.
+        backend.commit(&[put("a", "3"), put("a", "4"), put("c", "5")]).unwrap();
+        backend.commit(&[put("a", "6"), del("b")]).unwrap();
+        backend.commit(&[del("c")]).unwrap();
+        for at in ["pending", "flushed"] {
+            assert_eq!(read(&**backend, "a"), Some(b"6".to_vec()), "{name}: last write, {at}");
+            assert_eq!(read(&**backend, "b"), None, "{name}: a deleted key, {at}");
+            assert_eq!(read(&**backend, "c"), None, "{name}: written then deleted, {at}");
+            assert_eq!(read(&**backend, "d"), None, "{name}: never written, {at}");
+            backend.flush_block(2).unwrap();
+        }
+    }
+    // A reopened log reads what was committed, flushed or not.
+    let wal = &mut backends[1];
+    wal.commit(&[put("d", "7"), put("a", "8")]).unwrap();
+    drop(backends);
+    let reopened = WalBackend::open(&dir, 2).unwrap();
+    assert_eq!(reopened.get(b"a"), Some(&b"8"[..]));
+    assert_eq!(reopened.get(b"b"), None);
+    assert_eq!(reopened.get(b"d"), Some(&b"7"[..]));
+    drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }
