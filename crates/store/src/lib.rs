@@ -8,9 +8,10 @@
 //! committed write onto it and decodes every read from it; it keeps no
 //! typed copy of its own. Three implementations ship:
 //!
-//! * [`MemoryBackend`] — a byte hash map, the default. Its root is
-//!   recomputed from scratch on demand, and its sorted views (entries,
-//!   the WAL's snapshot) are sorted on demand.
+//! * [`MemoryBackend`] — a hash table of entries, each its key and value
+//!   in one allocation; the default. Its root is recomputed from scratch
+//!   on demand, and its sorted views (entries, the WAL's snapshot) are
+//!   sorted on demand.
 //! * [`WalBackend`] — an append-only write-ahead log with periodic
 //!   snapshots in front of a [`MemoryBackend`] image, which serves its
 //!   reads. Every commit is one length-prefixed, checksummed record;
@@ -25,8 +26,9 @@
 //!   dirtied hashed once — and the root and proofs read the memoised
 //!   hashes. A read mid-block finds a pending write through an index the
 //!   first such read builds, and any other key in the settled trie; a
-//!   root, proof or entry list mid-block settles a copy once and keeps
-//!   it until the next commit. Every key yields an inclusion proof (or
+//!   root, proof or entry list mid-block settles a copy, onto which each
+//!   later one settles only the writes committed since and which the
+//!   flush adopts. Every key yields an inclusion proof (or
 //!   an exclusion proof when absent) checkable by the standalone
 //!   [`verify_proof`] function with nothing but the root.
 //!

@@ -17,8 +17,10 @@
 //! empty trie root = 32 zero bytes
 //! ```
 //!
-//! The trie is the only copy of the entries: each leaf owns its key and
-//! value bytes, and [`StateBackend::entries`] and proofs read them there.
+//! The trie is the only copy of the entries: each leaf owns one buffer
+//! holding its key hash, key and value, and [`StateBackend::entries`] and
+//! proofs read them there. A branch and a leaf are the same 56-byte node,
+//! so the trie costs one small allocation per node and one more per leaf.
 //!
 //! A commit records and the flush settles. [`StateBackend::commit`]
 //! appends its batch's bytes to the block's pending writes and touches
@@ -40,12 +42,14 @@
 //! many commits crossed it. A settled trie has every memo filled, so
 //! [`StateBackend::root`] and [`TrieBackend::prove`] are memo reads after
 //! a flush; read mid-block, they (and [`StateBackend::entries`]) settle a
-//! copy that shares every untouched node, keep it until the next commit,
-//! and leave the trie as it was (a flush with the copy still current
-//! adopts it). [`StateBackend::get`] settles nothing: a key with a write
-//! pending reads it through an index over the pending writes, which the
-//! first read to find writes pending builds and every later commit
-//! extends; any other key is one descent of the settled trie.
+//! copy that shares every untouched node and leave the trie as it was.
+//! The copy is kept with a count of the pending writes it holds: a later
+//! read settles onto it only the writes committed since, and the flush
+//! adopts it and settles the rest. [`StateBackend::get`] settles nothing:
+//! a key with a write pending reads it through an index over the pending
+//! writes, which the first read to find writes pending builds and every
+//! later commit extends; any other key is one descent of the settled
+//! trie.
 //!
 //! [`TrieBackend::prove`] produces inclusion proofs for present keys and
 //! two kinds of exclusion proof for absent ones (the search path ends in
@@ -97,26 +101,81 @@ fn branch_hash(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
     sha256(&preimage(BRANCH, left, right))
 }
 
-/// A trie node. A leaf holds its entry's bytes and `sha256(key)`, its
-/// path; the value's hash is taken when the leaf's is. `hash` memoises
-/// the node's commitment: empty from the moment a settle's edit passes
-/// through the node until the same settle fills it again. An empty memo
-/// never sits below a filled one — every edit clears the whole path from
-/// the root — so a filled memo vouches for its entire subtree.
+/// A leaf's entry in one buffer: `sha256(key) ‖ len(key) ‖ key ‖ value`,
+/// the key's length a base-128 varint, low bits first (one byte for a key
+/// shorter than 128 bytes; any length fits).
+#[derive(Debug, Clone)]
+struct Entry(Box<[u8]>);
+
+impl Entry {
+    fn new(kh: &[u8; 32], key: &[u8], value: &[u8]) -> Entry {
+        let len_bytes = (usize::BITS - key.len().leading_zeros()).div_ceil(7).max(1) as usize;
+        let mut bytes = Vec::with_capacity(32 + len_bytes + key.len() + value.len());
+        bytes.extend_from_slice(kh);
+        let mut len = key.len();
+        while len >= 0x80 {
+            bytes.push(len as u8 | 0x80);
+            len >>= 7;
+        }
+        bytes.push(len as u8);
+        bytes.extend_from_slice(key);
+        bytes.extend_from_slice(value);
+        Entry(bytes.into_boxed_slice())
+    }
+
+    fn key_hash(&self) -> &[u8; 32] {
+        self.0.first_chunk().expect("an entry starts with its key hash")
+    }
+
+    /// The key and the value.
+    fn split(&self) -> (&[u8], &[u8]) {
+        let (mut len, mut shift, mut at) = (0usize, 0, 32);
+        loop {
+            let byte = self.0[at];
+            at += 1;
+            len |= usize::from(byte & 0x7F) << shift;
+            if byte < 0x80 {
+                break;
+            }
+            shift += 7;
+        }
+        self.0[at..].split_at(len)
+    }
+
+    fn value(&self) -> &[u8] {
+        self.split().1
+    }
+
+    /// Writes `value` over the old one: in this buffer when its length is
+    /// unchanged, else in a new one.
+    fn set_value(&mut self, value: &[u8]) {
+        let (key, old) = self.split();
+        if old.len() == value.len() {
+            let at = self.0.len() - value.len();
+            self.0[at..].copy_from_slice(value);
+        } else {
+            *self = Entry::new(self.key_hash(), key, value);
+        }
+    }
+}
+
+/// A trie node. A leaf holds its [`Entry`]; the value's hash is taken
+/// when the leaf's is. `hash` memoises the node's commitment: empty from
+/// the moment a settle's edit passes through the node until the same
+/// settle fills it again. An empty memo never sits below a filled one —
+/// every edit clears the whole path from the root — so a filled memo
+/// vouches for its entire subtree. Both kinds fit in 56 bytes, so every
+/// node with its `Arc` counts is one 72-byte request (an 80-byte chunk of
+/// glibc's on x86-64), and a leaf's entry one more.
 #[derive(Debug, Clone)]
 enum Node {
-    Leaf { key_hash: [u8; 32], key: Box<[u8]>, value: Box<[u8]>, hash: OnceLock<[u8; 32]> },
+    Leaf { entry: Entry, hash: OnceLock<[u8; 32]> },
     Branch { left: Option<Arc<Node>>, right: Option<Arc<Node>>, hash: OnceLock<[u8; 32]> },
 }
 
 impl Node {
     fn leaf(key_hash: [u8; 32], key: &[u8], value: &[u8]) -> Arc<Node> {
-        Arc::new(Node::Leaf {
-            key_hash,
-            key: key.into(),
-            value: value.into(),
-            hash: OnceLock::new(),
-        })
+        Arc::new(Node::Leaf { entry: Entry::new(&key_hash, key, value), hash: OnceLock::new() })
     }
 
     fn branch(left: Option<Arc<Node>>, right: Option<Arc<Node>>) -> Arc<Node> {
@@ -140,7 +199,7 @@ impl Node {
 
     fn key_hash(&self) -> [u8; 32] {
         match self {
-            Node::Leaf { key_hash, .. } => *key_hash,
+            Node::Leaf { entry, .. } => *entry.key_hash(),
             Node::Branch { .. } => unreachable!("key_hash of a branch"),
         }
     }
@@ -183,7 +242,7 @@ fn insert(
             // Another key owns this prefix: both leaves move down to
             // where their paths part. The old leaf is moved, not edited,
             // so it keeps its memo and is never copied.
-            Some(Node::Leaf { key_hash, .. }) if *key_hash != kh => {
+            Some(Node::Leaf { entry, .. }) if *entry.key_hash() != kh => {
                 let other = slot.take().expect("matched Some");
                 *slot = Some(join(depth, other, Node::leaf(kh, key, value)));
                 return;
@@ -191,12 +250,8 @@ fn insert(
             Some(_) => {}
         }
         match Arc::make_mut(slot.as_mut().expect("matched Some")) {
-            Node::Leaf { value: old, hash, .. } => {
-                if old.len() == value.len() {
-                    old.copy_from_slice(value);
-                } else {
-                    *old = value.into();
-                }
+            Node::Leaf { entry, hash } => {
+                entry.set_value(value);
                 hash.take();
                 return;
             }
@@ -219,8 +274,8 @@ fn insert(
 fn remove(slot: &mut Option<Arc<Node>>, depth: usize, kh: &[u8; 32]) {
     match slot.as_deref() {
         None => return,
-        Some(Node::Leaf { key_hash, .. }) => {
-            if key_hash == kh {
+        Some(Node::Leaf { entry, .. }) => {
+            if entry.key_hash() == kh {
                 *slot = None;
             }
             return;
@@ -260,8 +315,8 @@ fn lookup<'a>(mut slot: &'a Option<Arc<Node>>, kh: &[u8; 32]) -> Option<&'a [u8]
     loop {
         match slot.as_deref() {
             None => return None,
-            Some(Node::Leaf { key_hash, value, .. }) => {
-                return (key_hash == kh).then_some(&value[..])
+            Some(Node::Leaf { entry, .. }) => {
+                return (entry.key_hash() == kh).then(|| entry.value())
             }
             Some(Node::Branch { left, right, .. }) => {
                 slot = if bit(kh, depth) { right } else { left };
@@ -356,7 +411,7 @@ fn hash_level(level: &[&Node]) {
     let value_hashes = value_hashes(level);
     let preimage = |i: usize| {
         let bytes = match level[i] {
-            Node::Leaf { key_hash, .. } => preimage(LEAF, key_hash, &value_hashes[i]),
+            Node::Leaf { entry, .. } => preimage(LEAF, entry.key_hash(), &value_hashes[i]),
             Node::Branch { left, right, .. } => {
                 preimage(BRANCH, &child_hash(left), &child_hash(right))
             }
@@ -418,7 +473,7 @@ fn sha256_each<'a>(msgs: impl ExactSizeIterator<Item = Option<&'a [u8]>>) -> Vec
 /// codec writes but code and long byte strings is short.
 fn value_hashes(level: &[&Node]) -> Vec<[u8; 32]> {
     sha256_each(level.iter().map(|node| match node {
-        Node::Leaf { value, .. } => Some(&value[..]),
+        Node::Leaf { entry, .. } => Some(entry.value()),
         Node::Branch { .. } => None,
     }))
 }
@@ -585,13 +640,15 @@ impl Pending {
         (&self.bytes[key.clone()], value.clone().map(|value| &self.bytes[value]))
     }
 
-    /// The writes that change the trie under `root`, sorted by key hash:
-    /// the last write to each key, less deletes of keys `root` does not
-    /// hold. Every key is hashed, sixteen to a call ([`sha256_each`]).
-    fn changes(&self, root: &Option<Arc<Node>>) -> Vec<Write> {
-        let keys = sha256_each(self.writes.iter().map(|(key, _)| Some(&self.bytes[key.clone()])));
+    /// The writes from pending write `from` on that change the trie under
+    /// `root`, sorted by key hash: the last write to each key, less
+    /// deletes of keys `root` does not hold. Every key is hashed, sixteen
+    /// to a call ([`sha256_each`]).
+    fn changes(&self, root: &Option<Arc<Node>>, from: usize) -> Vec<Write> {
+        let keys =
+            sha256_each(self.writes[from..].iter().map(|(key, _)| Some(&self.bytes[key.clone()])));
         let mut writes: Vec<Write> =
-            keys.into_iter().zip(0..).map(|(kh, at)| Write { kh, at }).collect();
+            keys.into_iter().zip(from..).map(|(kh, at)| Write { kh, at }).collect();
         // Latest first within a key, so the one `dedup_by` keeps is the
         // last write.
         writes.sort_unstable_by(|a, b| a.kh.cmp(&b.kh).then(b.at.cmp(&a.at)));
@@ -675,13 +732,14 @@ fn close_top(slot: &mut Option<Arc<Node>>, depth: usize, split: usize) {
     }
 }
 
-/// Settles `pending` into the trie under `root` using `ways` threads,
-/// the caller among them, and fills every memo the writes emptied. With
-/// one way the root is the one subtree; with more, the trie is split at
-/// the depth that gives [`SUBTREES_PER_WORKER`] subtrees per thread, and
-/// each thread takes a subtree at a time, applies its run and hashes it.
-fn settle(root: &mut Option<Arc<Node>>, pending: &Pending, ways: usize) {
-    let writes = pending.changes(root);
+/// Settles the pending writes from `from` on into the trie under `root`
+/// using `ways` threads, the caller among them, and fills every memo the
+/// writes emptied. With one way the root is the one subtree; with more,
+/// the trie is split at the depth that gives [`SUBTREES_PER_WORKER`]
+/// subtrees per thread, and each thread takes a subtree at a time,
+/// applies its run and hashes it.
+fn settle(root: &mut Option<Arc<Node>>, pending: &Pending, from: usize, ways: usize) {
+    let writes = pending.changes(root, from);
     let split = match ways {
         1 => 0,
         _ => (ways * SUBTREES_PER_WORKER).next_power_of_two().trailing_zeros() as usize,
@@ -723,6 +781,15 @@ fn settle(root: &mut Option<Arc<Node>>, pending: &Pending, ways: usize) {
 fn host_parallelism() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
+}
+
+/// The threads a settle of `writes` pending writes runs on: the host's
+/// cores when there are enough writes to pay for them, else one.
+fn ways(writes: usize) -> usize {
+    match writes >= PARALLEL_FLUSH_MIN_KEYS {
+        true => host_parallelism(),
+        false => 1,
+    }
 }
 
 /// Test-only count of the node hashes computed on behalf of the current
@@ -964,18 +1031,39 @@ pub fn verify_proof(
 /// and every key yields an inclusion or exclusion proof.
 /// [`StateBackend::get`], [`StateBackend::root`], [`TrieBackend::prove`]
 /// and [`StateBackend::entries`] are exact at any point: mid-block, `get`
-/// reads a pending write through its index, and the other three share
-/// one settled copy until the next commit. The leaves hold the only copy
-/// of the entries; [`StateBackend::entries`] walks them.
-#[derive(Debug, Default, Clone)]
+/// reads a pending write through its index, and the other three read one
+/// settled copy, which each of them first brings up to the last commit.
+/// The leaves hold the only copy of the entries; [`StateBackend::entries`]
+/// walks them.
+#[derive(Debug, Default)]
 pub struct TrieBackend {
     /// Settled: every memo under it is filled.
     root: Option<Arc<Node>>,
     /// Writes committed since the last flush.
     pending: Pending,
-    /// `root` with `pending` settled, once a mid-block root, proof or
-    /// entry list asked for it; every commit empties it.
-    settled: OnceLock<Option<Arc<Node>>>,
+    /// A settled copy of `root` with a prefix of `pending` applied, made
+    /// by the first mid-block root, proof or entry list and kept until
+    /// the flush adopts it.
+    settled: Mutex<Option<Settled>>,
+}
+
+/// A mid-block read's settled copy of the trie: the trie's root with the
+/// first `absorbed` pending writes settled onto it. It shares every node
+/// those writes left untouched with the trie.
+#[derive(Debug, Clone)]
+struct Settled {
+    root: Option<Arc<Node>>,
+    absorbed: usize,
+}
+
+impl Clone for TrieBackend {
+    fn clone(&self) -> TrieBackend {
+        TrieBackend {
+            root: self.root.clone(),
+            pending: self.pending.clone(),
+            settled: Mutex::new(self.settled_copy().clone()),
+        }
+    }
 }
 
 impl TrieBackend {
@@ -989,17 +1077,18 @@ impl TrieBackend {
     pub(crate) fn prove_key(&self, key: &[u8]) -> MerkleProof {
         let kh = sha256(key);
         let mut siblings = Vec::new();
-        let mut cursor = self.settled().as_deref();
+        let root = self.settled();
+        let mut cursor = root.as_deref();
         loop {
             match cursor {
                 None => return MerkleProof { claim: ProofClaim::AbsentEmpty, siblings },
-                Some(Node::Leaf { key_hash, value, .. }) => {
-                    let claim = if *key_hash == kh {
-                        ProofClaim::Present(value.to_vec())
+                Some(Node::Leaf { entry, .. }) => {
+                    let claim = if *entry.key_hash() == kh {
+                        ProofClaim::Present(entry.value().to_vec())
                     } else {
                         ProofClaim::AbsentLeaf {
-                            other_key_hash: *key_hash,
-                            other_value_hash: sha256(value),
+                            other_key_hash: *entry.key_hash(),
+                            other_value_hash: sha256(entry.value()),
                         }
                     };
                     return MerkleProof { claim, siblings };
@@ -1014,48 +1103,54 @@ impl TrieBackend {
         }
     }
 
-    /// [`StateBackend::flush_block`]'s settle, with the thread count a
-    /// parameter so tests can force the split.
+    /// The settled copy, if a mid-block read made one.
+    fn settled_copy(&self) -> std::sync::MutexGuard<'_, Option<Settled>> {
+        self.settled.lock().expect("no settle panics")
+    }
+
+    /// Settles every pending write from the trie's own root on `ways`
+    /// threads and drops any settled copy: the flush of a trie no read
+    /// made a copy of, with the thread count forced so tests can pick the
+    /// split.
+    #[cfg(test)]
     fn flush_with(&mut self, ways: usize) {
-        settle(&mut self.root, &self.pending, ways);
+        settle(&mut self.root, &self.pending, 0, ways);
         self.pending.clear();
-        self.settled.take();
+        self.settled.get_mut().expect("no settle panics").take();
     }
 
-    /// The threads a settle of the pending writes runs on: the host's
-    /// cores when there are enough writes to pay for them, else one.
-    fn ways(&self) -> usize {
-        match self.pending.writes.len() >= PARALLEL_FLUSH_MIN_KEYS {
-            true => host_parallelism(),
-            false => 1,
-        }
-    }
-
-    /// Settles the pending writes, or adopts the copy a mid-block read
-    /// already settled.
+    /// Settles the pending writes: onto the settled copy a mid-block read
+    /// made, which the trie adopts, only those committed since it was
+    /// last brought up to date; else all of them.
     fn flush(&mut self) {
-        match self.settled.take() {
-            Some(root) => {
-                self.root = root;
-                self.pending.clear();
+        let absorbed = match self.settled.get_mut().expect("no settle panics").take() {
+            Some(copy) => {
+                self.root = copy.root;
+                copy.absorbed
             }
-            None => self.flush_with(self.ways()),
-        }
+            None => 0,
+        };
+        let rest = self.pending.writes.len() - absorbed;
+        settle(&mut self.root, &self.pending, absorbed, ways(rest));
+        self.pending.clear();
     }
 
     /// The root with the pending writes settled: the trie's own when none
-    /// are pending (always, after a flush), else a settled copy that
-    /// shares every untouched node with it, made by the first call after
-    /// a commit and kept until the next.
-    fn settled(&self) -> &Option<Arc<Node>> {
-        if self.pending.writes.is_empty() {
-            return &self.root;
+    /// are pending (always, after a flush), else the settled copy, made
+    /// by the first such call after a flush and brought up to date by
+    /// settling onto it only the writes committed since the last call.
+    fn settled(&self) -> Option<Arc<Node>> {
+        let pending = self.pending.writes.len();
+        if pending == 0 {
+            return self.root.clone();
         }
-        self.settled.get_or_init(|| {
-            let mut root = self.root.clone();
-            settle(&mut root, &self.pending, self.ways());
-            root
-        })
+        let mut copy = self.settled_copy();
+        let copy = copy.get_or_insert_with(|| Settled { root: self.root.clone(), absorbed: 0 });
+        if copy.absorbed < pending {
+            settle(&mut copy.root, &self.pending, copy.absorbed, ways(pending - copy.absorbed));
+            copy.absorbed = pending;
+        }
+        copy.root.clone()
     }
 }
 
@@ -1068,7 +1163,6 @@ impl StateBackend for TrieBackend {
     /// applies and hashes them.
     fn commit(&mut self, batch: &[BatchEntry]) -> Result<(), StoreError> {
         self.pending.record(batch);
-        self.settled.take();
         Ok(())
     }
 
@@ -1082,7 +1176,7 @@ impl StateBackend for TrieBackend {
     }
 
     fn root(&self) -> [u8; 32] {
-        child_hash(self.settled())
+        child_hash(&self.settled())
     }
 
     /// Settles the block's pending writes, so [`StateBackend::root`] and
@@ -1094,10 +1188,14 @@ impl StateBackend for TrieBackend {
 
     fn entries(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut entries = Vec::new();
-        let mut stack: Vec<&Node> = self.settled().as_deref().into_iter().collect();
+        let root = self.settled();
+        let mut stack: Vec<&Node> = root.as_deref().into_iter().collect();
         while let Some(node) = stack.pop() {
             match node {
-                Node::Leaf { key, value, .. } => entries.push((key.to_vec(), value.to_vec())),
+                Node::Leaf { entry, .. } => {
+                    let (key, value) = entry.split();
+                    entries.push((key.to_vec(), value.to_vec()));
+                }
                 Node::Branch { left, right, .. } => {
                     stack.extend([left.as_deref(), right.as_deref()].into_iter().flatten());
                 }
@@ -1254,7 +1352,7 @@ mod tests {
     /// copy of the settled trie.
     fn owed(trie: &TrieBackend) -> Tally {
         let mut root = trie.root.clone();
-        let changes = trie.pending.changes(&root);
+        let changes = trie.pending.changes(&root, 0);
         apply(&mut root, 0, &changes, &trie.pending);
         let mut owed = Tally::default();
         if let Some(root) = &root {
@@ -1479,12 +1577,73 @@ mod tests {
             assert!(reads.windows(2).all(|w| w[0] == w[1]));
             assert_eq!(trie.get(&kv(7).0), Some(&[block as u8; 9][..]), "a read sees the write");
             assert_eq!(trie.get(&kv(3).0), None, "and the delete");
-            // The flush adopts the settled copy; the next commit drops it.
+            // The flush adopts the settled copy.
             trie.flush_block(2).unwrap();
             assert_eq!(tally::take(), Tally::default(), "the flush settled nothing again");
             assert_eq!(owed(&trie), Tally::default());
             assert_eq!(trie.root(), reads[0].0);
             assert_eq!(trie.root(), map_root(trie.entries()));
+        }
+    }
+
+    #[test]
+    fn reads_after_each_commit_settle_only_the_writes_since_the_last() {
+        let mut trie = TrieBackend::new();
+        let batch: Vec<_> = (0..2_000).map(|i| (kv(i).0, Some(kv(i).1))).collect();
+        trie.commit(&batch).unwrap();
+        trie.flush_block(1).unwrap();
+        let mut model: BTreeMap<_, _> = (0..2_000).map(kv).collect();
+        // Overwrites of present keys, so every round's paths are fixed.
+        let (rounds, m) = (20u32, 10u32);
+        let written: Vec<_> = (0..rounds * m).map(|i| kv(i * 7).0).collect();
+        let branches_above: usize =
+            written.iter().map(|key| trie.prove_key(key).siblings.len()).sum();
+        tally::take();
+        let mut hashed = Tally::default();
+        for (round, keys) in (0u8..).zip(written.chunks(m as usize)) {
+            let batch: Vec<_> =
+                keys.iter().map(|key| (key.clone(), Some(vec![round; 5]))).collect();
+            trie.commit(&batch).unwrap();
+            let root = trie.root();
+            hashed += tally::take();
+            model.extend(batch.into_iter().map(|(key, value)| (key, value.expect("a put"))));
+            assert_eq!(root, map_root(&model), "round {round}");
+            tally::take();
+        }
+        // Each round hashes its own writes' paths: k·m leaves, not the
+        // k(k+1)/2·m of settling every pending write again.
+        assert_eq!(hashed.leaves, (rounds * m) as usize);
+        assert!(hashed.branches <= branches_above, "{hashed:?} against {branches_above}");
+        trie.flush_block(2).unwrap();
+        assert_eq!(tally::take(), Tally::default(), "the flush adopts the settled copy");
+        assert_eq!(owed(&trie), Tally::default());
+        assert_eq!(trie.root(), map_root(&model));
+    }
+
+    /// A field that widens a node widens every node of every trie.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_node_is_seven_words() {
+        assert!(std::mem::size_of::<Node>() <= 56, "{} bytes", std::mem::size_of::<Node>());
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+    }
+
+    #[test]
+    fn an_entry_frames_keys_of_any_length() {
+        // Key lengths at each edge of the varint's one, two and three bytes.
+        for (len, framing) in
+            [(0, 1), (1, 1), (127, 1), (128, 2), (16_383, 2), (16_384, 3), (70_000, 3)]
+        {
+            let key = vec![0x80u8; len];
+            let mut entry = Entry::new(&sha256(&key), &key, b"value");
+            assert_eq!(entry.split(), (&key[..], &b"value"[..]), "{len}-byte key");
+            assert_eq!(entry.0.len(), 32 + framing + len + 5, "{len}-byte key");
+            let buffer = entry.0.as_ptr();
+            entry.set_value(b"VALUE");
+            assert_eq!(entry.0.as_ptr(), buffer, "a value of unchanged length stays in place");
+            entry.set_value(b"");
+            assert_eq!(entry.split(), (&key[..], &b""[..]));
+            assert_eq!(entry.key_hash(), &sha256(&key));
         }
     }
 

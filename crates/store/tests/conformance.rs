@@ -158,3 +158,107 @@ fn every_backend_reads_each_commit_pending_or_flushed() {
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every backend's view of `model`: each key's read, the entry list, the
+/// root, and the trie's proof of each key checked against the others'
+/// roots.
+fn assert_all_agree(
+    backends: &[&dyn StateBackend],
+    model: &BTreeMap<Vec<u8>, Vec<u8>>,
+    probes: &[Vec<u8>],
+    stage: &str,
+) {
+    let entries: Vec<(Vec<u8>, Vec<u8>)> =
+        model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+    let root = MemoryBackend::from_entries(entries.clone()).root();
+    let trie = backends.iter().find(|b| b.name() == "trie").expect("a trie among the backends");
+    for backend in backends {
+        let name = backend.name();
+        for key in probes {
+            let expect = model.get(key).map(Vec::as_slice);
+            assert_eq!(backend.get(key), expect, "{name} reads a {}-byte key, {stage}", key.len());
+        }
+        assert!(backend.entries() == entries, "{name} lists the entries, {stage}");
+        assert_eq!(backend.root(), root, "{name}'s root, {stage}");
+    }
+    for key in probes {
+        let proof = trie.prove(key).expect("the trie proves every key");
+        let proven = pol_store::verify_proof(&root, key, &proof);
+        assert_eq!(
+            proven,
+            Ok(model.get(key).cloned()),
+            "a {}-byte key's proof, {stage}",
+            key.len()
+        );
+    }
+}
+
+#[test]
+fn backends_agree_over_keys_and_values_of_every_length() {
+    let dir = temp_dir("lengths");
+    let mut rng = StdRng::seed_from_u64(53);
+    let bytes = |rng: &mut StdRng, len: usize| -> Vec<u8> { (0..len).map(|_| rng.gen()).collect() };
+    // Keys of 1 to 80 bytes, one a prefix of another, and one whose
+    // length no 16-bit field holds.
+    let mut keys: Vec<Vec<u8>> = (1..=80).map(|len| bytes(&mut rng, len)).collect();
+    keys.push(keys[79][..33].to_vec());
+    keys.push(bytes(&mut rng, 70_000));
+    let mut probes = keys.clone();
+    probes.push(keys[79][..34].to_vec());
+    probes.push(Vec::new());
+
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let mut memory = MemoryBackend::new();
+    let mut trie = TrieBackend::new();
+    let mut wal = WalBackend::open(&dir, 2).unwrap();
+    // Rounds: first writes (a fifth of them empty), rewrites at the same
+    // length, rewrites at another (some to and from empty), a third of
+    // the keys deleted, and those written again.
+    for round in 0..5 {
+        let mut batch: Vec<(Vec<u8>, Option<Vec<u8>>)> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let old = model.get(key).map(Vec::len);
+            let value = match (round, old) {
+                (0, _) => Some(if i % 5 == 0 { Vec::new() } else { bytes(&mut rng, i % 41) }),
+                (1, Some(len)) => Some(bytes(&mut rng, len)),
+                (2, Some(len)) => Some(bytes(&mut rng, if len == 0 { 9 } else { (len * 3) % 7 })),
+                (3, Some(_)) if i % 3 == 0 => None,
+                (4, None) => Some(bytes(&mut rng, i % 13)),
+                _ => continue,
+            };
+            match &value {
+                Some(value) => model.insert(key.clone(), value.clone()),
+                None => model.remove(key),
+            };
+            batch.push((key.clone(), value));
+        }
+        // Two commits a round, so the trie reads some writes from its
+        // pending index and some from a settled copy.
+        let (first, second) = batch.split_at(batch.len() / 2);
+        for commit in [first, second] {
+            memory.commit(commit).unwrap();
+            trie.commit(commit).unwrap();
+            wal.commit(commit).unwrap();
+        }
+        assert_all_agree(&[&memory, &trie, &wal], &model, &probes, &format!("round {round}"));
+        memory.flush_block(round).unwrap();
+        trie.flush_block(round).unwrap();
+        wal.flush_block(round).unwrap();
+        assert_all_agree(
+            &[&memory, &trie, &wal],
+            &model,
+            &probes,
+            &format!("round {round} flushed"),
+        );
+        if round % 2 == 0 {
+            // Each reopen replays a snapshot, the log after it, or both.
+            drop(wal);
+            wal = WalBackend::open(&dir, 2).unwrap();
+            let stage = format!("round {round} reopened");
+            assert_all_agree(&[&memory, &trie, &wal], &model, &probes, &stage);
+        }
+    }
+    assert!(model.values().any(Vec::is_empty), "an empty value survives to the end");
+    drop(wal);
+    let _ = std::fs::remove_dir_all(&dir);
+}
