@@ -68,6 +68,11 @@ impl AvmProgram {
         self.costs[idx]
     }
 
+    /// The instruction list, by value: the derived rows are dropped.
+    pub fn into_ops(self) -> Vec<AvmOp> {
+        self.ops
+    }
+
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.ops.len()

@@ -20,10 +20,13 @@ use crate::program::AvmProgram;
 /// The AVM stack-depth limit.
 pub(crate) const MAX_STACK: usize = 1000;
 
-/// Exploration budget: abstract states processed before giving up. The
-/// compiler emits loop-free programs, so hitting this means the program
-/// is not something the backend produced.
-const STATE_BUDGET: usize = 200_000;
+/// Exploration budget: instructions walked, summed over every path,
+/// before giving up. Every step counts, so a backward jump that keeps
+/// raising the path's cost ends here instead of walking forever. The
+/// compiler emits loop-free programs; the longest walk among the bundled
+/// contracts and the 256-API benchmark contract is about 19,000 steps, so
+/// hitting this means the input is not something the backend produced.
+const WALK_BUDGET: usize = 1_000_000;
 
 /// What the verifier proved about a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,8 +64,8 @@ pub enum VerifyError {
         /// The missing label id.
         label: usize,
     },
-    /// The exploration budget was exhausted (cyclic or adversarial
-    /// code).
+    /// The exploration budget of instructions walked was exhausted
+    /// (cyclic or adversarial code).
     StateBudgetExceeded,
 }
 
@@ -189,10 +192,6 @@ pub fn verify(program: &AvmProgram) -> Result<ProgramReport, VerifyError> {
     let mut steps = 0usize;
 
     while let Some((mut idx, mut depth, mut spent)) = worklist.pop() {
-        steps += 1;
-        if steps > STATE_BUDGET {
-            return Err(VerifyError::StateBudgetExceeded);
-        }
         loop {
             if idx >= ops.len() {
                 // Falling off the end halts the program.
@@ -201,6 +200,10 @@ pub fn verify(program: &AvmProgram) -> Result<ProgramReport, VerifyError> {
             }
             if !memo.improves(idx, depth, spent) {
                 break;
+            }
+            steps += 1;
+            if steps > WALK_BUDGET {
+                return Err(VerifyError::StateBudgetExceeded);
             }
             let op = &ops[idx];
             spent += cost::op_cost(op);
@@ -270,10 +273,6 @@ mod tests {
         let mut steps = 0usize;
 
         while let Some((mut idx, mut depth, mut spent)) = worklist.pop() {
-            steps += 1;
-            if steps > STATE_BUDGET {
-                return Err(VerifyError::StateBudgetExceeded);
-            }
             loop {
                 if idx >= ops.len() {
                     // Falling off the end halts the program.
@@ -286,6 +285,10 @@ mod tests {
                     _ => {
                         best.insert(key, spent);
                     }
+                }
+                steps += 1;
+                if steps > WALK_BUDGET {
+                    return Err(VerifyError::StateBudgetExceeded);
                 }
                 let op = &ops[idx];
                 spent += cost::op_cost(op);
@@ -488,8 +491,16 @@ mod tests {
         assert!(agree(vec![PushInt(1), Return, B(9)]).is_ok());
 
         // A backward bnz queues one dearer state per round: the budget of
-        // worklist pops ends it.
+        // instructions walked ends it.
         let spin = vec![Label(0), PushInt(1), Bnz(0)];
+        assert_eq!(agree(spin), Err(VerifyError::StateBudgetExceeded));
+    }
+
+    /// A backward `b` queues nothing: the walk goes round inline, dearer
+    /// each time, and only counting every instruction ends it.
+    #[test]
+    fn a_backward_branch_ends_on_the_budget() {
+        let spin = vec![AvmOp::Label(0), AvmOp::B(0)];
         assert_eq!(agree(spin), Err(VerifyError::StateBudgetExceeded));
     }
 
@@ -511,11 +522,8 @@ mod tests {
     }
 
     /// Numbers the labels in order, so each is defined once, and aims the
-    /// branches forwards — but for one conditional branch in sixteen
-    /// (`backward` is 0), which may go back: a loop the budget ends. `b`
-    /// never goes back: a backward `b` with nothing dearer behind it walks
-    /// forever in both verifiers (no state is queued, so the budget never
-    /// counts).
+    /// branches forwards — but for one branch in sixteen (`backward` is 0),
+    /// which may go back: a loop the budget ends.
     fn resolve(slots: Vec<Slot>) -> Vec<AvmOp> {
         let labels = slots.iter().filter(|slot| matches!(slot, Slot::Label)).count();
         let mut seen = 0;
@@ -528,7 +536,7 @@ mod tests {
                     AvmOp::Label(seen - 1)
                 }
                 Slot::Branch { kind, aim, dangling, backward } => {
-                    let from = if kind > 0 && backward == 0 { 0 } else { seen };
+                    let from = if backward == 0 { 0 } else { seen };
                     let label = match labels - from {
                         reachable if reachable > 0 && dangling > 0 => from + aim % reachable,
                         _ => labels,

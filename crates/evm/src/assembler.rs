@@ -30,6 +30,13 @@ impl Asm {
         Asm::default()
     }
 
+    /// Empties the assembler for reuse: its buffers keep their capacity.
+    pub fn clear(&mut self) {
+        self.code.clear();
+        self.fixups.clear();
+        self.labels.clear();
+    }
+
     /// Appends a plain opcode.
     pub fn op(mut self, op: Op) -> Asm {
         self.code.push(op as u8);
@@ -116,13 +123,48 @@ impl Asm {
     /// Panics if a referenced label was never bound or lies beyond PUSH3
     /// range.
     pub fn build(mut self) -> Vec<u8> {
-        for (pos, label_id) in &self.fixups {
-            let target = self.labels[*label_id].expect("label bound before build");
+        self.resolve();
+        self.code
+    }
+
+    /// Patches every label reference in place and returns the code. The
+    /// assembler keeps its labels, so it can still be
+    /// [`splice`](Asm::splice)d into another one afterwards.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Asm::build`].
+    pub fn resolve(&mut self) -> &[u8] {
+        for &(pos, label_id) in &self.fixups {
+            let target = self.labels[label_id].expect("label bound before build");
             assert!(target <= 0xff_ffff, "label offset exceeds PUSH3 range");
             let bytes = (target as u32).to_be_bytes();
-            self.code[*pos..pos + 3].copy_from_slice(&bytes[1..]);
+            self.code[pos..pos + 3].copy_from_slice(&bytes[1..]);
         }
-        self.code
+        &self.code
+    }
+
+    /// Appends `other`'s code up to the offset its label `cut` is bound
+    /// at. `other`'s labels are renumbered after this assembler's own and
+    /// shifted by the code already here; references to `cut` become
+    /// references to `to`. Every reference is a fixed-width `PUSH3`, so
+    /// no byte of `other` moves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cut` is unbound in `other`.
+    pub fn splice(mut self, other: &Asm, cut: Label, to: Label) -> Asm {
+        let end = other.labels[cut.0].expect("cut label bound");
+        let (shift, first) = (self.code.len(), self.labels.len());
+        self.code.extend_from_slice(&other.code[..end]);
+        self.labels.extend(other.labels.iter().map(|at| at.map(|at| at + shift)));
+        self.fixups.extend(other.fixups.iter().filter(|(pos, _)| *pos < end).map(
+            |&(pos, label_id)| {
+                let label_id = if label_id == cut.0 { to.0 } else { first + label_id };
+                (pos + shift, label_id)
+            },
+        ));
+        self
     }
 
     /// Builds init code that runs `constructor` (straight-line storage
@@ -183,6 +225,27 @@ mod tests {
         assert_eq!(code[4], Op::Jump as u8);
         let dest = u32::from_be_bytes([0, code[1], code[2], code[3]]) as usize;
         assert_eq!(code[dest], Op::JumpDest as u8);
+    }
+
+    /// A spliced fragment keeps its bytes: its own labels land shifted by
+    /// the code before it, and its cut label becomes the host's.
+    #[test]
+    fn splice_shifts_labels_and_redirects_the_cut() {
+        let mut fragment = Asm::new();
+        let exit = fragment.new_label();
+        let inner = fragment.new_label();
+        let fragment =
+            fragment.jump_if(exit).jump(inner).bind(inner).op(Op::Stop).bind(exit).op(Op::Return);
+        let mut host = Asm::new();
+        let shared = host.new_label();
+        let host = host.op(Op::Stop).splice(&fragment, exit, shared).bind(shared).op(Op::Revert);
+        let code = host.build();
+        let target = |at: usize| u32::from_be_bytes([0, code[at], code[at + 1], code[at + 2]]);
+        // STOP | PUSH3 shared JUMPI | PUSH3 inner JUMP | JUMPDEST STOP | JUMPDEST REVERT
+        assert_eq!(code.len(), 1 + 5 + 5 + 2 + 2);
+        assert_eq!(target(2), 13, "the cut label's reference lands on the host's label");
+        assert_eq!(target(7), 11, "a fragment label is shifted by the host's code");
+        assert_eq!(code[11], Op::JumpDest as u8);
     }
 
     #[test]

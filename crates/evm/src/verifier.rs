@@ -29,10 +29,13 @@ use std::collections::BTreeSet;
 /// The EVM stack-depth limit.
 pub(crate) const MAX_STACK: usize = 1024;
 
-/// Exploration budget: abstract states processed before giving up. The
-/// compiler emits loop-free code, so hitting this means the image is
-/// not something the backend produced.
-const STATE_BUDGET: usize = 200_000;
+/// Exploration budget: instructions walked, summed over every path,
+/// before giving up. Every step counts, so a backward jump that keeps
+/// raising the path's cost ends here instead of walking forever. The
+/// compiler emits loop-free code; the longest walk among the bundled
+/// contracts and the 256-API benchmark contract is about 19,000 steps, so
+/// hitting this means the input is not something the backend produced.
+const WALK_BUDGET: usize = 1_000_000;
 
 /// Verification parameters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -104,8 +107,8 @@ pub enum VerifyError {
         /// Offending program counter.
         pc: usize,
     },
-    /// The exploration budget was exhausted (cyclic or adversarial
-    /// code).
+    /// The exploration budget of instructions walked was exhausted
+    /// (cyclic or adversarial code).
     StateBudgetExceeded,
 }
 
@@ -263,10 +266,6 @@ pub fn verify(code: &[u8], cfg: &VerifyConfig) -> Result<BytecodeReport, VerifyE
     let mut unknown_sstore_pcs: BTreeSet<usize> = BTreeSet::new();
 
     while let Some(mut st) = worklist.pop() {
-        steps += 1;
-        if steps > STATE_BUDGET {
-            return Err(VerifyError::StateBudgetExceeded);
-        }
         loop {
             if st.pc >= code.len() {
                 // Implicit STOP.
@@ -275,6 +274,10 @@ pub fn verify(code: &[u8], cfg: &VerifyConfig) -> Result<BytecodeReport, VerifyE
             }
             if !memo.improves(&st) {
                 break;
+            }
+            steps += 1;
+            if steps > WALK_BUDGET {
+                return Err(VerifyError::StateBudgetExceeded);
             }
             let byte = code[st.pc];
             let Some((op, variant)) = Op::decode(byte) else {
@@ -505,10 +508,6 @@ mod tests {
         let mut unknown_sstore_pcs: HashSet<usize> = HashSet::new();
 
         while let Some(mut st) = worklist.pop() {
-            steps += 1;
-            if steps > STATE_BUDGET {
-                return Err(VerifyError::StateBudgetExceeded);
-            }
             loop {
                 if st.pc >= code.len() {
                     // Implicit STOP.
@@ -521,6 +520,10 @@ mod tests {
                     _ => {
                         best.insert(key, st.gas);
                     }
+                }
+                steps += 1;
+                if steps > WALK_BUDGET {
+                    return Err(VerifyError::StateBudgetExceeded);
                 }
                 visited.insert(st.pc);
                 let byte = code[st.pc];
@@ -988,11 +991,20 @@ mod tests {
         assert_eq!(agree(&code, &lenient), Err(VerifyError::StorePastCall { pc: at }));
 
         // A backward JUMPI queues one dearer state per round: the budget of
-        // worklist pops ends it.
+        // instructions walked ends it.
         let mut spin = Asm::new();
         let top = spin.new_label();
         let spin = spin.bind(top).op(Op::CallValue).jump_if(top).build();
         assert_eq!(agree(&spin, &strict), Err(VerifyError::StateBudgetExceeded));
+    }
+
+    /// A backward JUMP queues nothing: the walk goes round inline, dearer
+    /// each time, and only counting every instruction ends it.
+    #[test]
+    fn a_backward_jump_ends_on_the_budget() {
+        // JUMPDEST; PUSH1 0; JUMP
+        let spin = [0x5b, 0x60, 0x00, 0x56];
+        assert_eq!(agree(&spin, &cfg()), Err(VerifyError::StateBudgetExceeded));
     }
 
     proptest! {

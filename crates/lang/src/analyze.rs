@@ -112,7 +112,7 @@ pub fn analyze(program: &Program) -> Result<Analysis, LangError> {
     let compiled_evm = evm_backend::emit(program, &table, evm_backend::DEFAULT_RUNTIME_PAD)?;
     // The AVM backend refuses some programs the EVM one accepts (an
     // argument index past one byte); either refusal means no report.
-    avm_backend::emit(program)?;
+    avm_backend::addressable(program)?;
     let bounds = certify_compiled(program, &flows, &compiled_evm, &table);
 
     // The phase APIs in declaration order; the generated views and

@@ -101,8 +101,9 @@ fn encode_args(params: &[(String, Ty)], args: &[AbiValue]) -> Result<Vec<Vec<u8>
     Ok(out)
 }
 
-/// Compiles one API in isolation, for the AVM verifier and the X0402
-/// gate.
+/// Compiles one API in isolation: the ops the AVM verifier and the X0402
+/// gate check. The API's body in the approval program is these ops with
+/// their labels renumbered.
 ///
 /// # Errors
 ///
@@ -113,26 +114,69 @@ pub fn api_fragment(
     api: &Api,
 ) -> Result<Vec<AvmOp>, LangError> {
     crate::check::checked(program)?;
-    fragment(program, phase_idx, api)
+    addressable_params(Some(&api.name), &api.params)?;
+    Ok(fragment(program, phase_idx, api, Vec::new())?.0)
 }
 
-/// [`api_fragment`] for a program already checked.
-pub(crate) fn fragment(
+/// The first label a fragment numbers; [`emit`] renumbers them into
+/// the program's sequence.
+const FRAGMENT_FIRST_LABEL: usize = 1000;
+
+/// [`api_fragment`] for a program already checked and [`addressable`],
+/// pushed onto the empty `ops`: the ops, and how many labels they number
+/// from [`FRAGMENT_FIRST_LABEL`] on.
+fn fragment(
     program: &Program,
     phase_idx: usize,
     api: &Api,
-) -> Result<Vec<AvmOp>, LangError> {
-    let mut ctx = Ctx { program, params: HashMap::new(), ops: Vec::new(), next_label: 1000 };
-    ctx.bind_params(Some(&api.name), &api.params)?;
+    ops: Vec<AvmOp>,
+) -> Result<(Vec<AvmOp>, usize), LangError> {
+    let mut ctx = Ctx::new(program, FRAGMENT_FIRST_LABEL);
+    ctx.ops = ops;
+    ctx.bind_params(Some(&api.name), &api.params);
     ctx.compile_api(phase_idx, api)?;
-    Ok(ctx.ops)
+    Ok((ctx.ops, ctx.next_label - FRAGMENT_FIRST_LABEL))
+}
+
+/// The AVM backend's one refusal: the argument index of
+/// `txna ApplicationArgs` is one byte, so a parameter list that runs past
+/// index 255 is refused rather than wrapped onto the first arguments.
+/// Every API is checked, in declaration order, before the creator.
+/// [`emit`] runs this before it generates code, and
+/// [`crate::analyze::analyze`] in place of generating it.
+///
+/// # Errors
+///
+/// [`LangError::Backend`] naming the first list that is too long.
+pub(crate) fn addressable(program: &Program) -> Result<(), LangError> {
+    for (_, api) in program.all_apis() {
+        addressable_params(Some(&api.name), &api.params)?;
+    }
+    addressable_params(None, &program.creator.fields)
+}
+
+/// [`addressable`] for the parameters of `api` (application arguments
+/// 1.., after the method name) or, for `None`, the creator's fields
+/// (creation arguments 0..).
+fn addressable_params(api: Option<&str>, params: &[(String, Ty)]) -> Result<(), LangError> {
+    let limit = 256 - usize::from(api.is_some());
+    if params.len() > limit {
+        let owner = api.map_or("the creator".to_string(), |name| format!("api {name:?}"));
+        return Err(LangError::Backend(format!(
+            "{owner} declares {} parameters; the AVM backend addresses at most {limit}",
+            params.len()
+        )));
+    }
+    Ok(())
 }
 
 struct Ctx<'p> {
     program: &'p Program,
-    /// Parameter name → (index in app args, type). Index 0 is the method
-    /// name for calls; constructor params start at 0.
-    params: HashMap<&'p str, (u8, Ty)>,
+    /// The bound parameters; the first is application argument `base`.
+    /// Index 0 is the method name for calls; constructor params start
+    /// at 0.
+    params: &'p [(String, Ty)],
+    base: u8,
     ops: Vec<AvmOp>,
     next_label: usize,
 }
@@ -146,12 +190,24 @@ struct Ctx<'p> {
 /// declares more parameters than `txna ApplicationArgs` can index.
 pub fn compile(program: &Program) -> Result<CompiledAvm, LangError> {
     crate::check::checked(program)?;
-    emit(program)
+    emit(program, &mut |_, _, _, _| {})
 }
 
-/// [`compile`] for a program already checked.
-pub(crate) fn emit(program: &Program) -> Result<CompiledAvm, LangError> {
-    let mut ctx = Ctx { program, params: HashMap::new(), ops: Vec::new(), next_label: 0 };
+/// Reads one API's standalone fragment: the program, then the API's
+/// phase, its index in the phase and the API.
+pub(crate) type FragmentGate<'g> = dyn FnMut(&AvmProgram, usize, usize, &Api) + 'g;
+
+/// [`compile`] for a program already checked. Each API is generated as a
+/// standalone fragment (what [`api_fragment`] returns) that `gate` reads,
+/// with the API's phase and index, before its ops are moved in behind the
+/// API's dispatch label, their labels renumbered into the program's
+/// sequence. `gate` sees the APIs in declaration order.
+pub(crate) fn emit(
+    program: &Program,
+    gate: &mut FragmentGate<'_>,
+) -> Result<CompiledAvm, LangError> {
+    addressable(program)?;
+    let mut ctx = Ctx::new(program, 0);
 
     // if ApplicationID == 0 -> creation branch
     let create_label = ctx.fresh_label();
@@ -162,9 +218,12 @@ pub(crate) fn emit(program: &Program) -> Result<CompiledAvm, LangError> {
     let mut api_params = HashMap::new();
     let reject_label = ctx.fresh_label();
     let mut entries = Vec::new();
-    for (phase_idx, api) in program.all_apis() {
+    let apis = program.phases.iter().enumerate().flat_map(|(phase_idx, phase)| {
+        phase.apis.iter().enumerate().map(move |(api_idx, api)| (phase_idx, api_idx, api))
+    });
+    for (phase_idx, api_idx, api) in apis {
         let label = ctx.fresh_label();
-        entries.push((phase_idx, api, label));
+        entries.push((phase_idx, api_idx, api, label));
         api_params.insert(
             api.name.clone(),
             api.params.iter().map(|(n, t)| (n.clone(), *t)).collect::<Vec<_>>(),
@@ -173,7 +232,7 @@ pub(crate) fn emit(program: &Program) -> Result<CompiledAvm, LangError> {
     let close_label = ctx.fresh_label();
     // Like the branch below, behind any API of the same name.
     api_params.entry("closeContract".to_string()).or_default();
-    for (_, api, label) in &entries {
+    for (_, _, api, label) in &entries {
         ctx.ops.push(AvmOp::TxnArg(0));
         ctx.ops.push(AvmOp::PushBytes(api.name.as_bytes().to_vec()));
         ctx.ops.push(AvmOp::Eq);
@@ -186,10 +245,24 @@ pub(crate) fn emit(program: &Program) -> Result<CompiledAvm, LangError> {
     ctx.ops.push(AvmOp::B(reject_label));
 
     // ---- API bodies ----
-    for (phase_idx, api, label) in entries {
+    // Moving a fragment's ops into the program empties their buffer, which
+    // then holds the next fragment.
+    let mut spare = Vec::new();
+    for (phase_idx, api_idx, api, label) in entries {
         ctx.ops.push(AvmOp::Label(label));
-        ctx.bind_params(Some(&api.name), &api.params)?;
-        ctx.compile_api(phase_idx, api)?;
+        let (ops, labels) = fragment(program, phase_idx, api, spare)?;
+        let standalone = AvmProgram::new(ops);
+        gate(&standalone, phase_idx, api_idx, api);
+        let mut ops = standalone.into_ops();
+        let shift = ctx.next_label;
+        for op in &mut ops {
+            if let AvmOp::Label(id) | AvmOp::B(id) | AvmOp::Bz(id) | AvmOp::Bnz(id) = op {
+                *id = *id - FRAGMENT_FIRST_LABEL + shift;
+            }
+        }
+        ctx.next_label += labels;
+        ctx.ops.append(&mut ops);
+        spare = ops;
     }
 
     // ---- closeContract ----
@@ -222,7 +295,7 @@ pub(crate) fn emit(program: &Program) -> Result<CompiledAvm, LangError> {
     ctx.ops.push(AvmOp::PushBytes(KEY_PHASE.to_vec()));
     ctx.ops.push(AvmOp::PushInt(0));
     ctx.ops.push(AvmOp::AppGlobalPut);
-    ctx.bind_params(None, &program.creator.fields)?;
+    ctx.bind_params(None, &program.creator.fields);
     for global in &program.globals {
         ctx.ops.push(AvmOp::PushBytes(global.name.as_bytes().to_vec()));
         match &global.init {
@@ -254,6 +327,10 @@ pub(crate) fn emit(program: &Program) -> Result<CompiledAvm, LangError> {
 }
 
 impl<'p> Ctx<'p> {
+    fn new(program: &'p Program, next_label: usize) -> Ctx<'p> {
+        Ctx { program, params: &[], base: 0, ops: Vec::new(), next_label }
+    }
+
     fn fresh_label(&mut self) -> usize {
         self.next_label += 1;
         self.next_label - 1
@@ -261,28 +338,24 @@ impl<'p> Ctx<'p> {
 
     /// Binds the parameters of `api` (application arguments 1.., after the
     /// method name) or, for `None`, the creator's fields (creation
-    /// arguments 0..). The argument index is one byte on the AVM, so a
-    /// list that runs past index 255 is refused rather than wrapped onto
-    /// the first arguments.
-    fn bind_params(
-        &mut self,
-        api: Option<&str>,
-        params: &'p [(String, Ty)],
-    ) -> Result<(), LangError> {
-        let base = u8::from(api.is_some());
-        let limit = 256 - usize::from(base);
-        if params.len() > limit {
-            let owner = api.map_or("the creator".to_string(), |name| format!("api {name:?}"));
-            return Err(LangError::Backend(format!(
-                "{owner} declares {} parameters; the AVM backend addresses at most {limit}",
-                params.len()
-            )));
-        }
-        self.params.clear();
-        for ((name, ty), idx) in params.iter().zip(base..=u8::MAX) {
-            self.params.insert(name, (idx, *ty));
-        }
-        Ok(())
+    /// arguments 0..). The list has passed [`addressable_params`].
+    fn bind_params(&mut self, api: Option<&str>, params: &'p [(String, Ty)]) {
+        debug_assert!(addressable_params(api, params).is_ok());
+        self.params = params;
+        self.base = u8::from(api.is_some());
+    }
+
+    /// The argument index and type of the parameter `name`; of repeated
+    /// names, the last. Parameter lists are short, so a scan beats
+    /// building a map per body.
+    fn param(&self, name: &str) -> Result<(u8, Ty), LangError> {
+        let pos = self
+            .params
+            .iter()
+            .rposition(|(param, _)| param == name)
+            .ok_or_else(|| LangError::Backend(format!("unknown parameter {name:?}")))?;
+        let idx = u8::try_from(usize::from(self.base) + pos).expect("the list is addressable");
+        Ok((idx, self.params[pos].1))
     }
 
     fn compile_api(&mut self, phase_idx: usize, api: &Api) -> Result<(), LangError> {
@@ -425,10 +498,7 @@ impl<'p> Ctx<'p> {
     fn emit_bytes(&mut self, expr: &Expr) -> Result<(), LangError> {
         match expr {
             Expr::Param(name) => {
-                let (idx, ty) = *self
-                    .params
-                    .get(name.as_str())
-                    .ok_or_else(|| LangError::Backend(format!("unknown parameter {name:?}")))?;
+                let (idx, ty) = self.param(name)?;
                 self.ops.push(AvmOp::TxnArg(idx));
                 if !matches!(ty, Ty::Bytes(_) | Ty::Address) {
                     // already raw 8-byte big-endian; keep as bytes
@@ -467,10 +537,7 @@ impl<'p> Ctx<'p> {
                 Ok(())
             }
             Expr::Param(name) => {
-                let (idx, ty) = *self
-                    .params
-                    .get(name.as_str())
-                    .ok_or_else(|| LangError::Backend(format!("unknown parameter {name:?}")))?;
+                let (idx, ty) = self.param(name)?;
                 self.ops.push(AvmOp::TxnArg(idx));
                 match ty {
                     Ty::UInt | Ty::Bool => self.ops.push(AvmOp::Btoi),
@@ -725,6 +792,19 @@ mod tests {
             backend_error(crate::analyze::analyze(&program)),
         ] {
             assert!(message.contains("the creator") && message.contains("256"), "{message}");
+        }
+    }
+
+    /// `analyze` runs the refusal rule in place of emitting the program;
+    /// it must refuse exactly what `compile` refuses, with its words.
+    #[test]
+    fn analyze_and_compile_agree_on_refusal() {
+        for (fields, params) in [(1, 255), (1, 256), (256, 1), (257, 1), (1, 260), (260, 1)] {
+            let program = wide(fields, params);
+            let verdict = |result: Result<(), LangError>| result.map_err(|e| e.to_string());
+            let compiled = verdict(compile(&program).map(drop));
+            assert_eq!(verdict(crate::analyze::analyze(&program).map(drop)), compiled);
+            assert_eq!(compiled.is_ok(), params <= 255 && fields <= 256, "{fields}/{params}");
         }
     }
 

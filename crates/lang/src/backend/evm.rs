@@ -144,8 +144,8 @@ enum ParamSource {
 struct Ctx<'p> {
     program: &'p Program,
     source: ParamSource,
-    /// name → (ty, offset within the args area, padded length).
-    params: HashMap<&'p str, (Ty, usize, usize)>,
+    /// The parameters being compiled against, laid out by [`layout_iter`].
+    params: &'p [(String, Ty)],
     asm: Asm,
     revert_label: pol_evm::assembler::Label,
     staging_top: u64,
@@ -172,18 +172,27 @@ pub(crate) fn layout_iter(
     })
 }
 
-/// The canonical signature used for selector derivation.
+/// The canonical signature used for selector derivation, written into
+/// one `String`.
 pub(crate) fn signature(name: &str, params: &[(String, Ty)]) -> String {
-    let tys: Vec<String> = params
-        .iter()
-        .map(|(_, ty)| match ty {
-            Ty::UInt => "uint256".to_string(),
-            Ty::Bool => "bool".to_string(),
-            Ty::Address => "address".to_string(),
-            Ty::Bytes(n) => format!("bytes{n}"),
-        })
-        .collect();
-    format!("{name}({})", tys.join(","))
+    use std::fmt::Write;
+    // "uint256," is the widest common entry.
+    let mut sig = String::with_capacity(name.len() + 2 + 8 * params.len());
+    sig.push_str(name);
+    sig.push('(');
+    for (i, (_, ty)) in params.iter().enumerate() {
+        if i > 0 {
+            sig.push(',');
+        }
+        match ty {
+            Ty::UInt => sig.push_str("uint256"),
+            Ty::Bool => sig.push_str("bool"),
+            Ty::Address => sig.push_str("address"),
+            Ty::Bytes(n) => write!(sig, "bytes{n}").expect("writing to a String"),
+        }
+    }
+    sig.push(')');
+    sig
 }
 
 /// Where one entry of the runtime dispatcher leads.
@@ -280,6 +289,54 @@ pub(crate) fn emit(
     table: &[DispatchEntry<'_>],
     runtime_pad: usize,
 ) -> Result<CompiledEvm, LangError> {
+    assemble(program, table, runtime_pad, &mut |asm, revert, phase_idx, _, api| {
+        let mut ctx = Ctx::new(program, ParamSource::CallData, &api.params, asm, revert);
+        ctx.compile_api(phase_idx, api)?;
+        Ok(ctx.asm)
+    })
+}
+
+/// Reads one API's standalone fragment: its code, then the API's phase,
+/// its index in the phase and the API.
+pub(crate) type FragmentGate<'g> = dyn FnMut(&[u8], usize, usize, &Api) + 'g;
+
+/// Places one API's body: takes the runtime image so far (ending behind
+/// the API's dispatch label), the image's shared revert label, the API's
+/// phase, its index in the phase and the API; returns the image.
+type PlaceBody<'p, 'b> =
+    dyn FnMut(Asm, pol_evm::assembler::Label, usize, usize, &'p Api) -> Result<Asm, LangError> + 'b;
+
+/// [`emit`] with each API generated as a standalone fragment (what
+/// [`api_fragment`] returns) that `gate` reads, with the API's phase and
+/// index, before the fragment is spliced into the runtime image: its
+/// revert tail is dropped and its revert jumps go to the image's shared
+/// one. `gate` sees the APIs in `table` order.
+pub(crate) fn emit_gated(
+    program: &Program,
+    table: &[DispatchEntry<'_>],
+    runtime_pad: usize,
+    gate: &mut FragmentGate<'_>,
+) -> Result<CompiledEvm, LangError> {
+    // One spare assembler holds each fragment in turn.
+    let mut spare = Asm::new();
+    assemble(program, table, runtime_pad, &mut |asm, revert, phase_idx, api_idx, api| {
+        spare.clear();
+        let mut fragment = fragment(program, phase_idx, api, std::mem::take(&mut spare))?;
+        gate(fragment.asm.resolve(), phase_idx, api_idx, api);
+        let asm = asm.splice(&fragment.asm, fragment.revert, revert);
+        spare = fragment.asm;
+        Ok(asm)
+    })
+}
+
+/// The init code around the API bodies, which `body` places, once per
+/// API in `table` order.
+fn assemble<'p>(
+    program: &'p Program,
+    table: &[DispatchEntry<'p>],
+    runtime_pad: usize,
+    body: &mut PlaceBody<'p, '_>,
+) -> Result<CompiledEvm, LangError> {
     let mut selectors = HashMap::new();
     let mut param_layouts = HashMap::new();
 
@@ -345,11 +402,8 @@ pub(crate) fn emit(
                     .op(Op::Pop)
                     .op(Op::Stop);
             }
-            DispatchTarget::Api { phase, api, .. } => {
-                let mut ctx =
-                    Ctx::new(program, ParamSource::CallData, &api.params, asm, revert_label);
-                ctx.compile_api(phase, api)?;
-                asm = ctx.asm;
+            DispatchTarget::Api { phase, api_idx, api } => {
+                asm = body(asm, revert_label, phase, api_idx, api)?;
             }
         }
     }
@@ -429,12 +483,15 @@ impl<'p> Ctx<'p> {
         asm: Asm,
         revert_label: pol_evm::assembler::Label,
     ) -> Ctx<'p> {
-        let mut map = HashMap::with_capacity(params.len());
-        for (name, ty, off, len) in layout_iter(params) {
-            map.insert(name, (ty, off, len));
-        }
-        let staging_top = STAGING + map.values().map(|(_, _, len)| *len as u64).sum::<u64>();
-        Ctx { program, source, params: map, asm, revert_label, staging_top }
+        // Of a repeated name only the last parameter is addressed, so only
+        // it is counted.
+        let staging_top = STAGING
+            + layout_iter(params)
+                .enumerate()
+                .filter(|(i, (name, ..))| params[i + 1..].iter().all(|(later, _)| later != name))
+                .map(|(_, (_, _, _, len))| len as u64)
+                .sum::<u64>();
+        Ctx { program, source, params, asm, revert_label, staging_top }
     }
 
     fn compile_api(&mut self, phase_idx: usize, api: &Api) -> Result<(), LangError> {
@@ -590,9 +647,12 @@ impl<'p> Ctx<'p> {
         let base = self.staging_top;
         let mut cursor = base;
         for part in parts {
-            match part {
-                Expr::Param(name) if !self.param_ty(name)?.is_word() => {
-                    let (_, off, len) = self.params[name.as_str()];
+            let byte_param = match part {
+                Expr::Param(name) => Some(self.param(name)?).filter(|(ty, _, _)| !ty.is_word()),
+                _ => None,
+            };
+            match byte_param {
+                Some((_, off, len)) => {
                     match self.source {
                         ParamSource::CallData => {
                             self.asm = std::mem::take(&mut self.asm)
@@ -613,8 +673,8 @@ impl<'p> Ctx<'p> {
                     }
                     cursor += len as u64;
                 }
-                word_expr => {
-                    self.emit_expr(word_expr)?;
+                None => {
+                    self.emit_expr(part)?;
                     self.asm = std::mem::take(&mut self.asm).push_u64(cursor).op(Op::MStore);
                     cursor += 32;
                 }
@@ -623,10 +683,14 @@ impl<'p> Ctx<'p> {
         Ok((base, cursor - base))
     }
 
-    fn param_ty(&self, name: &str) -> Result<Ty, LangError> {
-        self.params
-            .get(name)
-            .map(|(ty, _, _)| *ty)
+    /// The type, offset within the args area and padded length of the
+    /// parameter `name`; of repeated names, the last. Parameter lists are
+    /// short, so a scan beats building a map per body.
+    fn param(&self, name: &str) -> Result<(Ty, usize, usize), LangError> {
+        layout_iter(self.params)
+            .filter(|(param, _, _, _)| *param == name)
+            .last()
+            .map(|(_, ty, off, len)| (ty, off, len))
             .ok_or_else(|| LangError::Backend(format!("unknown parameter {name:?}")))
     }
 
@@ -637,10 +701,7 @@ impl<'p> Ctx<'p> {
                 Ok(())
             }
             Expr::Param(name) => {
-                let (ty, off, _) = *self
-                    .params
-                    .get(name.as_str())
-                    .ok_or_else(|| LangError::Backend(format!("unknown parameter {name:?}")))?;
+                let (ty, off, _) = self.param(name)?;
                 if !ty.is_word() {
                     return Err(LangError::Backend(format!(
                         "byte parameter {name:?} used in word context"
@@ -729,30 +790,37 @@ impl<'p> Ctx<'p> {
     }
 }
 
-/// Compiles one API in isolation, for the bytecode verifier and the
-/// X0401 gate (the fragment is verified and scanned, never executed).
+/// Compiles one API in isolation: the standalone code the bytecode
+/// verifier and the X0401 gate check. The API's body in the runtime image
+/// is this code without its revert tail, its jump targets shifted.
 ///
 /// # Errors
 ///
 /// As for [`compile`].
 pub fn api_fragment(program: &Program, phase_idx: usize, api: &Api) -> Result<Vec<u8>, LangError> {
     crate::check::checked(program)?;
-    fragment(program, phase_idx, api)
+    Ok(fragment(program, phase_idx, api, Asm::new())?.asm.build())
 }
 
-/// [`api_fragment`] for a program already checked.
-pub(crate) fn fragment(
+/// One API's code: the body, then its own revert tail.
+struct Fragment {
+    asm: Asm,
+    revert: pol_evm::assembler::Label,
+}
+
+/// [`api_fragment`] for a program already checked, before assembly, into
+/// the empty assembler `asm`.
+fn fragment(
     program: &Program,
     phase_idx: usize,
     api: &Api,
-) -> Result<Vec<u8>, LangError> {
-    let mut asm = Asm::new();
-    let revert_label = asm.new_label();
-    let mut ctx = Ctx::new(program, ParamSource::CallData, &api.params, asm, revert_label);
+    mut asm: Asm,
+) -> Result<Fragment, LangError> {
+    let revert = asm.new_label();
+    let mut ctx = Ctx::new(program, ParamSource::CallData, &api.params, asm, revert);
     ctx.compile_api(phase_idx, api)?;
-    ctx.asm =
-        std::mem::take(&mut ctx.asm).bind(revert_label).push_u64(0).push_u64(0).op(Op::Revert);
-    Ok(ctx.asm.build())
+    let asm = ctx.asm.bind(revert).push_u64(0).push_u64(0).op(Op::Revert);
+    Ok(Fragment { asm, revert })
 }
 
 /// Total padded byte width of an API's parameters (calldata size minus

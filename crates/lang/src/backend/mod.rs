@@ -7,12 +7,16 @@
 //! flows, code generation, and finally the *bytecode-level* verifiers
 //! from [`pol_evm::verifier`] and [`pol_avm::verifier`] — so a codegen
 //! bug that emits an unbalanced stack, a bogus jump or a post-transfer
-//! state write is caught before the artifact ever reaches a chain. Per
-//! API, on both targets, the two-sided cost gate (X0401/X0402) holds the
-//! verified worst-case costs under the static certificates and those
-//! under the straight-line opcode sum. Everything the pipeline derives
-//! on the way — warnings, summaries, certificates — is returned with the
-//! artifacts.
+//! state write is caught before the artifact ever reaches a chain.
+//!
+//! Each API is generated once per backend, as a standalone fragment. The
+//! gate reads those emitted fragments: it verifies each one and, on both
+//! targets, holds the verified worst-case cost under the static
+//! certificate and that under the straight-line opcode sum
+//! (X0401/X0402). The images are then spliced from the same fragments
+//! and verified whole, so the gate checks the bytes that ship.
+//! Everything the pipeline derives on the way — warnings, summaries,
+//! certificates — is returned with the artifacts.
 
 pub mod avm;
 pub mod evm;
@@ -88,12 +92,20 @@ pub fn compile(program: &crate::ast::Program) -> Result<CompiledContract, crate:
         return Err(crate::LangError::VerificationFailed(report.failures));
     }
     let table = evm::dispatch_table(program);
+    // Each API is generated once per backend: the cost gate reads its
+    // fragment, and the image is spliced from the fragments.
+    let mut evm_gated = Vec::new();
     // EVM codegen runs ahead of the lints because L0008 prices the
     // deployment payload; its own failure still surfaces after theirs.
-    let evm_and_bounds = evm::emit(program, &table, evm::DEFAULT_RUNTIME_PAD).map(|evm| {
-        let bounds = crate::gas::certify_compiled(program, &flows, &evm, &table);
-        (evm, bounds)
-    });
+    let pad = evm::DEFAULT_RUNTIME_PAD;
+    let evm_and_bounds =
+        evm::emit_gated(program, &table, pad, &mut |fragment, phase_idx, api_idx, api| {
+            evm_gated.extend(gate_evm(program, &flows, phase_idx, api_idx, api, fragment));
+        })
+        .map(|evm| {
+            let bounds = crate::gas::certify_compiled(program, &flows, &evm, &table);
+            (evm, bounds)
+        });
     let summaries = crate::access::summarize_flows(program, &flows, &table);
     let gas_bounds = evm_and_bounds.as_ref().ok().map(|(_, bounds)| bounds);
     let (lint_errors, warnings): (Vec<_>, Vec<_>) =
@@ -104,8 +116,13 @@ pub fn compile(program: &crate::ast::Program) -> Result<CompiledContract, crate:
         return Err(crate::LangError::LintErrors(lint_errors));
     }
     let (compiled_evm, gas_bounds) = evm_and_bounds?;
-    let compiled_avm = avm::emit(program)?;
-    let rejections = verify_bytecode(program, &flows, &compiled_evm, &compiled_avm);
+    let mut avm_gated = Vec::new();
+    let compiled_avm = avm::emit(program, &mut |fragment, phase_idx, api_idx, api| {
+        avm_gated.extend(gate_avm(program, &flows, phase_idx, api_idx, api, fragment));
+    })?;
+    let mut rejections = verify_images(program, &compiled_evm, &compiled_avm);
+    rejections.extend(evm_gated);
+    rejections.extend(avm_gated);
     if !rejections.is_empty() {
         return Err(crate::LangError::BytecodeRejected(rejections));
     }
@@ -118,27 +135,26 @@ pub fn compile(program: &crate::ast::Program) -> Result<CompiledContract, crate:
     })
 }
 
-/// Runs the post-emission bytecode verifiers over every artifact
-/// (B0301–B0303) and the two-sided cost gate on each API's fragments
-/// (X0401–X0402).
-fn verify_bytecode(
+/// The phase-advance epilogue stores the phase counter after a
+/// transfer's CALL; every other post-call SSTORE is a
+/// checks-effects-interactions violation.
+const ALLOWED_POST_CALL_SSTORES: [u64; 1] = [evm::SLOT_PHASE];
+
+/// Runs the post-emission bytecode verifiers over every whole image
+/// (B0301, B0302).
+fn verify_images(
     program: &crate::ast::Program,
-    flows: &ProgramFlows,
     compiled_evm: &evm::CompiledEvm,
     compiled_avm: &avm::CompiledAvm,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    // The phase-advance epilogue stores the phase counter after a
-    // transfer's CALL; every other post-call SSTORE is a
-    // checks-effects-interactions violation.
-    let allowed = [evm::SLOT_PHASE];
     let max_payload =
         program.all_apis().map(|(_, api)| evm::params_width(api) as u64).max().unwrap_or(0);
 
     // Whole EVM images: the init code (constructor → deploy wrapper; the
     // runtime tail is unreachable data) and the runtime image itself.
     let image_cfg = pol_evm::verifier::VerifyConfig {
-        allowed_post_call_sstore_keys: &allowed,
+        allowed_post_call_sstore_keys: &ALLOWED_POST_CALL_SSTORES,
         payload_bytes: max_payload,
     };
     if let Err(e) = pol_evm::verifier::verify(&compiled_evm.init_code, &image_cfg) {
@@ -163,77 +179,80 @@ fn verify_bytecode(
                 .at(program.spans.get(&NodePath::ContractName)),
         );
     }
+    diags
+}
 
-    // Per-API fragments: verify each and gate the verified worst path
-    // against the certificate and the straight-line bound.
-    for (phase_idx, phase) in program.phases.iter().enumerate() {
-        for (api_idx, api) in phase.apis.iter().enumerate() {
-            let at = program.spans.get(&NodePath::Api { phase: phase_idx, api: api_idx });
-            let payload = evm::params_width(api) as u64;
-            let cfg = pol_evm::verifier::VerifyConfig {
-                allowed_post_call_sstore_keys: &allowed,
-                payload_bytes: payload,
-            };
-            // A fragment that cannot be regenerated is as unverified as
-            // one the verifier refuses: both are the target's B-code.
-            let evm_checked = evm::fragment(program, phase_idx, api)
-                .map_err(|e| format!("not generated: {e}"))
-                .and_then(|fragment| match pol_evm::verifier::verify(&fragment, &cfg) {
-                    Ok(report) => Ok((fragment, report)),
-                    Err(e) => Err(format!("rejected: {e}")),
-                });
-            match evm_checked {
-                Ok((fragment, report)) => {
-                    let stat =
-                        crate::gas::evm_fragment_bound(program, flows, phase_idx, api_idx, payload);
-                    let bound = evm_linear_bound(&fragment, payload);
-                    let observed = report.worst_case_gas;
-                    diags.extend(two_sided_gate(
-                        "X0401", &api.name, "gas", observed, stat, bound, at,
-                    ));
-                }
-                Err(why) => diags.push(
-                    Diagnostic::error("B0301", format!("api {:?}: EVM fragment {why}", api.name))
-                        .at(at),
-                ),
-            }
-            let avm_checked = avm::fragment(program, phase_idx, api)
-                .map_err(|e| format!("not generated: {e}"))
-                .map(pol_avm::program::AvmProgram::new)
-                .and_then(|fragment| match pol_avm::verifier::verify(&fragment) {
-                    Ok(report) => Ok((fragment, report)),
-                    Err(e) => Err(format!("rejected: {e}")),
-                });
-            match avm_checked {
-                Ok((fragment, report)) => {
-                    if report.worst_case_cost > pol_avm::cost::CALL_BUDGET {
-                        diags.push(
-                            Diagnostic::error(
-                                "B0303",
-                                format!(
-                                    "api {:?}: verified worst-case cost {} exceeds the per-call \
-                                     budget {}",
-                                    api.name,
-                                    report.worst_case_cost,
-                                    pol_avm::cost::CALL_BUDGET
-                                ),
-                            )
-                            .at(at),
-                        );
-                    }
-                    let stat = crate::gas::avm_fragment_bound(program, flows, phase_idx, api_idx);
-                    let bound = pol_avm::cost::program_cost(fragment.ops());
-                    let observed = report.worst_case_cost;
-                    diags.extend(two_sided_gate(
-                        "X0402", &api.name, "cost", observed, stat, bound, at,
-                    ));
-                }
-                Err(why) => diags.push(
-                    Diagnostic::error("B0302", format!("api {:?}: AVM fragment {why}", api.name))
-                        .at(at),
-                ),
-            }
+/// The EVM half of the cost gate on one API: verifies the fragment its
+/// image body is spliced from (B0301), and holds the verified worst path
+/// under the certificate and that under the straight-line bound (X0401).
+fn gate_evm(
+    program: &crate::ast::Program,
+    flows: &ProgramFlows,
+    phase_idx: usize,
+    api_idx: usize,
+    api: &crate::ast::Api,
+    fragment: &[u8],
+) -> Vec<Diagnostic> {
+    let at = program.spans.get(&NodePath::Api { phase: phase_idx, api: api_idx });
+    let payload = evm::params_width(api) as u64;
+    let cfg = pol_evm::verifier::VerifyConfig {
+        allowed_post_call_sstore_keys: &ALLOWED_POST_CALL_SSTORES,
+        payload_bytes: payload,
+    };
+    match pol_evm::verifier::verify(fragment, &cfg) {
+        Ok(report) => {
+            let stat = crate::gas::evm_fragment_bound(program, flows, phase_idx, api_idx, payload);
+            let bound = evm_linear_bound(fragment, payload);
+            let observed = report.worst_case_gas;
+            two_sided_gate("X0401", &api.name, "gas", observed, stat, bound, at)
         }
+        Err(e) => vec![Diagnostic::error(
+            "B0301",
+            format!("api {:?}: EVM fragment rejected: {e}", api.name),
+        )
+        .at(at)],
+    }
+}
+
+/// The AVM half of the cost gate on one API: verifies the fragment its
+/// program body is moved from (B0302), holds the verified worst case
+/// under the per-call budget (B0303), and under the certificate and that
+/// under the straight-line bound (X0402).
+fn gate_avm(
+    program: &crate::ast::Program,
+    flows: &ProgramFlows,
+    phase_idx: usize,
+    api_idx: usize,
+    api: &crate::ast::Api,
+    fragment: &pol_avm::program::AvmProgram,
+) -> Vec<Diagnostic> {
+    let at = program.spans.get(&NodePath::Api { phase: phase_idx, api: api_idx });
+    let mut diags = Vec::new();
+    match pol_avm::verifier::verify(fragment) {
+        Ok(report) => {
+            if report.worst_case_cost > pol_avm::cost::CALL_BUDGET {
+                diags.push(
+                    Diagnostic::error(
+                        "B0303",
+                        format!(
+                            "api {:?}: verified worst-case cost {} exceeds the per-call budget {}",
+                            api.name,
+                            report.worst_case_cost,
+                            pol_avm::cost::CALL_BUDGET
+                        ),
+                    )
+                    .at(at),
+                );
+            }
+            let stat = crate::gas::avm_fragment_bound(program, flows, phase_idx, api_idx);
+            let bound = pol_avm::cost::program_cost(fragment.ops());
+            let observed = report.worst_case_cost;
+            diags.extend(two_sided_gate("X0402", &api.name, "cost", observed, stat, bound, at));
+        }
+        Err(e) => diags.push(
+            Diagnostic::error("B0302", format!("api {:?}: AVM fragment rejected: {e}", api.name))
+                .at(at),
+        ),
     }
     diags
 }

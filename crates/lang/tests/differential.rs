@@ -236,4 +236,16 @@ proptest! {
             pol_lang::pretty::to_source(&program)
         );
     }
+
+    /// `analyze` stands in the AVM's refusal rule for its code generator:
+    /// on every generated program it accepts or refuses as
+    /// `avm::compile` does, with the same message.
+    #[test]
+    fn analyze_and_avm_compile_agree_on_refusal(program in program()) {
+        let verdict = |result: Result<(), pol_lang::LangError>| result.map_err(|e| e.to_string());
+        prop_assert_eq!(
+            verdict(pol_lang::analyze::analyze(&program).map(drop)),
+            verdict(backend::avm::compile(&program).map(drop))
+        );
+    }
 }
